@@ -80,12 +80,26 @@ pub fn generate_checked(
     spec: &CoreSpec,
     technology: Technology,
 ) -> Result<Netlist, lint::LintReport> {
+    generate_linted(spec, technology).map(|(netlist, _)| netlist)
+}
+
+/// [`generate_checked`] that also hands back the lint report it computed
+/// (warnings and infos included), so a caller that summarizes lint
+/// results does not lint the design a second time.
+///
+/// # Errors
+///
+/// Returns the lint report if any [`lint::Severity::Error`] finding fires.
+pub fn generate_linted(
+    spec: &CoreSpec,
+    technology: Technology,
+) -> Result<(Netlist, lint::LintReport), lint::LintReport> {
     let netlist = build(spec);
     let report = lint::lint(&netlist, technology.library(), &lint::LintConfig::default());
     if report.has_errors() {
         Err(report)
     } else {
-        Ok(netlist)
+        Ok((netlist, report))
     }
 }
 

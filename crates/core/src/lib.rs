@@ -44,7 +44,8 @@ pub mod workload;
 
 pub use config::CoreConfig;
 pub use generator::{
-    generate, generate_checked, generate_standard, generate_standard_checked, GateLevelMachine,
+    generate, generate_checked, generate_linted, generate_standard, generate_standard_checked,
+    GateLevelMachine,
 };
 pub use isa::{AluOp, Encoding, Flags, Instruction, IsaError, Operand};
 pub use sim::{ExecError, Machine, RunSummary, StepOutcome};

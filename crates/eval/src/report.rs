@@ -141,11 +141,10 @@ pub fn lifetime_csv(curves: &[crate::lifetime::LifetimeCurve]) -> String {
 /// evaluation's evidence that everything it costs out is DRC-clean.
 pub fn lint_summary(technology: Technology) -> TextTable {
     use printed_baselines::BaselineCpu;
-    use printed_core::{generate_standard_checked, CoreConfig};
+    use printed_core::{generate_linted, CoreConfig, CoreSpec};
     use printed_netlist::lint;
 
     let _span = printed_obs::span!("eval.lint_summary");
-    let lib = technology.library();
     let config = lint::LintConfig::default();
     let mut table = TextTable::new(
         format!("Lint summary ({technology:?})"),
@@ -161,11 +160,8 @@ pub fn lint_summary(technology: Technology) -> TextTable {
         ]);
     };
     for core_config in CoreConfig::design_space() {
-        let (report, gates) = match generate_standard_checked(&core_config, technology) {
-            Ok(netlist) => {
-                let gates = netlist.cell_counts().values().sum();
-                (lint::lint(&netlist, lib, &config), gates)
-            }
+        let (report, gates) = match generate_linted(&CoreSpec::standard(core_config), technology) {
+            Ok((netlist, report)) => (report, netlist.cell_counts().values().sum()),
             // Generation refuses DRC errors; surface the failing report
             // with no gate count rather than hiding the design point.
             Err(report) => (report, 0),

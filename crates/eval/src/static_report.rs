@@ -17,11 +17,10 @@
 
 use crate::report::{eng, TextTable};
 use printed_baselines::BaselineCpu;
-use printed_core::{generate_standard_checked, CoreConfig};
-use printed_netlist::{analysis, dataflow, lint, FanoutMap, Netlist};
+use printed_core::{generate_linted, CoreConfig, CoreSpec};
+use printed_netlist::{analysis, dataflow, lint, Netlist};
 use printed_obs as obs;
 use printed_pdk::Technology;
-use std::sync::Arc;
 
 /// Static-analysis results for one design point.
 #[derive(Debug, Clone)]
@@ -85,13 +84,20 @@ impl StaticReport {
 /// cycle to surface, and the sweep runs 28 designs per technology.
 pub const CROSSCHECK_CYCLES: u64 = 4;
 
-fn analyze_design(netlist: &Netlist, technology: Technology) -> StaticRow {
+/// Analyzes one design with a single dataflow fixpoint run shared by
+/// lint and STA. `generated` is the lint report generation already
+/// produced for this netlist, if any; otherwise lint runs over the facts.
+fn analyze_design(
+    netlist: &Netlist,
+    technology: Technology,
+    generated: Option<lint::LintReport>,
+) -> StaticRow {
     let lib = technology.library();
-    let fanout = Arc::new(FanoutMap::build(netlist));
-    let facts = dataflow::analyze_with_fanout(netlist, Arc::clone(&fanout));
-    let lint_report =
-        lint::lint_with_fanout(netlist, lib, &lint::LintConfig::default(), Arc::clone(&fanout));
-    let sta = analysis::sta_with_fanout(netlist, lib, &fanout, analysis::DEFAULT_TOP_PATHS);
+    let facts = dataflow::analyze(netlist);
+    let lint_report = generated.unwrap_or_else(|| {
+        lint::lint_with_facts(netlist, lib, &lint::LintConfig::default(), &facts)
+    });
+    let sta = analysis::sta_with_fanout(netlist, lib, facts.fanout(), analysis::DEFAULT_TOP_PATHS);
     let ch = analysis::characterize(netlist, lib);
     StaticRow {
         design: netlist.name().to_string(),
@@ -120,8 +126,8 @@ pub fn static_report(technology: Technology) -> StaticReport {
     let _span = printed_obs::span!("eval.static_report");
     let mut rows = Vec::new();
     for config in CoreConfig::design_space() {
-        match generate_standard_checked(&config, technology) {
-            Ok(netlist) => rows.push(analyze_design(&netlist, technology)),
+        match generate_linted(&CoreSpec::standard(config), technology) {
+            Ok((netlist, report)) => rows.push(analyze_design(&netlist, technology, Some(report))),
             // Generation refuses DRC errors; surface the failure as an
             // all-error row rather than hiding the design point.
             Err(report) => rows.push(StaticRow {
@@ -144,7 +150,7 @@ pub fn static_report(technology: Technology) -> StaticReport {
     }
     for cpu in BaselineCpu::ALL {
         let netlist = cpu.inventory(technology).representative_netlist();
-        rows.push(analyze_design(&netlist, technology));
+        rows.push(analyze_design(&netlist, technology, None));
     }
     StaticReport { technology, rows }
 }

@@ -85,7 +85,7 @@ pub use fault::{
     Workload,
 };
 pub use ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError, Region};
-pub use lint::{lint, lint_with_fanout, Diagnostic, LintConfig, LintReport, Rule, Severity};
+pub use lint::{lint, lint_with_facts, Diagnostic, LintConfig, LintReport, Rule, Severity};
 pub use resilience::{
     atomic_write, campaign_identity, read_checked, run_supervised_campaign,
     run_supervised_campaign_cancellable, run_supervised_campaign_with_threads, JobError,

@@ -11,13 +11,20 @@
 //! 3. every trapped state bit really is `power-up ⊕ deterministic`:
 //!    flipping the trapped power-up bits flips every trapped Q forever.
 //!
+//! The worklist trapped-state fixpoint is also checked against a copy of
+//! the levelized iterate-until-stable loop it replaced, on the random
+//! netlists and on long shift chains and rings (the baseline cores'
+//! representative shape).
+//!
 //! The converse directions ("every X net actually varies") are false by
 //! design — a ternary lattice is deliberately pessimistic — so they are
 //! not asserted.
 
 #![allow(clippy::disallowed_methods)]
 
+use printed_netlist::dataflow::AbsValue;
 use printed_netlist::{dataflow, GateId, NetId, Netlist, NetlistBuilder, Simulator};
+use printed_pdk::CellKind;
 use proptest::prelude::*;
 
 /// Builds a random sequential netlist: a 4-bit input bus, a pool of
@@ -62,6 +69,111 @@ fn random_netlist(ops: &[(u8, u8, u8)], n_ffs: usize, nr_mask: u8) -> Netlist {
     b.output("y", outs);
     b.output("state", ffs);
     b.finish().unwrap()
+}
+
+/// Builds a flip-flop shift chain, closed into a ring when `ring`: stage
+/// `i`'s D is stage `i - 1`'s Q (the head reads the tail in a ring, input
+/// bit 0 otherwise), passed through the stage's op. Op 0–1 passes the Q
+/// straight through, 2 inverts it, 3–9 combine it with an operand picked
+/// by the stage's selector from the input bits, the constants and every
+/// stage's Q. The stage's flag selects a resettable `DffNr`.
+fn shift_chain_netlist(stages: &[(u8, u8, bool)], ring: bool) -> Netlist {
+    let mut b = NetlistBuilder::new("chain_df");
+    let inputs = b.input("x", 4);
+    let qs: Vec<NetId> = stages.iter().map(|_| b.forward_net()).collect();
+    let mut operands = inputs.clone();
+    operands.push(b.const0());
+    operands.push(b.const1());
+    operands.extend(&qs);
+    for (i, &(op, sel, resettable)) in stages.iter().enumerate() {
+        let prev = match i {
+            0 if ring => qs[qs.len() - 1],
+            0 => inputs[0],
+            _ => qs[i - 1],
+        };
+        let other = operands[sel as usize % operands.len()];
+        let d = match op {
+            0 | 1 => prev,
+            2 => b.inv(prev),
+            3 => b.and2(prev, other),
+            4 => b.or2(prev, other),
+            5 => b.xor2(prev, other),
+            6 => b.nand2(prev, other),
+            7 => b.nor2(prev, other),
+            8 => b.xnor2(prev, other),
+            _ => b.tsbuf(prev, other),
+        };
+        if resettable {
+            b.dff_nr_into(d, qs[i]);
+        } else {
+            b.dff_into(d, qs[i]);
+        }
+    }
+    b.output("so", vec![qs[qs.len() - 1]]);
+    b.finish().unwrap()
+}
+
+/// The trapped-state pass as it was before the worklist: re-run the
+/// levelized must-X pass over the whole netlist until no trapped cell
+/// falls. Kept here, test-only, as the oracle for the worklist version.
+fn reference_trapped_state(nl: &Netlist, facts: &dataflow::DataflowFacts) -> Vec<GateId> {
+    let sim = Simulator::new(nl);
+    let mut topo: Vec<(u32, usize)> =
+        (0..nl.gate_count()).filter_map(|i| sim.gate_depth(i).map(|depth| (depth, i))).collect();
+    topo.sort_unstable();
+    let gates = nl.gates();
+    let mut trapped: Vec<bool> =
+        gates.iter().map(|g| matches!(g.kind, CellKind::Dff | CellKind::Latch)).collect();
+    let mut must_x = vec![false; nl.net_count()];
+    loop {
+        must_x.iter_mut().for_each(|m| *m = false);
+        for (i, gate) in gates.iter().enumerate() {
+            if gate.is_sequential() {
+                must_x[gate.output.index()] = trapped[i];
+            }
+        }
+        for &(_, gi) in &topo {
+            let gate = &gates[gi];
+            let a = gate.inputs[0];
+            let b = *gate.inputs.get(1).unwrap_or(&a);
+            let (ma, mb) = (must_x[a.index()], must_x[b.index()]);
+            let (va, vb) = (facts.value(a), facts.value(b));
+            must_x[gate.output.index()] = match gate.kind {
+                CellKind::Inv => ma,
+                CellKind::And2 | CellKind::Nand2 => {
+                    (ma && vb == AbsValue::One) || (mb && va == AbsValue::One)
+                }
+                CellKind::Or2 | CellKind::Nor2 => {
+                    (ma && vb == AbsValue::Zero) || (mb && va == AbsValue::Zero)
+                }
+                CellKind::Xor2 | CellKind::Xnor2 => {
+                    (ma && vb != AbsValue::X) || (mb && va != AbsValue::X)
+                }
+                CellKind::TsBuf => ma && vb == AbsValue::One,
+                _ => unreachable!("sequential cells have no depth"),
+            };
+        }
+        let mut changed = false;
+        for (i, gate) in gates.iter().enumerate() {
+            let keep = trapped[i]
+                && match gate.kind {
+                    CellKind::Dff => must_x[gate.inputs[0].index()],
+                    CellKind::Latch => {
+                        facts.value(gate.inputs[0]) == AbsValue::Zero
+                            && facts.value(gate.inputs[1]) == AbsValue::Zero
+                    }
+                    _ => false,
+                };
+            if trapped[i] && !keep {
+                trapped[i] = false;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    (0..gates.len()).filter(|&i| trapped[i]).map(GateId::from_index).collect()
 }
 
 /// Sequential cells the analysis models as unknown at power-up (plain
@@ -216,5 +328,26 @@ proptest! {
                 s2.read_output("state").unwrap()
             );
         }
+    }
+
+    #[test]
+    fn worklist_trapped_state_matches_the_levelized_reference(
+        ops in prop::collection::vec((0u8..9, any::<u8>(), any::<u8>()), 1..40),
+        n_ffs in 1usize..6,
+        nr_mask in any::<u8>(),
+    ) {
+        let nl = random_netlist(&ops, n_ffs, nr_mask);
+        let facts = dataflow::analyze(&nl);
+        prop_assert_eq!(facts.trapped_state(), &reference_trapped_state(&nl, &facts)[..]);
+    }
+
+    #[test]
+    fn worklist_trapped_state_matches_the_reference_on_chains_and_rings(
+        stages in prop::collection::vec((0u8..10, any::<u8>(), any::<bool>()), 1..200),
+        ring in any::<bool>(),
+    ) {
+        let nl = shift_chain_netlist(&stages, ring);
+        let facts = dataflow::analyze(&nl);
+        prop_assert_eq!(facts.trapped_state(), &reference_trapped_state(&nl, &facts)[..]);
     }
 }

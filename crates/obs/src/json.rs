@@ -99,10 +99,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a limit a line of `[`s from disk or a
+/// socket would overflow the stack; every artifact this workspace writes
+/// nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing non-whitespace is an
-/// error.
+/// error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -115,6 +121,8 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -152,8 +160,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -343,6 +358,22 @@ mod tests {
         };
         assert_eq!(f[2].get("g").and_then(Value::as_str), Some("h"));
         assert_eq!(v.get("a").and_then(|x| x.get("tail")), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        let err = parse(&too_deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Hostile lines: 100k openers, unterminated, as a socket might
+        // deliver them. Each is a typed error, not a stack overflow.
+        for hostile in ["[".repeat(100_000), r#"{"a":"#.repeat(100_000)] {
+            let err = parse(&hostile).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
     }
 
     #[test]

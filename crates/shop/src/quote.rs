@@ -14,7 +14,7 @@
 //! a hope.
 
 use crate::error::ShopError;
-use crate::proto::{fnv64, ShopQuery};
+use crate::proto::ShopQuery;
 use printed_core::workload::ProgramWorkload;
 use printed_core::{asm, generate_checked, CoreConfig, CoreSpec, Instruction, NarrowEncoding};
 use printed_memory::Sram;
@@ -22,6 +22,7 @@ use printed_netlist::fault::{CampaignConfig, StuckAtSpace};
 use printed_netlist::resilience::{
     campaign_identity, run_supervised_campaign_cancellable, ResilienceConfig, SupervisedRun,
 };
+use printed_netlist::snapshot::fnv1a;
 use printed_netlist::{analysis, opt, tmr, Netlist, TmrOptions};
 use printed_obs::json;
 use printed_pdk::battery::{Battery, PRINTED_BATTERIES};
@@ -125,7 +126,7 @@ pub fn campaign_config(query: &ShopQuery) -> Option<CampaignConfig> {
 /// Propagates campaign-identity failures (golden run errors) as
 /// [`ShopError::Build`].
 pub fn content_key(query: &ShopQuery, built: &BuiltCore) -> Result<u64, ShopError> {
-    let context = fnv64(query.content_canonical().as_bytes());
+    let context = fnv1a(query.content_canonical().as_bytes());
     let Some(config) = campaign_config(query) else {
         return Ok(context);
     };
@@ -137,7 +138,7 @@ pub fn content_key(query: &ShopQuery, built: &BuiltCore) -> Result<u64, ShopErro
     let mut mixed = [0u8; 16];
     mixed[..8].copy_from_slice(&fingerprint.to_le_bytes());
     mixed[8..].copy_from_slice(&context.to_le_bytes());
-    Ok(fnv64(&mixed))
+    Ok(fnv1a(&mixed))
 }
 
 /// A computed quote plus its campaign bookkeeping.
@@ -275,6 +276,20 @@ mod tests {
             }),
             ..ShopQuery::default()
         }
+    }
+
+    #[test]
+    fn cache_content_keys_and_job_ids_are_pinned() {
+        // Cached quotes on disk are filed under these keys: a change to
+        // the hash or the canonical forms would orphan every entry.
+        let plain = ShopQuery::default();
+        let built = build(&plain).expect("default query builds");
+        assert_eq!(plain.query_key(), 0x1256_6672_26ac_bde2);
+        assert_eq!(content_key(&plain, &built).unwrap(), 0x1256_6672_26ac_bde2);
+        let q = campaign_query();
+        let built = build(&q).expect("campaign query builds");
+        assert_eq!(q.query_key(), 0x9aee_5774_1947_929d);
+        assert_eq!(content_key(&q, &built).unwrap(), 0xd136_ba4e_ce87_0755);
     }
 
     #[test]
