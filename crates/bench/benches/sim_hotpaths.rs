@@ -35,7 +35,7 @@ use printed_core::workload::ProgramWorkload;
 use printed_core::{generate_standard, CoreConfig};
 use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, StuckAtSpace, Workload};
 use printed_netlist::resilience::{run_supervised_campaign_with_threads, ResilienceConfig};
-use printed_netlist::{analysis, dataflow, Engine, FanoutMap, Simulator};
+use printed_netlist::{analysis, dataflow, opt, Engine, FanoutMap, Simulator};
 use printed_obs as obs;
 use printed_pdk::Technology;
 use std::path::Path;
@@ -143,6 +143,7 @@ struct Measurements {
     resilience_csv_identical: bool,
     obs_off_ns_per_op: f64,
     static_points: Vec<StaticPoint>,
+    opt_sweep_ms: f64,
 }
 
 /// Bitsliced-vs-scalar campaign engine measurement on the exhaustive
@@ -271,7 +272,8 @@ impl Measurements {
              \"obs_off_overhead\": {{\"ns_per_op\": {:.2}, \"threshold_ns\": {:.1}, \
              \"within_threshold\": {}}},\n  \
              \"static_analysis\": {{\"technology\": \"Egfet\", \"total_ms\": {:.1}, \
-             \"budget_ms\": {:.1}, \"within_budget\": {}, \"points\": [{}]}}\n}}\n",
+             \"budget_ms\": {:.1}, \"within_budget\": {}, \"points\": [{}]}},\n  \
+             \"optimizer\": {{\"designs\": {}, \"total_ms\": {:.2}}}\n}}\n",
             self.sim_cycles,
             self.sim_event.ns_per_cycle,
             self.sim_event.gate_evals_per_sec,
@@ -326,6 +328,8 @@ impl Measurements {
             STATIC_SWEEP_BUDGET_MS,
             self.static_total_ms() <= STATIC_SWEEP_BUDGET_MS,
             static_json.join(", "),
+            CoreConfig::design_space().len(),
+            self.opt_sweep_ms,
         )
     }
 }
@@ -639,6 +643,25 @@ fn measure_static_analysis() -> Vec<StaticPoint> {
     points
 }
 
+/// Wall time of `opt::optimize` over the 24 Figure 7 sweep cores, the
+/// constant folder and dead-gate sweep every program-specific core and
+/// print-shop quote runs. Best of [`MEASURE_REPS`] passes after
+/// [`WARMUP_REPS`] discarded ones.
+fn measure_opt_sweep() -> f64 {
+    let cores: Vec<_> = CoreConfig::design_space().iter().map(generate_standard).collect();
+    let mut best = f64::INFINITY;
+    for rep in 0..MEASURE_REPS {
+        let started = Instant::now();
+        for core in &cores {
+            black_box(opt::optimize(core).gate_count());
+        }
+        if rep >= WARMUP_REPS {
+            best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    best
+}
+
 /// Per-call-site cost of disabled instrumentation: a span enter/drop
 /// plus a counter add, exactly as the simulator hot paths would pay it.
 fn measure_obs_off() -> f64 {
@@ -695,7 +718,7 @@ fn append_history(m: &Measurements) {
          \"gl_speedup\": {:.2}, \"warm_speedup\": {:.2}, \
          \"bitsliced_speedup\": {:.2}, \"bitsliced_runs_per_sec\": {:.0}, \
          \"resilience_overhead\": {:.4}, \"obs_off_ns_per_op\": {:.2}, \
-         \"static_total_ms\": {:.1}}}}}\n",
+         \"static_total_ms\": {:.1}, \"opt_sweep_ms\": {:.2}}}}}\n",
         git_rev(),
         m.sim_event.ns_per_cycle,
         m.sim_sweep.ns_per_cycle,
@@ -708,6 +731,7 @@ fn append_history(m: &Measurements) {
         m.resilience_overhead(),
         m.obs_off_ns_per_op,
         m.static_total_ms(),
+        m.opt_sweep_ms,
     );
     let written = std::fs::OpenOptions::new()
         .create(true)
@@ -744,6 +768,7 @@ fn bench(c: &mut Criterion) {
         measure_warm_start();
     let obs_off_ns_per_op = measure_obs_off();
     let static_points = measure_static_analysis();
+    let opt_sweep_ms = measure_opt_sweep();
 
     let m = Measurements {
         sim_cycles,
@@ -769,6 +794,7 @@ fn bench(c: &mut Criterion) {
         resilience_csv_identical,
         obs_off_ns_per_op,
         static_points,
+        opt_sweep_ms,
     };
     println!(
         "netlist sim: event {:.0} ns/cycle vs full sweep {:.0} ns/cycle; gate-level {}: \
@@ -834,6 +860,11 @@ fn bench(c: &mut Criterion) {
             p.sta_ms
         );
     }
+    println!(
+        "optimizer: opt::optimize over {} sweep cores {:.2} ms",
+        CoreConfig::design_space().len(),
+        m.opt_sweep_ms
+    );
     write_bench_json(&m);
     append_history(&m);
     assert!(

@@ -77,6 +77,7 @@ pub const GATED_METRICS: &[MetricSpec] = &[
     MetricSpec { name: "bitsliced_speedup", direction: Direction::HigherIsBetter, max_ratio: 2.0 },
     MetricSpec { name: "obs_off_ns_per_op", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
     MetricSpec { name: "static_total_ms", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
+    MetricSpec { name: "opt_sweep_ms", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
     MetricSpec { name: "serve_qps", direction: Direction::HigherIsBetter, max_ratio: 3.0 },
 ];
 
@@ -447,6 +448,31 @@ mod tests {
         assert!(v.pass, "{}", v.summary());
         assert_eq!(v.checks.len(), 1, "only the overlapping metric is gated");
         assert_eq!(v.checks[0].name, "gl_event_ns_per_cycle");
+    }
+
+    #[test]
+    fn a_newly_recorded_metric_is_gated_from_its_second_record_on() {
+        // A ledger written before opt_sweep_ms existed, then the first
+        // record carrying it: nothing to compare it with yet.
+        fn sim(run_index: u64, opt_ms: Option<f64>) -> String {
+            let opt = opt_ms.map_or_else(String::new, |ms| format!(", \"opt_sweep_ms\": {ms}"));
+            format!(
+                "{{\"schema\": \"printed-bench-record/v1\", \"run_index\": {run_index}, \
+                 \"git_rev\": \"r{run_index}\", \"metrics\": {{\"static_total_ms\": 90{opt}}}}}"
+            )
+        }
+        let mut lines = vec![sim(1, None), sim(2, None), sim(3, Some(5.0))];
+        let v = evaluate(&ledger(&lines), None);
+        assert!(v.pass, "{}", v.summary());
+        assert!(v.checks.iter().all(|c| c.name != "opt_sweep_ms"), "no prior history: skipped");
+
+        // From its second record on, it is gated like any other metric.
+        lines.push(sim(4, Some(5.5)));
+        let v = evaluate(&ledger(&lines), None);
+        assert!(v.checks.iter().any(|c| c.name == "opt_sweep_ms" && c.ok), "{}", v.summary());
+        lines.push(sim(5, Some(50.0)));
+        let v = evaluate(&ledger(&lines), None);
+        assert!(!v.pass, "a 10x slower optimizer fails the gate");
     }
 
     #[test]

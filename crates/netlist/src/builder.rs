@@ -474,25 +474,52 @@ impl NetlistBuilder {
 /// Kahn's algorithm over the combinational subgraph. Sequential outputs
 /// (DFF/latch Q) are sources; sequential inputs (D pins) are sinks.
 /// Also used by [`Netlist::validate`] to re-check acyclicity.
+///
+/// Each gate's dependents live in one flat CSR array (offsets plus
+/// readers, the layout [`crate::ir::FanoutMap`] uses), filled in gate-index
+/// then pin order, so the ready stack pops gates in a fixed order that
+/// depends only on the gate list.
 pub(crate) fn topo_sort(net_count: u32, gates: &[Gate]) -> Result<Vec<u32>, NetlistError> {
+    const NO_DRIVER: u32 = u32::MAX;
     // driver_of[net] = combinational gate index driving it, if any.
-    let mut driver_of: Vec<Option<u32>> = vec![None; net_count as usize];
+    let mut driver_of = vec![NO_DRIVER; net_count as usize];
     for (i, gate) in gates.iter().enumerate() {
         if !gate.is_sequential() {
-            driver_of[gate.output.index()] = Some(i as u32);
+            driver_of[gate.output.index()] = i as u32;
         }
     }
 
-    let mut indegree: Vec<u32> = vec![0; gates.len()];
-    let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); gates.len()];
+    // offsets[g + 1] counts gate g's dependent pins, then becomes the end
+    // of its slice after the prefix sum.
+    let mut indegree = vec![0u32; gates.len()];
+    let mut offsets = vec![0u32; gates.len() + 1];
     for (i, gate) in gates.iter().enumerate() {
         if gate.is_sequential() {
             continue;
         }
         for input in &gate.inputs {
-            if let Some(driver) = driver_of[input.index()] {
+            let driver = driver_of[input.index()];
+            if driver != NO_DRIVER {
                 indegree[i] += 1;
-                dependents[driver as usize].push(i as u32);
+                offsets[driver as usize + 1] += 1;
+            }
+        }
+    }
+    for g in 0..gates.len() {
+        offsets[g + 1] += offsets[g];
+    }
+    let mut cursor = offsets.clone();
+    let mut dependents = vec![0u32; offsets[gates.len()] as usize];
+    for (i, gate) in gates.iter().enumerate() {
+        if gate.is_sequential() {
+            continue;
+        }
+        for input in &gate.inputs {
+            let driver = driver_of[input.index()];
+            if driver != NO_DRIVER {
+                let slot = &mut cursor[driver as usize];
+                dependents[*slot as usize] = i as u32;
+                *slot += 1;
             }
         }
     }
@@ -503,7 +530,8 @@ pub(crate) fn topo_sort(net_count: u32, gates: &[Gate]) -> Result<Vec<u32>, Netl
     let mut order = Vec::with_capacity(gates.len());
     while let Some(i) = ready.pop() {
         order.push(i);
-        for &dep in &dependents[i as usize] {
+        let (lo, hi) = (offsets[i as usize] as usize, offsets[i as usize + 1] as usize);
+        for &dep in &dependents[lo..hi] {
             indegree[dep as usize] -= 1;
             if indegree[dep as usize] == 0 {
                 ready.push(dep);
@@ -528,6 +556,7 @@ pub(crate) fn topo_sort(net_count: u32, gates: &[Gate]) -> Result<Vec<u32>, Netl
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn builds_a_half_adder() {
@@ -556,6 +585,114 @@ mod tests {
             Gate { kind: CellKind::Inv, inputs: vec![NetId(0)], output: NetId(1) },
         ];
         assert!(matches!(topo_sort(2, &gates), Err(NetlistError::CombinationalCycle(_))));
+    }
+
+    /// `topo_sort` as it was before the CSR dependents array: one
+    /// dependents `Vec` per gate. Test-only oracle for the order.
+    fn reference_topo_sort(net_count: u32, gates: &[Gate]) -> Result<Vec<u32>, NetlistError> {
+        let mut driver_of: Vec<Option<u32>> = vec![None; net_count as usize];
+        for (i, gate) in gates.iter().enumerate() {
+            if !gate.is_sequential() {
+                driver_of[gate.output.index()] = Some(i as u32);
+            }
+        }
+        let mut indegree: Vec<u32> = vec![0; gates.len()];
+        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); gates.len()];
+        for (i, gate) in gates.iter().enumerate() {
+            if gate.is_sequential() {
+                continue;
+            }
+            for input in &gate.inputs {
+                if let Some(driver) = driver_of[input.index()] {
+                    indegree[i] += 1;
+                    dependents[driver as usize].push(i as u32);
+                }
+            }
+        }
+        let mut ready: Vec<u32> = (0..gates.len() as u32)
+            .filter(|&i| !gates[i as usize].is_sequential() && indegree[i as usize] == 0)
+            .collect();
+        let mut order = Vec::with_capacity(gates.len());
+        while let Some(i) = ready.pop() {
+            order.push(i);
+            for &dep in &dependents[i as usize] {
+                indegree[dep as usize] -= 1;
+                if indegree[dep as usize] == 0 {
+                    ready.push(dep);
+                }
+            }
+        }
+        if order.len() != gates.iter().filter(|g| !g.is_sequential()).count() {
+            let stuck =
+                (0..gates.len()).find(|&i| !gates[i].is_sequential() && indegree[i] > 0).unwrap();
+            return Err(NetlistError::CombinationalCycle(gates[stuck].output));
+        }
+        Ok(order)
+    }
+
+    /// A random gate list over `inputs` port nets: gate `i` drives net
+    /// `inputs + i` and reads the nets its `(kind, a, b)` entry picks.
+    /// With `acyclic`, gates read only nets numbered below their own
+    /// output; otherwise they may read any net, so combinational cycles
+    /// occur. With `reversed`, the list is stored back to front, so gate
+    /// index order is not a topological order.
+    fn random_gate_list(
+        inputs: u32,
+        spec: &[(u8, u8, u8)],
+        acyclic: bool,
+        reversed: bool,
+    ) -> (u32, Vec<Gate>) {
+        const KINDS: [CellKind; 10] = [
+            CellKind::Inv,
+            CellKind::Nand2,
+            CellKind::Nor2,
+            CellKind::And2,
+            CellKind::Or2,
+            CellKind::Xor2,
+            CellKind::TsBuf,
+            CellKind::Dff,
+            CellKind::DffNr,
+            CellKind::Latch,
+        ];
+        let net_count = inputs + spec.len() as u32;
+        let mut gates: Vec<Gate> = spec
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, a, b))| {
+                let output = inputs + i as u32;
+                let span = if acyclic { output } else { net_count };
+                let kind = KINDS[k as usize % KINDS.len()];
+                let inputs = [a, b]
+                    .iter()
+                    .take(kind.input_count())
+                    .map(|&p| NetId(p as u32 % span))
+                    .collect();
+                Gate { kind, inputs, output: NetId(output) }
+            })
+            .collect();
+        if reversed {
+            gates.reverse();
+        }
+        (net_count, gates)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn csr_topo_sort_matches_the_per_gate_vec_reference(
+            inputs in 1u32..8,
+            spec in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..120),
+            acyclic in any::<bool>(),
+            reversed in any::<bool>(),
+        ) {
+            let (net_count, gates) = random_gate_list(inputs, &spec, acyclic, reversed);
+            let got = topo_sort(net_count, &gates);
+            prop_assert_eq!(&got, &reference_topo_sort(net_count, &gates));
+            if acyclic {
+                prop_assert!(got.is_ok());
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! bytes, exactly as cached, so clients byte-compare quotes without
 //! re-serializing. Every other response is a single envelope line.
 //!
+//! A request line may be at most [`MAX_LINE_BYTES`] long, newline
+//! included. The service answers a longer line with a typed
+//! `bad_request` error and closes the connection, so a client that
+//! never sends a newline cannot make it buffer without bound.
+//!
 //! [`ShopQuery::canonical`] renders a query with every field in a fixed
 //! order and defaults filled in, so two requests meaning the same thing
 //! are the same bytes; [`ShopQuery::query_key`] hashes that form into
@@ -18,6 +23,11 @@
 use crate::error::ShopError;
 use printed_netlist::snapshot::fnv1a;
 use printed_obs::json::{self, Value};
+
+/// Longest request line the service reads, newline included: 1 MiB. A
+/// quote carrying a full 256-instruction program (the standard core's
+/// 8-bit PC) is well under 16 KiB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Campaign parameters of a query (all optional on the wire).
 #[derive(Debug, Clone, PartialEq)]

@@ -31,15 +31,15 @@
 use crate::cache::{CacheLookup, QuoteCache};
 use crate::error::ShopError;
 use crate::journal::Journal;
-use crate::proto::{parse_request, Request, ShopQuery};
+use crate::proto::{parse_request, Request, ShopQuery, MAX_LINE_BYTES};
 use crate::queue::{JobQueue, QuoteReply, Reply, Served, Submit};
 use crate::quote;
 use printed_eval::{render_manifest, StageRecord, StageStatus};
 use printed_netlist::fault::campaign_threads;
 use printed_obs as obs;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -393,17 +393,52 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        // Reading one byte past the cap tells a full-length line from an
+        // over-long one without ever buffering more than the cap.
+        buf.clear();
+        match reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let response = dispatch(&line, shared);
+        if buf.len() > MAX_LINE_BYTES {
+            let e = ShopError::BadRequest {
+                message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            };
+            let _ = writer.write_all(error_line(&e).as_bytes());
+            discard_rest(reader, &writer);
+            break;
+        }
+        let response = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                let line =
+                    line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
+                dispatch(line, shared)
+            }
+            Err(_) => error_line(&ShopError::BadRequest { message: "request is not UTF-8".into() }),
+        };
         if writer.write_all(response.as_bytes()).and_then(|()| writer.flush()).is_err() {
             break;
         }
     }
+}
+
+/// Closes a connection whose client sent an over-long line. The reply
+/// is already written; ending the write side sends it with a FIN, and
+/// the client's unread bytes are then read into a fixed buffer and
+/// dropped (at most `DISCARD_LIMIT` of them, each read waiting at most
+/// `DISCARD_WAIT`). Closing with bytes still unread would reset the
+/// connection instead, and a reset can discard the reply before the
+/// client reads it.
+fn discard_rest(reader: BufReader<TcpStream>, writer: &TcpStream) {
+    const DISCARD_LIMIT: u64 = 64 * MAX_LINE_BYTES as u64;
+    const DISCARD_WAIT: Duration = Duration::from_secs(2);
+    let _ = writer.shutdown(Shutdown::Write);
+    let _ = reader.get_ref().set_read_timeout(Some(DISCARD_WAIT));
+    let _ = std::io::copy(&mut reader.take(DISCARD_LIMIT), &mut std::io::sink());
 }
 
 /// Handles one request line, returning the full response (one line,

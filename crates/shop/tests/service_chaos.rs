@@ -347,3 +347,71 @@ fn stats_exposes_a_stage_manifest_like_the_eval_pipeline() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn oversized_request_line_is_a_typed_error_and_the_service_keeps_serving() {
+    use printed_shop::client::Response;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{Shutdown, TcpStream};
+
+    let (service, dir) = start("oversized", |_| {});
+    let line = quote_line("\"width\":4");
+    let before = client(&service).request(&line).expect("reference quote");
+    let quote = before.quote.expect("quote line");
+
+    // 8 MiB with no newline, and the connection held open until the
+    // reply is in: the service must answer without waiting for the line
+    // to end.
+    let stream = TcpStream::connect(service.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    let mut hostile = stream.try_clone().expect("clone");
+    let (replied, wait_for_reply) = std::sync::mpsc::channel::<()>();
+    let writer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 16];
+        for _ in 0..128 {
+            if hostile.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+        let _ = wait_for_reply.recv();
+        let _ = hostile.shutdown(Shutdown::Write);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut envelope = String::new();
+    reader.read_line(&mut envelope).expect("error reply before the line ends");
+    let reply = Response { envelope: envelope.trim_end().to_string(), quote: None };
+    assert_eq!(reply.error_code().as_deref(), Some("bad_request"), "{}", reply.envelope);
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("the service closes the connection");
+    assert!(rest.is_empty(), "nothing follows the error reply");
+    replied.send(()).expect("writer waits");
+    writer.join().expect("writer thread");
+
+    let after = client(&service).request(&line).expect("quote on a new connection");
+    assert_eq!(served(&after.envelope), "cache");
+    assert_eq!(after.quote.as_deref(), Some(quote.as_str()), "byte-identical quote");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_utf8_request_line_is_a_typed_error_and_the_connection_stays_open() {
+    use printed_shop::client::Response;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let (service, dir) = start("non_utf8", |_| {});
+    let mut stream = TcpStream::connect(service.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut reply = |bytes: &[u8]| {
+        stream.write_all(bytes).expect("send");
+        let mut envelope = String::new();
+        reader.read_line(&mut envelope).expect("reply");
+        Response { envelope: envelope.trim_end().to_string(), quote: None }
+    };
+    let bad = reply(b"{\"op\":\"st\xffats\"}\n");
+    assert_eq!(bad.error_code().as_deref(), Some("bad_request"), "{}", bad.envelope);
+    let stats = reply(b"{\"op\":\"stats\"}\n");
+    assert!(stats.is_ok(), "same connection still serves: {}", stats.envelope);
+    let _ = std::fs::remove_dir_all(&dir);
+}
