@@ -50,6 +50,9 @@ const OBS_OFF_THRESHOLD_NS: f64 = 200.0;
 /// Thread counts the campaign-scaling measurement sweeps.
 const CAMPAIGN_THREADS: [usize; 3] = [1, 2, 4];
 
+/// Reps of the campaign-scaling sweep (the first is warm-up).
+const CAMPAIGN_SCALING_REPS: usize = 8;
+
 /// Minimum wall-clock speedup 4 campaign workers must deliver over 1 on
 /// a campaign large enough to matter — asserted only when the host has
 /// at least 2 cores (the chunk-queue scheduler cannot manufacture
@@ -385,31 +388,34 @@ fn measure_gate_level(engine: Engine) -> (String, u64, f64) {
 /// Exhaustive stuck-at + SEU campaign on the p1_4_2 smoke program at
 /// each thread count in [`CAMPAIGN_THREADS`], on the default (bitsliced)
 /// engine: wall time per count, plus a byte-identity check of the merged
-/// CSV against the sequential run. The SEU count is inflated well past
-/// the smoke default so the campaign spans dozens of 63-fault words —
-/// large enough for the word-aligned chunk queue to matter.
+/// CSV against the sequential run. The SEU count is inflated to 16,384
+/// so the campaign spans ~280 63-fault words (~17.5k faults): long
+/// enough that a second worker pays for its start-up and the merge, so
+/// the thread-scaling floor measures the chunk queue, not fixed costs.
 fn measure_campaign_scaling() -> (usize, Vec<(usize, f64)>, bool) {
     let config = CoreConfig::new(1, 4, 2);
     let netlist = generate_standard(&config);
     let workload = ProgramWorkload::smoke(config);
     let campaign = CampaignConfig {
         stuck_at: StuckAtSpace::Exhaustive,
-        seu_samples: 512,
+        seu_samples: 16_384,
         ..CampaignConfig::default()
     };
-    let mut timings = Vec::new();
+    // Thread counts interleave within each rep, so a stretch of host
+    // contention slows every count alike instead of one count's block;
+    // rep 0 warms up, and each count keeps its best time.
+    let mut best = [f64::INFINITY; CAMPAIGN_THREADS.len()];
     let mut baseline_csv: Option<String> = None;
     let mut faults = 0;
     let mut identical = true;
-    for &threads in &CAMPAIGN_THREADS {
-        let mut best = f64::INFINITY;
-        for rep in 0..4 {
+    for rep in 0..CAMPAIGN_SCALING_REPS {
+        for (slot, &threads) in best.iter_mut().zip(&CAMPAIGN_THREADS) {
             let started = Instant::now();
             let result = run_campaign_with_threads(&netlist, &workload, &campaign, threads)
                 .expect("smoke campaign completes");
             let ms = started.elapsed().as_secs_f64() * 1e3;
             if rep >= 1 {
-                best = best.min(ms);
+                *slot = slot.min(ms);
             }
             faults = result.runs.len();
             let csv = result.to_csv();
@@ -418,8 +424,8 @@ fn measure_campaign_scaling() -> (usize, Vec<(usize, f64)>, bool) {
                 Some(base) => identical &= *base == csv,
             }
         }
-        timings.push((threads, best));
     }
+    let timings = CAMPAIGN_THREADS.iter().copied().zip(best).collect();
     (faults, timings, identical)
 }
 

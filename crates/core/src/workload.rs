@@ -274,8 +274,7 @@ impl Workload for ProgramWorkload {
         sim: BitSimulator<'_>,
         cycle_budget: u64,
     ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
-        let mut machine =
-            BitMachine::new(sim, self.spec.clone(), self.program.clone(), self.dmem_words);
+        let mut machine = BitMachine::new(sim, &self.spec, self.program.clone(), self.dmem_words);
         for &(addr, value) in &self.inputs {
             machine.write_dmem(addr, value);
         }
@@ -321,8 +320,7 @@ impl Workload for ProgramWorkload {
             return self.run_bitsliced(sim, cycle_budget);
         }
         golden.set_cycle_limit(limit);
-        let mut machine =
-            BitMachine::new(sim, self.spec.clone(), self.program.clone(), self.dmem_words);
+        let mut machine = BitMachine::new(sim, &self.spec, self.program.clone(), self.dmem_words);
         machine.broadcast_from(&golden);
         Some(machine.observe(done, cycle_budget))
     }

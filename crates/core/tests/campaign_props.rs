@@ -1,0 +1,171 @@
+//! Random-program oracle for the bitsliced co-simulation harness.
+//!
+//! The bitsliced campaign engine runs the instruction ROM, data memory
+//! and halt detection word-wide, once per distinct pc/address value
+//! among 64 lanes. Its per-lane rules — out-of-range pcs fetch 0,
+//! out-of-range addresses read 0 and drop their writes, a write needs
+//! `we == 1`, halted lanes write nothing — must match the scalar
+//! machine's exactly. This suite checks that on random TP-ISA programs
+//! with in- and out-of-range loads and stores, conditional branches,
+//! self-branch halts, and loops that run faulty lanes out of the cycle
+//! budget: the bitsliced campaign CSV must equal the scalar engine's on
+//! 4- and 8-bit standard, program-specific and TMR single-cycle cores.
+
+// Panics are the failure report in test/bench/example code.
+#![allow(clippy::disallowed_methods)]
+use printed_core::workload::ProgramWorkload;
+use printed_core::{
+    generate, generate_standard, AluOp, CoreConfig, CoreSpec, Instruction, Operand,
+};
+use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, StuckAtSpace};
+use printed_netlist::{tmr, Netlist, TmrOptions};
+use proptest::prelude::*;
+
+/// Data memory words the workload models: operand offsets and BAR bases
+/// reach past it, so both in-range and out-of-range traffic occurs.
+const DMEM_WORDS: usize = 12;
+
+/// Which single-cycle core a case runs on.
+#[derive(Debug, Clone, Copy)]
+enum Core {
+    Standard,
+    ProgramSpecific,
+    Tmr,
+}
+
+/// One instruction before branch targets are resolved: `Branch`
+/// targets are a raw pick, reduced modulo the program length (so loops,
+/// forward skips and self-branch halts all occur).
+fn instruction() -> impl Strategy<Value = Instruction> {
+    let operand = (0u8..2, 0u8..16).prop_map(|(bar, offset)| Operand { bar, offset });
+    prop_oneof![
+        (prop::sample::select(AluOp::ALL.to_vec()), operand.clone(), operand.clone())
+            .prop_map(|(op, dst, src)| Instruction::Alu { op, dst, src }),
+        (operand, 0u8..16).prop_map(|(dst, imm)| Instruction::Store { dst, imm }),
+        (0u8..16).prop_map(|imm| Instruction::SetBar { bar: 1, imm }),
+        (any::<bool>(), any::<u8>(), 0u8..16)
+            .prop_map(|(negate, target, mask)| Instruction::Branch { negate, target, mask }),
+    ]
+}
+
+/// A program ending in a self-branch halt, with every branch target
+/// inside the program.
+fn program(body: Vec<Instruction>) -> Vec<Instruction> {
+    let mut program = body;
+    let halt_at = program.len() as u8;
+    program.push(Instruction::jump(halt_at));
+    let len = program.len() as u8;
+    for inst in &mut program {
+        if let Instruction::Branch { target, .. } = inst {
+            *target %= len;
+        }
+    }
+    program
+}
+
+/// `program` with every backward branch retargeted to the next
+/// instruction, so the golden run surely halts (self-branches stay).
+fn forward_only(program: &[Instruction]) -> Vec<Instruction> {
+    let mut program = program.to_vec();
+    for (at, inst) in program.iter_mut().enumerate() {
+        if let Instruction::Branch { target, .. } = inst {
+            if usize::from(*target) < at {
+                *target = at as u8 + 1;
+            }
+        }
+    }
+    program
+}
+
+/// The core netlist and its workload, or `None` when the program does
+/// not encode for the core.
+fn core(kind: Core, width: usize, program: &[Instruction]) -> Option<(Netlist, ProgramWorkload)> {
+    let config = CoreConfig::new(1, width, 2);
+    match kind {
+        Core::Standard => Some((
+            generate_standard(&config),
+            ProgramWorkload::new(config, program, DMEM_WORDS).ok()?,
+        )),
+        Core::ProgramSpecific => {
+            let spec = CoreSpec::program_specific(config, program, "prop");
+            let netlist = generate(&spec);
+            Some((netlist, ProgramWorkload::for_spec(spec, program, DMEM_WORDS).ok()?))
+        }
+        Core::Tmr => {
+            let hardened = tmr(&generate_standard(&config), TmrOptions::default()).ok()?;
+            Some((hardened, ProgramWorkload::new(config, program, DMEM_WORDS).ok()?))
+        }
+    }
+}
+
+/// Runs one random program as a campaign on both engines, the bitsliced
+/// one cold and warm-started, and compares them: byte-identical CSVs,
+/// or the same error when the golden run
+/// itself never halts. Returns whether the campaign ran; a program that
+/// does not encode for the core panics.
+fn check(
+    kind: Core,
+    width: usize,
+    program: &[Instruction],
+    inputs: &[u8],
+    stuck: usize,
+    seus: usize,
+    seed: u64,
+) -> bool {
+    let (netlist, workload) = core(kind, width, program).expect("every generated program encodes");
+    let workload =
+        workload.with_inputs(inputs.iter().enumerate().map(|(a, &v)| (a, u64::from(v))).collect());
+    let scalar_cfg = CampaignConfig {
+        stuck_at: StuckAtSpace::Sampled(stuck),
+        seu_samples: seus,
+        cycle_budget: 120,
+        seed,
+        bitsliced: false,
+        ..CampaignConfig::default()
+    };
+    let bits_cfg = CampaignConfig { bitsliced: true, ..scalar_cfg };
+    let scalar = run_campaign_with_threads(&netlist, &workload, &scalar_cfg, 1);
+    let bits = run_campaign_with_threads(&netlist, &workload, &bits_cfg, 1);
+    match (scalar, bits) {
+        (Ok(scalar), Ok(bits)) => {
+            let context = format!("{kind:?} {width}-bit core, program {program:?}");
+            assert_eq!(bits.to_csv(), scalar.to_csv(), "{context}");
+            // Warm SEU words broadcast a golden snapshot into the lane
+            // words before diverging.
+            let warm_cfg = CampaignConfig { warm_start: true, ..bits_cfg };
+            let warm = run_campaign_with_threads(&netlist, &workload, &warm_cfg, 1).unwrap();
+            assert_eq!(warm.to_csv(), scalar.to_csv(), "warm, {context}");
+            true
+        }
+        (Err(scalar), Err(bits)) => {
+            assert_eq!(bits.to_string(), scalar.to_string());
+            false
+        }
+        (scalar, bits) => panic!("engines disagree: {:?} vs {:?}", scalar.err(), bits.err()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random programs whose golden run halts are compared as they are;
+    /// the others (a loop the golden run never leaves) are compared as
+    /// given — both engines must fail alike — and then again with their
+    /// backward branches made forward, so every case runs a campaign.
+    #[test]
+    fn bitsliced_campaign_matches_scalar_on_random_programs(
+        body in prop::collection::vec(instruction(), 1..14),
+        kind in prop::sample::select(vec![Core::Standard, Core::ProgramSpecific, Core::Tmr]),
+        width in prop::sample::select(vec![4usize, 8]),
+        inputs in prop::collection::vec(any::<u8>(), DMEM_WORDS),
+        stuck in 1usize..90,
+        seus in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        let program = program(body);
+        if !check(kind, width, &program, &inputs, stuck, seus, seed) {
+            let forward = forward_only(&program);
+            prop_assert!(check(kind, width, &forward, &inputs, stuck, seus, seed), "{:?}", forward);
+        }
+    }
+}

@@ -41,12 +41,28 @@
 //! faults, which only force values), a single pass reaches the fixpoint
 //! and the engine skips change tracking entirely.
 //!
+//! On a consistent order a settle also skips logic whose inputs did not
+//! change. Every net that can be written from outside the logic belongs
+//! to a *source group* — one bit per input port (ports past the 62nd
+//! share bit 62) and bit 63 for every sequential output — and every op
+//! carries the 64-bit mask of the groups it transitively reads,
+//! propagated along the stored order at compile time. Bus writes and
+//! the clock-edge publish OR the group of every net whose word changed
+//! into a dirty set; the next settle evaluates only ops whose mask
+//! meets it. Everything else is already at the fixpoint of unchanged
+//! sources, so the result equals a full pass. Power-up, stuck-at
+//! injection, [`BitSimulator::broadcast_from`], an SEU landing on a
+//! tri-state buffer's hold state, and a write to a net outside every
+//! group (an internal net) force a full pass; inconsistent orders always
+//! run full passes.
+//!
 //! Statistics follow a documented per-lane convention: each op
 //! evaluation counts one eval *per occupied lane* into
 //! [`ActivityStats::eval_counts`] / [`ActivityStats::gate_evals`] (so
 //! [`crate::profile`]'s `attributed_evals` tiling invariant holds), and
-//! toggle counts accumulate the popcount of changed bits across
-//! occupied lanes — the per-lane sum a power model expects.
+//! ops a gated settle skips count into [`ActivityStats::skipped_gates`]
+//! the same way. Toggle counts accumulate the popcount of changed bits
+//! across occupied lanes — the per-lane sum a power model expects.
 
 use crate::fault::{Fault, FaultKind};
 use crate::ir::{FanoutMap, NetId, Netlist, NetlistError};
@@ -68,6 +84,9 @@ struct BitOp {
     b: u32,
     out: u32,
     gi: u32,
+    /// Source groups this op transitively reads (see the module docs):
+    /// a gated settle evaluates the op only if this meets the dirty set.
+    src: u64,
     /// Minterm masks for `!a & !b` and `!a & b`.
     k0: u64,
     k2: u64,
@@ -112,9 +131,12 @@ pub struct BitSimulator<'a> {
     /// Combinational depth per gate (`None` for sequential cells),
     /// mirroring [`Simulator::gate_depth`] for hotspot attribution.
     depth: Arc<Vec<u32>>,
+    /// Source group of every net: the input-port bit or [`SEQ_GROUP`],
+    /// 0 for nets outside every group (internal and constant nets).
+    group_of_net: Arc<Vec<u64>>,
     /// Whether the stored topological order is consistent (every op
     /// input produced before it is consumed) — enables the single-pass
-    /// settle fast path.
+    /// settle fast path and source-group gating.
     consistent: bool,
     /// Current word-wide value of every net.
     values: Vec<u64>,
@@ -134,17 +156,24 @@ pub struct BitSimulator<'a> {
     occupied: u64,
     /// Lanes whose logic oscillated through a full settle budget.
     dead: u64,
-    /// Whether any net word changed since the last completed settle.
-    /// While clear, the values are already at the fixpoint of the
-    /// current inputs and [`BitSimulator::settle`] is a no-op — input
-    /// writes and state publishes set it only when a word actually
-    /// changes, so re-driving a stable bus costs nothing.
-    dirty: bool,
-    /// Settle-pass lane charges not yet folded into
-    /// [`ActivityStats::eval_counts`] (every compiled op is charged
-    /// identically per pass, so the per-gate attribution is
-    /// materialized lazily instead of stored once per op per pass).
-    pending_evals: u64,
+    /// Source groups with a changed net word since the last completed
+    /// settle. Input writes and state publishes set bits only when a
+    /// word actually changes, so re-driving a stable bus costs nothing;
+    /// while it (and `full`) is clear, [`BitSimulator::settle`] is a
+    /// no-op.
+    dirty_groups: u64,
+    /// The next settle must evaluate every op: power-up, stuck-at
+    /// injection, broadcast, a tri-state hold-state upset, or a write
+    /// outside every group.
+    full: bool,
+    /// Lane charges of full passes not yet folded into
+    /// [`ActivityStats::eval_counts`]...
+    pending_full: u64,
+    /// ...and of gated passes, as `(dirty set, lanes)`. Every op a pass
+    /// evaluates is charged identically, so the per-gate attribution is
+    /// materialized lazily from these instead of stored once per op per
+    /// pass; a word sees only a handful of distinct dirty sets.
+    pending_gated: Vec<(u64, u64)>,
     /// Per-gate toggle attribution (on by default). Campaign words
     /// never read per-gate stats and disable it for throughput.
     track_toggles: bool,
@@ -152,6 +181,17 @@ pub struct BitSimulator<'a> {
     cycle_limit: Option<u64>,
     stats: ActivityStats,
 }
+
+/// One lane's value out of a bus's lane words, bit `i` of the value
+/// from the `i`-th word (LSB-first).
+pub fn lane_value(words: impl IntoIterator<Item = u64>, lane: usize) -> u64 {
+    words.into_iter().enumerate().fold(0, |value, (bit, word)| value | (word >> lane & 1) << bit)
+}
+
+/// Source group of every sequential output (the clock-edge publish).
+const SEQ_GROUP: u64 = 1 << 63;
+/// Input ports from this index on share one source group.
+const SHARED_PORT_GROUP: usize = 62;
 
 impl<'a> BitSimulator<'a> {
     /// Lanes per word: the golden reference plus up to 63 faults.
@@ -175,12 +215,26 @@ impl<'a> BitSimulator<'a> {
                     .is_some_and(|g| !netlist.gates()[g.index()].is_sequential())
             })
             .collect();
+        let mut group_of_net = vec![0u64; netlist.net_count()];
+        for (port, nets) in netlist.input_ports().values().enumerate() {
+            for net in nets {
+                group_of_net[net.index()] |= 1 << port.min(SHARED_PORT_GROUP);
+            }
+        }
+        for gate in netlist.gates().iter().filter(|g| g.is_sequential()) {
+            group_of_net[gate.output.index()] |= SEQ_GROUP;
+        }
+        // Groups each net transitively reads, filled along the stored
+        // order (exact on a consistent order, the only one gated).
+        let mut net_src = group_of_net.clone();
         let mut consistent = true;
         let mut ops = Vec::new();
         let mut op_of_gate = vec![u32::MAX; netlist.gate_count()];
         for (gate_id, gate) in netlist.topo_order() {
             let mut d = 0u32;
+            let mut src = 0u64;
             for input in &gate.inputs {
+                src |= net_src[input.index()];
                 if let Some(driver) = fanout.driver(*input) {
                     let dd = depth[driver.index()];
                     if dd != u32::MAX {
@@ -193,6 +247,7 @@ impl<'a> BitSimulator<'a> {
             }
             depth[gate_id.index()] = d;
             produced[gate.output.index()] = true;
+            net_src[gate.output.index()] |= src;
             let a = gate.inputs.first().map_or(0, |n| n.index() as u32);
             let b = gate.inputs.get(1).map_or(a, |n| n.index() as u32);
             let tt = truth_table(gate.kind);
@@ -203,6 +258,7 @@ impl<'a> BitSimulator<'a> {
                 b,
                 out: gate.output.index() as u32,
                 gi: gate_id.index() as u32,
+                src,
                 k0: k[0],
                 k2: k[2],
                 k01: k[0] ^ k[1],
@@ -246,6 +302,7 @@ impl<'a> BitSimulator<'a> {
             gate_outs: Arc::new(gate_outs),
             op_of_gate: Arc::new(op_of_gate),
             depth: Arc::new(depth),
+            group_of_net: Arc::new(group_of_net),
             consistent,
             prev_values: vec![0; netlist.net_count()],
             values,
@@ -255,8 +312,10 @@ impl<'a> BitSimulator<'a> {
             seu: BTreeMap::new(),
             occupied: 1,
             dead: 0,
-            dirty: true,
-            pending_evals: 0,
+            dirty_groups: 0,
+            full: true,
+            pending_full: 0,
+            pending_gated: Vec::new(),
             track_toggles: true,
             cycle_limit: None,
             stats: ActivityStats {
@@ -296,15 +355,22 @@ impl<'a> BitSimulator<'a> {
     /// Accumulated switching statistics, under the per-lane convention
     /// described in the [module docs](self). Takes `&mut self` because
     /// the per-gate eval attribution is materialized lazily from the
-    /// pass counter on access (every compiled op is charged identically
-    /// per pass, so the hot loop never touches the per-gate array).
+    /// pass charges on access (every op a pass evaluates is charged
+    /// identically, so the hot loop never touches the per-gate array).
     pub fn stats(&mut self) -> &ActivityStats {
-        if self.pending_evals != 0 {
+        if self.pending_full != 0 || !self.pending_gated.is_empty() {
             let ops = Arc::clone(&self.ops);
             for op in ops.iter() {
-                self.stats.eval_counts[op.gi as usize] += self.pending_evals;
+                let gated: u64 = self
+                    .pending_gated
+                    .iter()
+                    .filter(|(groups, _)| op.src & groups != 0)
+                    .map(|(_, lanes)| lanes)
+                    .sum();
+                self.stats.eval_counts[op.gi as usize] += self.pending_full + gated;
             }
-            self.pending_evals = 0;
+            self.pending_full = 0;
+            self.pending_gated.clear();
         }
         &self.stats
     }
@@ -361,14 +427,14 @@ impl<'a> BitSimulator<'a> {
                     u32::MAX => self.stuck_and[fault.gate.index()] &= !bit,
                     oi => Arc::make_mut(&mut self.ops)[oi as usize].sa &= !bit,
                 }
-                self.dirty = true;
+                self.full = true;
             }
             FaultKind::StuckAt1 => {
                 match self.op_of_gate[fault.gate.index()] {
                     u32::MAX => self.stuck_or[fault.gate.index()] |= bit,
                     oi => Arc::make_mut(&mut self.ops)[oi as usize].so |= bit,
                 }
-                self.dirty = true;
+                self.full = true;
             }
             FaultKind::Seu { cycle } => {
                 let hits = self.seu.entry(cycle).or_default();
@@ -406,7 +472,7 @@ impl<'a> BitSimulator<'a> {
         }
         self.stats.cycles = sim.stats().cycles;
         self.dead = 0;
-        self.dirty = true;
+        self.full = true;
     }
 
     /// Drives a named input bus with the same value on every lane.
@@ -431,64 +497,50 @@ impl<'a> BitSimulator<'a> {
     /// Drives a bus with the same value on every lane (LSB-first).
     pub fn set_bus(&mut self, nets: &[NetId], value: u64) {
         for (bit, net) in nets.iter().enumerate() {
-            let word = if value >> bit & 1 == 1 { u64::MAX } else { 0 };
-            let slot = &mut self.values[net.index()];
-            if *slot != word {
-                *slot = word;
-                self.dirty = true;
+            self.set_word(*net, if value >> bit & 1 == 1 { u64::MAX } else { 0 });
+        }
+    }
+
+    /// Drives a bus word-wide: `words[i]` is net `nets[i]`'s lane word,
+    /// so lane `l` sees bit `i` of its bus value at bit `l` of
+    /// `words[i]` (LSB-first, like [`Simulator::set_bus`]). Bits past
+    /// the shorter of the two slices are left alone.
+    pub fn set_bus_words(&mut self, nets: &[NetId], words: &[u64]) {
+        for (net, &word) in nets.iter().zip(words) {
+            self.set_word(*net, word);
+        }
+    }
+
+    /// Writes one net's lane word, recording its source group when the
+    /// word changes (a net outside every group forces a full pass).
+    fn set_word(&mut self, net: NetId, word: u64) {
+        let slot = &mut self.values[net.index()];
+        if *slot != word {
+            *slot = word;
+            match self.group_of_net[net.index()] {
+                0 => self.full = true,
+                group => self.dirty_groups |= group,
             }
         }
     }
 
-    /// Drives a bus with a per-lane value: `lanes[l]` is the bus value
-    /// lane `l` sees (LSB-first bit order, like [`Simulator::set_bus`]).
-    pub fn set_bus_lanes(&mut self, nets: &[NetId], lanes: &[u64; 64]) {
-        for (bit, net) in nets.iter().enumerate() {
-            let mut word = 0u64;
-            for (lane, &v) in lanes.iter().enumerate() {
-                word |= (v >> bit & 1) << lane;
-            }
-            let slot = &mut self.values[net.index()];
-            if *slot != word {
-                *slot = word;
-                self.dirty = true;
-            }
+    /// One net's lane word: bit `l` is the value lane `l` sees.
+    pub fn word(&self, net: NetId) -> u64 {
+        self.values[net.index()]
+    }
+
+    /// Reads a bus word-wide into `words` (`words[i]` is net `nets[i]`'s
+    /// lane word, the inverse of [`BitSimulator::set_bus_words`]).
+    pub fn read_bus_words(&self, nets: &[NetId], words: &mut [u64]) {
+        for (word, net) in words.iter_mut().zip(nets) {
+            *word = self.values[net.index()];
         }
     }
 
-    /// Reads a bus per lane: element `l` of the result is the bus value
-    /// lane `l` sees (LSB-first), the transpose of [`BitSimulator::set_bus_lanes`].
-    pub fn read_bus_lanes(&self, nets: &[NetId]) -> [u64; 64] {
-        let mut lanes = [0u64; 64];
-        for (bit, net) in nets.iter().enumerate() {
-            // Transpose by set bit — words are often sparse (a handful
-            // of live lanes), so this beats a fixed 64-lane sweep.
-            let mut word = self.values[net.index()];
-            while word != 0 {
-                let lane = word.trailing_zeros() as usize;
-                lanes[lane] |= 1 << bit;
-                word &= word - 1;
-            }
-        }
-        lanes
-    }
-
-    /// Reads a named output bus per lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownPort`] for a missing port and
-    /// [`NetlistError::WidthMismatch`] if the bus is wider than 64 bits.
-    pub fn read_output_lanes(&self, name: &str) -> Result<[u64; 64], NetlistError> {
-        let nets = self.netlist.output(name)?;
-        if nets.len() > 64 {
-            return Err(NetlistError::WidthMismatch {
-                context: "read_output",
-                left: nets.len(),
-                right: 64,
-            });
-        }
-        Ok(self.read_bus_lanes(nets))
+    /// The bus value lane `lane` sees (LSB-first), gathered out of the
+    /// bus's lane words.
+    pub fn read_lane(&self, nets: &[NetId], lane: usize) -> u64 {
+        lane_value(nets.iter().map(|net| self.values[net.index()]), lane)
     }
 
     /// Per-lane "any bit of this bus is set" mask — the fast path for
@@ -497,16 +549,19 @@ impl<'a> BitSimulator<'a> {
         nets.iter().fold(0u64, |acc, net| acc | self.values[net.index()])
     }
 
-    /// One word-wide pass over the straight-line program. Returns the
+    /// One word-wide pass over the straight-line program: every op when
+    /// `full`, else only ops reading a group in `groups`. Returns the
     /// lanes whose values changed.
-    fn pass(&mut self, track_changes: bool) -> u64 {
+    fn pass(&mut self, full: bool, groups: u64, track_changes: bool) -> u64 {
         self.stats.settle_passes += 1;
-        let lanes = self.occupied.count_ones() as u64;
-        self.stats.gate_evals += self.ops.len() as u64 * lanes;
-        self.pending_evals += lanes;
         let mut changed = 0u64;
+        let mut evaluated = 0u64;
         let ops = Arc::clone(&self.ops);
         for op in ops.iter() {
+            if !full && op.src & groups == 0 {
+                continue;
+            }
+            evaluated += 1;
             let a = self.values[op.a as usize];
             let b = self.values[op.b as usize];
             let mut w = if op.tsbuf {
@@ -526,34 +581,49 @@ impl<'a> BitSimulator<'a> {
             }
             self.values[op.out as usize] = w;
         }
+        let lanes = u64::from(self.occupied.count_ones());
+        self.stats.gate_evals += evaluated * lanes;
+        self.stats.skipped_gates += (ops.len() as u64 - evaluated) * lanes;
+        if full {
+            self.pending_full += lanes;
+        } else {
+            match self.pending_gated.iter_mut().find(|(g, _)| *g == groups) {
+                Some((_, charged)) => *charged += lanes,
+                None => self.pending_gated.push((groups, lanes)),
+            }
+        }
         changed
     }
 
     /// Settles the combinational logic on every lane. With a consistent
-    /// topological order one pass reaches the fixpoint; otherwise up to
-    /// [`Simulator::MAX_SETTLE_PASSES`] passes run, and lanes that
-    /// changed in every pass are marked dead (the scalar engine's
-    /// [`NetlistError::Unsettled`], per lane).
+    /// topological order one pass reaches the fixpoint, and it visits
+    /// only the ops fed by source groups written since the last settle;
+    /// otherwise up to [`Simulator::MAX_SETTLE_PASSES`] full passes run,
+    /// and lanes that changed in every pass are marked dead (the scalar
+    /// engine's [`NetlistError::Unsettled`], per lane).
     pub fn settle(&mut self) {
-        if !self.dirty {
+        if !self.full && self.dirty_groups == 0 {
             return;
         }
         if self.consistent {
-            self.pass(false);
-            self.dirty = false;
+            self.pass(self.full, self.dirty_groups, false);
+            self.full = false;
+            self.dirty_groups = 0;
             return;
         }
         let mut changed_all = u64::MAX;
         for _ in 0..Simulator::MAX_SETTLE_PASSES {
-            let changed = self.pass(true);
+            let changed = self.pass(true, u64::MAX, true);
             changed_all &= changed;
             if changed == 0 {
-                self.dirty = false;
+                self.full = false;
+                self.dirty_groups = 0;
                 return;
             }
         }
         // Still oscillating: leave the word dirty so the next settle
         // keeps churning it, exactly as the scalar engine re-settles.
+        self.full = true;
         self.dead |= changed_all & self.occupied;
     }
 
@@ -586,9 +656,14 @@ impl<'a> BitSimulator<'a> {
             };
         }
         // SEU flips scheduled for this cycle land on the captured state.
+        // A flip of a tri-state buffer's hold state (a combinational op)
+        // shows only when the op runs again, so it forces a full pass.
         if let Some(hits) = self.seu.get(&self.stats.cycles) {
             for &(gi, mask) in hits {
                 self.state[gi as usize] ^= mask;
+                if self.op_of_gate[gi as usize] != u32::MAX {
+                    self.full = true;
+                }
             }
         }
         // Publish Q with stuck forcing, then settle the fanout logic —
@@ -600,7 +675,7 @@ impl<'a> BitSimulator<'a> {
             let slot = &mut self.values[op.out as usize];
             if *slot != word {
                 *slot = word;
-                self.dirty = true;
+                self.dirty_groups |= SEQ_GROUP;
             }
         }
         self.settle();
@@ -681,12 +756,12 @@ mod tests {
                 s.set_input("en", cycle & 1).unwrap();
             }
             bit.step().unwrap();
-            let acc = bit.read_bus_lanes(&acc_nets);
-            let probe = bit.read_bus_lanes(&probe_nets);
             for (lane, s) in scalars.iter_mut().enumerate() {
                 s.step().unwrap();
-                assert_eq!(acc[lane], s.read_bus(&acc_nets), "acc lane {lane} cycle {cycle}");
-                assert_eq!(probe[lane], s.read_bus(&probe_nets), "probe lane {lane} cycle {cycle}");
+                let (acc, probe) =
+                    (bit.read_lane(&acc_nets, lane), bit.read_lane(&probe_nets, lane));
+                assert_eq!(acc, s.read_bus(&acc_nets), "acc lane {lane} cycle {cycle}");
+                assert_eq!(probe, s.read_bus(&probe_nets), "probe lane {lane} cycle {cycle}");
             }
         }
         assert_eq!(bit.dead_lanes(), 0);
@@ -712,6 +787,27 @@ mod tests {
         );
         assert_eq!(stats.gate_evals % 3, 0, "every eval is counted once per occupied lane");
         assert_eq!(stats.cycles, 4);
+    }
+
+    /// Gated settles charge only the ops they evaluate, per occupied
+    /// lane; the ops they skip go to `skipped_gates`, and the lazily
+    /// folded per-gate attribution still tiles `gate_evals`.
+    #[test]
+    fn gated_settles_charge_only_evaluated_ops() {
+        let nl = acc4();
+        let a_nets = nl.input("a").unwrap().to_vec();
+        let mut bit = BitSimulator::new(&nl);
+        bit.inject_fault(Fault { gate: GateId(0), kind: FaultKind::StuckAt0 });
+        for cycle in 0..6u64 {
+            bit.set_bus(&a_nets, cycle * 5);
+            bit.set_input("en", cycle / 3).unwrap();
+            bit.step().unwrap();
+        }
+        let ops = bit.ops.len() as u64;
+        let stats = bit.stats();
+        assert_eq!(stats.eval_counts.iter().sum::<u64>(), stats.gate_evals);
+        assert_eq!(stats.gate_evals + stats.skipped_gates, ops * stats.settle_passes * 2);
+        assert!(stats.skipped_gates > 0, "an `a`-only write skips the inverter chain");
     }
 
     /// An oscillating lane is marked dead instead of erroring — the
@@ -766,8 +862,7 @@ mod tests {
             scalar.set_bus(&a_nets, cycle + 1);
             bit.step().unwrap();
             scalar.step().unwrap();
-            let lanes = bit.read_bus_lanes(&acc_nets);
-            assert_eq!(lanes[0], scalar.read_bus(&acc_nets), "cycle {cycle}");
+            assert_eq!(bit.read_lane(&acc_nets, 0), scalar.read_bus(&acc_nets), "cycle {cycle}");
         }
     }
 

@@ -55,9 +55,9 @@
 //! # Ok::<(), printed_netlist::NetlistError>(())
 //! ```
 
-use crate::bitsim::BitSimulator;
+use crate::bitsim::{lane_value, BitSimulator};
 use crate::builder::TMR_ERROR_PORT;
-use crate::ir::{GateId, Netlist, NetlistError};
+use crate::ir::{GateId, NetId, Netlist, NetlistError};
 use crate::sim::Simulator;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use printed_obs as obs;
@@ -526,20 +526,32 @@ impl PatternWorkload {
     ) -> Result<Vec<LaneOutcome>, NetlistError> {
         let lanes = sim.lane_count();
         let netlist = sim.netlist();
-        let in_ports: Vec<String> = netlist.input_ports().keys().cloned().collect();
-        let out_ports: Vec<String> = netlist
+        // Port nets resolved once, in the by-name order the scalar run
+        // drives and signs them.
+        let in_nets: Vec<&[NetId]> = netlist.input_ports().values().map(Vec::as_slice).collect();
+        let out_nets: Vec<&[NetId]> = netlist
             .output_ports()
-            .keys()
-            .filter(|name| name.as_str() != TMR_ERROR_PORT)
-            .cloned()
+            .iter()
+            .filter(|(name, _)| name.as_str() != TMR_ERROR_PORT)
+            .map(|(_, nets)| nets.as_slice())
             .collect();
-        let detect_nets: Option<Vec<_>> = netlist.output(TMR_ERROR_PORT).ok().map(<[_]>::to_vec);
+        let detect_nets = netlist.output(TMR_ERROR_PORT).ok();
+        if start < cycles {
+            // The width checks the by-name accessors make per cycle.
+            let widest = |ports: &[&[NetId]]| ports.iter().map(|nets| nets.len()).max();
+            for (context, ports) in [("set_input", &in_nets), ("read_output", &out_nets)] {
+                if let Some(left) = widest(ports).filter(|&w| w > 64) {
+                    return Err(NetlistError::WidthMismatch { context, left, right: 64 });
+                }
+            }
+        }
         let mut signatures: Vec<Vec<u64>> = vec![prefix; lanes];
+        let mut bus = [0u64; 64];
         let mut detected = 0u64;
         let mut timed_out = false;
         for _ in start..cycles {
-            for port in &in_ports {
-                sim.set_input(port, rng.gen::<u64>())?;
+            for nets in &in_nets {
+                sim.set_bus(nets, rng.gen::<u64>());
             }
             match sim.step() {
                 Ok(()) => {}
@@ -551,13 +563,23 @@ impl PatternWorkload {
                 }
                 Err(e) => return Err(e),
             }
-            for port in &out_ports {
-                let lane_vals = sim.read_output_lanes(port)?;
+            for nets in &out_nets {
+                let words = &mut bus[..nets.len()];
+                sim.read_bus_words(nets, words);
+                // Lanes agreeing with the golden lane 0 on every bit
+                // take its value; only the differing ones are gathered.
+                let golden = lane_value(words.iter().copied(), 0);
+                let differ = words.iter().fold(0, |d, &w| d | (w ^ 0u64.wrapping_sub(w & 1)));
                 for (lane, signature) in signatures.iter_mut().enumerate() {
-                    signature.push(lane_vals[lane]);
+                    let value = if differ >> lane & 1 == 1 {
+                        lane_value(words.iter().copied(), lane)
+                    } else {
+                        golden
+                    };
+                    signature.push(value);
                 }
             }
-            if let Some(nets) = &detect_nets {
+            if let Some(nets) = detect_nets {
                 detected |= sim.read_bus_any(nets);
             }
         }

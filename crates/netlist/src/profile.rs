@@ -106,9 +106,9 @@ pub fn profile(sim: &Simulator<'_>, lib: &CellLibrary, top_k: usize) -> SimProfi
 ///
 /// [`crate::bitsim::BitSimulator`] keeps the same per-*lane* eval
 /// convention as the scalar engine — each settling pass charges every
-/// compiled gate once per occupied lane — so `attributed_evals` tiles
-/// `gate_evals` here exactly as it does for the scalar engine, and the
-/// `printed-profile/v1` validator holds without a special case.
+/// gate it evaluates once per occupied lane — so `attributed_evals`
+/// tiles `gate_evals` here exactly as it does for the scalar engine,
+/// and the `printed-profile/v1` validator holds without a special case.
 ///
 /// Takes `&mut` because the bitsliced engine materializes its per-gate
 /// eval attribution lazily on [`crate::bitsim::BitSimulator::stats`].

@@ -75,10 +75,12 @@ use crate::fault::{
 };
 use crate::ir::Netlist;
 use crate::sim::Simulator;
+use crate::snapshot::Fnv1a;
 use printed_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -239,6 +241,9 @@ pub struct SupervisedCampaign {
     /// The campaign result, identical to an unsupervised run except
     /// that poisoned slots may carry [`Outcome::Failed`].
     pub result: CampaignResult,
+    /// The campaign identity fingerprint, as [`campaign_identity`]
+    /// computes it, without another golden run.
+    pub fingerprint: u64,
     /// Resilience bookkeeping.
     pub stats: ResilienceStats,
 }
@@ -272,26 +277,6 @@ impl SupervisedRun {
 
 /// One filled result slot: the classified run plus the retries it cost.
 type SlotDone = (FaultRun, u32);
-
-/// FNV-1a 64-bit, the workspace's stock dependency-free hash.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
 
 /// The campaign identity fingerprint for (netlist, workload, config) —
 /// the key checkpoints and the print shop's content-addressed quote
@@ -331,7 +316,7 @@ fn campaign_fingerprint(
     golden: &crate::fault::Observation,
     total_faults: usize,
 ) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     h.write(netlist.name().as_bytes());
     h.write_u64(netlist.gate_count() as u64);
     h.write_u64(netlist.net_count() as u64);
@@ -358,7 +343,7 @@ fn campaign_fingerprint(
         h.write_u64(word);
     }
     h.write_u64(total_faults as u64);
-    h.0
+    h.finish()
 }
 
 /// The checkpoint path for a campaign: `<design>-<fingerprint>.ckpt.jsonl`
@@ -381,18 +366,33 @@ fn header_line(design: &str, total_faults: usize, fingerprint: u64) -> String {
     )
 }
 
-/// CRC input for one slot line — the semantic payload, not the JSON
-/// syntax, so formatting changes never invalidate old checkpoints.
-fn slot_crc(index: usize, outcome: Outcome, retries: u32) -> u32 {
-    obs::crc::crc32(format!("slot|{index}|{outcome}|{retries}").as_bytes())
+/// CRC of one slot line's semantic payload, not its JSON syntax, so
+/// formatting changes never invalidate old checkpoints. The payload is
+/// built in `crc_buf`, a buffer the caller reuses across slots.
+fn slot_crc(crc_buf: &mut String, index: usize, outcome: Outcome, retries: u32) -> u32 {
+    crc_buf.clear();
+    let _ = write!(crc_buf, "slot|{index}|{outcome}|{retries}");
+    obs::crc::crc32(crc_buf.as_bytes())
 }
 
-fn slot_line(index: usize, done: &SlotDone) -> String {
-    let crc = slot_crc(index, done.0.outcome, done.1);
-    format!(
-        "{{\"type\":\"slot\",\"i\":{index},\"o\":\"{}\",\"r\":{},\"c\":\"{crc:08x}\"}}\n",
+/// Appends one slot line to `line` — the one slot-line formatter, shared
+/// by the checkpoint sink and the header rewrite; `crc_buf` is the
+/// reused CRC buffer of [`slot_crc`].
+fn push_slot_line(line: &mut String, crc_buf: &mut String, index: usize, done: &SlotDone) {
+    let crc = slot_crc(crc_buf, index, done.0.outcome, done.1);
+    let _ = writeln!(
+        line,
+        "{{\"type\":\"slot\",\"i\":{index},\"o\":\"{}\",\"r\":{},\"c\":\"{crc:08x}\"}}",
         done.0.outcome, done.1
-    )
+    );
+}
+
+/// One slot line as its own string.
+#[cfg(test)]
+fn slot_line(index: usize, done: &SlotDone) -> String {
+    let mut line = String::new();
+    push_slot_line(&mut line, &mut String::new(), index, done);
+    line
 }
 
 /// The CRC footer appended by [`atomic_write`]: `#crc32:` + 8 hex
@@ -490,6 +490,7 @@ fn load_checkpoint(
         return 0;
     }
     let mut resumed = 0;
+    let mut crc_buf = String::new();
     for line in lines {
         let Ok(value) = obs::json::parse(line) else { break };
         if value.get("type").and_then(obs::json::Value::as_str) != Some("slot") {
@@ -513,7 +514,7 @@ fn load_checkpoint(
             .get("c")
             .and_then(obs::json::Value::as_str)
             .and_then(|hex| u32::from_str_radix(hex, 16).ok());
-        if recorded != Some(slot_crc(index, outcome, retries)) {
+        if recorded != Some(slot_crc(&mut crc_buf, index, outcome, retries)) {
             break;
         }
         let fault = faults[index];
@@ -533,6 +534,8 @@ fn load_checkpoint(
 struct CheckpointSink {
     file: Option<fs::File>,
     buf: String,
+    /// Reused CRC buffer for [`push_slot_line`].
+    crc_buf: String,
     pending: usize,
     every: usize,
     broken: bool,
@@ -543,7 +546,7 @@ impl CheckpointSink {
         if self.file.is_none() {
             return;
         }
-        self.buf.push_str(&slot_line(index, done));
+        push_slot_line(&mut self.buf, &mut self.crc_buf, index, done);
         self.pending += 1;
         if self.pending >= self.every {
             self.flush();
@@ -727,6 +730,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     // they produce identical slots.
     let warm = crate::fault::warm_start_contexts(&pristine, workload, config, &faults);
 
+    let fingerprint = campaign_fingerprint(netlist, config, &golden, total);
     let mut stats = ResilienceStats::default();
     let mut slots: Vec<Option<SlotDone>> = vec![None; total];
 
@@ -736,12 +740,12 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let mut sink = CheckpointSink {
         file: None,
         buf: String::new(),
+        crc_buf: String::new(),
         pending: 0,
         every: resilience.checkpoint_every.max(1),
         broken: false,
     };
     if let Some(dir) = &resilience.checkpoint_dir {
-        let fingerprint = campaign_fingerprint(netlist, config, &golden, total);
         let path = checkpoint_path(dir, netlist.name(), fingerprint);
         stats.resumed_slots = load_checkpoint(&path, fingerprint, &faults, netlist, &mut slots);
         for done in slots.iter().flatten() {
@@ -753,7 +757,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         let mut header = header_line(netlist.name(), total, fingerprint);
         for (i, done) in slots.iter().enumerate() {
             if let Some(done) = done {
-                header.push_str(&slot_line(i, done));
+                push_slot_line(&mut header, &mut sink.crc_buf, i, done);
             }
         }
         let tmp = path.with_extension("tmp");
@@ -1045,6 +1049,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             golden,
             runs,
         },
+        fingerprint,
         stats,
     }))
 }
@@ -1442,6 +1447,17 @@ mod tests {
         assert_ne!(base, campaign_identity(&nl, &workload, &more).unwrap());
         let other_workload = PatternWorkload { cycles: 11, seed: 5 };
         assert_ne!(base, campaign_identity(&nl, &other_workload, &config()).unwrap());
+    }
+
+    #[test]
+    fn supervised_campaign_carries_its_identity() {
+        let nl = accumulator();
+        let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let done = run_supervised_campaign(&nl, &workload, &config(), &ResilienceConfig::default())
+            .unwrap()
+            .into_complete()
+            .expect("no abort hook");
+        assert_eq!(done.fingerprint, campaign_identity(&nl, &workload, &config()).unwrap());
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! byte-identical CSV on random netlists and random fault sets —
 //! including fault counts that are not multiples of 64, so partial
 //! final words are exercised — at 1 and 4 worker threads, cold and
-//! warm-started.
+//! warm-started. The engine's source-group settle, which evaluates only
+//! the logic fed by written ports or published state, must equal a full
+//! pass on random multi-port netlists under random per-lane stimulus.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use printed_netlist::fault::{
-    run_campaign_with_threads, CampaignConfig, PatternWorkload, StuckAtSpace,
+    run_campaign_with_threads, CampaignConfig, Fault, FaultKind, PatternWorkload, StuckAtSpace,
 };
-use printed_netlist::{NetId, Netlist, NetlistBuilder};
+use printed_netlist::{BitSimulator, GateId, NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
 
 /// The same random sequential netlist generator as `engine_props`: a
@@ -54,8 +56,110 @@ fn random_netlist(ops: &[(u8, u8, u8)], n_dffs: usize) -> Netlist {
     b.finish().unwrap()
 }
 
+/// A random sequential netlist over three input ports of different
+/// widths, so source groups gate distinct cones: the same op mix as
+/// [`random_netlist`], with every op drawing from ports, flip-flop
+/// outputs, constants and earlier ops.
+fn random_multiport_netlist(ops: &[(u8, u8, u8)], n_dffs: usize) -> Netlist {
+    let mut b = NetlistBuilder::new("rand_ports");
+    let mut pool: Vec<NetId> = Vec::new();
+    for (name, width) in [("x", 3), ("y", 2), ("z", 1)] {
+        pool.extend(b.input(name, width));
+    }
+    let ffs: Vec<NetId> = (0..n_dffs).map(|_| b.forward_net()).collect();
+    pool.extend(&ffs);
+    pool.push(b.const0());
+    pool.push(b.const1());
+    for &(op, ai, bi) in ops {
+        let a = pool[ai as usize % pool.len()];
+        let bn = pool[bi as usize % pool.len()];
+        let out = match op {
+            0 => b.inv(a),
+            1 => b.and2(a, bn),
+            2 => b.or2(a, bn),
+            3 => b.xor2(a, bn),
+            4 => b.nand2(a, bn),
+            5 => b.nor2(a, bn),
+            6 => b.xnor2(a, bn),
+            7 => b.tsbuf(a, bn),
+            _ => b.latch(a, bn),
+        };
+        pool.push(out);
+    }
+    for (i, &q) in ffs.iter().enumerate() {
+        let d = pool[(i * 5 + 7) % pool.len()];
+        b.dff_into(d, q);
+    }
+    let outs: Vec<NetId> = pool.iter().rev().take(4).copied().collect();
+    b.output("y_out", outs);
+    b.finish().unwrap()
+}
+
+/// Asserts that `sim`'s settled gate outputs equal a full pass's: a
+/// clone is handed a write to an internal net — outside every source
+/// group, so its next settle evaluates every op — and settled.
+fn assert_matches_a_full_pass(sim: &BitSimulator<'_>, nl: &Netlist, context: &str) {
+    let Some(internal) = nl.gates().iter().find(|g| !g.is_sequential()).map(|g| g.output) else {
+        return;
+    };
+    let mut full = sim.clone();
+    full.set_bus_words(&[internal], &[!sim.word(internal)]);
+    full.settle();
+    for (gi, gate) in nl.gates().iter().enumerate() {
+        assert_eq!(
+            sim.word(gate.output),
+            full.word(gate.output),
+            "gate {gi} ({:?}) differs from a full pass {context}",
+            gate.kind
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A gated settle — after port writes, or after the clock-edge
+    /// publish — leaves every net exactly where a full pass would, with
+    /// stuck-at faults and SEUs in random lanes and a random subset of
+    /// ports rewritten each cycle.
+    #[test]
+    fn gated_settle_equals_a_full_pass(
+        ops in prop::collection::vec((0u8..9, any::<u8>(), any::<u8>()), 4..40),
+        n_dffs in 1usize..5,
+        faults in prop::collection::vec((any::<u16>(), 0u8..3, 0u64..6), 0..20),
+        seed in any::<u64>(),
+    ) {
+        let nl = random_multiport_netlist(&ops, n_dffs);
+        let mut sim = BitSimulator::new(&nl);
+        for &(gate, kind, cycle) in &faults {
+            let kind = match kind {
+                0 => FaultKind::StuckAt0,
+                1 => FaultKind::StuckAt1,
+                _ => FaultKind::Seu { cycle },
+            };
+            sim.inject_fault(Fault { gate: GateId::from_index(gate as usize % nl.gate_count()), kind });
+        }
+        let ports: Vec<Vec<NetId>> = nl.input_ports().values().cloned().collect();
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for cycle in 0..8 {
+            for nets in &ports {
+                if next() & 1 == 1 {
+                    let words: Vec<u64> = nets.iter().map(|_| next()).collect();
+                    sim.set_bus_words(nets, &words);
+                }
+            }
+            sim.settle();
+            assert_matches_a_full_pass(&sim, &nl, &format!("after port writes, cycle {cycle}"));
+            sim.step().unwrap();
+            assert_matches_a_full_pass(&sim, &nl, &format!("after the clock edge, cycle {cycle}"));
+        }
+    }
 
     /// The acceptance matrix: {scalar, bitsliced} × {1, 4 threads} ×
     /// {cold, warm} all produce the same `OutcomeCounts` and the same

@@ -213,7 +213,7 @@ pub fn price(
                 });
             }
         };
-        fingerprint = Some(campaign_identity(&built.netlist, &w, &config)?);
+        fingerprint = Some(done.fingerprint);
         resumed_slots = done.stats.resumed_slots;
         let counts = done.result.counts();
         campaign_json = format!(
