@@ -177,52 +177,17 @@ fn write_bench_json(m: &Measurements) {
     println!("wrote {}", path.display());
 }
 
-/// The git revision of the working tree, `"unknown"` outside a checkout
-/// (the bench must not fail because the sources were exported).
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Appends one `printed-bench-record/v1` line to the perf-history
 /// ledger, with metric keys matching
 /// `printed_eval::regression::GATED_METRICS` (`serve_qps` is gated;
 /// the latency percentiles ride along for context).
 fn append_history(m: &Measurements) {
-    use std::io::Write as _;
-    let path = std::env::var("PRINTED_BENCH_HISTORY").ok().filter(|p| !p.is_empty()).map_or_else(
-        || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.jsonl"),
-        std::path::PathBuf::from,
+    let metrics = format!(
+        "\"serve_qps\": {:.0}, \"serve_p50_ms\": {:.3}, \"serve_p95_ms\": {:.3}",
+        m.serve_qps, m.serve_p50_ms, m.serve_p95_ms,
     );
-    let run_index = match std::fs::read_to_string(&path) {
-        Ok(existing) => existing.lines().filter(|l| !l.trim().is_empty()).count() as u64 + 1,
-        Err(_) => 1,
-    };
-    let record = format!(
-        "{{\"schema\": \"printed-bench-record/v1\", \"run_index\": {run_index}, \
-         \"git_rev\": \"{}\", \"bench\": \"serve_bench\", \"metrics\": {{\
-         \"serve_qps\": {:.0}, \"serve_p50_ms\": {:.3}, \"serve_p95_ms\": {:.3}}}}}\n",
-        git_rev(),
-        m.serve_qps,
-        m.serve_p50_ms,
-        m.serve_p95_ms,
-    );
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(record.as_bytes()));
-    match written {
-        Ok(()) => println!("appended run {run_index} to {}", path.display()),
-        Err(e) => panic!("failed to append perf history to {}: {e}", path.display()),
-    }
+    let run_index = printed_bench::append_history("serve_bench", &metrics);
+    println!("appended run {run_index} to the perf history");
 }
 
 fn bench(c: &mut Criterion) {

@@ -32,7 +32,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use printed_baselines::BaselineCpu;
 use printed_core::kernels::{self, Kernel};
 use printed_core::workload::ProgramWorkload;
-use printed_core::{generate_standard, CoreConfig};
+use printed_core::{generate_checked, generate_standard, CoreConfig, CoreSpec};
 use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, StuckAtSpace, Workload};
 use printed_netlist::resilience::{run_supervised_campaign_with_threads, ResilienceConfig};
 use printed_netlist::{analysis, dataflow, opt, Engine, FanoutMap, Simulator};
@@ -147,6 +147,7 @@ struct Measurements {
     obs_off_ns_per_op: f64,
     static_points: Vec<StaticPoint>,
     opt_sweep_ms: f64,
+    generate_sweep_ms: f64,
 }
 
 /// Bitsliced-vs-scalar campaign engine measurement on the exhaustive
@@ -276,7 +277,8 @@ impl Measurements {
              \"within_threshold\": {}}},\n  \
              \"static_analysis\": {{\"technology\": \"Egfet\", \"total_ms\": {:.1}, \
              \"budget_ms\": {:.1}, \"within_budget\": {}, \"points\": [{}]}},\n  \
-             \"optimizer\": {{\"designs\": {}, \"total_ms\": {:.2}}}\n}}\n",
+             \"optimizer\": {{\"designs\": {}, \"total_ms\": {:.2}}},\n  \
+             \"generator\": {{\"designs\": {}, \"technology\": \"Egfet\", \"total_ms\": {:.2}}}\n}}\n",
             self.sim_cycles,
             self.sim_event.ns_per_cycle,
             self.sim_event.gate_evals_per_sec,
@@ -333,6 +335,8 @@ impl Measurements {
             static_json.join(", "),
             CoreConfig::design_space().len(),
             self.opt_sweep_ms,
+            CoreConfig::design_space().len(),
+            self.generate_sweep_ms,
         )
     }
 }
@@ -668,6 +672,25 @@ fn measure_opt_sweep() -> f64 {
     best
 }
 
+/// Wall time of `generate_checked` over the 24 Figure 7 sweep points in
+/// EGFET: netlist building plus the DRC gate every generated core pays.
+/// Best of [`MEASURE_REPS`] passes after [`WARMUP_REPS`] discarded ones.
+fn measure_generate_sweep() -> f64 {
+    let specs: Vec<_> = CoreConfig::design_space().into_iter().map(CoreSpec::standard).collect();
+    let mut best = f64::INFINITY;
+    for rep in 0..MEASURE_REPS {
+        let started = Instant::now();
+        for spec in &specs {
+            let netlist = generate_checked(spec, Technology::Egfet).expect("sweep cores pass DRC");
+            black_box(netlist.gate_count());
+        }
+        if rep >= WARMUP_REPS {
+            best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    best
+}
+
 /// Per-call-site cost of disabled instrumentation: a span enter/drop
 /// plus a counter add, exactly as the simulator hot paths would pay it.
 fn measure_obs_off() -> f64 {
@@ -686,46 +709,17 @@ fn write_bench_json(m: &Measurements) {
     println!("wrote {}", path.display());
 }
 
-/// The git revision of the working tree, `"unknown"` outside a checkout
-/// (the bench must not fail because the sources were exported).
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Appends one `printed-bench-record/v1` line to the perf-history
-/// ledger (`BENCH_history.jsonl` at the repository root, or the path in
-/// `PRINTED_BENCH_HISTORY`). The run index is the ledger's current line
-/// count plus one — date-free and monotonic, so records order without
-/// wall-clock trust — and the metric keys match what
+/// ledger; the metric keys match what
 /// `printed_eval::regression::GATED_METRICS` gates on.
 fn append_history(m: &Measurements) {
-    use std::io::Write as _;
-    let path = std::env::var("PRINTED_BENCH_HISTORY").ok().filter(|p| !p.is_empty()).map_or_else(
-        || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.jsonl"),
-        std::path::PathBuf::from,
-    );
-    let run_index = match std::fs::read_to_string(&path) {
-        Ok(existing) => existing.lines().filter(|l| !l.trim().is_empty()).count() as u64 + 1,
-        Err(_) => 1,
-    };
-    let record = format!(
-        "{{\"schema\": \"printed-bench-record/v1\", \"run_index\": {run_index}, \
-         \"git_rev\": \"{}\", \"bench\": \"sim_hotpaths\", \"metrics\": {{\
-         \"sim_event_ns_per_cycle\": {:.1}, \"sim_sweep_ns_per_cycle\": {:.1}, \
+    let metrics = format!(
+        "\"sim_event_ns_per_cycle\": {:.1}, \"sim_sweep_ns_per_cycle\": {:.1}, \
          \"gl_event_ns_per_cycle\": {:.1}, \"gl_sweep_ns_per_cycle\": {:.1}, \
          \"gl_speedup\": {:.2}, \"warm_speedup\": {:.2}, \
          \"bitsliced_speedup\": {:.2}, \"bitsliced_runs_per_sec\": {:.0}, \
          \"resilience_overhead\": {:.4}, \"obs_off_ns_per_op\": {:.2}, \
-         \"static_total_ms\": {:.1}, \"opt_sweep_ms\": {:.2}}}}}\n",
-        git_rev(),
+         \"static_total_ms\": {:.1}, \"opt_sweep_ms\": {:.2}, \"generate_sweep_ms\": {:.2}",
         m.sim_event.ns_per_cycle,
         m.sim_sweep.ns_per_cycle,
         m.gl_event_ns_per_cycle,
@@ -738,16 +732,10 @@ fn append_history(m: &Measurements) {
         m.obs_off_ns_per_op,
         m.static_total_ms(),
         m.opt_sweep_ms,
+        m.generate_sweep_ms,
     );
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(record.as_bytes()));
-    match written {
-        Ok(()) => println!("appended run {run_index} to {}", path.display()),
-        Err(e) => panic!("failed to append perf history to {}: {e}", path.display()),
-    }
+    let run_index = printed_bench::append_history("sim_hotpaths", &metrics);
+    println!("appended run {run_index} to the perf history");
 }
 
 fn bench(c: &mut Criterion) {
@@ -775,6 +763,7 @@ fn bench(c: &mut Criterion) {
     let obs_off_ns_per_op = measure_obs_off();
     let static_points = measure_static_analysis();
     let opt_sweep_ms = measure_opt_sweep();
+    let generate_sweep_ms = measure_generate_sweep();
 
     let m = Measurements {
         sim_cycles,
@@ -801,6 +790,7 @@ fn bench(c: &mut Criterion) {
         obs_off_ns_per_op,
         static_points,
         opt_sweep_ms,
+        generate_sweep_ms,
     };
     println!(
         "netlist sim: event {:.0} ns/cycle vs full sweep {:.0} ns/cycle; gate-level {}: \
@@ -867,9 +857,11 @@ fn bench(c: &mut Criterion) {
         );
     }
     println!(
-        "optimizer: opt::optimize over {} sweep cores {:.2} ms",
+        "optimizer: opt::optimize over {} sweep cores {:.2} ms; generator: \
+         generate_checked over them {:.2} ms",
         CoreConfig::design_space().len(),
-        m.opt_sweep_ms
+        m.opt_sweep_ms,
+        m.generate_sweep_ms
     );
     write_bench_json(&m);
     append_history(&m);

@@ -71,7 +71,8 @@ pub fn generate(spec: &CoreSpec) -> Netlist {
 
 /// Like [`generate`], returning the netlist only if it is free of lint
 /// errors in the given technology; otherwise the full [`lint::LintReport`]
-/// explains what is wrong. Warnings never fail generation.
+/// explains what is wrong. Warnings never fail generation, so only the
+/// error rules run unless one fires ([`lint::check_errors`]).
 ///
 /// # Errors
 ///
@@ -80,7 +81,9 @@ pub fn generate_checked(
     spec: &CoreSpec,
     technology: Technology,
 ) -> Result<Netlist, lint::LintReport> {
-    generate_linted(spec, technology).map(|(netlist, _)| netlist)
+    let netlist = build(spec);
+    lint::check_errors(&netlist, technology.library())?;
+    Ok(netlist)
 }
 
 /// [`generate_checked`] that also hands back the lint report it computed
@@ -376,6 +379,7 @@ struct MachinePorts<'a> {
     we: Option<&'a [NetId]>,
     wdata: Option<&'a [NetId]>,
     wb_addr: Option<&'a [NetId]>,
+    flags: Option<&'a [NetId]>,
     instr: Option<&'a [NetId]>,
     rdata_a: Option<&'a [NetId]>,
     rdata_b: Option<&'a [NetId]>,
@@ -392,6 +396,7 @@ impl<'a> MachinePorts<'a> {
             we: output("we"),
             wdata: output("wdata"),
             wb_addr: output("wb_addr"),
+            flags: output("flags"),
             instr: input("instr"),
             rdata_a: input("rdata_a"),
             rdata_b: input("rdata_b"),
@@ -510,20 +515,22 @@ impl<'a> GateLevelMachine<'a> {
 
     /// Current flags, decoded from the netlist's flag register.
     pub fn flags(&self) -> Flags {
-        let bits =
-            self.sim.read_output("flags").unwrap_or_else(|_| unreachable!("core exposes flags"));
-        let mut flags = Flags::default();
-        for (i, mask) in self.spec.present_flags().iter().enumerate() {
-            let set = bits >> i & 1 == 1;
-            match *mask {
-                Flags::C => flags.c = set,
-                Flags::Z => flags.z = set,
-                Flags::S => flags.s = set,
-                Flags::V => flags.v = set,
-                _ => {}
+        let bits = self
+            .sim
+            .read_bus(self.ports.flags.unwrap_or_else(|| unreachable!("core exposes flags")));
+        // The register holds only the spec's flags, packed in C, Z, S, V
+        // order: spread them back to their mask positions.
+        let mut packed = 0;
+        let mut next = 0;
+        for mask in [Flags::C, Flags::Z, Flags::S, Flags::V] {
+            if self.spec.flags_mask & mask != 0 {
+                if bits >> next & 1 == 1 {
+                    packed |= mask;
+                }
+                next += 1;
             }
         }
-        flags
+        Flags::from_bits(packed)
     }
 
     /// Whether the halt idiom was detected.

@@ -156,12 +156,6 @@ pub struct KernelProgram {
 }
 
 impl KernelProgram {
-    /// Dynamic-instruction estimate is not stored; run the ISS for cycle
-    /// counts. This returns the static instruction count (the ROM size).
-    pub fn static_instructions(&self) -> usize {
-        self.instructions.len()
-    }
-
     /// Builds a ready-to-run ISS machine for this kernel on `config`.
     ///
     /// # Panics

@@ -9,11 +9,12 @@
 //! rate covers the sample rate.
 
 use printed_core::{generate_standard, CoreConfig};
-use printed_netlist::analysis;
+use printed_netlist::{analysis, Netlist};
 use printed_pdk::apps::Application;
 use printed_pdk::units::{Frequency, Power};
 use printed_pdk::Technology;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// A recommended printed system for one application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,14 +39,28 @@ const WIDTHS: [usize; 4] = [4, 8, 16, 32];
 /// an application. Returns `None` if even CNT-TFT cannot sustain the
 /// sample rate (does not occur for Table 3).
 pub fn recommend(app: &Application) -> Option<Recommendation> {
+    let config = core_config(app);
+    recommend_on(app, config, &generate_standard(&config))
+}
+
+/// The narrowest single-cycle core whose datawidth covers `app`'s
+/// precision.
+fn core_config(app: &Application) -> CoreConfig {
     let width = WIDTHS.into_iter().find(|&w| w >= app.precision_bits as usize).unwrap_or(32);
-    let config = CoreConfig::new(1, width, 2);
-    let netlist = generate_standard(&config);
+    CoreConfig::new(1, width, 2)
+}
+
+/// [`recommend`] on `config`'s already generated core.
+fn recommend_on(
+    app: &Application,
+    config: CoreConfig,
+    netlist: &Netlist,
+) -> Option<Recommendation> {
     // EGFET (inkjet, cheap) first; CNT-TFT only when the rate demands it.
     for tech in [Technology::Egfet, Technology::CntTft] {
-        let fmax = analysis::timing(&netlist, tech.library()).fmax();
+        let fmax = analysis::timing(netlist, tech.library()).fmax();
         if app.feasible_at(fmax.as_hertz()) {
-            let power = analysis::power(&netlist, tech.library(), fmax, Default::default());
+            let power = analysis::power(netlist, tech.library(), fmax, Default::default());
             return Some(Recommendation {
                 application: app.name,
                 core: config.name(),
@@ -58,9 +73,19 @@ pub fn recommend(app: &Application) -> Option<Recommendation> {
     None
 }
 
-/// Recommendations for the whole Table 3 catalog.
+/// Recommendations for the whole Table 3 catalog. Applications served
+/// by one width share its core, built once.
 pub fn catalog() -> Vec<Recommendation> {
-    printed_pdk::apps::TABLE3.iter().filter_map(recommend).collect()
+    let mut cores: BTreeMap<usize, Netlist> = BTreeMap::new();
+    printed_pdk::apps::TABLE3
+        .iter()
+        .filter_map(|app| {
+            let config = core_config(app);
+            let netlist =
+                cores.entry(config.datawidth).or_insert_with(|| generate_standard(&config));
+            recommend_on(app, config, netlist)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -73,6 +98,12 @@ mod tests {
     fn every_table3_application_gets_a_core() {
         let recs = catalog();
         assert_eq!(recs.len(), TABLE3.len(), "CNT-TFT covers whatever EGFET cannot");
+    }
+
+    #[test]
+    fn catalog_matches_recommending_each_application_alone() {
+        let alone: Vec<_> = TABLE3.iter().filter_map(recommend).collect();
+        assert_eq!(catalog(), alone);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 
 use crate::system::{BenchmarkResult, System, SystemError};
 use printed_core::kernels::{self, Kernel, KernelProgram};
-use printed_core::{generate_standard_checked, CoreConfig};
-use printed_netlist::analysis;
+use printed_core::{generate_standard, generate_standard_checked, CoreConfig};
+use printed_netlist::{analysis, Netlist};
 use printed_pdk::units::{Area, Frequency, Power};
 use printed_pdk::Technology;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One point of Figure 7: a core configuration's characterization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,6 +96,29 @@ pub struct Figure8Cell {
 /// encoding or memory-model construction).
 pub fn figure8(technology: Technology) -> Result<Vec<Figure8Cell>, SystemError> {
     let _span = printed_obs::span!("eval.figure8");
+    figure8_with_cores(technology, &mut StandardCores::default())
+}
+
+/// The standard cores one [`figure8`] call has generated: every cell run
+/// on the same standard core shares its netlist, so each is built once.
+#[derive(Default)]
+struct StandardCores(Vec<(CoreConfig, Arc<Netlist>)>);
+
+impl StandardCores {
+    fn get(&mut self, config: CoreConfig) -> Arc<Netlist> {
+        if let Some((_, core)) = self.0.iter().find(|(built, _)| *built == config) {
+            return Arc::clone(core);
+        }
+        let core = Arc::new(generate_standard(&config));
+        self.0.push((config, Arc::clone(&core)));
+        core
+    }
+}
+
+fn figure8_with_cores(
+    technology: Technology,
+    cores: &mut StandardCores,
+) -> Result<Vec<Figure8Cell>, SystemError> {
     let mut cells = Vec::new();
     for bench in Kernel::ALL {
         for &data_width in bench.data_widths() {
@@ -103,13 +127,13 @@ pub fn figure8(technology: Technology) -> Result<Vec<Figure8Cell>, SystemError> 
                     continue; // unsupported combination (documented)
                 };
                 let config = CoreConfig::new(1, core_width, 2);
-                push_cell(&mut cells, config, kernel.clone(), technology, false, 1)?;
+                push_cell(&mut cells, cores, config, kernel.clone(), technology, false, 1)?;
                 // Program-specific variant at the native width only.
                 if core_width == data_width {
-                    push_cell(&mut cells, config, kernel.clone(), technology, true, 1)?;
+                    push_cell(&mut cells, cores, config, kernel.clone(), technology, true, 1)?;
                     // dTree-ROMopt: the MLC instruction ROM ablation.
                     if bench == Kernel::DTree {
-                        push_cell(&mut cells, config, kernel, technology, false, 2)?;
+                        push_cell(&mut cells, cores, config, kernel, technology, false, 2)?;
                     }
                 }
             }
@@ -120,6 +144,7 @@ pub fn figure8(technology: Technology) -> Result<Vec<Figure8Cell>, SystemError> 
 
 fn push_cell(
     cells: &mut Vec<Figure8Cell>,
+    cores: &mut StandardCores,
     config: CoreConfig,
     kernel: KernelProgram,
     technology: Technology,
@@ -133,7 +158,7 @@ fn push_cell(
     let system = if program_specific {
         System::program_specific(config, kernel, technology, rom_bits_per_cell)
     } else {
-        System::standard(config, kernel, technology, rom_bits_per_cell)
+        System::on_standard_core(cores.get(config), config, kernel, technology, rom_bits_per_cell)
     }?;
     cells.push(Figure8Cell {
         kernel: name,
@@ -190,6 +215,19 @@ mod tests {
         let p1_8_2 = points.iter().find(|p| p.name == "p1_8_2").unwrap();
         let mw = p1_8_2.power.as_milliwatts();
         assert!(mw < 41.7 * 0.30, "p1_8_2 draws {mw:.1} mW");
+    }
+
+    #[test]
+    fn figure8_builds_each_standard_core_once() {
+        let mut cores = StandardCores::default();
+        let cells = figure8_with_cores(Technology::Egfet, &mut cores).unwrap();
+        let standard: Vec<_> = cells.iter().filter(|c| !c.program_specific).collect();
+        let mut widths: Vec<usize> = standard.iter().map(|c| c.core_width).collect();
+        widths.sort_unstable();
+        widths.dedup();
+        assert!(standard.len() > widths.len(), "cells must share cores for the test to bite");
+        let built: Vec<usize> = cores.0.iter().map(|(config, _)| config.datawidth).collect();
+        assert_eq!(built.len(), widths.len(), "one standard core per width, built {built:?}");
     }
 
     #[test]

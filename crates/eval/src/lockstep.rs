@@ -202,7 +202,9 @@ impl LockstepSide for GateSide<'_> {
     }
 }
 
-/// Runs one kernel in ISS-vs-gate-level lockstep on `config`.
+/// Runs one kernel in ISS-vs-gate-level lockstep on `config`'s standard
+/// core `netlist`, as [`generate_standard`] builds it; a sweep over many
+/// kernels builds the core once and passes it to every call.
 ///
 /// Returns the run stats and whether the gate-level result words match
 /// the kernel's golden expectation.
@@ -216,13 +218,13 @@ impl LockstepSide for GateSide<'_> {
 /// Panics if the config is not single-cycle or its datawidth differs
 /// from the kernel's core width.
 pub fn diff_kernel(
+    netlist: &Netlist,
     program: &KernelProgram,
     config: CoreConfig,
     options: &LockstepOptions,
 ) -> Result<(LockstepStats, bool), Box<DivergenceReport>> {
-    let netlist = generate_standard(&config);
     let mut iss = IssSide::new(program, config);
-    let mut gate = GateSide::new(&netlist, program, config);
+    let mut gate = GateSide::new(netlist, program, config);
     let stats = run_lockstep(&mut iss, &mut gate, options)?;
     let (base, len) = program.result;
     let result_ok = (0..len).all(|i| {
@@ -274,13 +276,14 @@ impl DiffReport {
 pub fn diff_report(options: &LockstepOptions) -> DiffReport {
     let _span = printed_obs::span!("eval.diff_report");
     let config = CoreConfig::new(1, 8, 2);
+    let netlist = generate_standard(&config);
     let mut rows = Vec::new();
     for kernel in Kernel::ALL {
         for &data_width in kernel.data_widths() {
             let Ok(program) = kernels::generate(kernel, config.datawidth, data_width) else {
                 continue;
             };
-            let row = match diff_kernel(&program, config, options) {
+            let row = match diff_kernel(&netlist, &program, config, options) {
                 Ok((stats, result_ok)) => DiffRow {
                     kernel: program.name.clone(),
                     config: config.name(),

@@ -78,6 +78,7 @@ pub const GATED_METRICS: &[MetricSpec] = &[
     MetricSpec { name: "obs_off_ns_per_op", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
     MetricSpec { name: "static_total_ms", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
     MetricSpec { name: "opt_sweep_ms", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
+    MetricSpec { name: "generate_sweep_ms", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
     MetricSpec { name: "serve_qps", direction: Direction::HigherIsBetter, max_ratio: 3.0 },
 ];
 
@@ -89,6 +90,9 @@ pub struct BenchRecord {
     /// Git revision the run was built from (`"unknown"` outside a
     /// checkout).
     pub git_rev: String,
+    /// Whether tracked files differed from `git_rev` when the run was
+    /// built (the optional `dirty` field; absent means clean).
+    pub dirty: bool,
     /// Metric name → value.
     pub metrics: Vec<(String, f64)>,
 }
@@ -167,6 +171,16 @@ pub fn parse_history(ledger: &str) -> Result<Vec<BenchRecord>, RegressionError> 
                 message: "missing string git_rev".into(),
             })?
             .to_string();
+        let dirty = match v.get("dirty") {
+            None => false,
+            Some(Value::Bool(dirty)) => *dirty,
+            Some(_) => {
+                return Err(RegressionError::Schema {
+                    line,
+                    message: "dirty is not a boolean".into(),
+                })
+            }
+        };
         let metrics = match v.get("metrics") {
             Some(Value::Object(map)) => {
                 map.iter().filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f))).collect()
@@ -178,7 +192,7 @@ pub fn parse_history(ledger: &str) -> Result<Vec<BenchRecord>, RegressionError> 
                 })
             }
         };
-        records.push(BenchRecord { run_index, git_rev, metrics });
+        records.push(BenchRecord { run_index, git_rev, dirty, metrics });
     }
     Ok(records)
 }
@@ -383,6 +397,20 @@ mod tests {
         assert!(matches!(err, RegressionError::Schema { line: 1, .. }), "{err}");
         let err = parse_history("not json").unwrap_err();
         assert!(matches!(err, RegressionError::Parse { line: 1, .. }), "{err}");
+    }
+
+    #[test]
+    fn parses_the_optional_dirty_flag() {
+        let clean = record(1, 3000.0, 10.0);
+        let dirty = clean.replacen("\"metrics\"", "\"dirty\": true, \"metrics\"", 1);
+        let records = ledger(&[clean.clone(), dirty]);
+        assert!(!records[0].dirty, "an absent flag means a clean tree");
+        assert!(records[1].dirty);
+        assert_eq!(records[1].metrics, records[0].metrics);
+
+        let bad = clean.replacen("\"metrics\"", "\"dirty\": \"yes\", \"metrics\"", 1);
+        let err = parse_history(&bad).unwrap_err();
+        assert!(matches!(err, RegressionError::Schema { line: 1, .. }), "{err}");
     }
 
     #[test]

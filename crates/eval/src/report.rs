@@ -90,40 +90,6 @@ pub fn figure7_csv(points: &[crate::figures::DesignPoint]) -> String {
     out
 }
 
-/// CSV export for Figure 8 cells (area / energy / time with the four
-/// component columns each).
-pub fn figure8_csv(cells: &[crate::figures::Figure8Cell]) -> String {
-    let mut out = String::from(
-        "kernel,data_width,core_width,program_specific,rom_mlc,cycles,\
-         area_cm2,area_comb,area_regs,area_imem,area_dmem,\
-         energy_j,energy_comb,energy_regs,energy_imem,energy_dmem,time_s\n",
-    );
-    for c in cells {
-        let r = &c.result;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.kernel,
-            c.data_width,
-            c.core_width,
-            c.program_specific,
-            c.rom_mlc,
-            r.cycles,
-            r.area_cm2.total(),
-            r.area_cm2.combinational,
-            r.area_cm2.registers,
-            r.area_cm2.imem,
-            r.area_cm2.dmem,
-            r.energy_j.total(),
-            r.energy_j.combinational,
-            r.energy_j.registers,
-            r.energy_j.imem,
-            r.energy_j.dmem,
-            r.exec_time.as_secs()
-        ));
-    }
-    out
-}
-
 /// CSV export for the lifetime curves of Figures 4/5.
 pub fn lifetime_csv(curves: &[crate::lifetime::LifetimeCurve]) -> String {
     let mut out = String::from("cpu,battery,duty,lifetime_hours\n");

@@ -20,12 +20,13 @@
 
 use printed_core::kernels::KernelProgram;
 use printed_core::specific::{CoreSpec, NarrowEncoding};
-use printed_core::{generate, CoreConfig};
+use printed_core::{generate, generate_standard, CoreConfig};
 use printed_memory::{CrossbarRom, Sram};
 use printed_netlist::{analysis, opt, Netlist, Region};
 use printed_pdk::units::{Area, Energy, Frequency, Power, Time};
 use printed_pdk::{CellLibrary, Technology};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Whether a system uses the standard or the program-specific core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,8 +73,9 @@ pub struct System {
     pub spec: CoreSpec,
     /// The kernel it runs.
     pub kernel: KernelProgram,
-    /// Generated (and, for PS, optimized) core netlist.
-    pub netlist: Netlist,
+    /// Generated (and, for PS, optimized) core netlist; systems built
+    /// on one standard core share it.
+    pub netlist: Arc<Netlist>,
     /// The instruction ROM holding the encoded program.
     pub rom: CrossbarRom,
     /// The data RAM.
@@ -119,8 +121,27 @@ impl System {
         technology: Technology,
         rom_bits_per_cell: u8,
     ) -> Result<Self, SystemError> {
+        Self::on_standard_core(
+            Arc::new(generate_standard(&config)),
+            config,
+            kernel,
+            technology,
+            rom_bits_per_cell,
+        )
+    }
+
+    /// [`System::standard`] on a core already generated for `config`
+    /// (by [`generate_standard`]), so systems that run different kernels
+    /// on one core share its netlist.
+    pub(crate) fn on_standard_core(
+        core: Arc<Netlist>,
+        config: CoreConfig,
+        kernel: KernelProgram,
+        technology: Technology,
+        rom_bits_per_cell: u8,
+    ) -> Result<Self, SystemError> {
         let spec = CoreSpec::standard(config);
-        Self::build(spec, kernel, technology, rom_bits_per_cell, CoreFlavor::Standard)
+        Self::build(spec, core, kernel, technology, rom_bits_per_cell, CoreFlavor::Standard)
     }
 
     /// Assembles a program-specific system (Section 7) for a kernel.
@@ -136,11 +157,15 @@ impl System {
         rom_bits_per_cell: u8,
     ) -> Result<Self, SystemError> {
         let spec = CoreSpec::program_specific(config, &kernel.instructions, &kernel.name);
-        Self::build(spec, kernel, technology, rom_bits_per_cell, CoreFlavor::ProgramSpecific)
+        // Print-time specialization lets synthesis fold the constants
+        // the narrower spec exposes.
+        let core = Arc::new(opt::optimize(&generate(&spec)));
+        Self::build(spec, core, kernel, technology, rom_bits_per_cell, CoreFlavor::ProgramSpecific)
     }
 
     fn build(
         spec: CoreSpec,
+        netlist: Arc<Netlist>,
         kernel: KernelProgram,
         technology: Technology,
         rom_bits_per_cell: u8,
@@ -156,13 +181,6 @@ impl System {
             CoreFlavor::ProgramSpecific => spec.dmem_words.max(kernel.dmem_words),
         };
         let ram = Sram::new(technology, dmem_words, spec.datawidth)?;
-        let raw = generate(&spec);
-        let netlist = match flavor {
-            CoreFlavor::Standard => raw,
-            // Print-time specialization lets synthesis fold the constants
-            // the narrower spec exposes.
-            CoreFlavor::ProgramSpecific => opt::optimize(&raw),
-        };
         let name = match flavor {
             CoreFlavor::Standard => format!("{} {}", spec.name(), kernel.name),
             CoreFlavor::ProgramSpecific => format!("{} (PS)", spec.name()),

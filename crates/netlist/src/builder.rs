@@ -189,7 +189,6 @@ pub struct NetlistBuilder {
     const1: Option<NetId>,
     /// Driver bookkeeping: true if the net already has a driver.
     driven: Vec<bool>,
-    current_region: Region,
     error: Option<NetlistError>,
 }
 
@@ -206,15 +205,8 @@ impl NetlistBuilder {
             const0: None,
             const1: None,
             driven: Vec::new(),
-            current_region: Region::Combinational,
             error: None,
         }
-    }
-
-    /// Sets the region tag applied to subsequently added gates.
-    /// Sequential cells are always tagged [`Region::Registers`] regardless.
-    pub fn set_region(&mut self, region: Region) {
-        self.current_region = region;
     }
 
     fn fresh_net(&mut self) -> NetId {
@@ -297,7 +289,7 @@ impl NetlistBuilder {
         }
         let output = self.fresh_net();
         self.mark_driven(output);
-        let region = if kind.is_sequential() { Region::Registers } else { self.current_region };
+        let region = if kind.is_sequential() { Region::Registers } else { Region::Combinational };
         self.gates.push(Gate { kind, inputs, output });
         self.regions.push(region);
         output

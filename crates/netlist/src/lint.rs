@@ -32,10 +32,10 @@
 
 use crate::dataflow::{self, DataflowFacts};
 use crate::ir::{FanoutMap, Gate, GateId, NetId, Netlist};
-use printed_pdk::{CellKind, CellLibrary};
+use printed_pdk::{CellKind, CellLibrary, Technology};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// How bad a finding is.
 ///
@@ -168,6 +168,10 @@ impl fmt::Display for Locus {
 }
 
 /// One lint finding.
+///
+/// A finding keeps what its rule saw as data; [`Diagnostic::message`]
+/// formats it only when something reads it, so a caller that only counts
+/// findings or checks for errors never renders a string.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diagnostic {
     /// Which rule fired.
@@ -176,13 +180,103 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// The gate or net the finding anchors to.
     pub locus: Locus,
+    finding: Finding,
+}
+
+impl Diagnostic {
     /// Human-readable explanation.
-    pub message: String,
+    pub fn message(&self) -> String {
+        self.finding.to_string()
+    }
 }
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}] @{}: {}", self.severity, self.rule, self.locus, self.message)
+        write!(f, "{}[{}] @{}: {}", self.severity, self.rule, self.locus, self.finding)
+    }
+}
+
+/// What a rule saw at one locus: cell kinds, nets and counts, with a
+/// port name only for the port-anchored findings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Finding {
+    Fanout { kind: CellKind, output: NetId, load: usize, budget: usize, technology: Technology },
+    InputFanout { port: String, bit: usize, load: usize, budget: usize },
+    Dead { kind: CellKind, output: NetId },
+    Unresettable { kind: CellKind, output: NetId },
+    Trapped { kind: CellKind, output: NetId },
+    Foldable { kind: CellKind, output: NetId },
+    Constant { kind: CellKind, output: NetId, value: bool },
+    InverterPair { output: NetId, input: NetId },
+    LatchTiedHigh { output: NetId },
+    LatchAliased { output: NetId, net: NetId },
+    TristateShared { a: NetId, b: NetId, merge: NetId, enable: NetId },
+    TristateTiedHigh { a: NetId, b: NetId, merge: NetId },
+    PortLoad { port: String, bit: usize, net: NetId, internal: usize, budget: usize },
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Finding::Fanout { kind, output, load, budget, technology } => {
+                write!(
+                    f,
+                    "{kind} output {output} drives {load} loads; {technology} allows {budget}"
+                )
+            }
+            Finding::InputFanout { port, bit, load, budget } => write!(
+                f,
+                "input {port}[{bit}] drives {load} loads; \
+                 buffered external drivers allow {budget}"
+            ),
+            Finding::Dead { kind, output } => {
+                write!(f, "{kind} output {output} reaches no primary output")
+            }
+            Finding::Unresettable { kind, output } => write!(
+                f,
+                "{kind} {output} has no reset; its power-up X is proved observable — \
+                 initialize architecturally or use DFFNRX1"
+            ),
+            Finding::Trapped { kind, output } => write!(
+                f,
+                "{kind} {output} can never be initialized: no reset or input \
+                 sequence clears its power-up X (proved by dataflow \
+                 analysis) — add a reset or a load path"
+            ),
+            Finding::Foldable { kind, output } => write!(
+                f,
+                "{kind} output {output} has constant input(s); the optimizer would fold it"
+            ),
+            Finding::Constant { kind, output, value } => write!(
+                f,
+                "{kind} output {output} is proved constant {} — it can never \
+                 toggle; optimize_with_facts would remove it",
+                *value as u8
+            ),
+            Finding::InverterPair { output, input } => {
+                write!(f, "INVX1 output {output} inverts INVX1 output {input} — the pair is a wire")
+            }
+            Finding::LatchTiedHigh { output } => {
+                write!(f, "LATCHX1 output {output}: S and R are both tied to constant 1")
+            }
+            Finding::LatchAliased { output, net } => write!(
+                f,
+                "LATCHX1 output {output}: S and R are the same net {net}; any 1 asserts both"
+            ),
+            Finding::TristateShared { a, b, merge, enable } => {
+                write!(f, "TSBUFX1 outputs {a} and {b} merge at {merge} and share enable {enable}")
+            }
+            Finding::TristateTiedHigh { a, b, merge } => write!(
+                f,
+                "TSBUFX1 outputs {a} and {b} merge at {merge} and are both enabled by constant 1"
+            ),
+            Finding::PortLoad { port, bit, net, internal, budget } => write!(
+                f,
+                "output {port}[{bit}] pins net {net} already driving \
+                 {internal} internal loads (budget {budget}); \
+                 add a buffer before the port"
+            ),
+        }
     }
 }
 
@@ -263,7 +357,7 @@ impl LintReport {
             self.count(Severity::Info),
         );
         for d in &self.diagnostics {
-            out.push_str(&format!("  {d}\n"));
+            let _ = writeln!(out, "  {d}");
         }
         out
     }
@@ -298,7 +392,7 @@ impl LintReport {
                 d.rule,
                 d.severity,
                 locus,
-                escape_json(&d.message),
+                escape_json(&d.message()),
             ));
         }
         out.push_str("]}");
@@ -381,7 +475,11 @@ impl<'a> Facts<'a> {
         }
         let mut foldable = vec![false; netlist.gate_count()];
         for (gid, gate) in netlist.topo_order() {
-            let ins: Vec<Known> = gate.inputs.iter().map(|n| known[n.index()]).collect();
+            // Cells have at most two pins.
+            let mut ins = [Known::Var; 2];
+            for (slot, n) in ins.iter_mut().zip(&gate.inputs) {
+                *slot = known[n.index()];
+            }
             let (out, folds) = fold_verdict(gate.kind, &ins);
             known[gate.output.index()] = out;
             foldable[gid.index()] = folds;
@@ -464,6 +562,28 @@ pub fn lint(netlist: &Netlist, lib: &CellLibrary, config: &LintConfig) -> LintRe
     lint_with_facts(netlist, lib, config, &dataflow::analyze(netlist))
 }
 
+/// The design-rule gate for callers that keep a netlist only if it has
+/// no errors and otherwise read nothing of the report: only the rules
+/// whose [`Rule::default_severity`] is [`Severity::Error`] run, over one
+/// dataflow fixpoint. When one fires, every rule runs over the same
+/// facts, so the `Err` report is exactly what [`lint`] returns under the
+/// default configuration.
+///
+/// # Errors
+///
+/// Returns the full default-configuration report if any error fires.
+pub fn check_errors(netlist: &Netlist, lib: &CellLibrary) -> Result<(), LintReport> {
+    let facts = dataflow::analyze(netlist);
+    let errors_only = Rule::ALL
+        .into_iter()
+        .filter(|rule| rule.default_severity() != Severity::Error)
+        .fold(LintConfig::new(), LintConfig::disable);
+    if lint_with_facts(netlist, lib, &errors_only, &facts).has_errors() {
+        return Err(lint_with_facts(netlist, lib, &LintConfig::default(), &facts));
+    }
+    Ok(())
+}
+
 /// [`lint`] over a caller's dataflow facts: the analysis-backed rules
 /// read `facts` and the structural rules read the [`FanoutMap`] they
 /// carry; nothing is recomputed. `facts` must come from `netlist`.
@@ -475,22 +595,25 @@ pub fn lint_with_facts(
 ) -> LintReport {
     let facts = Facts::compute(netlist, facts);
     let mut diagnostics = Vec::new();
-    let mut emit = |rule: Rule, locus: Locus, message: String| {
-        if let Some(severity) = config.effective_severity(rule) {
-            diagnostics.push(Diagnostic { rule, severity, locus, message });
+    for rule in Rule::ALL {
+        // A disabled rule's check never runs: its findings would be dropped.
+        let Some(severity) = config.effective_severity(rule) else { continue };
+        let mut emit = |locus: Locus, finding: Finding| {
+            diagnostics.push(Diagnostic { rule, severity, locus, finding });
+        };
+        match rule {
+            Rule::FanoutExceedsDrive => check_fanout(netlist, lib, &facts, &mut emit),
+            Rule::DeadLogic => check_dead_logic(netlist, &facts, &mut emit),
+            Rule::UnresettableState => check_unresettable_state(netlist, &facts, &mut emit),
+            Rule::XTrappedState => check_x_trapped_state(netlist, &facts, &mut emit),
+            Rule::ConstFoldableGate => check_const_foldable(netlist, &facts, &mut emit),
+            Rule::NeverToggles => check_never_toggles(netlist, &facts, &mut emit),
+            Rule::RedundantInverterPair => check_redundant_inverters(netlist, &facts, &mut emit),
+            Rule::LatchContention => check_latch_contention(netlist, &facts, &mut emit),
+            Rule::TristateContention => check_tristate_contention(netlist, &facts, &mut emit),
+            Rule::OutputPortLoad => check_output_port_load(netlist, lib, &facts, &mut emit),
         }
-    };
-
-    check_fanout(netlist, lib, &facts, &mut emit);
-    check_dead_logic(netlist, &facts, &mut emit);
-    check_unresettable_state(netlist, &facts, &mut emit);
-    check_x_trapped_state(netlist, &facts, &mut emit);
-    check_const_foldable(netlist, &facts, &mut emit);
-    check_never_toggles(netlist, &facts, &mut emit);
-    check_redundant_inverters(netlist, &facts, &mut emit);
-    check_latch_contention(netlist, &facts, &mut emit);
-    check_tristate_contention(netlist, &facts, &mut emit);
-    check_output_port_load(netlist, lib, &facts, &mut emit);
+    }
 
     diagnostics.sort_by_key(|d| (d.severity, d.rule, d.locus));
     LintReport { design: netlist.name().to_string(), diagnostics }
@@ -503,21 +626,21 @@ fn check_fanout(
     netlist: &Netlist,
     lib: &CellLibrary,
     facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
+    emit: &mut impl FnMut(Locus, Finding),
 ) {
     for (i, gate) in netlist.gates().iter().enumerate() {
         let load = facts.fanout().load_count(gate.output);
         let budget = lib.max_fanout(gate.kind);
         if load > budget {
             emit(
-                Rule::FanoutExceedsDrive,
                 Locus::Gate(GateId(i as u32)),
-                format!(
-                    "{} output {} drives {load} loads; {} allows {budget}",
-                    gate.kind,
-                    gate.output,
-                    lib.technology(),
-                ),
+                Finding::Fanout {
+                    kind: gate.kind,
+                    output: gate.output,
+                    load,
+                    budget,
+                    technology: lib.technology(),
+                },
             );
         }
     }
@@ -527,12 +650,8 @@ fn check_fanout(
             let load = facts.fanout().load_count(*net);
             if load > budget {
                 emit(
-                    Rule::FanoutExceedsDrive,
                     Locus::Net(*net),
-                    format!(
-                        "input {name}[{bit}] drives {load} loads; \
-                         buffered external drivers allow {budget}"
-                    ),
+                    Finding::InputFanout { port: name.clone(), bit, load, budget },
                 );
             }
         }
@@ -541,13 +660,12 @@ fn check_fanout(
 
 /// Rule 2: gates whose outputs reach no primary output are dead weight —
 /// printed area and static power with no observable effect.
-fn check_dead_logic(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut(Rule, Locus, String)) {
+fn check_dead_logic(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut(Locus, Finding)) {
     for (i, gate) in netlist.gates().iter().enumerate() {
         if !facts.live(gate.output) {
             emit(
-                Rule::DeadLogic,
                 Locus::Gate(GateId(i as u32)),
-                format!("{} output {} reaches no primary output", gate.kind, gate.output),
+                Finding::Dead { kind: gate.kind, output: gate.output },
             );
         }
     }
@@ -563,19 +681,14 @@ fn check_dead_logic(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut(Rule
 fn check_unresettable_state(
     netlist: &Netlist,
     facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
+    emit: &mut impl FnMut(Locus, Finding),
 ) {
     for (i, gate) in netlist.gates().iter().enumerate() {
         let resetless = matches!(gate.kind, CellKind::Dff | CellKind::Latch);
         if resetless && facts.live(gate.output) && facts.dataflow.x_reachable(gate.output) {
             emit(
-                Rule::UnresettableState,
                 Locus::Gate(GateId(i as u32)),
-                format!(
-                    "{} {} has no reset; its power-up X is proved observable — \
-                     initialize architecturally or use DFFNRX1",
-                    gate.kind, gate.output,
-                ),
+                Finding::Unresettable { kind: gate.kind, output: gate.output },
             );
         }
     }
@@ -586,24 +699,11 @@ fn check_unresettable_state(
 /// its power-up X to a known value, so everything behind it is decided
 /// by a per-unit power-up lottery forever. Strictly stronger than
 /// `unresettable-state` (which covers transient, flushable X).
-fn check_x_trapped_state(
-    netlist: &Netlist,
-    facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
-) {
+fn check_x_trapped_state(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut(Locus, Finding)) {
     for &gid in facts.dataflow.trapped_state() {
         let gate = &netlist.gates()[gid.index()];
         if facts.live(gate.output) {
-            emit(
-                Rule::XTrappedState,
-                Locus::Gate(gid),
-                format!(
-                    "{} {} can never be initialized: no reset or input \
-                     sequence clears its power-up X (proved by dataflow \
-                     analysis) — add a reset or a load path",
-                    gate.kind, gate.output,
-                ),
-            );
+            emit(Locus::Gate(gid), Finding::Trapped { kind: gate.kind, output: gate.output });
         }
     }
 }
@@ -611,20 +711,12 @@ fn check_x_trapped_state(
 /// Rule 4: gates the constant folder ([`crate::opt::optimize`]) would
 /// remove or strength-reduce. Verdicts mirror the folder exactly, so an
 /// optimized netlist never triggers this rule.
-fn check_const_foldable(
-    netlist: &Netlist,
-    facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
-) {
+fn check_const_foldable(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut(Locus, Finding)) {
     for (i, gate) in netlist.gates().iter().enumerate() {
         if facts.foldable[i] {
             emit(
-                Rule::ConstFoldableGate,
                 Locus::Gate(GateId(i as u32)),
-                format!(
-                    "{} output {} has constant input(s); the optimizer would fold it",
-                    gate.kind, gate.output,
-                ),
+                Finding::Foldable { kind: gate.kind, output: gate.output },
             );
         }
     }
@@ -637,24 +729,15 @@ fn check_const_foldable(
 /// Skips gates `const-foldable-gate` already flags, so the two rules
 /// partition "provably constant" into "the optimizer fixes this today"
 /// and "only [`crate::opt::optimize_with_facts`] can remove this".
-fn check_never_toggles(
-    netlist: &Netlist,
-    facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
-) {
+fn check_never_toggles(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut(Locus, Finding)) {
     for (i, gate) in netlist.gates().iter().enumerate() {
         if facts.foldable[i] || !facts.live(gate.output) {
             continue;
         }
         if let Some(value) = facts.dataflow.proved_constant(gate.output) {
             emit(
-                Rule::NeverToggles,
                 Locus::Gate(GateId(i as u32)),
-                format!(
-                    "{} output {} is proved constant {} — it can never \
-                     toggle; optimize_with_facts would remove it",
-                    gate.kind, gate.output, value as u8,
-                ),
+                Finding::Constant { kind: gate.kind, output: gate.output, value },
             );
         }
     }
@@ -665,7 +748,7 @@ fn check_never_toggles(
 fn check_redundant_inverters(
     netlist: &Netlist,
     facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
+    emit: &mut impl FnMut(Locus, Finding),
 ) {
     for (i, gate) in netlist.gates().iter().enumerate() {
         if gate.kind != CellKind::Inv {
@@ -674,12 +757,8 @@ fn check_redundant_inverters(
         let Some(driver) = facts.fanout().driver(gate.inputs[0]) else { continue };
         if netlist.gates()[driver.index()].kind == CellKind::Inv {
             emit(
-                Rule::RedundantInverterPair,
                 Locus::Gate(GateId(i as u32)),
-                format!(
-                    "INVX1 output {} inverts INVX1 output {} — the pair is a wire",
-                    gate.output, gate.inputs[0],
-                ),
+                Finding::InverterPair { output: gate.output, input: gate.inputs[0] },
             );
         }
     }
@@ -689,30 +768,22 @@ fn check_redundant_inverters(
 /// short: both internal stages fight and the output is metastable. Fires
 /// when constant propagation proves S = R = 1, and (as a warning-level
 /// variant in the message) when S and R are literally the same net.
-fn check_latch_contention(
-    netlist: &Netlist,
-    facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
-) {
+fn check_latch_contention(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut(Locus, Finding)) {
     for (i, gate) in netlist.gates().iter().enumerate() {
         if gate.kind != CellKind::Latch {
             continue;
         }
         let (s, r) = (gate.inputs[0], gate.inputs[1]);
-        let both_high =
-            facts.known[s.index()] == Known::One && facts.known[r.index()] == Known::One;
-        if both_high || s == r {
-            let why = if both_high {
-                "S and R are both tied to constant 1".to_string()
+        let output = gate.output;
+        let finding =
+            if facts.known[s.index()] == Known::One && facts.known[r.index()] == Known::One {
+                Finding::LatchTiedHigh { output }
+            } else if s == r {
+                Finding::LatchAliased { output, net: s }
             } else {
-                format!("S and R are the same net {s}; any 1 asserts both")
+                continue;
             };
-            emit(
-                Rule::LatchContention,
-                Locus::Gate(GateId(i as u32)),
-                format!("LATCHX1 output {}: {why}", gate.output),
-            );
-        }
+        emit(Locus::Gate(GateId(i as u32)), finding);
     }
 }
 
@@ -724,7 +795,7 @@ fn check_latch_contention(
 fn check_tristate_contention(
     netlist: &Netlist,
     facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
+    emit: &mut impl FnMut(Locus, Finding),
 ) {
     let tsbuf_driver = |net: NetId| -> Option<&Gate> {
         let gate = &netlist.gates()[facts.fanout().driver(net)?.index()];
@@ -738,24 +809,17 @@ fn check_tristate_contention(
         for (a_idx, a) in drivers.iter().enumerate() {
             for b in &drivers[a_idx + 1..] {
                 let (en_a, en_b) = (a.inputs[1], b.inputs[1]);
-                let contention = en_a == en_b
-                    || (facts.known[en_a.index()] == Known::One
-                        && facts.known[en_b.index()] == Known::One);
-                if contention {
-                    let why = if en_a == en_b {
-                        format!("share enable {en_a}")
-                    } else {
-                        "are both enabled by constant 1".to_string()
-                    };
-                    emit(
-                        Rule::TristateContention,
-                        Locus::Gate(GateId(i as u32)),
-                        format!(
-                            "TSBUFX1 outputs {} and {} merge at {} and {why}",
-                            a.output, b.output, merge.output,
-                        ),
-                    );
-                }
+                let (a, b, merge) = (a.output, b.output, merge.output);
+                let finding = if en_a == en_b {
+                    Finding::TristateShared { a, b, merge, enable: en_a }
+                } else if facts.known[en_a.index()] == Known::One
+                    && facts.known[en_b.index()] == Known::One
+                {
+                    Finding::TristateTiedHigh { a, b, merge }
+                } else {
+                    continue;
+                };
+                emit(Locus::Gate(GateId(i as u32)), finding);
             }
         }
     }
@@ -767,7 +831,7 @@ fn check_output_port_load(
     netlist: &Netlist,
     lib: &CellLibrary,
     facts: &Facts,
-    emit: &mut impl FnMut(Rule, Locus, String),
+    emit: &mut impl FnMut(Locus, Finding),
 ) {
     let is_const = |net: NetId| netlist.const0() == Some(net) || netlist.const1() == Some(net);
     let mut flagged: BTreeSet<NetId> = BTreeSet::new();
@@ -784,13 +848,8 @@ fn check_output_port_load(
             if internal + 1 > budget {
                 flagged.insert(net);
                 emit(
-                    Rule::OutputPortLoad,
                     Locus::Net(net),
-                    format!(
-                        "output {name}[{bit}] pins net {net} already driving \
-                         {internal} internal loads (budget {budget}); \
-                         add a buffer before the port"
-                    ),
+                    Finding::PortLoad { port: name.clone(), bit, net, internal, budget },
                 );
             }
         }
@@ -856,7 +915,7 @@ mod tests {
         let report = run(&b.finish().unwrap());
         let findings: Vec<_> = report.by_rule(Rule::FanoutExceedsDrive).collect();
         assert_eq!(findings.len(), 1, "{}", report.render_text());
-        assert!(findings[0].message.contains("input a[0]"));
+        assert!(findings[0].message().contains("input a[0]"));
     }
 
     #[test]
@@ -869,7 +928,7 @@ mod tests {
         let report = run(&b.finish().unwrap());
         let findings: Vec<_> = report.by_rule(Rule::DeadLogic).collect();
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("XOR2X1"));
+        assert!(findings[0].message().contains("XOR2X1"));
     }
 
     #[test]

@@ -444,11 +444,6 @@ pub fn register_en(
         .collect()
 }
 
-/// One-bit sign-extension helper: replicates `bit` `n` times.
-pub fn replicate(bit: NetId, n: usize) -> Vec<NetId> {
-    vec![bit; n]
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {

@@ -307,11 +307,18 @@ mod reference {
 /// pool of gates over all of them. Op 0 and 9 are inverters, so inverter
 /// chains are common; outputs are picked by `outs`, so some logic is
 /// dead.
+///
+/// `hazards` adds, on output `h`, one of each error-level hazard the
+/// DRC gate screens for whose bit is set: bit 0 an SR latch with S = R,
+/// bit 1 two tri-state buffers sharing an enable and merged by an OR,
+/// bit 2 a merged tri-state pair enabled by two nets that are constant 1,
+/// and bit 3 a trapped ring (a resetless flip-flop fed its own inverse).
 fn random_sequential_netlist(
     ops: &[(u8, u8, u8)],
     n_ffs: usize,
     nr_mask: u8,
     outs: &[u8],
+    hazards: u8,
 ) -> Netlist {
     let mut b = NetlistBuilder::new("rand_seq");
     let inputs = b.input("x", 4);
@@ -335,6 +342,32 @@ fn random_sequential_netlist(
             _ => b.latch(a, c),
         };
         pool.push(out);
+    }
+    let mut hazard_outs = Vec::new();
+    let (a, c) = (pool[pool.len() - 1], pool[pool.len() / 2]);
+    if hazards & 1 != 0 {
+        hazard_outs.push(b.latch(a, a));
+    }
+    if hazards & 2 != 0 {
+        let t0 = b.tsbuf(a, c);
+        let t1 = b.tsbuf(pool[0], c);
+        hazard_outs.push(b.or2(t0, t1));
+    }
+    if hazards & 4 != 0 {
+        let (zero, one) = (b.const0(), b.const1());
+        let also_one = b.inv(zero);
+        let t0 = b.tsbuf(a, one);
+        let t1 = b.tsbuf(c, also_one);
+        hazard_outs.push(b.or2(t0, t1));
+    }
+    if hazards & 8 != 0 {
+        let q = b.forward_net();
+        let d = b.inv(q);
+        b.dff_into(d, q);
+        hazard_outs.push(q);
+    }
+    if !hazard_outs.is_empty() {
+        b.output("h", hazard_outs);
     }
     for (i, &q) in ffs.iter().enumerate() {
         let d = pool[(i * 7 + 3) % pool.len()];
@@ -644,7 +677,40 @@ proptest! {
         nr_mask in any::<u8>(),
         outs in prop::collection::vec(any::<u8>(), 1..6),
     ) {
-        assert_matches_reference(&random_sequential_netlist(&ops, n_ffs, nr_mask, &outs));
+        assert_matches_reference(&random_sequential_netlist(&ops, n_ffs, nr_mask, &outs, 0));
+    }
+
+    #[test]
+    fn drc_gate_matches_the_full_lint_on_random_netlists(
+        ops in prop::collection::vec((0u8..10, any::<u8>(), any::<u8>()), 1..30),
+        n_ffs in 0usize..4,
+        nr_mask in any::<u8>(),
+        outs in prop::collection::vec(any::<u8>(), 1..6),
+        hazards in 0u8..16,
+        stages in prop::collection::vec((0u8..10, any::<u8>()), 1..24),
+        ring in any::<bool>(),
+    ) {
+        // The errors-only gate must pass exactly the netlists the full
+        // lint finds error-free, and refuse the rest with the full report.
+        let designs = [
+            random_sequential_netlist(&ops, n_ffs, nr_mask, &outs, hazards),
+            chain_netlist(&stages, ring),
+        ];
+        for nl in &designs {
+            for technology in Technology::ALL {
+                let lib = technology.library();
+                let full = lint::lint(nl, lib, &lint::LintConfig::default());
+                match lint::check_errors(nl, lib) {
+                    Ok(()) => {
+                        prop_assert!(!full.has_errors(), "gate passed:\n{}", full.render_text());
+                    }
+                    Err(report) => {
+                        prop_assert!(full.has_errors(), "gate refused:\n{}", full.render_text());
+                        prop_assert_eq!(report, full);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

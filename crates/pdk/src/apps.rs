@@ -7,7 +7,6 @@
 //! the sample rate (with some instructions of processing per sample) at its
 //! f_max, at the precision the application needs.
 
-use crate::units::Frequency;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -78,11 +77,6 @@ impl Application {
     /// this application's sample rate.
     pub fn feasible_at(&self, instructions_per_second: f64) -> bool {
         instructions_per_second >= self.sample_rate_hz * Self::INSTRUCTIONS_PER_SAMPLE
-    }
-
-    /// The minimum instruction rate this application demands.
-    pub fn required_ips(&self) -> Frequency {
-        Frequency::from_hertz(self.sample_rate_hz * Self::INSTRUCTIONS_PER_SAMPLE)
     }
 }
 

@@ -48,12 +48,6 @@ impl Technology {
         }
     }
 
-    /// Whether the fabrication route is fully additive (inkjet) or involves
-    /// subtractive steps (shadow mask / etching).
-    pub fn is_fully_additive(self) -> bool {
-        matches!(self, Technology::Egfet)
-    }
-
     /// Returns this technology's standard-cell library (X1 drive — the
     /// strength the paper performs all analysis with).
     pub fn library(self) -> &'static CellLibrary {
@@ -209,11 +203,6 @@ impl CellCharacteristics {
     /// charges per logic level.
     pub fn average_delay(self) -> Time {
         (self.rise_delay + self.fall_delay) / 2.0
-    }
-
-    /// The slower of rise and fall — used for worst-case timing.
-    pub fn worst_delay(self) -> Time {
-        self.rise_delay.max(self.fall_delay)
     }
 }
 

@@ -19,8 +19,8 @@
 //! - `printed-regression/v1`: `pass` must be a boolean consistent with
 //!   the per-check `ok` flags,
 //! - `BENCH_history.jsonl` ledgers: every line must be a
-//!   `printed-bench-record/v1` record (validated via
-//!   `printed_eval::regression::parse_history`).
+//!   `printed-bench-record/v1` record, with an optional boolean `dirty`
+//!   (validated via `printed_eval::regression::parse_history`).
 
 use printed_microprocessors::eval::regression;
 use printed_microprocessors::obs::json::{self, Value};
@@ -154,7 +154,11 @@ fn validate_one(path: &str) -> Result<String, Box<dyn std::error::Error>> {
     if contents.lines().next().is_some_and(|l| l.contains("printed-bench-record/v1")) {
         let records =
             regression::parse_history(&contents).map_err(|e| fail(path, &e.to_string()))?;
-        return Ok(format!("printed-bench-record/v1 ledger: {} records", records.len()));
+        let dirty = records.iter().filter(|r| r.dirty).count();
+        return Ok(format!(
+            "printed-bench-record/v1 ledger: {} records ({dirty} from uncommitted trees)",
+            records.len()
+        ));
     }
     let v = json::parse(&contents).map_err(|e| fail(path, &e.to_string()))?;
     match v.get("schema").and_then(Value::as_str) {
