@@ -196,7 +196,7 @@ wait "$burst_pid"
 wait "$slow1" 2>/dev/null || true
 wait "$slow2" 2>/dev/null || true
 
-echo "==> simulator hot-path bench (refreshes BENCH_sim.json + appends BENCH_history.jsonl, asserts speedups + warm-start gain + resilience overhead)"
+echo "==> simulator hot-path bench (refreshes BENCH_sim.json + appends BENCH_history.jsonl, asserts speedups + warm-start gain + CSV identity across the engine x threads x warm matrix)"
 cargo bench -p printed-bench --bench sim_hotpaths >/dev/null
 
 echo "==> print-shop serve bench (refreshes BENCH_serve.json + appends BENCH_history.jsonl, asserts clean run + byte-identical warm quotes)"

@@ -4,10 +4,8 @@
 //! [`crate::i8080`] simulator: turns a program image back into readable
 //! mnemonics, used to inspect the benchmark kernels and debug new ones.
 
-use serde::{Deserialize, Serialize};
-
 /// One disassembled instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Disassembled {
     /// Address of the first byte.
     pub addr: u16,

@@ -12,11 +12,10 @@
 //! stops the machine.
 
 use printed_netlist::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// 8-bit registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Reg {
     A,
@@ -29,7 +28,7 @@ pub enum Reg {
 }
 
 /// 16-bit register pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum RegPair {
     BC,
@@ -39,7 +38,7 @@ pub enum RegPair {
 }
 
 /// Condition codes for conditional jumps/calls/returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Cond {
     NZ,
@@ -53,7 +52,7 @@ pub enum Cond {
 }
 
 /// 8080 condition flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flags8080 {
     /// Sign (bit 7 of result).
     pub s: bool,

@@ -13,7 +13,6 @@
 use printed_netlist::{lint, Netlist, NetlistBuilder};
 use printed_pdk::units::{Area, Frequency, Power};
 use printed_pdk::{CellKind, CellLibrary, Technology};
-use serde::{Deserialize, Serialize};
 
 /// The paper's fixed combinational cell mix (fractions summing to 1.0)
 /// used to cost baseline combinational logic. Typical of small control-
@@ -37,7 +36,7 @@ where
 }
 
 /// Which baseline CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaselineCpu {
     /// openMSP430 (16-bit register machine).
     OpenMsp430,
@@ -139,7 +138,7 @@ impl BaselineCpu {
 
 /// A calibrated cell inventory: the synthesized shape of one baseline in
 /// one technology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellInventory {
     /// Which CPU this models.
     pub cpu: BaselineCpu,

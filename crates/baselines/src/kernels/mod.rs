@@ -19,11 +19,10 @@ pub mod kz80opt;
 pub mod kzpu;
 
 use crate::inventory::BaselineCpu;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The seven benchmarks (named as in the paper's tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Bench {
     /// 8-bit multiply.
     Mult,
@@ -74,7 +73,7 @@ impl fmt::Display for Bench {
 }
 
 /// Result of executing one benchmark on one baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BaselineRun {
     /// Benchmark.
     pub bench: Bench,

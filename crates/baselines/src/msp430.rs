@@ -11,11 +11,10 @@
 //! Programs halt by setting the `CPUOFF` bit in the status register
 //! (`BIS #0x10, SR` — the standard MSP430 idiom) or by a `JMP` to self.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Status-register flag bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrBits;
 
 impl SrBits {

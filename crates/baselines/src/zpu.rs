@@ -12,7 +12,6 @@
 //! real `zpu_small` those trap to emulation code, but the paper's CPI-4
 //! cost model already folds that in.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -482,7 +481,7 @@ impl CpuZpu {
 }
 
 /// ZPU assembler item (used internally by [`AsmZpu`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Item {
     Bytes(Vec<u8>),
     /// Absolute address of a label, pushed as a fixed-width IM pair.

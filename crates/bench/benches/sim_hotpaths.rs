@@ -34,7 +34,6 @@ use printed_core::kernels::{self, Kernel};
 use printed_core::workload::ProgramWorkload;
 use printed_core::{generate_checked, generate_standard, CoreConfig, CoreSpec};
 use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, StuckAtSpace, Workload};
-use printed_netlist::resilience::{run_supervised_campaign_with_threads, ResilienceConfig};
 use printed_netlist::{analysis, dataflow, opt, Engine, FanoutMap, Simulator};
 use printed_obs as obs;
 use printed_pdk::Technology;
@@ -73,17 +72,6 @@ const BITSLICED_SPEEDUP_MIN: f64 = 10.0;
 /// prologue on average — a 2x asymptote; 1.5x leaves room for the
 /// one-time context capture and the per-slot restore.
 const WARM_START_SPEEDUP_MIN: f64 = 1.5;
-
-/// Ceiling on the supervised campaign runner's wall-clock overhead over
-/// the plain runner with checkpointing disabled (no I/O on that path —
-/// the cost is one `catch_unwind` and a few atomics per slot, ~1.5 %
-/// of the scalar smoke campaign measured in a quiet process). The limit
-/// leaves a few points of headroom for allocator-placement luck: the
-/// per-run simulator clones land wherever the process heap puts them,
-/// and a bad placement can tax one variant by several percent for a
-/// whole process lifetime. A real regression (an extra clone per slot,
-/// attribution left enabled) costs tens of percent and still trips.
-const RESILIENCE_OVERHEAD_LIMIT: f64 = 0.05;
 
 /// Pre-optimization baselines recorded by the seed benchmark (single
 /// full-sweep engine, no cached machine ports): the `ns_per_cycle`
@@ -140,10 +128,6 @@ struct Measurements {
     warm_cold_ms: f64,
     warm_warm_ms: f64,
     warm_csv_identical: bool,
-    resilience_plain_ms: f64,
-    resilience_supervised_ms: f64,
-    resilience_overhead: f64,
-    resilience_csv_identical: bool,
     obs_off_ns_per_op: f64,
     static_points: Vec<StaticPoint>,
     opt_sweep_ms: f64,
@@ -215,13 +199,6 @@ impl Measurements {
         self.host_cpus >= 2
     }
 
-    /// Fractional wall-clock overhead of the supervised campaign runner
-    /// over the plain one (checkpointing disabled): the median of
-    /// within-rep paired ratios, which cancels clock drift between reps.
-    fn resilience_overhead(&self) -> f64 {
-        self.resilience_overhead
-    }
-
     /// Total wall time of the static-analysis sweep over the 24 Figure 7
     /// points (the gated ledger series; the baseline rows are reported
     /// beside it, not summed in).
@@ -270,9 +247,6 @@ impl Measurements {
              \"warm_start\": {{\"design\": \"p1_8_2\", \"kernel\": \"{}\", \"faults\": {}, \
              \"cold_ms\": {:.1}, \"warm_ms\": {:.1}, \"speedup\": {:.2}, \
              \"threshold\": {:.1}, \"csv_identical\": {}, \"within_threshold\": {}}},\n  \
-             \"resilience_overhead\": {{\"design\": \"p1_4_2\", \"plain_ms\": {:.1}, \
-             \"supervised_ms\": {:.1}, \"overhead\": {:.4}, \"limit\": {:.2}, \
-             \"csv_identical\": {}, \"within_threshold\": {}}},\n  \
              \"obs_off_overhead\": {{\"ns_per_op\": {:.2}, \"threshold_ns\": {:.1}, \
              \"within_threshold\": {}}},\n  \
              \"static_analysis\": {{\"technology\": \"Egfet\", \"total_ms\": {:.1}, \
@@ -320,12 +294,6 @@ impl Measurements {
             WARM_START_SPEEDUP_MIN,
             self.warm_csv_identical,
             self.warm_speedup() >= WARM_START_SPEEDUP_MIN,
-            self.resilience_plain_ms,
-            self.resilience_supervised_ms,
-            self.resilience_overhead(),
-            RESILIENCE_OVERHEAD_LIMIT,
-            self.resilience_csv_identical,
-            self.resilience_overhead() <= RESILIENCE_OVERHEAD_LIMIT,
             self.obs_off_ns_per_op,
             OBS_OFF_THRESHOLD_NS,
             self.obs_off_ns_per_op <= OBS_OFF_THRESHOLD_NS,
@@ -534,86 +502,6 @@ fn measure_warm_start() -> (String, usize, f64, f64, bool) {
     (name, faults, cold_best, warm_best, identical)
 }
 
-/// Plain vs supervised campaign runner on the same smoke campaign, one
-/// worker, checkpointing disabled — the pure cost of panic isolation
-/// (one `catch_unwind` per slot) and the supervision bookkeeping.
-/// Returns (plain best-of-reps ms, supervised best-of-reps ms, median
-/// paired-ratio overhead, CSVs byte-identical).
-fn measure_resilience_overhead() -> (f64, f64, f64, bool) {
-    let config = CoreConfig::new(1, 4, 2);
-    let netlist = generate_standard(&config);
-    let workload = ProgramWorkload::smoke(config);
-    // Scalar on purpose: the metric is the per-slot supervision cost,
-    // and the scalar campaign's ~20 ms runs keep the sub-percent
-    // overhead measurable above scheduler noise (the bitsliced runs are
-    // 10x shorter, so the same absolute bookkeeping reads as noise).
-    let campaign = CampaignConfig {
-        stuck_at: StuckAtSpace::Exhaustive,
-        seu_samples: 16,
-        bitsliced: false,
-        ..CampaignConfig::default()
-    };
-    let resilience = ResilienceConfig::default();
-    let run_plain = || {
-        let started = Instant::now();
-        let result = run_campaign_with_threads(&netlist, &workload, &campaign, 1)
-            .expect("smoke campaign completes");
-        (result, started.elapsed().as_secs_f64() * 1e3)
-    };
-    let run_supervised = || {
-        let started = Instant::now();
-        let result =
-            run_supervised_campaign_with_threads(&netlist, &workload, &campaign, &resilience, 1)
-                .expect("supervised smoke campaign completes")
-                .into_complete()
-                .expect("no abort hook: run completes");
-        (result, started.elapsed().as_secs_f64() * 1e3)
-    };
-    let mut plain_best = f64::INFINITY;
-    let mut supervised_best = f64::INFINITY;
-    let mut ratios = Vec::new();
-    let mut identical = true;
-    // Both runners time a ~25 ms campaign, so scheduler noise on a
-    // contended box swings any single rep by several percent — far more
-    // than the sub-percent overhead being measured. Pair the runs within
-    // each rep (alternating which variant goes first, so drift moves
-    // both halves of a pair together) and estimate the overhead twice:
-    // as the median of the per-rep ratios and as the ratio of the
-    // per-variant minima. Both converge on the true overhead as reps
-    // grow; their disagreement is pure noise, so the smaller one is the
-    // better estimate and a real regression still trips both.
-    for rep in 0..3 * MEASURE_REPS {
-        // Re-roll the allocator's placement each rep: the per-run
-        // simulator clones reuse whatever free-list chunks the process
-        // has, and a cache-hostile placement can pin one variant a few
-        // percent slow for every rep of a process. Holding a
-        // rep-varying set of small allocations across the rep shifts
-        // the free lists so the minima can escape a bad layout.
-        let _placement_shift: Vec<Vec<u8>> =
-            black_box((0..rep % 8).map(|i| vec![0u8; 96 * (i + 1)]).collect());
-        let (plain, plain_ms, supervised, supervised_ms) = if rep % 2 == 0 {
-            let (p, pm) = run_plain();
-            let (s, sm) = run_supervised();
-            (p, pm, s, sm)
-        } else {
-            let (s, sm) = run_supervised();
-            let (p, pm) = run_plain();
-            (p, pm, s, sm)
-        };
-        identical &= plain.to_csv() == supervised.result.to_csv();
-        if rep >= WARMUP_REPS {
-            plain_best = plain_best.min(plain_ms);
-            supervised_best = supervised_best.min(supervised_ms);
-            ratios.push(supervised_ms / plain_ms);
-        }
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median_ratio = ratios[ratios.len() / 2];
-    let best_ratio = supervised_best / plain_best;
-    let overhead = median_ratio.min(best_ratio) - 1.0;
-    (plain_best, supervised_best, overhead, identical)
-}
-
 /// Static-analysis wall time over what `reproduce_all`'s
 /// `eval.static_analysis` stage analyzes in Egfet: the Figure 7 design
 /// space, then the four baseline cores' representative netlists (long
@@ -718,7 +606,7 @@ fn append_history(m: &Measurements) {
          \"gl_event_ns_per_cycle\": {:.1}, \"gl_sweep_ns_per_cycle\": {:.1}, \
          \"gl_speedup\": {:.2}, \"warm_speedup\": {:.2}, \
          \"bitsliced_speedup\": {:.2}, \"bitsliced_runs_per_sec\": {:.0}, \
-         \"resilience_overhead\": {:.4}, \"obs_off_ns_per_op\": {:.2}, \
+         \"obs_off_ns_per_op\": {:.2}, \
          \"static_total_ms\": {:.1}, \"opt_sweep_ms\": {:.2}, \"generate_sweep_ms\": {:.2}",
         m.sim_event.ns_per_cycle,
         m.sim_sweep.ns_per_cycle,
@@ -728,7 +616,6 @@ fn append_history(m: &Measurements) {
         m.warm_speedup(),
         m.bitsliced.speedup(),
         m.bitsliced.runs_per_sec(),
-        m.resilience_overhead(),
         m.obs_off_ns_per_op,
         m.static_total_ms(),
         m.opt_sweep_ms,
@@ -739,18 +626,6 @@ fn append_history(m: &Measurements) {
 }
 
 fn bench(c: &mut Criterion) {
-    // The resilience overhead is the most delicate measurement here — a
-    // paired sub-5 % wall-clock comparison. It runs first, on a pristine
-    // heap: after the mult16/mult8/bitsliced measurements have churned
-    // the allocator, the supervised runner's fixed allocations can get
-    // pinned at cache-hostile addresses and read several percent slow
-    // for the rest of the process.
-    let (
-        resilience_plain_ms,
-        resilience_supervised_ms,
-        resilience_overhead,
-        resilience_csv_identical,
-    ) = measure_resilience_overhead();
     let (sim_cycles, sim_event) = measure_netlist_sim(Engine::EventDriven);
     let (_, sim_sweep) = measure_netlist_sim(Engine::FullSweep);
     let (gl_kernel, gl_cycles, gl_event_ns_per_cycle) = measure_gate_level(Engine::EventDriven);
@@ -783,10 +658,6 @@ fn bench(c: &mut Criterion) {
         warm_cold_ms,
         warm_warm_ms,
         warm_csv_identical,
-        resilience_plain_ms,
-        resilience_supervised_ms,
-        resilience_overhead,
-        resilience_csv_identical,
         obs_off_ns_per_op,
         static_points,
         opt_sweep_ms,
@@ -828,13 +699,6 @@ fn bench(c: &mut Criterion) {
         m.warm_warm_ms,
         m.warm_speedup(),
         WARM_START_SPEEDUP_MIN
-    );
-    println!(
-        "resilience: plain {:.1} ms vs supervised {:.1} ms ({:+.2} % overhead, limit {:.0} %)",
-        m.resilience_plain_ms,
-        m.resilience_supervised_ms,
-        100.0 * m.resilience_overhead(),
-        100.0 * RESILIENCE_OVERHEAD_LIMIT
     );
     let slowest = m
         .static_points
@@ -926,10 +790,6 @@ fn bench(c: &mut Criterion) {
         m.obs_off_ns_per_op,
         OBS_OFF_THRESHOLD_NS
     );
-    assert!(
-        m.resilience_csv_identical,
-        "supervised campaign must reproduce the plain campaign byte for byte"
-    );
     assert_eq!(
         m.sweep_points().count(),
         CoreConfig::design_space().len(),
@@ -945,15 +805,6 @@ fn bench(c: &mut Criterion) {
         "static-analysis sweep must stay interactive: {:.1} ms exceeds the {:.0} ms budget",
         m.static_total_ms(),
         STATIC_SWEEP_BUDGET_MS
-    );
-    assert!(
-        m.resilience_overhead() <= RESILIENCE_OVERHEAD_LIMIT,
-        "supervision must cost under {:.0} % with checkpointing disabled: plain {:.1} ms vs \
-         supervised {:.1} ms is {:+.2} %",
-        100.0 * RESILIENCE_OVERHEAD_LIMIT,
-        m.resilience_plain_ms,
-        m.resilience_supervised_ms,
-        100.0 * m.resilience_overhead()
     );
 
     let mut g = c.benchmark_group("sim_hotpaths");

@@ -32,12 +32,11 @@
 //! ```
 
 use crate::isa::{AluOp, Flags, Instruction, Operand};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// An assembled program: instructions plus the label map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Assembled instructions, in address order.
     pub instructions: Vec<Instruction>,

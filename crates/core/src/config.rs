@@ -5,11 +5,10 @@
 //! 8-bit core with two base address registers.
 
 use crate::isa::Encoding;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point in the TP-ISA design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CoreConfig {
     /// Data and ALU width in bits (4, 8, 16 or 32 in the paper's sweep).
     pub datawidth: usize,

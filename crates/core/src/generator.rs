@@ -27,11 +27,10 @@ use printed_netlist::{
     SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// Field layout of an instruction word under a [`CoreSpec`] (LSB-first
 /// offsets into the instruction bus).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstrLayout {
     /// Bits in operand 2 (immediate / mask / source operand).
     pub op2_bits: usize,

@@ -37,12 +37,11 @@
 //! - Flag bit order in branch masks: `C = 0b0001`, `Z = 0b0010`,
 //!   `S = 0b0100`, `V = 0b1000`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four condition flags (Section 5.1: "a 4-bit flags register with
 /// (S)ign, (Z)ero, (C)arry out, and o(V)erflow fields").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Flags {
     /// Carry out / borrow / rotated-out bit.
     pub c: bool,
@@ -94,7 +93,7 @@ impl fmt::Display for Flags {
 }
 
 /// ALU / M-type operations. Variants map to Figure 6 rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AluOp {
     /// `dst + src`.
     Add,
@@ -186,7 +185,7 @@ impl AluOp {
 }
 
 /// A memory operand: BAR select plus offset (Figure 6's `R|address`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Operand {
     /// Which base address register to offset from (0 is hardwired zero).
     pub bar: u8,
@@ -217,7 +216,7 @@ impl fmt::Display for Operand {
 }
 
 /// One decoded TP-ISA instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instruction {
     /// M-type: ALU operation on two memory operands.
     Alu {
@@ -298,7 +297,7 @@ impl fmt::Display for Instruction {
 
 /// 4-bit opcode values (the symbolic `OP-*` of Figure 6, given concrete
 /// encodings here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 #[allow(missing_docs)]
 pub enum Opcode {
@@ -366,7 +365,7 @@ impl std::error::Error for IsaError {}
 /// The number of BARs fixes the operand split: with `B` BARs, the top
 /// `log2(B)` bits of each 8-bit operand select the BAR and the remainder
 /// is the offset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Encoding {
     /// BAR count (2 or 4 in the paper's design space; 1 means no BAR
     /// field at all, used by program-specific variants).

@@ -27,12 +27,11 @@ mod mult;
 mod thold;
 
 use crate::isa::{AluOp, Flags, Instruction, Operand};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The seven benchmarks of Section 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Kernel {
     /// Shift-add multiply.
     Mult,
@@ -133,7 +132,7 @@ impl fmt::Display for KernelError {
 impl std::error::Error for KernelError {}
 
 /// A generated kernel: program, memory image, and golden result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProgram {
     /// e.g. `mult16` on an 8-bit core.
     pub name: String,

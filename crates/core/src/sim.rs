@@ -17,7 +17,6 @@ use printed_netlist::snapshot::fnv1a;
 use printed_netlist::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use printed_obs as obs;
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -82,7 +81,7 @@ pub enum StepOutcome {
 }
 
 /// Execution statistics of a completed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunSummary {
     /// Total clock cycles, including stalls.
     pub cycles: u64,

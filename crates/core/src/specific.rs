@@ -18,11 +18,10 @@
 use crate::config::CoreConfig;
 use crate::generator::InstrLayout;
 use crate::isa::{Flags, Instruction, IsaError, Operand};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Geometry of a (possibly program-specific) TP-ISA core.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CoreSpec {
     /// Human-readable name (`p1_8_2` or `p1_8_2@mult8`).
     pub label: String,
@@ -133,7 +132,7 @@ fn bits_for(value: u64) -> usize {
 }
 
 /// Result of the Section 7 static analysis — one row of Table 7.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramAnalysis {
     /// PC width: `⌈log2 N⌉`.
     pub pc_bits: usize,
@@ -284,7 +283,7 @@ pub fn analyze(program: &[Instruction]) -> ProgramAnalysis {
 /// Encoder for a (narrowed) instruction format described by a
 /// [`CoreSpec`] — the standard 24-bit format is the special case of the
 /// standard spec.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NarrowEncoding {
     spec: CoreSpec,
 }

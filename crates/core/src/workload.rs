@@ -335,6 +335,7 @@ mod tests {
         classify_fault, run_campaign, run_campaign_with_threads, CampaignConfig, Fault, FaultKind,
         Outcome, StuckAtSpace,
     };
+    use printed_netlist::resilience::{run_supervised_campaign_with_threads, ResilienceConfig};
     use printed_netlist::{tmr, GateId, TmrOptions};
 
     #[test]
@@ -490,6 +491,23 @@ mod tests {
         let warm_bits = CampaignConfig { warm_start: true, ..bits_cfg };
         let warm = run_campaign(&nl, &w, &warm_bits).unwrap();
         assert_eq!(warm.to_csv(), scalar.to_csv(), "warm bitsliced CSV matches cold scalar");
+
+        // A watchdog just past the golden halt times out the faulty lanes
+        // still running while the golden lane retires, so bitsliced words
+        // report TimedOut lanes: both engines must call them hangs.
+        let golden = w.run(Simulator::new(&nl), scalar_cfg.cycle_budget).unwrap().cycles;
+        let watchdog =
+            ResilienceConfig { watchdog_cycles: Some(golden + 2), ..ResilienceConfig::default() };
+        let supervised = |cfg: &CampaignConfig| {
+            run_supervised_campaign_with_threads(&nl, &w, cfg, &watchdog, 1)
+                .unwrap()
+                .into_complete()
+                .expect("no abort hook")
+        };
+        let (scalar_wd, bits_wd) = (supervised(&scalar_cfg), supervised(&bits_cfg));
+        assert!(bits_wd.stats.timeouts > 0, "the watchdog must trip on some faulty lanes");
+        assert_eq!(bits_wd.stats.timeouts, scalar_wd.stats.timeouts);
+        assert_eq!(bits_wd.result.to_csv(), scalar_wd.result.to_csv());
     }
 
     #[test]

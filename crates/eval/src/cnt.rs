@@ -24,10 +24,9 @@ use printed_pdk::units::{Area, Frequency, Power, Time};
 use printed_pdk::CellKind;
 #[cfg(test)]
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// The two CNT operating points of §8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CntOperatingPoints {
     /// Core-only maximum frequency (the Table 4 / Figure 7 clock).
     pub core_fmax: Frequency,
@@ -64,7 +63,7 @@ pub fn rom_limited_operating_point(system: &System) -> CntOperatingPoints {
 }
 
 /// Result of the instruction-cache future-work study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IcacheStudy {
     /// Cache capacity in instructions.
     pub entries: usize,

@@ -13,11 +13,10 @@ use printed_netlist::{analysis, Netlist};
 use printed_pdk::apps::Application;
 use printed_pdk::units::{Frequency, Power};
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A recommended printed system for one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
     /// Application name.
     pub application: &'static str,

@@ -7,11 +7,10 @@ use printed_core::{generate_standard, generate_standard_checked, CoreConfig};
 use printed_netlist::{analysis, Netlist};
 use printed_pdk::units::{Area, Frequency, Power};
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One point of Figure 7: a core configuration's characterization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// Core name (`pP_D_B`).
     pub name: String,
@@ -68,7 +67,7 @@ pub fn figure8_core_widths(data_width: usize) -> Vec<usize> {
 }
 
 /// One Figure 8 cell: the kernel, which core ran it, and the result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure8Cell {
     /// Kernel name (e.g. `mult16`).
     pub kernel: String,

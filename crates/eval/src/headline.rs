@@ -4,11 +4,10 @@ use crate::figures::Figure8Cell;
 use crate::system::SystemError;
 use printed_core::kernels::Kernel;
 use printed_memory::device::{EGFET_RAM_1BIT, EGFET_ROM_1BIT};
-use serde::{Deserialize, Serialize};
 
 /// ROM-vs-RAM advantage of the crosspoint instruction memory (Section 6):
 /// the paper's 5.77× / 16.8× / 2.42× power / area / delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RomVsRam {
     /// Active-power advantage.
     pub power: f64,
@@ -30,7 +29,7 @@ pub fn rom_vs_ram() -> RomVsRam {
 /// Program-specific ISA improvements over the standard core at the same
 /// width (Section 7 / 9: power up to 4.18×, area up to 1.93×, benchmark
 /// energy up to 2.59×).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PsImprovement {
     /// Kernel name.
     pub kernel: String,
@@ -80,7 +79,7 @@ pub fn ps_improvements(cells: &[Figure8Cell]) -> Vec<PsImprovement> {
 }
 
 /// Maximum improvements across kernels — the numbers the abstract quotes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PsHeadline {
     /// Best core-power improvement.
     pub max_power: f64,
@@ -104,7 +103,7 @@ pub fn ps_headline(improvements: &[PsImprovement]) -> PsHeadline {
 /// architectural insight: "a Harvard organization fits better than a
 /// Von-Neuman organization since it allows instructions to be placed in a
 /// dense crosspoint-based ROM".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HarvardVsVonNeumann {
     /// Kernel the comparison is for.
     pub kernel: String,

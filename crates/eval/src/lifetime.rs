@@ -8,7 +8,6 @@ use printed_baselines::BaselineCpu;
 use printed_pdk::battery::{Battery, PRINTED_BATTERIES};
 use printed_pdk::units::Time;
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// The duty-cycle sweep used for the figures (log-spaced 0.001 → 1.0).
 pub fn duty_cycle_sweep() -> Vec<f64> {
@@ -16,7 +15,7 @@ pub fn duty_cycle_sweep() -> Vec<f64> {
 }
 
 /// One lifetime curve: a CPU on a battery across the duty sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeCurve {
     /// CPU name.
     pub cpu: &'static str,

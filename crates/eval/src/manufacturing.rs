@@ -13,10 +13,9 @@ use printed_netlist::Netlist;
 use printed_pdk::units::Frequency;
 use printed_pdk::yield_model::{self, cell_devices};
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// Manufacturing figures for one printed design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ManufacturingReport {
     /// Design name.
     pub name: String,

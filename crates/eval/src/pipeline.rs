@@ -6,7 +6,8 @@
 //! [`printed_netlist::resilience`]:
 //!
 //! - **panic isolation + bounded retry** — a stage that panics is
-//!   retried up to [`PipelineOptions::max_retries`] times; a stage that
+//!   retried up to [`PipelineOptions::max_retries`] times (through
+//!   [`printed_netlist::resilience::retry_panics`]); a stage that
 //!   keeps panicking is recorded as [`StageStatus::Failed`] and the
 //!   pipeline moves on (graceful degradation), so the remaining stages
 //!   still produce their artifacts;
@@ -29,9 +30,9 @@
 //! mid-pipeline failure the degradation gate exercises.
 
 use crate::perf_report::{self, ReportError};
+use printed_netlist::resilience::retry_panics;
 use printed_obs as obs;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -168,35 +169,30 @@ impl Pipeline {
         let forced = self.fail_stage.as_deref() == Some(name);
         let started = Instant::now();
         let mut last_error = String::new();
-        let mut value = None;
-        let mut attempts = 0u32;
-        while attempts <= self.options.max_retries {
-            attempts += 1;
-            let run = catch_unwind(AssertUnwindSafe(|| {
+        let run = retry_panics(
+            self.options.max_retries,
+            |_, message| last_error = message.to_string(),
+            |_| {
                 perf_report::stage(name, || {
                     if forced {
                         panic!("forced failure injected via PRINTED_FAIL_STAGE={name}");
                     }
                     f()
                 })
-            }));
-            match run {
-                Ok(Ok(v)) => {
-                    value = Some(v);
-                    break;
-                }
-                Ok(Err(e)) => {
-                    last_error = e.to_string();
-                    break;
-                }
-                Err(payload) => {
-                    last_error = panic_message(payload.as_ref());
-                    if attempts <= self.options.max_retries {
-                        self.retries += 1;
-                    }
-                }
+            },
+        );
+        let (value, attempts) = match run {
+            Ok((Ok(v), attempts)) => (Some(v), attempts),
+            Ok((Err(e), attempts)) => {
+                last_error = e.to_string();
+                (None, attempts)
             }
-        }
+            Err((message, attempts)) => {
+                last_error = message;
+                (None, attempts)
+            }
+        };
+        self.retries += u64::from(attempts - 1);
         let wall = started.elapsed();
         let wall_ms = wall.as_millis() as u64;
         let over_deadline = self.options.stage_deadline.is_some_and(|d| wall > d);
@@ -357,17 +353,6 @@ enum Unreachable {}
 impl fmt::Display for Unreachable {
     fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {}
-    }
-}
-
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

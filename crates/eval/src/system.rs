@@ -25,11 +25,10 @@ use printed_memory::{CrossbarRom, Sram};
 use printed_netlist::{analysis, opt, Netlist, Region};
 use printed_pdk::units::{Area, Energy, Frequency, Power, Time};
 use printed_pdk::{CellLibrary, Technology};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Whether a system uses the standard or the program-specific core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreFlavor {
     /// Standard TP-ISA core (full 24-bit encoding, 8-bit PC/BARs, all
     /// flags).
@@ -41,7 +40,7 @@ pub enum CoreFlavor {
 
 /// Per-component breakdown used by Figure 8 (area and energy) and the
 /// execution-time bars (core / IM / DM).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Breakdown {
     /// Combinational core logic.
     pub combinational: f64,
@@ -316,7 +315,7 @@ impl System {
 }
 
 /// Benchmark-level result: one bar group of Figure 8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkResult {
     /// System label.
     pub system: String,

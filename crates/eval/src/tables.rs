@@ -13,7 +13,6 @@ use printed_pdk::apps::TABLE3;
 use printed_pdk::battery::BLUESPARK_30;
 use printed_pdk::process::TABLE1;
 use printed_pdk::{CellKind, Technology};
-use serde::{Deserialize, Serialize};
 
 /// Table 1: printed-process comparison.
 pub fn table1() -> TextTable {
@@ -90,7 +89,7 @@ pub fn table3(egfet_ips: f64, cnt_ips: f64) -> TextTable {
 }
 
 /// One Table 4 row in one technology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
     /// CPU name.
     pub cpu: &'static str,
@@ -149,7 +148,7 @@ pub fn table4() -> TextTable {
 }
 
 /// One Table 5 cell: EGFET RAM-resident instruction-memory overhead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5Cell {
     /// Benchmark.
     pub bench: Bench,
@@ -225,7 +224,7 @@ pub fn table6() -> TextTable {
 }
 
 /// One Table 7 row: program-specific architectural state per kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table7Row {
     /// Kernel name.
     pub kernel: String,
@@ -272,7 +271,7 @@ pub fn table7() -> TextTable {
 }
 
 /// One Table 8 row: iterations on the 30 mAh battery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table8Row {
     /// Benchmark name with width (e.g. `mult16`).
     pub kernel: String,

@@ -13,10 +13,9 @@
 
 use printed_pdk::units::{Area, Power, Time};
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// Characterized figures for one memory device (one cell or one ADC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryDevice {
     /// Device name as in Table 6.
     pub name: &'static str,

@@ -12,10 +12,9 @@ use crate::device::{self, MemoryDevice};
 use crate::MemoryError;
 use printed_pdk::units::{Area, Energy, Power, Time};
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// A printed SRAM array holding `words` words of `word_bits` bits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sram {
     technology: Technology,
     word_bits: usize,

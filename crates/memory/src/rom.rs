@@ -22,10 +22,9 @@ use crate::device::{self, MemoryDevice};
 use crate::MemoryError;
 use printed_pdk::units::{Area, Energy, Power, Time};
 use printed_pdk::Technology;
-use serde::{Deserialize, Serialize};
 
 /// A read-only crossbar memory holding a program image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossbarRom {
     technology: Technology,
     word_bits: usize,
@@ -180,7 +179,7 @@ impl CrossbarRom {
 /// Structural transistor/resistor estimate of a crossbar ROM, following
 /// Section 6's accounting for the 16×9 example (220 transistors, 52
 /// pull-up resistors, 20.42 mm²).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructuralEstimate {
     /// Select and decode transistors.
     pub transistors: usize,

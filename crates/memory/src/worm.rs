@@ -9,10 +9,9 @@
 
 use crate::rom::structural_estimate;
 use printed_pdk::units::Area;
-use serde::{Deserialize, Serialize};
 
 /// Published characteristics of the Myny et al. WORM memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WormMemory {
     /// Words stored.
     pub words: usize,
@@ -60,7 +59,7 @@ impl WormMemory {
 
 /// Side-by-side comparison of the crossbar ROM against the WORM baseline
 /// at the same geometry — Section 6's headline: "roughly 1/3 the area".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WormComparison {
     /// The WORM design point.
     pub worm: WormMemory,

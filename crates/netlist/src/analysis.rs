@@ -37,7 +37,6 @@ use crate::ir::{FanoutMap, GateId, NetId, Netlist, Region};
 use crate::sim::ActivityStats;
 use printed_pdk::units::{Area, Energy, Frequency, Power, Time};
 use printed_pdk::{CellKind, CellLibrary};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How switching activity is estimated for dynamic power.
@@ -57,7 +56,7 @@ impl Default for ActivityModel<'_> {
 }
 
 /// Area broken down by functional region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaReport {
     /// Total printed footprint.
     pub total: Area,
@@ -66,7 +65,7 @@ pub struct AreaReport {
 }
 
 /// Power broken down by source and region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     /// Activity-weighted switching power.
     pub dynamic: Power,
@@ -84,7 +83,7 @@ impl PowerReport {
 }
 
 /// Static timing analysis result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingReport {
     /// Longest register-to-register / port-to-port combinational delay,
     /// including the launching flip-flop's clock-to-Q.
@@ -102,7 +101,7 @@ impl TimingReport {
 
 /// A complete Design-Compiler-style characterization of one netlist in one
 /// technology: the row format of the paper's Table 4 and Figure 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Characterization {
     /// Total gate count.
     pub gate_count: usize,
@@ -276,7 +275,7 @@ pub fn timing(netlist: &Netlist, lib: &CellLibrary) -> TimingReport {
 pub const DEFAULT_TOP_PATHS: usize = 5;
 
 /// One timing endpoint: a sequential input pin or a primary-output bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Endpoint {
     /// Human-readable endpoint name: `g<idx>/<pin>` for sequential pins,
     /// `<port>[<bit>]` for output ports.
@@ -295,7 +294,7 @@ pub struct Endpoint {
 }
 
 /// One cell's contribution to a critical path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathStep {
     /// The contributing gate.
     pub gate: GateId,
@@ -318,7 +317,7 @@ pub struct PathStep {
 }
 
 /// A reconstructed worst path to one endpoint, launch to capture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingPath {
     /// The endpoint this path captures at (see [`Endpoint::name`]).
     pub endpoint: String,
@@ -335,7 +334,7 @@ pub struct TimingPath {
 
 /// Full slack-based static timing analysis: every endpoint's
 /// arrival/required/slack plus the top-K critical paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaReport {
     /// Design name.
     pub design: String,

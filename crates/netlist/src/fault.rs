@@ -20,12 +20,15 @@
 //! [`Outcome::Hang`], or [`Outcome::Detected`] against the fault-free
 //! golden run. Campaigns are deterministic under a fixed seed.
 //!
-//! Campaigns parallelize across `PRINTED_SIM_THREADS` worker threads
-//! (default 1; see [`campaign_threads`]). Every fault is independent, so
-//! the fault list is split into contiguous chunks, each worker clones the
-//! pristine [`Simulator`] once and claims chunks from a shared queue, and
-//! each classification lands in a result slot preassigned by fault index.
-//! The merged [`CampaignResult`] — runs, statistics, and CSV bytes — is
+//! This module defines what a campaign computes; [`crate::resilience`]
+//! holds the one scheduler that runs it, and [`run_campaign`] is that
+//! scheduler with checkpointing and watchdogs off. Campaigns parallelize
+//! across `PRINTED_SIM_THREADS` worker threads (default 1; see
+//! [`campaign_threads`]). Every fault is independent, so the fault list
+//! is split into contiguous chunks, each worker clones the pristine
+//! [`Simulator`] once and claims chunks from a shared queue, and each
+//! classification lands in a result slot preassigned by fault index. The
+//! merged [`CampaignResult`] — runs, statistics, and CSV bytes — is
 //! therefore identical for every thread count by construction; claiming
 //! order only affects wall-clock time.
 //!
@@ -58,16 +61,16 @@
 use crate::bitsim::{lane_value, BitSimulator};
 use crate::builder::TMR_ERROR_PORT;
 use crate::ir::{GateId, NetId, Netlist, NetlistError};
+use crate::resilience::{
+    run_supervised_campaign_with_threads, JobError, ResilienceConfig, SupervisedRun,
+};
 use crate::sim::Simulator;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use printed_obs as obs;
 use printed_pdk::{yield_model, CellKind, Technology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The kind of a single injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -619,10 +622,9 @@ pub enum Outcome {
     /// The run completed but produced a different signature.
     SilentDataCorruption,
     /// The run itself could not be executed: the worker panicked on this
-    /// fault repeatedly and the supervised campaign runner
+    /// fault on every allowed attempt and the campaign runner
     /// ([`crate::resilience`]) degraded the slot to a recorded failure
-    /// instead of aborting the whole campaign. Plain [`run_campaign`]
-    /// never produces this.
+    /// instead of aborting the whole campaign.
     Failed,
 }
 
@@ -669,8 +671,8 @@ pub struct OutcomeCounts {
     pub hang: usize,
     /// Runs that completed with corrupted output.
     pub sdc: usize,
-    /// Runs that could not be executed at all (supervised campaigns
-    /// only — see [`Outcome::Failed`]). Counted in [`OutcomeCounts::total`]
+    /// Runs that could not be executed at all (see
+    /// [`Outcome::Failed`]). Counted in [`OutcomeCounts::total`]
     /// but never toward coverage: an unexecuted run proves nothing.
     pub failed: usize,
 }
@@ -1086,8 +1088,7 @@ pub fn lane_utilization(fault_count: usize) -> f64 {
 }
 
 /// Runs and validates the fault-free reference: it must complete within
-/// the budget and must not fire the detect port. Shared by the plain and
-/// the supervised ([`crate::resilience`]) campaign runners.
+/// the budget and must not fire the detect port.
 pub(crate) fn campaign_golden<W: Workload + ?Sized>(
     pristine: &Simulator<'_>,
     workload: &W,
@@ -1104,7 +1105,7 @@ pub(crate) fn campaign_golden<W: Workload + ?Sized>(
 }
 
 /// Enumerates the campaign's fault list in the fixed deterministic order
-/// every runner (and every checkpoint resume) relies on: the configured
+/// the scheduler (and every checkpoint resume) relies on: the configured
 /// stuck-at space first, then the seeded SEU samples. Depends only on
 /// `(netlist, config, golden_cycles)`.
 pub(crate) fn enumerate_faults(
@@ -1143,26 +1144,6 @@ pub(crate) fn enumerate_faults(
         }
     }
     faults
-}
-
-/// Classifies one fault against the golden observation on a clone of the
-/// pristine simulator — the unit of work both campaign runners schedule.
-pub(crate) fn run_one<W: Workload + ?Sized>(
-    pristine: &Simulator<'_>,
-    workload: &W,
-    golden: &Observation,
-    fault: Fault,
-    budget: u64,
-    warm: Option<&WarmContexts>,
-) -> FaultRun {
-    let outcome = match observe_warm(pristine, workload, Some(fault), budget, warm) {
-        Ok(observed) => classify(golden, &observed),
-        // A fault that breaks simulation outright (oscillation, or a
-        // watchdog deadline) wedges the circuit: a hang.
-        Err(_) => Outcome::Hang,
-    };
-    let cell = pristine.netlist().gates()[fault.gate.index()].kind;
-    FaultRun { fault, cell, outcome }
 }
 
 /// Classifies a single fault against the workload's golden run.
@@ -1216,6 +1197,13 @@ pub(crate) fn faulty_budget(cycle_budget: u64, golden_cycles: u64) -> u64 {
 /// thread count. Use [`run_campaign_with_threads`] to pick the worker
 /// count programmatically.
 ///
+/// The campaign runs on the one scheduler,
+/// [`crate::resilience::run_supervised_campaign_cancellable`], with the
+/// default [`ResilienceConfig`]: no checkpoint, no watchdog beyond the
+/// cycle budget, and panic isolation. A workload that panics on a fault
+/// is retried twice and then recorded as [`Outcome::Failed`] in that
+/// fault's slot; the panic does not unwind into the caller.
+///
 /// # Errors
 ///
 /// Returns a [`CampaignError`] if the fault-free run fails, does not
@@ -1230,15 +1218,6 @@ pub fn run_campaign<W: Workload + ?Sized>(
 
 /// [`run_campaign`] with an explicit worker-thread count.
 ///
-/// Determinism argument: the fault list is enumerated once, in a fixed
-/// order, on the calling thread. Results go into a slot vector indexed by
-/// that enumeration order; workers claim contiguous chunks of disjoint
-/// `(faults, slots)` pairs from a shared queue and never write outside
-/// their chunk. Each worker clones the same pristine simulator, and every
-/// classification depends only on (netlist, workload, fault, budget) —
-/// nothing on scheduling — so the merged result is identical for any
-/// `threads`, including 1 (which skips thread spawning entirely).
-///
 /// # Errors
 ///
 /// Returns a [`CampaignError`] if the fault-free run fails, does not
@@ -1249,196 +1228,13 @@ pub fn run_campaign_with_threads<W: Workload + ?Sized>(
     config: &CampaignConfig,
     threads: usize,
 ) -> Result<CampaignResult, CampaignError> {
-    let pristine = Simulator::new(netlist);
-    let golden = campaign_golden(&pristine, workload, config)?;
-    let faults = enumerate_faults(netlist, config, golden.cycles);
-    let budget = faulty_budget(config.cycle_budget, golden.cycles);
-    let warm = warm_start_contexts(&pristine, workload, config, &faults);
-    let _span = obs::span!("netlist.fault.campaign");
-    let started = std::time::Instant::now();
-    let total_faults = faults.len();
-    let workers = threads.max(1).min(total_faults.max(1));
-    // The compiled bitsliced prototype, cloned per word. Sharing the
-    // pristine simulator's armed cycle limit keeps watchdog trips at
-    // identical absolute cycles on both engines.
-    let bits = bitsliced_enabled(config).then(|| {
-        let mut proto = BitSimulator::new(netlist);
-        proto.set_cycle_limit(pristine.cycle_limit());
-        // Campaign words only read lane observations, never per-gate
-        // toggle attribution.
-        proto.set_toggle_tracking(false);
-        proto
-    });
-    let words_run = AtomicUsize::new(0);
-    let lanes_filled = AtomicUsize::new(0);
-
-    let classify_one = |sim: &Simulator<'_>, fault: Fault| -> FaultRun {
-        run_one(sim, workload, &golden, fault, budget, warm.as_ref())
-    };
-    let done = AtomicUsize::new(0);
-    let progress = |done: &AtomicUsize| {
-        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(256) {
-            obs::trace_event(|| {
-                format!(
-                    "{{\"type\":\"campaign_progress\",\"design\":{},\
-                     \"done\":{n},\"total\":{total_faults}}}",
-                    obs::json::escape(netlist.name()),
-                )
-            });
-        }
-    };
-    // Fills one contiguous chunk of (faults, slots): word-by-word on
-    // the bitsliced engine with per-fault scalar fallback on any word
-    // the engine declines, or fault-by-fault on the scalar engine.
-    let run_chunk = |worker_sim: &Simulator<'_>,
-                     chunk_faults: &[Fault],
-                     chunk_slots: &mut [Option<FaultRun>]| {
-        let Some(proto) = &bits else {
-            for (slot, &fault) in chunk_slots.iter_mut().zip(chunk_faults) {
-                *slot = Some(classify_one(worker_sim, fault));
-                progress(&done);
-            }
-            return;
-        };
-        let mut at = 0usize;
-        while at < chunk_faults.len() {
-            let take = (chunk_faults.len() - at).min(BitSimulator::LANES - 1);
-            let word_faults = &chunk_faults[at..at + take];
-            let word_slots = &mut chunk_slots[at..at + take];
-            let word =
-                run_word(worker_sim, proto, workload, &golden, word_faults, budget, warm.as_ref());
-            match word {
-                Some(lanes) => {
-                    words_run.fetch_add(1, Ordering::Relaxed);
-                    lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
-                    for ((slot, &fault), lane) in word_slots.iter_mut().zip(word_faults).zip(lanes)
-                    {
-                        let cell = netlist.gates()[fault.gate.index()].kind;
-                        let outcome = match lane {
-                            LaneOutcome::Done(observed) => classify(&golden, &observed),
-                            // A watchdog trip or an oscillating lane
-                            // wedges the circuit: a hang, exactly as the
-                            // scalar errors classify.
-                            LaneOutcome::TimedOut | LaneOutcome::Wedged => Outcome::Hang,
-                        };
-                        *slot = Some(FaultRun { fault, cell, outcome });
-                        progress(&done);
-                    }
-                }
-                None => {
-                    for (slot, &fault) in word_slots.iter_mut().zip(word_faults) {
-                        *slot = Some(classify_one(worker_sim, fault));
-                        progress(&done);
-                    }
-                }
-            }
-            at += take;
-        }
-    };
-
-    // Result slots preassigned by fault index: workers fill disjoint
-    // chunks, so the merge order is the enumeration order regardless of
-    // which worker ran which chunk when.
-    let mut slots: Vec<Option<FaultRun>> = vec![None; total_faults];
-    if workers <= 1 {
-        run_chunk(&pristine, &faults, &mut slots);
-    } else {
-        // Contiguous chunks, several per worker so a chunk of hangs does
-        // not serialize the campaign behind one thread. Bitsliced chunks
-        // hold whole 63-fault words, so parallelism never splinters a
-        // word across workers (underfilled words would burn the 64-lane
-        // speedup faster than idle threads ever could).
-        let chunk = if bits.is_some() {
-            let lane_faults = BitSimulator::LANES - 1;
-            total_faults.div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults
-        } else {
-            total_faults.div_ceil(workers * 4).max(1)
-        };
-        let mut work: Vec<(&[Fault], &mut [Option<FaultRun>])> = Vec::new();
-        let mut rest_faults: &[Fault] = &faults;
-        let mut rest_slots: &mut [Option<FaultRun>] = &mut slots;
-        while !rest_slots.is_empty() {
-            let take = chunk.min(rest_slots.len());
-            let (head_faults, tail_faults) = rest_faults.split_at(take);
-            let (head_slots, tail_slots) = std::mem::take(&mut rest_slots).split_at_mut(take);
-            work.push((head_faults, head_slots));
-            rest_faults = tail_faults;
-            rest_slots = tail_slots;
-        }
-        let queue = Mutex::new(work);
-        std::thread::scope(|scope| {
-            let queue = &queue;
-            let pristine = &pristine;
-            let run_chunk = &run_chunk;
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    // Each worker thread is one lane in the chrome
-                    // trace; per-chunk spans make the claim/run cadence
-                    // visible as a timeline.
-                    obs::chrome::name_lane(&format!("campaign-worker-{worker}"));
-                    let worker_sim = pristine.clone();
-                    loop {
-                        let claimed =
-                            queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
-                        let Some((chunk_faults, chunk_slots)) = claimed else { break };
-                        let _chunk_span = obs::span!("netlist.fault.chunk");
-                        run_chunk(&worker_sim, chunk_faults, chunk_slots);
-                    }
-                });
-            }
-        });
+    let resilience = ResilienceConfig::default();
+    match run_supervised_campaign_with_threads(netlist, workload, config, &resilience, threads) {
+        Ok(SupervisedRun::Complete(done)) => Ok(done.result),
+        Ok(SupervisedRun::Aborted { .. }) => unreachable!("no abort hook and no cancel flag"),
+        Err(JobError::Campaign(e)) => Err(e),
+        Err(e) => unreachable!("without a checkpoint only the golden run can fail: {e}"),
     }
-    let runs: Vec<FaultRun> = slots
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| unreachable!("every fault slot filled")))
-        .collect();
-
-    if obs::enabled() {
-        let mut counts = OutcomeCounts::default();
-        for run in &runs {
-            counts.add(run.outcome);
-        }
-        let reg = obs::global();
-        reg.add("netlist.fault.workers", workers as u64);
-        reg.add("netlist.fault.runs", runs.len() as u64);
-        if let Some(contexts) = &warm {
-            let warm_slots = faults
-                .iter()
-                .filter(
-                    |f| matches!(f.kind, FaultKind::Seu { cycle } if contexts.contains_key(&cycle)),
-                )
-                .count();
-            reg.add("netlist.fault.warm_slots", warm_slots as u64);
-        }
-        reg.add("netlist.fault.masked", counts.masked as u64);
-        reg.add("netlist.fault.detected", counts.detected as u64);
-        reg.add("netlist.fault.hang", counts.hang as u64);
-        reg.add("netlist.fault.sdc", counts.sdc as u64);
-        let words = words_run.load(Ordering::Relaxed);
-        if words > 0 {
-            let lanes = lanes_filled.load(Ordering::Relaxed);
-            reg.add("netlist.fault.bitsliced.words", words as u64);
-            reg.add("netlist.fault.bitsliced.lanes", lanes as u64);
-            reg.gauge(
-                "netlist.fault.lane_utilization",
-                lanes as f64 / (words * BitSimulator::LANES) as f64,
-            );
-        }
-        let secs = started.elapsed().as_secs_f64();
-        if secs > 0.0 && !runs.is_empty() {
-            reg.gauge("netlist.fault.runs_per_sec", runs.len() as f64 / secs);
-            if words > 0 {
-                reg.gauge("netlist.fault.bitsliced_runs_per_sec", runs.len() as f64 / secs);
-            }
-        }
-    }
-    Ok(CampaignResult {
-        design: netlist.name().to_string(),
-        gate_count: netlist.gate_count(),
-        golden,
-        runs,
-    })
 }
 
 /// Bridges a campaign to the PDK yield model: per-gate
@@ -1752,13 +1548,43 @@ mod tests {
 
     #[test]
     fn classify_fault_matches_campaign() {
-        let nl = divider();
-        let workload = PatternWorkload { cycles: 6, seed: 1 };
-        let config = CampaignConfig { seu_samples: 0, ..CampaignConfig::default() };
-        let result = run_campaign(&nl, &workload, &config).unwrap();
-        for run in &result.runs {
-            let single = classify_fault(&nl, &workload, run.fault, config.cycle_budget).unwrap();
-            assert_eq!(single, run.outcome, "{}", run.fault);
+        // The per-fault classify_fault loop is the independent reference
+        // for the campaign scheduler: both engines, 1 and 4 workers, with
+        // and without a checkpoint, stuck-at and SEU faults alike.
+        let nl = accumulator();
+        let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let dir = std::env::temp_dir().join(format!("printed-ckpt-oracle-{}", std::process::id()));
+        let checkpointed = ResilienceConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 4,
+            ..ResilienceConfig::default()
+        };
+        for bitsliced in [false, true] {
+            let config = CampaignConfig { seu_samples: 12, bitsliced, ..CampaignConfig::default() };
+            for threads in [1, 4] {
+                for resilience in [ResilienceConfig::default(), checkpointed.clone()] {
+                    let run = run_supervised_campaign_with_threads(
+                        &nl,
+                        &workload,
+                        &config,
+                        &resilience,
+                        threads,
+                    )
+                    .unwrap();
+                    let result = run.into_complete().expect("no abort hook").result;
+                    assert_eq!(result.seu_counts().total(), 12);
+                    for run in &result.runs {
+                        let single =
+                            classify_fault(&nl, &workload, run.fault, config.cycle_budget).unwrap();
+                        assert_eq!(
+                            single, run.outcome,
+                            "{} (bitsliced {bitsliced}, {threads} workers)",
+                            run.fault
+                        );
+                    }
+                }
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,12 +11,11 @@
 //! [`crate::analysis`].
 
 use printed_pdk::CellKind;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of one net (wire) in a netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) u32);
 
 impl NetId {
@@ -33,7 +32,7 @@ impl fmt::Display for NetId {
 }
 
 /// Identifier of one gate instance in a netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GateId(pub(crate) u32);
 
 impl GateId {
@@ -58,7 +57,7 @@ impl fmt::Display for GateId {
 /// Functional region a gate belongs to, used for the paper's per-component
 /// breakdowns (Figure 8 partitions core cost into Combinational vs
 /// Registers; memories are separate models).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Region {
     /// Combinational logic (datapath + control).
     Combinational,
@@ -76,7 +75,7 @@ impl fmt::Display for Region {
 }
 
 /// One standard-cell instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// Which library cell this instantiates.
     pub kind: CellKind,
@@ -274,7 +273,7 @@ impl FanoutMap {
 /// Construct with [`crate::builder::NetlistBuilder`]; the constructor
 /// validates single-driver and acyclicity invariants, so every `Netlist`
 /// in existence is simulable and costable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     pub(crate) name: String,
     pub(crate) net_count: u32,

@@ -33,7 +33,6 @@
 use crate::dataflow::{self, DataflowFacts};
 use crate::ir::{FanoutMap, Gate, GateId, NetId, Netlist};
 use printed_pdk::{CellKind, CellLibrary, Technology};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 
@@ -41,7 +40,7 @@ use std::fmt::{self, Write as _};
 ///
 /// Variants are ordered most-severe-first so that sorting diagnostics
 /// ascending puts errors at the top.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// A defect: the netlist will not work as printed hardware.
     Error,
@@ -68,7 +67,7 @@ impl fmt::Display for Severity {
 }
 
 /// The design rules the linter checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// A cell output drives more loads than the PDK drive model allows.
     FanoutExceedsDrive,
@@ -150,7 +149,7 @@ impl fmt::Display for Rule {
 }
 
 /// What a diagnostic points at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Locus {
     /// A gate instance.
     Gate(GateId),
@@ -172,7 +171,7 @@ impl fmt::Display for Locus {
 /// A finding keeps what its rule saw as data; [`Diagnostic::message`]
 /// formats it only when something reads it, so a caller that only counts
 /// findings or checks for errors never renders a string.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Which rule fired.
     pub rule: Rule,
@@ -318,7 +317,7 @@ impl LintConfig {
 }
 
 /// The result of linting one netlist.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintReport {
     /// Design name (from [`Netlist::name`]).
     pub design: String,

@@ -1,12 +1,12 @@
-//! Supervised fault-campaign execution: checkpoint/resume, watchdog
+//! The fault-campaign scheduler, with checkpoint/resume, watchdog
 //! deadlines, and panic isolation for long-running campaigns.
 //!
-//! [`crate::fault::run_campaign`] is the fast path: it assumes every
-//! fault run completes, never panics, and the process survives to the
-//! end. Real reproduction sweeps run for minutes across many worker
-//! threads, and production fault-injection infrastructure must survive
-//! its own faults. [`run_supervised_campaign`] wraps the same
-//! deterministic scheduler in a resilience layer:
+//! [`run_supervised_campaign_cancellable`] is the only campaign
+//! scheduler in the workspace: [`crate::fault::run_campaign`] is this
+//! runner with the default [`ResilienceConfig`] (no checkpoint, no
+//! watchdog). Real reproduction sweeps run for minutes across many
+//! worker threads, and fault-injection infrastructure must survive its
+//! own faults, so the scheduler carries a resilience layer:
 //!
 //! - **Checkpoint/resume** — with [`ResilienceConfig::checkpoint_dir`]
 //!   set (see [`ResilienceConfig::from_env`] and the `PRINTED_CKPT_DIR`
@@ -25,23 +25,28 @@
 //!   [`Outcome::Hang`] — deterministically, since the deadline counts
 //!   cycles, not wall-clock.
 //! - **Panic isolation + retry** — each fault run executes under
-//!   `catch_unwind` with bounded retries and a deterministic
+//!   [`retry_panics`] with bounded retries and a deterministic
 //!   decorrelated backoff (seeded from the campaign seed, the slot
 //!   index, and the attempt number). A slot that keeps panicking
 //!   degrades to a recorded [`Outcome::Failed`] instead of aborting the
-//!   campaign.
+//!   campaign. [`retry_panics`] is the workspace's one `catch_unwind`;
+//!   pipeline stages and print-shop jobs supervise through it too.
 //! - **Warm-starts** — when [`crate::fault::CampaignConfig::warm_start`]
-//!   (or `PRINTED_WARM_START`) is set, the supervised runner reuses the
-//!   same snapshot-based SEU warm-start path as the plain campaign:
-//!   golden state is captured once per injection cycle and faulty runs
-//!   resume from it instead of replaying the prologue. Slots stay
-//!   byte-identical to the cold path, so warm and cold runs share
-//!   checkpoints (warm-starting is deliberately excluded from the
-//!   campaign fingerprint).
+//!   (or `PRINTED_WARM_START`) is set, golden state is captured once per
+//!   SEU injection cycle and faulty runs resume from it instead of
+//!   replaying the prologue. Slots stay byte-identical to the cold path,
+//!   so warm and cold runs share checkpoints (warm-starting is
+//!   deliberately excluded from the campaign fingerprint).
 //!
-//! Everything is instrumented through `printed-obs`: counters
-//! `resilience.retries`, `resilience.timeouts`, `resilience.resumed_slots`,
-//! `resilience.failed`, and `resilience.warm_slots`.
+//! Everything is instrumented through `printed-obs`: the
+//! `netlist.fault.campaign` span with one `netlist.fault.chunk` span per
+//! claimed chunk on `campaign-worker-<n>` lanes; the classification
+//! counters `netlist.fault.{workers,runs,masked,detected,hang,sdc}`,
+//! the bitsliced `netlist.fault.bitsliced.{words,lanes}` counters and
+//! `netlist.fault.{lane_utilization,runs_per_sec,bitsliced_runs_per_sec}`
+//! gauges; and the resilience counters `resilience.retries`,
+//! `resilience.timeouts`, `resilience.resumed_slots`, `resilience.failed`,
+//! and `resilience.warm_slots`.
 //!
 //! # Checkpoint format
 //!
@@ -70,8 +75,8 @@
 
 use crate::fault::{
     campaign_golden, campaign_threads, enumerate_faults, faulty_budget, CampaignConfig,
-    CampaignError, CampaignResult, Fault, FaultKind, FaultRun, LaneOutcome, Outcome, WarmContexts,
-    Workload,
+    CampaignError, CampaignResult, Fault, FaultKind, FaultRun, LaneOutcome, Outcome, OutcomeCounts,
+    WarmContexts, Workload,
 };
 use crate::ir::Netlist;
 use crate::sim::Simulator;
@@ -83,11 +88,11 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a supervised job (a campaign, one of its slots, or a pipeline
 /// stage built on this module) failed.
@@ -594,53 +599,74 @@ fn attempt_slot<W: Workload + ?Sized>(
     params: &SlotParams<'_>,
     fault: Fault,
     index: usize,
-) -> Result<(FaultRun, u32), JobError> {
+) -> Result<SlotDone, JobError> {
     let SlotParams { golden, budget, max_retries, seed, warm } = *params;
     let cell = pristine.netlist().gates()[fault.gate.index()].kind;
-    let mut last_message = String::new();
-    for attempt in 0..=max_retries {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            crate::fault::observe_warm(pristine, workload, Some(fault), budget, warm)
-        }));
-        match run {
-            Ok(Ok(observed)) => {
-                let outcome = crate::fault::classify(golden, &observed);
-                return Ok((FaultRun { fault, cell, outcome }, attempt));
-            }
-            Ok(Err(crate::NetlistError::DeadlineExceeded { cycles, limit })) => {
-                return Err(JobError::TimedOut {
-                    job: fault.to_string(),
-                    spent: cycles,
-                    limit,
-                    unit: "cycles",
-                });
-            }
-            // Any other simulation failure (oscillation) wedges the
-            // circuit — the same hang classification run_one applies.
-            Ok(Err(_)) => return Ok((FaultRun { fault, cell, outcome: Outcome::Hang }, attempt)),
-            Err(payload) => {
-                last_message = panic_message(payload.as_ref());
-                if attempt < max_retries {
-                    backoff(seed, index, attempt);
-                }
-            }
+    let run = retry_panics(
+        max_retries,
+        |attempt, _| backoff(seed, index, attempt),
+        |_| crate::fault::observe_warm(pristine, workload, Some(fault), budget, warm),
+    );
+    match run {
+        Ok((Ok(observed), attempts)) => {
+            let outcome = crate::fault::classify(golden, &observed);
+            Ok((FaultRun { fault, cell, outcome }, attempts - 1))
+        }
+        Ok((Err(crate::NetlistError::DeadlineExceeded { cycles, limit }), _)) => {
+            Err(JobError::TimedOut { job: fault.to_string(), spent: cycles, limit, unit: "cycles" })
+        }
+        // Any other simulation failure (oscillation) wedges the circuit:
+        // a hang.
+        Ok((Err(_), attempts)) => {
+            Ok((FaultRun { fault, cell, outcome: Outcome::Hang }, attempts - 1))
+        }
+        Err((message, attempts)) => {
+            Err(JobError::Panicked { job: fault.to_string(), message, attempts })
         }
     }
-    Err(JobError::Panicked {
-        job: fault.to_string(),
-        message: last_message,
-        attempts: max_retries + 1,
-    })
 }
 
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Runs `f` under panic isolation, retrying a panicking attempt up to
+/// `max_retries` times. This is the one `catch_unwind` of the workspace:
+/// campaign slots, bitsliced words, pipeline stages and print-shop jobs
+/// all supervise through it.
+///
+/// `f` receives the 0-based attempt number. Before each retry (never
+/// after the last attempt) `backoff` is called with the number of the
+/// attempt that just panicked and its panic message, so each caller
+/// keeps its own delay policy and retry counters. A value `f` returns,
+/// including a typed error, ends the loop: only panics are retried.
+///
+/// # Errors
+///
+/// When every attempt panicked, returns the last panic's message (or
+/// `"non-string panic payload"`) and the attempts made,
+/// `max_retries + 1`. On success the attempts made are returned beside
+/// the value.
+#[allow(clippy::disallowed_methods)]
+pub fn retry_panics<T>(
+    max_retries: u32,
+    mut backoff: impl FnMut(u32, &str),
+    mut f: impl FnMut(u32) -> T,
+) -> Result<(T, u32), (String, u32)> {
+    let mut attempt = 0;
+    loop {
+        let payload = match std::panic::catch_unwind(AssertUnwindSafe(|| f(attempt))) {
+            Ok(value) => return Ok((value, attempt + 1)),
+            Err(payload) => payload,
+        };
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        if attempt >= max_retries {
+            return Err((message, attempt + 1));
+        }
+        backoff(attempt, &message);
+        attempt += 1;
     }
 }
 
@@ -659,8 +685,8 @@ fn backoff(seed: u64, index: usize, attempt: u32) {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
-/// [`crate::fault::run_campaign`] wrapped in the resilience layer, with
-/// the worker count from `PRINTED_SIM_THREADS` (see [`campaign_threads`]).
+/// [`run_supervised_campaign_cancellable`] with the worker count from
+/// `PRINTED_SIM_THREADS` (see [`campaign_threads`]) and no cancel flag.
 ///
 /// # Errors
 ///
@@ -678,13 +704,6 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
 
 /// [`run_supervised_campaign`] with an explicit worker-thread count.
 ///
-/// Determinism: identical to [`crate::fault::run_campaign_with_threads`]
-/// — slots are keyed by the fault enumeration order and workers fill
-/// disjoint chunks — with two extensions that preserve it: checkpoint
-/// resume fills slots with values computed by the same pure function
-/// (so a resumed and an uninterrupted run agree byte-for-byte), and
-/// retry backoff is seeded per (seed, slot, attempt), never from time.
-///
 /// # Errors
 ///
 /// Returns [`JobError::Campaign`] if the fault-free golden run fails.
@@ -698,13 +717,25 @@ pub fn run_supervised_campaign_with_threads<W: Workload + ?Sized>(
     run_supervised_campaign_cancellable(netlist, workload, config, resilience, threads, None)
 }
 
-/// [`run_supervised_campaign_with_threads`] with an external
-/// cancellation flag: when `cancel` flips to `true` mid-campaign,
+/// The campaign scheduler: runs every fault of the campaign on
+/// `threads` workers under the resilience layer, with an external
+/// cancellation flag. When `cancel` flips to `true` mid-campaign,
 /// workers stop claiming new slots, the checkpoint is flushed with
 /// everything completed so far, and the run returns
 /// [`SupervisedRun::Aborted`] — the cooperative drain the print-shop
 /// service uses for graceful shutdown, so a restart *resumes* the
 /// campaign instead of recomputing it.
+///
+/// Determinism: the fault list is enumerated once, in a fixed order, on
+/// the calling thread. Results go into a slot vector indexed by that
+/// order; workers claim contiguous chunks of disjoint `(faults, slots)`
+/// pairs from a shared queue and never write outside their chunk. Every
+/// classification depends only on (netlist, workload, fault, budget), so
+/// the merged result is identical for any `threads`, including 1 (which
+/// spawns no thread). Checkpoint resume fills slots with values computed
+/// by the same pure function, so a resumed and an uninterrupted run
+/// agree byte-for-byte, and retry backoff is seeded per (seed, slot,
+/// attempt), never from time.
 ///
 /// # Errors
 ///
@@ -717,7 +748,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     threads: usize,
     cancel: Option<&AtomicBool>,
 ) -> Result<SupervisedRun, JobError> {
-    let _span = obs::span!("netlist.resilience.campaign");
+    let _span = obs::span!("netlist.fault.campaign");
     let mut pristine = Simulator::new(netlist);
     let golden = campaign_golden(&pristine, workload, config)?;
     let faults = enumerate_faults(netlist, config, golden.cycles);
@@ -800,10 +831,13 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         proto
     });
 
+    let started = Instant::now();
     let retries = AtomicU64::new(0);
     let timeouts = AtomicU64::new(0);
     let failed = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
+    let words_run = AtomicUsize::new(0);
+    let lanes_filled = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let sink = Mutex::new(sink);
     // External cancellation folds into the same stop protocol as the
@@ -855,6 +889,16 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let record = |index: usize, done: &SlotDone| {
         sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(index, done);
         let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(256) {
+            obs::trace_event(|| {
+                format!(
+                    "{{\"type\":\"campaign_progress\",\"design\":{},\
+                     \"done\":{},\"total\":{total}}}",
+                    obs::json::escape(netlist.name()),
+                    stats.resumed_slots + n,
+                )
+            });
+        }
         if let Some(limit) = resilience.abort_after {
             if n >= limit {
                 stop.store(true, Ordering::Relaxed);
@@ -900,20 +944,25 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             }
             let window = &pending[at..at + take];
             let word_faults: Vec<Fault> = window.iter().map(|&o| chunk_faults[o]).collect();
-            let word = catch_unwind(AssertUnwindSafe(|| {
-                crate::fault::run_word(
-                    worker_sim,
-                    proto,
-                    workload,
-                    &golden,
-                    &word_faults,
-                    budget,
-                    warm.as_ref(),
-                )
-            }))
-            .unwrap_or(None);
-            match word {
+            let word = retry_panics(
+                0,
+                |_, _| {},
+                |_| {
+                    crate::fault::run_word(
+                        worker_sim,
+                        proto,
+                        workload,
+                        &golden,
+                        &word_faults,
+                        budget,
+                        warm.as_ref(),
+                    )
+                },
+            );
+            match word.ok().and_then(|(word, _)| word) {
                 Some(lanes) => {
+                    words_run.fetch_add(1, Ordering::Relaxed);
+                    lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
                     for (&offset, lane) in window.iter().zip(lanes) {
                         let fault = chunk_faults[offset];
                         let cell = netlist.gates()[fault.gate.index()].kind;
@@ -957,10 +1006,11 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         let worker_sim = pristine.clone();
         run_chunk(&worker_sim, 0, &faults, &mut slots);
     } else {
-        // The same contiguous-chunk queue as the plain campaign, with
-        // each chunk carrying its global start index for checkpointing.
-        // Bitsliced chunks hold whole words so parallelism never
-        // splinters a word across workers.
+        // Contiguous chunks, several per worker so a chunk of hangs does
+        // not serialize the campaign behind one thread, each carrying its
+        // global start index for checkpointing. Bitsliced chunks hold
+        // whole 63-fault words, so parallelism never splinters a word
+        // across workers.
         let chunk = if bits.is_some() {
             let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
             total.div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults
@@ -991,9 +1041,10 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             let run_chunk = &run_chunk;
             for worker in 0..workers {
                 scope.spawn(move || {
-                    // One chrome-trace lane per supervised worker, like
-                    // the plain campaign's workers.
-                    obs::chrome::name_lane(&format!("supervised-worker-{worker}"));
+                    // Each worker thread is one lane in the chrome
+                    // trace; per-chunk spans make the claim/run cadence
+                    // visible as a timeline.
+                    obs::chrome::name_lane(&format!("campaign-worker-{worker}"));
                     let worker_sim = pristine.clone();
                     loop {
                         if halted() {
@@ -1004,7 +1055,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                         let Some((chunk_start, chunk_faults, chunk_slots)) = claimed else {
                             break;
                         };
-                        let _chunk_span = obs::span!("resilience.chunk");
+                        let _chunk_span = obs::span!("netlist.fault.chunk");
                         run_chunk(&worker_sim, chunk_start, chunk_faults, chunk_slots);
                     }
                 });
@@ -1036,6 +1087,36 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|| unreachable!("every fault slot filled")).0)
         .collect();
+    if obs::enabled() {
+        let mut counts = OutcomeCounts::default();
+        for run in &runs {
+            counts.add(run.outcome);
+        }
+        let reg = obs::global();
+        reg.add("netlist.fault.workers", workers as u64);
+        reg.add("netlist.fault.runs", runs.len() as u64);
+        reg.add("netlist.fault.masked", counts.masked as u64);
+        reg.add("netlist.fault.detected", counts.detected as u64);
+        reg.add("netlist.fault.hang", counts.hang as u64);
+        reg.add("netlist.fault.sdc", counts.sdc as u64);
+        let words = words_run.into_inner();
+        if words > 0 {
+            let lanes = lanes_filled.into_inner();
+            reg.add("netlist.fault.bitsliced.words", words as u64);
+            reg.add("netlist.fault.bitsliced.lanes", lanes as u64);
+            reg.gauge(
+                "netlist.fault.lane_utilization",
+                lanes as f64 / (words * crate::bitsim::BitSimulator::LANES) as f64,
+            );
+        }
+        let secs = started.elapsed().as_secs_f64();
+        if secs > 0.0 && !runs.is_empty() {
+            reg.gauge("netlist.fault.runs_per_sec", runs.len() as f64 / secs);
+            if words > 0 {
+                reg.gauge("netlist.fault.bitsliced_runs_per_sec", runs.len() as f64 / secs);
+            }
+        }
+    }
     if let Some(path) = &stats.checkpoint {
         // The campaign is complete; the checkpoint has served its
         // purpose. A failed delete is harmless — the header fingerprint

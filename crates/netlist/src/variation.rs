@@ -16,7 +16,6 @@ use printed_pdk::units::{Frequency, Time};
 use printed_pdk::CellLibrary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Invalid parameters for variation sampling or quantile extraction.
@@ -45,7 +44,7 @@ impl fmt::Display for VariationError {
 impl std::error::Error for VariationError {}
 
 /// Summary statistics of a sampled f_max distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FmaxDistribution {
     /// Nominal (variation-free) f_max.
     pub nominal: Frequency,

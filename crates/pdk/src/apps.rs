@@ -7,11 +7,10 @@
 //! the sample rate (with some instructions of processing per sample) at its
 //! f_max, at the precision the application needs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coarse duty-cycle classes from Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DutyCyclePeriod {
     /// Always on.
     Continuous,
@@ -53,7 +52,7 @@ impl fmt::Display for DutyCyclePeriod {
 }
 
 /// One row of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Application {
     /// Application name.
     pub name: &'static str,

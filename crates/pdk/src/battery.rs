@@ -8,11 +8,10 @@
 //! frequency".
 
 use crate::units::{Charge, Energy, Power, Time, Voltage};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A printed thin-film battery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     /// Marketing / datasheet name.
     pub name: &'static str,

@@ -22,11 +22,10 @@
 //! ```
 
 use crate::units::{Area, Energy, Power, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two low-voltage printed technologies the paper builds libraries for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technology {
     /// Electrolyte-gated FET: fully additive inkjet printing, V_DD < 1 V,
     /// n-type only, transistor–resistor logic. Cheap and slow.
@@ -79,7 +78,7 @@ impl fmt::Display for Technology {
 }
 
 /// The eleven X1 standard cells of the paper's libraries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CellKind {
     /// NOT (INVX1).
     Inv,
@@ -182,7 +181,7 @@ impl fmt::Display for CellKind {
 }
 
 /// Characterized figures for one standard cell in one technology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellCharacteristics {
     /// Which cell this row describes.
     pub kind: CellKind,
@@ -207,7 +206,7 @@ impl CellCharacteristics {
 }
 
 /// A synthesis-ready standard-cell library for one printed technology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
     technology: Technology,
     cells: [CellCharacteristics; 11],

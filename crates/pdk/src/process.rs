@@ -6,11 +6,10 @@
 //! TFT) are the low-voltage outliers that make battery-powered operation
 //! possible.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Fabrication route of a printed process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessingRoute {
     /// Fully additive inkjet printing.
     Inkjet,
@@ -50,7 +49,7 @@ impl fmt::Display for ProcessingRoute {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessEntry {
     /// Technology name as given in Table 1.
     pub name: &'static str,

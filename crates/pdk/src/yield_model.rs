@@ -18,10 +18,9 @@
 //! ```
 
 use crate::cells::{CellKind, Technology};
-use serde::{Deserialize, Serialize};
 
 /// Printed devices (transistors + printed resistors) in one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceCount {
     /// Printed transistors.
     pub transistors: usize,

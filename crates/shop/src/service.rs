@@ -16,7 +16,8 @@
 //!
 //! - a full queue returns [`ShopError::QueueFull`] immediately — typed
 //!   load-shedding, never a hang or a panic;
-//! - every job attempt runs under `catch_unwind`; a poisoned job
+//! - every job attempt runs under
+//!   [`printed_netlist::resilience::retry_panics`]; a poisoned job
 //!   degrades to [`ShopError::Poisoned`] and the worker survives. A
 //!   worker killed outright (chaos drill) is respawned by the
 //!   supervisor;
@@ -36,11 +37,11 @@ use crate::queue::{JobQueue, QuoteReply, Reply, Served, Submit};
 use crate::quote;
 use printed_eval::{render_manifest, StageRecord, StageStatus};
 use printed_netlist::fault::campaign_threads;
+use printed_netlist::resilience::retry_panics;
 use printed_obs as obs;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
@@ -599,28 +600,18 @@ fn process_job(shared: &Arc<Shared>, key: u64, query: &ShopQuery, started: Insta
     let cancel = Arc::new(AtomicBool::new(false));
     let deadline = started + Duration::from_millis(shared.config.deadline_ms);
     shared.register_inflight(cancel.clone(), deadline);
-    let mut attempt = 0u32;
-    let result = loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            compute_once(shared, key, query, attempt, &cancel, started)
-        }));
-        match run {
-            Ok(r) => break r,
-            Err(payload) => {
-                attempt += 1;
-                if attempt > shared.config.max_retries {
-                    break Err(ShopError::Poisoned {
-                        job: format!("{key:016x}"),
-                        attempts: attempt,
-                        message: panic_text(payload.as_ref()),
-                    });
-                }
-                shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                // Deterministic exponential backoff: 10, 20, 40 … ms.
-                std::thread::sleep(Duration::from_millis(10u64 << attempt.min(6)));
-            }
-        }
-    };
+    let run = retry_panics(
+        shared.config.max_retries,
+        |attempt, _| {
+            shared.counters.retries.fetch_add(1, Ordering::Relaxed);
+            // Deterministic exponential backoff: 10, 20, 40 … ms.
+            std::thread::sleep(Duration::from_millis(10u64 << (attempt + 1).min(6)));
+        },
+        |attempt| compute_once(shared, key, query, attempt, &cancel, started),
+    );
+    let result = run.map(|(reply, _)| reply).unwrap_or_else(|(message, attempts)| {
+        Err(ShopError::Poisoned { job: format!("{key:016x}"), attempts, message })
+    });
     shared.deregister_inflight(&cancel);
     result
 }
@@ -706,15 +697,5 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 entry.cancel.store(true, Ordering::Relaxed);
             }
         }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }

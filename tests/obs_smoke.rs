@@ -47,6 +47,15 @@ fn campaign_metrics_export_as_valid_json_lines() {
         .sum();
     assert_eq!(classified, runs, "classification counters tile the run set");
     assert!(registry.span_stats("netlist.fault.campaign").is_some(), "campaign span recorded");
+    // One scheduler publishes both counter families from the same run:
+    // the resilience counters sit beside the classification counters,
+    // and every bitsliced word filled its fault lanes plus the golden one.
+    for name in ["resilience.retries", "resilience.timeouts", "resilience.failed"] {
+        assert_eq!(registry.counter(name), Some(0), "{name} published by the campaign");
+    }
+    let words = registry.counter("netlist.fault.bitsliced.words").expect("words counter");
+    let lanes = registry.counter("netlist.fault.bitsliced.lanes").expect("lanes counter");
+    assert_eq!(lanes, runs + words, "lanes tile the run set plus one golden lane per word");
 
     // Every exported line is a self-contained JSON object with the
     // discriminator and name fields the tooling relies on.
