@@ -30,12 +30,6 @@ FAULT_CSV_OUT="$csv_dir/t2.csv" PRINTED_SIM_THREADS=2 \
 cmp "$csv_dir/t1.csv" "$csv_dir/t2.csv" \
     || { echo "campaign CSV differs between 1 and 2 worker threads"; exit 1; }
 
-echo "==> snapshot warm-starts are invisible to results (PRINTED_WARM_START=1 vs cold CSV)"
-FAULT_CSV_OUT="$csv_dir/warm.csv" PRINTED_WARM_START=1 PRINTED_SIM_THREADS=2 \
-    cargo run --release --example fault_injection >/dev/null
-cmp "$csv_dir/t1.csv" "$csv_dir/warm.csv" \
-    || { echo "warm-started campaign CSV differs from the cold run"; exit 1; }
-
 echo "==> bitsliced campaign engine matches the scalar reference byte for byte (PRINTED_BITSLICED=0 vs default)"
 FAULT_CSV_OUT="$csv_dir/scalar.csv" PRINTED_BITSLICED=0 PRINTED_SIM_THREADS=2 \
     cargo run --release --example fault_injection >/dev/null
@@ -196,7 +190,7 @@ wait "$burst_pid"
 wait "$slow1" 2>/dev/null || true
 wait "$slow2" 2>/dev/null || true
 
-echo "==> simulator hot-path bench (refreshes BENCH_sim.json + appends BENCH_history.jsonl, asserts speedups + warm-start gain + CSV identity across the engine x threads x warm matrix)"
+echo "==> simulator hot-path bench (refreshes BENCH_sim.json + appends BENCH_history.jsonl, asserts speedups + CSV identity across the engine x threads matrix)"
 cargo bench -p printed-bench --bench sim_hotpaths >/dev/null
 
 echo "==> print-shop serve bench (refreshes BENCH_serve.json + appends BENCH_history.jsonl, asserts clean run + byte-identical warm quotes)"

@@ -19,10 +19,7 @@
 //! - the bitsliced campaign engine gains at least
 //!   [`BITSLICED_SPEEDUP_MIN`] over the scalar reference at equal
 //!   thread count while reproducing its CSV byte for byte across the
-//!   {engine} x {threads} x {cold, warm} matrix,
-//! - snapshot warm-starts accelerate an SEU campaign by at least
-//!   [`WARM_START_SPEEDUP_MIN`] while reproducing the cold CSV byte for
-//!   byte, and
+//!   {engine} x {threads} matrix, and
 //! - instrumentation with `PRINTED_OBS=off` stays unmeasurable (below
 //!   [`OBS_OFF_THRESHOLD_NS`] per call site).
 
@@ -65,13 +62,6 @@ const THREAD_SCALING_MIN: f64 = 1.5;
 /// loss, and the word-wide full-sweep evaluation leave an order of
 /// magnitude.
 const BITSLICED_SPEEDUP_MIN: f64 = 10.0;
-
-/// Minimum wall-clock speedup snapshot warm-starts must deliver on the
-/// SEU campaign over the long-prologue kernel. With injection cycles
-/// uniform over the golden run, warm-starting skips half the replayed
-/// prologue on average — a 2x asymptote; 1.5x leaves room for the
-/// one-time context capture and the per-slot restore.
-const WARM_START_SPEEDUP_MIN: f64 = 1.5;
 
 /// Pre-optimization baselines recorded by the seed benchmark (single
 /// full-sweep engine, no cached machine ports): the `ns_per_cycle`
@@ -123,11 +113,6 @@ struct Measurements {
     campaign_csv_identical: bool,
     host_cpus: usize,
     bitsliced: BitslicedRun,
-    warm_kernel: String,
-    warm_faults: usize,
-    warm_cold_ms: f64,
-    warm_warm_ms: f64,
-    warm_csv_identical: bool,
     obs_off_ns_per_op: f64,
     static_points: Vec<StaticPoint>,
     opt_sweep_ms: f64,
@@ -136,7 +121,7 @@ struct Measurements {
 
 /// Bitsliced-vs-scalar campaign engine measurement on the exhaustive
 /// stuck-at + SEU campaign (equal thread count), plus the byte-identity
-/// check over the full {engine} × {threads} × {cold, warm} matrix.
+/// check over the full {engine} × {threads} matrix.
 struct BitslicedRun {
     faults: usize,
     scalar_ms: f64,
@@ -177,11 +162,6 @@ impl Measurements {
     /// Same-binary engine comparison on today's box.
     fn gl_speedup_vs_full_sweep(&self) -> f64 {
         self.gl_sweep_ns_per_cycle / self.gl_event_ns_per_cycle
-    }
-
-    /// Wall-clock gain of snapshot warm-starts on the SEU campaign.
-    fn warm_speedup(&self) -> f64 {
-        self.warm_cold_ms / self.warm_warm_ms
     }
 
     /// Campaign speedup from 1 to 4 workers (1.0 if either point is
@@ -244,9 +224,6 @@ impl Measurements {
              \"bitsliced_ms\": {:.2}, \"speedup\": {:.2}, \"threshold\": {:.1}, \
              \"runs_per_sec\": {:.0}, \"lane_utilization\": {:.3}, \"csv_identical\": {}, \
              \"within_threshold\": {}}},\n  \
-             \"warm_start\": {{\"design\": \"p1_8_2\", \"kernel\": \"{}\", \"faults\": {}, \
-             \"cold_ms\": {:.1}, \"warm_ms\": {:.1}, \"speedup\": {:.2}, \
-             \"threshold\": {:.1}, \"csv_identical\": {}, \"within_threshold\": {}}},\n  \
              \"obs_off_overhead\": {{\"ns_per_op\": {:.2}, \"threshold_ns\": {:.1}, \
              \"within_threshold\": {}}},\n  \
              \"static_analysis\": {{\"technology\": \"Egfet\", \"total_ms\": {:.1}, \
@@ -286,14 +263,6 @@ impl Measurements {
             self.bitsliced.lane_utilization,
             self.bitsliced.csv_identical,
             self.bitsliced.speedup() >= BITSLICED_SPEEDUP_MIN,
-            self.warm_kernel,
-            self.warm_faults,
-            self.warm_cold_ms,
-            self.warm_warm_ms,
-            self.warm_speedup(),
-            WARM_START_SPEEDUP_MIN,
-            self.warm_csv_identical,
-            self.warm_speedup() >= WARM_START_SPEEDUP_MIN,
             self.obs_off_ns_per_op,
             OBS_OFF_THRESHOLD_NS,
             self.obs_off_ns_per_op <= OBS_OFF_THRESHOLD_NS,
@@ -404,8 +373,8 @@ fn measure_campaign_scaling() -> (usize, Vec<(usize, f64)>, bool) {
 /// Bitsliced vs scalar campaign engine on the exhaustive p1_4_2 smoke
 /// campaign, both single-threaded (equal thread count), best of
 /// [`MEASURE_REPS`]. Also checks CSV byte-identity over the full
-/// {scalar, bitsliced} × {1, 4 threads} × {cold, warm} matrix against
-/// the scalar cold sequential baseline.
+/// {scalar, bitsliced} × {1, 4 threads} matrix against the scalar
+/// sequential baseline.
 fn measure_bitsliced() -> BitslicedRun {
     let config = CoreConfig::new(1, 4, 2);
     let netlist = generate_standard(&config);
@@ -441,13 +410,11 @@ fn measure_bitsliced() -> BitslicedRun {
         .to_csv();
     let mut csv_identical = true;
     for bitsliced in [false, true] {
-        for warm_start in [false, true] {
-            for threads in [1usize, 4] {
-                let cfg = CampaignConfig { bitsliced, warm_start, ..scalar_cfg };
-                let run = run_campaign_with_threads(&netlist, &workload, &cfg, threads)
-                    .expect("matrix campaign completes");
-                csv_identical &= run.to_csv() == baseline;
-            }
+        for threads in [1usize, 4] {
+            let cfg = CampaignConfig { bitsliced, ..scalar_cfg };
+            let run = run_campaign_with_threads(&netlist, &workload, &cfg, threads)
+                .expect("matrix campaign completes");
+            csv_identical &= run.to_csv() == baseline;
         }
     }
     BitslicedRun {
@@ -457,49 +424,6 @@ fn measure_bitsliced() -> BitslicedRun {
         lane_utilization: printed_netlist::fault::lane_utilization(faults),
         csv_identical,
     }
-}
-
-/// Snapshot warm-starts on an SEU-only campaign over the long-prologue
-/// mult16 kernel (p1_8_2): every injection replays the golden prologue
-/// cold, or restores a mid-run snapshot warm. Returns (kernel name,
-/// fault count, cold best-of-reps ms, warm best-of-reps ms, CSVs
-/// byte-identical).
-fn measure_warm_start() -> (String, usize, f64, f64, bool) {
-    let config = CoreConfig::new(1, 8, 2);
-    let netlist = generate_standard(&config);
-    let kernel = kernels::generate(Kernel::Mult, 8, 16).expect("mult16 generates");
-    let name = kernel.name.clone();
-    let workload = ProgramWorkload::from_kernel(&kernel, config).expect("mult16 encodes");
-    // Scalar on purpose: warm_speedup isolates the snapshot-restore
-    // gain, which the bitsliced engine would mask.
-    let cold_config = CampaignConfig {
-        stuck_at: StuckAtSpace::Sampled(0),
-        seu_samples: 48,
-        bitsliced: false,
-        ..CampaignConfig::default()
-    };
-    let warm_config = CampaignConfig { warm_start: true, ..cold_config };
-    let mut cold_best = f64::INFINITY;
-    let mut warm_best = f64::INFINITY;
-    let mut faults = 0;
-    let mut identical = true;
-    for rep in 0..4 {
-        let started = Instant::now();
-        let cold = run_campaign_with_threads(&netlist, &workload, &cold_config, 1)
-            .expect("cold SEU campaign completes");
-        let cold_ms = started.elapsed().as_secs_f64() * 1e3;
-        let started = Instant::now();
-        let warm = run_campaign_with_threads(&netlist, &workload, &warm_config, 1)
-            .expect("warm SEU campaign completes");
-        let warm_ms = started.elapsed().as_secs_f64() * 1e3;
-        faults = cold.runs.len();
-        identical &= cold.to_csv() == warm.to_csv();
-        if rep >= 1 {
-            cold_best = cold_best.min(cold_ms);
-            warm_best = warm_best.min(warm_ms);
-        }
-    }
-    (name, faults, cold_best, warm_best, identical)
 }
 
 /// Static-analysis wall time over what `reproduce_all`'s
@@ -604,7 +528,7 @@ fn append_history(m: &Measurements) {
     let metrics = format!(
         "\"sim_event_ns_per_cycle\": {:.1}, \"sim_sweep_ns_per_cycle\": {:.1}, \
          \"gl_event_ns_per_cycle\": {:.1}, \"gl_sweep_ns_per_cycle\": {:.1}, \
-         \"gl_speedup\": {:.2}, \"warm_speedup\": {:.2}, \
+         \"gl_speedup\": {:.2}, \
          \"bitsliced_speedup\": {:.2}, \"bitsliced_runs_per_sec\": {:.0}, \
          \"obs_off_ns_per_op\": {:.2}, \
          \"static_total_ms\": {:.1}, \"opt_sweep_ms\": {:.2}, \"generate_sweep_ms\": {:.2}",
@@ -613,7 +537,6 @@ fn append_history(m: &Measurements) {
         m.gl_event_ns_per_cycle,
         m.gl_sweep_ns_per_cycle,
         m.gl_speedup(),
-        m.warm_speedup(),
         m.bitsliced.speedup(),
         m.bitsliced.runs_per_sec(),
         m.obs_off_ns_per_op,
@@ -633,8 +556,6 @@ fn bench(c: &mut Criterion) {
     let (campaign_faults, campaign_ms, campaign_csv_identical) = measure_campaign_scaling();
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let bitsliced = measure_bitsliced();
-    let (warm_kernel, warm_faults, warm_cold_ms, warm_warm_ms, warm_csv_identical) =
-        measure_warm_start();
     let obs_off_ns_per_op = measure_obs_off();
     let static_points = measure_static_analysis();
     let opt_sweep_ms = measure_opt_sweep();
@@ -653,11 +574,6 @@ fn bench(c: &mut Criterion) {
         campaign_csv_identical,
         host_cpus,
         bitsliced,
-        warm_kernel,
-        warm_faults,
-        warm_cold_ms,
-        warm_warm_ms,
-        warm_csv_identical,
         obs_off_ns_per_op,
         static_points,
         opt_sweep_ms,
@@ -690,15 +606,6 @@ fn bench(c: &mut Criterion) {
         100.0 * m.bitsliced.lane_utilization,
         m.campaign_speedup_4t(),
         m.host_cpus
-    );
-    println!(
-        "warm-start: {} x{} SEUs, cold {:.1} ms vs warm {:.1} ms ({:.2}x, threshold {:.1}x)",
-        m.warm_kernel,
-        m.warm_faults,
-        m.warm_cold_ms,
-        m.warm_warm_ms,
-        m.warm_speedup(),
-        WARM_START_SPEEDUP_MIN
     );
     let slowest = m
         .static_points
@@ -761,7 +668,7 @@ fn bench(c: &mut Criterion) {
     assert!(
         m.bitsliced.csv_identical,
         "bitsliced campaigns must reproduce the scalar CSV byte for byte across the \
-         {{engine}} x {{threads}} x {{cold, warm}} matrix"
+         {{engine}} x {{threads}} matrix"
     );
     assert!(
         m.bitsliced.speedup() >= BITSLICED_SPEEDUP_MIN,
@@ -770,19 +677,6 @@ fn bench(c: &mut Criterion) {
         m.bitsliced.scalar_ms,
         m.bitsliced.bitsliced_ms,
         m.bitsliced.speedup()
-    );
-    assert!(
-        m.warm_csv_identical,
-        "warm-started campaign must reproduce the cold campaign byte for byte"
-    );
-    assert!(
-        m.warm_speedup() >= WARM_START_SPEEDUP_MIN,
-        "snapshot warm-starts must gain at least {WARM_START_SPEEDUP_MIN}x on {}: cold {:.1} ms \
-         vs warm {:.1} ms is only {:.2}x",
-        m.warm_kernel,
-        m.warm_cold_ms,
-        m.warm_warm_ms,
-        m.warm_speedup()
     );
     assert!(
         m.obs_off_ns_per_op <= OBS_OFF_THRESHOLD_NS,

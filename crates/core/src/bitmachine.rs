@@ -36,7 +36,6 @@
 //! - a watchdog trip ends the word: retired lanes keep their
 //!   observations, live lanes become [`LaneOutcome::TimedOut`].
 
-use crate::generator::GateLevelMachine;
 use crate::isa::Flags;
 use crate::specific::CoreSpec;
 use printed_netlist::bitsim::lane_value;
@@ -182,18 +181,6 @@ impl<'a> BitMachine<'a> {
         }
     }
 
-    /// Broadcasts a scalar machine's whole co-simulated state — netlist
-    /// registers, data memory, halt latch — into every lane, so a word
-    /// of warm-started faulty runs resumes from the golden trajectory at
-    /// the injection boundary.
-    pub(crate) fn broadcast_from(&mut self, machine: &GateLevelMachine<'_>) {
-        self.sim.broadcast_from(machine.simulator());
-        for (addr, &value) in machine.dmem().iter().enumerate() {
-            self.write_dmem(addr, value);
-        }
-        self.halted = if machine.is_halted() { u64::MAX } else { 0 };
-    }
-
     /// Drives `rdata` with the dmem words the `live` lanes address.
     fn load(&mut self, addr: &'a [NetId], rdata: &'a [NetId], live: u64) {
         let mut at = [0u64; LANES];
@@ -313,27 +300,15 @@ impl<'a> BitMachine<'a> {
     }
 
     /// Runs every lane to its own halt (or the shared budget/watchdog)
-    /// and returns per-lane outcomes in lane order. `start_cycles` is
-    /// the cycle count already on the clock for warm-started words.
-    pub(crate) fn observe(
-        mut self,
-        start_cycles: u64,
-        cycle_budget: u64,
-    ) -> Result<Vec<LaneOutcome>, NetlistError> {
+    /// and returns per-lane outcomes in lane order.
+    pub(crate) fn observe(mut self, cycle_budget: u64) -> Result<Vec<LaneOutcome>, NetlistError> {
         let lanes = self.sim.lane_count();
         let occupied = self.sim.occupied();
         let mut outcomes: Vec<Option<LaneOutcome>> = vec![None; lanes];
         let mut detected = 0u64;
-        let mut cycles = start_cycles;
+        let mut cycles = 0;
         // Lanes still running: occupied, not halted, not wedged.
-        let mut active = occupied & !self.halted;
-        // Capture lanes that arrive already halted (a warm word restored
-        // at the golden run's halt cycle never steps at all).
-        for (lane, outcome) in outcomes.iter_mut().enumerate() {
-            if (occupied & self.halted) >> lane & 1 == 1 {
-                *outcome = Some(LaneOutcome::Done(self.capture(lane, true, cycles, false)?));
-            }
-        }
+        let mut active = occupied;
         while active != 0 && cycles < cycle_budget {
             match self.cycle() {
                 Ok(()) => {}

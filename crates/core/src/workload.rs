@@ -30,11 +30,8 @@ use crate::generator::GateLevelMachine;
 use crate::isa::{Instruction, IsaError};
 use crate::kernels::KernelProgram;
 use crate::specific::CoreSpec;
-use printed_netlist::fault::{LaneOutcome, Observation, WarmContexts, Workload};
-use printed_netlist::{
-    BitSimulator, NetlistError, Simulator, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
-    TMR_ERROR_PORT,
-};
+use printed_netlist::fault::{LaneOutcome, Observation, Workload};
+use printed_netlist::{BitSimulator, NetlistError, Simulator, TMR_ERROR_PORT};
 
 /// A fixed TP-ISA program run as a fault-campaign workload on a
 /// single-cycle core netlist (standard or TMR-hardened).
@@ -172,103 +169,6 @@ impl Workload for ProgramWorkload {
         Ok(Observation { signature, completed: machine.is_halted(), cycles, detected })
     }
 
-    fn warm_contexts(
-        &self,
-        sim: Simulator<'_>,
-        cycles: &[u64],
-    ) -> Result<Option<WarmContexts>, NetlistError> {
-        let mut wanted: Vec<u64> = cycles.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let mut machine = GateLevelMachine::with_simulator(
-            sim,
-            self.spec.clone(),
-            self.program.clone(),
-            self.dmem_words,
-        );
-        for &(addr, value) in &self.inputs {
-            machine.write_dmem(addr, value);
-        }
-        let mut contexts = WarmContexts::new();
-        let mut done = 0u64;
-        for &target in &wanted {
-            while done < target && !machine.is_halted() {
-                machine.step()?;
-                done += 1;
-            }
-            if done != target {
-                // The golden run halted before this cycle; a cold run
-                // never reaches the flip either, so leave it cold.
-                continue;
-            }
-            // Context = replayed cycle count + the whole co-simulated
-            // machine (data memory, halt latch, simulator state) at the
-            // injection boundary.
-            let mut w = SnapshotWriter::new();
-            w.u64(done);
-            w.bytes(&machine.save_binary());
-            contexts.insert(target, w.into_bytes());
-        }
-        Ok(Some(contexts))
-    }
-
-    fn run_warm(
-        &self,
-        sim: Simulator<'_>,
-        cycle: u64,
-        context: &[u8],
-        cycle_budget: u64,
-    ) -> Result<Observation, NetlistError> {
-        let mut r = SnapshotReader::new(context);
-        let parsed = (|| -> Result<(u64, Vec<u8>), SnapshotError> {
-            let done = r.u64()?;
-            let snap = r.bytes()?;
-            r.finish()?;
-            Ok((done, snap))
-        })();
-        let Ok((done, snap)) = parsed else {
-            return self.run(sim, cycle_budget);
-        };
-        if done != cycle || cycle >= cycle_budget {
-            return self.run(sim, cycle_budget);
-        }
-        let has_detect = sim.netlist().output_ports().contains_key(TMR_ERROR_PORT);
-        let mut machine = GateLevelMachine::with_simulator(
-            sim,
-            self.spec.clone(),
-            self.program.clone(),
-            self.dmem_words,
-        );
-        for &(addr, value) in &self.inputs {
-            machine.write_dmem(addr, value);
-        }
-        // The snapshot carries the golden run's (unarmed) cycle limit;
-        // re-arm whatever watchdog this clone arrived with so a warm run
-        // trips at exactly the same absolute cycle a cold run would. The
-        // injected fault map is untouched by restore.
-        let limit = machine.cycle_limit();
-        let mut cycles = if machine.restore_binary(&snap).is_ok() {
-            machine.set_cycle_limit(limit);
-            done
-        } else {
-            // The restore is transactional, so the machine is still the
-            // freshly booted one — the loop below IS the cold run.
-            0
-        };
-        let mut detected = false;
-        while !machine.is_halted() && cycles < cycle_budget {
-            machine.step()?;
-            cycles += 1;
-            if has_detect && machine.simulator().read_output(TMR_ERROR_PORT)? != 0 {
-                detected = true;
-            }
-        }
-        let mut signature = machine.dmem().to_vec();
-        signature.push(machine.pc());
-        signature.push(machine.flags().bits() as u64);
-        Ok(Observation { signature, completed: machine.is_halted(), cycles, detected })
-    }
-
     fn run_bitsliced(
         &self,
         sim: BitSimulator<'_>,
@@ -278,51 +178,7 @@ impl Workload for ProgramWorkload {
         for &(addr, value) in &self.inputs {
             machine.write_dmem(addr, value);
         }
-        Some(machine.observe(0, cycle_budget))
-    }
-
-    fn run_bitsliced_warm(
-        &self,
-        pristine: &Simulator<'_>,
-        sim: BitSimulator<'_>,
-        cycle: u64,
-        context: &[u8],
-        cycle_budget: u64,
-    ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
-        let mut r = SnapshotReader::new(context);
-        let parsed = (|| -> Result<(u64, Vec<u8>), SnapshotError> {
-            let done = r.u64()?;
-            let snap = r.bytes()?;
-            r.finish()?;
-            Ok((done, snap))
-        })();
-        let Ok((done, snap)) = parsed else {
-            return self.run_bitsliced(sim, cycle_budget);
-        };
-        if done != cycle || cycle >= cycle_budget {
-            return self.run_bitsliced(sim, cycle_budget);
-        }
-        // Replay the context into a scalar golden machine, then
-        // broadcast the whole co-simulated state into every lane — the
-        // word-wide analogue of the scalar warm path, with the same
-        // watchdog re-arm idiom.
-        let mut golden = GateLevelMachine::with_simulator(
-            pristine.clone(),
-            self.spec.clone(),
-            self.program.clone(),
-            self.dmem_words,
-        );
-        for &(addr, value) in &self.inputs {
-            golden.write_dmem(addr, value);
-        }
-        let limit = golden.cycle_limit();
-        if golden.restore_binary(&snap).is_err() {
-            return self.run_bitsliced(sim, cycle_budget);
-        }
-        golden.set_cycle_limit(limit);
-        let mut machine = BitMachine::new(sim, &self.spec, self.program.clone(), self.dmem_words);
-        machine.broadcast_from(&golden);
-        Some(machine.observe(done, cycle_budget))
+        Some(machine.observe(cycle_budget))
     }
 }
 
@@ -406,35 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_started_program_campaign_matches_cold_byte_for_byte() {
-        let config = CoreConfig::new(1, 4, 2);
-        let nl = generate_standard(&config);
-        let w = ProgramWorkload::smoke(config);
-        let campaign = CampaignConfig {
-            stuck_at: StuckAtSpace::Sampled(6),
-            seu_samples: 10,
-            ..CampaignConfig::default()
-        };
-        let cold = run_campaign(&nl, &w, &campaign).unwrap();
-        let warm_cfg = CampaignConfig { warm_start: true, ..campaign };
-        for threads in [1, 4] {
-            let warm = run_campaign_with_threads(&nl, &w, &warm_cfg, threads).unwrap();
-            assert_eq!(warm, cold, "{threads} threads");
-            assert_eq!(warm.to_csv(), cold.to_csv(), "byte-identical CSV at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn warm_program_run_falls_back_cold_on_a_bad_context() {
-        let config = CoreConfig::new(1, 4, 2);
-        let nl = generate_standard(&config);
-        let w = ProgramWorkload::smoke(config);
-        let cold = w.run(Simulator::new(&nl), 1000).unwrap();
-        let warm = w.run_warm(Simulator::new(&nl), 3, &[0xAB; 7], 1000).unwrap();
-        assert_eq!(warm, cold, "garbage context degrades to the cold run");
-    }
-
-    #[test]
     fn bitsliced_lanes_reproduce_per_fault_scalar_observations() {
         use printed_netlist::FaultMap;
 
@@ -488,9 +315,6 @@ mod tests {
             assert_eq!(bits, scalar, "{threads} threads");
             assert_eq!(bits.to_csv(), scalar.to_csv(), "byte-identical CSV at {threads} threads");
         }
-        let warm_bits = CampaignConfig { warm_start: true, ..bits_cfg };
-        let warm = run_campaign(&nl, &w, &warm_bits).unwrap();
-        assert_eq!(warm.to_csv(), scalar.to_csv(), "warm bitsliced CSV matches cold scalar");
 
         // A watchdog just past the golden halt times out the faulty lanes
         // still running while the golden lane retires, so bitsliced words

@@ -73,7 +73,6 @@ pub const GATED_METRICS: &[MetricSpec] = &[
         max_ratio: 2.0,
     },
     MetricSpec { name: "gl_speedup", direction: Direction::HigherIsBetter, max_ratio: 2.0 },
-    MetricSpec { name: "warm_speedup", direction: Direction::HigherIsBetter, max_ratio: 1.6 },
     MetricSpec { name: "bitsliced_speedup", direction: Direction::HigherIsBetter, max_ratio: 2.0 },
     MetricSpec { name: "obs_off_ns_per_op", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
     MetricSpec { name: "static_total_ms", direction: Direction::LowerIsBetter, max_ratio: 3.0 },

@@ -119,9 +119,6 @@ pub fn campaign_row(
         },
         seu_samples: options.seu_samples,
         seed: options.seed,
-        // Cold by default; PRINTED_WARM_START=1 still opts campaigns in
-        // (the engine checks the env gate alongside this flag).
-        warm_start: false,
         // Bitsliced by default; PRINTED_BITSLICED=0 falls back to the
         // scalar reference engine.
         bitsliced: true,

@@ -51,10 +51,9 @@
 //! into a dirty set; the next settle evaluates only ops whose mask
 //! meets it. Everything else is already at the fixpoint of unchanged
 //! sources, so the result equals a full pass. Power-up, stuck-at
-//! injection, [`BitSimulator::broadcast_from`], an SEU landing on a
-//! tri-state buffer's hold state, and a write to a net outside every
-//! group (an internal net) force a full pass; inconsistent orders always
-//! run full passes.
+//! injection, an SEU landing on a tri-state buffer's hold state, and a
+//! write to a net outside every group (an internal net) force a full
+//! pass; inconsistent orders always run full passes.
 //!
 //! Statistics follow a documented per-lane convention: each op
 //! evaluation counts one eval *per occupied lane* into
@@ -447,34 +446,6 @@ impl<'a> BitSimulator<'a> {
         lane
     }
 
-    /// Broadcasts the complete dynamic state of a scalar simulator over
-    /// the same design into **all** lanes: net values, stored state,
-    /// toggle baseline, and cycle count. Fault masks, occupancy, and the
-    /// armed cycle limit are kept — this is the warm-start entry point,
-    /// where a restored golden snapshot seeds every faulty lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim` simulates a different netlist.
-    pub fn broadcast_from(&mut self, sim: &Simulator<'_>) {
-        assert!(
-            std::ptr::eq(self.netlist, sim.netlist()),
-            "broadcast_from requires the same netlist instance"
-        );
-        for (word, &v) in self.values.iter_mut().zip(sim.values_slice()) {
-            *word = if v { u64::MAX } else { 0 };
-        }
-        for (word, &v) in self.prev_values.iter_mut().zip(sim.prev_values_slice()) {
-            *word = if v { u64::MAX } else { 0 };
-        }
-        for (word, &v) in self.state.iter_mut().zip(sim.state_slice()) {
-            *word = if v { u64::MAX } else { 0 };
-        }
-        self.stats.cycles = sim.stats().cycles;
-        self.dead = 0;
-        self.full = true;
-    }
-
     /// Drives a named input bus with the same value on every lane.
     ///
     /// # Errors
@@ -836,34 +807,6 @@ mod tests {
         assert!(!bit.consistent, "a self-loop must force change tracking");
         bit.step().unwrap();
         assert_eq!(bit.dead_lanes() & 1, 1, "the oscillating golden lane is dead");
-    }
-
-    /// Broadcasting scalar state reproduces the scalar trajectory on
-    /// every lane from that point on.
-    #[test]
-    fn broadcast_from_resumes_the_scalar_trajectory() {
-        let nl = acc4();
-        let a_nets = nl.input("a").unwrap().to_vec();
-        let acc_nets = nl.output("acc").unwrap().to_vec();
-        let mut scalar = Simulator::new(&nl);
-        scalar.set_input("en", 1).unwrap();
-        for cycle in 0..5u64 {
-            scalar.set_bus(&a_nets, cycle + 1);
-            scalar.step().unwrap();
-        }
-        let mut bit = BitSimulator::new(&nl);
-        bit.set_cycle_limit(Some(100));
-        bit.broadcast_from(&scalar);
-        assert_eq!(bit.cycles(), 5);
-        assert_eq!(bit.cycle_limit(), Some(100), "broadcast keeps the armed watchdog");
-        bit.set_input("en", 1).unwrap();
-        for cycle in 5..8u64 {
-            bit.set_bus(&a_nets, cycle + 1);
-            scalar.set_bus(&a_nets, cycle + 1);
-            bit.step().unwrap();
-            scalar.step().unwrap();
-            assert_eq!(bit.read_lane(&acc_nets, 0), scalar.read_bus(&acc_nets), "cycle {cycle}");
-        }
     }
 
     /// The watchdog trips word-wide with the scalar error type.

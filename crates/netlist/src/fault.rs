@@ -65,7 +65,6 @@ use crate::resilience::{
     run_supervised_campaign_with_threads, JobError, ResilienceConfig, SupervisedRun,
 };
 use crate::sim::Simulator;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use printed_pdk::{yield_model, CellKind, Technology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -197,59 +196,6 @@ pub trait Workload: Sync {
     /// hang.
     fn run(&self, sim: Simulator<'_>, cycle_budget: u64) -> Result<Observation, NetlistError>;
 
-    /// Builds warm-start contexts for SEU injection cycles: one
-    /// fault-free pass over the stimulus on `sim`, capturing at each
-    /// requested cycle whatever [`Workload::run_warm`] needs to resume
-    /// from there (typically a [`crate::snapshot::Snapshot`] of the
-    /// simulator plus any workload-side replay state).
-    ///
-    /// The default returns `Ok(None)`: the workload does not support
-    /// warm-starts and every run takes the cold path. Implementations may
-    /// skip cycles they cannot snapshot (e.g. past the end of the
-    /// stimulus); [`Workload::run_warm`] falls back to cold for any
-    /// missing or unusable context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures from the golden capture pass; the
-    /// campaign engine treats any error as "no warm contexts" and runs
-    /// cold.
-    fn warm_contexts(
-        &self,
-        sim: Simulator<'_>,
-        cycles: &[u64],
-    ) -> Result<Option<WarmContexts>, NetlistError> {
-        let _ = (sim, cycles);
-        Ok(None)
-    }
-
-    /// Runs the stimulus with the fault-free prologue before `cycle`
-    /// skipped by restoring `context` (captured by
-    /// [`Workload::warm_contexts`]) into `sim`, which arrives as a fresh
-    /// clone of the pristine simulator with the SEU fault already
-    /// injected.
-    ///
-    /// Correctness rests on SEU faults being inert before their
-    /// scheduled cycle: the cold faulty prologue is bit-identical to the
-    /// golden prologue, so resuming from the golden snapshot at the
-    /// injection cycle must produce the exact observation of a cold run.
-    /// The default ignores the context and runs cold — semantically
-    /// correct, just without the speedup.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Workload::run`].
-    fn run_warm(
-        &self,
-        sim: Simulator<'_>,
-        cycle: u64,
-        context: &[u8],
-        cycle_budget: u64,
-    ) -> Result<Observation, NetlistError> {
-        let _ = (cycle, context);
-        self.run(sim, cycle_budget)
-    }
-
     /// Runs the stimulus on a [`BitSimulator`] word — up to 64 machine
     /// instances at once, lane 0 golden, faults already injected into
     /// lanes `1..lane_count` — and reports one [`LaneOutcome`] per
@@ -270,25 +216,6 @@ pub trait Workload: Sync {
         let _ = (sim, cycle_budget);
         None
     }
-
-    /// Bitsliced counterpart of [`Workload::run_warm`]: restore the
-    /// golden `context` captured at `cycle` into a scalar clone of
-    /// `pristine`, broadcast it into every lane of `sim`
-    /// ([`BitSimulator::broadcast_from`]), and replay only the suffix.
-    /// Only called when every fault in the word is an SEU injected at or
-    /// after `cycle`, so the shared golden prologue is exact for all
-    /// lanes. The default runs cold via [`Workload::run_bitsliced`].
-    fn run_bitsliced_warm(
-        &self,
-        pristine: &Simulator<'_>,
-        sim: BitSimulator<'_>,
-        cycle: u64,
-        context: &[u8],
-        cycle_budget: u64,
-    ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
-        let _ = (pristine, cycle, context);
-        self.run_bitsliced(sim, cycle_budget)
-    }
 }
 
 /// What one lane of a bitsliced word run produced.
@@ -303,11 +230,6 @@ pub enum LaneOutcome {
     /// lane-level [`NetlistError::Unsettled`]. Classified as a hang.
     Wedged,
 }
-
-/// Warm-start contexts keyed by SEU injection cycle: opaque bytes each
-/// [`Workload`] implementation writes in [`Workload::warm_contexts`] and
-/// reads back in [`Workload::run_warm`].
-pub type WarmContexts = BTreeMap<u64, Vec<u8>>;
 
 /// A generic workload for netlists without a program-level harness:
 /// drives every input port with seeded pseudo-random values each cycle
@@ -354,179 +276,13 @@ impl Workload for PatternWorkload {
         Ok(Observation { signature, completed: true, cycles, detected })
     }
 
-    fn warm_contexts(
-        &self,
-        mut sim: Simulator<'_>,
-        cycles: &[u64],
-    ) -> Result<Option<WarmContexts>, NetlistError> {
-        let in_ports: Vec<String> = sim.netlist().input_ports().keys().cloned().collect();
-        let out_ports: Vec<String> = sim
-            .netlist()
-            .output_ports()
-            .keys()
-            .filter(|name| name.as_str() != TMR_ERROR_PORT)
-            .cloned()
-            .collect();
-        let mut wanted: Vec<u64> = cycles.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut contexts = WarmContexts::new();
-        let mut signature = Vec::new();
-        let mut done = 0u64;
-        for &target in &wanted {
-            if target >= self.cycles {
-                // Past the end of the stimulus: run_warm's cold fallback
-                // covers it.
-                continue;
-            }
-            while done < target {
-                for port in &in_ports {
-                    sim.set_input(port, rng.gen::<u64>())?;
-                }
-                sim.step()?;
-                for port in &out_ports {
-                    signature.push(sim.read_output(port)?);
-                }
-                done += 1;
-            }
-            // Context = replayed cycle count + the golden signature
-            // prefix + the simulator snapshot at the injection boundary.
-            let mut w = SnapshotWriter::new();
-            w.u64(done);
-            w.u64s(&signature);
-            w.bytes(&sim.save_binary());
-            contexts.insert(target, w.into_bytes());
-        }
-        Ok(Some(contexts))
-    }
-
-    fn run_warm(
-        &self,
-        mut sim: Simulator<'_>,
-        cycle: u64,
-        context: &[u8],
-        cycle_budget: u64,
-    ) -> Result<Observation, NetlistError> {
-        let cycles = self.cycles.min(cycle_budget);
-        let mut r = SnapshotReader::new(context);
-        let parsed = (|| -> Result<(u64, Vec<u64>, Vec<u8>), SnapshotError> {
-            let done = r.u64()?;
-            let prefix = r.u64s()?;
-            let snap = r.bytes()?;
-            r.finish()?;
-            Ok((done, prefix, snap))
-        })();
-        let Ok((done, mut signature, snap)) = parsed else {
-            return self.run(sim, cycle_budget);
-        };
-        if done != cycle || cycle >= cycles {
-            return self.run(sim, cycle_budget);
-        }
-        // The snapshot carries the golden run's (unarmed) cycle limit;
-        // re-arm whatever watchdog this clone arrived with so a warm run
-        // trips at exactly the same absolute cycle a cold run would.
-        let limit = sim.cycle_limit();
-        if sim.restore_binary(&snap).is_err() {
-            return self.run(sim, cycle_budget);
-        }
-        sim.set_cycle_limit(limit);
-        let in_ports: Vec<String> = sim.netlist().input_ports().keys().cloned().collect();
-        let out_ports: Vec<String> = sim
-            .netlist()
-            .output_ports()
-            .keys()
-            .filter(|name| name.as_str() != TMR_ERROR_PORT)
-            .cloned()
-            .collect();
-        let has_detect = sim.netlist().output_ports().contains_key(TMR_ERROR_PORT);
-        // Replay the RNG to the injection cycle: the prologue consumed
-        // one u64 per input port per cycle.
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for _ in 0..cycle.saturating_mul(in_ports.len() as u64) {
-            let _: u64 = rng.gen();
-        }
-        let mut detected = false;
-        for _ in cycle..cycles {
-            for port in &in_ports {
-                sim.set_input(port, rng.gen::<u64>())?;
-            }
-            sim.step()?;
-            for port in &out_ports {
-                signature.push(sim.read_output(port)?);
-            }
-            if has_detect && sim.read_output(TMR_ERROR_PORT)? != 0 {
-                detected = true;
-            }
-        }
-        Ok(Observation { signature, completed: true, cycles, detected })
-    }
-
     fn run_bitsliced(
         &self,
-        sim: BitSimulator<'_>,
-        cycle_budget: u64,
-    ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
-        let cycles = self.cycles.min(cycle_budget);
-        let rng = StdRng::seed_from_u64(self.seed);
-        Some(self.bit_finish(sim, 0, cycles, Vec::new(), rng))
-    }
-
-    fn run_bitsliced_warm(
-        &self,
-        pristine: &Simulator<'_>,
         mut sim: BitSimulator<'_>,
-        cycle: u64,
-        context: &[u8],
         cycle_budget: u64,
     ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
         let cycles = self.cycles.min(cycle_budget);
-        let mut r = SnapshotReader::new(context);
-        let parsed = (|| -> Result<(u64, Vec<u64>, Vec<u8>), SnapshotError> {
-            let done = r.u64()?;
-            let prefix = r.u64s()?;
-            let snap = r.bytes()?;
-            r.finish()?;
-            Ok((done, prefix, snap))
-        })();
-        let Ok((done, prefix, snap)) = parsed else {
-            return self.run_bitsliced(sim, cycle_budget);
-        };
-        if done != cycle || cycle >= cycles {
-            return self.run_bitsliced(sim, cycle_budget);
-        }
-        // Restore the golden snapshot into a scalar clone, then
-        // broadcast its state into every lane. The broadcast keeps the
-        // word's own armed watchdog, mirroring the scalar re-arm idiom.
-        let mut scalar = pristine.clone();
-        if scalar.restore_binary(&snap).is_err() {
-            return self.run_bitsliced(sim, cycle_budget);
-        }
-        sim.broadcast_from(&scalar);
-        // Replay the RNG to the injection cycle: the prologue consumed
-        // one u64 per input port per cycle.
-        let in_ports = sim.netlist().input_ports().len() as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        for _ in 0..cycle.saturating_mul(in_ports) {
-            let _: u64 = rng.gen();
-        }
-        Some(self.bit_finish(sim, cycle, cycles, prefix, rng))
-    }
-}
-
-impl PatternWorkload {
-    /// Word-wide stimulus loop shared by the cold and warm bitsliced
-    /// paths: drives cycles `start..cycles` with the (already advanced)
-    /// RNG stream, extending the shared golden `prefix` into a per-lane
-    /// signature, and maps each lane to its [`LaneOutcome`].
-    fn bit_finish(
-        &self,
-        mut sim: BitSimulator<'_>,
-        start: u64,
-        cycles: u64,
-        prefix: Vec<u64>,
-        mut rng: StdRng,
-    ) -> Result<Vec<LaneOutcome>, NetlistError> {
         let lanes = sim.lane_count();
         let netlist = sim.netlist();
         // Port nets resolved once, in the by-name order the scalar run
@@ -539,20 +295,20 @@ impl PatternWorkload {
             .map(|(_, nets)| nets.as_slice())
             .collect();
         let detect_nets = netlist.output(TMR_ERROR_PORT).ok();
-        if start < cycles {
+        if cycles > 0 {
             // The width checks the by-name accessors make per cycle.
             let widest = |ports: &[&[NetId]]| ports.iter().map(|nets| nets.len()).max();
             for (context, ports) in [("set_input", &in_nets), ("read_output", &out_nets)] {
                 if let Some(left) = widest(ports).filter(|&w| w > 64) {
-                    return Err(NetlistError::WidthMismatch { context, left, right: 64 });
+                    return Some(Err(NetlistError::WidthMismatch { context, left, right: 64 }));
                 }
             }
         }
-        let mut signatures: Vec<Vec<u64>> = vec![prefix; lanes];
+        let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); lanes];
         let mut bus = [0u64; 64];
         let mut detected = 0u64;
         let mut timed_out = false;
-        for _ in start..cycles {
+        for _ in 0..cycles {
             for nets in &in_nets {
                 sim.set_bus(nets, rng.gen::<u64>());
             }
@@ -564,7 +320,7 @@ impl PatternWorkload {
                     timed_out = true;
                     break;
                 }
-                Err(e) => return Err(e),
+                Err(e) => return Some(Err(e)),
             }
             for nets in &out_nets {
                 let words = &mut bus[..nets.len()];
@@ -587,10 +343,10 @@ impl PatternWorkload {
             }
         }
         if timed_out {
-            return Ok(vec![LaneOutcome::TimedOut; lanes]);
+            return Some(Ok(vec![LaneOutcome::TimedOut; lanes]));
         }
         let dead = sim.dead_lanes();
-        Ok(signatures
+        Some(Ok(signatures
             .into_iter()
             .enumerate()
             .map(|(lane, signature)| {
@@ -605,7 +361,7 @@ impl PatternWorkload {
                     })
                 }
             })
-            .collect())
+            .collect()))
     }
 }
 
@@ -740,26 +496,16 @@ pub struct CampaignConfig {
     pub seu_samples: usize,
     /// Seed for all sampled fault selection.
     pub seed: u64,
-    /// Warm-start SEU runs from a golden snapshot at the injection cycle
-    /// instead of re-simulating the fault-free prologue per fault (see
-    /// [`Workload::warm_contexts`]). Also enabled by the
-    /// `PRINTED_WARM_START` environment variable ([`warm_start_enabled`]).
-    /// Warm-starting is an execution strategy, not a campaign parameter:
-    /// results are byte-identical either way, and the flag is excluded
-    /// from checkpoint fingerprints so warm and cold runs share
-    /// checkpoints.
-    pub warm_start: bool,
     /// Run faults through the bitsliced engine ([`crate::bitsim`]): up
     /// to 63 fault instances plus the golden reference packed into the
     /// bit lanes of one `u64` word, evaluated by straight-line word-wide
     /// boolean code. Default on; the scalar engine remains the reference
     /// oracle (set this to `false`, or `PRINTED_BITSLICED=0`, see
-    /// [`bitsliced_enabled`]). Like warm-starting, engine choice is an
-    /// execution strategy: results are byte-identical either way, every
-    /// word's golden lane is verified against the scalar golden
-    /// observation (mismatches fall back to scalar runs), and the flag
-    /// is excluded from checkpoint fingerprints so scalar and bitsliced
-    /// runs share checkpoints.
+    /// [`bitsliced_enabled`]). Engine choice is an execution strategy:
+    /// results are byte-identical either way, every word's golden lane is
+    /// verified against the scalar golden observation (mismatches fall
+    /// back to scalar runs), and the flag is excluded from checkpoint
+    /// fingerprints so scalar and bitsliced runs share checkpoints.
     pub bitsliced: bool,
 }
 
@@ -770,7 +516,6 @@ impl Default for CampaignConfig {
             stuck_at: StuckAtSpace::Exhaustive,
             seu_samples: 0,
             seed: 0xFA17,
-            warm_start: false,
             bitsliced: true,
         }
     }
@@ -943,65 +688,6 @@ pub(crate) fn observe<W: Workload + ?Sized>(
     workload.run(sim, cycle_budget)
 }
 
-/// Like [`observe`], but dispatches SEU runs with an available warm
-/// context through [`Workload::run_warm`]. Stuck-at faults are active
-/// from cycle 0, so they always take the cold path.
-pub(crate) fn observe_warm<W: Workload + ?Sized>(
-    pristine: &Simulator<'_>,
-    workload: &W,
-    fault: Option<Fault>,
-    cycle_budget: u64,
-    warm: Option<&WarmContexts>,
-) -> Result<Observation, NetlistError> {
-    if let (Some(fault), Some(contexts)) = (fault, warm) {
-        if let FaultKind::Seu { cycle } = fault.kind {
-            if let Some(context) = contexts.get(&cycle) {
-                let mut sim = pristine.clone();
-                sim.inject(FaultMap::single(pristine.netlist(), fault));
-                return workload.run_warm(sim, cycle, context, cycle_budget);
-            }
-        }
-    }
-    observe(pristine, workload, fault, cycle_budget)
-}
-
-/// Builds the campaign's warm-start context map when enabled: one golden
-/// pass capturing a context per distinct SEU injection cycle in `faults`.
-/// Returns `None` when warm-starting is off, there are no SEU faults, the
-/// workload does not support it, or the capture pass fails (any of which
-/// simply keeps the whole campaign on the cold path).
-pub(crate) fn warm_start_contexts<W: Workload + ?Sized>(
-    pristine: &Simulator<'_>,
-    workload: &W,
-    config: &CampaignConfig,
-    faults: &[Fault],
-) -> Option<WarmContexts> {
-    if !(config.warm_start || warm_start_enabled()) {
-        return None;
-    }
-    let seu_cycles: Vec<u64> = faults
-        .iter()
-        .filter_map(|f| match f.kind {
-            FaultKind::Seu { cycle } => Some(cycle),
-            _ => None,
-        })
-        .collect();
-    if seu_cycles.is_empty() {
-        return None;
-    }
-    workload.warm_contexts(pristine.clone(), &seu_cycles).ok().flatten()
-}
-
-/// Whether campaign warm-starts are requested through the
-/// `PRINTED_WARM_START` environment variable (`1` / `true` / `yes`,
-/// case-insensitive). [`CampaignConfig::warm_start`] enables them
-/// programmatically regardless of the environment.
-pub fn warm_start_enabled() -> bool {
-    std::env::var("PRINTED_WARM_START")
-        .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes"))
-        .unwrap_or(false)
-}
-
 /// Whether campaigns run on the bitsliced engine: the `PRINTED_BITSLICED`
 /// environment variable overrides when set (`1`/`true`/`yes`/`on` force
 /// it on, `0`/`false`/`no`/`off` force the scalar reference engine);
@@ -1020,50 +706,24 @@ pub fn bitsliced_enabled(config: &CampaignConfig) -> bool {
 
 /// Runs up to 63 faults as one bitsliced word on a clone of `proto` (a
 /// compiled [`BitSimulator`] sharing the pristine simulator's armed
-/// cycle limit): inject each fault into its lane, pick the warm path
-/// when every fault is an SEU with a shared golden context at the
-/// earliest injection cycle, and validate the result — one outcome per
-/// fault after the golden lane, which must reproduce the scalar golden
-/// observation byte-for-byte. Returns `None` when the workload has no
-/// bitsliced path or validation fails; callers fall back to one scalar
-/// run per fault, keeping the scalar engine the oracle.
+/// cycle limit): inject each fault into its lane and validate the result
+/// — one outcome per fault after the golden lane, which must reproduce
+/// the scalar golden observation byte-for-byte. Returns `None` when the
+/// workload has no bitsliced path or validation fails; callers fall back
+/// to one scalar run per fault, keeping the scalar engine the oracle.
 pub(crate) fn run_word<W: Workload + ?Sized>(
-    pristine: &Simulator<'_>,
     proto: &BitSimulator<'_>,
     workload: &W,
     golden: &Observation,
     faults: &[Fault],
     budget: u64,
-    warm: Option<&WarmContexts>,
 ) -> Option<Vec<LaneOutcome>> {
     debug_assert!(faults.len() < BitSimulator::LANES);
     let mut sim = proto.clone();
     for &fault in faults {
         sim.inject_fault(fault);
     }
-    // Warm eligibility: every lane an SEU, with a golden context at the
-    // earliest injection cycle. SEUs are inert before their cycle, so
-    // the restored golden prologue is exact for every lane.
-    let warm_at = warm.and_then(|contexts| {
-        let mut earliest: Option<u64> = None;
-        for fault in faults {
-            match fault.kind {
-                FaultKind::Seu { cycle } => {
-                    earliest = Some(earliest.map_or(cycle, |m| m.min(cycle)));
-                }
-                _ => return None,
-            }
-        }
-        let cycle = earliest?;
-        contexts.get(&cycle).map(|context| (cycle, context.as_slice()))
-    });
-    let outcomes = match warm_at {
-        Some((cycle, context)) => {
-            workload.run_bitsliced_warm(pristine, sim, cycle, context, budget)
-        }
-        None => workload.run_bitsliced(sim, budget),
-    }?
-    .ok()?;
+    let outcomes = workload.run_bitsliced(sim, budget)?.ok()?;
     if outcomes.len() != faults.len() + 1 {
         return None;
     }
@@ -1446,82 +1106,6 @@ mod tests {
         let functional = yield_model::functional_yield(sites.iter().copied(), 0.999);
         assert!(result.counts().masked > 0, "accumulator campaign masks some faults");
         assert!(functional > naive);
-    }
-
-    #[test]
-    fn warm_started_campaign_matches_cold_byte_for_byte() {
-        let nl = accumulator();
-        let workload = PatternWorkload { cycles: 24, seed: 11 };
-        let cold_config = CampaignConfig {
-            stuck_at: StuckAtSpace::Exhaustive,
-            seu_samples: 16,
-            ..CampaignConfig::default()
-        };
-        let warm_config = CampaignConfig { warm_start: true, ..cold_config };
-        let cold = run_campaign_with_threads(&nl, &workload, &cold_config, 1).unwrap();
-        assert!(
-            cold.runs.iter().any(|r| matches!(r.fault.kind, FaultKind::Seu { .. })),
-            "the campaign must exercise the SEU warm path"
-        );
-        for threads in [1usize, 4] {
-            let warm = run_campaign_with_threads(&nl, &workload, &warm_config, threads).unwrap();
-            assert_eq!(warm, cold, "warm-start at {threads} threads");
-            assert_eq!(
-                warm.to_csv(),
-                cold.to_csv(),
-                "warm-start CSV must be byte-identical at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_contexts_resume_the_exact_golden_state() {
-        // Direct unit check of the PatternWorkload warm path: for every
-        // SEU on every cycle, observe_warm == observe.
-        let nl = accumulator();
-        let workload = PatternWorkload { cycles: 10, seed: 3 };
-        let pristine = Simulator::new(&nl);
-        let cycles: Vec<u64> = (0..10).collect();
-        let contexts = workload.warm_contexts(pristine.clone(), &cycles).unwrap().unwrap();
-        assert_eq!(contexts.len(), 10);
-        let sequential: Vec<u32> = (0..nl.gate_count() as u32)
-            .filter(|&gi| nl.gates()[gi as usize].is_sequential())
-            .collect();
-        for &gi in &sequential {
-            for cycle in 0..10 {
-                let fault = Fault { gate: GateId(gi), kind: FaultKind::Seu { cycle } };
-                let cold = observe(&pristine, &workload, Some(fault), 1000).unwrap();
-                let warm =
-                    observe_warm(&pristine, &workload, Some(fault), 1000, Some(&contexts)).unwrap();
-                assert_eq!(warm, cold, "g{gi} seu@{cycle}");
-            }
-        }
-    }
-
-    #[test]
-    fn warm_run_falls_back_cold_on_a_bad_context() {
-        let nl = accumulator();
-        let workload = PatternWorkload { cycles: 8, seed: 9 };
-        let pristine = Simulator::new(&nl);
-        let dff = nl.gates().iter().position(|g| g.is_sequential()).unwrap() as u32;
-        let fault = Fault { gate: GateId(dff), kind: FaultKind::Seu { cycle: 3 } };
-        let cold = observe(&pristine, &workload, Some(fault), 1000).unwrap();
-        // Garbage context bytes: run_warm must not trust them.
-        let mut contexts = WarmContexts::new();
-        contexts.insert(3, vec![0xAB; 7]);
-        let warm = observe_warm(&pristine, &workload, Some(fault), 1000, Some(&contexts)).unwrap();
-        assert_eq!(warm, cold, "a malformed context degrades to the cold path");
-    }
-
-    #[test]
-    fn warm_start_env_knob_parses_common_spellings() {
-        // Only inspects the parser, not the process environment.
-        for (value, expected) in
-            [("1", true), ("true", true), ("YES", true), ("0", false), ("off", false), ("", false)]
-        {
-            let parsed = matches!(value.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes");
-            assert_eq!(parsed, expected, "{value:?}");
-        }
     }
 
     #[test]

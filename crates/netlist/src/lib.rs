@@ -28,8 +28,8 @@
 //! - a supervised campaign runner with checkpoint/resume, watchdog
 //!   deadlines, and panic isolation ([`resilience`]),
 //! - versioned binary + JSON state snapshots shared by every simulator in
-//!   the workspace, powering differential lockstep validation and
-//!   fault-campaign warm-starts ([`snapshot`]), and
+//!   the workspace, powering differential lockstep validation
+//!   ([`snapshot`]), and
 //! - a TMR hardening transform with majority voters and an error-detect
 //!   output ([`builder::tmr`]).
 //!
@@ -80,14 +80,13 @@ pub use builder::{tmr, NetlistBuilder, TmrOptions, TMR_ERROR_PORT};
 pub use dataflow::{analyze, analyze_with_fanout, AbsValue, DataflowFacts};
 pub use fault::{
     bitsliced_enabled, campaign_threads, lane_utilization, run_campaign, run_campaign_with_threads,
-    warm_start_enabled, CampaignConfig, CampaignError, CampaignResult, Fault, FaultKind, FaultMap,
-    LaneOutcome, Observation, Outcome, OutcomeCounts, PatternWorkload, StuckAtSpace, WarmContexts,
-    Workload,
+    CampaignConfig, CampaignError, CampaignResult, Fault, FaultKind, FaultMap, LaneOutcome,
+    Observation, Outcome, OutcomeCounts, PatternWorkload, StuckAtSpace, Workload,
 };
 pub use ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError, Region};
 pub use lint::{lint, lint_with_facts, Diagnostic, LintConfig, LintReport, Rule, Severity};
 pub use resilience::{
-    atomic_write, campaign_identity, read_checked, run_supervised_campaign,
+    atomic_replace, atomic_write, campaign_identity, read_checked, run_supervised_campaign,
     run_supervised_campaign_cancellable, run_supervised_campaign_with_threads, JobError,
     ResilienceConfig, ResilienceStats, SupervisedCampaign, SupervisedRun,
 };

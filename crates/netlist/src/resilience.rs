@@ -31,12 +31,6 @@
 //!   degrades to a recorded [`Outcome::Failed`] instead of aborting the
 //!   campaign. [`retry_panics`] is the workspace's one `catch_unwind`;
 //!   pipeline stages and print-shop jobs supervise through it too.
-//! - **Warm-starts** — when [`crate::fault::CampaignConfig::warm_start`]
-//!   (or `PRINTED_WARM_START`) is set, golden state is captured once per
-//!   SEU injection cycle and faulty runs resume from it instead of
-//!   replaying the prologue. Slots stay byte-identical to the cold path,
-//!   so warm and cold runs share checkpoints (warm-starting is
-//!   deliberately excluded from the campaign fingerprint).
 //!
 //! Everything is instrumented through `printed-obs`: the
 //! `netlist.fault.campaign` span with one `netlist.fault.chunk` span per
@@ -45,8 +39,8 @@
 //! the bitsliced `netlist.fault.bitsliced.{words,lanes}` counters and
 //! `netlist.fault.{lane_utilization,runs_per_sec,bitsliced_runs_per_sec}`
 //! gauges; and the resilience counters `resilience.retries`,
-//! `resilience.timeouts`, `resilience.resumed_slots`, `resilience.failed`,
-//! and `resilience.warm_slots`.
+//! `resilience.timeouts`, `resilience.resumed_slots` and
+//! `resilience.failed`.
 //!
 //! # Checkpoint format
 //!
@@ -68,15 +62,13 @@
 //! last valid line instead of erroring. A header that does not match
 //! the campaign identity (or fails its CRC) is discarded wholesale — a
 //! stale checkpoint can never leak slots into a different campaign. The
-//! initial header+resumed-slots rewrite goes through a temp-file+rename
-//! ([`atomic_write`]-style), so a kill mid-rewrite can never destroy the
-//! previous checkpoint generation. On successful completion the
-//! checkpoint file is deleted.
+//! initial header+resumed-slots rewrite goes through [`atomic_replace`],
+//! so a kill mid-rewrite can never destroy the previous checkpoint
+//! generation. On successful completion the checkpoint file is deleted.
 
 use crate::fault::{
     campaign_golden, campaign_threads, enumerate_faults, faulty_budget, CampaignConfig,
-    CampaignError, CampaignResult, Fault, FaultKind, FaultRun, LaneOutcome, Outcome, OutcomeCounts,
-    WarmContexts, Workload,
+    CampaignError, CampaignResult, Fault, FaultRun, LaneOutcome, Outcome, OutcomeCounts, Workload,
 };
 use crate::ir::Netlist;
 use crate::sim::Simulator;
@@ -228,10 +220,6 @@ pub struct ResilienceStats {
     pub timeouts: u64,
     /// Slots degraded to [`Outcome::Failed`] after exhausting retries.
     pub failed: usize,
-    /// Fresh (non-resumed) SEU slots that had a warm-start context
-    /// available, when campaign warm-starts were enabled (see
-    /// [`CampaignConfig::warm_start`] and `PRINTED_WARM_START`).
-    pub warm_slots: usize,
     /// The checkpoint file used, if checkpointing was enabled.
     pub checkpoint: Option<PathBuf>,
     /// Checkpoint I/O failed mid-campaign; the campaign finished but
@@ -291,10 +279,10 @@ type SlotDone = (FaultRun, u32);
 /// that select the fault set (`cycle_budget`, stuck-at space, SEU
 /// samples, seed), and the golden observation (which stands in for the
 /// workload, since classification only ever compares against it). It
-/// deliberately **excludes** execution strategy — thread count, the
-/// scalar/bitsliced engine choice, and warm-starting — because those
-/// are byte-identical by construction, and it contains no pointers,
-/// wall-clock, or per-process state, so it is stable across processes.
+/// deliberately **excludes** execution strategy — thread count and the
+/// scalar/bitsliced engine choice — because those are byte-identical by
+/// construction, and it contains no pointers, wall-clock, or
+/// per-process state, so it is stable across processes.
 ///
 /// # Errors
 ///
@@ -404,27 +392,41 @@ fn slot_line(index: usize, done: &SlotDone) -> String {
 /// digits + newline, 16 bytes total.
 const CRC_FOOTER_LEN: usize = 16;
 
-/// Writes `payload` + a CRC-32 footer to `path` atomically: the bytes
-/// go to a `.tmp` sibling first, are flushed, and are renamed over
-/// `path` — a kill at any point leaves either the old file or the new
-/// one, never a torn mix. [`read_checked`] verifies the footer on the
-/// way back in.
+/// Replaces `path` with `bytes` atomically: the bytes go to a `.tmp`
+/// sibling first, are synced to disk, and are renamed over `path` — a
+/// kill at any point leaves either the old file or the new one, never a
+/// torn mix. A `.tmp` left behind by a kill before the rename is never
+/// read and is overwritten by the next replace. The one atomic-write
+/// path of the workspace: [`atomic_write`], checkpoint rewrites and the
+/// print shop's journal compaction all go through it.
+///
+/// # Errors
+///
+/// Returns the I/O error if the temp file cannot be written or synced,
+/// or the rename fails.
+pub fn atomic_replace(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, path)
+}
+
+/// Writes `payload` + a CRC-32 footer to `path` through
+/// [`atomic_replace`]. [`read_checked`] verifies the footer on the way
+/// back in.
 ///
 /// # Errors
 ///
 /// Returns [`JobError::Io`] if the temp file cannot be written or the
 /// rename fails.
 pub fn atomic_write(path: &Path, payload: &[u8]) -> Result<(), JobError> {
-    let io_err =
-        |e: std::io::Error| JobError::Io { path: path.to_path_buf(), message: e.to_string() };
-    let tmp = path.with_extension("tmp");
     let mut bytes = Vec::with_capacity(payload.len() + CRC_FOOTER_LEN);
     bytes.extend_from_slice(payload);
     bytes.extend_from_slice(format!("#crc32:{:08x}\n", obs::crc::crc32(payload)).as_bytes());
-    let mut file = fs::File::create(&tmp).map_err(io_err)?;
-    file.write_all(&bytes).and_then(|()| file.sync_all()).map_err(io_err)?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(io_err)
+    atomic_replace(path, &bytes)
+        .map_err(|e| JobError::Io { path: path.to_path_buf(), message: e.to_string() })
 }
 
 /// Reads a file written by [`atomic_write`] and verifies its CRC-32
@@ -579,7 +581,6 @@ struct SlotParams<'a> {
     budget: u64,
     max_retries: u32,
     seed: u64,
-    warm: Option<&'a WarmContexts>,
 }
 
 /// Runs one fault slot under supervision: watchdog trips and panics
@@ -587,12 +588,10 @@ struct SlotParams<'a> {
 ///
 /// The watchdog needs no plumbing here — `pristine` is the worker's
 /// simulator clone with the cycle limit already armed, and every
-/// per-fault clone [`crate::fault::observe_warm`] makes inherits it
-/// (warm restores re-arm the destination's limit, so warm and cold runs
-/// trip the deadline at the same absolute cycle). The resulting
-/// [`crate::NetlistError::DeadlineExceeded`] is surfaced as a typed
-/// [`JobError::TimedOut`] so the scheduler can count timeouts separately
-/// before folding them into the hang classification.
+/// per-fault clone [`crate::fault::observe`] makes inherits it. The
+/// resulting [`crate::NetlistError::DeadlineExceeded`] is surfaced as a
+/// typed [`JobError::TimedOut`] so the scheduler can count timeouts
+/// separately before folding them into the hang classification.
 fn attempt_slot<W: Workload + ?Sized>(
     pristine: &Simulator<'_>,
     workload: &W,
@@ -600,12 +599,12 @@ fn attempt_slot<W: Workload + ?Sized>(
     fault: Fault,
     index: usize,
 ) -> Result<SlotDone, JobError> {
-    let SlotParams { golden, budget, max_retries, seed, warm } = *params;
+    let SlotParams { golden, budget, max_retries, seed } = *params;
     let cell = pristine.netlist().gates()[fault.gate.index()].kind;
     let run = retry_panics(
         max_retries,
         |attempt, _| backoff(seed, index, attempt),
-        |_| crate::fault::observe_warm(pristine, workload, Some(fault), budget, warm),
+        |_| crate::fault::observe(pristine, workload, Some(fault), budget),
     );
     match run {
         Ok((Ok(observed), attempts)) => {
@@ -754,12 +753,6 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let faults = enumerate_faults(netlist, config, golden.cycles);
     let budget = faulty_budget(config.cycle_budget, golden.cycles);
     let total = faults.len();
-    // Capture warm-start contexts before the watchdog is armed: the
-    // golden replay must run to completion regardless of the per-fault
-    // deadline. Warm-starting never enters the checkpoint fingerprint —
-    // warm and cold runs of the same campaign share checkpoints because
-    // they produce identical slots.
-    let warm = crate::fault::warm_start_contexts(&pristine, workload, config, &faults);
 
     let fingerprint = campaign_fingerprint(netlist, config, &golden, total);
     let mut stats = ResilienceStats::default();
@@ -783,7 +776,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             stats.retries += done.1 as u64;
         }
         // Rewrite the file from scratch (header + resumed slots) through
-        // a temp-file+rename so a kill mid-rewrite can never destroy the
+        // `atomic_replace` so a kill mid-rewrite can never destroy the
         // generation being resumed from, then reopen it for appending.
         let mut header = header_line(netlist.name(), total, fingerprint);
         for (i, done) in slots.iter().enumerate() {
@@ -791,26 +784,14 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                 push_slot_line(&mut header, &mut sink.crc_buf, i, done);
             }
         }
-        let tmp = path.with_extension("tmp");
         let opened = fs::create_dir_all(dir)
-            .and_then(|()| fs::write(&tmp, header.as_bytes()))
-            .and_then(|()| fs::rename(&tmp, &path))
+            .and_then(|()| atomic_replace(&path, header.as_bytes()))
             .and_then(|()| fs::OpenOptions::new().append(true).open(&path));
         match opened {
             Ok(file) => sink.file = Some(file),
             Err(_) => sink.broken = true,
         }
         stats.checkpoint = Some(path);
-    }
-    if let Some(warm) = &warm {
-        stats.warm_slots = slots
-            .iter()
-            .zip(&faults)
-            .filter(|(slot, fault)| {
-                slot.is_none()
-                    && matches!(fault.kind, FaultKind::Seu { cycle } if warm.contains_key(&cycle))
-            })
-            .count();
     }
 
     // Arm the watchdog once on the pristine simulator: every per-worker
@@ -853,7 +834,6 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         budget,
         max_retries: resilience.max_retries,
         seed: config.seed,
-        warm: warm.as_ref(),
     };
     let supervise = |worker_sim: &Simulator<'_>, index: usize, fault: Fault| -> SlotDone {
         match attempt_slot(worker_sim, workload, &params, fault, index) {
@@ -947,17 +927,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             let word = retry_panics(
                 0,
                 |_, _| {},
-                |_| {
-                    crate::fault::run_word(
-                        worker_sim,
-                        proto,
-                        workload,
-                        &golden,
-                        &word_faults,
-                        budget,
-                        warm.as_ref(),
-                    )
-                },
+                |_| crate::fault::run_word(proto, workload, &golden, &word_faults, budget),
             );
             match word.ok().and_then(|(word, _)| word) {
                 Some(lanes) => {
@@ -1075,7 +1045,6 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         reg.add("resilience.timeouts", stats.timeouts);
         reg.add("resilience.resumed_slots", stats.resumed_slots as u64);
         reg.add("resilience.failed", stats.failed as u64);
-        reg.add("resilience.warm_slots", stats.warm_slots as u64);
     }
 
     if halted() && slots.iter().any(Option::is_none) {
@@ -1324,78 +1293,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_supervised_campaign_matches_cold_byte_for_byte() {
-        let nl = accumulator();
-        let workload = PatternWorkload { cycles: 24, seed: 5 };
-        let cold = run_campaign_with_threads(&nl, &workload, &config(), 1).unwrap();
-        let warm_cfg = CampaignConfig { warm_start: true, ..config() };
-        for threads in [1, 4] {
-            let supervised = run_supervised_campaign_with_threads(
-                &nl,
-                &workload,
-                &warm_cfg,
-                &ResilienceConfig::default(),
-                threads,
-            )
-            .unwrap()
-            .into_complete()
-            .expect("no abort hook");
-            assert_eq!(supervised.result, cold, "{threads} workers");
-            assert_eq!(supervised.result.to_csv(), cold.to_csv());
-            assert_eq!(
-                supervised.stats.warm_slots,
-                config().seu_samples,
-                "every SEU slot had a warm context"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_abort_and_resume_reproduces_the_cold_csv() {
-        let nl = accumulator();
-        let workload = PatternWorkload { cycles: 24, seed: 5 };
-        let dir = std::env::temp_dir().join(format!("printed-ckpt-warm-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cold = run_campaign_with_threads(&nl, &workload, &config(), 1).unwrap();
-        let total = cold.runs.len();
-        let warm_cfg = CampaignConfig { warm_start: true, ..config() };
-        let resilience = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            abort_after: Some(total / 2),
-            ..ResilienceConfig::default()
-        };
-        let aborted =
-            run_supervised_campaign_with_threads(&nl, &workload, &warm_cfg, &resilience, 1)
-                .unwrap();
-        let SupervisedRun::Aborted { checkpoint, .. } = aborted else {
-            panic!("abort hook must fire");
-        };
-        assert!(checkpoint.expect("checkpointing was enabled").exists());
-
-        // Resume warm against a checkpoint written by a warm run; the
-        // fingerprint ignores warm_start, so a cold resume would also
-        // accept it.
-        let resumed = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            ..ResilienceConfig::default()
-        };
-        let finished = run_supervised_campaign_with_threads(&nl, &workload, &warm_cfg, &resumed, 1)
-            .unwrap()
-            .into_complete()
-            .expect("no abort hook on resume");
-        assert!(finished.stats.resumed_slots > 0, "resume skipped recorded slots");
-        assert_eq!(finished.result, cold);
-        assert_eq!(finished.result.to_csv(), cold.to_csv(), "byte-identical to the cold CSV");
-        assert!(
-            finished.stats.warm_slots <= config().seu_samples,
-            "warm accounting only covers fresh SEU slots"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn stale_checkpoints_are_ignored() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
@@ -1511,6 +1408,31 @@ mod tests {
     }
 
     #[test]
+    fn atomic_replace_ignores_and_overwrites_a_stale_tmp() {
+        let dir = std::env::temp_dir().join(format!("printed-ar-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("quote.json");
+        let old = b"{\"quote\":\"old\"}\n";
+        atomic_write(&path, old).unwrap();
+
+        // A kill between write and rename leaves a torn `.tmp` sibling
+        // beside the intact target.
+        let tmp = path.with_extension("tmp");
+        fs::write(&tmp, b"{\"quote\":\"ne").unwrap();
+        assert_eq!(read_checked(&path).unwrap().as_deref(), Some(&old[..]), "tmp never read");
+
+        // The next replace overwrites the leftover and lands whole.
+        let new = b"{\"quote\":\"new, and longer than the torn write\"}\n";
+        atomic_write(&path, new).unwrap();
+        assert_eq!(read_checked(&path).unwrap().as_deref(), Some(&new[..]));
+        assert!(!tmp.exists(), "the rename consumed the temp file");
+        atomic_replace(&path, b"raw").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"raw");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn campaign_identity_is_stable_and_config_sensitive() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
@@ -1519,8 +1441,6 @@ mod tests {
         assert_eq!(base, campaign_identity(&nl, &workload, &config()).unwrap());
         let bits = CampaignConfig { bitsliced: !config().bitsliced, ..config() };
         assert_eq!(base, campaign_identity(&nl, &workload, &bits).unwrap());
-        let warm = CampaignConfig { warm_start: true, ..config() };
-        assert_eq!(base, campaign_identity(&nl, &workload, &warm).unwrap());
         // Distinct across campaign parameters and workloads.
         let seeded = CampaignConfig { seed: config().seed + 1, ..config() };
         assert_ne!(base, campaign_identity(&nl, &workload, &seeded).unwrap());

@@ -497,22 +497,6 @@ impl<'a> Simulator<'a> {
         self.values[net.index()]
     }
 
-    /// Crate-internal: current value of every net, for broadcasting
-    /// scalar state into the bitsliced engine's lanes.
-    pub(crate) fn values_slice(&self) -> &[bool] {
-        &self.values
-    }
-
-    /// Crate-internal: per-gate stored state (DFF/latch/TSBUF contents).
-    pub(crate) fn state_slice(&self) -> &[bool] {
-        &self.state
-    }
-
-    /// Crate-internal: previous-step net values (toggle baseline).
-    pub(crate) fn prev_values_slice(&self) -> &[bool] {
-        &self.prev_values
-    }
-
     /// Enqueues a combinational gate outside wave processing (sequential
     /// cells and already-queued gates are ignored).
     fn schedule_gate(&mut self, gi: usize) {
@@ -1085,9 +1069,9 @@ impl<'a> Simulator<'a> {
 /// every net value, every sequential/tri-state hold bit, the
 /// toggle-accounting baseline (`prev_values`), the full
 /// [`ActivityStats`], and the armed cycle limit. Injected faults are
-/// deliberately *not* captured — warm-started fault campaigns restore a
-/// golden (fault-free) snapshot into a simulator that already has its
-/// fault injected.
+/// deliberately *not* captured: a fault map is part of the experiment
+/// set up around a simulator, not state it evolves, so a restore keeps
+/// whatever faults the destination carries.
 ///
 /// Snapshots are meaningful at step boundaries (after
 /// [`Simulator::step`] / [`Simulator::settle`] returns), where the

@@ -12,9 +12,9 @@
 //!
 //! Restores are *transactional*: [`Snapshot::restore_state`]
 //! implementations validate the whole payload before mutating, so a
-//! failed restore leaves the target object untouched. That property is
-//! what lets fault-campaign warm-starts fall back to the cold path on any
-//! snapshot mismatch instead of corrupting a run.
+//! failed restore leaves the target object untouched, so a caller handed
+//! a damaged or mismatched snapshot gets a typed [`SnapshotError`] and
+//! keeps a machine it can still run or report on.
 //!
 //! ```
 //! use printed_netlist::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};

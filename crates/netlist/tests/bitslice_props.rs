@@ -5,8 +5,7 @@
 //! engine at the campaign level: identical `OutcomeCounts` and
 //! byte-identical CSV on random netlists and random fault sets —
 //! including fault counts that are not multiples of 64, so partial
-//! final words are exercised — at 1 and 4 worker threads, cold and
-//! warm-started. The engine's source-group settle, which evaluates only
+//! final words are exercised — at 1 and 4 worker threads. The engine's source-group settle, which evaluates only
 //! the logic fed by written ports or published state, must equal a full
 //! pass on random multi-port netlists under random per-lane stimulus.
 
@@ -161,9 +160,8 @@ proptest! {
         }
     }
 
-    /// The acceptance matrix: {scalar, bitsliced} × {1, 4 threads} ×
-    /// {cold, warm} all produce the same `OutcomeCounts` and the same
-    /// CSV bytes. `stuck_samples in 1..130` sweeps fault totals through
+    /// The acceptance matrix: {scalar, bitsliced} × {1, 4 threads} all
+    /// produce the same `OutcomeCounts` and the same CSV bytes. `stuck_samples in 1..130` sweeps fault totals through
     /// under-full, exactly-full, and multi-word campaigns, so partial
     /// final words (and the scheduler's word-aligned chunking) are all
     /// exercised.
@@ -187,26 +185,21 @@ proptest! {
         let baseline = run_campaign_with_threads(&nl, &workload, &scalar_cfg, 1).unwrap();
         let baseline_csv = baseline.to_csv();
         for bitsliced in [false, true] {
-            for warm_start in [false, true] {
-                let config = CampaignConfig { bitsliced, warm_start, ..scalar_cfg };
-                for threads in [1usize, 4] {
-                    let run = run_campaign_with_threads(&nl, &workload, &config, threads).unwrap();
-                    prop_assert_eq!(
-                        run.counts(),
-                        baseline.counts(),
-                        "bitsliced={} warm={} threads={}", bitsliced, warm_start, threads
-                    );
-                    prop_assert_eq!(
-                        &run, &baseline,
-                        "bitsliced={} warm={} threads={}", bitsliced, warm_start, threads
-                    );
-                    prop_assert_eq!(
-                        run.to_csv(),
-                        baseline_csv.clone(),
-                        "CSV bytes diverged: bitsliced={} warm={} threads={}",
-                        bitsliced, warm_start, threads
-                    );
-                }
+            let config = CampaignConfig { bitsliced, ..scalar_cfg };
+            for threads in [1usize, 4] {
+                let run = run_campaign_with_threads(&nl, &workload, &config, threads).unwrap();
+                prop_assert_eq!(
+                    run.counts(),
+                    baseline.counts(),
+                    "bitsliced={} threads={}", bitsliced, threads
+                );
+                prop_assert_eq!(&run, &baseline, "bitsliced={} threads={}", bitsliced, threads);
+                prop_assert_eq!(
+                    run.to_csv(),
+                    baseline_csv.clone(),
+                    "CSV bytes diverged: bitsliced={} threads={}",
+                    bitsliced, threads
+                );
             }
         }
     }

@@ -10,10 +10,15 @@
 //! On startup [`Journal::open`] replays the file: jobs accepted but
 //! never done are the crash's in-flight work, and the service re-enqueues
 //! them (their campaigns resume from checkpoints). The journal is then
-//! compacted — only pending accepts survive, rewritten via temp file +
-//! rename — so it cannot grow without bound across restarts.
+//! compacted — only pending accepts survive, rewritten through
+//! [`atomic_replace`] — so it cannot grow without bound across restarts.
+//!
+//! Appends are unbuffered `write` calls: a line is in the operating
+//! system before its job is queued, so it survives a killed process. It
+//! is not synced to disk per append, so a power loss can drop the tail.
 
 use crate::error::ShopError;
+use printed_netlist::resilience::atomic_replace;
 use printed_obs::crc::crc32;
 use printed_obs::json::{self, Value};
 use std::fs::{self, File, OpenOptions};
@@ -63,13 +68,12 @@ impl Journal {
         let pending = Self::replay(&path);
 
         // Compact: only pending accepts survive, atomically.
-        let tmp = path.with_extension("jsonl.tmp");
         let mut text = String::new();
         for job in &pending {
             text.push_str(&accept_line(job.query_key, &job.canonical));
         }
-        fs::write(&tmp, &text).and_then(|()| fs::rename(&tmp, &path)).map_err(|e| {
-            ShopError::Internal { message: format!("journal compaction {}: {e}", path.display()) }
+        atomic_replace(&path, text.as_bytes()).map_err(|e| ShopError::Internal {
+            message: format!("journal compaction {}: {e}", path.display()),
         })?;
         let file = OpenOptions::new().append(true).open(&path).map_err(|e| {
             ShopError::Internal { message: format!("journal open {}: {e}", path.display()) }
@@ -120,7 +124,9 @@ impl Journal {
         pending
     }
 
-    /// Journals an accepted job, durably, before it is queued.
+    /// Journals an accepted job before it is queued. On `Ok` the line is
+    /// in the operating system: it survives a killed process, though not
+    /// a power loss (see the module docs).
     ///
     /// # Errors
     ///
@@ -144,8 +150,8 @@ impl Journal {
     }
 
     fn append(&mut self, line: &str) -> Result<(), ShopError> {
-        self.file.write_all(line.as_bytes()).and_then(|()| self.file.flush()).map_err(|e| {
-            ShopError::Internal { message: format!("journal append {}: {e}", self.path.display()) }
+        self.file.write_all(line.as_bytes()).map_err(|e| ShopError::Internal {
+            message: format!("journal append {}: {e}", self.path.display()),
         })
     }
 }
@@ -231,6 +237,33 @@ mod tests {
         let (_, recovered) = Journal::open(&dir).unwrap();
         assert_eq!(recovered.len(), 1, "replay stops at the damaged line");
         assert_eq!(recovered[0].query_key, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stale_compaction_tmp_is_ignored_and_replaced() {
+        let dir = temp_dir("stale-tmp");
+        {
+            let (mut j, _) = Journal::open(&dir).unwrap();
+            j.accept(7, "{\"width\":4}").unwrap();
+        }
+        // A kill between the compaction write and its rename leaves a
+        // torn `.tmp` sibling beside the intact journal.
+        let path = dir.join("journal.jsonl");
+        let tmp = path.with_extension("tmp");
+        fs::write(&tmp, "{\"type\":\"accept\",\"qk\":\"00000000000").unwrap();
+
+        let (_, recovered) = Journal::open(&dir).unwrap();
+        assert_eq!(
+            recovered,
+            vec![RecoveredJob { query_key: 7, canonical: "{\"width\":4}".to_string() }],
+            "replay reads the journal, never the leftover"
+        );
+        // The compaction replaced the journal whole and consumed the tmp.
+        assert!(!tmp.exists());
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1);
+        assert!(text.lines().all(|l| json::parse(l).is_ok()));
         let _ = fs::remove_dir_all(&dir);
     }
 }

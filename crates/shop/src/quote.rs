@@ -95,9 +95,8 @@ pub fn workload(built: &BuiltCore, dmem_words: usize) -> Result<ProgramWorkload,
 }
 
 /// The campaign config a query's [`crate::proto::CampaignRequest`]
-/// denotes. Engine/warm-start strategy is left to the environment
-/// (`PRINTED_BITSLICED`, `PRINTED_WARM_START`) — it cannot change
-/// results or fingerprints.
+/// denotes. The engine is left to the environment (`PRINTED_BITSLICED`)
+/// — it cannot change results or fingerprints.
 pub fn campaign_config(query: &ShopQuery) -> Option<CampaignConfig> {
     query.campaign.as_ref().map(|c| CampaignConfig {
         cycle_budget: c.cycle_budget,
@@ -116,9 +115,9 @@ pub fn campaign_config(query: &ShopQuery) -> Option<CampaignConfig> {
 ///
 /// For campaign queries this *is* the campaign identity fingerprint
 /// (netlist structure + campaign parameters + golden observation —
-/// stable across processes, thread counts, engines, and warm/cold
-/// starts) folded with the pricing context (technology, battery, duty,
-/// memory) that the fingerprint deliberately does not cover. For
+/// stable across processes, thread counts and engines) folded with the
+/// pricing context (technology, battery, duty, memory) that the
+/// fingerprint deliberately does not cover. For
 /// pricing-only queries it is the FNV of the content-canonical form.
 ///
 /// # Errors
