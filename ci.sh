@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The repository's CI gate. Run before pushing.
 #
-#   ./ci.sh            # format check + clippy + full test suite
+#   ./ci.sh            # format check + clippy + rustdoc + full test suite
 #
 # Everything runs offline; the shims/ directory stands in for the few
 # external crates (see Cargo.toml [workspace.dependencies]).
@@ -13,6 +13,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release

@@ -255,7 +255,7 @@ impl CellInventory {
                     // Data rides `cur`; `prev` gates the enable, keeping
                     // every TSBUF a lone driver (no shared bus).
                     CellKind::TsBuf => b.tsbuf(cur, prev),
-                    kind => b.gate(*kind, vec![cur, prev]),
+                    kind => b.gate(*kind, [cur, prev]),
                 };
                 prev = cur;
                 cur = next;

@@ -35,7 +35,7 @@ use printed_core::kernels::{self, Kernel, KernelProgram};
 use printed_core::{
     generate_standard, CoreConfig, CoreSpec, GateLevelMachine, Instruction, Machine,
 };
-use printed_netlist::snapshot::fnv1a;
+use printed_netlist::snapshot::Fnv1a;
 use printed_netlist::Netlist;
 use printed_obs as obs;
 use std::path::{Path, PathBuf};
@@ -43,11 +43,11 @@ use std::path::{Path, PathBuf};
 /// Digest of a data memory image (shared by both sides so the compare
 /// is exact, not representational).
 fn dmem_digest(words: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
+    let mut hash = Fnv1a::new();
     for &word in words {
-        bytes.extend_from_slice(&word.to_le_bytes());
+        hash.write_u64(word);
     }
-    fnv1a(&bytes)
+    hash.finish()
 }
 
 /// One line of program listing for the divergence trace window.
@@ -368,6 +368,13 @@ pub fn diff_json(report: &DiffReport) -> String {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dmem_digest_hashes_the_little_endian_image() {
+        let words = [0u64, 1, 0xDEAD_BEEF, u64::MAX];
+        let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(dmem_digest(&words), printed_netlist::snapshot::fnv1a(&image));
+    }
 
     #[test]
     fn every_kernel_matches_gate_level_in_lockstep() {

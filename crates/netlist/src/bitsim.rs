@@ -793,7 +793,7 @@ mod tests {
             net_count: 1,
             gates: vec![Gate {
                 kind: printed_pdk::CellKind::Inv,
-                inputs: vec![NetId(0)],
+                inputs: crate::ir::Pins::new(&[NetId(0)]),
                 output: NetId(0),
             }],
             regions: vec![Region::Combinational],

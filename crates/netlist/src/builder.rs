@@ -19,7 +19,7 @@
 //! # Ok::<(), printed_netlist::NetlistError>(())
 //! ```
 
-use crate::ir::{Gate, NetId, Netlist, NetlistError, Region};
+use crate::ir::{Gate, NetId, Netlist, NetlistError, Pins, Region};
 use printed_pdk::CellKind;
 use std::collections::BTreeMap;
 
@@ -56,7 +56,7 @@ fn push_comb(
 ) -> NetId {
     let output = NetId(*net_count);
     *net_count += 1;
-    gates.push(Gate { kind, inputs: vec![a, b], output });
+    gates.push(Gate { kind, inputs: Pins::new(&[a, b]), output });
     regions.push(Region::Combinational);
     output
 }
@@ -97,7 +97,7 @@ pub fn tmr(netlist: &Netlist, options: TmrOptions) -> Result<Netlist, NetlistErr
     let mut mismatches = Vec::with_capacity(sequential.len());
     for &i in &sequential {
         let kind = gates[i].kind;
-        let inputs = gates[i].inputs.clone();
+        let inputs = gates[i].inputs;
         let q = gates[i].output;
         // Replica outputs: the original cell is retargeted to q0, two
         // copies drive q1/q2, and the voter reclaims the original q net
@@ -109,14 +109,14 @@ pub fn tmr(netlist: &Netlist, options: TmrOptions) -> Result<Netlist, NetlistErr
         net_count += 3;
         gates[i].output = q0;
         for replica in [q1, q2] {
-            gates.push(Gate { kind, inputs: inputs.clone(), output: replica });
+            gates.push(Gate { kind, inputs, output: replica });
             regions.push(Region::Registers);
         }
         let n01 = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Nand2, q0, q1);
         let n02 = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Nand2, q0, q2);
         let n12 = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Nand2, q1, q2);
         let both = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::And2, n01, n02);
-        gates.push(Gate { kind: CellKind::Nand2, inputs: vec![both, n12], output: q });
+        gates.push(Gate { kind: CellKind::Nand2, inputs: Pins::new(&[both, n12]), output: q });
         regions.push(Region::Combinational);
         if options.error_output {
             let x01 = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Xor2, q0, q1);
@@ -281,8 +281,11 @@ impl NetlistBuilder {
         n
     }
 
-    /// Adds a gate of arbitrary kind; returns the output net.
-    pub fn gate(&mut self, kind: CellKind, inputs: Vec<NetId>) -> NetId {
+    /// Adds a gate of arbitrary kind; returns the output net. An input
+    /// count that does not fit the cell is recorded as
+    /// [`NetlistError::ArityMismatch`] and fails [`NetlistBuilder::finish`].
+    pub fn gate(&mut self, kind: CellKind, inputs: impl AsRef<[NetId]>) -> NetId {
+        let inputs = inputs.as_ref();
         let expected = kind.input_count();
         if inputs.len() != expected {
             self.record_error(NetlistError::ArityMismatch { kind, got: inputs.len(), expected });
@@ -290,60 +293,60 @@ impl NetlistBuilder {
         let output = self.fresh_net();
         self.mark_driven(output);
         let region = if kind.is_sequential() { Region::Registers } else { Region::Combinational };
-        self.gates.push(Gate { kind, inputs, output });
+        self.gates.push(Gate { kind, inputs: Pins::new(inputs), output });
         self.regions.push(region);
         output
     }
 
     /// NOT gate.
     pub fn inv(&mut self, a: NetId) -> NetId {
-        self.gate(CellKind::Inv, vec![a])
+        self.gate(CellKind::Inv, [a])
     }
 
     /// 2-input NAND.
     pub fn nand2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(CellKind::Nand2, vec![a, b])
+        self.gate(CellKind::Nand2, [a, b])
     }
 
     /// 2-input NOR.
     pub fn nor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(CellKind::Nor2, vec![a, b])
+        self.gate(CellKind::Nor2, [a, b])
     }
 
     /// 2-input AND.
     pub fn and2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(CellKind::And2, vec![a, b])
+        self.gate(CellKind::And2, [a, b])
     }
 
     /// 2-input OR.
     pub fn or2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(CellKind::Or2, vec![a, b])
+        self.gate(CellKind::Or2, [a, b])
     }
 
     /// 2-input XOR.
     pub fn xor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(CellKind::Xor2, vec![a, b])
+        self.gate(CellKind::Xor2, [a, b])
     }
 
     /// 2-input XNOR.
     pub fn xnor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(CellKind::Xnor2, vec![a, b])
+        self.gate(CellKind::Xnor2, [a, b])
     }
 
     /// D flip-flop; returns Q. State resets to 0 at simulation start but has
     /// no reset pin (cheaper cell).
     pub fn dff(&mut self, d: NetId) -> NetId {
-        self.gate(CellKind::Dff, vec![d])
+        self.gate(CellKind::Dff, [d])
     }
 
     /// D flip-flop with asynchronous reset (to 0); returns Q.
     pub fn dff_nr(&mut self, d: NetId) -> NetId {
-        self.gate(CellKind::DffNr, vec![d])
+        self.gate(CellKind::DffNr, [d])
     }
 
     /// SR latch; returns Q.
     pub fn latch(&mut self, s: NetId, r: NetId) -> NetId {
-        self.gate(CellKind::Latch, vec![s, r])
+        self.gate(CellKind::Latch, [s, r])
     }
 
     /// Allocates a net with no driver yet, for state-feedback loops
@@ -363,28 +366,28 @@ impl NetlistBuilder {
     /// Creates a D flip-flop whose Q is the pre-allocated `q` net, closing
     /// a feedback loop started with [`NetlistBuilder::forward_net`].
     pub fn dff_into(&mut self, d: NetId, q: NetId) {
-        self.seq_into(CellKind::Dff, vec![d], q);
+        self.seq_into(CellKind::Dff, &[d], q);
     }
 
     /// Like [`NetlistBuilder::dff_into`] but with asynchronous reset.
     pub fn dff_nr_into(&mut self, d: NetId, q: NetId) {
-        self.seq_into(CellKind::DffNr, vec![d], q);
+        self.seq_into(CellKind::DffNr, &[d], q);
     }
 
     /// Creates an SR latch whose Q is the pre-allocated `q` net.
     pub fn latch_into(&mut self, s: NetId, r: NetId, q: NetId) {
-        self.seq_into(CellKind::Latch, vec![s, r], q);
+        self.seq_into(CellKind::Latch, &[s, r], q);
     }
 
-    fn seq_into(&mut self, kind: CellKind, inputs: Vec<NetId>, q: NetId) {
+    fn seq_into(&mut self, kind: CellKind, inputs: &[NetId], q: NetId) {
         self.mark_driven(q);
-        self.gates.push(Gate { kind, inputs, output: q });
+        self.gates.push(Gate { kind, inputs: Pins::new(inputs), output: q });
         self.regions.push(Region::Registers);
     }
 
     /// Tri-state buffer: drives `a` when `en` is high, holds otherwise.
     pub fn tsbuf(&mut self, a: NetId, en: NetId) -> NetId {
-        self.gate(CellKind::TsBuf, vec![a, en])
+        self.gate(CellKind::TsBuf, [a, en])
     }
 
     /// 2-to-1 mux: returns `sel ? b : a`, given a pre-inverted select.
@@ -573,8 +576,8 @@ mod tests {
         use crate::ir::{Gate, NetId};
         let gates = vec![
             // g0: INV n1 -> n0 ; g1: INV n0 -> n1 — a 2-gate loop.
-            Gate { kind: CellKind::Inv, inputs: vec![NetId(1)], output: NetId(0) },
-            Gate { kind: CellKind::Inv, inputs: vec![NetId(0)], output: NetId(1) },
+            Gate { kind: CellKind::Inv, inputs: Pins::new(&[NetId(1)]), output: NetId(0) },
+            Gate { kind: CellKind::Inv, inputs: Pins::new(&[NetId(0)]), output: NetId(1) },
         ];
         assert!(matches!(topo_sort(2, &gates), Err(NetlistError::CombinationalCycle(_))));
     }
@@ -654,12 +657,8 @@ mod tests {
                 let output = inputs + i as u32;
                 let span = if acyclic { output } else { net_count };
                 let kind = KINDS[k as usize % KINDS.len()];
-                let inputs = [a, b]
-                    .iter()
-                    .take(kind.input_count())
-                    .map(|&p| NetId(p as u32 % span))
-                    .collect();
-                Gate { kind, inputs, output: NetId(output) }
+                let pins = [a, b].map(|p| NetId(p as u32 % span));
+                Gate { kind, inputs: Pins::new(&pins[..kind.input_count()]), output: NetId(output) }
             })
             .collect();
         if reversed {

@@ -1,7 +1,7 @@
 //! Fixed-point dataflow analysis over gate-level netlists.
 //!
 //! This module is the value-analysis half of the synthesis layer: where
-//! [`crate::lint`] checks local structural rules and [`crate::analysis`]
+//! [`mod@crate::lint`] checks local structural rules and [`crate::analysis`]
 //! charges delays, the dataflow engine *proves global facts about the
 //! values* a design can ever carry. It is a classic abstract
 //! interpretation: every net is mapped to an element of a small lattice,

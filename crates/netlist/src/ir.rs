@@ -74,8 +74,56 @@ impl fmt::Display for Region {
     }
 }
 
-/// One standard-cell instance.
-#[derive(Debug, Clone, PartialEq)]
+/// The input nets of one gate, stored inline: every library cell has at
+/// most two input pins, so a gate needs no heap block for them. Derefs to
+/// `[NetId]` holding exactly the pins in use.
+///
+/// Unused slots hold a sentinel no real net can carry (net ids count up
+/// from 0 and never reach `u32::MAX`), so the pin count needs no field of
+/// its own and a [`Gate`] packs into 16 bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Pins([NetId; 2]);
+
+impl Pins {
+    const UNUSED: NetId = NetId(u32::MAX);
+
+    /// The first two of `nets` (a longer list is an arity error the
+    /// builder has already recorded).
+    pub(crate) fn new(nets: &[NetId]) -> Pins {
+        let mut pins = [Self::UNUSED; 2];
+        for (slot, &net) in pins.iter_mut().zip(nets) {
+            *slot = net;
+        }
+        Pins(pins)
+    }
+}
+
+impl std::ops::Deref for Pins {
+    type Target = [NetId];
+
+    fn deref(&self) -> &[NetId] {
+        let len = self.0.iter().filter(|&&n| n != Self::UNUSED).count();
+        &self.0[..len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Pins {
+    type Item = &'a NetId;
+    type IntoIter = std::slice::Iter<'a, NetId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Pins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One standard-cell instance: a 16-byte `Copy` record, its pins inline.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gate {
     /// Which library cell this instantiates.
     pub kind: CellKind,
@@ -84,7 +132,7 @@ pub struct Gate {
     /// - two-input combinational cells: `[a, b]`
     /// - `Latch`: `[s, r]`
     /// - `TsBuf`: `[a, en]`
-    pub inputs: Vec<NetId>,
+    pub inputs: Pins,
     /// The single output net this gate drives.
     pub output: NetId,
 }
@@ -196,7 +244,7 @@ impl std::error::Error for NetlistError {}
 ///
 /// This is the shared structural index behind the event-driven simulator
 /// ([`crate::sim::Simulator`] propagates changes along fanout edges), the
-/// linter ([`crate::lint`]'s fanout and driver facts), and fault-campaign
+/// linter ([`mod@crate::lint`]'s fanout and driver facts), and fault-campaign
 /// setup — all of which previously rebuilt the same loops independently.
 /// Build one with [`FanoutMap::build`]; the reader lists are stored in
 /// compressed-sparse-row form, so lookup is two index loads and the whole
@@ -436,7 +484,7 @@ impl Netlist {
     }
 
     /// Combinational gates in topological (evaluation) order.
-    pub(crate) fn topo_order(&self) -> impl Iterator<Item = (GateId, &Gate)> {
+    pub fn topo_order(&self) -> impl Iterator<Item = (GateId, &Gate)> {
         self.topo.iter().map(move |&i| (GateId(i), &self.gates[i as usize]))
     }
 }
@@ -451,5 +499,27 @@ impl fmt::Display for Netlist {
             self.sequential_count(),
             self.net_count()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gates_are_sixteen_byte_copy_records() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Gate>();
+        assert_eq!(std::mem::size_of::<Gate>(), 16);
+    }
+
+    #[test]
+    fn pins_deref_to_exactly_the_nets_given() {
+        let (a, b) = (NetId(3), NetId(7));
+        assert!(Pins::new(&[]).is_empty());
+        assert_eq!(*Pins::new(&[a]), [a]);
+        assert_eq!(*Pins::new(&[a, b]), [a, b]);
+        assert_eq!(format!("{:?}", Pins::new(&[a, b])), format!("{:?}", vec![a, b]));
+        assert_ne!(Pins::new(&[a]), Pins::new(&[a, b]));
     }
 }

@@ -22,7 +22,7 @@
 //! - a constant-folding + dead-gate optimizer used by program-specific
 //!   core generation ([`opt`]),
 //! - a design-rule checker / linter parameterized by the target cell
-//!   library ([`lint`]),
+//!   library ([`mod@lint`]),
 //! - fault models and deterministic fault-injection campaigns — stuck-at
 //!   and SEU — with masked/SDC/hang/detected classification ([`fault`]),
 //! - a supervised campaign runner with checkpoint/resume, watchdog
@@ -83,7 +83,7 @@ pub use fault::{
     CampaignConfig, CampaignError, CampaignResult, Fault, FaultKind, FaultMap, LaneOutcome,
     Observation, Outcome, OutcomeCounts, PatternWorkload, StuckAtSpace, Workload,
 };
-pub use ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError, Region};
+pub use ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError, Pins, Region};
 pub use lint::{lint, lint_with_facts, Diagnostic, LintConfig, LintReport, Rule, Severity};
 pub use resilience::{
     atomic_replace, atomic_write, campaign_identity, read_checked, run_supervised_campaign,

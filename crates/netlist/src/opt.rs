@@ -361,8 +361,11 @@ fn sweep(netlist: &Netlist) -> Netlist {
     }
     for (_, gate) in netlist.topo_order() {
         if live[gate.output.index()] {
-            let ins = gate.inputs.iter().map(|n| map[n.index()]).collect();
-            map[gate.output.index()] = b.gate(gate.kind, ins);
+            let mut ins = [NetId(0); 2];
+            for (slot, n) in ins.iter_mut().zip(&gate.inputs) {
+                *slot = map[n.index()];
+            }
+            map[gate.output.index()] = b.gate(gate.kind, &ins[..gate.inputs.len()]);
         }
     }
     for &i in &live_seq {

@@ -113,15 +113,13 @@ pub enum Engine {
 }
 
 /// Flat per-gate evaluation record for the event engine's hot loop:
-/// everything one evaluation needs in a single contiguous slot, so the
-/// random-order worklist never chases the `Gate::inputs` heap pointer.
-/// Combinational cells evaluate branchlessly through a 4-entry truth
-/// table indexed by `(b, a)` — the worklist visits gates in a
-/// data-dependent order, so a `match` on the cell kind would be an
-/// unpredictable branch in the innermost loop. Single-input cells alias
-/// `b` to `a`; tri-state buffers (stateful) carry the [`EvalOp::TSBUF`]
-/// sentinel instead; sequential cells get a record too (for index
-/// alignment) but are never scheduled.
+/// pin indices plus the cell's 4-entry truth table, indexed by `(b, a)`,
+/// so combinational cells evaluate branchlessly — the worklist visits
+/// gates in a data-dependent order, so a `match` on the cell kind would
+/// be an unpredictable branch in the innermost loop. Single-input cells
+/// alias `b` to `a`; tri-state buffers (stateful) carry the
+/// [`EvalOp::TSBUF`] sentinel instead; sequential cells get a record too
+/// (for index alignment) but are never scheduled.
 #[derive(Debug, Clone, Copy)]
 struct EvalOp {
     a: u32,
@@ -131,9 +129,10 @@ struct EvalOp {
 }
 
 /// Flat per-cell record for the sequential capture/publish phases of
-/// [`Simulator::step`], mirroring [`EvalOp`] for the clocked cells so
-/// the per-cycle edge loops never chase `Gate::inputs` either. For a
-/// latch, `a`/`b` are the S/R inputs; for a flip-flop, `a` is D.
+/// [`Simulator::step`]: the clocked cells, pre-filtered out of the gate
+/// list, so the per-cycle edge loops visit only them instead of scanning
+/// every gate for the few sequential ones. For a latch, `a`/`b` are the
+/// S/R inputs; for a flip-flop, `a` is D.
 #[derive(Debug, Clone, Copy)]
 struct SeqOp {
     gi: u32,
@@ -1434,7 +1433,7 @@ mod tests {
             net_count: 1,
             gates: vec![Gate {
                 kind: printed_pdk::CellKind::Inv,
-                inputs: vec![NetId(0)],
+                inputs: crate::ir::Pins::new(&[NetId(0)]),
                 output: NetId(0),
             }],
             regions: vec![Region::Combinational],

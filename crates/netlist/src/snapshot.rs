@@ -475,16 +475,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Streaming [`fnv1a`], for digests fed piece by piece: writing the
 /// pieces in order hashes exactly their concatenation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Fnv1a(u64);
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
 
 impl Fnv1a {
     /// The empty digest (the FNV-1a offset basis).
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
 
     /// Folds `bytes` into the digest.
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -492,12 +498,12 @@ impl Fnv1a {
     }
 
     /// Folds `value`'s little-endian bytes into the digest.
-    pub(crate) fn write_u64(&mut self, value: u64) {
+    pub fn write_u64(&mut self, value: u64) {
         self.write(&value.to_le_bytes());
     }
 
     /// The digest of everything written so far.
-    pub(crate) fn finish(self) -> u64 {
+    pub fn finish(self) -> u64 {
         self.0
     }
 }

@@ -34,6 +34,33 @@ fn arity_mismatch_is_reported_at_finish() {
 }
 
 #[test]
+fn pins_beyond_the_inline_two_are_still_an_arity_mismatch() {
+    // No library cell has three pins, so three inputs never fit a gate;
+    // the count is checked on the caller's list before anything is stored.
+    let mut b = NetlistBuilder::new("arity3");
+    let a = b.input_bit("a");
+    let c = b.input_bit("b");
+    let d = b.input_bit("c");
+    let y = b.gate(CellKind::Nand2, [a, c, d]);
+    b.output("y", vec![y]);
+    assert_eq!(
+        b.finish().err(),
+        Some(NetlistError::ArityMismatch { kind: CellKind::Nand2, got: 3, expected: 2 })
+    );
+}
+
+#[test]
+fn a_gate_without_inputs_is_an_arity_mismatch() {
+    let mut b = NetlistBuilder::new("arity0");
+    let y = b.gate(CellKind::Inv, [] as [NetId; 0]);
+    b.output("y", vec![y]);
+    assert_eq!(
+        b.finish().err(),
+        Some(NetlistError::ArityMismatch { kind: CellKind::Inv, got: 0, expected: 1 })
+    );
+}
+
+#[test]
 fn multiple_drivers_is_reported_at_finish() {
     let mut b = NetlistBuilder::new("dd");
     let a = b.input_bit("a");
