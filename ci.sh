@@ -39,8 +39,15 @@ FAULT_CSV_OUT="$csv_dir/scalar.csv" PRINTED_BITSLICED=0 PRINTED_SIM_THREADS=2 \
 cmp "$csv_dir/t2.csv" "$csv_dir/scalar.csv" \
     || { echo "bitsliced campaign CSV differs from the scalar engine"; exit 1; }
 
-echo "==> differential lockstep + snapshot round-trip gate (nonzero exit on divergence)"
+echo "==> differential lockstep gate (nonzero exit on divergence)"
 cargo test --release --quiet --test lockstep_props
+
+echo "==> reproduce_all: ISS-vs-gate-level diff summary validated through the in-tree JSON parser"
+diff_out="$csv_dir/diff_summary.json"
+PRINTED_DIFF_OUT="$diff_out" PRINTED_STATIC_OUT="$csv_dir/reproduce_static.json" \
+    PRINTED_MANIFEST_OUT="$csv_dir/reproduce_manifest.json" \
+    cargo run --release --example reproduce_all >/dev/null
+cargo run --release --example validate_artifacts -- "$diff_out"
 
 echo "==> resilience: interrupt-resume + pipeline degradation tests (threads 1 and 4)"
 cargo test --release --quiet --test resume_campaign --test pipeline_smoke

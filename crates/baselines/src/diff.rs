@@ -11,14 +11,12 @@
 //! On the first divergence, [`run_lockstep`] stops and returns a
 //! [`DivergenceReport`]: what differed, at which step and cycle, a
 //! disassembled trace window of the instructions each side executed last,
-//! and — when a snapshot directory is configured
-//! ([`LockstepOptions::snapshot_dir`] or the `PRINTED_SNAP_DIR`
-//! environment variable) — the paths of both sides' full state snapshots
-//! ([`printed_netlist::Snapshot`] JSON), so the exact machine states can
-//! be reloaded and replayed offline. A side that *errors* mid-compare
-//! (e.g. a gate-level simulator reporting an unsettled net or a tripped
-//! cycle-limit watchdog) is reported the same way, with the failing
-//! side's current cycle and both snapshot paths in the report instead of
+//! and both sides' [`ArchState`] at the divergence. Its rendering prints
+//! each side's pc, registers, flags, cycles, instructions and halt state,
+//! so the text alone explains the divergence. A side that *errors*
+//! mid-compare (e.g. a gate-level simulator reporting an unsettled net or
+//! a tripped cycle-limit watchdog) is reported the same way, with the
+//! failing side's current cycle and both states in the report instead of
 //! a bare error string.
 //!
 //! The built-in [`I8080Side`] and [`Z80Side`] exercise the 8080 ⊂ Z80
@@ -41,11 +39,9 @@
 use crate::disasm8080::disassemble_one;
 use crate::i8080::{Cpu8080, Flags8080};
 use crate::z80::{z80_tstates, CpuZ80};
-use printed_netlist::snapshot::fnv1a;
-use printed_netlist::Snapshot;
+use printed_netlist::hash::fnv1a;
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::{Path, PathBuf};
 
 /// The architectural state one side exposes for comparison after each
 /// retired instruction.
@@ -97,27 +93,6 @@ pub trait LockstepSide {
     ///
     /// [`SideError`] if the underlying simulation fails mid-instruction.
     fn step(&mut self) -> Result<(), SideError>;
-    /// Writes a full state snapshot under `dir` tagged `tag`, returning
-    /// its path (`None` if the side cannot snapshot or the write failed).
-    fn save_snapshot(&self, dir: &Path, tag: &str) -> Option<PathBuf>;
-}
-
-/// Writes `value`'s JSON snapshot to `<dir>/<tag>-<name>.snap.json`.
-///
-/// The standard building block for [`LockstepSide::save_snapshot`]
-/// implementations; returns `None` (rather than erroring) if the
-/// directory cannot be created or the write fails, since snapshot dumps
-/// are diagnostics, not correctness.
-pub fn write_snapshot<S: Snapshot>(
-    value: &S,
-    dir: &Path,
-    name: &str,
-    tag: &str,
-) -> Option<PathBuf> {
-    std::fs::create_dir_all(dir).ok()?;
-    let path = dir.join(format!("{tag}-{name}.snap.json"));
-    std::fs::write(&path, value.save_json()).ok()?;
-    Some(path)
 }
 
 /// What diverged first between the two sides.
@@ -202,8 +177,7 @@ impl fmt::Display for Divergence {
 }
 
 /// A first-divergence report: what differed, where, the instructions
-/// each side executed leading up to it, and both sides' snapshot paths
-/// (when a snapshot directory was configured).
+/// each side executed leading up to it, and both sides' state there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivergenceReport {
     /// Name of side A.
@@ -220,10 +194,10 @@ pub struct DivergenceReport {
     pub trace_a: Vec<String>,
     /// Side B's last-executed instructions, oldest first.
     pub trace_b: Vec<String>,
-    /// Side A's dumped snapshot, if a snapshot directory was configured.
-    pub snapshot_a: Option<PathBuf>,
-    /// Side B's dumped snapshot, if a snapshot directory was configured.
-    pub snapshot_b: Option<PathBuf>,
+    /// Side A's state at the divergence.
+    pub state_a: ArchState,
+    /// Side B's state at the divergence.
+    pub state_b: ArchState,
 }
 
 impl fmt::Display for DivergenceReport {
@@ -233,18 +207,23 @@ impl fmt::Display for DivergenceReport {
             "lockstep divergence at step {} (cycle {}): {}",
             self.step, self.cycle, self.divergence
         )?;
-        for (name, trace, snap) in [
-            (self.side_a, &self.trace_a, &self.snapshot_a),
-            (self.side_b, &self.trace_b, &self.snapshot_b),
+        for (name, trace, state) in [
+            (self.side_a, &self.trace_a, &self.state_a),
+            (self.side_b, &self.trace_b, &self.state_b),
         ] {
             writeln!(f, "  {name} trace:")?;
             for line in trace {
                 writeln!(f, "    {line}")?;
             }
-            match snap {
-                Some(path) => writeln!(f, "  {name} snapshot: {}", path.display())?,
-                None => writeln!(f, "  {name} snapshot: (no snapshot directory)")?,
+            write!(f, "  {name} state: pc {:#x}", state.pc)?;
+            for (reg, value) in &state.regs {
+                write!(f, ", {reg} {value:#x}")?;
             }
+            writeln!(
+                f,
+                ", flags {:#010b}, cycles {}, instructions {}, halted {}",
+                state.flags, state.cycles, state.instructions, state.halted
+            )?;
         }
         Ok(())
     }
@@ -260,8 +239,6 @@ pub struct LockstepOptions {
     pub max_steps: u64,
     /// Instructions of context kept per side for divergence reports.
     pub trace_window: usize,
-    /// Where divergence snapshots are written; `None` disables dumps.
-    pub snapshot_dir: Option<PathBuf>,
     /// Whether cycle counts are compared (disable when the sides' cycle
     /// accounting is intentionally different).
     pub compare_cycles: bool,
@@ -269,26 +246,16 @@ pub struct LockstepOptions {
 
 impl Default for LockstepOptions {
     fn default() -> Self {
-        LockstepOptions {
-            max_steps: 1_000_000,
-            trace_window: 8,
-            snapshot_dir: None,
-            compare_cycles: true,
-        }
+        LockstepOptions { max_steps: 1_000_000, trace_window: 8, compare_cycles: true }
     }
 }
 
 impl LockstepOptions {
-    /// The default options with the snapshot directory taken from the
-    /// `PRINTED_SNAP_DIR` environment variable (unset or empty leaves
-    /// snapshot dumps disabled).
+    /// The default options: no lockstep option is read from the
+    /// environment. Kept because `perfbench`'s `reproduce` workload
+    /// calls it; new code uses [`LockstepOptions::default`].
     pub fn from_env() -> Self {
-        let dir = std::env::var("PRINTED_SNAP_DIR")
-            .ok()
-            .map(|v| v.trim().to_string())
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        LockstepOptions { snapshot_dir: dir, ..LockstepOptions::default() }
+        LockstepOptions::default()
     }
 }
 
@@ -340,9 +307,7 @@ fn compare(
 /// Before every step the instruction at each side's PC is recorded into
 /// a rolling trace window; after every step the full architectural state
 /// is compared. A divergence (including a [`SideError`] from either
-/// side) stops the run immediately and — when
-/// [`LockstepOptions::snapshot_dir`] is set — dumps both sides' full
-/// snapshots for offline replay.
+/// side) stops the run immediately and reports both sides' state there.
 ///
 /// # Errors
 ///
@@ -363,21 +328,17 @@ pub fn run_lockstep(
                   trace_a: &VecDeque<String>,
                   trace_b: &VecDeque<String>|
      -> Box<DivergenceReport> {
-        let tag = format!("diverge-step{step}");
-        let (snapshot_a, snapshot_b) = match &options.snapshot_dir {
-            Some(dir) => (a.save_snapshot(dir, &tag), b.save_snapshot(dir, &tag)),
-            None => (None, None),
-        };
+        let state_a = a.state();
         Box::new(DivergenceReport {
             side_a: a.name(),
             side_b: b.name(),
             step,
-            cycle: a.state().cycles,
+            cycle: state_a.cycles,
             divergence,
             trace_a: trace_a.iter().cloned().collect(),
             trace_b: trace_b.iter().cloned().collect(),
-            snapshot_a,
-            snapshot_b,
+            state_a,
+            state_b: b.state(),
         })
     };
 
@@ -475,11 +436,6 @@ impl I8080Side {
         self.normalize = true;
         self
     }
-
-    /// The wrapped machine.
-    pub fn cpu(&self) -> &Cpu8080 {
-        &self.cpu
-    }
 }
 
 impl LockstepSide for I8080Side {
@@ -507,10 +463,6 @@ impl LockstepSide for I8080Side {
         self.norm_cycles += if self.normalize { z80_tstates(op, spent) } else { spent };
         Ok(())
     }
-
-    fn save_snapshot(&self, dir: &Path, tag: &str) -> Option<PathBuf> {
-        write_snapshot(&self.cpu, dir, self.name(), tag)
-    }
 }
 
 /// [`CpuZ80`] as a lockstep side.
@@ -531,11 +483,6 @@ impl Z80Side {
     pub fn preload(mut self, addr: u16, bytes: &[u8]) -> Self {
         self.cpu.core.mem[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
         self
-    }
-
-    /// The wrapped machine.
-    pub fn cpu(&self) -> &CpuZ80 {
-        &self.cpu
     }
 }
 
@@ -561,10 +508,6 @@ impl LockstepSide for Z80Side {
     fn step(&mut self) -> Result<(), SideError> {
         self.cpu.step();
         Ok(())
-    }
-
-    fn save_snapshot(&self, dir: &Path, tag: &str) -> Option<PathBuf> {
-        write_snapshot(&self.cpu, dir, self.name(), tag)
     }
 }
 
@@ -608,33 +551,24 @@ mod tests {
 
     #[test]
     fn a_corrupted_side_produces_a_first_divergence_report() {
-        // Same program, but side B's memory is patched so ADD B computes
-        // a different sum: the report must blame a register, carry the
-        // trace window, and dump both snapshots.
+        // Same image, but side A runs one instruction ahead before the
+        // lockstep starts: the step-0 compare blames the PC, and the
+        // report carries both sides' state so its text explains why.
         let image = [0x3E, 17, 0x06, 25, 0x80, 0x76];
         let mut a = I8080Side::new(0x100, &image).normalized_to_z80();
-        let mut b = Z80Side::new(0x100, &image).preload(0x103, &[26]);
-        let dir = std::env::temp_dir().join(format!("printed-snap-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options =
-            LockstepOptions { snapshot_dir: Some(dir.clone()), ..LockstepOptions::default() };
-        let report = run_lockstep(&mut a, &mut b, &options).unwrap_err();
-        assert!(
-            matches!(report.divergence, Divergence::Memory { .. }),
-            "initial memories differ: {report}"
-        );
+        let mut b = Z80Side::new(0x100, &image);
+        a.step().unwrap();
+        let report = run_lockstep(&mut a, &mut b, &LockstepOptions::default()).unwrap_err();
+        assert_eq!(report.step, 0);
+        assert_eq!(report.divergence, Divergence::Pc { a: 0x102, b: 0x100 });
+        assert_eq!(report.state_a, a.state());
+        assert_eq!(report.state_b, b.state());
+        assert_eq!(report.cycle, report.state_a.cycles);
         let text = report.to_string();
-        assert!(text.contains("snapshot"), "{text}");
-        let snap_a = report.snapshot_a.expect("side A snapshot dumped");
-        let snap_b = report.snapshot_b.expect("side B snapshot dumped");
-        assert!(snap_a.exists() && snap_b.exists());
-
-        // Reload side A's snapshot: it must restore byte-for-byte.
-        let json = std::fs::read_to_string(&snap_a).unwrap();
-        let mut reloaded = Cpu8080::new();
-        reloaded.restore_json(&json).unwrap();
-        assert_eq!(reloaded.save_binary(), a.cpu().save_binary());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(text.contains("i8080 state: pc 0x102, A 0x11, B 0x0,"), "{text}");
+        assert!(text.contains("z80 state: pc 0x100, A 0x0, B 0x0,"), "{text}");
+        assert!(text.contains("instructions 1, halted false"), "{text}");
+        assert!(text.contains("instructions 0, halted false"), "{text}");
     }
 
     #[test]
@@ -648,14 +582,5 @@ mod tests {
         let report = run_lockstep(&mut a, &mut b, &LockstepOptions::default()).unwrap_err();
         assert_eq!(report.step, 0, "differing images diverge before any step");
         assert!(matches!(report.divergence, Divergence::Memory { .. }));
-    }
-
-    #[test]
-    fn options_from_env_reads_the_snapshot_dir() {
-        // Avoid mutating the process environment: from_env with the
-        // variable unset must leave dumps disabled.
-        if std::env::var("PRINTED_SNAP_DIR").is_err() {
-            assert_eq!(LockstepOptions::from_env().snapshot_dir, None);
-        }
     }
 }

@@ -11,7 +11,6 @@
 //! `IN`/`OUT` are modeled as no-ops (no printed peripherals), and `HLT`
 //! stops the machine.
 
-use printed_netlist::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fmt;
 
 /// 8-bit registers.
@@ -127,7 +126,6 @@ pub struct Cpu8080 {
     /// Instructions retired.
     pub instructions: u64,
     halted: bool,
-    interrupts_enabled: bool,
 }
 
 impl fmt::Debug for Cpu8080 {
@@ -161,7 +159,6 @@ impl Cpu8080 {
             cycles: 0,
             instructions: 0,
             halted: false,
-            interrupts_enabled: false,
         }
     }
 
@@ -731,14 +728,7 @@ impl Cpu8080 {
                 5
             }
             // Interrupts and I/O: modeled as no-ops.
-            0xFB => {
-                self.interrupts_enabled = true;
-                4
-            }
-            0xF3 => {
-                self.interrupts_enabled = false;
-                4
-            }
+            0xFB | 0xF3 => 4,
             0xDB => {
                 let _port = self.fetch8();
                 self.set_reg(Reg::A, 0);
@@ -773,62 +763,6 @@ fn cond_code(code: u8) -> Cond {
         6 => Cond::P,
         7 => Cond::M,
         _ => unreachable!("3-bit condition code"),
-    }
-}
-
-/// Full machine-state capture: registers, flags, the whole 64 KiB memory,
-/// cycle/instruction counters, and the halt/interrupt latches — a
-/// restored machine replays byte-for-byte.
-impl Snapshot for Cpu8080 {
-    const KIND: &'static str = "baselines.i8080";
-    const VERSION: u32 = 1;
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.bytes(&self.regs);
-        w.u8(self.flags.to_byte());
-        w.u64(self.sp as u64);
-        w.u64(self.pc as u64);
-        w.bytes(&self.mem);
-        w.u64(self.cycles);
-        w.u64(self.instructions);
-        w.bool(self.halted);
-        w.bool(self.interrupts_enabled);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let regs = r.bytes()?;
-        let regs: [u8; 7] = regs.try_into().map_err(|v: Vec<u8>| SnapshotError::Mismatch {
-            field: "regs",
-            detail: format!("snapshot has {} registers, expected 7", v.len()),
-        })?;
-        let flags = Flags8080::from_byte(r.u8()?);
-        let sp = r.u64()? as u16;
-        let pc = r.u64()? as u16;
-        let mem = r.bytes()?;
-        if mem.len() != self.mem.len() {
-            return Err(SnapshotError::Mismatch {
-                field: "mem",
-                detail: format!(
-                    "snapshot memory is {} bytes, machine has {}",
-                    mem.len(),
-                    self.mem.len()
-                ),
-            });
-        }
-        let cycles = r.u64()?;
-        let instructions = r.u64()?;
-        let halted = r.bool()?;
-        let interrupts_enabled = r.bool()?;
-        self.regs = regs;
-        self.flags = flags;
-        self.sp = sp;
-        self.pc = pc;
-        self.mem = mem;
-        self.cycles = cycles;
-        self.instructions = instructions;
-        self.halted = halted;
-        self.interrupts_enabled = interrupts_enabled;
-        Ok(())
     }
 }
 

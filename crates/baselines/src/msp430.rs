@@ -58,59 +58,6 @@ impl fmt::Display for FaultMsp430 {
 
 impl std::error::Error for FaultMsp430 {}
 
-/// Full machine-state capture: the 16 registers, the whole memory, the
-/// cycle/instruction counters, and the halt latch — a restored machine
-/// replays byte-for-byte.
-impl printed_netlist::Snapshot for CpuMsp430 {
-    const KIND: &'static str = "baselines.msp430";
-    const VERSION: u32 = 1;
-
-    fn save_state(&self, w: &mut printed_netlist::SnapshotWriter) {
-        let regs: Vec<u64> = self.regs.iter().map(|&r| r as u64).collect();
-        w.u64s(&regs);
-        w.bytes(&self.mem);
-        w.u64(self.cycles);
-        w.u64(self.instructions);
-        w.bool(self.halted);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut printed_netlist::SnapshotReader<'_>,
-    ) -> Result<(), printed_netlist::SnapshotError> {
-        use printed_netlist::SnapshotError;
-        let regs = r.u64s()?;
-        if regs.len() != 16 {
-            return Err(SnapshotError::Mismatch {
-                field: "regs",
-                detail: format!("snapshot has {} registers, expected 16", regs.len()),
-            });
-        }
-        let mem = r.bytes()?;
-        if mem.len() != self.mem.len() {
-            return Err(SnapshotError::Mismatch {
-                field: "mem",
-                detail: format!(
-                    "snapshot memory is {} bytes, machine has {}",
-                    mem.len(),
-                    self.mem.len()
-                ),
-            });
-        }
-        let cycles = r.u64()?;
-        let instructions = r.u64()?;
-        let halted = r.bool()?;
-        for (dst, &src) in self.regs.iter_mut().zip(&regs) {
-            *dst = src as u16;
-        }
-        self.mem = mem;
-        self.cycles = cycles;
-        self.instructions = instructions;
-        self.halted = halted;
-        Ok(())
-    }
-}
-
 /// An MSP430 machine with 64 KiB of byte-addressed little-endian memory.
 #[derive(Clone)]
 pub struct CpuMsp430 {

@@ -10,7 +10,6 @@
 //! 3–23 vs 5–30).
 
 use crate::i8080::{Cpu8080, Fault8080, Reg};
-use printed_netlist::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// A Z80 machine (8080 core + Z80 timing and extensions).
 #[derive(Debug, Clone, Default)]
@@ -220,22 +219,6 @@ impl CpuZ80 {
             self.step();
         }
         Ok(())
-    }
-}
-
-/// The machine state is exactly the embedded 8080 core's (the Z80
-/// extensions carry no extra state), but under its own kind tag so a Z80
-/// snapshot never restores into a plain 8080 and vice versa.
-impl Snapshot for CpuZ80 {
-    const KIND: &'static str = "baselines.z80";
-    const VERSION: u32 = 1;
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.core.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.core.restore_state(r)
     }
 }
 

@@ -46,56 +46,6 @@ impl fmt::Display for FaultZpu {
 
 impl std::error::Error for FaultZpu {}
 
-/// Full machine-state capture: the whole stack-machine memory, PC, SP,
-/// the cycle/instruction counters, and the halt / IM-continuation
-/// latches — a restored machine replays byte-for-byte.
-impl printed_netlist::Snapshot for CpuZpu {
-    const KIND: &'static str = "baselines.zpu";
-    const VERSION: u32 = 1;
-
-    fn save_state(&self, w: &mut printed_netlist::SnapshotWriter) {
-        w.bytes(&self.mem);
-        w.u64(self.pc as u64);
-        w.u64(self.sp as u64);
-        w.u64(self.cycles);
-        w.u64(self.instructions);
-        w.bool(self.halted);
-        w.bool(self.im_pending);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut printed_netlist::SnapshotReader<'_>,
-    ) -> Result<(), printed_netlist::SnapshotError> {
-        use printed_netlist::SnapshotError;
-        let mem = r.bytes()?;
-        if mem.len() != self.mem.len() {
-            return Err(SnapshotError::Mismatch {
-                field: "mem",
-                detail: format!(
-                    "snapshot memory is {} bytes, machine has {}",
-                    mem.len(),
-                    self.mem.len()
-                ),
-            });
-        }
-        let pc = r.u64()? as u32;
-        let sp = r.u64()? as u32;
-        let cycles = r.u64()?;
-        let instructions = r.u64()?;
-        let halted = r.bool()?;
-        let im_pending = r.bool()?;
-        self.mem = mem;
-        self.pc = pc;
-        self.sp = sp;
-        self.cycles = cycles;
-        self.instructions = instructions;
-        self.halted = halted;
-        self.im_pending = im_pending;
-        Ok(())
-    }
-}
-
 /// A ZPU machine.
 #[derive(Debug, Clone)]
 pub struct CpuZpu {

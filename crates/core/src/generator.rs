@@ -21,10 +21,8 @@ use crate::isa::Flags;
 #[cfg(test)]
 use crate::isa::Instruction;
 use crate::specific::CoreSpec;
-use printed_netlist::snapshot::fnv1a;
 use printed_netlist::{
-    lint, words, Engine, NetId, Netlist, NetlistBuilder, NetlistError, Simulator, Snapshot,
-    SnapshotError, SnapshotReader, SnapshotWriter,
+    lint, words, Engine, NetId, Netlist, NetlistBuilder, NetlistError, Simulator,
 };
 use printed_pdk::Technology;
 
@@ -614,82 +612,6 @@ impl<'a> GateLevelMachine<'a> {
     }
 }
 
-/// Identity hash of an encoded instruction ROM.
-fn rom_hash(program: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(program.len() * 8);
-    for &word in program {
-        bytes.extend_from_slice(&word.to_le_bytes());
-    }
-    fnv1a(&bytes)
-}
-
-/// Captures the whole co-simulated system: the software data memory and
-/// halt latch here, plus the full embedded [`Simulator`] snapshot (every
-/// net and sequential-element bit). The spec and instruction ROM are
-/// identity-checked rather than restored — a snapshot only loads into a
-/// machine built for the same core and program — so a restored machine
-/// continues cycle-for-cycle identically to the donor.
-impl Snapshot for GateLevelMachine<'_> {
-    const KIND: &'static str = "core.gatelevel";
-    const VERSION: u32 = 1;
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.str(&self.spec.label);
-        w.usize(self.spec.datawidth);
-        w.u64(rom_hash(&self.program));
-        w.usize(self.program.len());
-        w.u64s(&self.dmem);
-        w.bool(self.halted);
-        w.bytes(&self.sim.save_binary());
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let label = r.str()?;
-        let datawidth = r.usize()?;
-        if label != self.spec.label || datawidth != self.spec.datawidth {
-            return Err(SnapshotError::Mismatch {
-                field: "spec",
-                detail: format!(
-                    "snapshot is for {label} ({datawidth}b), machine is {} ({}b)",
-                    self.spec.label, self.spec.datawidth
-                ),
-            });
-        }
-        let hash = r.u64()?;
-        let rom_len = r.usize()?;
-        if hash != rom_hash(&self.program) || rom_len != self.program.len() {
-            return Err(SnapshotError::Mismatch {
-                field: "program",
-                detail: format!(
-                    "snapshot ROM ({rom_len} words, hash {hash:016x}) differs from the loaded \
-                     one ({} words)",
-                    self.program.len()
-                ),
-            });
-        }
-        let dmem = r.u64s()?;
-        if dmem.len() != self.dmem.len() {
-            return Err(SnapshotError::Mismatch {
-                field: "dmem",
-                detail: format!(
-                    "snapshot dmem has {} words, machine has {}",
-                    dmem.len(),
-                    self.dmem.len()
-                ),
-            });
-        }
-        let halted = r.bool()?;
-        let sim_bytes = r.bytes()?;
-        // The embedded simulator restore is transactional and runs
-        // before any field here mutates, so a mismatched netlist inside
-        // leaves the whole machine untouched.
-        self.sim.restore_binary(&sim_bytes)?;
-        self.dmem = dmem;
-        self.halted = halted;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {
@@ -812,48 +734,6 @@ mod tests {
             other => panic!("expected DeadlineExceeded, got {other}"),
         }
         assert!(!gm.is_halted(), "the program never reached a halt idiom");
-    }
-
-    #[test]
-    fn gate_level_snapshot_resumes_byte_identically() {
-        use crate::isa::{AluOp, Operand};
-        let config = CoreConfig::new(1, 8, 2);
-        // A countdown loop: snapshot mid-loop, restore into a fresh
-        // machine, and prove the continuation matches a straight run.
-        let prog = vec![
-            Instruction::Store { dst: Operand::direct(0), imm: 5 },
-            Instruction::Store { dst: Operand::direct(1), imm: 1 },
-            Instruction::Alu { op: AluOp::Sub, dst: Operand::direct(0), src: Operand::direct(1) },
-            Instruction::Alu { op: AluOp::Add, dst: Operand::direct(2), src: Operand::direct(1) },
-            Instruction::Branch { negate: true, target: 2, mask: Flags::Z },
-            Instruction::Branch { negate: true, target: 5, mask: 0 },
-        ];
-        let nl = generate_standard(&config);
-        let words = encode_program(&config, &prog);
-        let spec = CoreSpec::standard(config);
-        let mut straight = GateLevelMachine::new(&nl, spec.clone(), words.clone(), 16);
-        let mut paused = GateLevelMachine::new(&nl, spec.clone(), words.clone(), 16);
-        for _ in 0..7 {
-            straight.step().unwrap();
-            paused.step().unwrap();
-        }
-        let binary = paused.save_binary();
-        let mut resumed = GateLevelMachine::new(&nl, spec.clone(), words.clone(), 16);
-        resumed.restore_binary(&binary).unwrap();
-        straight.run(1000).unwrap();
-        resumed.run(1000).unwrap();
-        assert!(straight.is_halted() && resumed.is_halted());
-        assert_eq!(resumed.dmem(), straight.dmem());
-        assert_eq!(resumed.pc(), straight.pc());
-        assert_eq!(resumed.flags(), straight.flags());
-        assert_eq!(resumed.stats().cycles, straight.stats().cycles);
-        assert_eq!(resumed.stats().toggles, straight.stats().toggles);
-
-        // A snapshot must refuse to load over a different ROM.
-        let other = encode_program(&config, &prog[1..]);
-        let mut wrong = GateLevelMachine::new(&nl, spec, other, 16);
-        let err = wrong.restore_binary(&binary).unwrap_err();
-        assert!(matches!(err, SnapshotError::Mismatch { field: "program", .. }), "{err}");
     }
 
     #[test]

@@ -259,20 +259,6 @@ impl Instruction {
         Instruction::Branch { negate: true, target, mask: 0 }
     }
 
-    /// Whether this instruction may redirect the PC.
-    pub fn is_branch(&self) -> bool {
-        matches!(self, Instruction::Branch { .. })
-    }
-
-    /// Whether this instruction writes data memory.
-    pub fn writes_memory(&self) -> bool {
-        match self {
-            Instruction::Alu { op, .. } => op.writes_back(),
-            Instruction::Store { .. } => true,
-            _ => false,
-        }
-    }
-
     /// Whether this instruction updates the flags register.
     pub fn writes_flags(&self) -> bool {
         matches!(self, Instruction::Alu { .. })

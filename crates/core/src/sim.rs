@@ -13,8 +13,6 @@
 use crate::config::CoreConfig;
 use crate::isa::{alu_reference, AluOp, Flags, Instruction, Operand};
 use printed_memory::{MemoryError, Sram};
-use printed_netlist::snapshot::fnv1a;
-use printed_netlist::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use printed_obs as obs;
 use printed_pdk::Technology;
 use std::collections::VecDeque;
@@ -494,154 +492,6 @@ impl Machine {
     }
 }
 
-/// Identity hash binding a snapshot to one exact program: the canonical
-/// debug rendering of the decoded instructions, FNV-1a hashed. Decoded
-/// [`Instruction`]s have a stable, unambiguous rendering, so equal hashes
-/// mean equal programs.
-fn program_hash(program: &[Instruction]) -> u64 {
-    fnv1a(format!("{program:?}").as_bytes())
-}
-
-/// Full architectural + microarchitectural state capture. The program
-/// and configuration are *identity-checked*, not restored: a snapshot
-/// only loads into a machine built for the same `pP_D_B` configuration
-/// and the same program, so the restored machine replays byte-for-byte
-/// (state, statistics, and the pipeline hazard window all round-trip).
-impl Snapshot for Machine {
-    const KIND: &'static str = "core.machine";
-    const VERSION: u32 = 2;
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.str(&self.config.name());
-        w.u64(program_hash(&self.program));
-        w.usize(self.program.len());
-        w.u8(self.pc);
-        w.bytes(&self.bars);
-        w.u8(self.flags.bits());
-        w.u64(self.summary.cycles);
-        w.u64(self.summary.instructions);
-        w.u64(self.summary.stalls);
-        w.u64(self.summary.imem_reads);
-        w.u64(self.summary.dmem_reads);
-        w.u64(self.summary.dmem_writes);
-        w.bool(self.summary.halted);
-        w.u64s(&self.opcode_counts);
-        w.u64s(&self.opcode_cycles);
-        w.usize(self.in_flight.len());
-        for ws in &self.in_flight {
-            w.opt_u64(ws.mem.map(u64::from));
-            w.bool(ws.flags);
-            w.opt_u64(ws.bar.map(u64::from));
-        }
-        w.bool(self.halted);
-        w.usize(self.dmem.word_count());
-        w.usize(self.dmem.word_bits());
-        w.u64s(self.dmem.contents());
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        // Parse and validate everything before mutating: a failed
-        // restore leaves the machine untouched.
-        let name = r.str()?;
-        if name != self.config.name() {
-            return Err(SnapshotError::Mismatch {
-                field: "config",
-                detail: format!("snapshot is for {name}, machine is {}", self.config.name()),
-            });
-        }
-        let hash = r.u64()?;
-        let prog_len = r.usize()?;
-        if hash != program_hash(&self.program) || prog_len != self.program.len() {
-            return Err(SnapshotError::Mismatch {
-                field: "program",
-                detail: format!(
-                    "snapshot program ({prog_len} instructions, hash {hash:016x}) differs from \
-                     the loaded one ({} instructions)",
-                    self.program.len()
-                ),
-            });
-        }
-        let pc = r.u8()?;
-        let bars = r.bytes()?;
-        if bars.len() != self.bars.len() {
-            return Err(SnapshotError::Mismatch {
-                field: "bars",
-                detail: format!(
-                    "snapshot has {} BARs, machine has {}",
-                    bars.len(),
-                    self.bars.len()
-                ),
-            });
-        }
-        let flags = Flags::from_bits(r.u8()?);
-        let summary = RunSummary {
-            cycles: r.u64()?,
-            instructions: r.u64()?,
-            stalls: r.u64()?,
-            imem_reads: r.u64()?,
-            dmem_reads: r.u64()?,
-            dmem_writes: r.u64()?,
-            halted: r.bool()?,
-        };
-        let counts = r.u64s()?;
-        let opcode_counts: [u64; OPCODE_SLOTS] =
-            counts.try_into().map_err(|v: Vec<u64>| SnapshotError::Mismatch {
-                field: "opcode_counts",
-                detail: format!("snapshot has {} opcode slots, expected {OPCODE_SLOTS}", v.len()),
-            })?;
-        let cycles_per_op = r.u64s()?;
-        let opcode_cycles: [u64; OPCODE_SLOTS] =
-            cycles_per_op.try_into().map_err(|v: Vec<u64>| SnapshotError::Mismatch {
-                field: "opcode_cycles",
-                detail: format!("snapshot has {} opcode slots, expected {OPCODE_SLOTS}", v.len()),
-            })?;
-        let in_flight_len = r.usize()?;
-        let mut in_flight = VecDeque::with_capacity(in_flight_len);
-        for _ in 0..in_flight_len {
-            let mem = r.opt_u64()?.map(|v| v as u8);
-            let flags = r.bool()?;
-            let bar = r.opt_u64()?.map(|v| v as u8);
-            in_flight.push_back(WriteSet { mem, flags, bar });
-        }
-        let halted = r.bool()?;
-        let word_count = r.usize()?;
-        let word_bits = r.usize()?;
-        if word_count != self.dmem.word_count() || word_bits != self.dmem.word_bits() {
-            return Err(SnapshotError::Mismatch {
-                field: "dmem_shape",
-                detail: format!(
-                    "snapshot dmem is {word_count}x{word_bits}b, machine has {}x{}b",
-                    self.dmem.word_count(),
-                    self.dmem.word_bits()
-                ),
-            });
-        }
-        let words = r.u64s()?;
-        if words.len() != word_count {
-            return Err(SnapshotError::Mismatch {
-                field: "dmem",
-                detail: format!("snapshot carries {} words, declared {word_count}", words.len()),
-            });
-        }
-
-        self.pc = pc;
-        self.bars = bars;
-        self.flags = flags;
-        self.summary = summary;
-        self.opcode_counts = opcode_counts;
-        self.opcode_cycles = opcode_cycles;
-        self.in_flight = in_flight;
-        self.halted = halted;
-        for (addr, &value) in words.iter().enumerate() {
-            self.dmem.write(addr, value).map_err(|e| SnapshotError::Mismatch {
-                field: "dmem",
-                detail: format!("word {addr} rejected: {e}"),
-            })?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {
@@ -847,61 +697,6 @@ mod tests {
         m.run(100).unwrap();
         assert!(m.is_halted());
         assert_eq!(m.step().unwrap(), StepOutcome::Halted);
-    }
-
-    #[test]
-    fn snapshot_round_trip_resumes_byte_identically() {
-        // A looping program with pipeline hazards: snapshot mid-loop and
-        // prove restore + continue ≡ straight run, including statistics
-        // and the in-flight hazard window.
-        let prog = program_with_halt(vec![
-            I::Store { dst: Operand::direct(0), imm: 5 },
-            I::Store { dst: Operand::direct(1), imm: 1 },
-            I::Alu { op: AluOp::Sub, dst: Operand::direct(0), src: Operand::direct(1) },
-            I::Alu { op: AluOp::Test, dst: Operand::direct(0), src: Operand::direct(0) },
-            I::Branch { negate: true, target: 2, mask: Flags::Z },
-        ]);
-        for config in [CoreConfig::new(1, 8, 2), CoreConfig::new(3, 8, 2)] {
-            let mut straight = Machine::new(config, prog.clone(), 16);
-            let mut paused = Machine::new(config, prog.clone(), 16);
-            for _ in 0..4 {
-                straight.step().unwrap();
-                paused.step().unwrap();
-            }
-            let binary = paused.save_binary();
-            let mut resumed = Machine::new(config, prog.clone(), 16);
-            resumed.restore_binary(&binary).unwrap();
-            straight.run(1000).unwrap();
-            resumed.run(1000).unwrap();
-            assert_eq!(resumed.summary(), straight.summary(), "{config}");
-            assert_eq!(resumed.dmem().contents(), straight.dmem().contents());
-            assert_eq!(resumed.pc(), straight.pc());
-            assert_eq!(resumed.flags(), straight.flags());
-            assert_eq!(resumed.opcode_histogram(), straight.opcode_histogram());
-            assert_eq!(resumed.save_binary(), straight.save_binary(), "byte-identical state");
-        }
-    }
-
-    #[test]
-    fn snapshot_rejects_a_different_program_or_config() {
-        let prog_a = program_with_halt(vec![I::Store { dst: Operand::direct(0), imm: 1 }]);
-        let prog_b = program_with_halt(vec![I::Store { dst: Operand::direct(0), imm: 2 }]);
-        let donor = Machine::new(CoreConfig::default(), prog_a.clone(), 16);
-        let binary = donor.save_binary();
-
-        let mut wrong_prog = Machine::new(CoreConfig::default(), prog_b, 16);
-        let err = wrong_prog.restore_binary(&binary).unwrap_err();
-        assert!(
-            matches!(err, printed_netlist::SnapshotError::Mismatch { field: "program", .. }),
-            "{err}"
-        );
-
-        let mut wrong_cfg = Machine::new(CoreConfig::new(1, 4, 2), prog_a, 16);
-        let err = wrong_cfg.restore_binary(&binary).unwrap_err();
-        assert!(
-            matches!(err, printed_netlist::SnapshotError::Mismatch { field: "config", .. }),
-            "{err}"
-        );
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! cycle-limit watchdog
 //! ([`printed_netlist::NetlistError::DeadlineExceeded`]) — is reported
 //! as a [`printed_baselines::diff::Divergence::SimError`] carrying the
-//! gate-level machine's current cycle, and both sides' snapshots are
-//! dumped next to the report when `PRINTED_SNAP_DIR` (or
-//! [`LockstepOptions::snapshot_dir`]) is set, so the aborted state can
-//! be reloaded and replayed offline.
+//! gate-level machine's current cycle. Like every divergence, the report
+//! carries both sides' architectural state at the abort, and its
+//! rendering is the row's `divergence` text in the summary artifact.
 //!
 //! [`diff_report`] sweeps every benchmark kernel at every supported data
 //! width on the standard 8-bit single-cycle core, and
@@ -28,17 +27,16 @@
 
 use crate::report::TextTable;
 use printed_baselines::diff::{
-    run_lockstep, write_snapshot, ArchState, DivergenceReport, LockstepOptions, LockstepSide,
-    LockstepStats, SideError,
+    run_lockstep, ArchState, DivergenceReport, LockstepOptions, LockstepSide, LockstepStats,
+    SideError,
 };
 use printed_core::kernels::{self, Kernel, KernelProgram};
 use printed_core::{
     generate_standard, CoreConfig, CoreSpec, GateLevelMachine, Instruction, Machine,
 };
-use printed_netlist::snapshot::Fnv1a;
+use printed_netlist::hash::Fnv1a;
 use printed_netlist::Netlist;
 use printed_obs as obs;
-use std::path::{Path, PathBuf};
 
 /// Digest of a data memory image (shared by both sides so the compare
 /// is exact, not representational).
@@ -112,10 +110,6 @@ impl LockstepSide for IssSide {
     fn step(&mut self) -> Result<(), SideError> {
         let cycle = self.machine.summary().cycles;
         self.machine.step().map(|_| ()).map_err(|e| SideError { message: e.to_string(), cycle })
-    }
-
-    fn save_snapshot(&self, dir: &Path, tag: &str) -> Option<PathBuf> {
-        write_snapshot(&self.machine, dir, self.name(), tag)
     }
 }
 
@@ -195,10 +189,6 @@ impl LockstepSide for GateSide<'_> {
         // no state compare runs for the failed step.
         let cycle = self.machine.stats().cycles;
         self.machine.step().map_err(|e| SideError { message: e.to_string(), cycle })
-    }
-
-    fn save_snapshot(&self, dir: &Path, tag: &str) -> Option<PathBuf> {
-        write_snapshot(&self.machine, dir, self.name(), tag)
     }
 }
 
@@ -373,7 +363,7 @@ mod tests {
     fn dmem_digest_hashes_the_little_endian_image() {
         let words = [0u64, 1, 0xDEAD_BEEF, u64::MAX];
         let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        assert_eq!(dmem_digest(&words), printed_netlist::snapshot::fnv1a(&image));
+        assert_eq!(dmem_digest(&words), printed_netlist::hash::fnv1a(&image));
     }
 
     #[test]
@@ -396,21 +386,25 @@ mod tests {
         assert_eq!(diff_summary(&report).len(), report.rows.len());
     }
 
-    #[test]
-    fn a_tripped_watchdog_reports_the_cycle_and_dumps_both_snapshots() {
+    /// ISS vs gate level on mult8 with the gate side's watchdog armed
+    /// at cycle 5, far below the kernel's runtime.
+    fn watchdog_report() -> Box<DivergenceReport> {
         let config = CoreConfig::new(1, 8, 2);
         let program = kernels::generate(Kernel::Mult, 8, 8).unwrap();
         let netlist = generate_standard(&config);
         let mut iss = IssSide::new(&program, config);
         let mut gate = GateSide::new(&netlist, &program, config);
-        // Arm the watchdog far below the kernel's runtime: the gate side
-        // aborts with DeadlineExceeded mid-compare.
         gate.machine_mut().set_cycle_limit(Some(5));
-        let dir = std::env::temp_dir().join(format!("printed-diff-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options =
-            LockstepOptions { snapshot_dir: Some(dir.clone()), ..LockstepOptions::default() };
-        let report = run_lockstep(&mut iss, &mut gate, &options).unwrap_err();
+        let report = run_lockstep(&mut iss, &mut gate, &LockstepOptions::default()).unwrap_err();
+        assert_eq!(report.state_a, iss.state());
+        assert_eq!(report.state_b, gate.state());
+        report
+    }
+
+    #[test]
+    fn a_tripped_watchdog_reports_the_cycle_and_reports_both_states() {
+        // The gate side aborts with DeadlineExceeded mid-compare.
+        let report = watchdog_report();
         match &report.divergence {
             printed_baselines::diff::Divergence::SimError { side, message, cycle } => {
                 assert_eq!(*side, "gate-level");
@@ -419,11 +413,43 @@ mod tests {
             }
             other => panic!("expected SimError, got {other:?}"),
         }
-        let snap_a = report.snapshot_a.as_ref().expect("ISS snapshot dumped");
-        let snap_b = report.snapshot_b.as_ref().expect("gate snapshot dumped");
-        assert!(snap_a.exists() && snap_b.exists());
+        assert_eq!(report.state_b.cycles, 5);
         let text = report.to_string();
         assert!(text.contains("failed at cycle 5"), "{text}");
-        let _ = std::fs::remove_dir_all(&dir);
+        for (name, state) in [("iss", &report.state_a), ("gate-level", &report.state_b)] {
+            let line = format!(
+                "  {name} state: pc {:#x}, flags {:#010b}, cycles {}, instructions {}, halted {}\n",
+                state.pc, state.flags, state.cycles, state.instructions, state.halted
+            );
+            assert!(text.contains(&line), "{line:?} missing from {text}");
+        }
+    }
+
+    #[test]
+    fn a_diverged_row_round_trips_through_the_summary_artifact() {
+        let report = watchdog_report();
+        let divergence = report.to_string();
+        assert!(divergence.lines().count() > 1, "the report spans several lines");
+        let rows = vec![DiffRow {
+            kernel: "mult8".to_string(),
+            config: "p1_8_2".to_string(),
+            steps: report.step,
+            cycles: report.cycle,
+            halted: false,
+            result_ok: false,
+            divergence: Some(divergence.clone()),
+        }];
+        let value = obs::json::parse(&diff_json(&DiffReport { rows })).expect("valid JSON");
+        let Some(obs::json::Value::Array(rows)) = value.get("rows") else {
+            panic!("rows is not an array");
+        };
+        let row = &rows[0];
+        assert_eq!(
+            row.get("divergence").and_then(obs::json::Value::as_str),
+            Some(divergence.as_str())
+        );
+        let totals = value.get("totals").unwrap();
+        assert_eq!(totals.get("divergences").and_then(obs::json::Value::as_f64), Some(1.0));
+        assert_eq!(totals.get("wrong_results").and_then(obs::json::Value::as_f64), Some(1.0));
     }
 }

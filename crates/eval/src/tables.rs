@@ -1,7 +1,7 @@
 //! Table regeneration: Tables 1–8 of the paper as structured data plus
 //! rendered text.
 
-use crate::figures::{figure8, Figure8Cell};
+use crate::figures::Figure8Cell;
 use crate::report::{eng, TextTable};
 use printed_baselines::kernels::{self, Bench};
 use printed_baselines::BaselineCpu;
@@ -317,24 +317,6 @@ pub fn table8_rows(cells: &[Figure8Cell]) -> Vec<Table8Row> {
         }
     }
     rows
-}
-
-/// Renders Table 8 (computing Figure 8 internally).
-///
-/// # Errors
-///
-/// Propagates a [`crate::system::SystemError`] from Figure 8 system
-/// assembly.
-pub fn table8() -> Result<TextTable, crate::system::SystemError> {
-    let cells = figure8(Technology::Egfet)?;
-    let mut t = TextTable::new(
-        "Table 8: iterations on a 1 V, 30 mAh battery (STD vs PS)",
-        &["benchmark", "STD", "PS"],
-    );
-    for r in table8_rows(&cells) {
-        t.row(vec![r.kernel, r.standard.to_string(), r.program_specific.to_string()]);
-    }
-    Ok(t)
 }
 
 #[cfg(test)]

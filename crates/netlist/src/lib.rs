@@ -27,9 +27,7 @@
 //!   and SEU — with masked/SDC/hang/detected classification ([`fault`]),
 //! - a supervised campaign runner with checkpoint/resume, watchdog
 //!   deadlines, and panic isolation ([`resilience`]),
-//! - versioned binary + JSON state snapshots shared by every simulator in
-//!   the workspace, powering differential lockstep validation
-//!   ([`snapshot`]), and
+//! - FNV-1a, the workspace's one content digest ([`hash`]), and
 //! - a TMR hardening transform with majority voters and an error-detect
 //!   output ([`builder::tmr`]).
 //!
@@ -60,13 +58,13 @@ pub mod bitsim;
 pub mod builder;
 pub mod dataflow;
 pub mod fault;
+pub mod hash;
 pub mod ir;
 pub mod lint;
 pub mod opt;
 pub mod profile;
 pub mod resilience;
 pub mod sim;
-pub mod snapshot;
 pub mod variation;
 pub mod vcd;
 pub mod words;
@@ -91,5 +89,4 @@ pub use resilience::{
     ResilienceConfig, ResilienceStats, SupervisedCampaign, SupervisedRun,
 };
 pub use sim::{ActivityStats, Engine, Simulator};
-pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use variation::{FmaxDistribution, VariationError};

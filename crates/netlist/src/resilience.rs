@@ -70,9 +70,9 @@ use crate::fault::{
     campaign_golden, campaign_threads, enumerate_faults, faulty_budget, CampaignConfig,
     CampaignError, CampaignResult, Fault, FaultRun, LaneOutcome, Outcome, OutcomeCounts, Workload,
 };
+use crate::hash::Fnv1a;
 use crate::ir::Netlist;
 use crate::sim::Simulator;
-use crate::snapshot::Fnv1a;
 use printed_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -45,7 +45,6 @@
 
 use crate::fault::FaultMap;
 use crate::ir::{FanoutMap, GateId, NetId, Netlist, NetlistError};
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use printed_obs as obs;
 use printed_pdk::CellKind;
 use std::sync::Arc;
@@ -347,11 +346,6 @@ impl<'a> Simulator<'a> {
     /// The evaluation engine in use.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// The shared per-net fanout map.
-    pub fn fanout_map(&self) -> &FanoutMap {
-        &self.fanout
     }
 
     /// A clone of the shared fanout handle, for passing the same
@@ -1062,141 +1056,6 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// Serializable simulator state (see [`crate::snapshot`]).
-///
-/// A snapshot captures everything the simulation semantics depend on:
-/// every net value, every sequential/tri-state hold bit, the
-/// toggle-accounting baseline (`prev_values`), the full
-/// [`ActivityStats`], and the armed cycle limit. Injected faults are
-/// deliberately *not* captured: a fault map is part of the experiment
-/// set up around a simulator, not state it evolves, so a restore keeps
-/// whatever faults the destination carries.
-///
-/// Snapshots are meaningful at step boundaries (after
-/// [`Simulator::step`] / [`Simulator::settle`] returns), where the
-/// event-driven worklist is quiescent. A restore validates the netlist
-/// identity (name, net and gate counts) and engine before mutating,
-/// then reseeds the event-driven worklist exactly as construction does,
-/// so the first settle after a restore re-derives the combinational
-/// fixpoint — byte-identical values, state, cycles, and toggle counts to
-/// the source simulator, with only the *work* counters
-/// ([`ActivityStats::gate_evals`], [`ActivityStats::settle_passes`],
-/// [`ActivityStats::events`], [`ActivityStats::skipped_gates`])
-/// reflecting the extra reseed pass.
-impl Snapshot for Simulator<'_> {
-    const KIND: &'static str = "netlist.sim";
-    const VERSION: u32 = 2;
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.str(self.netlist.name());
-        w.usize(self.netlist.net_count());
-        w.usize(self.netlist.gate_count());
-        w.u8(match self.engine {
-            Engine::EventDriven => 0,
-            Engine::FullSweep => 1,
-        });
-        w.bits(&self.values);
-        w.bits(&self.state);
-        w.bits(&self.prev_values);
-        w.u64s(&self.stats.toggles);
-        w.u64s(&self.stats.eval_counts);
-        w.u64(self.stats.cycles);
-        w.u64(self.stats.gate_evals);
-        w.u64(self.stats.settle_passes);
-        w.u64(self.stats.events);
-        w.u64(self.stats.skipped_gates);
-        w.opt_u64(self.cycle_limit);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        // Parse and validate the whole payload before touching `self`.
-        let name = r.str()?;
-        if name != self.netlist.name() {
-            return Err(SnapshotError::Mismatch {
-                field: "netlist",
-                detail: format!("snapshot of {name:?}, simulator runs {:?}", self.netlist.name()),
-            });
-        }
-        let nets = r.usize()?;
-        let gates = r.usize()?;
-        if nets != self.netlist.net_count() || gates != self.netlist.gate_count() {
-            return Err(SnapshotError::Mismatch {
-                field: "netlist_shape",
-                detail: format!(
-                    "snapshot has {nets} nets / {gates} gates, netlist has {} / {}",
-                    self.netlist.net_count(),
-                    self.netlist.gate_count()
-                ),
-            });
-        }
-        let engine_tag = r.u8()?;
-        let expected_tag = match self.engine {
-            Engine::EventDriven => 0,
-            Engine::FullSweep => 1,
-        };
-        if engine_tag != expected_tag {
-            return Err(SnapshotError::Mismatch {
-                field: "engine",
-                detail: format!("snapshot engine tag {engine_tag}, simulator tag {expected_tag}"),
-            });
-        }
-        let values = r.bits()?;
-        let state = r.bits()?;
-        let prev_values = r.bits()?;
-        let toggles = r.u64s()?;
-        let eval_counts = r.u64s()?;
-        if values.len() != nets || prev_values.len() != nets {
-            return Err(SnapshotError::Mismatch {
-                field: "values",
-                detail: format!("bit vectors sized {}/{nets}", values.len()),
-            });
-        }
-        if state.len() != gates || toggles.len() != gates || eval_counts.len() != gates {
-            return Err(SnapshotError::Mismatch {
-                field: "state",
-                detail: format!("per-gate vectors sized {}/{gates}", state.len()),
-            });
-        }
-        let cycles = r.u64()?;
-        let gate_evals = r.u64()?;
-        let settle_passes = r.u64()?;
-        let events = r.u64()?;
-        let skipped_gates = r.u64()?;
-        let cycle_limit = r.opt_u64()?;
-
-        self.values = values;
-        self.state = state;
-        self.prev_values = prev_values;
-        self.stats.toggles = toggles;
-        self.stats.eval_counts = eval_counts;
-        self.stats.cycles = cycles;
-        self.stats.gate_evals = gate_evals;
-        self.stats.settle_passes = settle_passes;
-        self.stats.events = events;
-        self.stats.skipped_gates = skipped_gates;
-        self.cycle_limit = cycle_limit;
-        // Discard any in-flight worklist and reseed it from scratch, the
-        // same way construction does: the next settle re-evaluates every
-        // combinational gate against the restored values and lands on
-        // the same fixpoint without perturbing toggle accounting.
-        self.touched.clear();
-        self.deferred.clear();
-        self.level_len.iter_mut().for_each(|len| *len = 0);
-        self.pending = 0;
-        for s in self.slot.iter_mut() {
-            if *s != u32::MAX {
-                *s &= !Self::QUEUED;
-            }
-        }
-        if self.engine == Engine::EventDriven {
-            for i in 0..self.netlist.gate_count() {
-                self.schedule_gate(i);
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Enqueues every combinational reader of `net` into its depth bucket —
 /// the body of [`Simulator::schedule_readers`] as a free function over
 /// split borrows, so the hot call sites (worklist drain, Q publish, bus
@@ -1467,102 +1326,6 @@ mod tests {
             NetlistError::Unsettled { net: NetId(0), driver: Some(GateId(0)), toggles: 1 };
         assert_eq!(sim.settle(), Err(expected.clone()));
         assert_eq!(sim.step(), Err(expected));
-    }
-
-    fn counter_netlist() -> Netlist {
-        // A 4-bit ripple counter built from toggle flip-flops: enough
-        // sequential + combinational state to exercise the snapshot.
-        let mut b = NetlistBuilder::new("count4");
-        let en = b.input_bit("en");
-        let mut carry = en;
-        let mut bits = Vec::new();
-        for _ in 0..4 {
-            let q = b.forward_net();
-            let d = b.xor2(q, carry);
-            b.dff_into(d, q);
-            carry = b.and2(q, carry);
-            bits.push(q);
-        }
-        b.output("count", bits);
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn snapshot_round_trip_replays_byte_identically() {
-        use crate::snapshot::Snapshot;
-        for engine in [Engine::EventDriven, Engine::FullSweep] {
-            let nl = counter_netlist();
-            // Reference: 2N cycles straight through.
-            let mut straight = Simulator::with_engine(&nl, engine);
-            straight.set_input("en", 1).unwrap();
-            straight.run(10).unwrap();
-
-            // Snapshot at N, restore into a fresh simulator, run N more.
-            let mut first = Simulator::with_engine(&nl, engine);
-            first.set_input("en", 1).unwrap();
-            first.run(5).unwrap();
-            let snap = first.save_binary();
-            let mut resumed = Simulator::with_engine(&nl, engine);
-            resumed.restore_binary(&snap).unwrap();
-            resumed.set_input("en", 1).unwrap();
-            resumed.run(5).unwrap();
-
-            assert_eq!(
-                resumed.read_output("count").unwrap(),
-                straight.read_output("count").unwrap()
-            );
-            assert_eq!(resumed.stats().cycles, straight.stats().cycles, "{engine:?}");
-            assert_eq!(resumed.stats().toggles, straight.stats().toggles, "{engine:?}");
-            assert_eq!(resumed.values, straight.values, "{engine:?}");
-            assert_eq!(resumed.state, straight.state, "{engine:?}");
-            // And the JSON envelope carries the identical payload.
-            let mut via_json = Simulator::with_engine(&nl, engine);
-            via_json.restore_json(&first.save_json()).unwrap();
-            assert_eq!(via_json.values, first.values);
-            assert_eq!(via_json.stats().cycles, first.stats().cycles);
-        }
-    }
-
-    #[test]
-    fn snapshot_restores_the_armed_cycle_limit() {
-        use crate::snapshot::Snapshot;
-        let nl = counter_netlist();
-        let mut sim = Simulator::new(&nl);
-        sim.set_input("en", 1).unwrap();
-        sim.set_cycle_limit(Some(7));
-        sim.run(3).unwrap();
-        let mut resumed = Simulator::new(&nl);
-        resumed.restore_binary(&sim.save_binary()).unwrap();
-        assert_eq!(resumed.cycle_limit(), Some(7));
-        resumed.set_input("en", 1).unwrap();
-        assert_eq!(
-            resumed.run(100),
-            Err(NetlistError::DeadlineExceeded { cycles: 7, limit: 7 }),
-            "the restored watchdog trips at the same absolute cycle"
-        );
-    }
-
-    #[test]
-    fn snapshot_rejects_a_different_netlist_and_engine() {
-        use crate::snapshot::{Snapshot, SnapshotError};
-        let nl = counter_netlist();
-        let other = divider();
-        let mut sim = Simulator::new(&nl);
-        sim.set_input("en", 1).unwrap();
-        sim.run(2).unwrap();
-        let snap = sim.save_binary();
-        let before = Simulator::new(&other).values.clone();
-        let mut wrong = Simulator::new(&other);
-        assert!(matches!(
-            wrong.restore_binary(&snap),
-            Err(SnapshotError::Mismatch { field: "netlist", .. })
-        ));
-        assert_eq!(wrong.values, before, "a failed restore leaves the target untouched");
-        let mut sweep = Simulator::with_engine(&nl, Engine::FullSweep);
-        assert!(matches!(
-            sweep.restore_binary(&snap),
-            Err(SnapshotError::Mismatch { field: "engine", .. })
-        ));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! name jobs by.
 
 use crate::error::ShopError;
-use printed_netlist::snapshot::fnv1a;
+use printed_netlist::hash::fnv1a;
 use printed_obs::json::{self, Value};
 
 /// Longest request line the service reads, newline included: 1 MiB. A

@@ -19,10 +19,10 @@ use printed_core::workload::ProgramWorkload;
 use printed_core::{asm, generate_checked, CoreConfig, CoreSpec, Instruction, NarrowEncoding};
 use printed_memory::Sram;
 use printed_netlist::fault::{CampaignConfig, StuckAtSpace};
+use printed_netlist::hash::fnv1a;
 use printed_netlist::resilience::{
     campaign_identity, run_supervised_campaign_cancellable, ResilienceConfig, SupervisedRun,
 };
-use printed_netlist::snapshot::fnv1a;
 use printed_netlist::{analysis, opt, tmr, Netlist, TmrOptions};
 use printed_obs::json;
 use printed_pdk::battery::{Battery, PRINTED_BATTERIES};

@@ -126,10 +126,10 @@ fn main() {
 
     // Differential validation: every kernel in ISS-vs-gate-level
     // lockstep, with the JSON artifact the CI gate consumes (see
-    // DESIGN.md "Differential validation & snapshots").
+    // DESIGN.md "Differential validation").
     pipeline.run_stage("eval.diff_summary", || {
         use printed_microprocessors::eval::lockstep;
-        let options = printed_microprocessors::baselines::diff::LockstepOptions::from_env();
+        let options = printed_microprocessors::baselines::diff::LockstepOptions::default();
         let report = lockstep::diff_report(&options);
         println!("{}", lockstep::diff_summary(&report));
         let out =

@@ -18,6 +18,10 @@
 //!   of its per-opcode cycles,
 //! - `printed-regression/v1`: `pass` must be a boolean consistent with
 //!   the per-check `ok` flags,
+//! - `printed-diff-summary/v1`: every row must carry string
+//!   `kernel`/`config`, numeric `steps`/`cycles`, boolean
+//!   `halted`/`result_ok` and a string-or-null `divergence`, and the
+//!   `totals` must count the rows, the divergences and the wrong results,
 //! - `BENCH_history.jsonl` ledgers: every line must be a
 //!   `printed-bench-record/v1` record, with an optional boolean `dirty`
 //!   (validated via `printed_eval::regression::parse_history`).
@@ -148,6 +152,50 @@ fn validate_regression(v: &Value, path: &str) -> Result<String, Box<dyn std::err
     Ok(format!("printed-regression/v1: pass={pass}, {} checks", checks.len()))
 }
 
+fn boolean(v: &Value, key: &str, path: &str) -> Result<bool, Box<dyn std::error::Error>> {
+    match v.get(key) {
+        Some(Value::Bool(b)) => Ok(*b),
+        _ => Err(fail(path, &format!("{key} missing or not a boolean"))),
+    }
+}
+
+fn validate_diff_summary(v: &Value, path: &str) -> Result<String, Box<dyn std::error::Error>> {
+    let rows = as_array(v, "rows", path)?;
+    let (mut divergences, mut wrong_results) = (0usize, 0usize);
+    for (i, row) in rows.iter().enumerate() {
+        let at = format!("{path} row {i}");
+        for key in ["kernel", "config"] {
+            row.get(key)
+                .and_then(Value::as_str)
+                .ok_or_else(|| fail(&at, &format!("{key} missing or not a string")))?;
+        }
+        num(row, "steps", &at)?;
+        num(row, "cycles", &at)?;
+        boolean(row, "halted", &at)?;
+        if !boolean(row, "result_ok", &at)? {
+            wrong_results += 1;
+        }
+        match row.get("divergence") {
+            Some(Value::Null) => {}
+            Some(Value::String(_)) => divergences += 1,
+            _ => return Err(fail(&at, "divergence missing or neither a string nor null")),
+        }
+    }
+    let totals = v.get("totals").ok_or_else(|| fail(path, "missing totals"))?;
+    for (key, counted) in
+        [("rows", rows.len()), ("divergences", divergences), ("wrong_results", wrong_results)]
+    {
+        let total = num(totals, key, path)?;
+        if total != counted as f64 {
+            return Err(fail(path, &format!("totals.{key} is {total}, the rows hold {counted}")));
+        }
+    }
+    Ok(format!(
+        "printed-diff-summary/v1: {} rows, {divergences} divergences, {wrong_results} wrong results",
+        rows.len()
+    ))
+}
+
 fn validate_one(path: &str) -> Result<String, Box<dyn std::error::Error>> {
     let contents = std::fs::read_to_string(path).map_err(|e| fail(path, &e.to_string()))?;
     // JSONL perf ledgers are multi-document; sniff them first.
@@ -164,6 +212,7 @@ fn validate_one(path: &str) -> Result<String, Box<dyn std::error::Error>> {
     match v.get("schema").and_then(Value::as_str) {
         Some("printed-profile/v1") => validate_profile(&v, path),
         Some("printed-regression/v1") => validate_regression(&v, path),
+        Some("printed-diff-summary/v1") => validate_diff_summary(&v, path),
         Some(other) => Err(fail(path, &format!("unknown schema {other:?}"))),
         None if v.get("traceEvents").is_some() => validate_chrome_trace(&v, path),
         None => Err(fail(path, "no schema field and not a chrome trace")),

@@ -1,19 +1,9 @@
-//! Property tests for the differential-validation layer: snapshot
-//! round-trip identity for every instruction-set simulator and the
-//! netlist simulator (save at N, restore, run N more ≡ 2N straight),
-//! and lockstep equivalence of the 8080 ⊂ Z80 subset over random
-//! programs.
+//! Property tests for the differential-validation layer: lockstep
+//! equivalence of the 8080 ⊂ Z80 subset over random programs.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
-use printed_microprocessors::baselines::asm430::Asm430;
 use printed_microprocessors::baselines::diff::{run_lockstep, I8080Side, LockstepOptions, Z80Side};
-use printed_microprocessors::baselines::i8080::Cpu8080;
-use printed_microprocessors::baselines::msp430::CpuMsp430;
-use printed_microprocessors::baselines::z80::CpuZ80;
-use printed_microprocessors::baselines::zpu::{AsmZpu, CpuZpu};
-use printed_microprocessors::core::{CoreConfig, Machine};
-use printed_microprocessors::netlist::{Engine, NetlistBuilder, Simulator, Snapshot};
 use proptest::prelude::*;
 
 /// A straight-line 8080 instruction from a Z80-shared subset (no jumps,
@@ -73,168 +63,5 @@ proptest! {
             .unwrap_or_else(|report| panic!("{report}"));
         prop_assert!(stats.halted);
         prop_assert!(stats.steps > 0);
-    }
-
-    #[test]
-    fn i8080_snapshot_round_trip_is_identity(image in program_8080(), split in 0u64..16) {
-        // Straight: run to halt. Split: run `split` steps, snapshot,
-        // restore into a fresh CPU, finish — byte-identical state.
-        let mut straight = Cpu8080::new();
-        straight.load(0x100, &image);
-        let mut first = Cpu8080::new();
-        first.load(0x100, &image);
-        for _ in 0..split {
-            straight.step();
-            first.step();
-        }
-        let mut resumed = Cpu8080::new();
-        resumed.restore_binary(&first.save_binary()).unwrap();
-        while !straight.is_halted() {
-            straight.step();
-            resumed.step();
-        }
-        prop_assert_eq!(resumed.save_binary(), straight.save_binary());
-    }
-
-    #[test]
-    fn z80_snapshot_round_trip_is_identity(image in program_8080(), split in 0u64..16) {
-        let mut straight = CpuZ80::new();
-        straight.load(0x100, &image);
-        let mut first = CpuZ80::new();
-        first.load(0x100, &image);
-        for _ in 0..split {
-            straight.step();
-            first.step();
-        }
-        let mut resumed = CpuZ80::new();
-        resumed.restore_binary(&first.save_binary()).unwrap();
-        while !straight.is_halted() {
-            straight.step();
-            resumed.step();
-        }
-        prop_assert_eq!(resumed.save_binary(), straight.save_binary());
-    }
-
-    #[test]
-    fn msp430_snapshot_round_trip_is_identity(a in any::<u16>(), b in any::<u16>(), split in 0u64..4) {
-        let mut asm = Asm430::new(0x4400);
-        asm.mov_imm(a, 4).mov_imm(b, 5).add_reg(4, 5).cmp_reg(4, 5).halt();
-        let image = asm.assemble().unwrap();
-        let mut straight = CpuMsp430::new();
-        straight.load(0x4400, &image);
-        let mut first = CpuMsp430::new();
-        first.load(0x4400, &image);
-        for _ in 0..split {
-            straight.step();
-            first.step();
-        }
-        let mut resumed = CpuMsp430::new();
-        resumed.restore_binary(&first.save_binary()).unwrap();
-        while !straight.is_halted() {
-            straight.step();
-            resumed.step();
-        }
-        prop_assert_eq!(resumed.save_binary(), straight.save_binary());
-    }
-
-    #[test]
-    fn zpu_snapshot_round_trip_is_identity(v in any::<i32>(), split in 0u64..4) {
-        let mut asm = AsmZpu::new();
-        asm.im(v).im(0x100).store().breakpoint();
-        let image = asm.assemble().unwrap();
-        let mut straight = CpuZpu::new(4096);
-        straight.load(&image);
-        let mut first = CpuZpu::new(4096);
-        first.load(&image);
-        for _ in 0..split {
-            let _ = straight.step();
-            let _ = first.step();
-        }
-        let mut resumed = CpuZpu::new(4096);
-        resumed.restore_binary(&first.save_binary()).unwrap();
-        while !straight.is_halted() {
-            let _ = straight.step();
-            let _ = resumed.step();
-        }
-        prop_assert_eq!(resumed.save_binary(), straight.save_binary());
-    }
-
-    #[test]
-    fn netlist_simulator_round_trip_is_identity(
-        enables in prop::collection::vec(any::<bool>(), 4..12),
-        split in 0usize..4,
-    ) {
-        // A 4-bit enabled counter driven by a random enable pattern:
-        // snapshot mid-pattern, restore into a fresh simulator, and the
-        // remaining cycles must land on the identical architectural
-        // state (values, registers, cycles, toggles).
-        let mut b = NetlistBuilder::new("ctr4");
-        let en = b.input_bit("en");
-        let mut carry = en;
-        let mut bits = Vec::new();
-        for _ in 0..4 {
-            let q = b.forward_net();
-            let d = b.xor2(q, carry);
-            b.dff_into(d, q);
-            carry = b.and2(q, carry);
-            bits.push(q);
-        }
-        b.output("count", bits);
-        let nl = b.finish().unwrap();
-
-        for engine in [Engine::EventDriven, Engine::FullSweep] {
-            let mut straight = Simulator::with_engine(&nl, engine);
-            let mut first = Simulator::with_engine(&nl, engine);
-            let split = split.min(enables.len() - 1);
-            for &en in &enables[..split] {
-                straight.set_input("en", en as u64).unwrap();
-                straight.step().unwrap();
-                first.set_input("en", en as u64).unwrap();
-                first.step().unwrap();
-            }
-            let mut resumed = Simulator::with_engine(&nl, engine);
-            resumed.restore_binary(&first.save_binary()).unwrap();
-            for &en in &enables[split..] {
-                straight.set_input("en", en as u64).unwrap();
-                straight.step().unwrap();
-                resumed.set_input("en", en as u64).unwrap();
-                resumed.step().unwrap();
-            }
-            prop_assert_eq!(
-                resumed.read_output("count").unwrap(),
-                straight.read_output("count").unwrap()
-            );
-            prop_assert_eq!(resumed.stats().cycles, straight.stats().cycles);
-            prop_assert_eq!(&resumed.stats().toggles, &straight.stats().toggles);
-        }
-    }
-
-    #[test]
-    fn tp_isa_machine_round_trip_is_identity(split in 0u64..8) {
-        // The ISSUE's "N steps after restore ≡ 2N steps straight"
-        // property on the TP-ISA ISS, over a looping program.
-        use printed_microprocessors::core::asm::assemble;
-        let prog = assemble("
-            STORE [0], #5
-            STORE [1], #1
-            loop:
-            SUB   [0], [1]
-            BRN   loop, Z
-            HALT
-        ").unwrap();
-        let config = CoreConfig::new(1, 8, 2);
-        let mut straight = Machine::new(config, prog.instructions.clone(), 16);
-        let mut first = Machine::new(config, prog.instructions.clone(), 16);
-        for _ in 0..split {
-            let _ = straight.step();
-            let _ = first.step();
-        }
-        let mut resumed = Machine::new(config, prog.instructions.clone(), 16);
-        resumed.restore_binary(&first.save_binary()).unwrap();
-        while !straight.is_halted() {
-            straight.step().unwrap();
-            resumed.step().unwrap();
-        }
-        prop_assert_eq!(resumed.save_binary(), straight.save_binary());
     }
 }

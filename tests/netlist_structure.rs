@@ -13,7 +13,7 @@ use printed_microprocessors::baselines::BaselineCpu;
 use printed_microprocessors::core::kernels::{self, Kernel};
 use printed_microprocessors::core::specific::CoreSpec;
 use printed_microprocessors::core::{generate, generate_standard, CoreConfig};
-use printed_microprocessors::netlist::snapshot::Fnv1a;
+use printed_microprocessors::netlist::hash::Fnv1a;
 use printed_microprocessors::netlist::{opt, tmr, GateId, NetId, Netlist, TmrOptions};
 use printed_microprocessors::pdk::Technology;
 use std::collections::BTreeMap;
