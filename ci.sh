@@ -33,12 +33,6 @@ FAULT_CSV_OUT="$csv_dir/t2.csv" PRINTED_SIM_THREADS=2 \
 cmp "$csv_dir/t1.csv" "$csv_dir/t2.csv" \
     || { echo "campaign CSV differs between 1 and 2 worker threads"; exit 1; }
 
-echo "==> bitsliced campaign engine matches the scalar reference byte for byte (PRINTED_BITSLICED=0 vs default)"
-FAULT_CSV_OUT="$csv_dir/scalar.csv" PRINTED_BITSLICED=0 PRINTED_SIM_THREADS=2 \
-    cargo run --release --example fault_injection >/dev/null
-cmp "$csv_dir/t2.csv" "$csv_dir/scalar.csv" \
-    || { echo "bitsliced campaign CSV differs from the scalar engine"; exit 1; }
-
 echo "==> differential lockstep gate (nonzero exit on divergence)"
 cargo test --release --quiet --test lockstep_props
 
@@ -91,11 +85,12 @@ grep -q '"schema":"printed-static-report/v1"' "$static_out" \
 echo "==> print-shop service drill (dedup, SIGKILL mid-campaign, checkpoint-resumed recovery, backpressure)"
 cargo build --release --example print_shop >/dev/null
 shop_bin=target/release/examples/print_shop
-# A counting-loop program keeps each fault run at hundreds of cycles, so
-# the scalar single-thread kill server runs long enough (~15 s) for the
-# SIGKILL to land mid-campaign; the bitsliced default engine prices the
-# same query in under a second for the reference and recovery servers.
-shop_query='{"program":"STORE [0], #0\nSTORE [1], #1\nSTORE [2], #200\nloop:\nADD [0], [1]\nCMP [0], [2]\nBRN loop, Z\nHALT\n","isa_subset":false,"seu_samples":5000,"cycle_budget":2000,"seed":7}'
+# A counting-loop program keeps each fault run at hundreds of cycles, and
+# 40,000 SEUs keep one simulator thread busy for several seconds, so the
+# SIGKILL lands well inside the kill server's campaign while every job
+# stays under the 30 s deadline. All three servers price this one query,
+# so the reference quote is what recovery must reproduce.
+shop_query='{"program":"STORE [0], #0\nSTORE [1], #1\nSTORE [2], #200\nloop:\nADD [0], [1]\nCMP [0], [2]\nBRN loop, Z\nHALT\n","isa_subset":false,"seu_samples":40000,"cycle_budget":2000,"seed":7}'
 shop_addr() { # $1 = server log; waits for the listening line
     for _ in $(seq 1 100); do
         addr=$(grep -o 'listening on [0-9.]*:[0-9]*' "$1" 2>/dev/null | head -1 | awk '{print $3}')
@@ -131,13 +126,12 @@ fi
 PRINTED_SHOP_ADDR="$ref_addr" "$shop_bin" shutdown >/dev/null 2>&1
 wait "$ref_pid"
 
-# SIGKILL mid-campaign: a deliberately slow server (scalar engine, one
-# simulator thread) is killed after its first checkpoint lands; the
-# restarted server replays the journaled job, resumes the campaign from
-# the checkpoint, and serves the byte-identical reference quote.
+# SIGKILL mid-campaign: a server on one simulator thread is killed after
+# its first checkpointed slots land; the restarted server replays the
+# journaled job, resumes the campaign from the checkpoint, and serves the
+# byte-identical reference quote.
 kill_dir="$csv_dir/shop_kill"
-PRINTED_SHOP_ADDR=127.0.0.1:0 PRINTED_SHOP_DIR="$kill_dir" \
-    PRINTED_BITSLICED=0 PRINTED_SIM_THREADS=1 \
+PRINTED_SHOP_ADDR=127.0.0.1:0 PRINTED_SHOP_DIR="$kill_dir" PRINTED_SIM_THREADS=1 \
     "$shop_bin" serve >"$csv_dir/shop_kill.log" 2>&1 &
 kill_pid=$!
 kill_addr=$(shop_addr "$csv_dir/shop_kill.log")

@@ -31,7 +31,7 @@ use printed_core::kernels::{self, Kernel};
 use printed_core::workload::ProgramWorkload;
 use printed_core::{generate_checked, generate_standard, CoreConfig, CoreSpec};
 use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, StuckAtSpace, Workload};
-use printed_netlist::{analysis, dataflow, opt, Engine, FanoutMap, Simulator};
+use printed_netlist::{analysis, dataflow, opt, Engine, FanoutMap, ScalarOnly, Simulator};
 use printed_obs as obs;
 use printed_pdk::Technology;
 use std::path::Path;
@@ -112,7 +112,7 @@ struct Measurements {
     campaign_ms: Vec<(usize, f64)>,
     campaign_csv_identical: bool,
     host_cpus: usize,
-    bitsliced: BitslicedRun,
+    engines: BitslicedRun,
     obs_off_ns_per_op: f64,
     static_points: Vec<StaticPoint>,
     opt_sweep_ms: f64,
@@ -254,15 +254,15 @@ impl Measurements {
             self.campaign_speedup_4t(),
             THREAD_SCALING_MIN,
             self.scaling_asserted(),
-            self.bitsliced.faults,
-            self.bitsliced.scalar_ms,
-            self.bitsliced.bitsliced_ms,
-            self.bitsliced.speedup(),
+            self.engines.faults,
+            self.engines.scalar_ms,
+            self.engines.bitsliced_ms,
+            self.engines.speedup(),
             BITSLICED_SPEEDUP_MIN,
-            self.bitsliced.runs_per_sec(),
-            self.bitsliced.lane_utilization,
-            self.bitsliced.csv_identical,
-            self.bitsliced.speedup() >= BITSLICED_SPEEDUP_MIN,
+            self.engines.runs_per_sec(),
+            self.engines.lane_utilization,
+            self.engines.csv_identical,
+            self.engines.speedup() >= BITSLICED_SPEEDUP_MIN,
             self.obs_off_ns_per_op,
             OBS_OFF_THRESHOLD_NS,
             self.obs_off_ns_per_op <= OBS_OFF_THRESHOLD_NS,
@@ -372,30 +372,30 @@ fn measure_campaign_scaling() -> (usize, Vec<(usize, f64)>, bool) {
 
 /// Bitsliced vs scalar campaign engine on the exhaustive p1_4_2 smoke
 /// campaign, both single-threaded (equal thread count), best of
-/// [`MEASURE_REPS`]. Also checks CSV byte-identity over the full
-/// {scalar, bitsliced} × {1, 4 threads} matrix against the scalar
-/// sequential baseline.
+/// [`MEASURE_REPS`]. The scalar side is a [`ScalarOnly`] campaign, so it
+/// also pays the scheduler's declined-word fallback. Also checks CSV
+/// byte-identity over the full {scalar, bitsliced} × {1, 4 threads}
+/// matrix against the scalar sequential baseline.
 fn measure_bitsliced() -> BitslicedRun {
     let config = CoreConfig::new(1, 4, 2);
     let netlist = generate_standard(&config);
     let workload = ProgramWorkload::smoke(config);
-    let scalar_cfg = CampaignConfig {
+    let scalar_workload = ScalarOnly(&workload);
+    let campaign = CampaignConfig {
         stuck_at: StuckAtSpace::Exhaustive,
         seu_samples: 16,
-        bitsliced: false,
         ..CampaignConfig::default()
     };
-    let bits_cfg = CampaignConfig { bitsliced: true, ..scalar_cfg };
     let mut scalar_ms = f64::INFINITY;
     let mut bitsliced_ms = f64::INFINITY;
     let mut faults = 0;
     for rep in 0..MEASURE_REPS {
         let started = Instant::now();
-        let scalar = run_campaign_with_threads(&netlist, &workload, &scalar_cfg, 1)
+        let scalar = run_campaign_with_threads(&netlist, &scalar_workload, &campaign, 1)
             .expect("scalar campaign completes");
         let s_ms = started.elapsed().as_secs_f64() * 1e3;
         let started = Instant::now();
-        let bits = run_campaign_with_threads(&netlist, &workload, &bits_cfg, 1)
+        let bits = run_campaign_with_threads(&netlist, &workload, &campaign, 1)
             .expect("bitsliced campaign completes");
         let b_ms = started.elapsed().as_secs_f64() * 1e3;
         assert_eq!(scalar.to_csv(), bits.to_csv(), "engines must agree byte for byte");
@@ -405,14 +405,14 @@ fn measure_bitsliced() -> BitslicedRun {
             bitsliced_ms = bitsliced_ms.min(b_ms);
         }
     }
-    let baseline = run_campaign_with_threads(&netlist, &workload, &scalar_cfg, 1)
+    let baseline = run_campaign_with_threads(&netlist, &scalar_workload, &campaign, 1)
         .expect("scalar campaign completes")
         .to_csv();
     let mut csv_identical = true;
-    for bitsliced in [false, true] {
+    let engines: [&dyn Workload; 2] = [&scalar_workload, &workload];
+    for engine in engines {
         for threads in [1usize, 4] {
-            let cfg = CampaignConfig { bitsliced, ..scalar_cfg };
-            let run = run_campaign_with_threads(&netlist, &workload, &cfg, threads)
+            let run = run_campaign_with_threads(&netlist, engine, &campaign, threads)
                 .expect("matrix campaign completes");
             csv_identical &= run.to_csv() == baseline;
         }
@@ -537,8 +537,8 @@ fn append_history(m: &Measurements) {
         m.gl_event_ns_per_cycle,
         m.gl_sweep_ns_per_cycle,
         m.gl_speedup(),
-        m.bitsliced.speedup(),
-        m.bitsliced.runs_per_sec(),
+        m.engines.speedup(),
+        m.engines.runs_per_sec(),
         m.obs_off_ns_per_op,
         m.static_total_ms(),
         m.opt_sweep_ms,
@@ -555,7 +555,7 @@ fn bench(c: &mut Criterion) {
     let (_, _, gl_sweep_ns_per_cycle) = measure_gate_level(Engine::FullSweep);
     let (campaign_faults, campaign_ms, campaign_csv_identical) = measure_campaign_scaling();
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let bitsliced = measure_bitsliced();
+    let engines = measure_bitsliced();
     let obs_off_ns_per_op = measure_obs_off();
     let static_points = measure_static_analysis();
     let opt_sweep_ms = measure_opt_sweep();
@@ -573,7 +573,7 @@ fn bench(c: &mut Criterion) {
         campaign_ms,
         campaign_csv_identical,
         host_cpus,
-        bitsliced,
+        engines,
         obs_off_ns_per_op,
         static_points,
         opt_sweep_ms,
@@ -595,15 +595,15 @@ fn bench(c: &mut Criterion) {
         m.obs_off_ns_per_op
     );
     println!(
-        "bitsliced: {} faults, scalar {:.1} ms vs bitsliced {:.2} ms ({:.1}x, threshold \
+        "bitsliced engine: {} faults, scalar {:.1} ms vs bitsliced {:.2} ms ({:.1}x, threshold \
          {:.0}x), {:.0} runs/s, lane utilization {:.1} %; scaling 1->4t {:.2}x on {} cpu(s)",
-        m.bitsliced.faults,
-        m.bitsliced.scalar_ms,
-        m.bitsliced.bitsliced_ms,
-        m.bitsliced.speedup(),
+        m.engines.faults,
+        m.engines.scalar_ms,
+        m.engines.bitsliced_ms,
+        m.engines.speedup(),
         BITSLICED_SPEEDUP_MIN,
-        m.bitsliced.runs_per_sec(),
-        100.0 * m.bitsliced.lane_utilization,
+        m.engines.runs_per_sec(),
+        100.0 * m.engines.lane_utilization,
         m.campaign_speedup_4t(),
         m.host_cpus
     );
@@ -666,17 +666,17 @@ fn bench(c: &mut Criterion) {
         );
     }
     assert!(
-        m.bitsliced.csv_identical,
+        m.engines.csv_identical,
         "bitsliced campaigns must reproduce the scalar CSV byte for byte across the \
          {{engine}} x {{threads}} matrix"
     );
     assert!(
-        m.bitsliced.speedup() >= BITSLICED_SPEEDUP_MIN,
+        m.engines.speedup() >= BITSLICED_SPEEDUP_MIN,
         "the bitsliced engine must gain at least {BITSLICED_SPEEDUP_MIN}x over scalar at equal \
          thread count: scalar {:.1} ms vs bitsliced {:.2} ms is only {:.2}x",
-        m.bitsliced.scalar_ms,
-        m.bitsliced.bitsliced_ms,
-        m.bitsliced.speedup()
+        m.engines.scalar_ms,
+        m.engines.bitsliced_ms,
+        m.engines.speedup()
     );
     assert!(
         m.obs_off_ns_per_op <= OBS_OFF_THRESHOLD_NS,

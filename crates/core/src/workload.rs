@@ -189,7 +189,7 @@ mod tests {
     use crate::generator::generate_standard;
     use printed_netlist::fault::{
         classify_fault, run_campaign, run_campaign_with_threads, CampaignConfig, Fault, FaultKind,
-        Outcome, StuckAtSpace,
+        Outcome, ScalarOnly, StuckAtSpace,
     };
     use printed_netlist::resilience::{run_supervised_campaign_with_threads, ResilienceConfig};
     use printed_netlist::{tmr, GateId, TmrOptions};
@@ -302,16 +302,14 @@ mod tests {
         let config = CoreConfig::new(1, 4, 2);
         let nl = generate_standard(&config);
         let w = ProgramWorkload::smoke(config);
-        let scalar_cfg = CampaignConfig {
+        let campaign = CampaignConfig {
             stuck_at: StuckAtSpace::Sampled(20),
             seu_samples: 8,
-            bitsliced: false,
             ..CampaignConfig::default()
         };
-        let scalar = run_campaign(&nl, &w, &scalar_cfg).unwrap();
-        let bits_cfg = CampaignConfig { bitsliced: true, ..scalar_cfg };
+        let scalar = run_campaign(&nl, &ScalarOnly(&w), &campaign).unwrap();
         for threads in [1, 4] {
-            let bits = run_campaign_with_threads(&nl, &w, &bits_cfg, threads).unwrap();
+            let bits = run_campaign_with_threads(&nl, &w, &campaign, threads).unwrap();
             assert_eq!(bits, scalar, "{threads} threads");
             assert_eq!(bits.to_csv(), scalar.to_csv(), "byte-identical CSV at {threads} threads");
         }
@@ -319,19 +317,32 @@ mod tests {
         // A watchdog just past the golden halt times out the faulty lanes
         // still running while the golden lane retires, so bitsliced words
         // report TimedOut lanes: both engines must call them hangs.
-        let golden = w.run(Simulator::new(&nl), scalar_cfg.cycle_budget).unwrap().cycles;
+        let golden = w.run(Simulator::new(&nl), campaign.cycle_budget).unwrap().cycles;
         let watchdog =
             ResilienceConfig { watchdog_cycles: Some(golden + 2), ..ResilienceConfig::default() };
-        let supervised = |cfg: &CampaignConfig| {
-            run_supervised_campaign_with_threads(&nl, &w, cfg, &watchdog, 1)
+        let supervised = |workload: &dyn Workload| {
+            run_supervised_campaign_with_threads(&nl, workload, &campaign, &watchdog, 1)
                 .unwrap()
                 .into_complete()
                 .expect("no abort hook")
         };
-        let (scalar_wd, bits_wd) = (supervised(&scalar_cfg), supervised(&bits_cfg));
+        let (scalar_wd, bits_wd) = (supervised(&ScalarOnly(&w)), supervised(&w));
         assert!(bits_wd.stats.timeouts > 0, "the watchdog must trip on some faulty lanes");
         assert_eq!(bits_wd.stats.timeouts, scalar_wd.stats.timeouts);
         assert_eq!(bits_wd.result.to_csv(), scalar_wd.result.to_csv());
+
+        // The fault_injection example's campaign: every stuck-at of
+        // p1_4_2 plus 32 SEUs at the default seed, on both engines at 1
+        // and 2 workers.
+        let example = CampaignConfig { seu_samples: 32, ..CampaignConfig::default() };
+        let csv = |workload: &dyn Workload, threads| {
+            run_campaign_with_threads(&nl, workload, &example, threads).unwrap().to_csv()
+        };
+        let reference = csv(&ScalarOnly(&w), 1);
+        assert_eq!(csv(&ScalarOnly(&w), 2), reference, "scalar engine, 2 workers");
+        for threads in [1, 2] {
+            assert_eq!(csv(&w, threads), reference, "bitsliced engine, {threads} workers");
+        }
     }
 
     #[test]

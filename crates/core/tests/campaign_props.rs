@@ -8,8 +8,9 @@
 //! machine's exactly. This suite checks that on random TP-ISA programs
 //! with in- and out-of-range loads and stores, conditional branches,
 //! self-branch halts, and loops that run faulty lanes out of the cycle
-//! budget: the bitsliced campaign CSV must equal the scalar engine's on
-//! 4- and 8-bit standard, program-specific and TMR single-cycle cores.
+//! budget: the bitsliced campaign CSV must equal the scalar engine's (a
+//! `ScalarOnly` campaign) on 4- and 8-bit standard, program-specific and
+//! TMR single-cycle cores.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
@@ -17,7 +18,7 @@ use printed_core::workload::ProgramWorkload;
 use printed_core::{
     generate, generate_standard, AluOp, CoreConfig, CoreSpec, Instruction, Operand,
 };
-use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, StuckAtSpace};
+use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, ScalarOnly, StuckAtSpace};
 use printed_netlist::{tmr, Netlist, TmrOptions};
 use proptest::prelude::*;
 
@@ -114,16 +115,14 @@ fn check(
     let (netlist, workload) = core(kind, width, program).expect("every generated program encodes");
     let workload =
         workload.with_inputs(inputs.iter().enumerate().map(|(a, &v)| (a, u64::from(v))).collect());
-    let scalar_cfg = CampaignConfig {
+    let config = CampaignConfig {
         stuck_at: StuckAtSpace::Sampled(stuck),
         seu_samples: seus,
         cycle_budget: 120,
         seed,
-        bitsliced: false,
     };
-    let bits_cfg = CampaignConfig { bitsliced: true, ..scalar_cfg };
-    let scalar = run_campaign_with_threads(&netlist, &workload, &scalar_cfg, 1);
-    let bits = run_campaign_with_threads(&netlist, &workload, &bits_cfg, 1);
+    let scalar = run_campaign_with_threads(&netlist, &ScalarOnly(&workload), &config, 1);
+    let bits = run_campaign_with_threads(&netlist, &workload, &config, 1);
     match (scalar, bits) {
         (Ok(scalar), Ok(bits)) => {
             let context = format!("{kind:?} {width}-bit core, program {program:?}");

@@ -119,9 +119,6 @@ pub fn campaign_row(
         },
         seu_samples: options.seu_samples,
         seed: options.seed,
-        // Bitsliced by default; PRINTED_BITSLICED=0 falls back to the
-        // scalar reference engine.
-        bitsliced: true,
     };
     let resilience = ResilienceConfig::from_env();
     let run = run_supervised_campaign(netlist, workload, &config, &resilience)?;

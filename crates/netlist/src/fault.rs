@@ -202,12 +202,13 @@ pub trait Workload: Sync {
     /// occupied lane, lane 0 first.
     ///
     /// The default returns `None`: the workload has no bitsliced
-    /// implementation and the campaign falls back to one scalar run per
-    /// fault. Implementations must be lane-exact: every lane's
-    /// [`Observation`] must be byte-identical to what [`Workload::run`]
-    /// would produce for that lane's fault (the campaign engine verifies
-    /// lane 0 against the golden observation and falls back to scalar on
-    /// any mismatch).
+    /// implementation, so the campaign declines every word and runs each
+    /// fault through the supervised scalar fallback ([`ScalarOnly`]
+    /// forces this for any workload). Implementations must be
+    /// lane-exact: every lane's [`Observation`] must be byte-identical to
+    /// what [`Workload::run`] would produce for that lane's fault (the
+    /// campaign engine verifies lane 0 against the golden observation and
+    /// falls back to scalar on any mismatch).
     fn run_bitsliced(
         &self,
         sim: BitSimulator<'_>,
@@ -215,6 +216,21 @@ pub trait Workload: Sync {
     ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
         let _ = (sim, cycle_budget);
         None
+    }
+}
+
+/// A workload restricted to the scalar engine, the reference the
+/// bitsliced engine is tested against: it forwards [`Workload::run`] and
+/// keeps the default [`Workload::run_bitsliced`], so a campaign declines
+/// every word and classifies each fault through the supervised scalar
+/// fallback. Results, checkpoints and campaign identity are the wrapped
+/// workload's; only the speed differs.
+#[derive(Debug, Clone, Copy)]
+pub struct ScalarOnly<'a, W: ?Sized>(pub &'a W);
+
+impl<W: Workload + ?Sized> Workload for ScalarOnly<'_, W> {
+    fn run(&self, sim: Simulator<'_>, cycle_budget: u64) -> Result<Observation, NetlistError> {
+        self.0.run(sim, cycle_budget)
     }
 }
 
@@ -482,7 +498,11 @@ pub enum StuckAtSpace {
 }
 
 /// Campaign parameters. All sampling is seeded, so a config fully
-/// determines the campaign.
+/// determines the campaign. Every campaign runs on the bitsliced engine
+/// ([`crate::bitsim`], 63 faults plus the golden lane per `u64` word); a
+/// word that is declined, fails validation or panics reruns fault by
+/// fault on the scalar engine, so results are byte-identical to an
+/// all-scalar [`ScalarOnly`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Hard cycle cap for any single run. Faulty runs are additionally
@@ -496,17 +516,6 @@ pub struct CampaignConfig {
     pub seu_samples: usize,
     /// Seed for all sampled fault selection.
     pub seed: u64,
-    /// Run faults through the bitsliced engine ([`crate::bitsim`]): up
-    /// to 63 fault instances plus the golden reference packed into the
-    /// bit lanes of one `u64` word, evaluated by straight-line word-wide
-    /// boolean code. Default on; the scalar engine remains the reference
-    /// oracle (set this to `false`, or `PRINTED_BITSLICED=0`, see
-    /// [`bitsliced_enabled`]). Engine choice is an execution strategy:
-    /// results are byte-identical either way, every word's golden lane is
-    /// verified against the scalar golden observation (mismatches fall
-    /// back to scalar runs), and the flag is excluded from checkpoint
-    /// fingerprints so scalar and bitsliced runs share checkpoints.
-    pub bitsliced: bool,
 }
 
 impl Default for CampaignConfig {
@@ -516,7 +525,6 @@ impl Default for CampaignConfig {
             stuck_at: StuckAtSpace::Exhaustive,
             seu_samples: 0,
             seed: 0xFA17,
-            bitsliced: true,
         }
     }
 }
@@ -688,22 +696,6 @@ pub(crate) fn observe<W: Workload + ?Sized>(
     workload.run(sim, cycle_budget)
 }
 
-/// Whether campaigns run on the bitsliced engine: the `PRINTED_BITSLICED`
-/// environment variable overrides when set (`1`/`true`/`yes`/`on` force
-/// it on, `0`/`false`/`no`/`off` force the scalar reference engine);
-/// otherwise [`CampaignConfig::bitsliced`] decides. Any other value is
-/// ignored.
-pub fn bitsliced_enabled(config: &CampaignConfig) -> bool {
-    match std::env::var("PRINTED_BITSLICED") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "yes" | "on" => true,
-            "0" | "false" | "no" | "off" => false,
-            _ => config.bitsliced,
-        },
-        Err(_) => config.bitsliced,
-    }
-}
-
 /// Runs up to 63 faults as one bitsliced word on a clone of `proto` (a
 /// compiled [`BitSimulator`] sharing the pristine simulator's armed
 /// cycle limit): inject each fault into its lane and validate the result
@@ -752,9 +744,9 @@ pub fn lane_utilization(fault_count: usize) -> f64 {
 pub(crate) fn campaign_golden<W: Workload + ?Sized>(
     pristine: &Simulator<'_>,
     workload: &W,
-    config: &CampaignConfig,
+    cycle_budget: u64,
 ) -> Result<Observation, CampaignError> {
-    let golden = observe(pristine, workload, None, config.cycle_budget)?;
+    let golden = observe(pristine, workload, None, cycle_budget)?;
     if !golden.completed {
         return Err(CampaignError::GoldenIncomplete { cycles: golden.cycles });
     }
@@ -810,8 +802,8 @@ pub(crate) fn enumerate_faults(
 ///
 /// # Errors
 ///
-/// Returns a [`CampaignError`] if the fault-free run fails or does not
-/// complete.
+/// Returns the [`CampaignError`] [`run_campaign`] would: the fault-free
+/// run fails, does not complete, or fires the detect port.
 pub fn classify_fault<W: Workload + ?Sized>(
     netlist: &Netlist,
     workload: &W,
@@ -819,10 +811,7 @@ pub fn classify_fault<W: Workload + ?Sized>(
     cycle_budget: u64,
 ) -> Result<Outcome, CampaignError> {
     let pristine = Simulator::new(netlist);
-    let golden = observe(&pristine, workload, None, cycle_budget)?;
-    if !golden.completed {
-        return Err(CampaignError::GoldenIncomplete { cycles: golden.cycles });
-    }
+    let golden = campaign_golden(&pristine, workload, cycle_budget)?;
     let budget = faulty_budget(cycle_budget, golden.cycles);
     Ok(match observe(&pristine, workload, Some(fault), budget) {
         Ok(observed) => classify(&golden, &observed),
@@ -1110,8 +1099,12 @@ mod tests {
 
     #[test]
     fn golden_must_complete() {
-        struct NeverCompletes;
-        impl Workload for NeverCompletes {
+        /// A golden run that never completes, or one that completes but
+        /// fires the detect port, as a miswired port would.
+        struct Broken {
+            completes: bool,
+        }
+        impl Workload for Broken {
             fn run(
                 &self,
                 _sim: Simulator<'_>,
@@ -1119,15 +1112,25 @@ mod tests {
             ) -> Result<Observation, NetlistError> {
                 Ok(Observation {
                     signature: Vec::new(),
-                    completed: false,
+                    completed: self.completes,
                     cycles: cycle_budget,
-                    detected: false,
+                    detected: self.completes,
                 })
             }
         }
         let nl = divider();
-        let err = run_campaign(&nl, &NeverCompletes, &CampaignConfig::default()).unwrap_err();
-        assert!(matches!(err, CampaignError::GoldenIncomplete { .. }));
+        let config = CampaignConfig::default();
+        let fault = Fault { gate: GateId(0), kind: FaultKind::StuckAt0 };
+        for (completes, expected) in [
+            (false, CampaignError::GoldenIncomplete { cycles: config.cycle_budget }),
+            (true, CampaignError::GoldenDetected),
+        ] {
+            let workload = Broken { completes };
+            assert_eq!(run_campaign(&nl, &workload, &config).unwrap_err(), expected);
+            // The per-fault oracle rejects the golden run alike.
+            let single = classify_fault(&nl, &workload, fault, config.cycle_budget);
+            assert_eq!(single, Err(expected));
+        }
     }
 
     #[test]
@@ -1137,19 +1140,21 @@ mod tests {
         // and without a checkpoint, stuck-at and SEU faults alike.
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let scalar = ScalarOnly(&workload);
+        let engines: [(&str, &dyn Workload); 2] = [("scalar", &scalar), ("bitsliced", &workload)];
         let dir = std::env::temp_dir().join(format!("printed-ckpt-oracle-{}", std::process::id()));
         let checkpointed = ResilienceConfig {
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 4,
             ..ResilienceConfig::default()
         };
-        for bitsliced in [false, true] {
-            let config = CampaignConfig { seu_samples: 12, bitsliced, ..CampaignConfig::default() };
+        let config = CampaignConfig { seu_samples: 12, ..CampaignConfig::default() };
+        for (engine, campaign_workload) in engines {
             for threads in [1, 4] {
                 for resilience in [ResilienceConfig::default(), checkpointed.clone()] {
                     let run = run_supervised_campaign_with_threads(
                         &nl,
-                        &workload,
+                        campaign_workload,
                         &config,
                         &resilience,
                         threads,
@@ -1162,7 +1167,7 @@ mod tests {
                             classify_fault(&nl, &workload, run.fault, config.cycle_budget).unwrap();
                         assert_eq!(
                             single, run.outcome,
-                            "{} (bitsliced {bitsliced}, {threads} workers)",
+                            "{} ({engine} engine, {threads} workers)",
                             run.fault
                         );
                     }

@@ -77,9 +77,9 @@ pub use bitsim::BitSimulator;
 pub use builder::{tmr, NetlistBuilder, TmrOptions, TMR_ERROR_PORT};
 pub use dataflow::{analyze, analyze_with_fanout, AbsValue, DataflowFacts};
 pub use fault::{
-    bitsliced_enabled, campaign_threads, lane_utilization, run_campaign, run_campaign_with_threads,
-    CampaignConfig, CampaignError, CampaignResult, Fault, FaultKind, FaultMap, LaneOutcome,
-    Observation, Outcome, OutcomeCounts, PatternWorkload, StuckAtSpace, Workload,
+    campaign_threads, lane_utilization, run_campaign, run_campaign_with_threads, CampaignConfig,
+    CampaignError, CampaignResult, Fault, FaultKind, FaultMap, LaneOutcome, Observation, Outcome,
+    OutcomeCounts, PatternWorkload, ScalarOnly, StuckAtSpace, Workload,
 };
 pub use ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError, Pins, Region};
 pub use lint::{lint, lint_with_facts, Diagnostic, LintConfig, LintReport, Rule, Severity};

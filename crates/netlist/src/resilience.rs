@@ -37,10 +37,9 @@
 //! claimed chunk on `campaign-worker-<n>` lanes; the classification
 //! counters `netlist.fault.{workers,runs,masked,detected,hang,sdc}`,
 //! the bitsliced `netlist.fault.bitsliced.{words,lanes}` counters and
-//! `netlist.fault.{lane_utilization,runs_per_sec,bitsliced_runs_per_sec}`
-//! gauges; and the resilience counters `resilience.retries`,
-//! `resilience.timeouts`, `resilience.resumed_slots` and
-//! `resilience.failed`.
+//! `netlist.fault.{lane_utilization,runs_per_sec}` gauges; and the
+//! resilience counters `resilience.retries`, `resilience.timeouts`,
+//! `resilience.resumed_slots` and `resilience.failed`.
 //!
 //! # Checkpoint format
 //!
@@ -279,10 +278,12 @@ type SlotDone = (FaultRun, u32);
 /// that select the fault set (`cycle_budget`, stuck-at space, SEU
 /// samples, seed), and the golden observation (which stands in for the
 /// workload, since classification only ever compares against it). It
-/// deliberately **excludes** execution strategy — thread count and the
-/// scalar/bitsliced engine choice — because those are byte-identical by
-/// construction, and it contains no pointers, wall-clock, or
-/// per-process state, so it is stable across processes.
+/// deliberately **excludes** execution strategy — thread count, and
+/// whether words run bitsliced or fall back to scalar (a
+/// [`crate::fault::ScalarOnly`] workload shares its wrapped workload's
+/// identity) — because those are byte-identical by construction, and it
+/// contains no pointers, wall-clock, or per-process state, so it is
+/// stable across processes.
 ///
 /// # Errors
 ///
@@ -293,7 +294,7 @@ pub fn campaign_identity<W: Workload + ?Sized>(
     config: &CampaignConfig,
 ) -> Result<u64, JobError> {
     let pristine = Simulator::new(netlist);
-    let golden = campaign_golden(&pristine, workload, config)?;
+    let golden = campaign_golden(&pristine, workload, config.cycle_budget)?;
     let faults = enumerate_faults(netlist, config, golden.cycles);
     Ok(campaign_fingerprint(netlist, config, &golden, faults.len()))
 }
@@ -749,7 +750,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
 ) -> Result<SupervisedRun, JobError> {
     let _span = obs::span!("netlist.fault.campaign");
     let mut pristine = Simulator::new(netlist);
-    let golden = campaign_golden(&pristine, workload, config)?;
+    let golden = campaign_golden(&pristine, workload, config.cycle_budget)?;
     let faults = enumerate_faults(netlist, config, golden.cycles);
     let budget = faulty_budget(config.cycle_budget, golden.cycles);
     let total = faults.len();
@@ -803,14 +804,11 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     // word runs trip the same deadline as scalar clones. Word runs that
     // decline, trip the golden-lane watchdog, or panic fall back to the
     // supervised scalar path slot by slot.
-    let bits = crate::fault::bitsliced_enabled(config).then(|| {
-        let mut proto = crate::bitsim::BitSimulator::new(netlist);
-        proto.set_cycle_limit(pristine.cycle_limit());
-        // Campaign words only read lane observations, never per-gate
-        // toggle attribution.
-        proto.set_toggle_tracking(false);
-        proto
-    });
+    let mut proto = crate::bitsim::BitSimulator::new(netlist);
+    proto.set_cycle_limit(pristine.cycle_limit());
+    // Campaign words only read lane observations, never per-gate toggle
+    // attribution.
+    proto.set_toggle_tracking(false);
 
     let started = Instant::now();
     let retries = AtomicU64::new(0);
@@ -885,29 +883,14 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             }
         }
     };
-    // Fills one chunk: word batches on the bitsliced engine (resume
-    // holes packed together so words stay full), or slot-by-slot on the
-    // scalar path. Either way every filled slot goes through `record`,
-    // so checkpointing and abort accounting are engine-independent.
+    // Fills one chunk in word batches (resume holes packed together so
+    // words stay full); a declined word reruns slot by slot on the scalar
+    // path. Either way every filled slot goes through `record`, so
+    // checkpointing and abort accounting are engine-independent.
     let run_chunk = |worker_sim: &Simulator<'_>,
                      chunk_start: usize,
                      chunk_faults: &[Fault],
                      chunk_slots: &mut [Option<SlotDone>]| {
-        let Some(proto) = &bits else {
-            for (offset, (slot, &fault)) in chunk_slots.iter_mut().zip(chunk_faults).enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                if halted() {
-                    break;
-                }
-                let index = chunk_start + offset;
-                let done = supervise(worker_sim, index, fault);
-                record(index, &done);
-                *slot = Some(done);
-            }
-            return;
-        };
         let pending: Vec<usize> =
             (0..chunk_slots.len()).filter(|&o| chunk_slots[o].is_none()).collect();
         let mut at = 0usize;
@@ -927,7 +910,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             let word = retry_panics(
                 0,
                 |_, _| {},
-                |_| crate::fault::run_word(proto, workload, &golden, &word_faults, budget),
+                |_| crate::fault::run_word(&proto, workload, &golden, &word_faults, budget),
             );
             match word.ok().and_then(|(word, _)| word) {
                 Some(lanes) => {
@@ -978,15 +961,11 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     } else {
         // Contiguous chunks, several per worker so a chunk of hangs does
         // not serialize the campaign behind one thread, each carrying its
-        // global start index for checkpointing. Bitsliced chunks hold
-        // whole 63-fault words, so parallelism never splinters a word
-        // across workers.
-        let chunk = if bits.is_some() {
-            let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
-            total.div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults
-        } else {
-            total.div_ceil(workers * 4).max(1)
-        };
+        // global start index for checkpointing. Chunks hold whole
+        // 63-fault words, so parallelism never splinters a word across
+        // workers.
+        let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
+        let chunk = total.div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults;
         /// One claimable unit of campaign work: the chunk's global start
         /// index (for checkpoint bookkeeping) plus its fault and result
         /// slot slices.
@@ -1081,9 +1060,6 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         let secs = started.elapsed().as_secs_f64();
         if secs > 0.0 && !runs.is_empty() {
             reg.gauge("netlist.fault.runs_per_sec", runs.len() as f64 / secs);
-            if words > 0 {
-                reg.gauge("netlist.fault.bitsliced_runs_per_sec", runs.len() as f64 / secs);
-            }
         }
     }
     if let Some(path) = &stats.checkpoint {
@@ -1109,7 +1085,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
-    use crate::fault::{run_campaign_with_threads, PatternWorkload, StuckAtSpace};
+    use crate::fault::{run_campaign_with_threads, PatternWorkload, ScalarOnly, StuckAtSpace};
 
     fn accumulator() -> Netlist {
         let mut b = NetlistBuilder::new("acc4");
@@ -1254,10 +1230,10 @@ mod tests {
     fn scalar_checkpoint_resumes_into_a_bitsliced_run() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let scalar = ScalarOnly(&workload);
         let dir = std::env::temp_dir().join(format!("printed-ckpt-engine-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let scalar_cfg = CampaignConfig { bitsliced: false, ..config() };
-        let baseline = run_campaign_with_threads(&nl, &workload, &scalar_cfg, 1).unwrap();
+        let baseline = run_campaign_with_threads(&nl, &scalar, &config(), 1).unwrap();
         let total = baseline.runs.len();
         let resilience = ResilienceConfig {
             checkpoint_dir: Some(dir.clone()),
@@ -1266,23 +1242,21 @@ mod tests {
             ..ResilienceConfig::default()
         };
         let aborted =
-            run_supervised_campaign_with_threads(&nl, &workload, &scalar_cfg, &resilience, 1)
-                .unwrap();
+            run_supervised_campaign_with_threads(&nl, &scalar, &config(), &resilience, 1).unwrap();
         let SupervisedRun::Aborted { checkpoint, .. } = aborted else {
             panic!("abort hook must fire");
         };
         assert!(checkpoint.expect("checkpointing was enabled").exists());
 
-        // The fingerprint ignores the engine choice, so a bitsliced run
-        // picks up the scalar run's checkpoint and finishes it to the
-        // same bytes.
-        let bits_cfg = CampaignConfig { bitsliced: true, ..config() };
+        // The fingerprint ignores which engine classified a slot, so a
+        // plain run picks up the scalar run's checkpoint and finishes it
+        // to the same bytes.
         let resumed = ResilienceConfig {
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 4,
             ..ResilienceConfig::default()
         };
-        let finished = run_supervised_campaign_with_threads(&nl, &workload, &bits_cfg, &resumed, 1)
+        let finished = run_supervised_campaign_with_threads(&nl, &workload, &config(), &resumed, 1)
             .unwrap()
             .into_complete()
             .expect("no abort hook on resume");
@@ -1302,7 +1276,8 @@ mod tests {
         // Fabricate a checkpoint with the right path but a wrong
         // fingerprint inside: it must be discarded, not resumed.
         let golden =
-            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, &config()).unwrap();
+            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, config().cycle_budget)
+                .unwrap();
         let faults = enumerate_faults(&nl, &config(), golden.cycles);
         let fingerprint = campaign_fingerprint(&nl, &config(), &golden, faults.len());
         let path = checkpoint_path(&dir, nl.name(), fingerprint);
@@ -1330,7 +1305,8 @@ mod tests {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
         let golden =
-            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, &config()).unwrap();
+            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, config().cycle_budget)
+                .unwrap();
         let faults = enumerate_faults(&nl, &config(), golden.cycles);
         let fingerprint = campaign_fingerprint(&nl, &config(), &golden, faults.len());
         let dir = std::env::temp_dir().join(format!("printed-ckpt-crc-{}", std::process::id()));
@@ -1439,8 +1415,7 @@ mod tests {
         let base = campaign_identity(&nl, &workload, &config()).unwrap();
         // Stable across recomputation and across execution strategy.
         assert_eq!(base, campaign_identity(&nl, &workload, &config()).unwrap());
-        let bits = CampaignConfig { bitsliced: !config().bitsliced, ..config() };
-        assert_eq!(base, campaign_identity(&nl, &workload, &bits).unwrap());
+        assert_eq!(base, campaign_identity(&nl, &ScalarOnly(&workload), &config()).unwrap());
         // Distinct across campaign parameters and workloads.
         let seeded = CampaignConfig { seed: config().seed + 1, ..config() };
         assert_ne!(base, campaign_identity(&nl, &workload, &seeded).unwrap());
@@ -1513,7 +1488,8 @@ mod tests {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
         let golden =
-            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, &config()).unwrap();
+            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, config().cycle_budget)
+                .unwrap();
         let faults = enumerate_faults(&nl, &config(), golden.cycles);
         let fingerprint = campaign_fingerprint(&nl, &config(), &golden, faults.len());
         let dir = std::env::temp_dir().join(format!("printed-ckpt-trunc-{}", std::process::id()));

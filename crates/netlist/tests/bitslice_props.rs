@@ -2,17 +2,19 @@
 //!
 //! The bitsliced engine packs 64 fault instances into `u64` lanes and
 //! must be observationally indistinguishable from the scalar reference
-//! engine at the campaign level: identical `OutcomeCounts` and
-//! byte-identical CSV on random netlists and random fault sets —
-//! including fault counts that are not multiples of 64, so partial
-//! final words are exercised — at 1 and 4 worker threads. The engine's source-group settle, which evaluates only
-//! the logic fed by written ports or published state, must equal a full
-//! pass on random multi-port netlists under random per-lane stimulus.
+//! engine (a `ScalarOnly` campaign) at the campaign level: identical
+//! `OutcomeCounts` and byte-identical CSV on random netlists and random
+//! fault sets — including fault counts that are not multiples of 64, so
+//! partial final words are exercised — at 1 and 4 worker threads. The
+//! engine's source-group settle, which evaluates only the logic fed by
+//! written ports or published state, must equal a full pass on random
+//! multi-port netlists under random per-lane stimulus.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use printed_netlist::fault::{
-    run_campaign_with_threads, CampaignConfig, Fault, FaultKind, PatternWorkload, StuckAtSpace,
+    run_campaign_with_threads, CampaignConfig, Fault, FaultKind, PatternWorkload, ScalarOnly,
+    StuckAtSpace, Workload,
 };
 use printed_netlist::{BitSimulator, GateId, NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
@@ -161,10 +163,12 @@ proptest! {
     }
 
     /// The acceptance matrix: {scalar, bitsliced} × {1, 4 threads} all
-    /// produce the same `OutcomeCounts` and the same CSV bytes. `stuck_samples in 1..130` sweeps fault totals through
-    /// under-full, exactly-full, and multi-word campaigns, so partial
-    /// final words (and the scheduler's word-aligned chunking) are all
-    /// exercised.
+    /// produce the same `OutcomeCounts` and the same CSV bytes, against
+    /// the sequential [`ScalarOnly`] baseline, whose every fault runs
+    /// through the scheduler's scalar fallback. `stuck_samples in
+    /// 1..130` sweeps fault totals through under-full, exactly-full, and
+    /// multi-word campaigns, so partial final words (and the scheduler's
+    /// word-aligned chunking) are all exercised.
     #[test]
     fn bitsliced_campaigns_match_scalar_byte_for_byte(
         ops in prop::collection::vec((0u8..9, any::<u8>(), any::<u8>()), 4..32),
@@ -175,30 +179,30 @@ proptest! {
     ) {
         let nl = random_netlist(&ops, n_dffs);
         let workload = PatternWorkload { cycles: 8, seed };
-        let scalar_cfg = CampaignConfig {
+        let scalar = ScalarOnly(&workload);
+        let config = CampaignConfig {
             stuck_at: StuckAtSpace::Sampled(stuck_samples),
             seu_samples,
             seed,
-            bitsliced: false,
             ..CampaignConfig::default()
         };
-        let baseline = run_campaign_with_threads(&nl, &workload, &scalar_cfg, 1).unwrap();
+        let baseline = run_campaign_with_threads(&nl, &scalar, &config, 1).unwrap();
         let baseline_csv = baseline.to_csv();
-        for bitsliced in [false, true] {
-            let config = CampaignConfig { bitsliced, ..scalar_cfg };
+        let engines: [(&str, &dyn Workload); 2] = [("scalar", &scalar), ("bitsliced", &workload)];
+        for (engine, w) in engines {
             for threads in [1usize, 4] {
-                let run = run_campaign_with_threads(&nl, &workload, &config, threads).unwrap();
+                let run = run_campaign_with_threads(&nl, w, &config, threads).unwrap();
                 prop_assert_eq!(
                     run.counts(),
                     baseline.counts(),
-                    "bitsliced={} threads={}", bitsliced, threads
+                    "engine={} threads={}", engine, threads
                 );
-                prop_assert_eq!(&run, &baseline, "bitsliced={} threads={}", bitsliced, threads);
+                prop_assert_eq!(&run, &baseline, "engine={} threads={}", engine, threads);
                 prop_assert_eq!(
                     run.to_csv(),
                     baseline_csv.clone(),
-                    "CSV bytes diverged: bitsliced={} threads={}",
-                    bitsliced, threads
+                    "CSV bytes diverged: engine={} threads={}",
+                    engine, threads
                 );
             }
         }

@@ -40,7 +40,6 @@ proptest! {
             stuck_at: StuckAtSpace::Sampled(10),
             seu_samples: 4,
             seed: campaign_seed,
-            bitsliced: true,
         };
         let a = run_campaign(&nl, &workload, &config).unwrap();
         let b = run_campaign(&nl, &workload, &config).unwrap();

@@ -49,7 +49,6 @@ proptest! {
             stuck_at: StuckAtSpace::Sampled(10),
             seu_samples: 4,
             seed: campaign_seed,
-            bitsliced: true,
         };
         let plain = run_campaign(&nl, &workload, &config).unwrap();
 

@@ -95,8 +95,8 @@ pub fn workload(built: &BuiltCore, dmem_words: usize) -> Result<ProgramWorkload,
 }
 
 /// The campaign config a query's [`crate::proto::CampaignRequest`]
-/// denotes. The engine is left to the environment (`PRINTED_BITSLICED`)
-/// — it cannot change results or fingerprints.
+/// denotes. It fixes the fault set only; every campaign runs on the
+/// bitsliced engine, which cannot change results or fingerprints.
 pub fn campaign_config(query: &ShopQuery) -> Option<CampaignConfig> {
     query.campaign.as_ref().map(|c| CampaignConfig {
         cycle_budget: c.cycle_budget,
@@ -107,7 +107,6 @@ pub fn campaign_config(query: &ShopQuery) -> Option<CampaignConfig> {
         },
         seu_samples: c.seu_samples,
         seed: c.seed,
-        ..CampaignConfig::default()
     })
 }
 

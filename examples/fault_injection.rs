@@ -26,8 +26,7 @@ use printed_microprocessors::eval::robustness::{
     campaign_row, tmr_comparison, tmr_table, RobustnessOptions,
 };
 use printed_microprocessors::netlist::fault::{
-    bitsliced_enabled, classify_fault, lane_utilization, CampaignConfig, Fault, FaultKind,
-    StuckAtSpace,
+    classify_fault, lane_utilization, CampaignConfig, Fault, FaultKind, StuckAtSpace,
 };
 use printed_microprocessors::netlist::resilience::{run_supervised_campaign, ResilienceConfig};
 use printed_microprocessors::netlist::GateId;
@@ -96,16 +95,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100.0 * counts.masked_fraction(),
             result.seu_counts(),
         );
-        if bitsliced_enabled(&campaign) {
-            println!(
-                "  engine: bitsliced, {:.1} % lane utilization over {} faults \
-                 (64-lane words, lane 0 golden)",
-                100.0 * lane_utilization(result.runs.len()),
-                result.runs.len()
-            );
-        } else {
-            println!("  engine: scalar reference (PRINTED_BITSLICED=0 or config)");
-        }
+        println!(
+            "  engine: bitsliced, {:.1} % lane utilization over {} faults \
+             (64-lane words, lane 0 golden)",
+            100.0 * lane_utilization(result.runs.len()),
+            result.runs.len()
+        );
         println!("  vulnerability by cell class:");
         for (cell, c) in result.by_cell_class() {
             println!(
