@@ -21,15 +21,21 @@
 //!   thread count while reproducing its CSV byte for byte across the
 //!   {engine} x {threads} matrix, and
 //! - instrumentation with `PRINTED_OBS=off` stays unmeasurable (below
-//!   [`OBS_OFF_THRESHOLD_NS`] per call site).
+//!   [`OBS_OFF_THRESHOLD_NS`] per call site), and
+//! - the ISS-vs-gate-level sweep (`diff_report`, every kernel in one
+//!   bitsliced word) gains at least [`DIFF_WORD_SPEEDUP_MIN`] over a
+//!   scalar `diff_kernel` sweep of the same kernels, both timed in this
+//!   process with interleaved reps, so the ratio holds on any host.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use printed_baselines::diff::LockstepOptions;
 use printed_baselines::BaselineCpu;
 use printed_core::kernels::{self, Kernel};
 use printed_core::workload::ProgramWorkload;
 use printed_core::{generate_checked, generate_standard, CoreConfig, CoreSpec};
+use printed_eval::lockstep::{self, DiffRow};
 use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, StuckAtSpace, Workload};
 use printed_netlist::{analysis, dataflow, opt, Engine, FanoutMap, ScalarOnly, Simulator};
 use printed_obs as obs;
@@ -62,6 +68,16 @@ const THREAD_SCALING_MIN: f64 = 1.5;
 /// loss, and the word-wide full-sweep evaluation leave an order of
 /// magnitude.
 const BITSLICED_SPEEDUP_MIN: f64 = 10.0;
+
+/// Minimum speedup of the word-path differential sweep over the scalar
+/// sweep of the same 16 kernels. The word clocks as long as its longest
+/// kernel (993 of the sweep's 4,776 lockstep steps), so about 5x is
+/// expected before the per-lane compares.
+const DIFF_WORD_SPEEDUP_MIN: f64 = 3.0;
+
+/// Interleaved reps of the differential-sweep comparison; the first is
+/// warm-up.
+const DIFF_REPS: usize = 8;
 
 /// Pre-optimization baselines recorded by the seed benchmark (single
 /// full-sweep engine, no cached machine ports): the `ns_per_cycle`
@@ -117,6 +133,20 @@ struct Measurements {
     static_points: Vec<StaticPoint>,
     opt_sweep_ms: f64,
     generate_sweep_ms: f64,
+    diff: DiffRun,
+}
+
+/// Word-path vs scalar ISS-vs-gate-level sweep over the 16 kernels.
+struct DiffRun {
+    kernels: usize,
+    scalar_ms: f64,
+    word_ms: f64,
+}
+
+impl DiffRun {
+    fn speedup(&self) -> f64 {
+        self.scalar_ms / self.word_ms
+    }
 }
 
 /// Bitsliced-vs-scalar campaign engine measurement on the exhaustive
@@ -229,7 +259,9 @@ impl Measurements {
              \"static_analysis\": {{\"technology\": \"Egfet\", \"total_ms\": {:.1}, \
              \"budget_ms\": {:.1}, \"within_budget\": {}, \"points\": [{}]}},\n  \
              \"optimizer\": {{\"designs\": {}, \"total_ms\": {:.2}}},\n  \
-             \"generator\": {{\"designs\": {}, \"technology\": \"Egfet\", \"total_ms\": {:.2}}}\n}}\n",
+             \"generator\": {{\"designs\": {}, \"technology\": \"Egfet\", \"total_ms\": {:.2}}},\n  \
+             \"diff_word\": {{\"design\": \"p1_8_2\", \"kernels\": {}, \"scalar_ms\": {:.2}, \
+             \"word_ms\": {:.2}, \"speedup\": {:.2}, \"threshold\": {:.1}}}\n}}\n",
             self.sim_cycles,
             self.sim_event.ns_per_cycle,
             self.sim_event.gate_evals_per_sec,
@@ -274,6 +306,11 @@ impl Measurements {
             self.opt_sweep_ms,
             CoreConfig::design_space().len(),
             self.generate_sweep_ms,
+            self.diff.kernels,
+            self.diff.scalar_ms,
+            self.diff.word_ms,
+            self.diff.speedup(),
+            DIFF_WORD_SPEEDUP_MIN,
         )
     }
 }
@@ -514,6 +551,42 @@ fn measure_obs_off() -> f64 {
     })
 }
 
+/// The scalar ISS-vs-gate-level sweep: every kernel `diff_report`
+/// covers, run one at a time through `diff_kernel` on one p1_8_2 build.
+fn scalar_diff_sweep(options: &LockstepOptions) -> Vec<DiffRow> {
+    let config = CoreConfig::new(1, 8, 2);
+    let netlist = generate_standard(&config);
+    lockstep::sweep_programs(config)
+        .iter()
+        .map(|program| lockstep::scalar_diff_row(&netlist, program, config, options))
+        .collect()
+}
+
+/// `diff_report` (every kernel in one bitsliced word) against the
+/// scalar sweep of the same kernels, core generation included on both
+/// sides. The two alternate within each of [`DIFF_REPS`] reps in this
+/// process, the first rep is warm-up, and the best of the rest is kept;
+/// every rep checks that the word path reproduces the scalar rows.
+fn measure_diff_word() -> DiffRun {
+    let options = LockstepOptions::default();
+    let mut run = DiffRun { kernels: 0, scalar_ms: f64::INFINITY, word_ms: f64::INFINITY };
+    for rep in 0..DIFF_REPS {
+        let started = Instant::now();
+        let scalar = scalar_diff_sweep(&options);
+        let scalar_ms = started.elapsed().as_secs_f64() * 1e3;
+        let started = Instant::now();
+        let word = lockstep::diff_report(&options);
+        let word_ms = started.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(word.rows, scalar, "the word path must reproduce the scalar rows");
+        run.kernels = scalar.len();
+        if rep > 0 {
+            run.scalar_ms = run.scalar_ms.min(scalar_ms);
+            run.word_ms = run.word_ms.min(word_ms);
+        }
+    }
+    run
+}
+
 fn write_bench_json(m: &Measurements) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json");
     std::fs::write(&path, m.to_json())
@@ -531,7 +604,8 @@ fn append_history(m: &Measurements) {
          \"gl_speedup\": {:.2}, \
          \"bitsliced_speedup\": {:.2}, \"bitsliced_runs_per_sec\": {:.0}, \
          \"obs_off_ns_per_op\": {:.2}, \
-         \"static_total_ms\": {:.1}, \"opt_sweep_ms\": {:.2}, \"generate_sweep_ms\": {:.2}",
+         \"static_total_ms\": {:.1}, \"opt_sweep_ms\": {:.2}, \"generate_sweep_ms\": {:.2}, \
+         \"diff_word_speedup\": {:.2}",
         m.sim_event.ns_per_cycle,
         m.sim_sweep.ns_per_cycle,
         m.gl_event_ns_per_cycle,
@@ -543,6 +617,7 @@ fn append_history(m: &Measurements) {
         m.static_total_ms(),
         m.opt_sweep_ms,
         m.generate_sweep_ms,
+        m.diff.speedup(),
     );
     let run_index = printed_bench::append_history("sim_hotpaths", &metrics);
     println!("appended run {run_index} to the perf history");
@@ -560,6 +635,7 @@ fn bench(c: &mut Criterion) {
     let static_points = measure_static_analysis();
     let opt_sweep_ms = measure_opt_sweep();
     let generate_sweep_ms = measure_generate_sweep();
+    let diff = measure_diff_word();
 
     let m = Measurements {
         sim_cycles,
@@ -578,6 +654,7 @@ fn bench(c: &mut Criterion) {
         static_points,
         opt_sweep_ms,
         generate_sweep_ms,
+        diff,
     };
     println!(
         "netlist sim: event {:.0} ns/cycle vs full sweep {:.0} ns/cycle; gate-level {}: \
@@ -634,8 +711,27 @@ fn bench(c: &mut Criterion) {
         m.opt_sweep_ms,
         m.generate_sweep_ms
     );
+    println!(
+        "differential sweep: {} kernels, scalar {:.2} ms vs word {:.2} ms ({:.1}x, threshold \
+         {:.0}x)",
+        m.diff.kernels,
+        m.diff.scalar_ms,
+        m.diff.word_ms,
+        m.diff.speedup(),
+        DIFF_WORD_SPEEDUP_MIN
+    );
     write_bench_json(&m);
     append_history(&m);
+    // Host-independent ratios first, so they report even where a check
+    // against another host's clock stops the run.
+    assert!(
+        m.diff.speedup() >= DIFF_WORD_SPEEDUP_MIN,
+        "the word-path differential sweep must gain at least {DIFF_WORD_SPEEDUP_MIN}x over \
+         the scalar sweep: scalar {:.2} ms vs word {:.2} ms is only {:.2}x",
+        m.diff.scalar_ms,
+        m.diff.word_ms,
+        m.diff.speedup()
+    );
     assert!(
         m.gl_event_ns_per_cycle <= m.gl_sweep_ns_per_cycle,
         "event-driven engine must not be slower than the full sweep on p1_8_2: \

@@ -1,20 +1,37 @@
-//! Bitsliced gate-level co-simulation: 64 faulty cores per word.
+//! Bitsliced gate-level co-simulation: 64 cores per word.
 //!
 //! [`BitMachine`] is the word-wide counterpart of
 //! [`crate::generator::GateLevelMachine`]: one
-//! [`printed_netlist::BitSimulator`] carries 64 lanes of the same core
-//! netlist (lane 0 fault-free, lanes 1.. with faults pre-injected), and
-//! the software side of the co-simulation — instruction ROM lookup, data
-//! memory, halt detection — stays word-wide too, so no cycle transposes
-//! a bus into 64 per-lane values:
+//! [`printed_netlist::BitSimulator`] carries up to 64 lanes of the same
+//! core netlist, and the software side of the co-simulation —
+//! instruction ROM lookup, data memory, halt detection — stays
+//! word-wide too, so no cycle transposes a bus into 64 per-lane values.
 //!
-//! - data memory is stored as lane words, `dmem[addr * width + bit]`;
-//! - the ROM fetch, both data-memory reads and the writeback run once
-//!   per *distinct* pc/address value among the live lanes. A value class
-//!   is found by reading the lowest unclassified lane's value and
-//!   AND-matching it against the bus words, so a cycle costs
-//!   O(distinct values × bus width) word operations — and faulty lanes
-//!   mostly follow the golden lane's pc and addresses;
+//! Every lane runs one of the word's programs; a program is a lane
+//! mask, an encoded ROM and a data-memory size. The two users differ
+//! only in how they fill the word:
+//!
+//! - a fault campaign ([`crate::workload::ProgramWorkload`]) runs one
+//!   program on every lane: lane 0 fault-free as the golden reference,
+//!   lanes 1.. with faults pre-injected;
+//! - [`LockstepWord`] runs up to 64 programs fault-free, one per lane,
+//!   so the ISS-vs-gate-level check clocks every kernel in one word.
+//!   Lane 0 is golden only in a campaign.
+//!
+//! The word-wide software side:
+//!
+//! - data memory is stored as lane words, `dmem[addr * width + bit]`,
+//!   sized for the largest program; each lane's reads and writes are
+//!   range-checked against its own program's size, so an address past a
+//!   small program's memory reads 0 and drops its write in that
+//!   program's lanes while a larger program's lanes use it;
+//! - the ROM fetch runs once per distinct (program, pc) value among the
+//!   live lanes, and both data-memory reads and the writeback once per
+//!   distinct address. A value class is found by reading the lowest
+//!   unclassified lane's value and AND-matching it against the bus
+//!   words, so a cycle costs O(distinct values × bus width) word
+//!   operations — and faulty lanes mostly follow the golden lane's pc
+//!   and addresses. A one-program word runs exactly one fetch loop;
 //! - halt detection is one XOR per pc bit: the lanes whose pc words did
 //!   not move.
 //!
@@ -22,8 +39,8 @@
 //! 0, an out-of-range address reads 0 and drops its write, a write needs
 //! `we == 1` exactly, and a lane writes nothing once halted.
 //!
-//! Per-lane divergence is handled exactly like the scalar machine run
-//! in [`crate::workload::ProgramWorkload`]:
+//! Per-lane divergence in a campaign is handled exactly like the scalar
+//! machine run in [`crate::workload::ProgramWorkload`]:
 //!
 //! - a lane whose PC survives a cycle unchanged has hit the halt idiom;
 //!   its architectural observation (dmem, PC, flags, TMR detect flag) is
@@ -36,28 +53,43 @@
 //! - a watchdog trip ends the word: retired lanes keep their
 //!   observations, live lanes become [`LaneOutcome::TimedOut`].
 
-use crate::isa::Flags;
+use crate::config::CoreConfig;
+use crate::isa::{Flags, IsaError};
+use crate::kernels::KernelProgram;
 use crate::specific::CoreSpec;
 use printed_netlist::bitsim::lane_value;
 use printed_netlist::fault::{LaneOutcome, Observation};
-use printed_netlist::{BitSimulator, NetId, NetlistError, TMR_ERROR_PORT};
+use printed_netlist::{BitSimulator, NetId, Netlist, NetlistError, TMR_ERROR_PORT};
 
 const LANES: usize = BitSimulator::LANES;
 
-/// Word-wide co-simulated core: one lane per fault instance.
+/// One program of a word: the lanes running it, its encoded instruction
+/// ROM, and its data-memory size.
+pub(crate) struct LaneProgram {
+    pub(crate) lanes: u64,
+    pub(crate) rom: Vec<u64>,
+    pub(crate) dmem_words: usize,
+}
+
+/// Word-wide co-simulated core: one lane per core instance, each
+/// running one of the word's programs.
 pub(crate) struct BitMachine<'a> {
     sim: BitSimulator<'a>,
-    program: Vec<u64>,
+    programs: Vec<LaneProgram>,
     /// Data memory as lane words: `dmem[addr * width + bit]` holds bit
-    /// `bit` of word `addr` for every lane.
+    /// `bit` of word `addr` for every lane, sized for the largest
+    /// program.
     dmem: Vec<u64>,
-    dmem_words: usize,
+    /// Per dmem word, the lanes whose program has it in range.
+    in_range: Vec<u64>,
     /// Data width in bits (the dmem word stride).
     width: usize,
     /// Flag-register bit order, for decoding a lane's flags.
     flags: Vec<u8>,
-    /// Lanes that have hit the halt idiom.
+    /// Lanes that have hit the halt idiom (or were retired).
     halted: u64,
+    /// The dmem words the last cycle wrote, each with its writing lanes.
+    writes: Vec<(usize, u64)>,
     ports: BitPorts<'a>,
     detect: Option<&'a [NetId]>,
 }
@@ -125,24 +157,22 @@ fn scatter(words: &mut [u64], value: u64, class: u64) {
     }
 }
 
-/// Lane-word offset of dmem word `addr` in a `words × width` memory,
-/// `None` out of range.
-fn word_base(addr: u64, words: usize, width: usize) -> Option<usize> {
-    usize::try_from(addr).ok().filter(|&a| a < words).map(|a| a * width)
+/// Dmem word `addr` and the lanes of `class` whose program has it in
+/// range; `None` when no such lane does.
+fn locate(in_range: &[u64], addr: u64, class: u64) -> Option<(usize, u64)> {
+    let addr = usize::try_from(addr).ok()?;
+    let class = class & in_range.get(addr)?;
+    (class != 0).then_some((addr, class))
 }
 
 impl<'a> BitMachine<'a> {
-    /// Wraps a bitsliced simulator over a generated single-cycle core.
+    /// Wraps a bitsliced simulator over a generated single-cycle core;
+    /// each lane runs the program whose mask holds it.
     ///
     /// # Panics
     ///
     /// Panics if the spec is not single-cycle, like the scalar machine.
-    pub(crate) fn new(
-        sim: BitSimulator<'a>,
-        spec: &CoreSpec,
-        program: Vec<u64>,
-        dmem_words: usize,
-    ) -> Self {
+    pub(crate) fn new(sim: BitSimulator<'a>, spec: &CoreSpec, programs: Vec<LaneProgram>) -> Self {
         assert_eq!(spec.pipeline_stages, 1, "gate-level co-simulation supports single-cycle cores");
         let netlist = sim.netlist();
         let output = |name: &str| netlist.output(name).ok();
@@ -160,24 +190,39 @@ impl<'a> BitMachine<'a> {
             rdata_b: input("rdata_b"),
         };
         let detect = netlist.output(TMR_ERROR_PORT).ok();
+        let words = programs.iter().map(|p| p.dmem_words).max().unwrap_or(0);
+        let in_range = (0..words)
+            .map(|addr| {
+                programs.iter().filter(|p| addr < p.dmem_words).fold(0, |lanes, p| lanes | p.lanes)
+            })
+            .collect();
         BitMachine {
             sim,
-            program,
-            dmem: vec![0; dmem_words * spec.datawidth],
-            dmem_words,
+            programs,
+            dmem: vec![0; words * spec.datawidth],
+            in_range,
             width: spec.datawidth,
             flags: spec.present_flags(),
             halted: 0,
+            writes: Vec::new(),
             ports,
             detect,
         }
     }
 
-    /// Pre-loads a data memory word into every lane.
-    pub(crate) fn write_dmem(&mut self, addr: usize, value: u64) {
+    /// Pre-loads a data memory word into `lanes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is past the largest program's memory.
+    pub(crate) fn write_dmem(&mut self, lanes: u64, addr: usize, value: u64) {
         let base = addr * self.width;
         for (bit, word) in self.dmem[base..base + self.width].iter_mut().enumerate() {
-            *word = if value >> bit & 1 == 1 { u64::MAX } else { 0 };
+            if value >> bit & 1 == 1 {
+                *word |= lanes;
+            } else {
+                *word &= !lanes;
+            }
         }
     }
 
@@ -190,8 +235,9 @@ impl<'a> BitMachine<'a> {
         // word does.
         let bits = rdata.len().min(self.width);
         for_each_value(&at[..addr.len()], live, |value, class| {
-            if let Some(base) = word_base(value, self.dmem_words, self.width) {
-                for (word, &stored) in data[..bits].iter_mut().zip(&self.dmem[base..]) {
+            if let Some((addr, class)) = locate(&self.in_range, value, class) {
+                let stored = &self.dmem[addr * self.width..];
+                for (word, &stored) in data[..bits].iter_mut().zip(stored) {
                     *word |= class & stored;
                 }
             }
@@ -212,10 +258,12 @@ impl<'a> BitMachine<'a> {
         self.sim.read_bus_words(pc_nets, &mut pc);
         let pc = &pc[..pc_nets.len()];
         let mut instr = [0u64; LANES];
-        for_each_value(pc, live, |value, class| {
-            let word = usize::try_from(value).ok().and_then(|pc| self.program.get(pc));
-            scatter(&mut instr[..instr_nets.len()], word.copied().unwrap_or(0), class);
-        });
+        for program in &self.programs {
+            for_each_value(pc, live & program.lanes, |value, class| {
+                let word = usize::try_from(value).ok().and_then(|pc| program.rom.get(pc));
+                scatter(&mut instr[..instr_nets.len()], word.copied().unwrap_or(0), class);
+            });
+        }
         self.sim.set_bus_words(instr_nets, &instr[..instr_nets.len()]);
         self.sim.settle();
         // Addresses are combinational on the instruction and BAR state.
@@ -236,19 +284,22 @@ impl<'a> BitMachine<'a> {
         self.sim.step()?;
         // Live lanes whose write enable reads exactly 1: bit 0 set,
         // every higher bit clear.
-        let writes = match we[..we_nets.len()].split_first() {
+        let writing = match we[..we_nets.len()].split_first() {
             Some((&low, high)) => high.iter().fold(live & low, |lanes, &word| lanes & !word),
             None => 0,
         };
-        let (words, width) = (self.dmem_words, self.width);
-        for_each_value(&wb_addr[..wb_nets.len()], writes, |value, class| {
-            if let Some(base) = word_base(value, words, width) {
+        let (in_range, width) = (&self.in_range, self.width);
+        let (dmem, writes) = (&mut self.dmem, &mut self.writes);
+        writes.clear();
+        for_each_value(&wb_addr[..wb_nets.len()], writing, |value, class| {
+            if let Some((addr, class)) = locate(in_range, value, class) {
                 // Bits past the wdata bus are 0, as the scalar masked
                 // word is.
-                for (bit, slot) in self.dmem[base..base + width].iter_mut().enumerate() {
+                for (bit, slot) in dmem[addr * width..][..width].iter_mut().enumerate() {
                     let data = if bit < wdata_nets.len() { wdata[bit] } else { 0 };
                     *slot = (*slot & !class) | (data & class);
                 }
+                writes.push((addr, class));
             }
         });
         // Halt idiom per lane: PC unchanged by an unconditional
@@ -259,6 +310,20 @@ impl<'a> BitMachine<'a> {
             pc.iter().zip(&after).fold(0, |moved, (before, after)| moved | (before ^ after));
         self.halted |= live & !moved;
         Ok(())
+    }
+
+    /// The data-memory size of `lane`'s program: the words that are in
+    /// range for it, which all come first.
+    fn dmem_words(&self, lane: usize) -> usize {
+        self.in_range.iter().take_while(|&&lanes| lanes >> lane & 1 == 1).count()
+    }
+
+    /// One lane's dmem word `addr`, `None` past its program's memory.
+    fn dmem_word(&self, lane: usize, addr: usize) -> Option<u64> {
+        (self.in_range.get(addr)? >> lane & 1 == 1).then(|| {
+            let base = addr * self.width;
+            lane_value(self.dmem[base..base + self.width].iter().copied(), lane)
+        })
     }
 
     /// Decodes one lane's raw flag-register bits exactly as the scalar
@@ -290,9 +355,12 @@ impl<'a> BitMachine<'a> {
     ) -> Result<Observation, NetlistError> {
         let pc = self.sim.read_lane(port(self.ports.pc, "pc")?, lane);
         let flags = self.sim.read_lane(port(self.ports.flags, "flags")?, lane);
-        let mut signature = Vec::with_capacity(self.dmem_words + 2);
+        let words = self.dmem_words(lane);
+        let mut signature = Vec::with_capacity(words + 2);
         signature.extend(
-            self.dmem.chunks_exact(self.width).map(|word| lane_value(word.iter().copied(), lane)),
+            self.dmem[..words * self.width]
+                .chunks_exact(self.width)
+                .map(|word| lane_value(word.iter().copied(), lane)),
         );
         signature.push(pc);
         signature.push(self.decode_flags(flags).bits() as u64);
@@ -364,12 +432,173 @@ impl<'a> BitMachine<'a> {
     }
 }
 
+/// A word of fault-free gate-level cores for ISS-vs-gate-level
+/// lockstep: lane `i` runs `programs[i]` on one core netlist, and every
+/// [`LockstepWord::step`] clocks all of them at once.
+///
+/// It is the word-wide counterpart of one
+/// [`crate::generator::GateLevelMachine`] per program, and each lane
+/// follows the same rules: an out-of-range pc fetches 0, an address past
+/// the lane's own program memory reads 0 and drops its write, a write
+/// needs `we == 1`, and the halt idiom (pc unchanged by a cycle) halts
+/// the lane. A halted or [retired](LockstepWord::retire) lane stops
+/// fetching and writing, but its gates keep clocking with the word, so
+/// its pc and flags mean something only up to the step it stopped.
+///
+/// ```
+/// use printed_core::kernels::{self, Kernel};
+/// use printed_core::{generate_standard, CoreConfig, LockstepWord};
+///
+/// let config = CoreConfig::new(1, 8, 2);
+/// let netlist = generate_standard(&config);
+/// let programs = [
+///     kernels::generate(Kernel::Mult, 8, 8).map_err(|e| e.to_string())?,
+///     kernels::generate(Kernel::Div, 8, 8).map_err(|e| e.to_string())?,
+/// ];
+/// let mut word = LockstepWord::new(&netlist, config, &programs).map_err(|e| e.to_string())?;
+/// while word.halted() != word.lanes() {
+///     word.step().map_err(|e| e.to_string())?;
+/// }
+/// for (lane, program) in programs.iter().enumerate() {
+///     let (base, len) = program.result;
+///     for (i, &expected) in program.expected.iter().enumerate().take(len) {
+///         assert_eq!(word.dmem_word(lane, usize::from(base) + i), Some(expected));
+///     }
+/// }
+/// # Ok::<(), String>(())
+/// ```
+pub struct LockstepWord<'a> {
+    machine: BitMachine<'a>,
+    /// Lanes holding a program.
+    lanes: u64,
+}
+
+impl<'a> LockstepWord<'a> {
+    /// Programs one word runs, one per lane.
+    pub const MAX_PROGRAMS: usize = LANES;
+
+    /// A word over `netlist` (`config`'s standard core, as
+    /// [`crate::generate_standard`] builds it) running `programs[i]` in
+    /// lane `i`, each program's inputs loaded into its own lane.
+    ///
+    /// # Errors
+    ///
+    /// The first [`IsaError`] of an instruction that does not encode
+    /// for `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`LockstepWord::MAX_PROGRAMS`]
+    /// programs, the config is not single-cycle, or an input lies past
+    /// its program's data memory.
+    pub fn new(
+        netlist: &'a Netlist,
+        config: CoreConfig,
+        programs: &[KernelProgram],
+    ) -> Result<Self, IsaError> {
+        assert!(
+            programs.len() <= LANES,
+            "a word runs at most {LANES} programs, not {}",
+            programs.len()
+        );
+        let encoding = config.encoding();
+        let lane_programs = programs
+            .iter()
+            .enumerate()
+            .map(|(lane, program)| {
+                let rom = program
+                    .instructions
+                    .iter()
+                    .map(|&inst| encoding.encode(inst).map(u64::from))
+                    .collect::<Result<_, _>>()?;
+                Ok(LaneProgram { lanes: 1 << lane, rom, dmem_words: program.dmem_words })
+            })
+            .collect::<Result<Vec<_>, IsaError>>()?;
+        let lanes = lane_programs.iter().fold(0, |lanes, p| lanes | p.lanes);
+        let mut sim = BitSimulator::new(netlist);
+        sim.occupy_lanes(programs.len());
+        // Nothing reads the word's switching activity.
+        sim.set_toggle_tracking(false);
+        let mut machine = BitMachine::new(sim, &CoreSpec::standard(config), lane_programs);
+        for (lane, program) in programs.iter().enumerate() {
+            for &(addr, value) in &program.inputs {
+                let addr = usize::from(addr);
+                assert!(addr < program.dmem_words, "input word {addr} lies past {}", program.name);
+                machine.write_dmem(1 << lane, addr, value);
+            }
+        }
+        Ok(LockstepWord { machine, lanes })
+    }
+
+    /// The lanes holding a program: bit `i` for `programs[i]`.
+    pub fn lanes(&self) -> u64 {
+        self.lanes
+    }
+
+    /// Clocks every lane once; the lanes that are neither halted nor
+    /// retired fetch, read and write back, as one
+    /// [`crate::generator::GateLevelMachine::step`] each.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::UnknownPort`] or [`NetlistError::WidthMismatch`]
+    /// for a netlist without the core's memory-interface ports.
+    pub fn step(&mut self) -> Result<(), NetlistError> {
+        self.machine.cycle()
+    }
+
+    /// Stops `lanes` fetching, reading and writing from the next step
+    /// on; they read as halted from then on.
+    pub fn retire(&mut self, lanes: u64) {
+        self.machine.halted |= lanes & self.lanes;
+    }
+
+    /// Lanes that hit the halt idiom, and lanes retired by
+    /// [`LockstepWord::retire`].
+    pub fn halted(&self) -> u64 {
+        self.machine.halted & self.lanes
+    }
+
+    /// Lanes whose logic oscillated (the scalar machine's
+    /// [`NetlistError::Unsettled`], per lane).
+    pub fn dead(&self) -> u64 {
+        self.machine.sim.dead_lanes() & self.lanes
+    }
+
+    /// `lane`'s program counter.
+    pub fn pc(&self, lane: usize) -> u64 {
+        let nets = self.machine.ports.pc.unwrap_or_else(|| unreachable!("core exposes pc"));
+        self.machine.sim.read_lane(nets, lane)
+    }
+
+    /// `lane`'s flags, decoded as
+    /// [`crate::generator::GateLevelMachine::flags`] decodes them.
+    pub fn flags(&self, lane: usize) -> Flags {
+        let nets = self.machine.ports.flags.unwrap_or_else(|| unreachable!("core exposes flags"));
+        self.machine.decode_flags(self.machine.sim.read_lane(nets, lane))
+    }
+
+    /// `lane`'s data-memory word `addr`, `None` past its program's
+    /// memory.
+    pub fn dmem_word(&self, lane: usize, addr: usize) -> Option<u64> {
+        self.machine.dmem_word(lane, addr)
+    }
+
+    /// The data-memory words the last step wrote, each with the mask of
+    /// lanes that wrote it. Writes past a lane's memory are dropped and
+    /// not listed.
+    pub fn writes(&self) -> &[(usize, u64)] {
+        &self.machine.writes
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::config::CoreConfig;
     use crate::generator::generate_standard;
+    use crate::kernels::Kernel;
     use printed_netlist::fault::{Fault, FaultKind};
     use printed_netlist::GateId;
 
@@ -388,9 +617,10 @@ mod tests {
         let we_gate = netlist.gates().iter().position(|g| g.output == we).unwrap();
         let mut sim = BitSimulator::new(&netlist);
         sim.inject_fault(Fault { gate: GateId::from_index(we_gate), kind: FaultKind::StuckAt1 });
-        let mut machine = BitMachine::new(sim, &spec, words, 4);
+        let program = LaneProgram { lanes: u64::MAX, rom: words, dmem_words: 4 };
+        let mut machine = BitMachine::new(sim, &spec, vec![program]);
         for addr in 0..4 {
-            machine.write_dmem(addr, 0x5A);
+            machine.write_dmem(u64::MAX, addr, 0x5A);
         }
         machine.halted = 0b10;
         for _ in 0..6 {
@@ -403,6 +633,43 @@ mod tests {
         assert_eq!(word(0, 0), (0x5A * 4) & 0xFF, "the live lane adds once per loop iteration");
         for addr in 0..4 {
             assert_eq!(word(addr, 1), 0x5A, "the halted lane writes nothing (word {addr})");
+        }
+    }
+
+    /// Each lane's memory is its own program's size: in a word mixing an
+    /// 8-word and a 16-word program, word 10 reads 0 and drops its write
+    /// in the 8-word program's lanes only. A word-wide bound (the
+    /// largest program's) would let the small lanes store 5 and add it.
+    #[test]
+    fn each_lane_is_bounded_by_its_own_program_memory() {
+        let config = CoreConfig::new(1, 8, 2);
+        let netlist = generate_standard(&config);
+        let asm = crate::asm::assemble("STORE [10], #5\nADD [0], [10]\nHALT\n").unwrap();
+        let program = |dmem_words| KernelProgram {
+            name: format!("bound{dmem_words}"),
+            kernel: Kernel::Mult,
+            core_width: 8,
+            data_width: 8,
+            instructions: asm.instructions.clone(),
+            dmem_words,
+            inputs: vec![(0, 7)],
+            result: (0, 1),
+            expected: Vec::new(),
+        };
+        let programs = [program(8), program(16), program(8), program(16)];
+        let mut word = LockstepWord::new(&netlist, config, &programs).unwrap();
+        while word.halted() != word.lanes() {
+            word.step().unwrap();
+        }
+        let stored = |lane| lane_value(word.machine.dmem[10 * 8..11 * 8].iter().copied(), lane);
+        for lane in [0, 2] {
+            assert_eq!(word.dmem_word(lane, 0), Some(7), "word 10 reads 0 in lane {lane}");
+            assert_eq!(word.dmem_word(lane, 10), None, "word 10 is past lane {lane}'s memory");
+            assert_eq!(stored(lane), 0, "lane {lane} drops its write to word 10");
+        }
+        for lane in [1, 3] {
+            assert_eq!(word.dmem_word(lane, 0), Some(12), "lane {lane} adds the stored 5");
+            assert_eq!(word.dmem_word(lane, 10), Some(5), "lane {lane} stores word 10");
         }
     }
 }

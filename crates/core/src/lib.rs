@@ -42,6 +42,7 @@ pub mod sim;
 pub mod specific;
 pub mod workload;
 
+pub use bitmachine::LockstepWord;
 pub use config::CoreConfig;
 pub use generator::{
     generate, generate_checked, generate_linted, generate_standard, generate_standard_checked,

@@ -165,6 +165,8 @@ pub struct Machine {
     /// Write sets of the youngest `pipeline_stages - 1` instructions,
     /// youngest first.
     in_flight: VecDeque<WriteSet>,
+    /// Data-memory address the last [`Machine::step`] wrote, if any.
+    last_write: Option<u8>,
     halted: bool,
 }
 
@@ -192,6 +194,7 @@ impl Machine {
             opcode_counts: [0; OPCODE_SLOTS],
             opcode_cycles: [0; OPCODE_SLOTS],
             in_flight: VecDeque::new(),
+            last_write: None,
             halted: false,
         }
     }
@@ -236,6 +239,14 @@ impl Machine {
         self.halted
     }
 
+    /// The data-memory address the last [`Machine::step`] wrote, or
+    /// `None` if it wrote nothing (or failed before writing). A lockstep
+    /// compare reads the words either side wrote to keep two memory
+    /// images equal without digesting them whole.
+    pub fn last_write(&self) -> Option<usize> {
+        self.last_write.map(usize::from)
+    }
+
     /// Statistics so far.
     pub fn summary(&self) -> RunSummary {
         self.summary
@@ -258,6 +269,7 @@ impl Machine {
     fn write_mem(&mut self, addr: u8, value: u64) -> Result<(), ExecError> {
         self.summary.dmem_writes += 1;
         self.dmem.write(addr as usize, value)?;
+        self.last_write = Some(addr);
         Ok(())
     }
 
@@ -338,6 +350,7 @@ impl Machine {
     /// See [`ExecError`]. A halted machine returns
     /// [`StepOutcome::Halted`] without advancing.
     pub fn step(&mut self) -> Result<StepOutcome, ExecError> {
+        self.last_write = None;
         if self.halted {
             return Ok(StepOutcome::Halted);
         }

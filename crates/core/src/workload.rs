@@ -24,7 +24,7 @@
 //! # Ok::<(), printed_netlist::fault::CampaignError>(())
 //! ```
 
-use crate::bitmachine::BitMachine;
+use crate::bitmachine::{BitMachine, LaneProgram};
 use crate::config::CoreConfig;
 use crate::generator::GateLevelMachine;
 use crate::isa::{Instruction, IsaError};
@@ -174,9 +174,11 @@ impl Workload for ProgramWorkload {
         sim: BitSimulator<'_>,
         cycle_budget: u64,
     ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
-        let mut machine = BitMachine::new(sim, &self.spec, self.program.clone(), self.dmem_words);
+        let program =
+            LaneProgram { lanes: u64::MAX, rom: self.program.clone(), dmem_words: self.dmem_words };
+        let mut machine = BitMachine::new(sim, &self.spec, vec![program]);
         for &(addr, value) in &self.inputs {
-            machine.write_dmem(addr, value);
+            machine.write_dmem(u64::MAX, addr, value);
         }
         Some(machine.observe(cycle_budget))
     }

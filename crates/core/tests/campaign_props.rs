@@ -14,12 +14,14 @@
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
+#[path = "support/programs.rs"]
+mod programs;
+
 use printed_core::workload::ProgramWorkload;
-use printed_core::{
-    generate, generate_standard, AluOp, CoreConfig, CoreSpec, Instruction, Operand,
-};
+use printed_core::{generate, generate_standard, CoreConfig, CoreSpec, Instruction};
 use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, ScalarOnly, StuckAtSpace};
 use printed_netlist::{tmr, Netlist, TmrOptions};
+use programs::{forward_only, instruction, program};
 use proptest::prelude::*;
 
 /// Data memory words the workload models: operand offsets and BAR bases
@@ -32,50 +34,6 @@ enum Core {
     Standard,
     ProgramSpecific,
     Tmr,
-}
-
-/// One instruction before branch targets are resolved: `Branch`
-/// targets are a raw pick, reduced modulo the program length (so loops,
-/// forward skips and self-branch halts all occur).
-fn instruction() -> impl Strategy<Value = Instruction> {
-    let operand = (0u8..2, 0u8..16).prop_map(|(bar, offset)| Operand { bar, offset });
-    prop_oneof![
-        (prop::sample::select(AluOp::ALL.to_vec()), operand.clone(), operand.clone())
-            .prop_map(|(op, dst, src)| Instruction::Alu { op, dst, src }),
-        (operand, 0u8..16).prop_map(|(dst, imm)| Instruction::Store { dst, imm }),
-        (0u8..16).prop_map(|imm| Instruction::SetBar { bar: 1, imm }),
-        (any::<bool>(), any::<u8>(), 0u8..16)
-            .prop_map(|(negate, target, mask)| Instruction::Branch { negate, target, mask }),
-    ]
-}
-
-/// A program ending in a self-branch halt, with every branch target
-/// inside the program.
-fn program(body: Vec<Instruction>) -> Vec<Instruction> {
-    let mut program = body;
-    let halt_at = program.len() as u8;
-    program.push(Instruction::jump(halt_at));
-    let len = program.len() as u8;
-    for inst in &mut program {
-        if let Instruction::Branch { target, .. } = inst {
-            *target %= len;
-        }
-    }
-    program
-}
-
-/// `program` with every backward branch retargeted to the next
-/// instruction, so the golden run surely halts (self-branches stay).
-fn forward_only(program: &[Instruction]) -> Vec<Instruction> {
-    let mut program = program.to_vec();
-    for (at, inst) in program.iter_mut().enumerate() {
-        if let Instruction::Branch { target, .. } = inst {
-            if usize::from(*target) < at {
-                *target = at as u8 + 1;
-            }
-        }
-    }
-    program
 }
 
 /// The core netlist and its workload, or `None` when the program does

@@ -6,9 +6,31 @@
 //! ([`printed_core::generator::GateLevelMachine`]) is the netlist the
 //! area/power models are costed from. This module proves the two agree:
 //! each benchmark kernel runs on both, one retired instruction per
-//! lockstep step, comparing PC, flags, a data-memory digest, and cycle
-//! counts after every step (the harness lives in
-//! [`printed_baselines::diff`]).
+//! lockstep step, comparing PC, flags, data memory, and cycle counts
+//! after every step.
+//!
+//! There are two paths to the same rows:
+//!
+//! - **The scalar path.** [`diff_kernel`] runs one program through
+//!   [`run_lockstep`] (the harness in [`printed_baselines::diff`]) with
+//!   an [`IssSide`] and a [`GateSide`], comparing a full data-memory
+//!   digest each step; on the first divergence it returns the report
+//!   with a trace window and both sides' state.
+//! - **The word path.** [`diff_programs`] packs up to 64 programs into
+//!   one [`LockstepWord`], a bitsliced core with one program per lane,
+//!   and clocks the word once per step. After each step every live lane
+//!   is compared with its own ISS [`Machine`] on halt state, pc, flags
+//!   and cycles. For memory, the words either side wrote this step
+//!   ([`LockstepWord::writes`], [`Machine::last_write`]) must read back
+//!   equal on both sides: the images are compared whole at step 0, and
+//!   a step changes only the words written in it, so the images stay
+//!   equal exactly when the scalar path's digests do. A lane whose run
+//!   does not end cleanly halted on both sides — any mismatch, an ISS
+//!   error, an oscillating lane, or `max_steps` reached — is rerun
+//!   through [`diff_kernel`], whose report becomes its row. Divergence
+//!   texts, trace windows and states are therefore always the scalar
+//!   run's own, and the scalar path stays the oracle the word path is
+//!   tested against.
 //!
 //! A gate-level simulation failure mid-compare — an oscillating netlist
 //! ([`printed_netlist::NetlistError::Unsettled`]) or a tripped
@@ -20,10 +42,11 @@
 //! rendering is the row's `divergence` text in the summary artifact.
 //!
 //! [`diff_report`] sweeps every benchmark kernel at every supported data
-//! width on the standard 8-bit single-cycle core, and
-//! [`diff_json`] serializes the result as the `printed-diff-summary/v1`
-//! artifact the `reproduce_all` pipeline writes to `$PRINTED_DIFF_OUT`
-//! (default `diff_summary.json`). Zero divergences is the CI gate.
+//! width on the standard 8-bit single-cycle core through the word path
+//! (its 16 kernels fit one word), and [`diff_json`] serializes the
+//! result as the `printed-diff-summary/v1` artifact the `reproduce_all`
+//! pipeline writes to `$PRINTED_DIFF_OUT` (default `diff_summary.json`).
+//! Zero divergences is the CI gate.
 
 use crate::report::TextTable;
 use printed_baselines::diff::{
@@ -32,7 +55,7 @@ use printed_baselines::diff::{
 };
 use printed_core::kernels::{self, Kernel, KernelProgram};
 use printed_core::{
-    generate_standard, CoreConfig, CoreSpec, GateLevelMachine, Instruction, Machine,
+    generate_standard, CoreConfig, CoreSpec, GateLevelMachine, Instruction, LockstepWord, Machine,
 };
 use printed_netlist::hash::Fnv1a;
 use printed_netlist::Netlist;
@@ -224,7 +247,7 @@ pub fn diff_kernel(
 }
 
 /// One kernel × config row of the differential sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffRow {
     /// Kernel name with data width, e.g. `mult16`.
     pub kernel: String,
@@ -240,6 +263,34 @@ pub struct DiffRow {
     pub result_ok: bool,
     /// The first divergence, rendered, or `None` for a clean run.
     pub divergence: Option<String>,
+}
+
+/// The row of one scalar [`diff_kernel`] run: its stats, or its
+/// first-divergence report rendered.
+///
+/// # Panics
+///
+/// As [`diff_kernel`].
+pub fn scalar_diff_row(
+    netlist: &Netlist,
+    program: &KernelProgram,
+    config: CoreConfig,
+    options: &LockstepOptions,
+) -> DiffRow {
+    let (steps, cycles, halted, result_ok, divergence) =
+        match diff_kernel(netlist, program, config, options) {
+            Ok((stats, result_ok)) => (stats.steps, stats.cycles, stats.halted, result_ok, None),
+            Err(report) => (report.step, report.cycle, false, false, Some(report.to_string())),
+        };
+    DiffRow {
+        kernel: program.name.clone(),
+        config: config.name(),
+        steps,
+        cycles,
+        halted,
+        result_ok,
+        divergence,
+    }
 }
 
 /// The full ISS-vs-gate-level differential sweep.
@@ -261,48 +312,207 @@ impl DiffReport {
     }
 }
 
+/// Exact work counts of a word-path sweep ([`diff_programs`]), which
+/// [`diff_report`] emits into `obs` as `eval.diff.words`,
+/// `eval.diff.word_cycles` and `eval.diff.scalar_reruns`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DiffWork {
+    /// Lockstep words run, up to [`LockstepWord::MAX_PROGRAMS`]
+    /// programs each.
+    pub words: u64,
+    /// Word cycles clocked, summed over the words.
+    pub word_cycles: u64,
+    /// Programs rerun through the scalar [`diff_kernel`].
+    pub scalar_reruns: u64,
+}
+
+/// The lanes set in `mask`, lowest first.
+fn lanes_of(mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors((mask != 0).then_some(mask), |&m| {
+        let rest = m & (m - 1);
+        (rest != 0).then_some(rest)
+    })
+    .map(|m| m.trailing_zeros() as usize)
+}
+
+/// Whether `lane` of the word and its ISS agree after `steps` steps on
+/// everything [`run_lockstep`] compares but memory: halt state, pc,
+/// flags and (when compared) cycles. A live lane has not halted before
+/// this step, so its gate-level cycle count is `steps`.
+fn lane_agrees(
+    iss: &Machine,
+    word: &LockstepWord<'_>,
+    lane: usize,
+    steps: u64,
+    options: &LockstepOptions,
+) -> bool {
+    iss.is_halted() == (word.halted() >> lane & 1 == 1)
+        && u64::from(iss.pc()) == word.pc(lane)
+        && iss.flags().bits() == word.flags(lane).bits()
+        && (!options.compare_cycles || iss.summary().cycles == steps)
+}
+
+/// Runs up to [`LockstepWord::MAX_PROGRAMS`] programs in one word and
+/// returns their rows in order; see [`diff_programs`].
+fn diff_word(
+    netlist: &Netlist,
+    programs: &[KernelProgram],
+    config: CoreConfig,
+    options: &LockstepOptions,
+    work: &mut DiffWork,
+) -> Vec<DiffRow> {
+    let all = u64::MAX >> (64 - programs.len());
+    let mut rows: Vec<Option<DiffRow>> = vec![None; programs.len()];
+    let mut rerun = all;
+    // A program that does not encode makes the scalar rerun report it.
+    if let Ok(mut word) = LockstepWord::new(netlist, config, programs) {
+        work.words += 1;
+        let mut iss: Vec<Machine> = programs.iter().map(|p| p.machine(config)).collect();
+        // Both sides start equal, the whole memory image included; from
+        // then on only the words written in a step can differ.
+        let mut live = 0;
+        for (lane, (machine, program)) in iss.iter().zip(programs).enumerate() {
+            let image = machine.dmem().contents();
+            if lane_agrees(machine, &word, lane, 0, options)
+                && (0..program.dmem_words).all(|a| image.get(a).copied() == word.dmem_word(lane, a))
+            {
+                live |= 1 << lane;
+            }
+        }
+        rerun = all & !live;
+        let mut steps = 0;
+        while live != 0 && steps < options.max_steps {
+            let mut failed = 0;
+            for lane in lanes_of(live) {
+                if iss[lane].step().is_err() {
+                    failed |= 1 << lane;
+                }
+            }
+            word.retire(failed);
+            if word.step().is_err() {
+                failed = live;
+            }
+            steps += 1;
+            failed |= word.dead() & live;
+            // A word either side wrote must read back equal on both.
+            let differs = |machine: &Machine, lane, addr| {
+                machine.dmem().contents().get(addr).copied() != word.dmem_word(lane, addr)
+            };
+            for &(addr, lanes) in word.writes() {
+                for lane in lanes_of(lanes & live & !failed) {
+                    if differs(&iss[lane], lane, addr) {
+                        failed |= 1 << lane;
+                    }
+                }
+            }
+            let mut done = 0;
+            for lane in lanes_of(live & !failed) {
+                let machine = &iss[lane];
+                if machine.last_write().is_some_and(|addr| differs(machine, lane, addr))
+                    || !lane_agrees(machine, &word, lane, steps, options)
+                {
+                    failed |= 1 << lane;
+                } else if machine.is_halted() {
+                    done |= 1 << lane;
+                    let program = &programs[lane];
+                    let (base, len) = program.result;
+                    let result_ok = (0..len).all(|i| {
+                        word.dmem_word(lane, usize::from(base) + i)
+                            == program.expected.get(i).copied()
+                    });
+                    rows[lane] = Some(DiffRow {
+                        kernel: program.name.clone(),
+                        config: config.name(),
+                        steps,
+                        cycles: machine.summary().cycles,
+                        halted: true,
+                        result_ok,
+                        divergence: None,
+                    });
+                }
+            }
+            word.retire(failed);
+            rerun |= failed;
+            live &= !(failed | done);
+        }
+        // Cut off by `max_steps`: the scalar run reports where it stood.
+        rerun |= live;
+        work.word_cycles += steps;
+    }
+    for lane in lanes_of(rerun) {
+        rows[lane] = Some(scalar_diff_row(netlist, &programs[lane], config, options));
+        work.scalar_reruns += 1;
+    }
+    rows.into_iter()
+        .map(|row| row.unwrap_or_else(|| unreachable!("every lane has a row")))
+        .collect()
+}
+
+/// Runs `programs` in ISS-vs-gate-level lockstep on `config`'s standard
+/// core `netlist`, up to [`LockstepWord::MAX_PROGRAMS`] per bitsliced
+/// word, and returns one row per program, in order, each equal to its
+/// [`scalar_diff_row`].
+///
+/// Each word is clocked once per lockstep step, and every live lane is
+/// then compared with its own ISS [`Machine`] on halt state, pc, flags,
+/// cycles and memory. Both memory images start equal, and a step
+/// changes only the words one side wrote, so comparing those words
+/// keeps the images equal exactly when the scalar run's full-image
+/// digests are. A lane whose run does not end cleanly halted on both
+/// sides — any mismatch, an ISS error, an oscillating lane, or
+/// `max_steps` reached — is rerun through [`diff_kernel`], whose report
+/// becomes its row, so divergence texts, trace windows and states are
+/// the scalar run's own.
+///
+/// # Panics
+///
+/// As [`diff_kernel`].
+pub fn diff_programs(
+    netlist: &Netlist,
+    programs: &[KernelProgram],
+    config: CoreConfig,
+    options: &LockstepOptions,
+) -> (Vec<DiffRow>, DiffWork) {
+    let mut work = DiffWork::default();
+    let rows = programs
+        .chunks(LockstepWord::MAX_PROGRAMS)
+        .flat_map(|batch| diff_word(netlist, batch, config, options, &mut work))
+        .collect();
+    (rows, work)
+}
+
+/// Every benchmark kernel at every supported data width for `config`'s
+/// core width: the programs [`diff_report`] sweeps, in its row order.
+pub fn sweep_programs(config: CoreConfig) -> Vec<KernelProgram> {
+    Kernel::ALL
+        .into_iter()
+        .flat_map(|kernel| {
+            kernel
+                .data_widths()
+                .iter()
+                .filter_map(move |&width| kernels::generate(kernel, config.datawidth, width).ok())
+        })
+        .collect()
+}
+
 /// Runs every benchmark kernel at every supported data width on the
-/// standard 8-bit single-cycle core, ISS vs gate level in lockstep.
+/// standard 8-bit single-cycle core, ISS vs gate level in lockstep: all
+/// 16 kernels in one bitsliced word ([`diff_programs`]), any lane that
+/// does not end cleanly rerun through the scalar [`diff_kernel`].
 pub fn diff_report(options: &LockstepOptions) -> DiffReport {
     let _span = printed_obs::span!("eval.diff_report");
     let config = CoreConfig::new(1, 8, 2);
     let netlist = generate_standard(&config);
-    let mut rows = Vec::new();
-    for kernel in Kernel::ALL {
-        for &data_width in kernel.data_widths() {
-            let Ok(program) = kernels::generate(kernel, config.datawidth, data_width) else {
-                continue;
-            };
-            let row = match diff_kernel(&netlist, &program, config, options) {
-                Ok((stats, result_ok)) => DiffRow {
-                    kernel: program.name.clone(),
-                    config: config.name(),
-                    steps: stats.steps,
-                    cycles: stats.cycles,
-                    halted: stats.halted,
-                    result_ok,
-                    divergence: None,
-                },
-                Err(report) => DiffRow {
-                    kernel: program.name.clone(),
-                    config: config.name(),
-                    steps: report.step,
-                    cycles: report.cycle,
-                    halted: false,
-                    result_ok: false,
-                    divergence: Some(report.to_string()),
-                },
-            };
-            rows.push(row);
-        }
-    }
+    let (rows, work) = diff_programs(&netlist, &sweep_programs(config), config, options);
+    let report = DiffReport { rows };
     if printed_obs::enabled() {
-        let report = DiffReport { rows: rows.clone() };
         printed_obs::add("eval.diff.rows", report.rows.len() as u64);
         printed_obs::add("eval.diff.divergences", report.divergences() as u64);
-        return report;
+        printed_obs::add("eval.diff.words", work.words);
+        printed_obs::add("eval.diff.word_cycles", work.word_cycles);
+        printed_obs::add("eval.diff.scalar_reruns", work.scalar_reruns);
     }
-    DiffReport { rows }
+    report
 }
 
 /// Renders the sweep as an aligned text table.
@@ -384,6 +594,43 @@ mod tests {
         );
         assert!(json.contains("\"divergences\":0"), "{json}");
         assert_eq!(diff_summary(&report).len(), report.rows.len());
+    }
+
+    /// The kernel sweep fits one word: it clocks as long as the longest
+    /// kernel (inSort16 on the 8-bit core, 993 steps), reruns nothing,
+    /// and every row equals its scalar run's.
+    #[test]
+    fn the_clean_sweep_runs_in_one_word_without_reruns() {
+        let config = CoreConfig::new(1, 8, 2);
+        let netlist = generate_standard(&config);
+        let programs = sweep_programs(config);
+        let options = LockstepOptions::default();
+        let (rows, work) = diff_programs(&netlist, &programs, config, &options);
+        assert_eq!(work, DiffWork { words: 1, word_cycles: 993, scalar_reruns: 0 });
+        assert_eq!(rows.len(), 16);
+        for (row, program) in rows.iter().zip(&programs) {
+            assert_eq!(*row, scalar_diff_row(&netlist, program, config, &options));
+        }
+    }
+
+    /// On a core whose data addresses wrap at 8 words, the kernels that
+    /// touch higher words diverge; each diverged program is rerun once,
+    /// and every row still equals its scalar run's.
+    #[test]
+    fn a_divergent_batch_reruns_each_diverged_program_once() {
+        let config = CoreConfig::new(1, 8, 2);
+        let narrow =
+            printed_core::generate(&CoreSpec { dmem_words: 8, ..CoreSpec::standard(config) });
+        let programs = sweep_programs(config);
+        let options = LockstepOptions::default();
+        let (rows, work) = diff_programs(&narrow, &programs, config, &options);
+        let diverged = rows.iter().filter(|row| row.divergence.is_some()).count() as u64;
+        assert!(diverged > 0, "the narrow core must diverge somewhere");
+        assert_eq!(work.words, 1);
+        assert_eq!(work.scalar_reruns, diverged);
+        for (row, program) in rows.iter().zip(&programs) {
+            assert_eq!(*row, scalar_diff_row(&narrow, program, config, &options));
+        }
     }
 
     /// ISS vs gate level on mult8 with the gate side's watchdog armed

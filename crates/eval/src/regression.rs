@@ -79,6 +79,7 @@ pub const GATED_METRICS: &[MetricSpec] = &[
     MetricSpec { name: "opt_sweep_ms", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
     MetricSpec { name: "generate_sweep_ms", direction: Direction::LowerIsBetter, max_ratio: 3.0 },
     MetricSpec { name: "serve_qps", direction: Direction::HigherIsBetter, max_ratio: 3.0 },
+    MetricSpec { name: "diff_word_speedup", direction: Direction::HigherIsBetter, max_ratio: 2.0 },
 ];
 
 /// One parsed `printed-bench-record/v1` ledger line.

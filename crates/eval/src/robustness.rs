@@ -95,8 +95,10 @@ pub struct RobustnessRow {
 /// ([`run_supervised_campaign`]) with [`ResilienceConfig::from_env`]:
 /// panicking fault runs are isolated and retried, and setting
 /// `PRINTED_CKPT_DIR` makes the campaign checkpoint/resumable. With the
-/// variable unset there is no I/O on the campaign path and the result is
-/// byte-identical to the unsupervised runner's.
+/// variable unset there is no I/O on the campaign path, and the config
+/// is [`ResilienceConfig::default`] — the one
+/// [`printed_netlist::fault::run_campaign`] runs the same scheduler
+/// with — so the result equals that function's.
 ///
 /// # Errors
 ///

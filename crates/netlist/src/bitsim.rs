@@ -402,6 +402,20 @@ impl<'a> BitSimulator<'a> {
         self.cycle_limit
     }
 
+    /// Occupies the lowest `lanes` lanes with fault-free machines: the
+    /// lanes past the occupied ones join as copies of the golden lane,
+    /// so one word carries up to 64 identical cores that a caller can
+    /// drive with different stimulus. Faults injected afterwards take
+    /// the lanes after these.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds [`BitSimulator::LANES`].
+    pub fn occupy_lanes(&mut self, lanes: usize) {
+        assert!(lanes <= Self::LANES, "a word holds {} lanes, not {lanes}", Self::LANES);
+        self.occupied |= u64::MAX >> (Self::LANES - lanes.max(1));
+    }
+
     /// Injects `fault` into the next free lane and returns its index
     /// (1..=63). Lanes fill contiguously; lane 0 stays golden.
     ///
@@ -737,6 +751,33 @@ mod tests {
         }
         assert_eq!(bit.dead_lanes(), 0);
         assert_eq!(bit.lane_count(), 4);
+    }
+
+    /// Fault-free lanes occupied beside the golden lane compute it
+    /// exactly, and a fault injected afterwards lands past them.
+    #[test]
+    fn occupied_fault_free_lanes_follow_their_own_stimulus() {
+        let nl = acc4();
+        let a_nets = nl.input("a").unwrap().to_vec();
+        let acc_nets = nl.output("acc").unwrap().to_vec();
+        let mut bit = BitSimulator::new(&nl);
+        bit.occupy_lanes(5);
+        assert_eq!(bit.occupied(), 0b1_1111);
+        assert_eq!(bit.inject_fault(Fault { gate: GateId(0), kind: FaultKind::StuckAt0 }), 5);
+        let mut scalars: Vec<Simulator<'_>> = (0..5).map(|_| Simulator::new(&nl)).collect();
+        for cycle in 0..6u64 {
+            // Lane l adds l + cycle: a different stimulus per lane.
+            let words: Vec<u64> = (0..4)
+                .map(|bit| (0..5).fold(0, |w, lane| w | ((lane + cycle) >> bit & 1) << lane))
+                .collect();
+            bit.set_bus_words(&a_nets, &words);
+            bit.step().unwrap();
+            for (lane, s) in scalars.iter_mut().enumerate() {
+                s.set_bus(&a_nets, lane as u64 + cycle);
+                s.step().unwrap();
+                assert_eq!(bit.read_lane(&acc_nets, lane), s.read_bus(&acc_nets), "lane {lane}");
+            }
+        }
     }
 
     /// The per-lane stats convention tiles: eval_counts sums to
