@@ -517,8 +517,6 @@ impl<'a> LockstepWord<'a> {
         let lanes = lane_programs.iter().fold(0, |lanes, p| lanes | p.lanes);
         let mut sim = BitSimulator::new(netlist);
         sim.occupy_lanes(programs.len());
-        // Nothing reads the word's switching activity.
-        sim.set_toggle_tracking(false);
         let mut machine = BitMachine::new(sim, &CoreSpec::standard(config), lane_programs);
         for (lane, program) in programs.iter().enumerate() {
             for &(addr, value) in &program.inputs {

@@ -21,9 +21,7 @@ use crate::isa::Flags;
 #[cfg(test)]
 use crate::isa::Instruction;
 use crate::specific::CoreSpec;
-use printed_netlist::{
-    lint, words, Engine, NetId, Netlist, NetlistBuilder, NetlistError, Simulator,
-};
+use printed_netlist::{lint, words, NetId, Netlist, NetlistBuilder, NetlistError, Simulator};
 use printed_pdk::Technology;
 
 /// Field layout of an instruction word under a [`CoreSpec`] (LSB-first
@@ -413,24 +411,6 @@ impl<'a> GateLevelMachine<'a> {
     /// characterization-only).
     pub fn new(netlist: &'a Netlist, spec: CoreSpec, program: Vec<u64>, dmem_words: usize) -> Self {
         Self::with_simulator(Simulator::new(netlist), spec, program, dmem_words)
-    }
-
-    /// Like [`GateLevelMachine::new`], but with an explicit simulation
-    /// [`Engine`] — the hook benchmarks use to replay one kernel under
-    /// both the event-driven and the full-sweep engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is not single-cycle (multi-stage cores are
-    /// characterization-only).
-    pub fn with_engine(
-        netlist: &'a Netlist,
-        spec: CoreSpec,
-        program: Vec<u64>,
-        dmem_words: usize,
-        engine: Engine,
-    ) -> Self {
-        Self::with_simulator(Simulator::with_engine(netlist, engine), spec, program, dmem_words)
     }
 
     /// Like [`GateLevelMachine::new`], but over a pre-built simulator —

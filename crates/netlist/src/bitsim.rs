@@ -55,17 +55,16 @@
 //! write to a net outside every group (an internal net) force a full
 //! pass; inconsistent orders always run full passes.
 //!
-//! Statistics follow a documented per-lane convention: each op
-//! evaluation counts one eval *per occupied lane* into
-//! [`ActivityStats::eval_counts`] / [`ActivityStats::gate_evals`] (so
-//! [`crate::profile`]'s `attributed_evals` tiling invariant holds), and
-//! ops a gated settle skips count into [`ActivityStats::skipped_gates`]
-//! the same way. Toggle counts accumulate the popcount of changed bits
-//! across occupied lanes — the per-lane sum a power model expects.
+//! A word counts work, not activity: each op evaluation counts once
+//! *per occupied lane* into [`BitSimulator::gate_evals`], and each op a
+//! gated settle skips counts into [`BitSimulator::skipped_gates`] the
+//! same way, so the two tile whole passes. Switching statistics —
+//! per-gate toggles and evaluations, the inputs of the power model and
+//! of [`crate::profile`] — belong to the scalar [`Simulator`].
 
 use crate::fault::{Fault, FaultKind};
 use crate::ir::{FanoutMap, NetId, Netlist, NetlistError};
-use crate::sim::{truth_table, ActivityStats, Simulator, TSBUF_TT};
+use crate::sim::{truth_table, Simulator, TSBUF_TT};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -122,14 +121,9 @@ pub struct BitSimulator<'a> {
     ops: Arc<Vec<BitOp>>,
     /// Sequential cells, shared across clones.
     seq: Arc<Vec<BitSeqOp>>,
-    /// `(gate index, output net)` of every gate, for toggle accounting.
-    gate_outs: Arc<Vec<(u32, u32)>>,
     /// Gate index → compiled op index (`u32::MAX` for sequential
     /// cells), so stuck-at injection can patch the op's inline masks.
     op_of_gate: Arc<Vec<u32>>,
-    /// Combinational depth per gate (`None` for sequential cells),
-    /// mirroring [`Simulator::gate_depth`] for hotspot attribution.
-    depth: Arc<Vec<u32>>,
     /// Source group of every net: the input-port bit or [`SEQ_GROUP`],
     /// 0 for nets outside every group (internal and constant nets).
     group_of_net: Arc<Vec<u64>>,
@@ -139,8 +133,6 @@ pub struct BitSimulator<'a> {
     consistent: bool,
     /// Current word-wide value of every net.
     values: Vec<u64>,
-    /// Net values at the previous step, for toggle counting.
-    prev_values: Vec<u64>,
     /// Stored state per gate: DFF/latch contents, TSBUF hold values.
     state: Vec<u64>,
     /// Per-gate output forcing for *sequential* cells, applied at
@@ -165,20 +157,14 @@ pub struct BitSimulator<'a> {
     /// injection, broadcast, a tri-state hold-state upset, or a write
     /// outside every group.
     full: bool,
-    /// Lane charges of full passes not yet folded into
-    /// [`ActivityStats::eval_counts`]...
-    pending_full: u64,
-    /// ...and of gated passes, as `(dirty set, lanes)`. Every op a pass
-    /// evaluates is charged identically, so the per-gate attribution is
-    /// materialized lazily from these instead of stored once per op per
-    /// pass; a word sees only a handful of distinct dirty sets.
-    pending_gated: Vec<(u64, u64)>,
-    /// Per-gate toggle attribution (on by default). Campaign words
-    /// never read per-gate stats and disable it for throughput.
-    track_toggles: bool,
     /// Watchdog, identical to [`Simulator::set_cycle_limit`].
     cycle_limit: Option<u64>,
-    stats: ActivityStats,
+    /// Clock cycles stepped so far.
+    cycles: u64,
+    /// Op evaluations, counted once per occupied lane.
+    gate_evals: u64,
+    /// Ops gated settles skipped, counted once per occupied lane.
+    skipped_gates: u64,
 }
 
 /// One lane's value out of a bus's lane words, bit `i` of the value
@@ -201,7 +187,6 @@ impl<'a> BitSimulator<'a> {
     /// tied) and only the golden lane 0 occupied.
     pub fn new(netlist: &'a Netlist) -> Self {
         let fanout = FanoutMap::build(netlist);
-        let mut depth = vec![u32::MAX; netlist.gate_count()];
         // Which nets have been produced so far while walking the stored
         // order; reading a net that a *later* op produces makes the
         // order inconsistent (feedback or a deliberately corrupt order)
@@ -230,21 +215,13 @@ impl<'a> BitSimulator<'a> {
         let mut ops = Vec::new();
         let mut op_of_gate = vec![u32::MAX; netlist.gate_count()];
         for (gate_id, gate) in netlist.topo_order() {
-            let mut d = 0u32;
             let mut src = 0u64;
             for input in &gate.inputs {
                 src |= net_src[input.index()];
-                if let Some(driver) = fanout.driver(*input) {
-                    let dd = depth[driver.index()];
-                    if dd != u32::MAX {
-                        d = d.max(dd + 1);
-                    }
-                }
                 if comb_driven[input.index()] && !produced[input.index()] {
                     consistent = false;
                 }
             }
-            depth[gate_id.index()] = d;
             produced[gate.output.index()] = true;
             net_src[gate.output.index()] |= src;
             let a = gate.inputs.first().map_or(0, |n| n.index() as u32);
@@ -284,12 +261,6 @@ impl<'a> BitSimulator<'a> {
                 }
             })
             .collect();
-        let gate_outs: Vec<(u32, u32)> = netlist
-            .gates()
-            .iter()
-            .enumerate()
-            .map(|(gi, gate)| (gi as u32, gate.output.index() as u32))
-            .collect();
         let mut values = vec![0u64; netlist.net_count()];
         if let Some(c1) = netlist.const1() {
             values[c1.index()] = u64::MAX;
@@ -298,12 +269,9 @@ impl<'a> BitSimulator<'a> {
             netlist,
             ops: Arc::new(ops),
             seq: Arc::new(seq),
-            gate_outs: Arc::new(gate_outs),
             op_of_gate: Arc::new(op_of_gate),
-            depth: Arc::new(depth),
             group_of_net: Arc::new(group_of_net),
             consistent,
-            prev_values: vec![0; netlist.net_count()],
             values,
             state: vec![0; netlist.gate_count()],
             stuck_and: vec![u64::MAX; netlist.gate_count()],
@@ -313,15 +281,10 @@ impl<'a> BitSimulator<'a> {
             dead: 0,
             dirty_groups: 0,
             full: true,
-            pending_full: 0,
-            pending_gated: Vec::new(),
-            track_toggles: true,
             cycle_limit: None,
-            stats: ActivityStats {
-                toggles: vec![0; netlist.gate_count()],
-                eval_counts: vec![0; netlist.gate_count()],
-                ..ActivityStats::default()
-            },
+            cycles: 0,
+            gate_evals: 0,
+            skipped_gates: 0,
         }
     }
 
@@ -348,47 +311,19 @@ impl<'a> BitSimulator<'a> {
 
     /// Clock cycles stepped so far.
     pub fn cycles(&self) -> u64 {
-        self.stats.cycles
+        self.cycles
     }
 
-    /// Accumulated switching statistics, under the per-lane convention
-    /// described in the [module docs](self). Takes `&mut self` because
-    /// the per-gate eval attribution is materialized lazily from the
-    /// pass charges on access (every op a pass evaluates is charged
-    /// identically, so the hot loop never touches the per-gate array).
-    pub fn stats(&mut self) -> &ActivityStats {
-        if self.pending_full != 0 || !self.pending_gated.is_empty() {
-            let ops = Arc::clone(&self.ops);
-            for op in ops.iter() {
-                let gated: u64 = self
-                    .pending_gated
-                    .iter()
-                    .filter(|(groups, _)| op.src & groups != 0)
-                    .map(|(_, lanes)| lanes)
-                    .sum();
-                self.stats.eval_counts[op.gi as usize] += self.pending_full + gated;
-            }
-            self.pending_full = 0;
-            self.pending_gated.clear();
-        }
-        &self.stats
+    /// Op evaluations so far, counted once per occupied lane (see the
+    /// [module docs](self)).
+    pub fn gate_evals(&self) -> u64 {
+        self.gate_evals
     }
 
-    /// Enables or disables per-gate toggle attribution (on by default).
-    /// Disabled, [`ActivityStats::toggles`] stops accumulating —
-    /// campaign words that only read lane observations switch it off;
-    /// profiling runs must leave it on.
-    pub fn set_toggle_tracking(&mut self, on: bool) {
-        self.track_toggles = on;
-    }
-
-    /// Combinational depth of a gate, `None` for sequential cells —
-    /// mirrors [`Simulator::gate_depth`] for [`crate::profile`].
-    pub fn gate_depth(&self, gate: usize) -> Option<u32> {
-        match self.depth[gate] {
-            u32::MAX => None,
-            d => Some(d),
-        }
+    /// Ops gated settles skipped so far, counted once per occupied lane:
+    /// with [`BitSimulator::gate_evals`] they tile whole passes.
+    pub fn skipped_gates(&self) -> u64 {
+        self.skipped_gates
     }
 
     /// Arms (or disarms) the cycle-limit watchdog; identical semantics
@@ -538,7 +473,6 @@ impl<'a> BitSimulator<'a> {
     /// `full`, else only ops reading a group in `groups`. Returns the
     /// lanes whose values changed.
     fn pass(&mut self, full: bool, groups: u64, track_changes: bool) -> u64 {
-        self.stats.settle_passes += 1;
         let mut changed = 0u64;
         let mut evaluated = 0u64;
         let ops = Arc::clone(&self.ops);
@@ -567,16 +501,8 @@ impl<'a> BitSimulator<'a> {
             self.values[op.out as usize] = w;
         }
         let lanes = u64::from(self.occupied.count_ones());
-        self.stats.gate_evals += evaluated * lanes;
-        self.stats.skipped_gates += (ops.len() as u64 - evaluated) * lanes;
-        if full {
-            self.pending_full += lanes;
-        } else {
-            match self.pending_gated.iter_mut().find(|(g, _)| *g == groups) {
-                Some((_, charged)) => *charged += lanes,
-                None => self.pending_gated.push((groups, lanes)),
-            }
-        }
+        self.gate_evals += evaluated * lanes;
+        self.skipped_gates += (ops.len() as u64 - evaluated) * lanes;
         changed
     }
 
@@ -613,8 +539,8 @@ impl<'a> BitSimulator<'a> {
     }
 
     /// Runs one clock cycle on every lane: settle, capture, SEU flips at
-    /// the injection cycle, publish (with stuck forcing), settle, toggle
-    /// accounting — the word-wide mirror of [`Simulator::step`].
+    /// the injection cycle, publish (with stuck forcing), settle — the
+    /// word-wide mirror of [`Simulator::step`].
     ///
     /// # Errors
     ///
@@ -623,8 +549,8 @@ impl<'a> BitSimulator<'a> {
     /// recorded in [`BitSimulator::dead_lanes`] instead of erroring.
     pub fn step(&mut self) -> Result<(), NetlistError> {
         if let Some(limit) = self.cycle_limit {
-            if self.stats.cycles >= limit {
-                return Err(NetlistError::DeadlineExceeded { cycles: self.stats.cycles, limit });
+            if self.cycles >= limit {
+                return Err(NetlistError::DeadlineExceeded { cycles: self.cycles, limit });
             }
         }
         self.settle();
@@ -643,7 +569,7 @@ impl<'a> BitSimulator<'a> {
         // SEU flips scheduled for this cycle land on the captured state.
         // A flip of a tri-state buffer's hold state (a combinational op)
         // shows only when the op runs again, so it forces a full pass.
-        if let Some(hits) = self.seu.get(&self.stats.cycles) {
+        if let Some(hits) = self.seu.get(&self.cycles) {
             for &(gi, mask) in hits {
                 self.state[gi as usize] ^= mask;
                 if self.op_of_gate[gi as usize] != u32::MAX {
@@ -664,17 +590,7 @@ impl<'a> BitSimulator<'a> {
             }
         }
         self.settle();
-        // Toggle accounting: per-lane-summed popcounts over occupied
-        // lanes, the bitsliced analogue of the scalar per-gate counter.
-        if self.track_toggles {
-            let occupied = self.occupied;
-            for &(gi, out) in self.gate_outs.iter() {
-                let flips = (self.values[out as usize] ^ self.prev_values[out as usize]) & occupied;
-                self.stats.toggles[gi as usize] += u64::from(flips.count_ones());
-            }
-            self.prev_values.copy_from_slice(&self.values);
-        }
-        self.stats.cycles += 1;
+        self.cycles += 1;
         Ok(())
     }
 }
@@ -780,46 +696,28 @@ mod tests {
         }
     }
 
-    /// The per-lane stats convention tiles: eval_counts sums to
-    /// gate_evals exactly, and evals scale with the occupied lanes.
-    #[test]
-    fn stats_tile_under_the_per_lane_convention() {
-        let nl = acc4();
-        let mut bit = BitSimulator::new(&nl);
-        bit.inject_fault(Fault { gate: GateId(0), kind: FaultKind::StuckAt0 });
-        bit.inject_fault(Fault { gate: GateId(1), kind: FaultKind::StuckAt1 });
-        for _ in 0..4 {
-            bit.step().unwrap();
-        }
-        let stats = bit.stats();
-        assert_eq!(
-            stats.eval_counts.iter().sum::<u64>(),
-            stats.gate_evals,
-            "per-gate eval attribution must tile gate_evals"
-        );
-        assert_eq!(stats.gate_evals % 3, 0, "every eval is counted once per occupied lane");
-        assert_eq!(stats.cycles, 4);
-    }
-
     /// Gated settles charge only the ops they evaluate, per occupied
-    /// lane; the ops they skip go to `skipped_gates`, and the lazily
-    /// folded per-gate attribution still tiles `gate_evals`.
+    /// lane; the ops they skip go to `skipped_gates`, and the two tile
+    /// whole passes (at most two per step: before and after the edge).
     #[test]
     fn gated_settles_charge_only_evaluated_ops() {
         let nl = acc4();
         let a_nets = nl.input("a").unwrap().to_vec();
         let mut bit = BitSimulator::new(&nl);
         bit.inject_fault(Fault { gate: GateId(0), kind: FaultKind::StuckAt0 });
-        for cycle in 0..6u64 {
+        let steps = 6u64;
+        for cycle in 0..steps {
             bit.set_bus(&a_nets, cycle * 5);
             bit.set_input("en", cycle / 3).unwrap();
             bit.step().unwrap();
         }
-        let ops = bit.ops.len() as u64;
-        let stats = bit.stats();
-        assert_eq!(stats.eval_counts.iter().sum::<u64>(), stats.gate_evals);
-        assert_eq!(stats.gate_evals + stats.skipped_gates, ops * stats.settle_passes * 2);
-        assert!(stats.skipped_gates > 0, "an `a`-only write skips the inverter chain");
+        let pass = bit.ops.len() as u64 * 2;
+        let work = bit.gate_evals() + bit.skipped_gates();
+        assert_eq!(work % pass, 0, "evaluated plus skipped ops tile whole passes");
+        assert!(work > 0 && work <= pass * 2 * steps, "at most two passes per step");
+        assert_eq!(bit.gate_evals() % 2, 0, "every eval is counted once per occupied lane");
+        assert!(bit.skipped_gates() > 0, "an `a`-only write skips the inverter chain");
+        assert_eq!(bit.cycles(), steps);
     }
 
     /// An oscillating lane is marked dead instead of erroring — the

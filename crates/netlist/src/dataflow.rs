@@ -80,6 +80,7 @@
 //! ```
 
 use crate::ir::{FanoutMap, Gate, GateId, NetId, Netlist};
+use crate::opt::{self, Fold};
 use crate::sim::Simulator;
 use printed_pdk::CellKind;
 use std::fmt;
@@ -334,46 +335,25 @@ pub fn analyze_with_fanout(netlist: &Netlist, fanout: Arc<FanoutMap>) -> Dataflo
     DataflowFacts { values, live, trapped, fanout, rounds }
 }
 
-/// Abstract transfer function of one combinational cell.
+/// Abstract transfer function of one inverter or two-pin logic cell:
+/// [`opt::fold`]'s rule lifted to the lattice. A constant pin decides
+/// the verdict; a kept gate (no pin constant) joins its pins, which for
+/// an inverter is its one pin read twice, since inverting a
+/// non-constant point leaves it unchanged.
 fn comb_value(kind: CellKind, gate: &Gate, values: &[AbsValue]) -> AbsValue {
-    use AbsValue::{One, Zero};
+    debug_assert!(
+        kind != CellKind::TsBuf && !kind.is_sequential(),
+        "stateful cells are evaluated by their own transfer functions"
+    );
     let a = values[gate.inputs[0].index()];
     let b = values[gate.inputs.get(1).unwrap_or(&gate.inputs[0]).index()];
-    match kind {
-        CellKind::Inv => a.invert(),
-        CellKind::And2 => match (a, b) {
-            (Zero, _) | (_, Zero) => Zero,
-            (One, v) | (v, One) => v,
-            _ => a.join(b),
-        },
-        CellKind::Or2 => match (a, b) {
-            (One, _) | (_, One) => One,
-            (Zero, v) | (v, Zero) => v,
-            _ => a.join(b),
-        },
-        CellKind::Nand2 => match (a, b) {
-            (Zero, _) | (_, Zero) => One,
-            (One, v) | (v, One) => v.invert(),
-            _ => a.join(b),
-        },
-        CellKind::Nor2 => match (a, b) {
-            (One, _) | (_, One) => Zero,
-            (Zero, v) | (v, Zero) => v.invert(),
-            _ => a.join(b),
-        },
-        CellKind::Xor2 => match (a, b) {
-            (Zero, v) | (v, Zero) => v,
-            (One, v) | (v, One) => v.invert(),
-            _ => a.join(b),
-        },
-        CellKind::Xnor2 => match (a, b) {
-            (One, v) | (v, One) => v,
-            (Zero, v) | (v, Zero) => v.invert(),
-            _ => a.join(b),
-        },
-        CellKind::TsBuf | CellKind::Dff | CellKind::DffNr | CellKind::Latch => {
-            unreachable!("stateful cells are evaluated by their own transfer functions")
-        }
+    let pins = [a, b];
+    match opt::fold(kind, &pins.map(AbsValue::constant)) {
+        Fold::Const(true) => AbsValue::One,
+        Fold::Const(false) => AbsValue::Zero,
+        Fold::Pin(i) => pins[i],
+        Fold::NotPin(i) => pins[i].invert(),
+        Fold::Keep => a.join(b),
     }
 }
 
@@ -418,10 +398,12 @@ fn latch_next(s: AbsValue, r: AbsValue, q: AbsValue) -> AbsValue {
 /// Backward liveness: a net is live when an output port exports it or a
 /// live gate reads it (sequential cells included, so state feeding
 /// observable logic is live). Worklist over the fanout map's driver
-/// relation — linear in edges, unlike a repeated full-gate sweep.
-fn liveness(netlist: &Netlist, fanout: &FanoutMap) -> Vec<bool> {
+/// relation: a net is pushed once, when it turns live, and every gate
+/// drives one net, so each gate's pins are visited once — linear in
+/// edges, unlike a repeated full-gate sweep. [`crate::opt`]'s dead-gate
+/// sweep keeps exactly these nets.
+pub(crate) fn liveness(netlist: &Netlist, fanout: &FanoutMap) -> Vec<bool> {
     let mut live = vec![false; netlist.net_count()];
-    let mut gate_seen = vec![false; netlist.gate_count()];
     let mut work: Vec<NetId> = Vec::new();
     for nets in netlist.output_ports().values() {
         for &net in nets {
@@ -435,9 +417,6 @@ fn liveness(netlist: &Netlist, fanout: &FanoutMap) -> Vec<bool> {
         let Some(gid) = fanout.driver(net) else {
             continue; // port or constant rail
         };
-        if std::mem::replace(&mut gate_seen[gid.index()], true) {
-            continue;
-        }
         for input in &netlist.gates()[gid.index()].inputs {
             if !live[input.index()] {
                 live[input.index()] = true;

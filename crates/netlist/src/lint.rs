@@ -32,6 +32,8 @@
 
 use crate::dataflow::{self, DataflowFacts};
 use crate::ir::{FanoutMap, Gate, GateId, NetId, Netlist};
+use crate::opt::{self, Fold};
+use printed_obs::json::escape;
 use printed_pdk::{CellKind, CellLibrary, Technology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
@@ -370,7 +372,7 @@ impl LintReport {
     /// ```
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str(&format!("\"design\":\"{}\",", escape_json(&self.design)));
+        out.push_str(&format!("\"design\":{},", escape(&self.design)));
         out.push_str(&format!(
             "\"summary\":{{\"error\":{},\"warn\":{},\"info\":{}}},",
             self.count(Severity::Error),
@@ -387,49 +389,15 @@ impl LintReport {
                 Locus::Net(n) => format!("{{\"net\":{}}}", n.index()),
             };
             out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"locus\":{},\"message\":\"{}\"}}",
+                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"locus\":{},\"message\":{}}}",
                 d.rule,
                 d.severity,
                 locus,
-                escape_json(&d.message()),
+                escape(&d.message()),
             ));
         }
         out.push_str("]}");
         out
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// What constant propagation knows about a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Known {
-    Zero,
-    One,
-    Var,
-}
-
-impl Known {
-    fn invert(self) -> Known {
-        match self {
-            Known::Zero => Known::One,
-            Known::One => Known::Zero,
-            Known::Var => Known::Var,
-        }
     }
 }
 
@@ -446,42 +414,47 @@ struct Facts<'a> {
     /// per-net driver/reader index the event-driven simulator
     /// schedules from.
     dataflow: &'a DataflowFacts,
-    /// Constant-propagation verdict per net, mirroring
-    /// [`crate::opt`]'s folder exactly.
-    known: Vec<Known>,
-    /// Whether [`crate::opt::optimize`] would remove or strength-reduce
-    /// the gate (same indexing as `gates`).
+    /// Per net, the constant the syntactic folder knows it holds: the
+    /// constant rails and every gate output [`crate::opt`]'s `fold` rule
+    /// decides. Sequential outputs are never known.
+    known: Vec<Option<bool>>,
+    /// Per gate, whether `fold` removes or strength-reduces it, so
+    /// whether [`crate::opt::optimize`] does (same indexing as `gates`).
     foldable: Vec<bool>,
 }
 
 impl<'a> Facts<'a> {
     fn compute(netlist: &Netlist, dataflow: &'a DataflowFacts) -> Facts<'a> {
-        let nets = netlist.net_count();
-
         // Constant propagation over the combinational gates in evaluation
-        // order. Sequential outputs are Var: even a DFF with constant D is
-        // not a constant net (its first cycle holds the reset value).
-        // This intentionally stays syntactic — the `const-foldable-gate`
-        // rule must mirror what [`crate::opt::optimize`] would actually
-        // do, while the dataflow facts prove the stronger (sequential)
-        // constants reported by `never-toggles`.
-        let mut known = vec![Known::Var; nets];
+        // order, by the optimizer's own fold rule. Sequential outputs stay
+        // unknown: even a DFF with constant D is not a constant net (its
+        // first cycle holds the reset value). This intentionally stays
+        // syntactic — `const-foldable-gate` reports what
+        // [`crate::opt::optimize`] would actually do, while the dataflow
+        // facts prove the stronger (sequential) constants reported by
+        // `never-toggles`.
+        let mut known = vec![None; netlist.net_count()];
         if let Some(c0) = netlist.const0() {
-            known[c0.index()] = Known::Zero;
+            known[c0.index()] = Some(false);
         }
         if let Some(c1) = netlist.const1() {
-            known[c1.index()] = Known::One;
+            known[c1.index()] = Some(true);
         }
         let mut foldable = vec![false; netlist.gate_count()];
         for (gid, gate) in netlist.topo_order() {
             // Cells have at most two pins.
-            let mut ins = [Known::Var; 2];
-            for (slot, n) in ins.iter_mut().zip(&gate.inputs) {
+            let mut pins = [None; 2];
+            for (slot, n) in pins.iter_mut().zip(&gate.inputs) {
                 *slot = known[n.index()];
             }
-            let (out, folds) = fold_verdict(gate.kind, &ins);
-            known[gate.output.index()] = out;
-            foldable[gid.index()] = folds;
+            let verdict = opt::fold(gate.kind, &pins);
+            known[gate.output.index()] = match verdict {
+                Fold::Const(v) => Some(v),
+                Fold::Pin(i) => pins[i],
+                Fold::NotPin(i) => pins[i].map(|v| !v),
+                Fold::Keep => None,
+            };
+            foldable[gid.index()] = verdict != Fold::Keep;
         }
 
         Facts { dataflow, known, foldable }
@@ -495,57 +468,6 @@ impl<'a> Facts<'a> {
     /// Whether the net transitively reaches a primary output.
     fn live(&self, net: NetId) -> bool {
         self.dataflow.is_live(net)
-    }
-}
-
-/// Mirrors [`crate::opt`]'s `fold_gate` without rewriting: returns what is
-/// known about the output and whether the folder would eliminate or
-/// strength-reduce the gate.
-fn fold_verdict(kind: CellKind, ins: &[Known]) -> (Known, bool) {
-    use Known::{One, Var, Zero};
-    match kind {
-        CellKind::Inv => match ins[0] {
-            Var => (Var, false),
-            k => (k.invert(), true),
-        },
-        CellKind::And2 => match (ins[0], ins[1]) {
-            (Zero, _) | (_, Zero) => (Zero, true),
-            (One, x) | (x, One) => (x, true),
-            _ => (Var, false),
-        },
-        CellKind::Or2 => match (ins[0], ins[1]) {
-            (One, _) | (_, One) => (One, true),
-            (Zero, x) | (x, Zero) => (x, true),
-            _ => (Var, false),
-        },
-        CellKind::Nand2 => match (ins[0], ins[1]) {
-            (Zero, _) | (_, Zero) => (One, true),
-            (One, x) | (x, One) => (x.invert(), true),
-            _ => (Var, false),
-        },
-        CellKind::Nor2 => match (ins[0], ins[1]) {
-            (One, _) | (_, One) => (Zero, true),
-            (Zero, x) | (x, Zero) => (x.invert(), true),
-            _ => (Var, false),
-        },
-        CellKind::Xor2 => match (ins[0], ins[1]) {
-            (Zero, x) | (x, Zero) => (x, true),
-            (One, x) | (x, One) => (x.invert(), true),
-            _ => (Var, false),
-        },
-        CellKind::Xnor2 => match (ins[0], ins[1]) {
-            (One, x) | (x, One) => (x, true),
-            (Zero, x) | (x, Zero) => (x.invert(), true),
-            _ => (Var, false),
-        },
-        // The folder only eliminates a TSBUF when its *enable* is
-        // constant; a constant data pin keeps the gate.
-        CellKind::TsBuf => match (ins[0], ins[1]) {
-            (x, One) => (x, true),
-            (_, Zero) => (Zero, true),
-            _ => (Var, false),
-        },
-        CellKind::Dff | CellKind::DffNr | CellKind::Latch => (Var, false),
     }
 }
 
@@ -708,8 +630,8 @@ fn check_x_trapped_state(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut
 }
 
 /// Rule 4: gates the constant folder ([`crate::opt::optimize`]) would
-/// remove or strength-reduce. Verdicts mirror the folder exactly, so an
-/// optimized netlist never triggers this rule.
+/// remove or strength-reduce. Verdicts come from the folder's own rule,
+/// so an optimized netlist never triggers this rule.
 fn check_const_foldable(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMut(Locus, Finding)) {
     for (i, gate) in netlist.gates().iter().enumerate() {
         if facts.foldable[i] {
@@ -775,7 +697,7 @@ fn check_latch_contention(netlist: &Netlist, facts: &Facts, emit: &mut impl FnMu
         let (s, r) = (gate.inputs[0], gate.inputs[1]);
         let output = gate.output;
         let finding =
-            if facts.known[s.index()] == Known::One && facts.known[r.index()] == Known::One {
+            if facts.known[s.index()] == Some(true) && facts.known[r.index()] == Some(true) {
                 Finding::LatchTiedHigh { output }
             } else if s == r {
                 Finding::LatchAliased { output, net: s }
@@ -811,8 +733,8 @@ fn check_tristate_contention(
                 let (a, b, merge) = (a.output, b.output, merge.output);
                 let finding = if en_a == en_b {
                     Finding::TristateShared { a, b, merge, enable: en_a }
-                } else if facts.known[en_a.index()] == Known::One
-                    && facts.known[en_b.index()] == Known::One
+                } else if facts.known[en_a.index()] == Some(true)
+                    && facts.known[en_b.index()] == Some(true)
                 {
                     Finding::TristateTiedHigh { a, b, merge }
                 } else {

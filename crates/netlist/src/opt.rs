@@ -9,15 +9,22 @@
 //! a`, `NAND(a,1) → INV(a)`, …), and then sweeps gates whose outputs reach
 //! neither a primary output nor a flip-flop.
 //!
+//! `fold` is the one statement of the folding rule: what a gate's
+//! output is, given which of its pins are tied to constants. The folder
+//! here rewrites by it, [`mod@crate::lint`]'s `const-foldable-gate` rule
+//! reports by it, and [`crate::dataflow`] lifts it to its lattice, so
+//! the rule the optimizer applies and the rule the linter reports cannot
+//! drift apart.
+//!
 //! Both passes cost O(gates + edges). The folder walks the stored
 //! topological order once, keeping what it knows about each net in a
-//! vector indexed by net id; the sweep finds live nets with a worklist
-//! instead of rescanning every gate until nothing changes (14–16 full
-//! passes on the generated cores). Each pass issues the same builder
-//! calls in the same order as the earlier map-based, rescan-until-stable
-//! version, so the output netlist — net ids and topological order
-//! included — is unchanged, and so are the quotes and cache keys built
-//! on it.
+//! vector indexed by net id; the sweep keeps the nets
+//! [`crate::dataflow`]'s liveness worklist marks, instead of rescanning
+//! every gate until nothing changes (14–16 full passes on the generated
+//! cores). Each pass issues the same builder calls in the same order as
+//! the earlier map-based, rescan-until-stable version, so the output
+//! netlist — net ids and topological order included — is unchanged, and
+//! so are the quotes and cache keys built on it.
 //!
 //! ```
 //! use printed_netlist::{opt, NetlistBuilder};
@@ -35,9 +42,64 @@
 //! ```
 
 use crate::builder::NetlistBuilder;
-use crate::dataflow::DataflowFacts;
+use crate::dataflow::{self, DataflowFacts};
 use crate::ir::{FanoutMap, NetId, Netlist};
 use printed_pdk::CellKind;
+
+/// The constant-fold verdict for one combinational gate (see [`fold`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fold {
+    /// The output is this constant.
+    Const(bool),
+    /// The output is pin `i`: the gate folds to a wire.
+    Pin(usize),
+    /// The output is pin `i` inverted: the gate strength-reduces to an
+    /// inverter.
+    NotPin(usize),
+    /// Nothing folds: the gate stays as it is.
+    Keep,
+}
+
+/// The constant-fold rule. `pins[i]` is `Some(v)` when pin `i` is tied
+/// to the constant `v`; one-pin cells ignore `pins[1]`.
+///
+/// A controlling constant decides a gate (`AND(a,0) → 0`), a
+/// non-controlling one passes or inverts the other pin (`AND(a,1) → a`,
+/// `NAND(a,1) → INV(a)`), and pin 0 is consulted before pin 1. A
+/// tri-state buffer folds only on a constant *enable*: always enabled it
+/// is a wire, never enabled it holds its reset 0 forever; constant data
+/// keeps the gate. Sequential cells never fold: even a DFF with constant
+/// D has a first cycle that holds the reset value.
+// `pins` is taken by reference: passed by value, the array is packed
+// into one 16-bit word that every caller's per-gate loop unpacks, which
+// made the linter's constant propagation over the 24 sweep cores twice
+// as slow (x86-64 Xeon, release build).
+#[inline]
+pub(crate) fn fold(kind: CellKind, pins: &[Option<bool>; 2]) -> Fold {
+    use Fold::{Const, Keep, NotPin, Pin};
+    // When a pin is tied to `v` (pin 0 first), `verdict` of the other one.
+    let tied = |v: bool, verdict: fn(usize) -> Fold| {
+        if pins[0] == Some(v) {
+            Some(verdict(1))
+        } else if pins[1] == Some(v) {
+            Some(verdict(0))
+        } else {
+            None
+        }
+    };
+    let verdict = match kind {
+        CellKind::Inv => pins[0].map(|v| Const(!v)),
+        CellKind::And2 => tied(false, |_| Const(false)).or_else(|| tied(true, Pin)),
+        CellKind::Or2 => tied(true, |_| Const(true)).or_else(|| tied(false, Pin)),
+        CellKind::Nand2 => tied(false, |_| Const(true)).or_else(|| tied(true, NotPin)),
+        CellKind::Nor2 => tied(true, |_| Const(false)).or_else(|| tied(false, NotPin)),
+        CellKind::Xor2 => tied(false, Pin).or_else(|| tied(true, NotPin)),
+        CellKind::Xnor2 => tied(true, Pin).or_else(|| tied(false, NotPin)),
+        CellKind::TsBuf => pins[1].map(|en| if en { Pin(0) } else { Const(false) }),
+        CellKind::Dff | CellKind::DffNr | CellKind::Latch => None,
+    };
+    verdict.unwrap_or(Keep)
+}
 
 /// What the folder knows about a net while rewriting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,6 +110,25 @@ enum Known {
     One,
     /// Equal to some already-rewritten net in the new netlist.
     Net(NetId),
+}
+
+impl Known {
+    fn constant(v: bool) -> Known {
+        if v {
+            Known::One
+        } else {
+            Known::Zero
+        }
+    }
+
+    /// The constant this is, if it is one.
+    fn as_constant(self) -> Option<bool> {
+        match self {
+            Known::Zero => Some(false),
+            Known::One => Some(true),
+            Known::Net(_) => None,
+        }
+    }
 }
 
 /// Statistics from one optimization run.
@@ -105,7 +186,7 @@ fn run_optimize(netlist: &Netlist, facts: Option<&DataflowFacts>) -> (Netlist, O
     // Input ports are never proved constant (the analysis treats them as
     // free), so only gate outputs consult this.
     let proved = |n: NetId| -> Option<Known> {
-        facts.and_then(|f| f.proved_constant(n)).map(|v| if v { Known::One } else { Known::Zero })
+        facts.and_then(|f| f.proved_constant(n)).map(Known::constant)
     };
     // known[old net]: what the folder has learned about it so far.
     let mut known: Vec<Option<Known>> = vec![None; netlist.net_count()];
@@ -161,7 +242,7 @@ fn run_optimize(netlist: &Netlist, facts: Option<&DataflowFacts>) -> (Netlist, O
         for (slot, &n) in ins.iter_mut().zip(&gate.inputs) {
             *slot = known_at(&known, n, "topological order guarantees inputs are rewritten");
         }
-        let result = fold_gate(&mut b, gate.kind, &ins[..gate.inputs.len()], &mut inv_of);
+        let result = fold_gate(&mut b, gate.kind, ins, &mut inv_of);
         known[gate.output.index()] = Some(result);
     }
 
@@ -169,29 +250,14 @@ fn run_optimize(netlist: &Netlist, facts: Option<&DataflowFacts>) -> (Netlist, O
     // constant D into… still a DFF (state must exist), so just materialize.
     for (i, q) in seq_gates {
         let gate = &netlist.gates()[i];
+        let mut pins = [q; 2];
+        for (slot, &n) in pins.iter_mut().zip(&gate.inputs) {
+            *slot = materialize(&mut b, known_at(&known, n, "sequential pins are rewritten"));
+        }
         match gate.kind {
-            CellKind::Dff | CellKind::DffNr => {
-                let d = materialize(
-                    &mut b,
-                    known_at(&known, gate.inputs[0], "sequential D pins are rewritten"),
-                );
-                if gate.kind == CellKind::Dff {
-                    b.dff_into(d, q);
-                } else {
-                    b.dff_nr_into(d, q);
-                }
-            }
-            CellKind::Latch => {
-                let s = materialize(
-                    &mut b,
-                    known_at(&known, gate.inputs[0], "sequential S pins are rewritten"),
-                );
-                let r = materialize(
-                    &mut b,
-                    known_at(&known, gate.inputs[1], "sequential R pins are rewritten"),
-                );
-                b.latch_into(s, r, q);
-            }
+            CellKind::Dff => b.dff_into(pins[0], q),
+            CellKind::DffNr => b.dff_nr_into(pins[0], q),
+            CellKind::Latch => b.latch_into(pins[0], pins[1], q),
             _ => unreachable!("seq_gates only holds sequential cells"),
         }
     }
@@ -224,112 +290,62 @@ fn materialize(b: &mut NetlistBuilder, value: Known) -> NetId {
     }
 }
 
-/// Folds one gate given knowledge about its inputs. Returns what is known
-/// about the output. `inv_of` maps already-created inverter outputs to
-/// their sources so inverter pairs collapse to wires.
+/// Rewrites one gate by its [`fold`] verdict and returns what is known
+/// about its output. `ins[1]` is unused for an inverter. A kept inverter
+/// goes through [`invert`], so inverter pairs collapse to wires; any
+/// other kept gate is rebuilt over its pins, materialized (a kept
+/// tri-state buffer may have constant data).
 fn fold_gate(
     b: &mut NetlistBuilder,
     kind: CellKind,
-    ins: &[Known],
+    ins: [Known; 2],
     inv_of: &mut Vec<Option<NetId>>,
 ) -> Known {
-    use Known::{Net, One, Zero};
-    match kind {
-        CellKind::Inv => match ins[0] {
-            Zero => One,
-            One => Zero,
-            Net(a) => {
-                if let Some(source) = inv_of.get(a.index()).copied().flatten() {
-                    return Net(source);
-                }
-                let out = b.inv(a);
-                if inv_of.len() <= out.index() {
-                    inv_of.resize(out.index() + 1, None);
-                }
-                inv_of[out.index()] = Some(a);
-                Net(out)
-            }
-        },
-        CellKind::And2 => match (ins[0], ins[1]) {
-            (Zero, _) | (_, Zero) => Zero,
-            (One, x) | (x, One) => x,
-            (Net(a), Net(c)) => Net(b.and2(a, c)),
-        },
-        CellKind::Or2 => match (ins[0], ins[1]) {
-            (One, _) | (_, One) => One,
-            (Zero, x) | (x, Zero) => x,
-            (Net(a), Net(c)) => Net(b.or2(a, c)),
-        },
-        CellKind::Nand2 => match (ins[0], ins[1]) {
-            (Zero, _) | (_, Zero) => One,
-            (One, x) | (x, One) => fold_gate(b, CellKind::Inv, &[x], inv_of),
-            (Net(a), Net(c)) => Net(b.nand2(a, c)),
-        },
-        CellKind::Nor2 => match (ins[0], ins[1]) {
-            (One, _) | (_, One) => Zero,
-            (Zero, x) | (x, Zero) => fold_gate(b, CellKind::Inv, &[x], inv_of),
-            (Net(a), Net(c)) => Net(b.nor2(a, c)),
-        },
-        CellKind::Xor2 => match (ins[0], ins[1]) {
-            (Zero, x) | (x, Zero) => x,
-            (One, x) | (x, One) => fold_gate(b, CellKind::Inv, &[x], inv_of),
-            (Net(a), Net(c)) => Net(b.xor2(a, c)),
-        },
-        CellKind::Xnor2 => match (ins[0], ins[1]) {
-            (One, x) | (x, One) => x,
-            (Zero, x) | (x, Zero) => fold_gate(b, CellKind::Inv, &[x], inv_of),
-            (Net(a), Net(c)) => Net(b.xnor2(a, c)),
-        },
-        CellKind::TsBuf => match (ins[0], ins[1]) {
-            // Always-enabled tsbuf is a wire; always-disabled holds reset
-            // state (0) forever.
-            (x, One) => x,
-            (_, Zero) => Zero,
-            (a, Net(en)) => {
-                let a = materialize(b, a);
-                Net(b.tsbuf(a, en))
-            }
-        },
-        CellKind::Dff | CellKind::DffNr | CellKind::Latch => {
-            unreachable!("sequential cells are rewritten separately")
+    match fold(kind, &ins.map(Known::as_constant)) {
+        Fold::Const(v) => Known::constant(v),
+        Fold::Pin(i) => ins[i],
+        Fold::NotPin(i) => invert(b, ins[i], inv_of),
+        Fold::Keep if kind == CellKind::Inv => invert(b, ins[0], inv_of),
+        Fold::Keep => {
+            let pins = ins.map(|k| materialize(b, k));
+            Known::Net(b.gate(kind, pins))
         }
     }
+}
+
+/// `INV(x)`: a constant flips, and the inverse of an inverter's output
+/// is that inverter's source. `inv_of` maps the inverter outputs created
+/// so far to their sources.
+fn invert(b: &mut NetlistBuilder, x: Known, inv_of: &mut Vec<Option<NetId>>) -> Known {
+    let a = match x {
+        Known::Zero => return Known::One,
+        Known::One => return Known::Zero,
+        Known::Net(a) => a,
+    };
+    if let Some(source) = inv_of.get(a.index()).copied().flatten() {
+        return Known::Net(source);
+    }
+    let out = b.inv(a);
+    if inv_of.len() <= out.index() {
+        inv_of.resize(out.index() + 1, None);
+    }
+    inv_of[out.index()] = Some(a);
+    Known::Net(out)
 }
 
 /// Removes gates whose outputs reach neither a primary output nor a
 /// sequential element.
 ///
-/// Liveness is the least set of nets containing every output-port net
-/// and closed under "a live net's driver makes its inputs live". A
-/// worklist finds it: each net enters the stack once, when it first
-/// becomes live, and popping it visits its driver's pins once, so the
-/// cost is O(gates + edges). Sequential cells take part like any other
-/// gate (a live Q makes its D live), so state is kept only when it is
-/// transitively observable. The rebuilt netlist replays the input in
-/// its own port, sequential and topological order, so the surviving
-/// gates keep their relative order.
+/// Liveness is [`crate::dataflow`]'s: the least set of nets containing
+/// every output-port net and closed under "a live net's driver makes its
+/// inputs live", found by a worklist in O(gates + edges). Sequential
+/// cells take part like any other gate (a live Q makes its D live), so
+/// state is kept only when it is transitively observable. The rebuilt
+/// netlist replays the input in its own port, sequential and
+/// topological order, so the surviving gates keep their relative order.
 fn sweep(netlist: &Netlist) -> Netlist {
     let gates = netlist.gates();
-    let fanout = FanoutMap::build(netlist);
-    let mut live = vec![false; netlist.net_count()];
-    let mut stack: Vec<NetId> = Vec::new();
-    for nets in netlist.output_ports().values() {
-        for &n in nets {
-            if !live[n.index()] {
-                live[n.index()] = true;
-                stack.push(n);
-            }
-        }
-    }
-    while let Some(n) = stack.pop() {
-        let Some(g) = fanout.driver(n) else { continue };
-        for &inp in &gates[g.index()].inputs {
-            if !live[inp.index()] {
-                live[inp.index()] = true;
-                stack.push(inp);
-            }
-        }
-    }
+    let live = dataflow::liveness(netlist, &FanoutMap::build(netlist));
 
     let mut b = NetlistBuilder::new(netlist.name().to_string());
     // map[old net] = its net in the swept netlist; only live nets are

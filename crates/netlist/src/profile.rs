@@ -99,37 +99,8 @@ pub fn net_name(netlist: &Netlist, net: NetId) -> String {
 /// keeping the `top_k` hottest gates by eval count. `lib` prices each
 /// toggle at the cell's synthesis energy.
 pub fn profile(sim: &Simulator<'_>, lib: &CellLibrary, top_k: usize) -> SimProfile {
-    build(sim.netlist(), sim.stats(), |gi| sim.gate_depth(gi), lib, top_k)
-}
-
-/// [`profile`] over a bitsliced simulator's accumulated statistics.
-///
-/// [`crate::bitsim::BitSimulator`] keeps the same per-*lane* eval
-/// convention as the scalar engine — each settling pass charges every
-/// gate it evaluates once per occupied lane — so `attributed_evals`
-/// tiles `gate_evals` here exactly as it does for the scalar engine,
-/// and the `printed-profile/v1` validator holds without a special case.
-///
-/// Takes `&mut` because the bitsliced engine materializes its per-gate
-/// eval attribution lazily on [`crate::bitsim::BitSimulator::stats`].
-pub fn bit_profile(
-    sim: &mut crate::bitsim::BitSimulator<'_>,
-    lib: &CellLibrary,
-    top_k: usize,
-) -> SimProfile {
-    let stats = sim.stats().clone();
-    build(sim.netlist(), &stats, |gi| sim.gate_depth(gi), lib, top_k)
-}
-
-/// The engine-independent attribution: ranks `stats.eval_counts`,
-/// aggregates per level via `depth`, and prices toggles with `lib`.
-fn build(
-    netlist: &Netlist,
-    stats: &crate::sim::ActivityStats,
-    depth: impl Fn(usize) -> Option<u32>,
-    lib: &CellLibrary,
-    top_k: usize,
-) -> SimProfile {
+    let netlist = sim.netlist();
+    let stats = sim.stats();
     let gates = netlist.gates();
 
     let mut ranked: Vec<usize> = (0..gates.len()).collect();
@@ -145,7 +116,7 @@ fn build(
                 gate: gi,
                 cell: gate.kind,
                 output: net_name(netlist, gate.output),
-                level: depth(gi),
+                level: sim.gate_depth(gi),
                 evals: stats.eval_counts[gi],
                 toggles,
                 toggle_energy_nj: (lib.synthesis_energy(gate.kind) * toggles as f64)
@@ -161,7 +132,7 @@ fn build(
         total_toggles += stats.toggles[gi];
         toggle_energy_nj +=
             (lib.synthesis_energy(gate.kind) * stats.toggles[gi] as f64).as_nanojoules();
-        if let Some(level) = depth(gi) {
+        if let Some(level) = sim.gate_depth(gi) {
             let slot = by_level.entry(level).or_insert(LevelProfile {
                 level,
                 gates: 0,
@@ -226,34 +197,6 @@ mod tests {
         assert_eq!(level_evals, p.gate_evals, "sequential cells contribute no evals");
         assert_eq!(p.total_toggles, sim.stats().toggles.iter().sum::<u64>());
         assert!(p.toggle_energy_nj > 0.0, "a toggling circuit burns energy");
-    }
-
-    #[test]
-    fn bitsliced_attribution_tiles_under_the_per_lane_convention() {
-        use crate::bitsim::BitSimulator;
-        use crate::fault::{Fault, FaultKind};
-        use crate::ir::GateId;
-
-        let nl = sample();
-        let mut sim = BitSimulator::new(&nl);
-        sim.inject_fault(Fault { gate: GateId::from_index(0), kind: FaultKind::StuckAt0 });
-        sim.inject_fault(Fault { gate: GateId::from_index(1), kind: FaultKind::StuckAt1 });
-        for _ in 0..16 {
-            sim.step().unwrap();
-        }
-        let lib = Technology::Egfet.library();
-        let p = bit_profile(&mut sim, lib, nl.gate_count());
-        assert_eq!(p.attributed_evals, p.gate_evals, "per-lane counts tile gate_evals");
-        assert_eq!(p.cycles, 16);
-        // Three occupied lanes: every compiled gate's count is a
-        // multiple of the lane count.
-        for h in &p.hotspots {
-            if h.level.is_some() {
-                assert_eq!(h.evals % 3, 0, "gate {} evals {}", h.gate, h.evals);
-            }
-        }
-        let level_evals: u64 = p.levels.iter().map(|l| l.evals).sum();
-        assert_eq!(level_evals, p.gate_evals);
     }
 
     #[test]

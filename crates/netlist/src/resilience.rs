@@ -806,9 +806,6 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     // supervised scalar path slot by slot.
     let mut proto = crate::bitsim::BitSimulator::new(netlist);
     proto.set_cycle_limit(pristine.cycle_limit());
-    // Campaign words only read lane observations, never per-gate toggle
-    // attribution.
-    proto.set_toggle_tracking(false);
 
     let started = Instant::now();
     let retries = AtomicU64::new(0);

@@ -5,7 +5,9 @@
 //! The optimizer is also checked against a test-only copy of the
 //! map-based, rescan-until-stable version it replaced: both must return
 //! equal netlists (same gates, net ids and topological order) on random
-//! sequential netlists, long chains and flip-flop rings.
+//! sequential netlists, long chains and flip-flop rings. The linter's
+//! `const-foldable-gate` rule is checked the same way, against a copy of
+//! the hand-kept fold rule it carried before it read the optimizer's.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
@@ -13,7 +15,7 @@ use printed_netlist::dataflow::{self, DataflowFacts};
 use printed_netlist::{lint, opt, words, Gate, NetId, Netlist, NetlistBuilder, Simulator};
 use printed_pdk::{CellKind, Technology};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn eval(nl: &Netlist, inputs: &[(&str, u64)], output: &str) -> u64 {
     let mut sim = Simulator::new(nl);
@@ -299,6 +301,107 @@ mod reference {
         }
         b.finish().unwrap()
     }
+
+    /// The linter's former private copy of the fold rule, kept verbatim.
+    mod lint_rule {
+        use super::CellKind;
+
+        /// What constant propagation knows about a net.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Known {
+            Zero,
+            One,
+            Var,
+        }
+
+        impl Known {
+            fn invert(self) -> Known {
+                match self {
+                    Known::Zero => Known::One,
+                    Known::One => Known::Zero,
+                    Known::Var => Known::Var,
+                }
+            }
+        }
+
+        /// Mirrors `opt`'s `fold_gate` without rewriting: returns what is
+        /// known about the output and whether the folder would eliminate or
+        /// strength-reduce the gate.
+        pub fn fold_verdict(kind: CellKind, ins: &[Known]) -> (Known, bool) {
+            use Known::{One, Var, Zero};
+            match kind {
+                CellKind::Inv => match ins[0] {
+                    Var => (Var, false),
+                    k => (k.invert(), true),
+                },
+                CellKind::And2 => match (ins[0], ins[1]) {
+                    (Zero, _) | (_, Zero) => (Zero, true),
+                    (One, x) | (x, One) => (x, true),
+                    _ => (Var, false),
+                },
+                CellKind::Or2 => match (ins[0], ins[1]) {
+                    (One, _) | (_, One) => (One, true),
+                    (Zero, x) | (x, Zero) => (x, true),
+                    _ => (Var, false),
+                },
+                CellKind::Nand2 => match (ins[0], ins[1]) {
+                    (Zero, _) | (_, Zero) => (One, true),
+                    (One, x) | (x, One) => (x.invert(), true),
+                    _ => (Var, false),
+                },
+                CellKind::Nor2 => match (ins[0], ins[1]) {
+                    (One, _) | (_, One) => (Zero, true),
+                    (Zero, x) | (x, Zero) => (x.invert(), true),
+                    _ => (Var, false),
+                },
+                CellKind::Xor2 => match (ins[0], ins[1]) {
+                    (Zero, x) | (x, Zero) => (x, true),
+                    (One, x) | (x, One) => (x.invert(), true),
+                    _ => (Var, false),
+                },
+                CellKind::Xnor2 => match (ins[0], ins[1]) {
+                    (One, x) | (x, One) => (x, true),
+                    (Zero, x) | (x, Zero) => (x.invert(), true),
+                    _ => (Var, false),
+                },
+                // The folder only eliminates a TSBUF when its *enable* is
+                // constant; a constant data pin keeps the gate.
+                CellKind::TsBuf => match (ins[0], ins[1]) {
+                    (x, One) => (x, true),
+                    (_, Zero) => (Zero, true),
+                    _ => (Var, false),
+                },
+                CellKind::Dff | CellKind::DffNr | CellKind::Latch => (Var, false),
+            }
+        }
+    }
+
+    /// The gates `const-foldable-gate` flagged before the linter read the
+    /// optimizer's fold rule: the linter's former constant-propagation
+    /// walk, kept verbatim, returning the foldable gate indices.
+    pub fn foldable(netlist: &Netlist) -> Vec<usize> {
+        use lint_rule::{fold_verdict, Known};
+        let nets = netlist.net_count();
+        let mut known = vec![Known::Var; nets];
+        if let Some(c0) = netlist.const0() {
+            known[c0.index()] = Known::Zero;
+        }
+        if let Some(c1) = netlist.const1() {
+            known[c1.index()] = Known::One;
+        }
+        let mut foldable = vec![false; netlist.gate_count()];
+        for (gid, gate) in netlist.topo_order() {
+            // Cells have at most two pins.
+            let mut ins = [Known::Var; 2];
+            for (slot, n) in ins.iter_mut().zip(&gate.inputs) {
+                *slot = known[n.index()];
+            }
+            let (out, folds) = fold_verdict(gate.kind, &ins);
+            known[gate.output.index()] = out;
+            foldable[gid.index()] = folds;
+        }
+        (0..netlist.gate_count()).filter(|&g| foldable[g]).collect()
+    }
 }
 
 /// A random sequential netlist mixing every cell kind: a 4-bit input
@@ -418,6 +521,27 @@ fn chain_netlist(stages: &[(u8, u8)], ring: bool) -> Netlist {
     }
     b.output("tail", vec![prev]);
     b.finish().unwrap()
+}
+
+/// The gates `const-foldable-gate` flags under either technology, which
+/// must agree.
+fn lint_foldable(nl: &Netlist) -> Vec<usize> {
+    let flagged: Vec<Vec<usize>> = Technology::ALL
+        .iter()
+        .map(|technology| {
+            lint::lint(nl, technology.library(), &lint::LintConfig::default())
+                .by_rule(lint::Rule::ConstFoldableGate)
+                .map(|d| match d.locus {
+                    lint::Locus::Gate(g) => g.index(),
+                    lint::Locus::Net(n) => panic!("a foldable gate anchors to a gate, not {n}"),
+                })
+                .collect::<BTreeSet<usize>>()
+                .into_iter()
+                .collect()
+        })
+        .collect();
+    assert!(flagged.windows(2).all(|w| w[0] == w[1]), "technologies disagree: {flagged:?}");
+    flagged.into_iter().next().unwrap_or_default()
 }
 
 fn assert_matches_reference(nl: &Netlist) {
@@ -710,6 +834,27 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn const_foldable_rule_matches_the_reference_on_random_netlists(
+        ops in prop::collection::vec((0u8..10, any::<u8>(), any::<u8>()), 1..60),
+        n_ffs in 0usize..6,
+        nr_mask in any::<u8>(),
+        outs in prop::collection::vec(any::<u8>(), 1..6),
+        hazards in 0u8..16,
+        stages in prop::collection::vec((0u8..10, any::<u8>()), 1..40),
+        ring in any::<bool>(),
+    ) {
+        // The rule flags exactly the gates the linter's former hand-kept
+        // copy of the fold rule did.
+        let designs = [
+            random_sequential_netlist(&ops, n_ffs, nr_mask, &outs, hazards),
+            chain_netlist(&stages, ring),
+        ];
+        for nl in &designs {
+            prop_assert_eq!(lint_foldable(nl), reference::foldable(nl));
         }
     }
 

@@ -22,6 +22,11 @@
 //!   `kernel`/`config`, numeric `steps`/`cycles`, boolean
 //!   `halted`/`result_ok` and a string-or-null `divergence`, and the
 //!   `totals` must count the rows, the divergences and the wrong results,
+//! - `printed-static-report/v1`: per technology, every design's count
+//!   fields must be non-negative integers with `dead` ≤ `gates`, its
+//!   `crosscheck` a string, and `totals.errors` / `totals.crosscheck_failures`
+//!   must equal the rows' summed `errors` and the number of rows whose
+//!   `crosscheck` is not `"ok"`,
 //! - `BENCH_history.jsonl` ledgers: every line must be a
 //!   `printed-bench-record/v1` record, with an optional boolean `dirty`
 //!   (validated via `printed_eval::regression::parse_history`).
@@ -196,6 +201,64 @@ fn validate_diff_summary(v: &Value, path: &str) -> Result<String, Box<dyn std::e
     ))
 }
 
+/// A count field: a non-negative integer.
+fn count(v: &Value, key: &str, path: &str) -> Result<u64, Box<dyn std::error::Error>> {
+    let n = num(v, key, path)?;
+    if n < 0.0 || n.fract() != 0.0 {
+        return Err(fail(path, &format!("{key} is {n}, not a non-negative integer")));
+    }
+    Ok(n as u64)
+}
+
+fn validate_static_report(v: &Value, path: &str) -> Result<String, Box<dyn std::error::Error>> {
+    count(v, "crosscheck_cycles", path)?;
+    let technologies = as_array(v, "technologies", path)?;
+    if technologies.is_empty() {
+        return Err(fail(path, "no technologies"));
+    }
+    let mut designs = 0usize;
+    for (t, technology) in technologies.iter().enumerate() {
+        let name = technology
+            .get("technology")
+            .and_then(Value::as_str)
+            .ok_or_else(|| fail(path, &format!("technology {t} has no name")))?;
+        let at = format!("{path} {name}");
+        let rows = as_array(technology, "designs", &at)?;
+        let (mut errors, mut failures) = (0u64, 0u64);
+        for (i, row) in rows.iter().enumerate() {
+            let at = format!("{at} design {i}");
+            row.get("design")
+                .and_then(Value::as_str)
+                .ok_or_else(|| fail(&at, "design missing or not a string"))?;
+            for key in ["constants", "x_nets", "trapped", "rounds", "warnings"] {
+                count(row, key, &at)?;
+            }
+            let (gates, dead) = (count(row, "gates", &at)?, count(row, "dead", &at)?);
+            if dead > gates {
+                return Err(fail(&at, &format!("dead {dead} exceeds gates {gates}")));
+            }
+            errors += count(row, "errors", &at)?;
+            match row.get("crosscheck").and_then(Value::as_str) {
+                Some("ok") => {}
+                Some(_) => failures += 1,
+                None => return Err(fail(&at, "crosscheck missing or not a string")),
+            }
+        }
+        let totals = technology.get("totals").ok_or_else(|| fail(&at, "missing totals"))?;
+        for (key, counted) in [("errors", errors), ("crosscheck_failures", failures)] {
+            let total = count(totals, key, &at)?;
+            if total != counted {
+                return Err(fail(
+                    &at,
+                    &format!("totals.{key} is {total}, the rows hold {counted}"),
+                ));
+            }
+        }
+        designs += rows.len();
+    }
+    Ok(format!("printed-static-report/v1: {} technologies, {designs} designs", technologies.len()))
+}
+
 fn validate_one(path: &str) -> Result<String, Box<dyn std::error::Error>> {
     let contents = std::fs::read_to_string(path).map_err(|e| fail(path, &e.to_string()))?;
     // JSONL perf ledgers are multi-document; sniff them first.
@@ -213,6 +276,7 @@ fn validate_one(path: &str) -> Result<String, Box<dyn std::error::Error>> {
         Some("printed-profile/v1") => validate_profile(&v, path),
         Some("printed-regression/v1") => validate_regression(&v, path),
         Some("printed-diff-summary/v1") => validate_diff_summary(&v, path),
+        Some("printed-static-report/v1") => validate_static_report(&v, path),
         Some(other) => Err(fail(path, &format!("unknown schema {other:?}"))),
         None if v.get("traceEvents").is_some() => validate_chrome_trace(&v, path),
         None => Err(fail(path, "no schema field and not a chrome trace")),

@@ -6,6 +6,12 @@
 //! the combinational evaluation order, so any change to how netlists are
 //! built, optimized or stored that moves a single pin, renumbers a net or
 //! reorders the topological sort fails here.
+//!
+//! The same designs also pin the facts the analyses derive from them:
+//! each design's lint report as JSON under both technologies, and its
+//! dataflow facts (every net's abstract value and the trapped state). A
+//! less eager constant-fold rule or dataflow transfer function moves the
+//! static report's counts, and fails here first.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
@@ -14,7 +20,9 @@ use printed_microprocessors::core::kernels::{self, Kernel};
 use printed_microprocessors::core::specific::CoreSpec;
 use printed_microprocessors::core::{generate, generate_standard, CoreConfig};
 use printed_microprocessors::netlist::hash::Fnv1a;
-use printed_microprocessors::netlist::{opt, tmr, GateId, NetId, Netlist, TmrOptions};
+use printed_microprocessors::netlist::{
+    dataflow, lint, opt, tmr, GateId, NetId, Netlist, TmrOptions,
+};
 use printed_microprocessors::pdk::Technology;
 use std::collections::BTreeMap;
 
@@ -76,14 +84,54 @@ fn digest<'a>(netlists: impl IntoIterator<Item = &'a Netlist>) -> (u64, usize) {
     (h.finish(), count)
 }
 
-#[test]
-fn sweep_cores_keep_their_structure() {
-    let cores: Vec<Netlist> = CoreConfig::design_space().iter().map(generate_standard).collect();
-    assert_eq!(digest(&cores), (0x368464208b59b711, 24));
+/// Folds one netlist's lint reports, as JSON under every technology, into
+/// `lints`, and its dataflow facts into `values`: the abstract value of
+/// every net a port, rail or gate drives, by net index, then the trapped
+/// sequential cells.
+fn write_facts(lints: &mut Fnv1a, values: &mut Fnv1a, netlist: &Netlist) {
+    for technology in Technology::ALL {
+        let json =
+            lint::lint(netlist, technology.library(), &lint::LintConfig::default()).to_json();
+        write_len(lints, json.len());
+        lints.write(json.as_bytes());
+    }
+    let facts = dataflow::analyze(netlist);
+    let mut by_net: Vec<Option<dataflow::AbsValue>> = vec![None; netlist.net_count()];
+    let rails = [netlist.const0(), netlist.const1()].into_iter().flatten();
+    let ports = netlist.input_ports().values().flatten().copied();
+    for net in rails.chain(ports).chain(netlist.gates().iter().map(|g| g.output)) {
+        by_net[net.index()] = Some(facts.value(net));
+    }
+    write_len(values, by_net.len());
+    for value in by_net {
+        values.write(value.map_or("-".to_string(), |v| v.to_string()).as_bytes());
+    }
+    let trapped = facts.trapped_state();
+    write_len(values, trapped.len());
+    for gate in trapped {
+        values.write_u64(gate.index() as u64);
+    }
 }
 
-#[test]
-fn program_specific_cores_keep_their_structure() {
+/// The lint-report and dataflow-fact digests of `netlists`, in order, and
+/// how many there were.
+fn facts_digest<'a>(netlists: impl IntoIterator<Item = &'a Netlist>) -> (u64, u64, usize) {
+    let (mut lints, mut values) = (Fnv1a::new(), Fnv1a::new());
+    let mut count = 0;
+    for netlist in netlists {
+        write_facts(&mut lints, &mut values, netlist);
+        count += 1;
+    }
+    (lints.finish(), values.finish(), count)
+}
+
+/// The 24 standard cores of the design-space sweep.
+fn sweep_cores() -> Vec<Netlist> {
+    CoreConfig::design_space().iter().map(generate_standard).collect()
+}
+
+/// The Figure 8 program-specific cores, each raw then optimized.
+fn program_specific_cores() -> Vec<Netlist> {
     let mut cores = Vec::new();
     for bench in Kernel::ALL {
         // Figure 8 runs a program-specific core at each native width.
@@ -97,21 +145,58 @@ fn program_specific_cores_keep_their_structure() {
             cores.push(optimized);
         }
     }
-    assert_eq!(digest(&cores), (0x93ae9e94455cf319, 2 * 19));
+    cores
 }
 
-#[test]
-fn tmr_and_baseline_netlists_keep_their_structure() {
-    let hardened = tmr(&generate_standard(&CoreConfig::new(1, 4, 2)), TmrOptions::default())
-        .expect("the p1_4_2 core triplicates");
-    assert_eq!(digest([&hardened]), (0x012a2bf9c86bbce2, 1));
-    let baselines: Vec<Netlist> = Technology::ALL
+/// The TMR-hardened p1_4_2 core.
+fn hardened_core() -> Netlist {
+    tmr(&generate_standard(&CoreConfig::new(1, 4, 2)), TmrOptions::default())
+        .expect("the p1_4_2 core triplicates")
+}
+
+/// The representative netlist of every baseline CPU in every technology.
+fn baseline_netlists() -> Vec<Netlist> {
+    Technology::ALL
         .iter()
         .flat_map(|&technology| {
             BaselineCpu::ALL
                 .iter()
                 .map(move |cpu| cpu.inventory(technology).representative_netlist())
         })
-        .collect();
-    assert_eq!(digest(&baselines), (0x7b7153ac7cefbfd7, 8));
+        .collect()
+}
+
+#[test]
+fn sweep_cores_keep_their_structure() {
+    assert_eq!(digest(&sweep_cores()), (0x368464208b59b711, 24));
+}
+
+#[test]
+fn program_specific_cores_keep_their_structure() {
+    assert_eq!(digest(&program_specific_cores()), (0x93ae9e94455cf319, 2 * 19));
+}
+
+#[test]
+fn tmr_and_baseline_netlists_keep_their_structure() {
+    assert_eq!(digest([&hardened_core()]), (0x012a2bf9c86bbce2, 1));
+    assert_eq!(digest(&baseline_netlists()), (0x7b7153ac7cefbfd7, 8));
+}
+
+#[test]
+fn sweep_cores_keep_their_lint_and_dataflow_facts() {
+    assert_eq!(facts_digest(&sweep_cores()), (0xe176976b7bd3aa90, 0x3d88d21963aeb3fc, 24));
+}
+
+#[test]
+fn program_specific_cores_keep_their_lint_and_dataflow_facts() {
+    assert_eq!(
+        facts_digest(&program_specific_cores()),
+        (0x50d10b7935728858, 0xe64033a3dbadccc9, 2 * 19)
+    );
+}
+
+#[test]
+fn tmr_and_baseline_netlists_keep_their_lint_and_dataflow_facts() {
+    assert_eq!(facts_digest([&hardened_core()]), (0x7bf4c78b5ca199c5, 0xe14793e13818a067, 1));
+    assert_eq!(facts_digest(&baseline_netlists()), (0x47ff835e5c8ec3e5, 0x9abf5b597ad8f94a, 8));
 }
