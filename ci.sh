@@ -33,8 +33,9 @@ FAULT_CSV_OUT="$csv_dir/t2.csv" PRINTED_SIM_THREADS=2 \
 cmp "$csv_dir/t1.csv" "$csv_dir/t2.csv" \
     || { echo "campaign CSV differs between 1 and 2 worker threads"; exit 1; }
 
-echo "==> differential lockstep gate (nonzero exit on divergence)"
+echo "==> differential lockstep gate (nonzero exit on divergence) and the scalar-vs-word campaign oracle"
 cargo test --release --quiet --test lockstep_props
+cargo test --release --quiet -p printed-core --test campaign_props
 
 echo "==> reproduce_all: ISS-vs-gate-level diff summary and static report validated through the in-tree JSON parser"
 diff_out="$csv_dir/diff_summary.json"

@@ -3,9 +3,9 @@
 //! [`BitMachine`] is the word-wide counterpart of
 //! [`crate::generator::GateLevelMachine`]: one
 //! [`printed_netlist::BitSimulator`] carries up to 64 lanes of the same
-//! core netlist, and the software side of the co-simulation —
-//! instruction ROM lookup, data memory, halt detection — stays
-//! word-wide too, so no cycle transposes a bus into 64 per-lane values.
+//! core netlist, and each lane follows the co-simulation protocol of
+//! [`crate::cosim`]. The software side stays word-wide too, so no cycle
+//! transposes a bus into 64 per-lane values.
 //!
 //! Every lane runs one of the word's programs; a program is a lane
 //! mask, an encoded ROM and a data-memory size. The two users differ
@@ -18,16 +18,17 @@
 //!   so the ISS-vs-gate-level check clocks every kernel in one word.
 //!   Lane 0 is golden only in a campaign.
 //!
-//! The word-wide software side:
+//! How the protocol's rules run over lane words:
 //!
 //! - data memory is stored as lane words, `dmem[addr * width + bit]`,
-//!   sized for the largest program; each lane's reads and writes are
-//!   range-checked against its own program's size, so an address past a
-//!   small program's memory reads 0 and drops its write in that
-//!   program's lanes while a larger program's lanes use it;
+//!   sized for the largest program; each lane's memory is its own
+//!   program's size, so an address past a small program's memory reads
+//!   0 and drops its write in that program's lanes while a larger
+//!   program's lanes use it;
 //! - the ROM fetch runs once per distinct (program, pc) value among the
-//!   live lanes, and both data-memory reads and the writeback once per
-//!   distinct address. A value class is found by reading the lowest
+//!   live lanes, the data-memory reads and the writeback once per
+//!   distinct address, and the write-enable rule once per distinct
+//!   enable value. A value class is found by reading the lowest
 //!   unclassified lane's value and AND-matching it against the bus
 //!   words, so a cycle costs O(distinct values × bus width) word
 //!   operations — and faulty lanes mostly follow the golden lane's pc
@@ -35,18 +36,12 @@
 //! - halt detection is one XOR per pc bit: the lanes whose pc words did
 //!   not move.
 //!
-//! The scalar machine's rules hold per lane: an out-of-range pc fetches
-//! 0, an out-of-range address reads 0 and drops its write, a write needs
-//! `we == 1` exactly, and a lane writes nothing once halted.
+//! Per-lane outcomes in a campaign mirror the scalar
+//! [`crate::GateLevelMachine::observe`]:
 //!
-//! Per-lane divergence in a campaign is handled exactly like the scalar
-//! machine run in [`crate::workload::ProgramWorkload`]:
-//!
-//! - a lane whose PC survives a cycle unchanged has hit the halt idiom;
-//!   its architectural observation (dmem, PC, flags, TMR detect flag) is
-//!   gathered out of the lane words at that moment and the lane is
-//!   retired — later word cycles keep clocking its gates, but nothing
-//!   reads them again, and its writebacks are suppressed;
+//! - a halted lane's observation is gathered out of the lane words at
+//!   that moment and the lane is retired — later word cycles keep
+//!   clocking its gates, but nothing reads them again;
 //! - a lane that oscillates (the bitsliced analogue of
 //!   [`printed_netlist::NetlistError::Unsettled`]) becomes
 //!   [`LaneOutcome::Wedged`];
@@ -54,12 +49,13 @@
 //!   observations, live lanes become [`LaneOutcome::TimedOut`].
 
 use crate::config::CoreConfig;
-use crate::isa::{Flags, IsaError};
+use crate::cosim::{self, PortMap};
+use crate::isa::Flags;
 use crate::kernels::KernelProgram;
-use crate::specific::CoreSpec;
+use crate::specific::{CoreSpec, NarrowEncoding};
 use printed_netlist::bitsim::lane_value;
 use printed_netlist::fault::{LaneOutcome, Observation};
-use printed_netlist::{BitSimulator, NetId, Netlist, NetlistError, TMR_ERROR_PORT};
+use printed_netlist::{BitSimulator, NetId, Netlist, NetlistError};
 
 const LANES: usize = BitSimulator::LANES;
 
@@ -75,6 +71,7 @@ pub(crate) struct LaneProgram {
 /// running one of the word's programs.
 pub(crate) struct BitMachine<'a> {
     sim: BitSimulator<'a>,
+    ports: PortMap<'a>,
     programs: Vec<LaneProgram>,
     /// Data memory as lane words: `dmem[addr * width + bit]` holds bit
     /// `bit` of word `addr` for every lane, sized for the largest
@@ -82,47 +79,10 @@ pub(crate) struct BitMachine<'a> {
     dmem: Vec<u64>,
     /// Per dmem word, the lanes whose program has it in range.
     in_range: Vec<u64>,
-    /// Data width in bits (the dmem word stride).
-    width: usize,
-    /// Flag-register bit order, for decoding a lane's flags.
-    flags: Vec<u8>,
     /// Lanes that have hit the halt idiom (or were retired).
     halted: u64,
     /// The dmem words the last cycle wrote, each with its writing lanes.
     writes: Vec<(usize, u64)>,
-    ports: BitPorts<'a>,
-    detect: Option<&'a [NetId]>,
-}
-
-/// Memory-interface port nets resolved once (the bitsliced analogue of
-/// the scalar machine's `MachinePorts`).
-#[derive(Clone, Copy)]
-struct BitPorts<'a> {
-    pc: Option<&'a [NetId]>,
-    addr_a: Option<&'a [NetId]>,
-    addr_b: Option<&'a [NetId]>,
-    we: Option<&'a [NetId]>,
-    wdata: Option<&'a [NetId]>,
-    wb_addr: Option<&'a [NetId]>,
-    flags: Option<&'a [NetId]>,
-    instr: Option<&'a [NetId]>,
-    rdata_a: Option<&'a [NetId]>,
-    rdata_b: Option<&'a [NetId]>,
-}
-
-/// A resolved port, or the error the scalar machine reports for it: a
-/// missing port is [`NetlistError::UnknownPort`], and a bus wider than
-/// 64 bits is [`NetlistError::WidthMismatch`].
-fn port<'a>(nets: Option<&'a [NetId]>, name: &str) -> Result<&'a [NetId], NetlistError> {
-    let nets = nets.ok_or_else(|| NetlistError::UnknownPort(name.to_string()))?;
-    if nets.len() > LANES {
-        return Err(NetlistError::WidthMismatch {
-            context: "bit_machine",
-            left: nets.len(),
-            right: 64,
-        });
-    }
-    Ok(nets)
 }
 
 /// Calls `f(value, class)` once per distinct bus value among `lanes`,
@@ -160,8 +120,8 @@ fn scatter(words: &mut [u64], value: u64, class: u64) {
 /// Dmem word `addr` and the lanes of `class` whose program has it in
 /// range; `None` when no such lane does.
 fn locate(in_range: &[u64], addr: u64, class: u64) -> Option<(usize, u64)> {
-    let addr = usize::try_from(addr).ok()?;
-    let class = class & in_range.get(addr)?;
+    let addr = cosim::word_at(addr, in_range.len())?;
+    let class = class & in_range[addr];
     (class != 0).then_some((addr, class))
 }
 
@@ -169,45 +129,34 @@ impl<'a> BitMachine<'a> {
     /// Wraps a bitsliced simulator over a generated single-cycle core;
     /// each lane runs the program whose mask holds it.
     ///
+    /// # Errors
+    ///
+    /// As [`PortMap::resolve`], exactly as the scalar machine reports it.
+    ///
     /// # Panics
     ///
     /// Panics if the spec is not single-cycle, like the scalar machine.
-    pub(crate) fn new(sim: BitSimulator<'a>, spec: &CoreSpec, programs: Vec<LaneProgram>) -> Self {
-        assert_eq!(spec.pipeline_stages, 1, "gate-level co-simulation supports single-cycle cores");
-        let netlist = sim.netlist();
-        let output = |name: &str| netlist.output(name).ok();
-        let input = |name: &str| netlist.input(name).ok();
-        let ports = BitPorts {
-            pc: output("pc"),
-            addr_a: output("addr_a"),
-            addr_b: output("addr_b"),
-            we: output("we"),
-            wdata: output("wdata"),
-            wb_addr: output("wb_addr"),
-            flags: output("flags"),
-            instr: input("instr"),
-            rdata_a: input("rdata_a"),
-            rdata_b: input("rdata_b"),
-        };
-        let detect = netlist.output(TMR_ERROR_PORT).ok();
+    pub(crate) fn new(
+        sim: BitSimulator<'a>,
+        spec: &CoreSpec,
+        programs: Vec<LaneProgram>,
+    ) -> Result<Self, NetlistError> {
+        let ports = PortMap::resolve(sim.netlist(), spec)?;
         let words = programs.iter().map(|p| p.dmem_words).max().unwrap_or(0);
         let in_range = (0..words)
             .map(|addr| {
                 programs.iter().filter(|p| addr < p.dmem_words).fold(0, |lanes, p| lanes | p.lanes)
             })
             .collect();
-        BitMachine {
+        Ok(BitMachine {
             sim,
+            ports,
             programs,
-            dmem: vec![0; words * spec.datawidth],
+            dmem: vec![0; words * ports.width],
             in_range,
-            width: spec.datawidth,
-            flags: spec.present_flags(),
             halted: 0,
             writes: Vec::new(),
-            ports,
-            detect,
-        }
+        })
     }
 
     /// Pre-loads a data memory word into `lanes`.
@@ -216,27 +165,24 @@ impl<'a> BitMachine<'a> {
     ///
     /// Panics if `addr` is past the largest program's memory.
     pub(crate) fn write_dmem(&mut self, lanes: u64, addr: usize, value: u64) {
-        let base = addr * self.width;
-        for (bit, word) in self.dmem[base..base + self.width].iter_mut().enumerate() {
-            if value >> bit & 1 == 1 {
-                *word |= lanes;
-            } else {
-                *word &= !lanes;
-            }
+        let width = self.ports.width;
+        for (bit, word) in self.dmem[addr * width..][..width].iter_mut().enumerate() {
+            *word = *word & !lanes | if value >> bit & 1 == 1 { lanes } else { 0 };
         }
     }
 
     /// Drives `rdata` with the dmem words the `live` lanes address.
-    fn load(&mut self, addr: &'a [NetId], rdata: &'a [NetId], live: u64) {
+    fn load(&mut self, addr: &[NetId], rdata: &[NetId], live: u64) {
+        let width = self.ports.width;
         let mut at = [0u64; LANES];
         self.sim.read_bus_words(addr, &mut at);
         let mut data = [0u64; LANES];
         // Data bits past the dmem width read 0, as the scalar masked
         // word does.
-        let bits = rdata.len().min(self.width);
+        let bits = rdata.len().min(width);
         for_each_value(&at[..addr.len()], live, |value, class| {
             if let Some((addr, class)) = locate(&self.in_range, value, class) {
-                let stored = &self.dmem[addr * self.width..];
+                let stored = &self.dmem[addr * width..];
                 for (word, &stored) in data[..bits].iter_mut().zip(stored) {
                     *word |= class & stored;
                 }
@@ -245,126 +191,81 @@ impl<'a> BitMachine<'a> {
         self.sim.set_bus_words(rdata, &data[..rdata.len()]);
     }
 
-    /// One clock cycle of every lane: fetch, execute, memory writeback —
-    /// the word-wide mirror of the scalar machine's `step`, with
-    /// writeback and halt detection suppressed for already-halted lanes.
-    /// Lanes outside `live` see zero instruction and read data; nothing
-    /// reads them again.
+    /// One clock cycle of every lane, in the phases of [`crate::cosim`],
+    /// each rule run once per value class. Lanes outside `live` (halted
+    /// or retired) see zero instruction and read data and write nothing.
     fn cycle(&mut self) -> Result<(), NetlistError> {
         let live = self.sim.occupied() & !self.halted;
-        let pc_nets = port(self.ports.pc, "pc")?;
-        let instr_nets = port(self.ports.instr, "instr")?;
+        let ports = self.ports;
         let mut pc = [0u64; LANES];
-        self.sim.read_bus_words(pc_nets, &mut pc);
-        let pc = &pc[..pc_nets.len()];
+        self.sim.read_bus_words(ports.pc, &mut pc);
+        let pc = &pc[..ports.pc.len()];
         let mut instr = [0u64; LANES];
+        let instr = &mut instr[..ports.instr.len()];
         for program in &self.programs {
             for_each_value(pc, live & program.lanes, |value, class| {
-                let word = usize::try_from(value).ok().and_then(|pc| program.rom.get(pc));
-                scatter(&mut instr[..instr_nets.len()], word.copied().unwrap_or(0), class);
+                scatter(instr, cosim::fetch(&program.rom, value), class);
             });
         }
-        self.sim.set_bus_words(instr_nets, &instr[..instr_nets.len()]);
+        self.sim.set_bus_words(ports.instr, instr);
         self.sim.settle();
-        // Addresses are combinational on the instruction and BAR state.
-        let (addr_a, addr_b) =
-            (port(self.ports.addr_a, "addr_a")?, port(self.ports.addr_b, "addr_b")?);
-        let rdata_a = port(self.ports.rdata_a, "rdata_a")?;
-        let rdata_b = port(self.ports.rdata_b, "rdata_b")?;
-        self.load(addr_a, rdata_a, live);
-        self.load(addr_b, rdata_b, live);
+        self.load(ports.addr_a, ports.rdata_a, live);
+        self.load(ports.addr_b, ports.rdata_b, live);
         self.sim.settle();
-        let we_nets = port(self.ports.we, "we")?;
-        let wdata_nets = port(self.ports.wdata, "wdata")?;
-        let wb_nets = port(self.ports.wb_addr, "wb_addr")?;
         let (mut we, mut wdata, mut wb_addr) = ([0u64; LANES], [0u64; LANES], [0u64; LANES]);
-        self.sim.read_bus_words(we_nets, &mut we);
-        self.sim.read_bus_words(wdata_nets, &mut wdata);
-        self.sim.read_bus_words(wb_nets, &mut wb_addr);
+        self.sim.read_bus_words(ports.we, &mut we);
+        self.sim.read_bus_words(ports.wdata, &mut wdata);
+        self.sim.read_bus_words(ports.wb_addr, &mut wb_addr);
         self.sim.step()?;
-        // Live lanes whose write enable reads exactly 1: bit 0 set,
-        // every higher bit clear.
-        let writing = match we[..we_nets.len()].split_first() {
-            Some((&low, high)) => high.iter().fold(live & low, |lanes, &word| lanes & !word),
-            None => 0,
-        };
-        let (in_range, width) = (&self.in_range, self.width);
+        let mut writing = 0;
+        for_each_value(&we[..ports.we.len()], live, |value, class| {
+            if cosim::writes(value) {
+                writing |= class;
+            }
+        });
+        let (in_range, width) = (&self.in_range, ports.width);
         let (dmem, writes) = (&mut self.dmem, &mut self.writes);
         writes.clear();
-        for_each_value(&wb_addr[..wb_nets.len()], writing, |value, class| {
+        for_each_value(&wb_addr[..ports.wb_addr.len()], writing, |value, class| {
             if let Some((addr, class)) = locate(in_range, value, class) {
                 // Bits past the wdata bus are 0, as the scalar masked
                 // word is.
                 for (bit, slot) in dmem[addr * width..][..width].iter_mut().enumerate() {
-                    let data = if bit < wdata_nets.len() { wdata[bit] } else { 0 };
+                    let data = if bit < ports.wdata.len() { wdata[bit] } else { 0 };
                     *slot = (*slot & !class) | (data & class);
                 }
                 writes.push((addr, class));
             }
         });
-        // Halt idiom per lane: PC unchanged by an unconditional
-        // self-branch.
         let mut after = [0u64; LANES];
-        self.sim.read_bus_words(pc_nets, &mut after);
+        self.sim.read_bus_words(ports.pc, &mut after);
         let moved =
             pc.iter().zip(&after).fold(0, |moved, (before, after)| moved | (before ^ after));
         self.halted |= live & !moved;
         Ok(())
     }
 
-    /// The data-memory size of `lane`'s program: the words that are in
-    /// range for it, which all come first.
-    fn dmem_words(&self, lane: usize) -> usize {
-        self.in_range.iter().take_while(|&&lanes| lanes >> lane & 1 == 1).count()
-    }
-
     /// One lane's dmem word `addr`, `None` past its program's memory.
     fn dmem_word(&self, lane: usize, addr: usize) -> Option<u64> {
         (self.in_range.get(addr)? >> lane & 1 == 1).then(|| {
-            let base = addr * self.width;
-            lane_value(self.dmem[base..base + self.width].iter().copied(), lane)
+            let width = self.ports.width;
+            lane_value(self.dmem[addr * width..][..width].iter().copied(), lane)
         })
     }
 
-    /// Decodes one lane's raw flag-register bits exactly as the scalar
-    /// machine's `flags` accessor does.
-    fn decode_flags(&self, bits: u64) -> Flags {
-        let mut flags = Flags::default();
-        for (i, mask) in self.flags.iter().enumerate() {
-            let set = bits >> i & 1 == 1;
-            match *mask {
-                Flags::C => flags.c = set,
-                Flags::Z => flags.z = set,
-                Flags::S => flags.s = set,
-                Flags::V => flags.v = set,
-                _ => {}
-            }
-        }
-        flags
-    }
-
     /// One lane's architectural observation, gathered out of the lane
-    /// words: data memory, PC, flags — the same signature the scalar
-    /// workload computes.
-    fn capture(
-        &self,
-        lane: usize,
-        completed: bool,
-        cycles: u64,
-        detected: bool,
-    ) -> Result<Observation, NetlistError> {
-        let pc = self.sim.read_lane(port(self.ports.pc, "pc")?, lane);
-        let flags = self.sim.read_lane(port(self.ports.flags, "flags")?, lane);
-        let words = self.dmem_words(lane);
-        let mut signature = Vec::with_capacity(words + 2);
-        signature.extend(
-            self.dmem[..words * self.width]
-                .chunks_exact(self.width)
-                .map(|word| lane_value(word.iter().copied(), lane)),
-        );
-        signature.push(pc);
-        signature.push(self.decode_flags(flags).bits() as u64);
-        Ok(Observation { signature, completed, cycles, detected })
+    /// words: the signature of [`crate::cosim`], as the scalar machine's
+    /// `observe` signs it.
+    fn capture(&self, lane: usize, completed: bool, cycles: u64, detected: bool) -> Observation {
+        // The words in range for a lane all come first.
+        let words = self.in_range.iter().take_while(|&&lanes| lanes >> lane & 1 == 1).count();
+        let width = self.ports.width;
+        let dmem = self.dmem[..words * width]
+            .chunks_exact(width)
+            .map(|word| lane_value(word.iter().copied(), lane));
+        let pc = self.sim.read_lane(self.ports.pc, lane);
+        let signature = self.ports.signature(dmem, pc, self.sim.read_lane(self.ports.flags, lane));
+        Observation { signature, completed, cycles, detected }
     }
 
     /// Runs every lane to its own halt (or the shared budget/watchdog)
@@ -384,25 +285,19 @@ impl<'a> BitMachine<'a> {
                     // The word hit the watchdog: retired lanes keep
                     // their observations, wedged lanes report as such,
                     // everything still live timed out together.
-                    let dead = self.sim.dead_lanes();
+                    let wedged = self.sim.dead_lanes() & active;
                     for (lane, outcome) in outcomes.iter_mut().enumerate() {
-                        if outcome.is_none() {
-                            *outcome = Some(if dead >> lane & 1 == 1 {
-                                LaneOutcome::Wedged
-                            } else {
-                                LaneOutcome::TimedOut
-                            });
+                        if wedged >> lane & 1 == 1 {
+                            *outcome = Some(LaneOutcome::Wedged);
                         }
                     }
-                    return Ok(outcomes
-                        .into_iter()
-                        .map(|o| o.unwrap_or(LaneOutcome::TimedOut))
-                        .collect());
+                    active = 0;
+                    break;
                 }
                 Err(e) => return Err(e),
             }
             cycles += 1;
-            if let Some(nets) = self.detect {
+            if let Some(nets) = self.ports.detect {
                 detected |= self.sim.read_bus_any(nets) & active;
             }
             let newly_dead = self.sim.dead_lanes() & active;
@@ -414,18 +309,18 @@ impl<'a> BitMachine<'a> {
                     } else if newly_halted >> lane & 1 == 1 {
                         let detected = detected >> lane & 1 == 1;
                         *outcome =
-                            Some(LaneOutcome::Done(self.capture(lane, true, cycles, detected)?));
+                            Some(LaneOutcome::Done(self.capture(lane, true, cycles, detected)));
                     }
                 }
                 active &= !(newly_dead | newly_halted);
             }
         }
         // Budget exhausted: live lanes report their state as-is, not
-        // completed — exactly the scalar workload's budget path.
+        // completed — exactly the scalar machine's budget path.
         for (lane, outcome) in outcomes.iter_mut().enumerate() {
             if active >> lane & 1 == 1 {
                 let detected = detected >> lane & 1 == 1;
-                *outcome = Some(LaneOutcome::Done(self.capture(lane, false, cycles, detected)?));
+                *outcome = Some(LaneOutcome::Done(self.capture(lane, false, cycles, detected)));
             }
         }
         Ok(outcomes.into_iter().map(|o| o.unwrap_or(LaneOutcome::TimedOut)).collect())
@@ -438,12 +333,11 @@ impl<'a> BitMachine<'a> {
 ///
 /// It is the word-wide counterpart of one
 /// [`crate::generator::GateLevelMachine`] per program, and each lane
-/// follows the same rules: an out-of-range pc fetches 0, an address past
-/// the lane's own program memory reads 0 and drops its write, a write
-/// needs `we == 1`, and the halt idiom (pc unchanged by a cycle) halts
-/// the lane. A halted or [retired](LockstepWord::retire) lane stops
-/// fetching and writing, but its gates keep clocking with the word, so
-/// its pc and flags mean something only up to the step it stopped.
+/// follows the protocol of [`crate::cosim`], with an address past the
+/// lane's own program memory reading 0 and dropping its write. A halted
+/// or [retired](LockstepWord::retire) lane stops fetching and writing,
+/// but its gates keep clocking with the word, so its pc and flags mean
+/// something only up to the step it stopped.
 ///
 /// ```
 /// use printed_core::kernels::{self, Kernel};
@@ -479,12 +373,15 @@ impl<'a> LockstepWord<'a> {
 
     /// A word over `netlist` (`config`'s standard core, as
     /// [`crate::generate_standard`] builds it) running `programs[i]` in
-    /// lane `i`, each program's inputs loaded into its own lane.
+    /// lane `i`, each program's inputs loaded into its own lane. A
+    /// program that does not encode for `config` holds no lane: its bit
+    /// stays clear in [`LockstepWord::lanes`], and the lane never runs.
     ///
     /// # Errors
     ///
-    /// The first [`IsaError`] of an instruction that does not encode
-    /// for `config`.
+    /// [`NetlistError::UnknownPort`] or [`NetlistError::WidthMismatch`]
+    /// if the netlist lacks a memory-interface port of [`crate::cosim`]
+    /// or has one wider than 64 bits.
     ///
     /// # Panics
     ///
@@ -495,34 +392,35 @@ impl<'a> LockstepWord<'a> {
         netlist: &'a Netlist,
         config: CoreConfig,
         programs: &[KernelProgram],
-    ) -> Result<Self, IsaError> {
+    ) -> Result<Self, NetlistError> {
         assert!(
             programs.len() <= LANES,
             "a word runs at most {LANES} programs, not {}",
             programs.len()
         );
-        let encoding = config.encoding();
-        let lane_programs = programs
+        let spec = CoreSpec::standard(config);
+        let encoding = NarrowEncoding::new(spec.clone());
+        let lane_programs: Vec<LaneProgram> = programs
             .iter()
             .enumerate()
-            .map(|(lane, program)| {
-                let rom = program
-                    .instructions
-                    .iter()
-                    .map(|&inst| encoding.encode(inst).map(u64::from))
-                    .collect::<Result<_, _>>()?;
-                Ok(LaneProgram { lanes: 1 << lane, rom, dmem_words: program.dmem_words })
+            .filter_map(|(lane, program)| {
+                let rom = encoding.encode_program(&program.instructions).ok()?;
+                Some(LaneProgram { lanes: 1 << lane, rom, dmem_words: program.dmem_words })
             })
-            .collect::<Result<Vec<_>, IsaError>>()?;
+            .collect();
         let lanes = lane_programs.iter().fold(0, |lanes, p| lanes | p.lanes);
         let mut sim = BitSimulator::new(netlist);
         sim.occupy_lanes(programs.len());
-        let mut machine = BitMachine::new(sim, &CoreSpec::standard(config), lane_programs);
+        let mut machine = BitMachine::new(sim, &spec, lane_programs)?;
+        // Lanes without a program never fetch.
+        machine.halted = !lanes;
         for (lane, program) in programs.iter().enumerate() {
             for &(addr, value) in &program.inputs {
                 let addr = usize::from(addr);
                 assert!(addr < program.dmem_words, "input word {addr} lies past {}", program.name);
-                machine.write_dmem(1 << lane, addr, value);
+                if lanes >> lane & 1 == 1 {
+                    machine.write_dmem(1 << lane, addr, value);
+                }
             }
         }
         Ok(LockstepWord { machine, lanes })
@@ -539,8 +437,7 @@ impl<'a> LockstepWord<'a> {
     ///
     /// # Errors
     ///
-    /// [`NetlistError::UnknownPort`] or [`NetlistError::WidthMismatch`]
-    /// for a netlist without the core's memory-interface ports.
+    /// The failure of the simulator's clock edge.
     pub fn step(&mut self) -> Result<(), NetlistError> {
         self.machine.cycle()
     }
@@ -565,15 +462,14 @@ impl<'a> LockstepWord<'a> {
 
     /// `lane`'s program counter.
     pub fn pc(&self, lane: usize) -> u64 {
-        let nets = self.machine.ports.pc.unwrap_or_else(|| unreachable!("core exposes pc"));
-        self.machine.sim.read_lane(nets, lane)
+        self.machine.sim.read_lane(self.machine.ports.pc, lane)
     }
 
     /// `lane`'s flags, decoded as
     /// [`crate::generator::GateLevelMachine::flags`] decodes them.
     pub fn flags(&self, lane: usize) -> Flags {
-        let nets = self.machine.ports.flags.unwrap_or_else(|| unreachable!("core exposes flags"));
-        self.machine.decode_flags(self.machine.sim.read_lane(nets, lane))
+        let ports = &self.machine.ports;
+        ports.flags(self.machine.sim.read_lane(ports.flags, lane))
     }
 
     /// `lane`'s data-memory word `addr`, `None` past its program's
@@ -609,14 +505,14 @@ mod tests {
         let netlist = generate_standard(&config);
         let spec = CoreSpec::standard(config);
         let program = crate::asm::assemble("loop:\nADD [0], [1]\nJMP loop\n").unwrap();
-        let enc = config.encoding();
-        let words = program.instructions.iter().map(|&i| enc.encode(i).unwrap() as u64).collect();
-        let we = netlist.output("we").unwrap()[0];
+        let words =
+            NarrowEncoding::new(spec.clone()).encode_program(&program.instructions).unwrap();
+        let we = netlist.output(cosim::WE).unwrap()[0];
         let we_gate = netlist.gates().iter().position(|g| g.output == we).unwrap();
         let mut sim = BitSimulator::new(&netlist);
         sim.inject_fault(Fault { gate: GateId::from_index(we_gate), kind: FaultKind::StuckAt1 });
         let program = LaneProgram { lanes: u64::MAX, rom: words, dmem_words: 4 };
-        let mut machine = BitMachine::new(sim, &spec, vec![program]);
+        let mut machine = BitMachine::new(sim, &spec, vec![program]).unwrap();
         for addr in 0..4 {
             machine.write_dmem(u64::MAX, addr, 0x5A);
         }
@@ -625,7 +521,7 @@ mod tests {
             machine.cycle().unwrap();
         }
         let word = |addr: usize, lane| {
-            let width = machine.width;
+            let width = machine.ports.width;
             lane_value(machine.dmem[addr * width..(addr + 1) * width].iter().copied(), lane)
         };
         assert_eq!(word(0, 0), (0x5A * 4) & 0xFF, "the live lane adds once per loop iteration");

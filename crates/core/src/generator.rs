@@ -10,17 +10,20 @@
 //! bank of the most expensive cell in the library.
 //!
 //! Single-cycle cores are fully functional at gate level:
-//! [`GateLevelMachine`] co-simulates the netlist against a software data
-//! memory, and the test suite checks it cycle-for-cycle against the ISS
+//! [`GateLevelMachine`] co-simulates the netlist against a software
+//! instruction ROM and data memory by the protocol of [`crate::cosim`],
+//! and the test suite checks it cycle-for-cycle against the ISS
 //! ([`crate::sim::Machine`]) on random programs. Multi-stage cores are
 //! generated for characterization (area / power / f_max); their timing
 //! behaviour is modeled by the ISS's stall model.
 
 use crate::config::CoreConfig;
+use crate::cosim::{self, PortMap};
 use crate::isa::Flags;
 #[cfg(test)]
 use crate::isa::Instruction;
 use crate::specific::CoreSpec;
+use printed_netlist::fault::Observation;
 use printed_netlist::{lint, words, NetId, Netlist, NetlistBuilder, NetlistError, Simulator};
 use printed_pdk::Technology;
 
@@ -43,12 +46,9 @@ impl InstrLayout {
 
 /// Generates the gate-level netlist of a TP-ISA core.
 ///
-/// Ports:
-/// - inputs `instr` (instruction word), `rdata_a`, `rdata_b` (data memory
-///   read data for the two operands),
-/// - outputs `pc` (instruction address), `addr_a`, `addr_b` (data memory
-///   addresses), `wdata`, `we` (write port), and `flags` (for
-///   observability).
+/// The ports are the memory interface of [`crate::cosim`]: the
+/// instruction word and the two operands' read data in; the pc, the two
+/// operand addresses, the write port and the flag register out.
 ///
 /// Every netlist is design-rule-checked before it is returned (see
 /// [`generate_checked`]); lint errors fail generation.
@@ -109,9 +109,9 @@ fn build(spec: &CoreSpec) -> Netlist {
     let mut b = NetlistBuilder::new(spec.name());
 
     // --- Ports -----------------------------------------------------------
-    let instr = b.input("instr", layout.total_bits());
-    let rdata_a_raw = b.input("rdata_a", w);
-    let rdata_b_raw = b.input("rdata_b", w);
+    let instr = b.input(cosim::INSTR, layout.total_bits());
+    let rdata_a_raw = b.input(cosim::RDATA_A, w);
+    let rdata_b_raw = b.input(cosim::RDATA_B, w);
     let zero = b.const0();
     let one = b.const1();
 
@@ -319,13 +319,13 @@ fn build(spec: &CoreSpec) -> Netlist {
     };
 
     // --- Outputs ---------------------------------------------------------------
-    b.output("pc", pc_q);
-    b.output("addr_a", ea1);
-    b.output("addr_b", ea2);
-    b.output("wb_addr", ea1_out);
-    b.output("wdata", wdata);
-    b.output("we", vec![we]);
-    b.output("flags", flag_q);
+    b.output(cosim::PC, pc_q);
+    b.output(cosim::ADDR_A, ea1);
+    b.output(cosim::ADDR_B, ea2);
+    b.output(cosim::WB_ADDR, ea1_out);
+    b.output(cosim::WDATA, wdata);
+    b.output(cosim::WE, vec![we]);
+    b.output(cosim::FLAGS, flag_q);
 
     b.finish().unwrap_or_else(|_| unreachable!("generated core netlists are valid by construction"))
 }
@@ -349,54 +349,16 @@ pub fn generate_standard_checked(
 }
 
 /// A gate-level TP-ISA system: the generated single-cycle core netlist
-/// co-simulated with a software-modeled instruction ROM and data memory.
-/// Used to verify the netlist against the ISS.
+/// co-simulated with a software-modeled instruction ROM and data memory,
+/// by the protocol of [`crate::cosim`]. Used to verify the netlist
+/// against the ISS.
 #[derive(Debug)]
 pub struct GateLevelMachine<'a> {
     sim: Simulator<'a>,
-    spec: CoreSpec,
+    ports: PortMap<'a>,
     program: Vec<u64>,
     dmem: Vec<u64>,
     halted: bool,
-    /// Memory-interface port nets, resolved once so the per-cycle loop
-    /// skips the by-name port lookups (`None` if the netlist lacks the
-    /// port — surfaced as [`NetlistError::UnknownPort`] on `step`).
-    ports: MachinePorts<'a>,
-}
-
-/// Resolved output-port net lists of a generated core (see
-/// [`GateLevelMachine::step`] for how each is used per cycle).
-#[derive(Debug, Clone, Copy)]
-struct MachinePorts<'a> {
-    pc: Option<&'a [NetId]>,
-    addr_a: Option<&'a [NetId]>,
-    addr_b: Option<&'a [NetId]>,
-    we: Option<&'a [NetId]>,
-    wdata: Option<&'a [NetId]>,
-    wb_addr: Option<&'a [NetId]>,
-    flags: Option<&'a [NetId]>,
-    instr: Option<&'a [NetId]>,
-    rdata_a: Option<&'a [NetId]>,
-    rdata_b: Option<&'a [NetId]>,
-}
-
-impl<'a> MachinePorts<'a> {
-    fn resolve(netlist: &'a Netlist) -> Self {
-        let output = |name: &str| netlist.output(name).ok();
-        let input = |name: &str| netlist.input(name).ok();
-        MachinePorts {
-            pc: output("pc"),
-            addr_a: output("addr_a"),
-            addr_b: output("addr_b"),
-            we: output("we"),
-            wdata: output("wdata"),
-            wb_addr: output("wb_addr"),
-            flags: output("flags"),
-            instr: input("instr"),
-            rdata_a: input("rdata_a"),
-            rdata_b: input("rdata_b"),
-        }
-    }
 }
 
 impl<'a> GateLevelMachine<'a> {
@@ -405,55 +367,37 @@ impl<'a> GateLevelMachine<'a> {
     /// `program` holds instruction words already encoded for the spec's
     /// layout; `dmem_words` sizes the data memory.
     ///
+    /// # Errors
+    ///
+    /// [`NetlistError::UnknownPort`] or [`NetlistError::WidthMismatch`]
+    /// if the netlist lacks a memory-interface port of [`crate::cosim`]
+    /// or has one wider than 64 bits.
+    ///
     /// # Panics
     ///
     /// Panics if the spec is not single-cycle (multi-stage cores are
     /// characterization-only).
-    pub fn new(netlist: &'a Netlist, spec: CoreSpec, program: Vec<u64>, dmem_words: usize) -> Self {
+    pub fn new(
+        netlist: &'a Netlist,
+        spec: CoreSpec,
+        program: Vec<u64>,
+        dmem_words: usize,
+    ) -> Result<Self, NetlistError> {
         Self::with_simulator(Simulator::new(netlist), spec, program, dmem_words)
     }
 
     /// Like [`GateLevelMachine::new`], but over a pre-built simulator —
     /// the hook fault campaigns use to run programs on a core with
     /// faults already injected (see [`crate::workload::ProgramWorkload`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is not single-cycle (multi-stage cores are
-    /// characterization-only).
+    /// Errors and panics as [`GateLevelMachine::new`].
     pub fn with_simulator(
         sim: Simulator<'a>,
         spec: CoreSpec,
         program: Vec<u64>,
         dmem_words: usize,
-    ) -> Self {
-        assert_eq!(spec.pipeline_stages, 1, "gate-level co-simulation supports single-cycle cores");
-        let ports = MachinePorts::resolve(sim.netlist());
-        GateLevelMachine { sim, spec, program, dmem: vec![0; dmem_words], halted: false, ports }
-    }
-
-    /// Reads a port resolved at construction time, reporting a missing
-    /// port exactly as [`Simulator::read_output`] would.
-    fn read_port(&self, nets: Option<&[NetId]>, name: &str) -> Result<u64, NetlistError> {
-        nets.map(|nets| self.sim.read_bus(nets))
-            .ok_or_else(|| NetlistError::UnknownPort(name.to_string()))
-    }
-
-    /// Drives a port resolved at construction time, reporting a missing
-    /// port exactly as [`Simulator::set_input`] would.
-    fn write_port(
-        &mut self,
-        nets: Option<&'a [NetId]>,
-        name: &str,
-        value: u64,
-    ) -> Result<(), NetlistError> {
-        match nets {
-            Some(nets) => {
-                self.sim.set_bus(nets, value);
-                Ok(())
-            }
-            None => Err(NetlistError::UnknownPort(name.to_string())),
-        }
+    ) -> Result<Self, NetlistError> {
+        let ports = PortMap::resolve(sim.netlist(), &spec)?;
+        Ok(GateLevelMachine { sim, ports, program, dmem: vec![0; dmem_words], halted: false })
     }
 
     /// The underlying gate-level simulator.
@@ -482,32 +426,17 @@ impl<'a> GateLevelMachine<'a> {
 
     /// Pre-loads a data memory word.
     pub fn write_dmem(&mut self, addr: usize, value: u64) {
-        self.dmem[addr] = value & self.width_mask();
+        self.dmem[addr] = self.ports.mask(value);
     }
 
     /// Current PC (gate-level register state).
     pub fn pc(&self) -> u64 {
-        self.sim.read_bus(self.ports.pc.unwrap_or_else(|| unreachable!("core exposes pc")))
+        self.sim.read_bus(self.ports.pc)
     }
 
     /// Current flags, decoded from the netlist's flag register.
     pub fn flags(&self) -> Flags {
-        let bits = self
-            .sim
-            .read_bus(self.ports.flags.unwrap_or_else(|| unreachable!("core exposes flags")));
-        // The register holds only the spec's flags, packed in C, Z, S, V
-        // order: spread them back to their mask positions.
-        let mut packed = 0;
-        let mut next = 0;
-        for mask in [Flags::C, Flags::Z, Flags::S, Flags::V] {
-            if self.spec.flags_mask & mask != 0 {
-                if bits >> next & 1 == 1 {
-                    packed |= mask;
-                }
-                next += 1;
-            }
-        }
-        Flags::from_bits(packed)
+        self.ports.flags(self.sim.read_bus(self.ports.flags))
     }
 
     /// Whether the halt idiom was detected.
@@ -515,15 +444,8 @@ impl<'a> GateLevelMachine<'a> {
         self.halted
     }
 
-    fn width_mask(&self) -> u64 {
-        if self.spec.datawidth == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.spec.datawidth) - 1
-        }
-    }
-
-    /// Runs one clock cycle: fetch, execute, memory writeback.
+    /// Runs one clock cycle: fetch, read, clock, write back, halt check
+    /// (the phases of [`crate::cosim`]).
     ///
     /// # Errors
     ///
@@ -535,36 +457,23 @@ impl<'a> GateLevelMachine<'a> {
         if self.halted {
             return Ok(());
         }
-        let pc = self.read_port(self.ports.pc, "pc")? as usize;
-        let word = self.program.get(pc).copied().unwrap_or(0);
-        self.write_port(self.ports.instr, "instr", word)?;
+        let ports = self.ports;
+        let pc = self.sim.read_bus(ports.pc);
+        self.sim.set_bus(ports.instr, cosim::fetch(&self.program, pc));
         self.sim.settle()?;
-        // Addresses are combinational on the instruction and BAR state.
-        let addr_a = self.read_port(self.ports.addr_a, "addr_a")? as usize;
-        let addr_b = self.read_port(self.ports.addr_b, "addr_b")? as usize;
-        let ra = self.dmem.get(addr_a).copied().unwrap_or(0);
-        let rb = self.dmem.get(addr_b).copied().unwrap_or(0);
-        self.write_port(self.ports.rdata_a, "rdata_a", ra)?;
-        self.write_port(self.ports.rdata_b, "rdata_b", rb)?;
+        for (addr, rdata) in [(ports.addr_a, ports.rdata_a), (ports.addr_b, ports.rdata_b)] {
+            let word = cosim::word_at(self.sim.read_bus(addr), self.dmem.len());
+            self.sim.set_bus(rdata, word.map_or(0, |addr| self.dmem[addr]));
+        }
         self.sim.settle()?;
-        let we = self.read_port(self.ports.we, "we")? == 1;
-        let wdata = self.read_port(self.ports.wdata, "wdata")?;
-        let wb_addr = self.read_port(self.ports.wb_addr, "wb_addr")? as usize;
+        let we = self.sim.read_bus(ports.we);
+        let wdata = self.sim.read_bus(ports.wdata);
+        let wb_addr = self.sim.read_bus(ports.wb_addr);
         self.sim.step()?;
-        if we {
-            if let Some(slot) = self.dmem.get_mut(wb_addr) {
-                *slot = wdata
-                    & if self.spec.datawidth == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << self.spec.datawidth) - 1
-                    };
-            }
+        if let Some(addr) = cosim::word_at(wb_addr, self.dmem.len()).filter(|_| cosim::writes(we)) {
+            self.dmem[addr] = ports.mask(wdata);
         }
-        // Halt idiom: PC unchanged by an unconditional self-branch.
-        if self.pc() as usize == pc {
-            self.halted = true;
-        }
+        self.halted = self.sim.read_bus(ports.pc) == pc;
         Ok(())
     }
 
@@ -584,6 +493,30 @@ impl<'a> GateLevelMachine<'a> {
             self.sim.publish_obs("core.gatelevel.sim");
         }
         Ok(cycles)
+    }
+
+    /// Runs to the halt idiom or `cycle_budget` cycles and signs the
+    /// outcome: the architectural signature of [`crate::cosim`], whether
+    /// the core halted, the cycles run, and whether the TMR detect port
+    /// fired after any of them. The scalar mirror of one lane of a
+    /// bitsliced campaign word.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first simulation failure from any cycle.
+    pub fn observe(mut self, cycle_budget: u64) -> Result<Observation, NetlistError> {
+        let mut cycles = 0;
+        let mut detected = false;
+        while !self.halted && cycles < cycle_budget {
+            self.step()?;
+            cycles += 1;
+            if let Some(nets) = self.ports.detect {
+                detected |= self.sim.read_bus(nets) != 0;
+            }
+        }
+        let flags = self.sim.read_bus(self.ports.flags);
+        let signature = self.ports.signature(self.dmem.iter().copied(), self.pc(), flags);
+        Ok(Observation { signature, completed: self.halted, cycles, detected })
     }
 
     /// Switching statistics of the underlying gate-level simulation.
@@ -679,7 +612,7 @@ mod tests {
         .unwrap();
         let nl = generate_standard(&config);
         let words = encode_program(&config, &prog.instructions);
-        let mut gm = GateLevelMachine::new(&nl, CoreSpec::standard(config), words, 16);
+        let mut gm = GateLevelMachine::new(&nl, CoreSpec::standard(config), words, 16).unwrap();
         gm.run(100).unwrap();
         assert!(gm.is_halted());
         assert_eq!(gm.dmem()[0], 42);
@@ -702,7 +635,7 @@ mod tests {
         .unwrap();
         let nl = generate_standard(&config);
         let words = encode_program(&config, &prog.instructions);
-        let mut gm = GateLevelMachine::new(&nl, CoreSpec::standard(config), words, 16);
+        let mut gm = GateLevelMachine::new(&nl, CoreSpec::standard(config), words, 16).unwrap();
         gm.set_cycle_limit(Some(5));
         assert_eq!(gm.cycle_limit(), Some(5));
         let err = gm.run(100).unwrap_err();
@@ -737,7 +670,7 @@ mod tests {
         let prog = assemble(src).unwrap();
         let nl = generate_standard(&config);
         let words = encode_program(&config, &prog.instructions);
-        let mut gate = GateLevelMachine::new(&nl, CoreSpec::standard(config), words, 32);
+        let mut gate = GateLevelMachine::new(&nl, CoreSpec::standard(config), words, 32).unwrap();
         let mut iss = Machine::new(config, prog.instructions.clone(), 32);
         gate.run(1000).unwrap();
         iss.run(1000).unwrap();
@@ -763,7 +696,7 @@ mod tests {
         let prog = assemble(src).unwrap();
         let nl = generate_standard(&config);
         let words = encode_program(&config, &prog.instructions);
-        let mut gate = GateLevelMachine::new(&nl, CoreSpec::standard(config), words, 64);
+        let mut gate = GateLevelMachine::new(&nl, CoreSpec::standard(config), words, 64).unwrap();
         gate.run(100).unwrap();
         assert_eq!(gate.dmem()[0x11], 11);
         assert_eq!(gate.dmem()[0x22], 22);

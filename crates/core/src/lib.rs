@@ -11,6 +11,8 @@
 //! - [`sim`]: the cycle-accounting instruction-set simulator,
 //! - [`generator`]: gate-level core generation over the printed standard
 //!   cell libraries (the stand-in for Verilog + Design Compiler),
+//! - [`cosim`]: the protocol by which a generated core is co-simulated
+//!   with a software instruction ROM and data memory,
 //! - [`specific`]: the Section 7 program-specific ISA analysis and
 //!   narrowed instruction encodings.
 //!
@@ -35,6 +37,7 @@
 pub mod asm;
 mod bitmachine;
 pub mod config;
+pub mod cosim;
 pub mod generator;
 pub mod isa;
 pub mod kernels;

@@ -243,9 +243,10 @@ pub fn analyze(program: &[Instruction]) -> ProgramAnalysis {
     let dmem_words = max_addr as usize + 1;
     let keep_bars = !bars_used.is_empty();
     let bars: u8 = if keep_bars {
-        // Keep BAR0 plus enough printed BARs to cover the highest index.
+        // Keep BAR0 plus enough printed BARs to cover the highest index,
+        // SET-BAR's too: a higher one would alias a printed BAR.
         let highest = *bars_used.iter().max().unwrap_or_else(|| unreachable!("nonempty"));
-        (highest as usize + 1).next_power_of_two() as u8
+        (highest.max(max_setbar_index) as usize + 1).next_power_of_two() as u8
     } else {
         1
     };
@@ -282,7 +283,9 @@ pub fn analyze(program: &[Instruction]) -> ProgramAnalysis {
 
 /// Encoder for a (narrowed) instruction format described by a
 /// [`CoreSpec`] — the standard 24-bit format is the special case of the
-/// standard spec.
+/// standard spec: on every design point's [`CoreSpec::standard`] it
+/// produces [`crate::isa::Encoding`]'s words and errors. It is the ROM
+/// encoder of every co-simulated core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NarrowEncoding {
     spec: CoreSpec,
@@ -370,6 +373,10 @@ impl NarrowEncoding {
                 (0x8, 1, 0, 0, 0, self.encode_operand(dst, layout.op1_bits)?, imm)
             }
             Instruction::SetBar { bar, imm } => {
+                // A core without printed BARs ignores SET-BAR.
+                if self.spec.bars > 1 && bar >= self.spec.bars {
+                    return Err(IsaError::BarOutOfRange { bar, bars: self.spec.bars });
+                }
                 let (bar, imm) = (bar as u64, imm as u64);
                 if (layout.op1_bits < 64 && bar >> layout.op1_bits != 0)
                     || (layout.op2_bits < 64 && imm >> layout.op2_bits != 0)

@@ -1,11 +1,12 @@
 //! Program-level workloads for fault-injection campaigns on TP-ISA cores.
 //!
-//! [`ProgramWorkload`] adapts the gate-level co-simulation harness
-//! ([`crate::generator::GateLevelMachine`]) to the campaign engine in
-//! [`printed_netlist::fault`]: each fault run boots the core netlist
-//! (with the fault pre-injected), executes an encoded TP-ISA program, and
-//! signs the architectural outcome — final data memory, PC, and flags —
-//! so the campaign can tell a masked defect from silent data corruption.
+//! [`ProgramWorkload`] adapts the gate-level co-simulation of
+//! [`crate::cosim`] to the campaign engine in [`printed_netlist::fault`]:
+//! each fault run boots the core netlist (with the fault pre-injected),
+//! executes an encoded TP-ISA program, and signs the architectural
+//! outcome, so the campaign can tell a masked defect from silent data
+//! corruption. A scalar run is one [`GateLevelMachine::observe`], a
+//! bitsliced word one program on every lane of the word-wide machine.
 //!
 //! ```
 //! use printed_core::workload::ProgramWorkload;
@@ -29,9 +30,9 @@ use crate::config::CoreConfig;
 use crate::generator::GateLevelMachine;
 use crate::isa::{Instruction, IsaError};
 use crate::kernels::KernelProgram;
-use crate::specific::CoreSpec;
+use crate::specific::{CoreSpec, NarrowEncoding};
 use printed_netlist::fault::{LaneOutcome, Observation, Workload};
-use printed_netlist::{BitSimulator, NetlistError, Simulator, TMR_ERROR_PORT};
+use printed_netlist::{BitSimulator, NetlistError, Simulator};
 
 /// A fixed TP-ISA program run as a fault-campaign workload on a
 /// single-cycle core netlist (standard or TMR-hardened).
@@ -55,17 +56,7 @@ impl ProgramWorkload {
         instructions: &[Instruction],
         dmem_words: usize,
     ) -> Result<Self, IsaError> {
-        let enc = config.encoding();
-        let program = instructions
-            .iter()
-            .map(|&i| enc.encode(i).map(|w| w as u64))
-            .collect::<Result<Vec<u64>, IsaError>>()?;
-        Ok(ProgramWorkload {
-            spec: CoreSpec::standard(config),
-            program,
-            dmem_words,
-            inputs: Vec::new(),
-        })
+        Self::for_spec(CoreSpec::standard(config), instructions, dmem_words)
     }
 
     /// Encodes `instructions` under the narrow layout of an arbitrary
@@ -83,9 +74,8 @@ impl ProgramWorkload {
         instructions: &[Instruction],
         dmem_words: usize,
     ) -> Result<Self, IsaError> {
-        let enc = crate::specific::NarrowEncoding::new(spec);
-        let program = enc.encode_program(instructions)?;
-        Ok(ProgramWorkload { spec: enc.spec().clone(), program, dmem_words, inputs: Vec::new() })
+        let program = NarrowEncoding::new(spec.clone()).encode_program(instructions)?;
+        Ok(ProgramWorkload { spec, program, dmem_words, inputs: Vec::new() })
     }
 
     /// Preloads `inputs` as `(dmem address, value)` words written before
@@ -142,31 +132,16 @@ impl ProgramWorkload {
 
 impl Workload for ProgramWorkload {
     fn run(&self, sim: Simulator<'_>, cycle_budget: u64) -> Result<Observation, NetlistError> {
-        let has_detect = sim.netlist().output_ports().contains_key(TMR_ERROR_PORT);
         let mut machine = GateLevelMachine::with_simulator(
             sim,
             self.spec.clone(),
             self.program.clone(),
             self.dmem_words,
-        );
+        )?;
         for &(addr, value) in &self.inputs {
             machine.write_dmem(addr, value);
         }
-        let mut cycles = 0;
-        let mut detected = false;
-        while !machine.is_halted() && cycles < cycle_budget {
-            machine.step()?;
-            cycles += 1;
-            if has_detect && machine.simulator().read_output(TMR_ERROR_PORT)? != 0 {
-                detected = true;
-            }
-        }
-        // The architectural signature: all of data memory plus PC and
-        // flags. Any divergence from the golden run is data corruption.
-        let mut signature = machine.dmem().to_vec();
-        signature.push(machine.pc());
-        signature.push(machine.flags().bits() as u64);
-        Ok(Observation { signature, completed: machine.is_halted(), cycles, detected })
+        machine.observe(cycle_budget)
     }
 
     fn run_bitsliced(
@@ -176,11 +151,13 @@ impl Workload for ProgramWorkload {
     ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
         let program =
             LaneProgram { lanes: u64::MAX, rom: self.program.clone(), dmem_words: self.dmem_words };
-        let mut machine = BitMachine::new(sim, &self.spec, vec![program]);
-        for &(addr, value) in &self.inputs {
-            machine.write_dmem(u64::MAX, addr, value);
-        }
-        Some(machine.observe(cycle_budget))
+        let outcomes = BitMachine::new(sim, &self.spec, vec![program]).and_then(|mut machine| {
+            for &(addr, value) in &self.inputs {
+                machine.write_dmem(u64::MAX, addr, value);
+            }
+            machine.observe(cycle_budget)
+        });
+        Some(outcomes)
     }
 }
 

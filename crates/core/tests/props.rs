@@ -26,6 +26,20 @@ mod strategies {
         (0..bars, 0u8..(1 << offset_bits.min(7))).prop_map(|(bar, offset)| Operand { bar, offset })
     }
 
+    /// Any instruction at all, fields drawn from their whole range, so
+    /// some do not encode for a given core.
+    pub fn any_instruction() -> impl Strategy<Value = Instruction> {
+        let operand = (0u8..8, any::<u8>()).prop_map(|(bar, offset)| Operand { bar, offset });
+        prop_oneof![
+            (alu_op(), operand.clone(), operand.clone())
+                .prop_map(|(op, dst, src)| Instruction::Alu { op, dst, src }),
+            (operand, any::<u8>()).prop_map(|(dst, imm)| Instruction::Store { dst, imm }),
+            (0u8..8, any::<u8>()).prop_map(|(bar, imm)| Instruction::SetBar { bar, imm }),
+            (any::<bool>(), any::<u8>(), any::<u8>())
+                .prop_map(|(negate, target, mask)| Instruction::Branch { negate, target, mask }),
+        ]
+    }
+
     pub fn instruction(bars: u8) -> impl Strategy<Value = Instruction> {
         prop_oneof![
             (alu_op(), operand(bars), operand(bars)).prop_map(|(op, dst, src)| Instruction::Alu {
@@ -172,7 +186,7 @@ proptest! {
         let words: Vec<u64> = program.iter().map(|&i| enc.encode(i).unwrap() as u64).collect();
 
         let mut iss = Machine::new(config, program.clone(), 256);
-        let mut gate = GateLevelMachine::new(&netlist, spec, words, 256);
+        let mut gate = GateLevelMachine::new(&netlist, spec, words, 256).unwrap();
         let mut s = seed;
         for addr in 0..128usize {
             s ^= s << 13;
@@ -216,6 +230,26 @@ proptest! {
         for w in words.unwrap() {
             prop_assert_eq!(w >> spec.instruction_bits(), 0);
         }
+    }
+
+    #[test]
+    fn the_standard_spec_encodes_like_the_standard_encoding(
+        config in prop::sample::select(CoreConfig::design_space()),
+        insts in prop::collection::vec(any_instruction(), 1..32),
+    ) {
+        // The ROM encoder the co-simulating machines use is the narrow
+        // one; on a design point's standard spec it must produce the
+        // standard format's words and reject what the standard format
+        // rejects, with the same error.
+        let standard = config.encoding();
+        let narrow = NarrowEncoding::new(CoreSpec::standard(config));
+        for &inst in &insts {
+            let expected = standard.encode(inst).map(u64::from);
+            prop_assert_eq!(narrow.encode(inst), expected, "{}", inst);
+        }
+        let program: Result<Vec<u64>, _> =
+            insts.iter().map(|&inst| standard.encode(inst).map(u64::from)).collect();
+        prop_assert_eq!(narrow.encode_program(&insts), program);
     }
 
     #[test]

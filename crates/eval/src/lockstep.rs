@@ -27,10 +27,14 @@
 //!   equal exactly when the scalar path's digests do. A lane whose run
 //!   does not end cleanly halted on both sides — any mismatch, an ISS
 //!   error, an oscillating lane, or `max_steps` reached — is rerun
-//!   through [`diff_kernel`], whose report becomes its row. Divergence
+//!   through [`diff_kernel`], whose report becomes its row, and so is a
+//!   program that does not encode ([`DiffError::Encode`]). Divergence
 //!   texts, trace windows and states are therefore always the scalar
 //!   run's own, and the scalar path stays the oracle the word path is
 //!   tested against.
+//!
+//! Both paths co-simulate the core by the protocol of
+//! [`printed_core::cosim`] and encode ROMs with [`NarrowEncoding`].
 //!
 //! A gate-level simulation failure mid-compare — an oscillating netlist
 //! ([`printed_netlist::NetlistError::Unsettled`]) or a tripped
@@ -55,11 +59,13 @@ use printed_baselines::diff::{
 };
 use printed_core::kernels::{self, Kernel, KernelProgram};
 use printed_core::{
-    generate_standard, CoreConfig, CoreSpec, GateLevelMachine, Instruction, LockstepWord, Machine,
+    generate_standard, CoreConfig, CoreSpec, GateLevelMachine, Instruction, IsaError, LockstepWord,
+    Machine, NarrowEncoding,
 };
 use printed_netlist::hash::Fnv1a;
-use printed_netlist::Netlist;
+use printed_netlist::{Netlist, NetlistError};
 use printed_obs as obs;
+use std::fmt;
 
 /// Digest of a data memory image (shared by both sides so the compare
 /// is exact, not representational).
@@ -145,28 +151,29 @@ pub struct GateSide<'a> {
 
 impl<'a> GateSide<'a> {
     /// A gate-level machine over `netlist` running `program` (encoded
-    /// for `config`), inputs loaded.
+    /// for `config`), inputs loaded; [`DiffError::Encode`] if the
+    /// program does not encode, [`DiffError::Ports`] if the netlist
+    /// lacks the core's memory interface.
     ///
     /// # Panics
     ///
     /// Panics if the config is not single-cycle (gate-level
     /// co-simulation is single-cycle only).
-    pub fn new(netlist: &'a Netlist, program: &KernelProgram, config: CoreConfig) -> Self {
-        let encoding = config.encoding();
-        let words = program
-            .instructions
-            .iter()
-            .map(|inst| {
-                encoding.encode(*inst).unwrap_or_else(|_| unreachable!("generated kernels encode"))
-                    as u64
-            })
-            .collect();
+    pub fn new(
+        netlist: &'a Netlist,
+        program: &KernelProgram,
+        config: CoreConfig,
+    ) -> Result<Self, DiffError> {
         let spec = CoreSpec::standard(config);
-        let mut machine = GateLevelMachine::new(netlist, spec, words, program.dmem_words);
+        let words = NarrowEncoding::new(spec.clone())
+            .encode_program(&program.instructions)
+            .map_err(DiffError::Encode)?;
+        let mut machine = GateLevelMachine::new(netlist, spec, words, program.dmem_words)
+            .map_err(DiffError::Ports)?;
         for &(addr, value) in &program.inputs {
             machine.write_dmem(addr as usize, value);
         }
-        GateSide { machine, listing: program.instructions.clone() }
+        Ok(GateSide { machine, listing: program.instructions.clone() })
     }
 
     /// The wrapped machine (e.g. to arm the cycle-limit watchdog).
@@ -215,6 +222,30 @@ impl LockstepSide for GateSide<'_> {
     }
 }
 
+/// Why [`diff_kernel`] did not run a program clean.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DiffError {
+    /// The program does not encode for the core; no step ran.
+    Encode(IsaError),
+    /// The netlist lacks a [`printed_core::cosim`] port (or has one
+    /// wider than 64 bits); no step ran.
+    Ports(NetlistError),
+    /// The two sides diverged: the first-divergence report.
+    Diverged(Box<DivergenceReport>),
+}
+
+impl fmt::Display for DiffError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DiffError::Encode(e) => write!(f, "program does not encode: {e}"),
+            DiffError::Ports(e) => write!(f, "gate-level core: {e}"),
+            DiffError::Diverged(report) => report.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for DiffError {}
+
 /// Runs one kernel in ISS-vs-gate-level lockstep on `config`'s standard
 /// core `netlist`, as [`generate_standard`] builds it; a sweep over many
 /// kernels builds the core once and passes it to every call.
@@ -224,7 +255,8 @@ impl LockstepSide for GateSide<'_> {
 ///
 /// # Errors
 ///
-/// The first-divergence report.
+/// The first-divergence report, or why the gate-level side could not be
+/// built.
 ///
 /// # Panics
 ///
@@ -235,10 +267,10 @@ pub fn diff_kernel(
     program: &KernelProgram,
     config: CoreConfig,
     options: &LockstepOptions,
-) -> Result<(LockstepStats, bool), Box<DivergenceReport>> {
+) -> Result<(LockstepStats, bool), DiffError> {
     let mut iss = IssSide::new(program, config);
-    let mut gate = GateSide::new(netlist, program, config);
-    let stats = run_lockstep(&mut iss, &mut gate, options)?;
+    let mut gate = GateSide::new(netlist, program, config)?;
+    let stats = run_lockstep(&mut iss, &mut gate, options).map_err(DiffError::Diverged)?;
     let (base, len) = program.result;
     let result_ok = (0..len).all(|i| {
         gate.machine().dmem().get(base as usize + i).copied() == program.expected.get(i).copied()
@@ -266,7 +298,8 @@ pub struct DiffRow {
 }
 
 /// The row of one scalar [`diff_kernel`] run: its stats, or its
-/// first-divergence report rendered.
+/// [`DiffError`] rendered (a first-divergence report at the step and
+/// cycle it names; a setup failure at step and cycle 0).
 ///
 /// # Panics
 ///
@@ -280,7 +313,10 @@ pub fn scalar_diff_row(
     let (steps, cycles, halted, result_ok, divergence) =
         match diff_kernel(netlist, program, config, options) {
             Ok((stats, result_ok)) => (stats.steps, stats.cycles, stats.halted, result_ok, None),
-            Err(report) => (report.step, report.cycle, false, false, Some(report.to_string())),
+            Err(DiffError::Diverged(report)) => {
+                (report.step, report.cycle, false, false, Some(report.to_string()))
+            }
+            Err(e) => (0, 0, false, false, Some(e.to_string())),
         };
     DiffRow {
         kernel: program.name.clone(),
@@ -364,7 +400,8 @@ fn diff_word(
     let all = u64::MAX >> (64 - programs.len());
     let mut rows: Vec<Option<DiffRow>> = vec![None; programs.len()];
     let mut rerun = all;
-    // A program that does not encode makes the scalar rerun report it.
+    // Unencodable programs hold no lane, and a netlist without the
+    // core's ports builds no word: the scalar rerun reports either.
     if let Ok(mut word) = LockstepWord::new(netlist, config, programs) {
         work.words += 1;
         let mut iss: Vec<Machine> = programs.iter().map(|p| p.machine(config)).collect();
@@ -373,7 +410,8 @@ fn diff_word(
         let mut live = 0;
         for (lane, (machine, program)) in iss.iter().zip(programs).enumerate() {
             let image = machine.dmem().contents();
-            if lane_agrees(machine, &word, lane, 0, options)
+            if word.lanes() >> lane & 1 == 1
+                && lane_agrees(machine, &word, lane, 0, options)
                 && (0..program.dmem_words).all(|a| image.get(a).copied() == word.dmem_word(lane, a))
             {
                 live |= 1 << lane;
@@ -451,18 +489,8 @@ fn diff_word(
 /// Runs `programs` in ISS-vs-gate-level lockstep on `config`'s standard
 /// core `netlist`, up to [`LockstepWord::MAX_PROGRAMS`] per bitsliced
 /// word, and returns one row per program, in order, each equal to its
-/// [`scalar_diff_row`].
-///
-/// Each word is clocked once per lockstep step, and every live lane is
-/// then compared with its own ISS [`Machine`] on halt state, pc, flags,
-/// cycles and memory. Both memory images start equal, and a step
-/// changes only the words one side wrote, so comparing those words
-/// keeps the images equal exactly when the scalar run's full-image
-/// digests are. A lane whose run does not end cleanly halted on both
-/// sides — any mismatch, an ISS error, an oscillating lane, or
-/// `max_steps` reached — is rerun through [`diff_kernel`], whose report
-/// becomes its row, so divergence texts, trace windows and states are
-/// the scalar run's own.
+/// [`scalar_diff_row`]. The module docs' word path says how a word
+/// compares its lanes and which programs rerun through [`diff_kernel`].
 ///
 /// # Panics
 ///
@@ -633,6 +661,40 @@ mod tests {
         }
     }
 
+    /// A program that does not encode for the core (a store through
+    /// BAR3 on a 2-BAR core) holds no lane: its row carries the
+    /// `IsaError`, and every other row is the one the clean sweep makes.
+    #[test]
+    fn an_unencodable_program_becomes_its_own_row() {
+        let config = CoreConfig::new(1, 8, 2);
+        let netlist = generate_standard(&config);
+        let options = LockstepOptions::default();
+        let mut programs = sweep_programs(config);
+        let (clean, _) = diff_programs(&netlist, &programs, config, &options);
+        let bad = Instruction::Store { dst: printed_core::Operand::indexed(3, 0), imm: 1 };
+        programs[1].instructions.push(bad);
+        let (rows, work) = diff_programs(&netlist, &programs, config, &options);
+        assert_eq!(work.words, 1);
+        assert_eq!(work.scalar_reruns, 1);
+        let error = config.encoding().encode(bad).unwrap_err();
+        let expected = DiffRow {
+            kernel: programs[1].name.clone(),
+            config: config.name(),
+            steps: 0,
+            cycles: 0,
+            halted: false,
+            result_ok: false,
+            divergence: Some(DiffError::Encode(error).to_string()),
+        };
+        assert_eq!(rows[1], expected);
+        assert_eq!(scalar_diff_row(&netlist, &programs[1], config, &options), expected);
+        for (lane, (row, clean)) in rows.iter().zip(&clean).enumerate() {
+            if lane != 1 {
+                assert_eq!(row, clean, "lane {lane}");
+            }
+        }
+    }
+
     /// ISS vs gate level on mult8 with the gate side's watchdog armed
     /// at cycle 5, far below the kernel's runtime.
     fn watchdog_report() -> Box<DivergenceReport> {
@@ -640,7 +702,7 @@ mod tests {
         let program = kernels::generate(Kernel::Mult, 8, 8).unwrap();
         let netlist = generate_standard(&config);
         let mut iss = IssSide::new(&program, config);
-        let mut gate = GateSide::new(&netlist, &program, config);
+        let mut gate = GateSide::new(&netlist, &program, config).unwrap();
         gate.machine_mut().set_cycle_limit(Some(5));
         let report = run_lockstep(&mut iss, &mut gate, &LockstepOptions::default()).unwrap_err();
         assert_eq!(report.state_a, iss.state());

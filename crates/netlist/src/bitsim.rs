@@ -63,7 +63,7 @@
 //! of [`crate::profile`] — belong to the scalar [`Simulator`].
 
 use crate::fault::{Fault, FaultKind};
-use crate::ir::{FanoutMap, NetId, Netlist, NetlistError};
+use crate::ir::{NetId, Netlist, NetlistError};
 use crate::sim::{truth_table, Simulator, TSBUF_TT};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -186,19 +186,15 @@ impl<'a> BitSimulator<'a> {
     /// the scalar power-up state (nets low, state reset, constants
     /// tied) and only the golden lane 0 occupied.
     pub fn new(netlist: &'a Netlist) -> Self {
-        let fanout = FanoutMap::build(netlist);
         // Which nets have been produced so far while walking the stored
         // order; reading a net that a *later* op produces makes the
         // order inconsistent (feedback or a deliberately corrupt order)
         // and forces the change-tracking settle loop.
         let mut produced = vec![false; netlist.net_count()];
-        let comb_driven: Vec<bool> = (0..netlist.net_count())
-            .map(|n| {
-                fanout
-                    .driver(NetId(n as u32))
-                    .is_some_and(|g| !netlist.gates()[g.index()].is_sequential())
-            })
-            .collect();
+        let mut comb_driven = vec![false; netlist.net_count()];
+        for gate in netlist.gates().iter().filter(|g| !g.is_sequential()) {
+            comb_driven[gate.output.index()] = true;
+        }
         let mut group_of_net = vec![0u64; netlist.net_count()];
         for (port, nets) in netlist.input_ports().values().enumerate() {
             for net in nets {

@@ -330,7 +330,7 @@ pub fn analyze_with_fanout(netlist: &Netlist, fanout: Arc<FanoutMap>) -> Dataflo
         }
     }
 
-    let live = liveness(netlist, &fanout);
+    let live = liveness(netlist, fanout.drivers());
     let trapped = trapped_state(netlist, &values, &fanout);
     DataflowFacts { values, live, trapped, fanout, rounds }
 }
@@ -397,12 +397,12 @@ fn latch_next(s: AbsValue, r: AbsValue, q: AbsValue) -> AbsValue {
 
 /// Backward liveness: a net is live when an output port exports it or a
 /// live gate reads it (sequential cells included, so state feeding
-/// observable logic is live). Worklist over the fanout map's driver
-/// relation: a net is pushed once, when it turns live, and every gate
-/// drives one net, so each gate's pins are visited once — linear in
-/// edges, unlike a repeated full-gate sweep. [`crate::opt`]'s dead-gate
+/// observable logic is live). Worklist over the driver index
+/// ([`FanoutMap::drivers_of`]): a net is pushed once, when it turns
+/// live, and every gate drives one net, so each gate's pins are visited
+/// once — linear in edges, unlike a repeated full-gate sweep. [`crate::opt`]'s dead-gate
 /// sweep keeps exactly these nets.
-pub(crate) fn liveness(netlist: &Netlist, fanout: &FanoutMap) -> Vec<bool> {
+pub(crate) fn liveness(netlist: &Netlist, drivers: &[Option<GateId>]) -> Vec<bool> {
     let mut live = vec![false; netlist.net_count()];
     let mut work: Vec<NetId> = Vec::new();
     for nets in netlist.output_ports().values() {
@@ -414,7 +414,7 @@ pub(crate) fn liveness(netlist: &Netlist, fanout: &FanoutMap) -> Vec<bool> {
         }
     }
     while let Some(net) = work.pop() {
-        let Some(gid) = fanout.driver(net) else {
+        let Some(gid) = drivers[net.index()] else {
             continue; // port or constant rail
         };
         for input in &netlist.gates()[gid.index()].inputs {

@@ -247,8 +247,9 @@ impl std::error::Error for NetlistError {}
 /// linter ([`mod@crate::lint`]'s fanout and driver facts), and fault-campaign
 /// setup — all of which previously rebuilt the same loops independently.
 /// Build one with [`FanoutMap::build`]; the reader lists are stored in
-/// compressed-sparse-row form, so lookup is two index loads and the whole
-/// map is three flat allocations.
+/// compressed-sparse-row form, so lookup is two index loads. A pass that
+/// reads only drivers (the dead-gate sweep of [`crate::opt`]) builds the
+/// driver half alone.
 ///
 /// Ordering is deterministic: the readers of a net appear in ascending
 /// gate-index order (a gate loading the same net on both pins appears
@@ -259,22 +260,18 @@ pub struct FanoutMap {
     offsets: Vec<u32>,
     /// Gate indices loading each net, grouped by net.
     readers: Vec<u32>,
-    /// Gate index driving each net, `u32::MAX` when a port or constant
-    /// rail drives it instead.
-    driver: Vec<u32>,
+    /// The gate driving each net, `None` when a port or constant rail
+    /// drives it instead.
+    driver: Vec<Option<GateId>>,
 }
 
 impl FanoutMap {
-    /// Sentinel for "no gate drives this net".
-    const NO_DRIVER: u32 = u32::MAX;
-
-    /// Builds the fanout map of `netlist` in two passes over its gates.
+    /// Builds the fanout map of `netlist`: the drivers in one pass over
+    /// its gates, the reader lists in two.
     pub fn build(netlist: &Netlist) -> FanoutMap {
         let nets = netlist.net_count();
         let mut counts = vec![0u32; nets + 1];
-        let mut driver = vec![Self::NO_DRIVER; nets];
-        for (i, gate) in netlist.gates.iter().enumerate() {
-            driver[gate.output.index()] = i as u32;
+        for gate in &netlist.gates {
             for input in &gate.inputs {
                 counts[input.index() + 1] += 1;
             }
@@ -292,7 +289,22 @@ impl FanoutMap {
                 *slot += 1;
             }
         }
-        FanoutMap { offsets, readers, driver }
+        FanoutMap { offsets, readers, driver: Self::drivers_of(netlist) }
+    }
+
+    /// The driver half of the map alone, indexed by net: the gate
+    /// driving each net, `None` where a port or constant rail drives it.
+    pub(crate) fn drivers_of(netlist: &Netlist) -> Vec<Option<GateId>> {
+        let mut driver = vec![None; netlist.net_count()];
+        for (i, gate) in netlist.gates.iter().enumerate() {
+            driver[gate.output.index()] = Some(GateId(i as u32));
+        }
+        driver
+    }
+
+    /// Every net's driver, as [`FanoutMap::drivers_of`] computes it.
+    pub(crate) fn drivers(&self) -> &[Option<GateId>] {
+        &self.driver
     }
 
     /// Gate input pins loading `net`, as gate indices in ascending order.
@@ -311,8 +323,7 @@ impl FanoutMap {
     /// The gate driving `net`, or `None` when a port or constant rail
     /// drives it.
     pub fn driver(&self, net: NetId) -> Option<GateId> {
-        let g = self.driver[net.index()];
-        (g != Self::NO_DRIVER).then_some(GateId(g))
+        self.driver[net.index()]
     }
 }
 

@@ -345,7 +345,7 @@ fn invert(b: &mut NetlistBuilder, x: Known, inv_of: &mut Vec<Option<NetId>>) -> 
 /// topological order, so the surviving gates keep their relative order.
 fn sweep(netlist: &Netlist) -> Netlist {
     let gates = netlist.gates();
-    let live = dataflow::liveness(netlist, &FanoutMap::build(netlist));
+    let live = dataflow::liveness(netlist, &FanoutMap::drivers_of(netlist));
 
     let mut b = NetlistBuilder::new(netlist.name().to_string());
     // map[old net] = its net in the swept netlist; only live nets are

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|&i| config.encoding().encode(i).map(u64::from))
         .collect::<Result<_, _>>()?;
-    let mut gate_machine = GateLevelMachine::new(&netlist, spec, words, 16);
+    let mut gate_machine = GateLevelMachine::new(&netlist, spec, words, 16)?;
     gate_machine.run(100_000)?;
     println!("gate-level result: {}", gate_machine.dmem()[0]);
     assert_eq!(gate_machine.dmem()[0], result, "netlist must match the ISS");

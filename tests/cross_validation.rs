@@ -19,7 +19,7 @@ fn gate_level_check(kernel: Kernel, width: usize) {
     let enc = config.encoding();
     let words: Vec<u64> =
         prog.instructions.iter().map(|&i| enc.encode(i).unwrap() as u64).collect();
-    let mut gm = GateLevelMachine::new(&netlist, spec, words, prog.dmem_words);
+    let mut gm = GateLevelMachine::new(&netlist, spec, words, prog.dmem_words).unwrap();
     for &(addr, v) in &prog.inputs {
         gm.write_dmem(addr as usize, v);
     }
@@ -62,7 +62,7 @@ fn program_specific_cores_work_at_gate_level() {
         let raw = generate(&spec);
         let netlist = opt::optimize(&raw);
         let words = NarrowEncoding::new(spec.clone()).encode_program(&prog.instructions).unwrap();
-        let mut gm = GateLevelMachine::new(&netlist, spec, words, prog.dmem_words);
+        let mut gm = GateLevelMachine::new(&netlist, spec, words, prog.dmem_words).unwrap();
         for &(addr, v) in &prog.inputs {
             gm.write_dmem(addr as usize, v);
         }

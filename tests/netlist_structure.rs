@@ -11,7 +11,8 @@
 //! each design's lint report as JSON under both technologies, and its
 //! dataflow facts (every net's abstract value and the trapped state). A
 //! less eager constant-fold rule or dataflow transfer function moves the
-//! static report's counts, and fails here first.
+//! static report's counts, and fails here first. A small netlist holding
+//! one gate per constant-fold case pins the cases no core contains.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
@@ -21,9 +22,9 @@ use printed_microprocessors::core::specific::CoreSpec;
 use printed_microprocessors::core::{generate, generate_standard, CoreConfig};
 use printed_microprocessors::netlist::hash::Fnv1a;
 use printed_microprocessors::netlist::{
-    dataflow, lint, opt, tmr, GateId, NetId, Netlist, TmrOptions,
+    dataflow, lint, opt, tmr, GateId, NetId, Netlist, NetlistBuilder, TmrOptions,
 };
-use printed_microprocessors::pdk::Technology;
+use printed_microprocessors::pdk::{CellKind, Technology};
 use std::collections::BTreeMap;
 
 fn write_len(h: &mut Fnv1a, len: usize) {
@@ -164,6 +165,44 @@ fn baseline_netlists() -> Vec<Netlist> {
                 .map(move |cpu| cpu.inventory(technology).representative_netlist())
         })
         .collect()
+}
+
+/// One gate per constant-fold case, each driving its own output bit:
+/// every two-pin kind (TSBUF included) with a constant on pin a or on
+/// pin b, the constant 0 or 1, and a free input on the other pin; then
+/// INV of each rail.
+fn fold_cases() -> Netlist {
+    let mut b = NetlistBuilder::new("fold_cases");
+    let x = b.input("x", 1)[0];
+    let rails = [b.const0(), b.const1()];
+    let mut outs = Vec::new();
+    for kind in [
+        CellKind::Nand2,
+        CellKind::Nor2,
+        CellKind::And2,
+        CellKind::Or2,
+        CellKind::Xor2,
+        CellKind::Xnor2,
+        CellKind::TsBuf,
+    ] {
+        for rail in rails {
+            outs.push(b.gate(kind, [rail, x]));
+            outs.push(b.gate(kind, [x, rail]));
+        }
+    }
+    for rail in rails {
+        outs.push(b.inv(rail));
+    }
+    b.output("y", outs);
+    b.finish().expect("the fold cases form a valid netlist")
+}
+
+#[test]
+fn every_fold_case_keeps_its_optimized_structure_and_facts() {
+    let raw = fold_cases();
+    let optimized = opt::optimize(&raw);
+    assert_eq!(digest([&optimized]), (0xd812ab269fdc6bd2, 1));
+    assert_eq!(facts_digest([&raw, &optimized]), (0x4279c913998cb1e1, 0x0274b7cfccf8b44e, 2));
 }
 
 #[test]
