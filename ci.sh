@@ -194,6 +194,16 @@ wait "$burst_pid"
 wait "$slow1" 2>/dev/null || true
 wait "$slow2" 2>/dev/null || true
 
+echo "==> benchmark self-checks: perfbench unit tests and a traced reproduce run (layers tile the pass, outputs stable)"
+python3 -B -m unittest discover -s perfbench -p 'test_*.py'
+bench_out="$csv_dir/perfbench_reproduce.txt"
+CARGO_TARGET_DIR="$PWD/target" \
+    python3 perfbench/run.py --workload reproduce --seed 1 --seconds 5 --trace 1 \
+    >"$bench_out" 2>"$csv_dir/perfbench_reproduce.log" \
+    || { cat "$csv_dir/perfbench_reproduce.log"; echo "perfbench reproduce run failed"; exit 1; }
+tail -n 1 "$bench_out" | grep -q '"correct": true' \
+    || { cat "$bench_out"; echo "traced reproduce run is not correct"; exit 1; }
+
 echo "==> simulator hot-path bench (refreshes BENCH_sim.json + appends BENCH_history.jsonl, asserts speedups + CSV identity across the engine x threads matrix)"
 cargo bench -p printed-bench --bench sim_hotpaths >/dev/null
 

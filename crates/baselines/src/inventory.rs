@@ -10,7 +10,7 @@
 //! the PDK, so all cross-technology and core-vs-core comparisons run
 //! through the same cost model as the TP-ISA cores.
 
-use printed_netlist::{lint, Netlist, NetlistBuilder};
+use printed_netlist::{Netlist, NetlistBuilder};
 use printed_pdk::units::{Area, Frequency, Power};
 use printed_pdk::{CellKind, CellLibrary, Technology};
 
@@ -271,18 +271,12 @@ impl CellInventory {
         b.finish()
             .unwrap_or_else(|_| unreachable!("representative netlists are valid by construction"))
     }
-
-    /// Design-rule-checks the representative netlist against this
-    /// inventory's technology library.
-    pub fn lint(&self, config: &lint::LintConfig) -> lint::LintReport {
-        let netlist = self.representative_netlist();
-        lint::lint(&netlist, self.technology.library(), config)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use printed_netlist::lint;
 
     /// Relative error helper.
     fn within(actual: f64, published: f64, tolerance: f64) -> bool {
@@ -408,7 +402,8 @@ mod tests {
         let config = lint::LintConfig::default();
         for technology in [Technology::Egfet, Technology::CntTft] {
             for cpu in BaselineCpu::ALL {
-                let report = cpu.inventory(technology).lint(&config);
+                let netlist = cpu.inventory(technology).representative_netlist();
+                let report = lint::lint(&netlist, technology.library(), &config);
                 assert!(
                     !report.has_errors(),
                     "{} ({technology:?}) has lint errors:\n{}",

@@ -23,6 +23,7 @@ use crate::isa::Flags;
 #[cfg(test)]
 use crate::isa::Instruction;
 use crate::specific::CoreSpec;
+use printed_netlist::dataflow::{self, DataflowFacts};
 use printed_netlist::fault::Observation;
 use printed_netlist::{lint, words, NetId, Netlist, NetlistBuilder, NetlistError, Simulator};
 use printed_pdk::Technology;
@@ -81,24 +82,35 @@ pub fn generate_checked(
     Ok(netlist)
 }
 
-/// [`generate_checked`] that also hands back the lint report it computed
-/// (warnings and infos included), so a caller that summarizes lint
-/// results does not lint the design a second time.
-///
-/// # Errors
-///
-/// Returns the lint report if any [`lint::Severity::Error`] finding fires.
-pub fn generate_linted(
-    spec: &CoreSpec,
-    technology: Technology,
-) -> Result<(Netlist, lint::LintReport), lint::LintReport> {
+/// A core built once with the facts every technology's report reads:
+/// what [`generate_linted`] returns.
+#[derive(Debug)]
+pub struct LintedCore {
+    /// The generated netlist. It is returned even when a report carries
+    /// errors; the caller applies the DRC gate per technology.
+    pub netlist: Netlist,
+    /// The one dataflow fixpoint of `netlist`, shared by every report.
+    pub facts: DataflowFacts,
+    /// The default-configuration lint report (warnings and infos
+    /// included) per technology, in [`Technology::ALL`] order. A report
+    /// with [`lint::Severity::Error`] findings fails that technology's
+    /// DRC gate.
+    pub lint: [lint::LintReport; Technology::ALL.len()],
+}
+
+/// Builds a core once, runs its dataflow fixpoint once, and lints it
+/// over those facts against every technology's cell library, so a
+/// caller that summarizes lint results across technologies neither
+/// rebuilds nor re-analyzes the design. Unlike [`generate_checked`] it
+/// refuses nothing: [`LintedCore::lint`] holds each technology's
+/// verdict.
+pub fn generate_linted(spec: &CoreSpec) -> LintedCore {
     let netlist = build(spec);
-    let report = lint::lint(&netlist, technology.library(), &lint::LintConfig::default());
-    if report.has_errors() {
-        Err(report)
-    } else {
-        Ok((netlist, report))
-    }
+    let facts = dataflow::analyze(&netlist);
+    let config = lint::LintConfig::default();
+    let lint = Technology::ALL
+        .map(|technology| lint::lint_with_facts(&netlist, technology.library(), &config, &facts));
+    LintedCore { netlist, facts, lint }
 }
 
 /// Builds the raw netlist; [`generate`] / [`generate_checked`] wrap this
@@ -335,19 +347,6 @@ pub fn generate_standard(config: &CoreConfig) -> Netlist {
     generate(&CoreSpec::standard(*config))
 }
 
-/// Design-rule-checked variant of [`generate_standard`]; see
-/// [`generate_checked`].
-///
-/// # Errors
-///
-/// Returns the lint report if any [`lint::Severity::Error`] finding fires.
-pub fn generate_standard_checked(
-    config: &CoreConfig,
-    technology: Technology,
-) -> Result<Netlist, lint::LintReport> {
-    generate_checked(&CoreSpec::standard(*config), technology)
-}
-
 /// A gate-level TP-ISA system: the generated single-cycle core netlist
 /// co-simulated with a software-modeled instruction ROM and data memory,
 /// by the protocol of [`crate::cosim`]. Used to verify the netlist
@@ -556,8 +555,8 @@ mod tests {
         // libraries' drive models.
         for technology in [Technology::Egfet, Technology::CntTft] {
             for config in CoreConfig::design_space() {
-                let netlist =
-                    generate_standard_checked(&config, technology).unwrap_or_else(|report| {
+                let netlist = generate_checked(&CoreSpec::standard(config), technology)
+                    .unwrap_or_else(|report| {
                         panic!("{} ({technology:?}):\n{}", config.name(), report.render_text())
                     });
                 assert_eq!(netlist.name(), config.name());

@@ -48,8 +48,7 @@ pub mod workload;
 pub use bitmachine::LockstepWord;
 pub use config::CoreConfig;
 pub use generator::{
-    generate, generate_checked, generate_linted, generate_standard, generate_standard_checked,
-    GateLevelMachine,
+    generate, generate_checked, generate_linted, generate_standard, GateLevelMachine, LintedCore,
 };
 pub use isa::{AluOp, Encoding, Flags, Instruction, IsaError, Operand};
 pub use sim::{ExecError, Machine, RunSummary, StepOutcome};

@@ -1,10 +1,15 @@
 //! Figure regeneration: the design-space exploration (Figure 7) and the
 //! benchmark-level evaluation (Figure 8).
+//!
+//! [`figure7`] reads its points from the [`crate::design_space`] pass,
+//! which builds and analyzes each core once for Figure 7, the lint
+//! summary and the static report together. [`figure8`] builds its own
+//! systems: each standard core once per call.
 
 use crate::system::{BenchmarkResult, System, SystemError};
 use printed_core::kernels::{self, Kernel, KernelProgram};
-use printed_core::{generate_standard, generate_standard_checked, CoreConfig};
-use printed_netlist::{analysis, Netlist};
+use printed_core::{generate_standard, CoreConfig};
+use printed_netlist::Netlist;
 use printed_pdk::units::{Area, Frequency, Power};
 use printed_pdk::Technology;
 use std::sync::Arc;
@@ -32,30 +37,22 @@ pub struct DesignPoint {
     pub power: Power,
 }
 
-/// Sweeps the full 24-point design space of Figure 7 in one technology.
-/// Every design point is design-rule-checked against the sweep's
-/// technology; a lint error fails the sweep.
+/// The full 24-point design space of Figure 7 in one technology. Every
+/// design point is design-rule-checked against the sweep's technology,
+/// and costed at its STA fmax. The points come from the process's one
+/// [`crate::design_space`] pass.
+///
+/// # Panics
+///
+/// Panics if a design point has a lint error in `technology`.
 pub fn figure7(technology: Technology) -> Vec<DesignPoint> {
     let _span = printed_obs::span!("eval.figure7");
-    let lib = technology.library();
-    CoreConfig::design_space()
-        .into_iter()
-        .map(|config| {
-            let netlist = generate_standard_checked(&config, technology).unwrap_or_else(|report| {
-                panic!("design point fails DRC:\n{}", report.render_text())
-            });
-            let ch = analysis::characterize(&netlist, lib);
-            DesignPoint {
-                name: config.name(),
-                pipeline_stages: config.pipeline_stages,
-                datawidth: config.datawidth,
-                bars: config.bars,
-                gate_count: ch.gate_count,
-                sequential: ch.sequential_count,
-                fmax: ch.fmax,
-                area: ch.area.total,
-                power: ch.power.total(),
-            }
+    crate::design_space::rows(technology)
+        .figure7
+        .iter()
+        .map(|point| match point {
+            Ok(point) => point.clone(),
+            Err(report) => panic!("design point fails DRC:\n{}", report.render_text()),
         })
         .collect()
 }

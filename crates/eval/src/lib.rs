@@ -8,6 +8,8 @@
 //!   benchmark-level measurement (Figure 8, Table 8),
 //! - [`figures`]: the Figure 7 design-space sweep and the Figure 8
 //!   benchmark matrix,
+//! - [`design_space`]: the one design-major pass behind Figure 7, the
+//!   lint summary and the static report,
 //! - [`tables`]: Tables 1–8,
 //! - [`lifetime`]: battery-lifetime curves (Figures 4 and 5),
 //! - [`headline`]: the abstract's improvement ratios,
@@ -31,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cnt;
+pub mod design_space;
 pub mod feasibility;
 pub mod figures;
 pub mod headline;

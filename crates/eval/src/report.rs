@@ -1,4 +1,7 @@
-//! Minimal text-table rendering for experiment output.
+//! Minimal text-table rendering for experiment output: the aligned
+//! [`TextTable`], the Figure 7 and lifetime CSV exports, and the
+//! [`lint_summary`] table, which renders the lint counts of the
+//! [`crate::design_space`] pass.
 
 use printed_pdk::Technology;
 use std::fmt;
@@ -104,40 +107,24 @@ pub fn lifetime_csv(curves: &[crate::lifetime::LifetimeCurve]) -> String {
 /// Design-rule-check summary: every design point of the Figure 7 sweep
 /// plus all four baseline cores, linted against the given technology's
 /// cell library. One row per design with its diagnostic counts — the
-/// evaluation's evidence that everything it costs out is DRC-clean.
+/// evaluation's evidence that everything it costs out is DRC-clean. A
+/// sweep core generation refuses shows its failing counts with no gate
+/// count. The counts come from the process's one
+/// [`crate::design_space`] pass.
 pub fn lint_summary(technology: Technology) -> TextTable {
-    use printed_baselines::BaselineCpu;
-    use printed_core::{generate_linted, CoreConfig, CoreSpec};
-    use printed_netlist::lint;
-
     let _span = printed_obs::span!("eval.lint_summary");
-    let config = lint::LintConfig::default();
     let mut table = TextTable::new(
         format!("Lint summary ({technology:?})"),
         &["design", "gates", "errors", "warnings", "infos"],
     );
-    let push = |table: &mut TextTable, report: &lint::LintReport, gates: usize| {
+    for row in &crate::design_space::rows(technology).lint {
         table.row(vec![
-            report.design.clone(),
-            gates.to_string(),
-            report.count(lint::Severity::Error).to_string(),
-            report.count(lint::Severity::Warn).to_string(),
-            report.count(lint::Severity::Info).to_string(),
+            row.design.clone(),
+            row.gates.to_string(),
+            row.errors.to_string(),
+            row.warnings.to_string(),
+            row.infos.to_string(),
         ]);
-    };
-    for core_config in CoreConfig::design_space() {
-        let (report, gates) = match generate_linted(&CoreSpec::standard(core_config), technology) {
-            Ok((netlist, report)) => (report, netlist.cell_counts().values().sum()),
-            // Generation refuses DRC errors; surface the failing report
-            // with no gate count rather than hiding the design point.
-            Err(report) => (report, 0),
-        };
-        push(&mut table, &report, gates);
-    }
-    for cpu in BaselineCpu::ALL {
-        let inventory = cpu.inventory(technology);
-        let report = inventory.lint(&config);
-        push(&mut table, &report, inventory.gates);
     }
     table
 }

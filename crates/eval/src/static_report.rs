@@ -3,10 +3,15 @@
 //! The Figure 7 sweep and the baseline cores are costed out by
 //! [`printed_netlist::analysis`]; this module is the proof that those
 //! numbers rest on analyzed — not merely simulated — netlists. For every
-//! design point it runs the fixed-point dataflow engine
-//! ([`printed_netlist::dataflow`]), the analysis-backed linter, and the
-//! slack-based STA over one shared connectivity index, then cross-checks
-//! every proved-constant fact against the gate-level simulator.
+//! design point it reports the fixed-point dataflow engine's facts
+//! ([`printed_netlist::dataflow`]), the analysis-backed linter's counts
+//! and the slack-based STA, all over one fixpoint run and its shared
+//! connectivity index, and the verdict of cross-checking every
+//! proved-constant fact against the gate-level simulator.
+//!
+//! [`static_report`] computes none of this itself: its rows come from
+//! the design-major pass of [`crate::design_space`], which also feeds
+//! Figure 7 and the lint summary and runs once per process.
 //!
 //! Output comes in two forms: an aligned [`TextTable`] for the
 //! `reproduce_all` console log, and a hand-rolled JSON artifact
@@ -16,8 +21,6 @@
 //! and exits nonzero on any Error-severity finding — the CI gate.
 
 use crate::report::{eng, TextTable};
-use printed_baselines::BaselineCpu;
-use printed_core::{generate_linted, CoreConfig, CoreSpec};
 use printed_netlist::{analysis, dataflow, lint, Netlist};
 use printed_obs as obs;
 use printed_pdk::Technology;
@@ -45,9 +48,6 @@ pub struct StaticRow {
     pub warnings: usize,
     /// STA maximum frequency in hertz.
     pub fmax_hz: f64,
-    /// [`analysis::characterize`] fmax in hertz — must equal `fmax_hz`
-    /// bit-for-bit (the STA refactor's invariant).
-    pub characterize_fmax_hz: f64,
     /// Worst endpoint slack in seconds (zero for a self-constrained
     /// report).
     pub worst_slack_s: f64,
@@ -84,75 +84,64 @@ impl StaticReport {
 /// cycle to surface, and the sweep runs 28 designs per technology.
 pub const CROSSCHECK_CYCLES: u64 = 4;
 
-/// Analyzes one design with a single dataflow fixpoint run shared by
-/// lint and STA. `generated` is the lint report generation already
-/// produced for this netlist, if any; otherwise lint runs over the facts.
-fn analyze_design(
-    netlist: &Netlist,
-    technology: Technology,
-    generated: Option<lint::LintReport>,
-) -> StaticRow {
-    let lib = technology.library();
-    let facts = dataflow::analyze(netlist);
-    let lint_report = generated.unwrap_or_else(|| {
-        lint::lint_with_facts(netlist, lib, &lint::LintConfig::default(), &facts)
-    });
-    let sta = analysis::sta_with_fanout(netlist, lib, facts.fanout(), analysis::DEFAULT_TOP_PATHS);
-    let ch = analysis::characterize(netlist, lib);
-    StaticRow {
-        design: netlist.name().to_string(),
-        gates: netlist.gate_count(),
-        constants: facts.constant_count(),
-        x_nets: facts.x_count(),
-        trapped: facts.trapped_state().len(),
-        dead: facts.dead_gates(netlist).len(),
-        rounds: facts.rounds(),
-        errors: lint_report.count(lint::Severity::Error),
-        warnings: lint_report.count(lint::Severity::Warn),
-        fmax_hz: sta.fmax().as_hertz(),
-        characterize_fmax_hz: ch.fmax.as_hertz(),
-        worst_slack_s: sta.worst_slack().as_secs(),
-        critical_endpoint: sta
-            .paths
-            .first()
-            .map_or_else(|| "-".to_string(), |p| p.endpoint.clone()),
-        crosscheck_error: dataflow::crosscheck(netlist, &facts, CROSSCHECK_CYCLES).err(),
+impl StaticRow {
+    /// The row of one analyzed design: `facts` is its dataflow fixpoint,
+    /// `lint_report` the lint over those facts, `sta` the timing over
+    /// their connectivity index.
+    pub(crate) fn new(
+        netlist: &Netlist,
+        facts: &dataflow::DataflowFacts,
+        lint_report: &lint::LintReport,
+        sta: &analysis::StaReport,
+        crosscheck_error: Option<String>,
+    ) -> Self {
+        StaticRow {
+            design: netlist.name().to_string(),
+            gates: netlist.gate_count(),
+            constants: facts.constant_count(),
+            x_nets: facts.x_count(),
+            trapped: facts.trapped_state().len(),
+            dead: facts.dead_gates(netlist).len(),
+            rounds: facts.rounds(),
+            errors: lint_report.count(lint::Severity::Error),
+            warnings: lint_report.count(lint::Severity::Warn),
+            fmax_hz: sta.fmax().as_hertz(),
+            worst_slack_s: sta.worst_slack().as_secs(),
+            critical_endpoint: sta
+                .paths
+                .first()
+                .map_or_else(|| "-".to_string(), |p| p.endpoint.clone()),
+            crosscheck_error,
+        }
+    }
+
+    /// The all-error row of a design generation refuses: the failure is
+    /// surfaced rather than the design point hidden.
+    pub(crate) fn drc_failed(lint_report: &lint::LintReport) -> Self {
+        StaticRow {
+            design: lint_report.design.clone(),
+            gates: 0,
+            constants: 0,
+            x_nets: 0,
+            trapped: 0,
+            dead: 0,
+            rounds: 0,
+            errors: lint_report.count(lint::Severity::Error),
+            warnings: lint_report.count(lint::Severity::Warn),
+            fmax_hz: 0.0,
+            worst_slack_s: 0.0,
+            critical_endpoint: "-".to_string(),
+            crosscheck_error: None,
+        }
     }
 }
 
-/// Runs the static-analysis sweep: every Figure 7 design point plus the
-/// four baseline cores, analyzed against `technology`'s cell library.
+/// The static-analysis sweep: every Figure 7 design point plus the four
+/// baseline cores, analyzed against `technology`'s cell library. The
+/// rows are read from the process's one [`crate::design_space`] pass.
 pub fn static_report(technology: Technology) -> StaticReport {
     let _span = printed_obs::span!("eval.static_report");
-    let mut rows = Vec::new();
-    for config in CoreConfig::design_space() {
-        match generate_linted(&CoreSpec::standard(config), technology) {
-            Ok((netlist, report)) => rows.push(analyze_design(&netlist, technology, Some(report))),
-            // Generation refuses DRC errors; surface the failure as an
-            // all-error row rather than hiding the design point.
-            Err(report) => rows.push(StaticRow {
-                design: report.design.clone(),
-                gates: 0,
-                constants: 0,
-                x_nets: 0,
-                trapped: 0,
-                dead: 0,
-                rounds: 0,
-                errors: report.count(lint::Severity::Error),
-                warnings: report.count(lint::Severity::Warn),
-                fmax_hz: 0.0,
-                characterize_fmax_hz: 0.0,
-                worst_slack_s: 0.0,
-                critical_endpoint: "-".to_string(),
-                crosscheck_error: None,
-            }),
-        }
-    }
-    for cpu in BaselineCpu::ALL {
-        let netlist = cpu.inventory(technology).representative_netlist();
-        rows.push(analyze_design(&netlist, technology, None));
-    }
-    StaticReport { technology, rows }
+    StaticReport { technology, rows: crate::design_space::rows(technology).static_rows.clone() }
 }
 
 /// Renders the report as an aligned text table.
@@ -239,7 +228,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn static_report_covers_every_design_with_zero_errors_and_identical_fmax() {
+    fn static_report_covers_every_design_with_zero_errors() {
         for technology in [Technology::Egfet, Technology::CntTft] {
             let report = static_report(technology);
             // 24 sweep points + 4 baselines.
@@ -247,14 +236,6 @@ mod tests {
             assert_eq!(report.total_errors(), 0, "{technology:?} has Error findings");
             assert_eq!(report.crosscheck_failures(), 0);
             for row in &report.rows {
-                // The STA refactor's invariant: characterize's fmax is
-                // bit-for-bit the STA fmax for every design point.
-                assert_eq!(
-                    row.fmax_hz.to_bits(),
-                    row.characterize_fmax_hz.to_bits(),
-                    "fmax drifted for {} ({technology:?})",
-                    row.design
-                );
                 assert!(row.gates > 0, "{} generated no gates", row.design);
                 assert_eq!(
                     row.worst_slack_s, 0.0,
@@ -274,6 +255,41 @@ mod tests {
             let rendered = table.to_string();
             assert!(rendered.contains("light8080"));
             assert!(rendered.contains("p1_8_2"));
+        }
+    }
+
+    /// The STA refactor's invariant, which lets the design-space pass
+    /// price Figure 7 from the STA alone: `analysis::timing` (what
+    /// `characterize` reads) and `sta_with_fanout` give bit-identical
+    /// fmax on every sweep core and baseline in both technologies.
+    #[test]
+    fn timing_fmax_is_the_sta_fmax_on_every_design() {
+        use printed_baselines::BaselineCpu;
+        use printed_core::{generate_standard, CoreConfig};
+        let cores: Vec<Netlist> =
+            CoreConfig::design_space().iter().map(generate_standard).collect();
+        for technology in Technology::ALL {
+            let lib = technology.library();
+            let baselines: Vec<Netlist> = BaselineCpu::ALL
+                .iter()
+                .map(|cpu| cpu.inventory(technology).representative_netlist())
+                .collect();
+            assert_eq!(cores.len() + baselines.len(), 28);
+            for netlist in cores.iter().chain(&baselines) {
+                let facts = dataflow::analyze(netlist);
+                let sta = analysis::sta_with_fanout(
+                    netlist,
+                    lib,
+                    facts.fanout(),
+                    analysis::DEFAULT_TOP_PATHS,
+                );
+                assert_eq!(
+                    analysis::timing(netlist, lib).fmax().as_hertz().to_bits(),
+                    sta.fmax().as_hertz().to_bits(),
+                    "fmax drifted for {} ({technology:?})",
+                    netlist.name()
+                );
+            }
         }
     }
 
