@@ -37,12 +37,20 @@ echo "==> differential lockstep gate (nonzero exit on divergence) and the scalar
 cargo test --release --quiet --test lockstep_props
 cargo test --release --quiet -p printed-core --test campaign_props
 
-echo "==> reproduce_all: ISS-vs-gate-level diff summary and static report validated through the in-tree JSON parser"
+echo "==> reproduce_all: ISS-vs-gate-level diff summary and static report validated through the in-tree JSON parser, and a clean manifest"
 diff_out="$csv_dir/diff_summary.json"
+reproduce_manifest="$csv_dir/reproduce_manifest.json"
 PRINTED_DIFF_OUT="$diff_out" PRINTED_STATIC_OUT="$csv_dir/reproduce_static.json" \
-    PRINTED_MANIFEST_OUT="$csv_dir/reproduce_manifest.json" \
+    PRINTED_MANIFEST_OUT="$reproduce_manifest" \
     cargo run --release --example reproduce_all >/dev/null
 cargo run --release --example validate_artifacts -- "$diff_out" "$csv_dir/reproduce_static.json"
+python3 - "$reproduce_manifest" <<'PY'
+import json, sys
+manifest = json.load(open(sys.argv[1]))
+status, failed = manifest.get("status"), manifest.get("failed_stages")
+if status != "ok" or failed != 0:
+    sys.exit(f"reproduce_all manifest is not clean: status {status!r}, failed_stages {failed!r}")
+PY
 
 echo "==> resilience: interrupt-resume + pipeline degradation tests (threads 1 and 4)"
 cargo test --release --quiet --test resume_campaign --test pipeline_smoke

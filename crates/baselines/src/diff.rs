@@ -14,10 +14,10 @@
 //! and both sides' [`ArchState`] at the divergence. Its rendering prints
 //! each side's pc, registers, flags, cycles, instructions and halt state,
 //! so the text alone explains the divergence. A side that *errors*
-//! mid-compare (e.g. a gate-level simulator reporting an unsettled net or
-//! a tripped cycle-limit watchdog) is reported the same way, with the
-//! failing side's current cycle and both states in the report instead of
-//! a bare error string.
+//! mid-compare (e.g. a gate-level simulator reporting an unsettled net)
+//! is reported the same way, with the failing side's current cycle and
+//! both states in the report instead of a bare error string. A run is
+//! bounded by [`LockstepOptions::max_steps`] alone.
 //!
 //! The built-in [`I8080Side`] and [`Z80Side`] exercise the 8080 ⊂ Z80
 //! subset relation: the same program image runs on both machines, and
@@ -63,9 +63,7 @@ pub struct ArchState {
 }
 
 /// A simulation failure inside one side's `step` — e.g. a gate-level
-/// netlist that oscillates ([`printed_netlist::NetlistError::Unsettled`])
-/// or trips its cycle-limit watchdog
-/// ([`printed_netlist::NetlistError::DeadlineExceeded`]).
+/// netlist that oscillates ([`printed_netlist::NetlistError::Unsettled`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SideError {
     /// Human-readable description of the failure.
@@ -143,9 +141,9 @@ pub enum Divergence {
         /// Whether side B halted.
         b: bool,
     },
-    /// One side's simulation failed mid-compare (oscillation, tripped
-    /// watchdog, …). Carries the failing side's cycle so an abort is
-    /// placed in time even when no state compare ran.
+    /// One side's simulation failed mid-compare (oscillation, …).
+    /// Carries the failing side's cycle so an abort is placed in time
+    /// even when no state compare ran.
     SimError {
         /// Which side failed.
         side: &'static str,

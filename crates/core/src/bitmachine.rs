@@ -45,8 +45,8 @@
 //! - a lane that oscillates (the bitsliced analogue of
 //!   [`printed_netlist::NetlistError::Unsettled`]) becomes
 //!   [`LaneOutcome::Wedged`];
-//! - a watchdog trip ends the word: retired lanes keep their
-//!   observations, live lanes become [`LaneOutcome::TimedOut`].
+//! - a lane still live when the cycle budget runs out reports its state
+//!   as-is, not completed — the scalar machine's budget path.
 
 use crate::config::CoreConfig;
 use crate::cosim::{self, PortMap};
@@ -194,7 +194,7 @@ impl<'a> BitMachine<'a> {
     /// One clock cycle of every lane, in the phases of [`crate::cosim`],
     /// each rule run once per value class. Lanes outside `live` (halted
     /// or retired) see zero instruction and read data and write nothing.
-    fn cycle(&mut self) -> Result<(), NetlistError> {
+    fn cycle(&mut self) {
         let live = self.sim.occupied() & !self.halted;
         let ports = self.ports;
         let mut pc = [0u64; LANES];
@@ -216,7 +216,7 @@ impl<'a> BitMachine<'a> {
         self.sim.read_bus_words(ports.we, &mut we);
         self.sim.read_bus_words(ports.wdata, &mut wdata);
         self.sim.read_bus_words(ports.wb_addr, &mut wb_addr);
-        self.sim.step()?;
+        self.sim.step();
         let mut writing = 0;
         for_each_value(&we[..ports.we.len()], live, |value, class| {
             if cosim::writes(value) {
@@ -242,7 +242,6 @@ impl<'a> BitMachine<'a> {
         let moved =
             pc.iter().zip(&after).fold(0, |moved, (before, after)| moved | (before ^ after));
         self.halted |= live & !moved;
-        Ok(())
     }
 
     /// One lane's dmem word `addr`, `None` past its program's memory.
@@ -268,9 +267,9 @@ impl<'a> BitMachine<'a> {
         Observation { signature, completed, cycles, detected }
     }
 
-    /// Runs every lane to its own halt (or the shared budget/watchdog)
-    /// and returns per-lane outcomes in lane order.
-    pub(crate) fn observe(mut self, cycle_budget: u64) -> Result<Vec<LaneOutcome>, NetlistError> {
+    /// Runs every lane to its own halt (or the shared budget) and
+    /// returns per-lane outcomes in lane order.
+    pub(crate) fn observe(mut self, cycle_budget: u64) -> Vec<LaneOutcome> {
         let lanes = self.sim.lane_count();
         let occupied = self.sim.occupied();
         let mut outcomes: Vec<Option<LaneOutcome>> = vec![None; lanes];
@@ -279,23 +278,7 @@ impl<'a> BitMachine<'a> {
         // Lanes still running: occupied, not halted, not wedged.
         let mut active = occupied;
         while active != 0 && cycles < cycle_budget {
-            match self.cycle() {
-                Ok(()) => {}
-                Err(NetlistError::DeadlineExceeded { .. }) => {
-                    // The word hit the watchdog: retired lanes keep
-                    // their observations, wedged lanes report as such,
-                    // everything still live timed out together.
-                    let wedged = self.sim.dead_lanes() & active;
-                    for (lane, outcome) in outcomes.iter_mut().enumerate() {
-                        if wedged >> lane & 1 == 1 {
-                            *outcome = Some(LaneOutcome::Wedged);
-                        }
-                    }
-                    active = 0;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
+            self.cycle();
             cycles += 1;
             if let Some(nets) = self.ports.detect {
                 detected |= self.sim.read_bus_any(nets) & active;
@@ -323,7 +306,8 @@ impl<'a> BitMachine<'a> {
                 *outcome = Some(LaneOutcome::Done(self.capture(lane, false, cycles, detected)));
             }
         }
-        Ok(outcomes.into_iter().map(|o| o.unwrap_or(LaneOutcome::TimedOut)).collect())
+        // Every occupied lane ended one of the three ways above.
+        outcomes.into_iter().flatten().collect()
     }
 }
 
@@ -351,7 +335,7 @@ impl<'a> BitMachine<'a> {
 /// ];
 /// let mut word = LockstepWord::new(&netlist, config, &programs).map_err(|e| e.to_string())?;
 /// while word.halted() != word.lanes() {
-///     word.step().map_err(|e| e.to_string())?;
+///     word.step();
 /// }
 /// for (lane, program) in programs.iter().enumerate() {
 ///     let (base, len) = program.result;
@@ -433,13 +417,11 @@ impl<'a> LockstepWord<'a> {
 
     /// Clocks every lane once; the lanes that are neither halted nor
     /// retired fetch, read and write back, as one
-    /// [`crate::generator::GateLevelMachine::step`] each.
-    ///
-    /// # Errors
-    ///
-    /// The failure of the simulator's clock edge.
-    pub fn step(&mut self) -> Result<(), NetlistError> {
-        self.machine.cycle()
+    /// [`crate::generator::GateLevelMachine::step`] each. A lane whose
+    /// logic oscillates shows in [`LockstepWord::dead`] instead of
+    /// failing the word.
+    pub fn step(&mut self) {
+        self.machine.cycle();
     }
 
     /// Stops `lanes` fetching, reading and writing from the next step
@@ -518,7 +500,7 @@ mod tests {
         }
         machine.halted = 0b10;
         for _ in 0..6 {
-            machine.cycle().unwrap();
+            machine.cycle();
         }
         let word = |addr: usize, lane| {
             let width = machine.ports.width;
@@ -553,7 +535,7 @@ mod tests {
         let programs = [program(8), program(16), program(8), program(16)];
         let mut word = LockstepWord::new(&netlist, config, &programs).unwrap();
         while word.halted() != word.lanes() {
-            word.step().unwrap();
+            word.step();
         }
         let stored = |lane| lane_value(word.machine.dmem[10 * 8..11 * 8].iter().copied(), lane);
         for lane in [0, 2] {

@@ -387,7 +387,11 @@ impl Encoding {
             return Err(IsaError::BarOutOfRange { bar: op.bar, bars: self.bars });
         }
         let offset_bits = self.offset_bits();
-        if offset_bits < 8 && op.offset >> offset_bits != 0 {
+        if offset_bits == 8 {
+            // One BAR: the whole byte is offset, as `decode_operand` reads it.
+            return Ok(op.offset);
+        }
+        if op.offset >> offset_bits != 0 {
             return Err(IsaError::OffsetTooLarge { offset: op.offset, bits: offset_bits });
         }
         Ok(op.bar << offset_bits | op.offset)

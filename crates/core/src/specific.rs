@@ -373,8 +373,11 @@ impl NarrowEncoding {
                 (0x8, 1, 0, 0, 0, self.encode_operand(dst, layout.op1_bits)?, imm)
             }
             Instruction::SetBar { bar, imm } => {
-                // A core without printed BARs ignores SET-BAR.
-                if self.spec.bars > 1 && bar >= self.spec.bars {
+                // A program-specific core that pruned every BAR has no
+                // BAR register (`bar_bits == 0`) and ignores SET-BAR;
+                // any other spec, the standard 1-BAR one included, must
+                // name one of its BARs, as the standard format does.
+                if self.spec.bar_bits > 0 && bar >= self.spec.bars {
                     return Err(IsaError::BarOutOfRange { bar, bars: self.spec.bars });
                 }
                 let (bar, imm) = (bar as u64, imm as u64);
@@ -500,6 +503,20 @@ mod tests {
         for &w in &words {
             assert_eq!(w >> spec.instruction_bits(), 0, "word fits the narrow format");
         }
+    }
+
+    #[test]
+    fn set_bar_encodes_only_where_it_names_a_bar_or_no_bar_is_printed() {
+        let set_bar = Instruction::SetBar { bar: 1, imm: 0x10 };
+        let prog = vec![set_bar, Instruction::Store { dst: Operand::direct(0), imm: 1 }];
+        let pruned = CoreSpec::program_specific(CoreConfig::new(1, 8, 2), &prog, "setbar");
+        assert_eq!((pruned.bars, pruned.bar_bits), (1, 0), "no operand uses a BAR");
+        assert!(NarrowEncoding::new(pruned).encode_program(&prog).is_ok());
+        let standard = CoreSpec::standard(CoreConfig::new(1, 8, 1));
+        assert_eq!(
+            NarrowEncoding::new(standard).encode(set_bar),
+            Err(IsaError::BarOutOfRange { bar: 1, bars: 1 })
+        );
     }
 
     #[test]

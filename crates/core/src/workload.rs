@@ -151,7 +151,7 @@ impl Workload for ProgramWorkload {
     ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
         let program =
             LaneProgram { lanes: u64::MAX, rom: self.program.clone(), dmem_words: self.dmem_words };
-        let outcomes = BitMachine::new(sim, &self.spec, vec![program]).and_then(|mut machine| {
+        let outcomes = BitMachine::new(sim, &self.spec, vec![program]).map(|mut machine| {
             for &(addr, value) in &self.inputs {
                 machine.write_dmem(u64::MAX, addr, value);
             }
@@ -170,8 +170,7 @@ mod tests {
         classify_fault, run_campaign, run_campaign_with_threads, CampaignConfig, Fault, FaultKind,
         Outcome, ScalarOnly, StuckAtSpace,
     };
-    use printed_netlist::resilience::{run_supervised_campaign_with_threads, ResilienceConfig};
-    use printed_netlist::{tmr, GateId, TmrOptions};
+    use printed_netlist::{tmr, GateId};
 
     #[test]
     fn smoke_program_encodes_on_every_single_cycle_design_point() {
@@ -293,22 +292,16 @@ mod tests {
             assert_eq!(bits.to_csv(), scalar.to_csv(), "byte-identical CSV at {threads} threads");
         }
 
-        // A watchdog just past the golden halt times out the faulty lanes
-        // still running while the golden lane retires, so bitsliced words
-        // report TimedOut lanes: both engines must call them hangs.
+        // A budget just past the golden halt stops the faulty lanes still
+        // running when the golden lane retires: bitsliced words report
+        // them uncompleted, and both engines must call them hangs.
         let golden = w.run(Simulator::new(&nl), campaign.cycle_budget).unwrap().cycles;
-        let watchdog =
-            ResilienceConfig { watchdog_cycles: Some(golden + 2), ..ResilienceConfig::default() };
-        let supervised = |workload: &dyn Workload| {
-            run_supervised_campaign_with_threads(&nl, workload, &campaign, &watchdog, 1)
-                .unwrap()
-                .into_complete()
-                .expect("no abort hook")
-        };
-        let (scalar_wd, bits_wd) = (supervised(&ScalarOnly(&w)), supervised(&w));
-        assert!(bits_wd.stats.timeouts > 0, "the watchdog must trip on some faulty lanes");
-        assert_eq!(bits_wd.stats.timeouts, scalar_wd.stats.timeouts);
-        assert_eq!(bits_wd.result.to_csv(), scalar_wd.result.to_csv());
+        let tight = CampaignConfig { cycle_budget: golden + 2, ..campaign };
+        let scalar_tight = run_campaign_with_threads(&nl, &ScalarOnly(&w), &tight, 1).unwrap();
+        let bits_tight = run_campaign_with_threads(&nl, &w, &tight, 1).unwrap();
+        assert!(bits_tight.counts().hang > 0, "the budget must stop some faulty lanes");
+        assert_eq!(bits_tight, scalar_tight, "the same verdict for every fault");
+        assert_eq!(bits_tight.to_csv(), scalar_tight.to_csv());
 
         // The fault_injection example's campaign: every stuck-at of
         // p1_4_2 plus 32 SEUs at the default seed, on both engines at 1
@@ -328,7 +321,7 @@ mod tests {
     fn tmr_core_masks_an_seu_that_corrupts_the_plain_core() {
         let config = CoreConfig::new(1, 4, 2);
         let nl = generate_standard(&config);
-        let hardened = tmr(&nl, TmrOptions::default()).unwrap();
+        let hardened = tmr(&nl).unwrap();
         let w = ProgramWorkload::smoke(config);
         // Find an SEU that visibly corrupts the plain core: flip each
         // architectural register at cycle 2 until one produces SDC.

@@ -20,7 +20,7 @@ mod programs;
 use printed_core::workload::ProgramWorkload;
 use printed_core::{generate, generate_standard, CoreConfig, CoreSpec, Instruction};
 use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, ScalarOnly, StuckAtSpace};
-use printed_netlist::{tmr, Netlist, TmrOptions};
+use printed_netlist::{tmr, Netlist};
 use programs::{forward_only, instruction, program};
 use proptest::prelude::*;
 
@@ -51,7 +51,7 @@ fn core(kind: Core, width: usize, program: &[Instruction]) -> Option<(Netlist, P
             Some((netlist, ProgramWorkload::for_spec(spec, program, DMEM_WORDS).ok()?))
         }
         Core::Tmr => {
-            let hardened = tmr(&generate_standard(&config), TmrOptions::default()).ok()?;
+            let hardened = tmr(&generate_standard(&config)).ok()?;
             Some((hardened, ProgramWorkload::new(config, program, DMEM_WORDS).ok()?))
         }
     }

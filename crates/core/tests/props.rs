@@ -234,7 +234,13 @@ proptest! {
 
     #[test]
     fn the_standard_spec_encodes_like_the_standard_encoding(
-        config in prop::sample::select(CoreConfig::design_space()),
+        // The design space plus its 1-BAR points, which print no BAR.
+        config in prop::sample::select(
+            CoreConfig::design_space()
+                .into_iter()
+                .flat_map(|c| [c, CoreConfig::new(c.pipeline_stages, c.datawidth, 1)])
+                .collect::<Vec<_>>()
+        ),
         insts in prop::collection::vec(any_instruction(), 1..32),
     ) {
         // The ROM encoder the co-simulating machines use is the narrow

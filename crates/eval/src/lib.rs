@@ -25,9 +25,9 @@
 //!   CPI attribution (see DESIGN.md "Observability"),
 //! - [`regression`]: the `BENCH_history.jsonl` perf ledger's
 //!   regression gate and its `printed-regression/v1` verdict,
-//! - [`pipeline`]: supervised stage execution — panic isolation,
-//!   retries, per-stage deadlines, and the `manifest.json`
-//!   completeness record (see DESIGN.md "Resilience").
+//! - [`pipeline`]: supervised stage execution — panic isolation, one
+//!   retry, and the `manifest.json` completeness record (see DESIGN.md
+//!   "Resilience").
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,6 +50,6 @@ pub mod system;
 pub mod tables;
 
 pub use figures::{figure7, figure8, DesignPoint, Figure8Cell};
-pub use pipeline::{render_manifest, Pipeline, PipelineOptions, StageRecord, StageStatus};
+pub use pipeline::{render_manifest, Pipeline, StageRecord, StageStatus};
 pub use robustness::{RobustnessOptions, RobustnessRow, TmrComparison};
 pub use system::{BenchmarkResult, Breakdown, CoreFlavor, System};

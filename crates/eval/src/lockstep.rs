@@ -37,11 +37,10 @@
 //! [`printed_core::cosim`] and encode ROMs with [`NarrowEncoding`].
 //!
 //! A gate-level simulation failure mid-compare — an oscillating netlist
-//! ([`printed_netlist::NetlistError::Unsettled`]) or a tripped
-//! cycle-limit watchdog
-//! ([`printed_netlist::NetlistError::DeadlineExceeded`]) — is reported
-//! as a [`printed_baselines::diff::Divergence::SimError`] carrying the
-//! gate-level machine's current cycle. Like every divergence, the report
+//! ([`printed_netlist::NetlistError::Unsettled`]) — is reported as a
+//! [`printed_baselines::diff::Divergence::SimError`] carrying the
+//! gate-level machine's current cycle. Runs are bounded by
+//! [`LockstepOptions::max_steps`], not by a simulator deadline. Like every divergence, the report
 //! carries both sides' architectural state at the abort, and its
 //! rendering is the row's `divergence` text in the summary artifact.
 //!
@@ -176,11 +175,6 @@ impl<'a> GateSide<'a> {
         Ok(GateSide { machine, listing: program.instructions.clone() })
     }
 
-    /// The wrapped machine (e.g. to arm the cycle-limit watchdog).
-    pub fn machine_mut(&mut self) -> &mut GateLevelMachine<'a> {
-        &mut self.machine
-    }
-
     /// The wrapped machine.
     pub fn machine(&self) -> &GateLevelMachine<'a> {
         &self.machine
@@ -215,8 +209,8 @@ impl LockstepSide for GateSide<'_> {
 
     fn step(&mut self) -> Result<(), SideError> {
         // Simulation failures carry the current gate-level cycle so an
-        // Unsettled/DeadlineExceeded abort is placed in time even though
-        // no state compare runs for the failed step.
+        // Unsettled abort is placed in time even though no state compare
+        // runs for the failed step.
         let cycle = self.machine.stats().cycles;
         self.machine.step().map_err(|e| SideError { message: e.to_string(), cycle })
     }
@@ -427,9 +421,7 @@ fn diff_word(
                 }
             }
             word.retire(failed);
-            if word.step().is_err() {
-                failed = live;
-            }
+            word.step();
             steps += 1;
             failed |= word.dead() & live;
             // A word either side wrote must read back equal on both.
@@ -695,15 +687,46 @@ mod tests {
         }
     }
 
-    /// ISS vs gate level on mult8 with the gate side's watchdog armed
-    /// at cycle 5, far below the kernel's runtime.
-    fn watchdog_report() -> Box<DivergenceReport> {
+    /// A gate side whose simulation fails once it has clocked 5 cycles,
+    /// as an oscillating netlist's would.
+    struct FailsAtCycle5<'a>(GateSide<'a>);
+
+    const SIM_FAILURE: &str = "combinational logic failed to settle";
+
+    impl LockstepSide for FailsAtCycle5<'_> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn state(&self) -> ArchState {
+            self.0.state()
+        }
+
+        fn mem_digest(&self) -> u64 {
+            self.0.mem_digest()
+        }
+
+        fn disasm_at_pc(&self) -> String {
+            self.0.disasm_at_pc()
+        }
+
+        fn step(&mut self) -> Result<(), SideError> {
+            let cycle = self.0.state().cycles;
+            if cycle == 5 {
+                return Err(SideError { message: SIM_FAILURE.to_string(), cycle });
+            }
+            self.0.step()
+        }
+    }
+
+    /// ISS vs gate level on mult8 with the gate side failing at cycle
+    /// 5, far below the kernel's runtime.
+    fn sim_error_report() -> Box<DivergenceReport> {
         let config = CoreConfig::new(1, 8, 2);
         let program = kernels::generate(Kernel::Mult, 8, 8).unwrap();
         let netlist = generate_standard(&config);
         let mut iss = IssSide::new(&program, config);
-        let mut gate = GateSide::new(&netlist, &program, config).unwrap();
-        gate.machine_mut().set_cycle_limit(Some(5));
+        let mut gate = FailsAtCycle5(GateSide::new(&netlist, &program, config).unwrap());
         let report = run_lockstep(&mut iss, &mut gate, &LockstepOptions::default()).unwrap_err();
         assert_eq!(report.state_a, iss.state());
         assert_eq!(report.state_b, gate.state());
@@ -711,14 +734,13 @@ mod tests {
     }
 
     #[test]
-    fn a_tripped_watchdog_reports_the_cycle_and_reports_both_states() {
-        // The gate side aborts with DeadlineExceeded mid-compare.
-        let report = watchdog_report();
+    fn a_simulation_failure_reports_the_cycle_and_reports_both_states() {
+        let report = sim_error_report();
         match &report.divergence {
             printed_baselines::diff::Divergence::SimError { side, message, cycle } => {
                 assert_eq!(*side, "gate-level");
-                assert!(message.contains("deadline") || message.contains("cycle"), "{message}");
-                assert_eq!(*cycle, 5, "abort is placed at the watchdog deadline");
+                assert_eq!(message, SIM_FAILURE);
+                assert_eq!(*cycle, 5, "abort is placed at the failing cycle");
             }
             other => panic!("expected SimError, got {other:?}"),
         }
@@ -736,7 +758,7 @@ mod tests {
 
     #[test]
     fn a_diverged_row_round_trips_through_the_summary_artifact() {
-        let report = watchdog_report();
+        let report = sim_error_report();
         let divergence = report.to_string();
         assert!(divergence.lines().count() > 1, "the report spans several lines");
         let rows = vec![DiffRow {

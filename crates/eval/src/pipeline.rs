@@ -5,22 +5,21 @@
 //! [`Pipeline`] wraps each stage in the eval-side counterpart of
 //! [`printed_netlist::resilience`]:
 //!
-//! - **panic isolation + bounded retry** — a stage that panics is
-//!   retried up to [`PipelineOptions::max_retries`] times (through
-//!   [`printed_netlist::resilience::retry_panics`]); a stage that
-//!   keeps panicking is recorded as [`StageStatus::Failed`] and the
-//!   pipeline moves on (graceful degradation), so the remaining stages
-//!   still produce their artifacts;
-//! - **wall-clock deadlines** — a stage that finishes but blew through
-//!   [`PipelineOptions::stage_deadline`] is marked
-//!   [`StageStatus::Degraded`] and counted in `resilience.timeouts`;
+//! - **panic isolation + one retry** — a stage that panics is retried
+//!   once (through [`printed_netlist::resilience::retry_panics`]); a
+//!   stage that panics twice is recorded as [`StageStatus::Failed`] and
+//!   the pipeline moves on (graceful degradation), so the remaining
+//!   stages still produce their artifacts;
 //! - **typed errors** — [`Pipeline::run_stage_result`] records an `Err`
 //!   as a failed stage with the error message in the manifest instead
 //!   of unwrapping it;
 //! - **a completeness manifest** — [`Pipeline::manifest_json`] renders
 //!   per-stage status/attempts/wall-time (validated against the obs
 //!   JSON grammar) and [`Pipeline::write_manifest`] persists it as
-//!   `manifest.json`, the artifact CI checks for `failed` stages.
+//!   `manifest.json`, the artifact CI checks for `failed` stages. A
+//!   stage has no deadline, so the pipeline's manifest always reports
+//!   `"timeouts":0`; the print shop fills that field with its job
+//!   deadline failures.
 //!
 //! Each stage still runs under [`crate::perf_report::stage`], so spans
 //! and peak-RSS gauges keep working exactly as before.
@@ -34,22 +33,24 @@ use printed_netlist::resilience::retry_panics;
 use printed_obs as obs;
 use std::fmt;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Retries after a panicking stage attempt: a stage runs at most twice.
+const STAGE_RETRIES: u32 = 1;
 
 /// How one pipeline stage ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageStatus {
-    /// Completed on the first attempt within its deadline.
+    /// Completed on the first attempt.
     Ok,
-    /// Completed, but only after retries or past its deadline — the
-    /// result is usable, the run was not clean.
+    /// Completed, but only after a retry — the result is usable, the
+    /// run was not clean.
     Degraded,
     /// Did not complete: panicked on every attempt or returned a typed
     /// error.
     Failed,
-    /// Never ran because an earlier stage failed and the pipeline was
-    /// configured to stop ([`PipelineOptions::continue_on_failure`] =
-    /// false).
+    /// Never ran: the print shop records a job it drained before
+    /// starting as skipped.
     Skipped,
 }
 
@@ -86,36 +87,12 @@ pub struct StageRecord {
     pub error: Option<String>,
 }
 
-/// Pipeline-level resilience knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineOptions {
-    /// Retries after a panicking stage attempt (attempts =
-    /// `max_retries + 1`).
-    pub max_retries: u32,
-    /// Wall-clock deadline per stage; exceeding it degrades the stage
-    /// (the result is kept — eval stages are pure functions whose
-    /// output is still valid late). `None` disables the check.
-    pub stage_deadline: Option<Duration>,
-    /// Keep running stages after one fails (the default). When false,
-    /// later stages are recorded as [`StageStatus::Skipped`].
-    pub continue_on_failure: bool,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions { max_retries: 1, stage_deadline: None, continue_on_failure: true }
-    }
-}
-
 /// A supervised stage runner accumulating the completeness manifest.
 #[derive(Debug)]
 pub struct Pipeline {
     name: String,
-    options: PipelineOptions,
     stages: Vec<StageRecord>,
     retries: u64,
-    timeouts: u64,
-    halted: bool,
     fail_stage: Option<String>,
 }
 
@@ -123,26 +100,18 @@ impl Pipeline {
     /// A new pipeline named `name` (the manifest's `pipeline` field).
     /// Reads the `PRINTED_FAIL_STAGE` failure-injection hook from the
     /// environment once, here.
-    pub fn new(name: impl Into<String>, options: PipelineOptions) -> Self {
+    pub fn new(name: impl Into<String>) -> Self {
         let fail_stage = std::env::var("PRINTED_FAIL_STAGE")
             .ok()
             .map(|v| v.trim().to_string())
             .filter(|v| !v.is_empty());
-        Pipeline {
-            name: name.into(),
-            options,
-            stages: Vec::new(),
-            retries: 0,
-            timeouts: 0,
-            halted: false,
-            fail_stage,
-        }
+        Pipeline { name: name.into(), stages: Vec::new(), retries: 0, fail_stage }
     }
 
     /// Runs one stage under supervision and returns its value, or
-    /// `None` if the stage failed (or was skipped after an earlier
-    /// failure). The closure runs under the stage's observability span
-    /// exactly as [`crate::perf_report::stage`] always did.
+    /// `None` if the stage failed. The closure runs under the stage's
+    /// observability span exactly as [`crate::perf_report::stage`]
+    /// always did.
     pub fn run_stage<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> Option<T> {
         self.run_stage_result(name, move || Ok::<T, Unreachable>(f()))
     }
@@ -156,21 +125,11 @@ impl Pipeline {
         name: &str,
         mut f: impl FnMut() -> Result<T, E>,
     ) -> Option<T> {
-        if self.halted {
-            self.stages.push(StageRecord {
-                name: name.to_string(),
-                status: StageStatus::Skipped,
-                attempts: 0,
-                wall_ms: 0,
-                error: None,
-            });
-            return None;
-        }
         let forced = self.fail_stage.as_deref() == Some(name);
         let started = Instant::now();
         let mut last_error = String::new();
         let run = retry_panics(
-            self.options.max_retries,
+            STAGE_RETRIES,
             |_, message| last_error = message.to_string(),
             |_| {
                 perf_report::stage(name, || {
@@ -193,35 +152,19 @@ impl Pipeline {
             }
         };
         self.retries += u64::from(attempts - 1);
-        let wall = started.elapsed();
-        let wall_ms = wall.as_millis() as u64;
-        let over_deadline = self.options.stage_deadline.is_some_and(|d| wall > d);
-        if over_deadline {
-            self.timeouts += 1;
-        }
-        let status = match (&value, attempts > 1 || over_deadline) {
+        let wall_ms = started.elapsed().as_millis() as u64;
+        let status = match (&value, attempts > 1) {
             (Some(_), false) => StageStatus::Ok,
             (Some(_), true) => StageStatus::Degraded,
             (None, _) => StageStatus::Failed,
         };
-        let error = match status {
-            StageStatus::Failed => Some(last_error),
-            StageStatus::Degraded if over_deadline => Some(format!(
-                "deadline exceeded: {wall_ms} of {} ms",
-                self.options.stage_deadline.map(|d| d.as_millis() as u64).unwrap_or_default()
-            )),
-            StageStatus::Degraded => Some(last_error),
-            _ => None,
-        };
+        let error = (status != StageStatus::Ok).then_some(last_error);
         if status == StageStatus::Failed {
             eprintln!(
                 "pipeline {}: stage {name} failed: {}",
                 self.name,
                 error.as_deref().unwrap_or("")
             );
-            if !self.options.continue_on_failure {
-                self.halted = true;
-            }
         }
         self.stages.push(StageRecord { name: name.to_string(), status, attempts, wall_ms, error });
         value
@@ -237,9 +180,9 @@ impl Pipeline {
         self.stages.iter().filter(|s| s.status == StageStatus::Failed).count()
     }
 
-    /// The pipeline's overall status: `failed` if any stage failed (or
-    /// was skipped because of a failure), `degraded` if any stage was
-    /// degraded, otherwise `ok`.
+    /// The pipeline's overall status: `failed` if any stage failed or
+    /// was skipped, `degraded` if any stage was degraded, otherwise
+    /// `ok`.
     pub fn status(&self) -> StageStatus {
         if self
             .stages
@@ -261,14 +204,7 @@ impl Pipeline {
     /// grammar the obs JSON-lines gate validates.
     pub fn manifest_json(&self) -> String {
         let ckpt = std::env::var("PRINTED_CKPT_DIR").ok().filter(|v| !v.trim().is_empty());
-        render_manifest(
-            &self.name,
-            self.status(),
-            &self.stages,
-            self.retries,
-            self.timeouts,
-            ckpt.as_deref(),
-        )
+        render_manifest(&self.name, self.status(), &self.stages, self.retries, 0, ckpt.as_deref())
     }
 
     /// Writes the manifest to `path`, publishing the pipeline's
@@ -295,7 +231,6 @@ impl Pipeline {
         if obs::enabled() {
             let reg = obs::global();
             reg.add("resilience.retries", self.retries);
-            reg.add("resilience.timeouts", self.timeouts);
             reg.add("resilience.failed_stages", self.failed_stages() as u64);
         }
         perf_report::write_artifact(path, &manifest)
@@ -361,13 +296,9 @@ impl fmt::Display for Unreachable {
 mod tests {
     use super::*;
 
-    fn quiet() -> PipelineOptions {
-        PipelineOptions { max_retries: 1, ..PipelineOptions::default() }
-    }
-
     #[test]
     fn clean_stages_report_ok_and_pass_values_through() {
-        let mut p = Pipeline::new("test", quiet());
+        let mut p = Pipeline::new("test");
         assert_eq!(p.run_stage("eval.a", || 41 + 1), Some(42));
         assert_eq!(p.run_stage_result("eval.b", || Ok::<_, ReportError>("x")), Some("x"));
         assert_eq!(p.status(), StageStatus::Ok);
@@ -379,7 +310,7 @@ mod tests {
 
     #[test]
     fn panicking_stage_degrades_not_aborts() {
-        let mut p = Pipeline::new("test", quiet());
+        let mut p = Pipeline::new("test");
         let out: Option<u32> = p.run_stage("eval.boom", || panic!("stage exploded"));
         assert_eq!(out, None);
         assert_eq!(p.run_stage("eval.after", || 7), Some(7), "pipeline continues");
@@ -393,7 +324,7 @@ mod tests {
 
     #[test]
     fn flaky_stage_succeeds_degraded() {
-        let mut p = Pipeline::new("test", quiet());
+        let mut p = Pipeline::new("test");
         let mut calls = 0;
         let out = p.run_stage("eval.flaky", || {
             calls += 1;
@@ -409,7 +340,7 @@ mod tests {
 
     #[test]
     fn typed_errors_are_recorded_not_retried() {
-        let mut p = Pipeline::new("test", quiet());
+        let mut p = Pipeline::new("test");
         let mut calls = 0;
         let out: Option<()> = p.run_stage_result("eval.err", || {
             calls += 1;
@@ -421,34 +352,8 @@ mod tests {
     }
 
     #[test]
-    fn stop_on_failure_skips_later_stages() {
-        let opts = PipelineOptions { continue_on_failure: false, max_retries: 0, ..quiet() };
-        let mut p = Pipeline::new("test", opts);
-        let _: Option<()> = p.run_stage("eval.boom", || panic!("x"));
-        assert_eq!(p.run_stage("eval.after", || 1), None);
-        assert_eq!(p.stages()[1].status, StageStatus::Skipped);
-        assert_eq!(p.status(), StageStatus::Failed);
-    }
-
-    #[test]
-    fn deadline_overrun_degrades_the_stage() {
-        let opts = PipelineOptions {
-            stage_deadline: Some(Duration::from_millis(1)),
-            ..PipelineOptions::default()
-        };
-        let mut p = Pipeline::new("test", opts);
-        let out = p.run_stage("eval.slow", || {
-            std::thread::sleep(Duration::from_millis(20));
-            5
-        });
-        assert_eq!(out, Some(5), "late result is still a result");
-        assert_eq!(p.stages()[0].status, StageStatus::Degraded);
-        assert!(p.stages()[0].error.as_deref().unwrap().contains("deadline exceeded"));
-    }
-
-    #[test]
     fn manifest_round_trips_through_the_obs_parser() {
-        let mut p = Pipeline::new("round\"trip", quiet());
+        let mut p = Pipeline::new("round\"trip");
         p.run_stage("eval.a", || 1);
         let _: Option<()> =
             p.run_stage("eval.\"quoted\"", || panic!("with \"quotes\" and\nnewline"));

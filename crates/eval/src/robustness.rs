@@ -23,7 +23,7 @@ use printed_netlist::fault::{
     StuckAtSpace, Workload,
 };
 use printed_netlist::resilience::{run_supervised_campaign, JobError, ResilienceConfig};
-use printed_netlist::{analysis, tmr, Netlist, TmrOptions};
+use printed_netlist::{analysis, tmr, Netlist};
 use printed_pdk::yield_model;
 use printed_pdk::Technology;
 
@@ -328,7 +328,7 @@ pub fn tmr_comparison(
     let mut comparisons = Vec::new();
     for config in [CoreConfig::new(1, 4, 2), CoreConfig::new(1, 8, 2)] {
         let base = generate_standard(&config);
-        let hardened = tmr(&base, TmrOptions::default()).map_err(|e| JobError::Panicked {
+        let hardened = tmr(&base).map_err(|e| JobError::Panicked {
             job: format!("tmr({})", config.name()),
             message: e.to_string(),
             attempts: 1,
@@ -407,7 +407,7 @@ mod tests {
     fn tmr_comparison_is_lint_clean_and_buys_seu_coverage() {
         let config = CoreConfig::new(1, 4, 2);
         let base = generate_standard(&config);
-        let hardened = tmr(&base, TmrOptions::default()).unwrap();
+        let hardened = tmr(&base).unwrap();
         let report =
             lint::lint(&hardened, Technology::Egfet.library(), &lint::LintConfig::default());
         assert!(!report.has_errors(), "TMR netlist must pass lint:\n{}", report.render_text());

@@ -157,8 +157,6 @@ pub struct BitSimulator<'a> {
     /// injection, broadcast, a tri-state hold-state upset, or a write
     /// outside every group.
     full: bool,
-    /// Watchdog, identical to [`Simulator::set_cycle_limit`].
-    cycle_limit: Option<u64>,
     /// Clock cycles stepped so far.
     cycles: u64,
     /// Op evaluations, counted once per occupied lane.
@@ -277,7 +275,6 @@ impl<'a> BitSimulator<'a> {
             dead: 0,
             dirty_groups: 0,
             full: true,
-            cycle_limit: None,
             cycles: 0,
             gate_evals: 0,
             skipped_gates: 0,
@@ -320,17 +317,6 @@ impl<'a> BitSimulator<'a> {
     /// with [`BitSimulator::gate_evals`] they tile whole passes.
     pub fn skipped_gates(&self) -> u64 {
         self.skipped_gates
-    }
-
-    /// Arms (or disarms) the cycle-limit watchdog; identical semantics
-    /// to [`Simulator::set_cycle_limit`], shared by all lanes.
-    pub fn set_cycle_limit(&mut self, limit: Option<u64>) {
-        self.cycle_limit = limit;
-    }
-
-    /// The armed watchdog deadline, if any.
-    pub fn cycle_limit(&self) -> Option<u64> {
-        self.cycle_limit
     }
 
     /// Occupies the lowest `lanes` lanes with fault-free machines: the
@@ -536,19 +522,9 @@ impl<'a> BitSimulator<'a> {
 
     /// Runs one clock cycle on every lane: settle, capture, SEU flips at
     /// the injection cycle, publish (with stuck forcing), settle — the
-    /// word-wide mirror of [`Simulator::step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::DeadlineExceeded`] once an armed cycle
-    /// limit trips (all lanes share the deadline). Oscillating lanes are
+    /// word-wide mirror of [`Simulator::step`]. Oscillating lanes are
     /// recorded in [`BitSimulator::dead_lanes`] instead of erroring.
-    pub fn step(&mut self) -> Result<(), NetlistError> {
-        if let Some(limit) = self.cycle_limit {
-            if self.cycles >= limit {
-                return Err(NetlistError::DeadlineExceeded { cycles: self.cycles, limit });
-            }
-        }
+    pub fn step(&mut self) {
         self.settle();
         let seq = Arc::clone(&self.seq);
         // Capture: every clocked cell samples the settled pre-edge nets.
@@ -587,7 +563,6 @@ impl<'a> BitSimulator<'a> {
         }
         self.settle();
         self.cycles += 1;
-        Ok(())
     }
 }
 
@@ -652,7 +627,7 @@ mod tests {
                 s.set_bus(&a_nets, stim);
                 s.set_input("en", cycle & 1).unwrap();
             }
-            bit.step().unwrap();
+            bit.step();
             for (lane, s) in scalars.iter_mut().enumerate() {
                 s.step().unwrap();
                 let (acc, probe) =
@@ -683,7 +658,7 @@ mod tests {
                 .map(|bit| (0..5).fold(0, |w, lane| w | ((lane + cycle) >> bit & 1) << lane))
                 .collect();
             bit.set_bus_words(&a_nets, &words);
-            bit.step().unwrap();
+            bit.step();
             for (lane, s) in scalars.iter_mut().enumerate() {
                 s.set_bus(&a_nets, lane as u64 + cycle);
                 s.step().unwrap();
@@ -705,7 +680,7 @@ mod tests {
         for cycle in 0..steps {
             bit.set_bus(&a_nets, cycle * 5);
             bit.set_input("en", cycle / 3).unwrap();
-            bit.step().unwrap();
+            bit.step();
         }
         let pass = bit.ops.len() as u64 * 2;
         let work = bit.gate_evals() + bit.skipped_gates();
@@ -740,21 +715,7 @@ mod tests {
         };
         let mut bit = BitSimulator::new(&nl);
         assert!(!bit.consistent, "a self-loop must force change tracking");
-        bit.step().unwrap();
+        bit.step();
         assert_eq!(bit.dead_lanes() & 1, 1, "the oscillating golden lane is dead");
-    }
-
-    /// The watchdog trips word-wide with the scalar error type.
-    #[test]
-    fn cycle_limit_trips_word_wide() {
-        let nl = acc4();
-        let mut bit = BitSimulator::new(&nl);
-        bit.set_cycle_limit(Some(2));
-        bit.step().unwrap();
-        bit.step().unwrap();
-        match bit.step() {
-            Err(NetlistError::DeadlineExceeded { cycles: 2, limit: 2 }) => {}
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
     }
 }

@@ -23,27 +23,11 @@ use crate::ir::{Gate, NetId, Netlist, NetlistError, Pins, Region};
 use printed_pdk::CellKind;
 use std::collections::BTreeMap;
 
-/// Name of the single-bit error-detection output added by [`tmr`] when
-/// [`TmrOptions::error_output`] is set: high whenever the three register
-/// replicas disagree. Excluded from workload signatures by
+/// Name of the single-bit error-detection output added by [`tmr`]: high
+/// whenever the three register replicas disagree. Excluded from workload signatures by
 /// [`crate::fault::PatternWorkload`] and used to classify faults as
 /// detected.
 pub const TMR_ERROR_PORT: &str = "tmr_err";
-
-/// Options for the [`tmr`] transform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TmrOptions {
-    /// Emit the [`TMR_ERROR_PORT`] output (an OR-tree over per-register
-    /// replica-mismatch detectors). Costs two XOR2 + one OR2 per register
-    /// plus the reduction tree.
-    pub error_output: bool,
-}
-
-impl Default for TmrOptions {
-    fn default() -> Self {
-        TmrOptions { error_output: true }
-    }
-}
 
 /// Appends a two-input combinational gate driving a fresh net.
 fn push_comb(
@@ -70,21 +54,22 @@ fn push_comb(
 /// (voted) D input on the next edge, an upset replica self-heals after one
 /// cycle.
 ///
-/// With [`TmrOptions::error_output`], a [`TMR_ERROR_PORT`] output is added
-/// that goes high whenever the replicas disagree, enabling
-/// detected-error classification in fault campaigns.
+/// A [`TMR_ERROR_PORT`] output is added that goes high whenever the
+/// replicas disagree, enabling detected-error classification in fault
+/// campaigns: an OR-tree over per-register replica-mismatch detectors.
 ///
 /// Combinational logic is left untouched, so the transform hardens state
-/// (the SEU target) at a cost of `2× registers + ~5 voter gates per
-/// register`, measurable through [`crate::analysis`].
+/// (the SEU target) at a cost of `2× registers + 5 voter gates + 3
+/// mismatch gates per register` plus the OR-tree, measurable through
+/// [`crate::analysis`].
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::DuplicatePort`] if the design already has an
 /// output named [`TMR_ERROR_PORT`], or any invariant violation found while
 /// re-validating the transformed netlist.
-pub fn tmr(netlist: &Netlist, options: TmrOptions) -> Result<Netlist, NetlistError> {
-    if options.error_output && netlist.outputs.contains_key(TMR_ERROR_PORT) {
+pub fn tmr(netlist: &Netlist) -> Result<Netlist, NetlistError> {
+    if netlist.outputs.contains_key(TMR_ERROR_PORT) {
         return Err(NetlistError::DuplicatePort(TMR_ERROR_PORT.to_string()));
     }
     let mut net_count = netlist.net_count;
@@ -118,45 +103,41 @@ pub fn tmr(netlist: &Netlist, options: TmrOptions) -> Result<Netlist, NetlistErr
         let both = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::And2, n01, n02);
         gates.push(Gate { kind: CellKind::Nand2, inputs: Pins::new(&[both, n12]), output: q });
         regions.push(Region::Combinational);
-        if options.error_output {
-            let x01 = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Xor2, q0, q1);
-            let x02 = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Xor2, q0, q2);
-            mismatches.push(push_comb(
-                &mut gates,
-                &mut regions,
-                &mut net_count,
-                CellKind::Or2,
-                x01,
-                x02,
-            ));
-        }
+        let x01 = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Xor2, q0, q1);
+        let x02 = push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Xor2, q0, q2);
+        mismatches.push(push_comb(
+            &mut gates,
+            &mut regions,
+            &mut net_count,
+            CellKind::Or2,
+            x01,
+            x02,
+        ));
     }
 
-    if options.error_output {
-        // Balanced OR reduction of the per-register mismatch bits.
-        let mut layer = mismatches;
-        while layer.len() > 1 {
-            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-            for pair in layer.chunks(2) {
-                next.push(if let [a, b] = *pair {
-                    push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Or2, a, b)
-                } else {
-                    pair[0]
-                });
-            }
-            layer = next;
+    // Balanced OR reduction of the per-register mismatch bits.
+    let mut layer = mismatches;
+    while layer.len() > 1 {
+        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
+        for pair in layer.chunks(2) {
+            next.push(if let [a, b] = *pair {
+                push_comb(&mut gates, &mut regions, &mut net_count, CellKind::Or2, a, b)
+            } else {
+                pair[0]
+            });
         }
-        let err_net = match layer.first() {
-            Some(&net) => net,
-            // A purely combinational design never mismatches: tie low.
-            None => *const0.get_or_insert_with(|| {
-                let n = NetId(net_count);
-                net_count += 1;
-                n
-            }),
-        };
-        outputs.insert(TMR_ERROR_PORT.to_string(), vec![err_net]);
+        layer = next;
     }
+    let err_net = match layer.first() {
+        Some(&net) => net,
+        // A purely combinational design never mismatches: tie low.
+        None => *const0.get_or_insert_with(|| {
+            let n = NetId(net_count);
+            net_count += 1;
+            n
+        }),
+    };
+    outputs.insert(TMR_ERROR_PORT.to_string(), vec![err_net]);
 
     let topo = topo_sort(net_count, &gates)?;
     let hardened = Netlist {
@@ -740,7 +721,7 @@ mod tests {
     fn tmr_preserves_behavior_and_stays_quiet_fault_free() {
         use crate::sim::Simulator;
         let base = two_bit_counter();
-        let hard = tmr(&base, TmrOptions::default()).unwrap();
+        let hard = tmr(&base).unwrap();
         assert_eq!(hard.sequential_count(), 3 * base.sequential_count());
         assert_eq!(hard.name(), "cnt2_tmr");
         assert!(hard.output_ports().contains_key(TMR_ERROR_PORT));
@@ -760,7 +741,7 @@ mod tests {
         use crate::ir::GateId;
         use crate::sim::Simulator;
         let base = two_bit_counter();
-        let hard = tmr(&base, TmrOptions::default()).unwrap();
+        let hard = tmr(&base).unwrap();
         let replica = hard
             .gates()
             .iter()
@@ -791,15 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn tmr_without_error_output_adds_no_port() {
-        let base = two_bit_counter();
-        let hard = tmr(&base, TmrOptions { error_output: false }).unwrap();
-        assert!(!hard.output_ports().contains_key(TMR_ERROR_PORT));
-        // 2 replicas + 5 voter gates per register, nothing else.
-        assert_eq!(hard.gate_count(), base.gate_count() + 7 * base.sequential_count());
-    }
-
-    #[test]
     fn tmr_on_combinational_design_ties_error_low() {
         use crate::sim::Simulator;
         let mut b = NetlistBuilder::new("comb");
@@ -807,7 +779,7 @@ mod tests {
         let y = b.inv(a);
         b.output("y", vec![y]);
         let base = b.finish().unwrap();
-        let hard = tmr(&base, TmrOptions::default()).unwrap();
+        let hard = tmr(&base).unwrap();
         let mut sim = Simulator::new(&hard);
         sim.settle().unwrap();
         assert_eq!(sim.read_output(TMR_ERROR_PORT).unwrap(), 0);
@@ -819,10 +791,7 @@ mod tests {
         let a = b.input_bit("a");
         b.output(TMR_ERROR_PORT, vec![a]);
         let base = b.finish().unwrap();
-        assert_eq!(
-            tmr(&base, TmrOptions::default()),
-            Err(NetlistError::DuplicatePort(TMR_ERROR_PORT.to_string()))
-        );
+        assert_eq!(tmr(&base), Err(NetlistError::DuplicatePort(TMR_ERROR_PORT.to_string())));
     }
 
     #[test]

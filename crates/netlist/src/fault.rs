@@ -22,8 +22,8 @@
 //!
 //! This module defines what a campaign computes; [`crate::resilience`]
 //! holds the one scheduler that runs it, and [`run_campaign`] is that
-//! scheduler with checkpointing and watchdogs off. Campaigns parallelize
-//! across `PRINTED_SIM_THREADS` worker threads (default 1; see
+//! scheduler with checkpointing off. Campaigns parallelize across
+//! `PRINTED_SIM_THREADS` worker threads (default 1; see
 //! [`campaign_threads`]). Every fault is independent, so the fault list
 //! is split into contiguous chunks, each worker clones the pristine
 //! [`Simulator`] once and claims chunks from a shared queue, and each
@@ -237,11 +237,10 @@ impl<W: Workload + ?Sized> Workload for ScalarOnly<'_, W> {
 /// What one lane of a bitsliced word run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LaneOutcome {
-    /// The lane ran the full stimulus and produced an observation.
+    /// The lane ran to its halt or to the cycle budget and produced an
+    /// observation; a lane still live at the budget reports
+    /// `completed: false`, which classifies as a hang.
     Done(Observation),
-    /// The shared cycle-limit watchdog tripped before this lane's
-    /// machine halted — the lane-level [`NetlistError::DeadlineExceeded`].
-    TimedOut,
     /// The lane's logic oscillated through a full settle budget — the
     /// lane-level [`NetlistError::Unsettled`]. Classified as a hang.
     Wedged,
@@ -323,21 +322,11 @@ impl Workload for PatternWorkload {
         let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); lanes];
         let mut bus = [0u64; 64];
         let mut detected = 0u64;
-        let mut timed_out = false;
         for _ in 0..cycles {
             for nets in &in_nets {
                 sim.set_bus(nets, rng.gen::<u64>());
             }
-            match sim.step() {
-                Ok(()) => {}
-                // The shared watchdog deadline hits every lane at the
-                // same absolute cycle a scalar run would trip at.
-                Err(NetlistError::DeadlineExceeded { .. }) => {
-                    timed_out = true;
-                    break;
-                }
-                Err(e) => return Some(Err(e)),
-            }
+            sim.step();
             for nets in &out_nets {
                 let words = &mut bus[..nets.len()];
                 sim.read_bus_words(nets, words);
@@ -357,9 +346,6 @@ impl Workload for PatternWorkload {
             if let Some(nets) = detect_nets {
                 detected |= sim.read_bus_any(nets);
             }
-        }
-        if timed_out {
-            return Some(Ok(vec![LaneOutcome::TimedOut; lanes]));
         }
         let dead = sim.dead_lanes();
         Some(Ok(signatures
@@ -697,12 +683,12 @@ pub(crate) fn observe<W: Workload + ?Sized>(
 }
 
 /// Runs up to 63 faults as one bitsliced word on a clone of `proto` (a
-/// compiled [`BitSimulator`] sharing the pristine simulator's armed
-/// cycle limit): inject each fault into its lane and validate the result
-/// — one outcome per fault after the golden lane, which must reproduce
-/// the scalar golden observation byte-for-byte. Returns `None` when the
-/// workload has no bitsliced path or validation fails; callers fall back
-/// to one scalar run per fault, keeping the scalar engine the oracle.
+/// compiled [`BitSimulator`]): inject each fault into its lane and
+/// validate the result — one outcome per fault after the golden lane,
+/// which must reproduce the scalar golden observation byte-for-byte.
+/// Returns `None` when the workload has no bitsliced path or validation
+/// fails; callers fall back to one scalar run per fault, keeping the
+/// scalar engine the oracle.
 pub(crate) fn run_word<W: Workload + ?Sized>(
     proto: &BitSimulator<'_>,
     workload: &W,
@@ -848,10 +834,10 @@ pub(crate) fn faulty_budget(cycle_budget: u64, golden_cycles: u64) -> u64 {
 ///
 /// The campaign runs on the one scheduler,
 /// [`crate::resilience::run_supervised_campaign_cancellable`], with the
-/// default [`ResilienceConfig`]: no checkpoint, no watchdog beyond the
-/// cycle budget, and panic isolation. A workload that panics on a fault
-/// is retried twice and then recorded as [`Outcome::Failed`] in that
-/// fault's slot; the panic does not unwind into the caller.
+/// default [`ResilienceConfig`]: no checkpoint, the cycle budget as the
+/// only bound on a run, and panic isolation. A workload that panics on a
+/// fault is retried twice and then recorded as [`Outcome::Failed`] in
+/// that fault's slot; the panic does not unwind into the caller.
 ///
 /// # Errors
 ///

@@ -182,7 +182,7 @@ pub enum NetlistError {
     /// stale topological order). Carries the last net still changing,
     /// the gate driving it (if any — an input port or constant rail
     /// otherwise), and how many net-value changes the final pass still
-    /// observed, so watchdog and campaign reports can name the exact
+    /// observed, so lockstep and campaign reports can name the exact
     /// oscillation site instead of just "did not settle".
     Unsettled {
         /// The net still changing on the final settle pass.
@@ -193,16 +193,6 @@ pub enum NetlistError {
         /// Net-value changes observed during the final settle pass — how
         /// hard the logic was still toggling when the budget ran out.
         toggles: u64,
-    },
-    /// A watchdog cycle limit armed via [`crate::sim::Simulator::set_cycle_limit`]
-    /// expired before the workload finished — a runaway or wedged
-    /// workload, reported as a typed error instead of an endless loop.
-    DeadlineExceeded {
-        /// Clock cycles the simulation had completed when the watchdog
-        /// fired.
-        cycles: u64,
-        /// The armed cycle limit.
-        limit: u64,
     },
 }
 
@@ -229,9 +219,6 @@ impl fmt::Display for NetlistError {
                     None => write!(f, " (port or rail driven, ")?,
                 }
                 write!(f, "{toggles} nets still toggling on the final pass)")
-            }
-            NetlistError::DeadlineExceeded { cycles, limit } => {
-                write!(f, "watchdog deadline exceeded: {cycles} cycles run, limit {limit}")
             }
         }
     }

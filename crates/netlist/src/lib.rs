@@ -25,8 +25,9 @@
 //!   library ([`mod@lint`]),
 //! - fault models and deterministic fault-injection campaigns — stuck-at
 //!   and SEU — with masked/SDC/hang/detected classification ([`fault`]),
-//! - a supervised campaign runner with checkpoint/resume, watchdog
-//!   deadlines, and panic isolation ([`resilience`]),
+//! - a supervised campaign runner with checkpoint/resume and panic
+//!   isolation, bounded only by the campaign's cycle budget
+//!   ([`resilience`]),
 //! - FNV-1a, the workspace's one content digest ([`hash`]), and
 //! - a TMR hardening transform with majority voters and an error-detect
 //!   output ([`builder::tmr`]).
@@ -74,7 +75,7 @@ pub use analysis::{
     TimingPath, TimingReport,
 };
 pub use bitsim::BitSimulator;
-pub use builder::{tmr, NetlistBuilder, TmrOptions, TMR_ERROR_PORT};
+pub use builder::{tmr, NetlistBuilder, TMR_ERROR_PORT};
 pub use dataflow::{analyze, analyze_with_fanout, AbsValue, DataflowFacts};
 pub use fault::{
     campaign_threads, lane_utilization, run_campaign, run_campaign_with_threads, CampaignConfig,

@@ -1,12 +1,12 @@
-//! The fault-campaign scheduler, with checkpoint/resume, watchdog
-//! deadlines, and panic isolation for long-running campaigns.
+//! The fault-campaign scheduler, with checkpoint/resume and panic
+//! isolation for long-running campaigns.
 //!
 //! [`run_supervised_campaign_cancellable`] is the only campaign
 //! scheduler in the workspace: [`crate::fault::run_campaign`] is this
-//! runner with the default [`ResilienceConfig`] (no checkpoint, no
-//! watchdog). Real reproduction sweeps run for minutes across many
-//! worker threads, and fault-injection infrastructure must survive its
-//! own faults, so the scheduler carries a resilience layer:
+//! runner with the default [`ResilienceConfig`] (no checkpoint). Real
+//! reproduction sweeps run for minutes across many worker threads, and
+//! fault-injection infrastructure must survive its own faults, so the
+//! scheduler carries a resilience layer:
 //!
 //! - **Checkpoint/resume** — with [`ResilienceConfig::checkpoint_dir`]
 //!   set (see [`ResilienceConfig::from_env`] and the `PRINTED_CKPT_DIR`
@@ -17,13 +17,13 @@
 //!   enumeration order, not by scheduling — produces a byte-identical
 //!   [`CampaignResult::to_csv`] to an uninterrupted run, for any thread
 //!   count.
-//! - **Watchdog deadlines** — [`ResilienceConfig::watchdog_cycles`] arms
-//!   the per-run simulator cycle limit
-//!   ([`crate::sim::Simulator::set_cycle_limit`]); a wedged workload
-//!   trips [`crate::NetlistError::DeadlineExceeded`], surfaces as a
-//!   typed [`JobError::TimedOut`], and is classified as
-//!   [`Outcome::Hang`] — deterministically, since the deadline counts
-//!   cycles, not wall-clock.
+//! - **One bound per run** — the campaign's
+//!   [`CampaignConfig::cycle_budget`] is the only limit on a fault run.
+//!   Every [`Workload`] honours it on both engines, and a run still live
+//!   when it runs out reports an uncompleted observation, classified as
+//!   [`Outcome::Hang`]. The budget counts cycles, not wall-clock, so the
+//!   verdict is deterministic, and [`campaign_identity`] hashes it, so a
+//!   checkpoint never resumes under a different bound.
 //! - **Panic isolation + retry** — each fault run executes under
 //!   [`retry_panics`] with bounded retries and a deterministic
 //!   decorrelated backoff (seeded from the campaign seed, the slot
@@ -38,8 +38,8 @@
 //! counters `netlist.fault.{workers,runs,masked,detected,hang,sdc}`,
 //! the bitsliced `netlist.fault.bitsliced.{words,lanes}` counters and
 //! `netlist.fault.{lane_utilization,runs_per_sec}` gauges; and the
-//! resilience counters `resilience.retries`, `resilience.timeouts`,
-//! `resilience.resumed_slots` and `resilience.failed`.
+//! resilience counters `resilience.retries`, `resilience.resumed_slots`
+//! and `resilience.failed`.
 //!
 //! # Checkpoint format
 //!
@@ -89,18 +89,6 @@ use std::time::{Duration, Instant};
 /// stage built on this module) failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobError {
-    /// The job exceeded its deadline. For simulator jobs the unit is
-    /// clock cycles; stage runners reuse the variant with milliseconds.
-    TimedOut {
-        /// Name of the job that timed out.
-        job: String,
-        /// Budget spent when the watchdog fired.
-        spent: u64,
-        /// The armed limit.
-        limit: u64,
-        /// Unit of `spent`/`limit` (`"cycles"` or `"ms"`).
-        unit: &'static str,
-    },
     /// The job panicked on every allowed attempt.
     Panicked {
         /// Name of the job that panicked.
@@ -133,9 +121,6 @@ pub enum JobError {
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JobError::TimedOut { job, spent, limit, unit } => {
-                write!(f, "job {job:?} timed out: {spent} of {limit} {unit}")
-            }
             JobError::Panicked { job, message, attempts } => {
                 write!(f, "job {job:?} panicked after {attempts} attempts: {message}")
             }
@@ -170,10 +155,6 @@ pub struct ResilienceConfig {
     /// Retries after a panicking fault run before the slot degrades to
     /// [`Outcome::Failed`] (so attempts = `max_retries + 1`).
     pub max_retries: u32,
-    /// Per-run simulator cycle deadline; a run that exceeds it is
-    /// classified as [`Outcome::Hang`]. `None` trusts the campaign's
-    /// own cycle budget.
-    pub watchdog_cycles: Option<u64>,
     /// Test hook: stop claiming new slots once this many have completed
     /// in this process, flush the checkpoint, and return
     /// [`SupervisedRun::Aborted`] — simulating a mid-campaign kill at a
@@ -187,7 +168,6 @@ impl Default for ResilienceConfig {
             checkpoint_dir: None,
             checkpoint_every: 64,
             max_retries: 2,
-            watchdog_cycles: None,
             abort_after: None,
         }
     }
@@ -215,8 +195,6 @@ pub struct ResilienceStats {
     /// Retries spent on panicking fault runs (including retry counts
     /// recorded in resumed checkpoint slots).
     pub retries: u64,
-    /// Fault runs that tripped the watchdog deadline.
-    pub timeouts: u64,
     /// Slots degraded to [`Outcome::Failed`] after exhausting retries.
     pub failed: usize,
     /// The checkpoint file used, if checkpointing was enabled.
@@ -584,15 +562,9 @@ struct SlotParams<'a> {
     seed: u64,
 }
 
-/// Runs one fault slot under supervision: watchdog trips and panics
-/// become typed [`JobError`]s instead of wedging or killing the worker.
-///
-/// The watchdog needs no plumbing here — `pristine` is the worker's
-/// simulator clone with the cycle limit already armed, and every
-/// per-fault clone [`crate::fault::observe`] makes inherits it. The
-/// resulting [`crate::NetlistError::DeadlineExceeded`] is surfaced as a
-/// typed [`JobError::TimedOut`] so the scheduler can count timeouts
-/// separately before folding them into the hang classification.
+/// Runs one fault slot under supervision: a run that keeps panicking
+/// becomes a typed [`JobError::Panicked`] instead of killing the
+/// worker.
 fn attempt_slot<W: Workload + ?Sized>(
     pristine: &Simulator<'_>,
     workload: &W,
@@ -612,11 +584,7 @@ fn attempt_slot<W: Workload + ?Sized>(
             let outcome = crate::fault::classify(golden, &observed);
             Ok((FaultRun { fault, cell, outcome }, attempts - 1))
         }
-        Ok((Err(crate::NetlistError::DeadlineExceeded { cycles, limit }), _)) => {
-            Err(JobError::TimedOut { job: fault.to_string(), spent: cycles, limit, unit: "cycles" })
-        }
-        // Any other simulation failure (oscillation) wedges the circuit:
-        // a hang.
+        // A simulation failure (oscillation) wedges the circuit: a hang.
         Ok((Err(_), attempts)) => {
             Ok((FaultRun { fault, cell, outcome: Outcome::Hang }, attempts - 1))
         }
@@ -749,7 +717,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     cancel: Option<&AtomicBool>,
 ) -> Result<SupervisedRun, JobError> {
     let _span = obs::span!("netlist.fault.campaign");
-    let mut pristine = Simulator::new(netlist);
+    let pristine = Simulator::new(netlist);
     let golden = campaign_golden(&pristine, workload, config.cycle_budget)?;
     let faults = enumerate_faults(netlist, config, golden.cycles);
     let budget = faulty_budget(config.cycle_budget, golden.cycles);
@@ -795,21 +763,13 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         stats.checkpoint = Some(path);
     }
 
-    // Arm the watchdog once on the pristine simulator: every per-worker
-    // and per-fault clone inherits the limit.
-    if let Some(limit) = resilience.watchdog_cycles {
-        pristine.set_cycle_limit(Some(limit));
-    }
-    // The bitsliced prototype is compiled after the watchdog is armed so
-    // word runs trip the same deadline as scalar clones. Word runs that
-    // decline, trip the golden-lane watchdog, or panic fall back to the
-    // supervised scalar path slot by slot.
-    let mut proto = crate::bitsim::BitSimulator::new(netlist);
-    proto.set_cycle_limit(pristine.cycle_limit());
+    // The bitsliced prototype every word clones. Word runs that decline,
+    // fail the golden-lane check, or panic fall back to the supervised
+    // scalar path slot by slot.
+    let proto = crate::bitsim::BitSimulator::new(netlist);
 
     let started = Instant::now();
     let retries = AtomicU64::new(0);
-    let timeouts = AtomicU64::new(0);
     let failed = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
     let words_run = AtomicUsize::new(0);
@@ -822,8 +782,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let halted =
         || stop.load(Ordering::Relaxed) || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
-    // One slot, supervised: panics retried then degraded, watchdog trips
-    // counted and folded back into the hang classification.
+    // One slot, supervised: panics retried then degraded.
     let params = SlotParams {
         golden: &golden,
         budget,
@@ -836,14 +795,9 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                 retries.fetch_add(attempts_used as u64, Ordering::Relaxed);
                 (run, attempts_used)
             }
-            Err(JobError::TimedOut { .. }) => {
-                timeouts.fetch_add(1, Ordering::Relaxed);
-                let cell = netlist.gates()[fault.gate.index()].kind;
-                (FaultRun { fault, cell, outcome: Outcome::Hang }, 0)
-            }
             Err(err) => {
-                // Panicked (or, unreachable here, a checkpoint error):
-                // degrade the slot, keep the campaign alive.
+                // Panicked on every attempt: degrade the slot, keep the
+                // campaign alive.
                 if let JobError::Panicked { attempts, .. } = &err {
                     retries.fetch_add((attempts - 1) as u64, Ordering::Relaxed);
                 }
@@ -919,10 +873,6 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                         let outcome = match lane {
                             LaneOutcome::Done(observed) => {
                                 crate::fault::classify(&golden, &observed)
-                            }
-                            LaneOutcome::TimedOut => {
-                                timeouts.fetch_add(1, Ordering::Relaxed);
-                                Outcome::Hang
                             }
                             // An oscillating lane wedges the circuit,
                             // like the scalar Unsettled error.
@@ -1012,13 +962,11 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let mut sink = sink.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
     sink.flush();
     stats.retries += retries.into_inner();
-    stats.timeouts = timeouts.into_inner();
     stats.failed = failed.into_inner();
     stats.checkpoint_degraded = sink.broken;
     if obs::enabled() {
         let reg = obs::global();
         reg.add("resilience.retries", stats.retries);
-        reg.add("resilience.timeouts", stats.timeouts);
         reg.add("resilience.resumed_slots", stats.resumed_slots as u64);
         reg.add("resilience.failed", stats.failed as u64);
     }
@@ -1125,24 +1073,7 @@ mod tests {
             assert_eq!(supervised.result.to_csv(), plain.to_csv());
             assert_eq!(supervised.stats.resumed_slots, 0);
             assert_eq!(supervised.stats.failed, 0);
-            assert_eq!(supervised.stats.timeouts, 0);
         }
-    }
-
-    #[test]
-    fn tight_watchdog_classifies_every_run_as_hang() {
-        let nl = accumulator();
-        let workload = PatternWorkload { cycles: 10, seed: 5 };
-        let resilience =
-            ResilienceConfig { watchdog_cycles: Some(2), ..ResilienceConfig::default() };
-        let supervised =
-            run_supervised_campaign_with_threads(&nl, &workload, &config(), &resilience, 1)
-                .unwrap()
-                .into_complete()
-                .unwrap();
-        let counts = supervised.result.counts();
-        assert_eq!(counts.hang, counts.total(), "2-cycle deadline hangs every 10-cycle run");
-        assert_eq!(supervised.stats.timeouts, counts.total() as u64);
     }
 
     #[test]
@@ -1413,11 +1344,20 @@ mod tests {
         // Stable across recomputation and across execution strategy.
         assert_eq!(base, campaign_identity(&nl, &workload, &config()).unwrap());
         assert_eq!(base, campaign_identity(&nl, &ScalarOnly(&workload), &config()).unwrap());
-        // Distinct across campaign parameters and workloads.
+        // Distinct across campaign parameters and workloads. The budget
+        // is the one bound on a run, so a checkpoint never resumes under
+        // another: 100 still covers the 10-cycle golden run and its
+        // 48-cycle faulty budget, so only the hash can tell it apart.
         let seeded = CampaignConfig { seed: config().seed + 1, ..config() };
         assert_ne!(base, campaign_identity(&nl, &workload, &seeded).unwrap());
         let more = CampaignConfig { seu_samples: 7, ..config() };
         assert_ne!(base, campaign_identity(&nl, &workload, &more).unwrap());
+        let budget = CampaignConfig { cycle_budget: 100, ..config() };
+        assert_ne!(base, campaign_identity(&nl, &workload, &budget).unwrap());
+        for stuck_at in [StuckAtSpace::Sampled(2 * nl.gate_count()), StuckAtSpace::None] {
+            let space = CampaignConfig { stuck_at, ..config() };
+            assert_ne!(base, campaign_identity(&nl, &workload, &space).unwrap(), "{stuck_at:?}");
+        }
         let other_workload = PatternWorkload { cycles: 11, seed: 5 };
         assert_ne!(base, campaign_identity(&nl, &other_workload, &config()).unwrap());
     }

@@ -221,10 +221,6 @@ pub struct Simulator<'a> {
     /// hold duplicates — the accounting pass is idempotent per net, so
     /// deduplicating here would cost more than it saves.
     touched: Vec<u32>,
-    /// Watchdog: when set, [`Simulator::step`] refuses to run past this
-    /// many total cycles, returning [`NetlistError::DeadlineExceeded`]
-    /// instead. `None` (the default) disables the check.
-    cycle_limit: Option<u64>,
 }
 
 impl<'a> Simulator<'a> {
@@ -323,7 +319,6 @@ impl<'a> Simulator<'a> {
             deferred: Vec::new(),
             pending: 0,
             touched: Vec::new(),
-            cycle_limit: None,
         };
         if let Some(c1) = netlist.const1() {
             sim.values[c1.index()] = true;
@@ -740,14 +735,8 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// Returns [`NetlistError::Unsettled`] if either settle phase fails
-    /// to converge, or [`NetlistError::DeadlineExceeded`] if a watchdog
-    /// armed with [`Simulator::set_cycle_limit`] has expired.
+    /// to converge.
     pub fn step(&mut self) -> Result<(), NetlistError> {
-        if let Some(limit) = self.cycle_limit {
-            if self.stats.cycles >= limit {
-                return Err(NetlistError::DeadlineExceeded { cycles: self.stats.cycles, limit });
-            }
-        }
         self.settle()?;
         let netlist = self.netlist;
         // Rising edge: capture next state for every sequential cell.
@@ -980,22 +969,6 @@ impl<'a> Simulator<'a> {
             }
         }
         true
-    }
-
-    /// Arms (or with `None` disarms) the cycle-budget watchdog: once the
-    /// simulator has completed `limit` total cycles, every further
-    /// [`Simulator::step`] fails with [`NetlistError::DeadlineExceeded`].
-    /// Counting total cycles (rather than cycles-since-arming) keeps the
-    /// check a single compare on the hot path and makes the trip point
-    /// deterministic — the supervised campaign runner relies on that to
-    /// classify watchdog trips as `hang` reproducibly.
-    pub fn set_cycle_limit(&mut self, limit: Option<u64>) {
-        self.cycle_limit = limit;
-    }
-
-    /// The armed watchdog cycle limit, if any.
-    pub fn cycle_limit(&self) -> Option<u64> {
-        self.cycle_limit
     }
 
     /// Switching statistics accumulated so far.
@@ -1326,27 +1299,5 @@ mod tests {
             NetlistError::Unsettled { net: NetId(0), driver: Some(GateId(0)), toggles: 1 };
         assert_eq!(sim.settle(), Err(expected.clone()));
         assert_eq!(sim.step(), Err(expected));
-    }
-
-    #[test]
-    fn cycle_limit_watchdog_trips_deterministically() {
-        // An armed watchdog converts a runaway run() into a typed error
-        // at exactly the armed cycle count, and disarming restores
-        // normal stepping.
-        let mut b = NetlistBuilder::new("wd");
-        let a = b.input_bit("a");
-        let q = b.inv(a);
-        b.output("q", vec![q]);
-        let nl = b.finish().expect("trivial netlist builds");
-        let mut sim = Simulator::new(&nl);
-        sim.set_cycle_limit(Some(3));
-        assert_eq!(sim.cycle_limit(), Some(3));
-        assert_eq!(sim.run(100), Err(NetlistError::DeadlineExceeded { cycles: 3, limit: 3 }));
-        assert_eq!(sim.stats().cycles, 3);
-        // Tripping is sticky and repeatable.
-        assert_eq!(sim.step(), Err(NetlistError::DeadlineExceeded { cycles: 3, limit: 3 }));
-        sim.set_cycle_limit(None);
-        assert_eq!(sim.step(), Ok(()));
-        assert_eq!(sim.stats().cycles, 4);
     }
 }

@@ -157,7 +157,7 @@ proptest! {
             }
             sim.settle();
             assert_matches_a_full_pass(&sim, &nl, &format!("after port writes, cycle {cycle}"));
-            sim.step().unwrap();
+            sim.step();
             assert_matches_a_full_pass(&sim, &nl, &format!("after the clock edge, cycle {cycle}"));
         }
     }

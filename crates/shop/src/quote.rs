@@ -23,7 +23,7 @@ use printed_netlist::hash::fnv1a;
 use printed_netlist::resilience::{
     campaign_identity, run_supervised_campaign_cancellable, ResilienceConfig, SupervisedRun,
 };
-use printed_netlist::{analysis, opt, tmr, Netlist, TmrOptions};
+use printed_netlist::{analysis, opt, tmr, Netlist};
 use printed_obs::json;
 use printed_pdk::battery::{Battery, PRINTED_BATTERIES};
 use printed_pdk::Technology;
@@ -77,8 +77,7 @@ pub fn build(query: &ShopQuery) -> Result<BuiltCore, ShopError> {
     let raw_gates = raw.gate_count();
     let mut netlist = opt::optimize(&raw);
     if query.tmr {
-        netlist =
-            tmr(&netlist, TmrOptions::default()).map_err(|e| build_err(format!("TMR: {e}")))?;
+        netlist = tmr(&netlist).map_err(|e| build_err(format!("TMR: {e}")))?;
     }
     Ok(BuiltCore { netlist, spec, instructions: program.instructions, raw_gates, tech })
 }

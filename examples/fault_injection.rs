@@ -21,7 +21,7 @@
 #![allow(clippy::disallowed_methods)]
 use printed_microprocessors::core::workload::ProgramWorkload;
 use printed_microprocessors::core::{generate_standard, kernels, CoreConfig};
-use printed_microprocessors::eval::pipeline::{Pipeline, PipelineOptions};
+use printed_microprocessors::eval::pipeline::Pipeline;
 use printed_microprocessors::eval::robustness::{
     campaign_row, tmr_comparison, tmr_table, RobustnessOptions,
 };
@@ -34,7 +34,7 @@ use printed_microprocessors::pdk::Technology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::Egfet;
-    let mut pipeline = Pipeline::new("fault_injection", PipelineOptions::default());
+    let mut pipeline = Pipeline::new("fault_injection");
 
     // 1. A single stuck-at-1 defect in the paper's p1_8_2 core, caught in
     //    the act by the shift-add multiply benchmark.

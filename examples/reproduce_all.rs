@@ -23,7 +23,7 @@
 
 use printed_microprocessors::core::{generate_standard, CoreConfig};
 use printed_microprocessors::eval::perf_report::{self, ReportError};
-use printed_microprocessors::eval::pipeline::{Pipeline, PipelineOptions};
+use printed_microprocessors::eval::pipeline::Pipeline;
 use printed_microprocessors::eval::{figure7, figure8, headline, lifetime, report, tables};
 use printed_microprocessors::netlist::analysis;
 use printed_microprocessors::obs;
@@ -37,7 +37,7 @@ fn main() {
         obs::set_level(obs::Level::Summary);
     }
     let mut report_errors: Vec<ReportError> = Vec::new();
-    let mut pipeline = Pipeline::new("reproduce_all", PipelineOptions::default());
+    let mut pipeline = Pipeline::new("reproduce_all");
 
     pipeline.run_stage("eval.tables_1_2", || {
         println!("{}", tables::table1());

@@ -14,7 +14,7 @@ use printed_microprocessors::core::specific::CoreSpec;
 use printed_microprocessors::core::{generate, generate_standard, CoreConfig};
 use printed_microprocessors::netlist::lint::{self, Locus, Rule, Severity};
 use printed_microprocessors::netlist::{
-    dataflow, opt, tmr, Gate, GateId, NetId, Netlist, NetlistBuilder, TmrOptions,
+    dataflow, opt, tmr, Gate, GateId, NetId, Netlist, NetlistBuilder,
 };
 use printed_microprocessors::pdk::{CellKind, CellLibrary, Technology};
 use std::collections::BTreeSet;
@@ -437,8 +437,8 @@ fn program_specific_cores_render_like_the_eager_formatter() {
 
 #[test]
 fn tmr_and_baseline_netlists_render_like_the_eager_formatter() {
-    let hardened = tmr(&generate_standard(&CoreConfig::new(1, 4, 2)), TmrOptions::default())
-        .expect("the p1_4_2 core triplicates");
+    let hardened =
+        tmr(&generate_standard(&CoreConfig::new(1, 4, 2))).expect("the p1_4_2 core triplicates");
     assert_renders_eagerly(&hardened, Technology::Egfet);
     for technology in Technology::ALL {
         for cpu in BaselineCpu::ALL {

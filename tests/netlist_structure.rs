@@ -22,7 +22,7 @@ use printed_microprocessors::core::specific::CoreSpec;
 use printed_microprocessors::core::{generate, generate_standard, CoreConfig};
 use printed_microprocessors::netlist::hash::Fnv1a;
 use printed_microprocessors::netlist::{
-    dataflow, lint, opt, tmr, GateId, NetId, Netlist, NetlistBuilder, TmrOptions,
+    dataflow, lint, opt, tmr, GateId, NetId, Netlist, NetlistBuilder,
 };
 use printed_microprocessors::pdk::{CellKind, Technology};
 use std::collections::BTreeMap;
@@ -151,8 +151,7 @@ fn program_specific_cores() -> Vec<Netlist> {
 
 /// The TMR-hardened p1_4_2 core.
 fn hardened_core() -> Netlist {
-    tmr(&generate_standard(&CoreConfig::new(1, 4, 2)), TmrOptions::default())
-        .expect("the p1_4_2 core triplicates")
+    tmr(&generate_standard(&CoreConfig::new(1, 4, 2))).expect("the p1_4_2 core triplicates")
 }
 
 /// The representative netlist of every baseline CPU in every technology.

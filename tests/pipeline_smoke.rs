@@ -6,7 +6,7 @@
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
-use printed_microprocessors::eval::pipeline::{Pipeline, PipelineOptions, StageStatus};
+use printed_microprocessors::eval::pipeline::{Pipeline, StageStatus};
 use printed_microprocessors::obs;
 use printed_microprocessors::obs::json::{parse, Value};
 use std::path::PathBuf;
@@ -16,7 +16,7 @@ fn manifest_path(tag: &str) -> PathBuf {
 }
 
 fn run_three_stage_pipeline(name: &str, stages: [&str; 3]) -> (Pipeline, Vec<Option<u32>>) {
-    let mut p = Pipeline::new(name, PipelineOptions { max_retries: 0, ..Default::default() });
+    let mut p = Pipeline::new(name);
     let outputs = vec![
         p.run_stage(stages[0], || 1),
         p.run_stage(stages[1], || 2),
