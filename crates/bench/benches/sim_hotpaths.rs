@@ -36,7 +36,9 @@ use printed_core::kernels::{self, Kernel};
 use printed_core::workload::ProgramWorkload;
 use printed_core::{generate_checked, generate_standard, CoreConfig, CoreSpec};
 use printed_eval::lockstep::{self, DiffRow};
-use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, StuckAtSpace, Workload};
+use printed_netlist::fault::{
+    run_campaign_with_threads, CampaignConfig, PatternWorkload, StuckAtSpace, Workload,
+};
 use printed_netlist::{analysis, dataflow, opt, Engine, FanoutMap, ScalarOnly, Simulator};
 use printed_obs as obs;
 use printed_pdk::Technology;
@@ -125,6 +127,7 @@ struct Measurements {
     gl_event_ns_per_cycle: f64,
     gl_sweep_ns_per_cycle: f64,
     campaign_faults: usize,
+    campaign_classes: usize,
     campaign_ms: Vec<(usize, f64)>,
     campaign_csv_identical: bool,
     host_cpus: usize,
@@ -247,8 +250,8 @@ impl Measurements {
              \"gate_level_machine\": {{\"kernel\": \"{}\", \"cycles\": {}, \
              \"event_ns_per_cycle\": {:.1}, \"full_sweep_ns_per_cycle\": {:.1}, \
              \"seed_ns_per_cycle\": {:.1}, \"speedup_vs_full_sweep\": {:.2}, \
-             \"speedup\": {:.2}}},\n  \"campaign_scaling\": {{\"design\": \"p1_4_2\", \
-             \"faults\": {}, \"threads\": [{}], \"csv_identical\": {}, \"host_cpus\": {}, \
+             \"speedup\": {:.2}}},\n  \"campaign_scaling\": {{\"design\": \"p3_32_4\", \
+             \"faults\": {}, \"classes\": {}, \"threads\": [{}], \"csv_identical\": {}, \"host_cpus\": {}, \
              \"speedup_4t\": {:.2}, \"threshold\": {:.1}, \"asserted\": {}}},\n  \
              \"bitsliced\": {{\"design\": \"p1_4_2\", \"faults\": {}, \"scalar_ms\": {:.1}, \
              \"bitsliced_ms\": {:.2}, \"speedup\": {:.2}, \"threshold\": {:.1}, \
@@ -280,6 +283,7 @@ impl Measurements {
             self.gl_speedup_vs_full_sweep(),
             self.gl_speedup(),
             self.campaign_faults,
+            self.campaign_classes,
             threads_json.join(", "),
             self.campaign_csv_identical,
             self.host_cpus,
@@ -363,20 +367,24 @@ fn measure_gate_level(engine: Engine) -> (String, u64, f64) {
     (name, cycles, best)
 }
 
-/// Exhaustive stuck-at + SEU campaign on the p1_4_2 smoke program at
-/// each thread count in [`CAMPAIGN_THREADS`], on the default (bitsliced)
-/// engine: wall time per count, plus a byte-identity check of the merged
-/// CSV against the sequential run. The SEU count is inflated to 16,384
-/// so the campaign spans ~280 63-fault words (~17.5k faults): long
-/// enough that a second worker pays for its start-up and the merge, so
-/// the thread-scaling floor measures the chunk queue, not fixed costs.
-fn measure_campaign_scaling() -> (usize, Vec<(usize, f64)>, bool) {
-    let config = CoreConfig::new(1, 4, 2);
-    let netlist = generate_standard(&config);
-    let workload = ProgramWorkload::smoke(config);
+/// Exhaustive stuck-at + SEU campaign on the p3_32_4 core under 100
+/// cycles of random stimulus, at each thread count in
+/// [`CAMPAIGN_THREADS`], on the default (bitsliced) engine: wall time
+/// per count, plus a byte-identity check of the merged CSV against the
+/// sequential run. A campaign simulates one run per fault class, so the
+/// work is set by distinct faults: the 173 flip-flops over 100 cycles
+/// give 17,300 SEU sites, and 40,000 samples of them plus the 4,426
+/// stuck-at faults leave ~18.2k classes, ~289 63-fault words. That is
+/// long enough that a second worker pays for its start-up and the merge,
+/// so the thread-scaling floor measures the chunk queue, not fixed
+/// costs. Returns the fault slots, the classes, the timings and the
+/// CSV identity.
+fn measure_campaign_scaling() -> (usize, usize, Vec<(usize, f64)>, bool) {
+    let netlist = generate_standard(&CoreConfig::new(3, 32, 4));
+    let workload = PatternWorkload { cycles: 100, seed: 1 };
     let campaign = CampaignConfig {
         stuck_at: StuckAtSpace::Exhaustive,
-        seu_samples: 16_384,
+        seu_samples: 40_000,
         ..CampaignConfig::default()
     };
     // Thread counts interleave within each rep, so a stretch of host
@@ -384,7 +392,7 @@ fn measure_campaign_scaling() -> (usize, Vec<(usize, f64)>, bool) {
     // rep 0 warms up, and each count keeps its best time.
     let mut best = [f64::INFINITY; CAMPAIGN_THREADS.len()];
     let mut baseline_csv: Option<String> = None;
-    let mut faults = 0;
+    let (mut faults, mut classes) = (0, 0);
     let mut identical = true;
     for rep in 0..CAMPAIGN_SCALING_REPS {
         for (slot, &threads) in best.iter_mut().zip(&CAMPAIGN_THREADS) {
@@ -395,7 +403,7 @@ fn measure_campaign_scaling() -> (usize, Vec<(usize, f64)>, bool) {
             if rep >= 1 {
                 *slot = slot.min(ms);
             }
-            faults = result.runs.len();
+            (faults, classes) = (result.runs.len(), result.classes);
             let csv = result.to_csv();
             match &baseline_csv {
                 None => baseline_csv = Some(csv),
@@ -404,7 +412,7 @@ fn measure_campaign_scaling() -> (usize, Vec<(usize, f64)>, bool) {
         }
     }
     let timings = CAMPAIGN_THREADS.iter().copied().zip(best).collect();
-    (faults, timings, identical)
+    (faults, classes, timings, identical)
 }
 
 /// Bitsliced vs scalar campaign engine on the exhaustive p1_4_2 smoke
@@ -425,7 +433,7 @@ fn measure_bitsliced() -> BitslicedRun {
     };
     let mut scalar_ms = f64::INFINITY;
     let mut bitsliced_ms = f64::INFINITY;
-    let mut faults = 0;
+    let (mut faults, mut classes) = (0, 0);
     for rep in 0..MEASURE_REPS {
         let started = Instant::now();
         let scalar = run_campaign_with_threads(&netlist, &scalar_workload, &campaign, 1)
@@ -436,7 +444,7 @@ fn measure_bitsliced() -> BitslicedRun {
             .expect("bitsliced campaign completes");
         let b_ms = started.elapsed().as_secs_f64() * 1e3;
         assert_eq!(scalar.to_csv(), bits.to_csv(), "engines must agree byte for byte");
-        faults = scalar.runs.len();
+        (faults, classes) = (scalar.runs.len(), scalar.classes);
         if rep >= WARMUP_REPS {
             scalar_ms = scalar_ms.min(s_ms);
             bitsliced_ms = bitsliced_ms.min(b_ms);
@@ -458,7 +466,7 @@ fn measure_bitsliced() -> BitslicedRun {
         faults,
         scalar_ms,
         bitsliced_ms,
-        lane_utilization: printed_netlist::fault::lane_utilization(faults),
+        lane_utilization: printed_netlist::fault::lane_utilization(classes),
         csv_identical,
     }
 }
@@ -628,7 +636,8 @@ fn bench(c: &mut Criterion) {
     let (_, sim_sweep) = measure_netlist_sim(Engine::FullSweep);
     let (gl_kernel, gl_cycles, gl_event_ns_per_cycle) = measure_gate_level(Engine::EventDriven);
     let (_, _, gl_sweep_ns_per_cycle) = measure_gate_level(Engine::FullSweep);
-    let (campaign_faults, campaign_ms, campaign_csv_identical) = measure_campaign_scaling();
+    let (campaign_faults, campaign_classes, campaign_ms, campaign_csv_identical) =
+        measure_campaign_scaling();
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let engines = measure_bitsliced();
     let obs_off_ns_per_op = measure_obs_off();
@@ -646,6 +655,7 @@ fn bench(c: &mut Criterion) {
         gl_event_ns_per_cycle,
         gl_sweep_ns_per_cycle,
         campaign_faults,
+        campaign_classes,
         campaign_ms,
         campaign_csv_identical,
         host_cpus,
@@ -659,7 +669,7 @@ fn bench(c: &mut Criterion) {
     println!(
         "netlist sim: event {:.0} ns/cycle vs full sweep {:.0} ns/cycle; gate-level {}: \
          event {:.0} vs full sweep {:.0} ns/cycle ({:.1}x live, {:.1}x vs seed); campaign \
-         {} faults {:?} ms; obs off: {:.2} ns/op",
+         {} faults in {} classes {:?} ms; obs off: {:.2} ns/op",
         m.sim_event.ns_per_cycle,
         m.sim_sweep.ns_per_cycle,
         m.gl_kernel,
@@ -668,6 +678,7 @@ fn bench(c: &mut Criterion) {
         m.gl_speedup_vs_full_sweep(),
         m.gl_speedup(),
         m.campaign_faults,
+        m.campaign_classes,
         m.campaign_ms,
         m.obs_off_ns_per_op
     );

@@ -10,7 +10,9 @@
 //! self-branch halts, and loops that run faulty lanes out of the cycle
 //! budget: the bitsliced campaign CSV must equal the scalar engine's (a
 //! `ScalarOnly` campaign) on 4- and 8-bit standard, program-specific and
-//! TMR single-cycle cores.
+//! TMR single-cycle cores. A campaign runs one representative per fault
+//! class, so each of its slots must also match `classify_fault` run on
+//! that slot's own fault.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
@@ -19,7 +21,9 @@ mod programs;
 
 use printed_core::workload::ProgramWorkload;
 use printed_core::{generate, generate_standard, CoreConfig, CoreSpec, Instruction};
-use printed_netlist::fault::{run_campaign_with_threads, CampaignConfig, ScalarOnly, StuckAtSpace};
+use printed_netlist::fault::{
+    classify_fault, run_campaign_with_threads, CampaignConfig, ScalarOnly, StuckAtSpace,
+};
 use printed_netlist::{tmr, Netlist};
 use programs::{forward_only, instruction, program};
 use proptest::prelude::*;
@@ -116,6 +120,61 @@ proptest! {
         if !check(kind, width, &program, &inputs, stuck, seus, seed) {
             let forward = forward_only(&program);
             prop_assert!(check(kind, width, &forward, &inputs, stuck, seus, seed), "{:?}", forward);
+        }
+    }
+}
+
+/// Runs one random program as a campaign at 1 and 2 workers and checks
+/// every slot against `classify_fault` on the slot's own fault. Returns
+/// whether the campaign ran (its golden run halted).
+fn check_oracle(
+    kind: Core,
+    program: &[Instruction],
+    stuck_at: StuckAtSpace,
+    seus: usize,
+    seed: u64,
+) -> bool {
+    let (netlist, workload) = core(kind, 4, program).expect("every generated program encodes");
+    let config = CampaignConfig { stuck_at, seu_samples: seus, cycle_budget: 120, seed };
+    for threads in [1, 2] {
+        let Ok(run) = run_campaign_with_threads(&netlist, &workload, &config, threads) else {
+            return false;
+        };
+        for (slot, r) in run.runs.iter().enumerate() {
+            let oracle = classify_fault(&netlist, &workload, r.fault, config.cycle_budget)
+                .expect("the campaign's golden run completed");
+            assert_eq!(
+                r.outcome, oracle,
+                "slot {slot} ({}) of {} classes, {threads} workers, {kind:?} core, program \
+                 {program:?}",
+                r.fault, run.classes
+            );
+        }
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The per-fault oracle for fault classes on random programs: the
+    /// exhaustive stuck-at space of a 4-bit core (every structural pair
+    /// of the netlist) or a sampled one drawn with replacement, plus
+    /// SEUs, which repeat often over a short program's few cycles.
+    #[test]
+    fn every_slot_of_a_classed_campaign_matches_the_per_fault_oracle(
+        body in prop::collection::vec(instruction(), 1..10),
+        kind in prop::sample::select(vec![Core::Standard, Core::ProgramSpecific]),
+        exhaustive in any::<bool>(),
+        stuck in 1usize..200,
+        seus in 0usize..80,
+        seed in any::<u64>(),
+    ) {
+        let stuck_at = if exhaustive { StuckAtSpace::Exhaustive } else { StuckAtSpace::Sampled(stuck) };
+        let program = program(body);
+        if !check_oracle(kind, &program, stuck_at, seus, seed) {
+            let forward = forward_only(&program);
+            prop_assert!(check_oracle(kind, &forward, stuck_at, seus, seed), "{:?}", forward);
         }
     }
 }

@@ -20,14 +20,21 @@
 //! [`Outcome::Hang`], or [`Outcome::Detected`] against the fault-free
 //! golden run. Campaigns are deterministic under a fixed seed.
 //!
+//! A campaign's fault list holds one *slot* per enumerated fault.
+//! Sampled spaces draw with replacement, so a slot may repeat another's
+//! fault, and distinct faults may be equivalent. [`FaultClasses`] groups
+//! such slots, the campaign simulates one representative per class, and
+//! every member slot gets its representative's verdict: results, CSVs
+//! and tallies still count slots.
+//!
 //! This module defines what a campaign computes; [`crate::resilience`]
 //! holds the one scheduler that runs it, and [`run_campaign`] is that
 //! scheduler with checkpointing off. Campaigns parallelize across
 //! `PRINTED_SIM_THREADS` worker threads (default 1; see
-//! [`campaign_threads`]). Every fault is independent, so the fault list
+//! [`campaign_threads`]). Every class is independent, so the class list
 //! is split into contiguous chunks, each worker clones the pristine
 //! [`Simulator`] once and claims chunks from a shared queue, and each
-//! classification lands in a result slot preassigned by fault index. The
+//! classification lands in a result slot preassigned by class index. The
 //! merged [`CampaignResult`] — runs, statistics, and CSV bytes — is
 //! therefore identical for every thread count by construction; claiming
 //! order only affects wall-clock time.
@@ -60,7 +67,7 @@
 
 use crate::bitsim::{lane_value, BitSimulator};
 use crate::builder::TMR_ERROR_PORT;
-use crate::ir::{GateId, NetId, Netlist, NetlistError};
+use crate::ir::{FanoutMap, GateId, NetId, Netlist, NetlistError};
 use crate::resilience::{
     run_supervised_campaign_with_threads, JobError, ResilienceConfig, SupervisedRun,
 };
@@ -68,7 +75,7 @@ use crate::sim::Simulator;
 use printed_pdk::{yield_model, CellKind, Technology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// The kind of a single injected fault.
@@ -182,6 +189,12 @@ pub struct Observation {
 /// steps the clock, and reports an [`Observation`]. Implementations must
 /// be deterministic: the same netlist and budget must always produce the
 /// same observation, or fault classification is meaningless.
+///
+/// A workload sees the circuit only through its ports: it drives input
+/// ports and reads output ports, never an internal net or a gate's
+/// state. That is what makes equivalent faults interchangeable (see
+/// [`FaultClasses`]): two faults that force every port alike yield one
+/// observation, so a campaign runs one of them for both.
 ///
 /// `Sync` is required because the campaign scheduler shares one workload
 /// across its worker threads; workloads are immutable descriptions of a
@@ -535,8 +548,12 @@ pub struct CampaignResult {
     pub gate_count: usize,
     /// The fault-free reference observation.
     pub golden: Observation,
-    /// Every classified fault run, in deterministic enumeration order.
+    /// Every classified fault run, in deterministic enumeration order:
+    /// one per fault slot.
     pub runs: Vec<FaultRun>,
+    /// Fault classes the campaign simulated (see [`FaultClasses`]); each
+    /// class's verdict fills all of its slots in `runs`.
+    pub classes: usize,
 }
 
 impl CampaignResult {
@@ -713,16 +730,17 @@ pub(crate) fn run_word<W: Workload + ?Sized>(
 }
 
 /// Average lane utilization (occupied lanes / 64 per word, golden lane
-/// included) of a bitsliced campaign packing `fault_count` faults into
-/// contiguous 63-fault words — the figure the campaign summary reports
-/// so underfilled words on small campaigns are visible rather than
-/// silently slow. 0.0 for an empty campaign.
-pub fn lane_utilization(fault_count: usize) -> f64 {
-    if fault_count == 0 {
+/// included) of a bitsliced campaign packing `classes` fault classes
+/// ([`CampaignResult::classes`]) into contiguous 63-lane words — the
+/// figure the campaign summary reports so underfilled words on small
+/// campaigns are visible rather than silently slow. 0.0 for an empty
+/// campaign.
+pub fn lane_utilization(classes: usize) -> f64 {
+    if classes == 0 {
         return 0.0;
     }
-    let words = fault_count.div_ceil(BitSimulator::LANES - 1);
-    (fault_count + words) as f64 / (words * BitSimulator::LANES) as f64
+    let words = classes.div_ceil(BitSimulator::LANES - 1);
+    (classes + words) as f64 / (words * BitSimulator::LANES) as f64
 }
 
 /// Runs and validates the fault-free reference: it must complete within
@@ -782,6 +800,141 @@ pub(crate) fn enumerate_faults(
         }
     }
     faults
+}
+
+/// A campaign's fault slots grouped into classes whose members are
+/// bound to share one outcome, so the campaign simulates one
+/// representative per class and copies its verdict to the rest.
+///
+/// Two slots share a class when either rule holds:
+/// - **Identical faults**: the same gate and kind, SEU cycle included.
+///   Sampled spaces draw with replacement, so duplicates are common.
+/// - **Equivalent stuck-at faults**: a combinational gate `g` whose
+///   output net is no output port and has exactly one reader pin, on a
+///   combinational gate `h`. A stuck-at on `g` then forces `h`'s output
+///   just as a stuck-at on `h` does: INV gives `g/0 ≡ h/1` and
+///   `g/1 ≡ h/0`, NAND2 `g/0 ≡ h/1`, AND2 `g/0 ≡ h/0`, NOR2
+///   `g/1 ≡ h/0` and OR2 `g/1 ≡ h/1`. Chains of such pairs are merged
+///   by union-find. Sequential cells take no part, because their
+///   stuck-at forcing applies only from the first clock edge's publish.
+///
+/// Both rules rest on [`Workload`]s seeing the circuit only through its
+/// ports: equivalent faults differ only on `g`'s own net, which no port
+/// and no other gate reads.
+///
+/// Each class's representative is its first member in fault order.
+#[derive(Debug, Clone)]
+pub struct FaultClasses {
+    /// Representative slot of each class, ascending.
+    representatives: Vec<usize>,
+    /// Offsets into `members`, one more than there are classes.
+    offsets: Vec<usize>,
+    /// Member slots grouped by class, ascending within a class, so the
+    /// representative comes first.
+    members: Vec<usize>,
+}
+
+impl FaultClasses {
+    /// Groups the slots of `faults`, enumerated on `netlist` whose
+    /// connectivity `fanout` indexes.
+    pub fn new(netlist: &Netlist, fanout: &FanoutMap, faults: &[Fault]) -> FaultClasses {
+        let gates = netlist.gates();
+        // Union-find over stuck-at sites, `2 * gate + forced value`.
+        let mut parent: Vec<u32> = (0..2 * gates.len() as u32).collect();
+        fn root(parent: &mut [u32], mut site: u32) -> u32 {
+            while parent[site as usize] != site {
+                let up = parent[parent[site as usize] as usize];
+                parent[site as usize] = up;
+                site = up;
+            }
+            site
+        }
+        let mut port_net = vec![false; netlist.net_count()];
+        for net in netlist.output_ports().values().flatten() {
+            port_net[net.index()] = true;
+        }
+        for (g, gate) in gates.iter().enumerate() {
+            if gate.is_sequential() || port_net[gate.output.index()] {
+                continue;
+            }
+            let &[h] = fanout.readers(gate.output) else { continue };
+            // `(g's stuck value, h's stuck value)` pairs that force h's
+            // output alike.
+            let pairs: &[(u32, u32)] = match gates[h as usize].kind {
+                CellKind::Inv => &[(0, 1), (1, 0)],
+                CellKind::Nand2 => &[(0, 1)],
+                CellKind::And2 => &[(0, 0)],
+                CellKind::Nor2 => &[(1, 0)],
+                CellKind::Or2 => &[(1, 1)],
+                _ => &[],
+            };
+            for &(gv, hv) in pairs {
+                let a = root(&mut parent, 2 * g as u32 + gv);
+                let b = root(&mut parent, 2 * h + hv);
+                parent[a as usize] = b;
+            }
+        }
+        // Number the classes in order of their first member.
+        let mut class_of_site = vec![u32::MAX; parent.len()];
+        let mut class_of_seu: HashMap<(u32, u64), u32> = HashMap::new();
+        let mut representatives = Vec::new();
+        let class_of_slot: Vec<u32> = faults
+            .iter()
+            .enumerate()
+            .map(|(slot, fault)| {
+                let class = match fault.kind {
+                    FaultKind::StuckAt0 | FaultKind::StuckAt1 => {
+                        let forced = u32::from(fault.kind == FaultKind::StuckAt1);
+                        let site = root(&mut parent, 2 * fault.gate.0 + forced);
+                        &mut class_of_site[site as usize]
+                    }
+                    FaultKind::Seu { cycle } => {
+                        class_of_seu.entry((fault.gate.0, cycle)).or_insert(u32::MAX)
+                    }
+                };
+                if *class == u32::MAX {
+                    *class = representatives.len() as u32;
+                    representatives.push(slot);
+                }
+                *class
+            })
+            .collect();
+        // Counting sort of the slots by class keeps each class ascending.
+        let mut offsets = vec![0usize; representatives.len() + 1];
+        for &class in &class_of_slot {
+            offsets[class as usize + 1] += 1;
+        }
+        for c in 0..representatives.len() {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets.clone();
+        let mut members = vec![0usize; faults.len()];
+        for (slot, &class) in class_of_slot.iter().enumerate() {
+            members[cursor[class as usize]] = slot;
+            cursor[class as usize] += 1;
+        }
+        FaultClasses { representatives, offsets, members }
+    }
+
+    /// Number of classes: the runs a campaign simulates.
+    pub fn len(&self) -> usize {
+        self.representatives.len()
+    }
+
+    /// Whether there are no classes (an empty fault list).
+    pub fn is_empty(&self) -> bool {
+        self.representatives.is_empty()
+    }
+
+    /// The representative slot of each class, ascending.
+    pub fn representatives(&self) -> &[usize] {
+        &self.representatives
+    }
+
+    /// The slots of class `class`, ascending, its representative first.
+    pub fn members(&self, class: usize) -> &[usize] {
+        &self.members[self.offsets[class]..self.offsets[class + 1]]
+    }
 }
 
 /// Classifies a single fault against the workload's golden run.

@@ -79,8 +79,8 @@ pub use builder::{tmr, NetlistBuilder, TMR_ERROR_PORT};
 pub use dataflow::{analyze, analyze_with_fanout, AbsValue, DataflowFacts};
 pub use fault::{
     campaign_threads, lane_utilization, run_campaign, run_campaign_with_threads, CampaignConfig,
-    CampaignError, CampaignResult, Fault, FaultKind, FaultMap, LaneOutcome, Observation, Outcome,
-    OutcomeCounts, PatternWorkload, ScalarOnly, StuckAtSpace, Workload,
+    CampaignError, CampaignResult, Fault, FaultClasses, FaultKind, FaultMap, LaneOutcome,
+    Observation, Outcome, OutcomeCounts, PatternWorkload, ScalarOnly, StuckAtSpace, Workload,
 };
 pub use ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError, Pins, Region};
 pub use lint::{lint, lint_with_facts, Diagnostic, LintConfig, LintReport, Rule, Severity};

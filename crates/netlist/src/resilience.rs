@@ -3,8 +3,12 @@
 //!
 //! [`run_supervised_campaign_cancellable`] is the only campaign
 //! scheduler in the workspace: [`crate::fault::run_campaign`] is this
-//! runner with the default [`ResilienceConfig`] (no checkpoint). Real
-//! reproduction sweeps run for minutes across many worker threads, and
+//! runner with the default [`ResilienceConfig`] (no checkpoint). It
+//! simulates one representative per [`FaultClasses`] class — sampled
+//! spaces draw with replacement, so slots repeat — and records the
+//! verdict into every member slot. Results, checkpoints, statistics and
+//! a print-shop quote's `faults` all count slots. Real reproduction
+//! sweeps run for minutes across many worker threads, and
 //! fault-injection infrastructure must survive its own faults, so the
 //! scheduler carries a resilience layer:
 //!
@@ -16,7 +20,8 @@
 //!   and — because slots are keyed by the deterministic fault
 //!   enumeration order, not by scheduling — produces a byte-identical
 //!   [`CampaignResult::to_csv`] to an uninterrupted run, for any thread
-//!   count.
+//!   count. A class with any recorded member takes that member's verdict
+//!   on resume, without another run.
 //! - **One bound per run** — the campaign's
 //!   [`CampaignConfig::cycle_budget`] is the only limit on a fault run.
 //!   Every [`Workload`] honours it on both engines, and a run still live
@@ -25,17 +30,18 @@
 //!   verdict is deterministic, and [`campaign_identity`] hashes it, so a
 //!   checkpoint never resumes under a different bound.
 //! - **Panic isolation + retry** — each fault run executes under
-//!   [`retry_panics`] with bounded retries and a deterministic
-//!   decorrelated backoff (seeded from the campaign seed, the slot
-//!   index, and the attempt number). A slot that keeps panicking
-//!   degrades to a recorded [`Outcome::Failed`] instead of aborting the
-//!   campaign. [`retry_panics`] is the workspace's one `catch_unwind`;
-//!   pipeline stages and print-shop jobs supervise through it too.
+//!   [`retry_panics`] with two retries and a deterministic decorrelated
+//!   backoff (seeded from the campaign seed, the representative's slot
+//!   index, and the attempt number). A class that keeps panicking
+//!   degrades its slots to a recorded [`Outcome::Failed`] instead of
+//!   aborting the campaign. [`retry_panics`] is the workspace's one
+//!   `catch_unwind`; pipeline stages and print-shop jobs supervise
+//!   through it too.
 //!
 //! Everything is instrumented through `printed-obs`: the
 //! `netlist.fault.campaign` span with one `netlist.fault.chunk` span per
 //! claimed chunk on `campaign-worker-<n>` lanes; the classification
-//! counters `netlist.fault.{workers,runs,masked,detected,hang,sdc}`,
+//! counters `netlist.fault.{workers,runs,classes,masked,detected,hang,sdc}`,
 //! the bitsliced `netlist.fault.bitsliced.{words,lanes}` counters and
 //! `netlist.fault.{lane_utilization,runs_per_sec}` gauges; and the
 //! resilience counters `resilience.retries`, `resilience.resumed_slots`
@@ -67,7 +73,8 @@
 
 use crate::fault::{
     campaign_golden, campaign_threads, enumerate_faults, faulty_budget, CampaignConfig,
-    CampaignError, CampaignResult, Fault, FaultRun, LaneOutcome, Outcome, OutcomeCounts, Workload,
+    CampaignError, CampaignResult, Fault, FaultClasses, FaultRun, LaneOutcome, Outcome,
+    OutcomeCounts, Workload,
 };
 use crate::hash::Fnv1a;
 use crate::ir::Netlist;
@@ -152,9 +159,6 @@ pub struct ResilienceConfig {
     /// Completed slots buffered between checkpoint flushes. Smaller
     /// values lose less work to a kill; larger values do less I/O.
     pub checkpoint_every: usize,
-    /// Retries after a panicking fault run before the slot degrades to
-    /// [`Outcome::Failed`] (so attempts = `max_retries + 1`).
-    pub max_retries: u32,
     /// Test hook: stop claiming new slots once this many have completed
     /// in this process, flush the checkpoint, and return
     /// [`SupervisedRun::Aborted`] — simulating a mid-campaign kill at a
@@ -164,12 +168,7 @@ pub struct ResilienceConfig {
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        ResilienceConfig {
-            checkpoint_dir: None,
-            checkpoint_every: 64,
-            max_retries: 2,
-            abort_after: None,
-        }
+        ResilienceConfig { checkpoint_dir: None, checkpoint_every: 64, abort_after: None }
     }
 }
 
@@ -190,10 +189,12 @@ impl ResilienceConfig {
 /// What the resilience layer had to do during one supervised campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
-    /// Slots restored from a checkpoint instead of re-simulated.
+    /// Slots restored from a checkpoint instead of re-simulated, every
+    /// member slot of a resumed class counted.
     pub resumed_slots: usize,
-    /// Retries spent on panicking fault runs (including retry counts
-    /// recorded in resumed checkpoint slots).
+    /// Retries spent on panicking fault runs, counted per slot: a
+    /// class's retries count once for each member (including retry
+    /// counts recorded in resumed checkpoint slots).
     pub retries: u64,
     /// Slots degraded to [`Outcome::Failed`] after exhausting retries.
     pub failed: usize,
@@ -244,6 +245,10 @@ impl SupervisedRun {
         }
     }
 }
+
+/// Retries after a panicking fault run before its slots degrade to
+/// [`Outcome::Failed`], so a class gets `SLOT_RETRIES + 1` attempts.
+const SLOT_RETRIES: u32 = 2;
 
 /// One filled result slot: the classified run plus the retries it cost.
 type SlotDone = (FaultRun, u32);
@@ -553,12 +558,11 @@ impl CheckpointSink {
 }
 
 /// Campaign-wide inputs every supervised slot shares: the golden
-/// observation to classify against, the cycle budget, and the
-/// retry/backoff parameters.
+/// observation to classify against, the cycle budget, and the backoff
+/// seed.
 struct SlotParams<'a> {
     golden: &'a crate::fault::Observation,
     budget: u64,
-    max_retries: u32,
     seed: u64,
 }
 
@@ -572,10 +576,10 @@ fn attempt_slot<W: Workload + ?Sized>(
     fault: Fault,
     index: usize,
 ) -> Result<SlotDone, JobError> {
-    let SlotParams { golden, budget, max_retries, seed } = *params;
+    let SlotParams { golden, budget, seed } = *params;
     let cell = pristine.netlist().gates()[fault.gate.index()].kind;
     let run = retry_panics(
-        max_retries,
+        SLOT_RETRIES,
         |attempt, _| backoff(seed, index, attempt),
         |_| crate::fault::observe(pristine, workload, Some(fault), budget),
     );
@@ -720,12 +724,19 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let pristine = Simulator::new(netlist);
     let golden = campaign_golden(&pristine, workload, config.cycle_budget)?;
     let faults = enumerate_faults(netlist, config, golden.cycles);
+    let classes = FaultClasses::new(netlist, &pristine.fanout_arc(), &faults);
     let budget = faulty_budget(config.cycle_budget, golden.cycles);
     let total = faults.len();
 
     let fingerprint = campaign_fingerprint(netlist, config, &golden, total);
     let mut stats = ResilienceStats::default();
     let mut slots: Vec<Option<SlotDone>> = vec![None; total];
+    // A member slot takes its class's verdict and retry count.
+    let member_done = |slot: usize, done: &SlotDone| -> SlotDone {
+        let fault = faults[slot];
+        let cell = netlist.gates()[fault.gate.index()].kind;
+        (FaultRun { fault, cell, outcome: done.0.outcome }, done.1)
+    };
 
     // Checkpoint setup: load whatever a previous run left, then rewrite
     // the file from scratch (header + resumed slots). Rewriting heals a
@@ -740,8 +751,19 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     };
     if let Some(dir) = &resilience.checkpoint_dir {
         let path = checkpoint_path(dir, netlist.name(), fingerprint);
-        stats.resumed_slots = load_checkpoint(&path, fingerprint, &faults, netlist, &mut slots);
+        load_checkpoint(&path, fingerprint, &faults, netlist, &mut slots);
+        // A class with one recorded member needs no run: its other
+        // members take that member's verdict.
+        for class in 0..classes.len() {
+            let members = classes.members(class);
+            if let Some(done) = members.iter().find_map(|&slot| slots[slot]) {
+                for &slot in members {
+                    slots[slot].get_or_insert_with(|| member_done(slot, &done));
+                }
+            }
+        }
         for done in slots.iter().flatten() {
+            stats.resumed_slots += 1;
             stats.retries += done.1 as u64;
         }
         // Rewrite the file from scratch (header + resumed slots) through
@@ -763,9 +785,15 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         stats.checkpoint = Some(path);
     }
 
+    // The work list: one fault per class, its representative's, and one
+    // result per class, already filled when the checkpoint held it.
+    let class_faults: Vec<Fault> = classes.representatives().iter().map(|&r| faults[r]).collect();
+    let mut class_slots: Vec<Option<SlotDone>> =
+        classes.representatives().iter().map(|&r| slots[r]).collect();
+
     // The bitsliced prototype every word clones. Word runs that decline,
     // fail the golden-lane check, or panic fall back to the supervised
-    // scalar path slot by slot.
+    // scalar path class by class.
     let proto = crate::bitsim::BitSimulator::new(netlist);
 
     let started = Instant::now();
@@ -782,43 +810,42 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let halted =
         || stop.load(Ordering::Relaxed) || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
-    // One slot, supervised: panics retried then degraded.
-    let params = SlotParams {
-        golden: &golden,
-        budget,
-        max_retries: resilience.max_retries,
-        seed: config.seed,
+    // One class, supervised: panics retried then degraded.
+    let params = SlotParams { golden: &golden, budget, seed: config.seed };
+    let supervise = |worker_sim: &Simulator<'_>, class: usize, fault: Fault| -> SlotDone {
+        let slot = classes.representatives()[class];
+        attempt_slot(worker_sim, workload, &params, fault, slot).unwrap_or_else(|err| {
+            // Panicked on every attempt: degrade the class, keep the
+            // campaign alive.
+            obs::trace_event(|| {
+                format!(
+                    "{{\"type\":\"slot_failed\",\"design\":{},\"slot\":{slot},\
+                     \"error\":{}}}",
+                    obs::json::escape(netlist.name()),
+                    obs::json::escape(&err.to_string()),
+                )
+            });
+            let cell = netlist.gates()[fault.gate.index()].kind;
+            (FaultRun { fault, cell, outcome: Outcome::Failed }, SLOT_RETRIES)
+        })
     };
-    let supervise = |worker_sim: &Simulator<'_>, index: usize, fault: Fault| -> SlotDone {
-        match attempt_slot(worker_sim, workload, &params, fault, index) {
-            Ok((run, attempts_used)) => {
-                retries.fetch_add(attempts_used as u64, Ordering::Relaxed);
-                (run, attempts_used)
-            }
-            Err(err) => {
-                // Panicked on every attempt: degrade the slot, keep the
-                // campaign alive.
-                if let JobError::Panicked { attempts, .. } = &err {
-                    retries.fetch_add((attempts - 1) as u64, Ordering::Relaxed);
-                }
-                failed.fetch_add(1, Ordering::Relaxed);
-                obs::trace_event(|| {
-                    format!(
-                        "{{\"type\":\"slot_failed\",\"design\":{},\"slot\":{index},\
-                         \"error\":{}}}",
-                        obs::json::escape(netlist.name()),
-                        obs::json::escape(&err.to_string()),
-                    )
-                });
-                let cell = netlist.gates()[fault.gate.index()].kind;
-                (FaultRun { fault, cell, outcome: Outcome::Failed }, resilience.max_retries)
-            }
+    // Records a class's verdict for every member slot: checkpoint lines,
+    // retry and failure counts, progress and the abort hook all count
+    // slots, exactly as if each member had been simulated.
+    let record = |class: usize, done: &SlotDone| {
+        let members = classes.members(class);
+        let mut sink = sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for &slot in members {
+            sink.push(slot, done);
         }
-    };
-    let record = |index: usize, done: &SlotDone| {
-        sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(index, done);
-        let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(256) {
+        drop(sink);
+        let filled = members.len();
+        retries.fetch_add(u64::from(done.1) * filled as u64, Ordering::Relaxed);
+        if done.0.outcome == Outcome::Failed {
+            failed.fetch_add(filled, Ordering::Relaxed);
+        }
+        let n = completed.fetch_add(filled, Ordering::Relaxed) + filled;
+        if (n - filled) / 256 != n / 256 {
             obs::trace_event(|| {
                 format!(
                     "{{\"type\":\"campaign_progress\",\"design\":{},\
@@ -834,10 +861,11 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             }
         }
     };
-    // Fills one chunk in word batches (resume holes packed together so
-    // words stay full); a declined word reruns slot by slot on the scalar
-    // path. Either way every filled slot goes through `record`, so
-    // checkpointing and abort accounting are engine-independent.
+    // Fills one chunk of classes in word batches (resume holes packed
+    // together so words stay full); a declined word reruns class by
+    // class on the scalar path. Either way every filled class goes
+    // through `record`, so checkpointing and abort accounting are
+    // engine-independent.
     let run_chunk = |worker_sim: &Simulator<'_>,
                      chunk_start: usize,
                      chunk_faults: &[Fault],
@@ -851,7 +879,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             }
             let mut take = (pending.len() - at).min(crate::bitsim::BitSimulator::LANES - 1);
             if let Some(limit) = resilience.abort_after {
-                // Cap the word so an abort request lands within a slot
+                // Cap the word so an abort request lands within a class
                 // of its limit instead of a whole word past it.
                 let done_so_far = completed.load(Ordering::Relaxed);
                 take = take.min(limit.saturating_sub(done_so_far).max(1));
@@ -885,14 +913,14 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                 }
                 None => {
                     // Engine declined or panicked mid-word: rerun each
-                    // slot on the scalar path with retries intact.
+                    // class on the scalar path with retries intact.
                     for &offset in window {
                         if halted() {
                             break;
                         }
-                        let index = chunk_start + offset;
-                        let done = supervise(worker_sim, index, chunk_faults[offset]);
-                        record(index, &done);
+                        let class = chunk_start + offset;
+                        let done = supervise(worker_sim, class, chunk_faults[offset]);
+                        record(class, &done);
                         chunk_slots[offset] = Some(done);
                     }
                 }
@@ -901,26 +929,24 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         }
     };
 
-    let workers = threads.max(1).min(total.max(1));
+    let workers = threads.max(1).min(classes.len().max(1));
     if workers <= 1 {
         let worker_sim = pristine.clone();
-        run_chunk(&worker_sim, 0, &faults, &mut slots);
+        run_chunk(&worker_sim, 0, &class_faults, &mut class_slots);
     } else {
-        // Contiguous chunks, several per worker so a chunk of hangs does
-        // not serialize the campaign behind one thread, each carrying its
-        // global start index for checkpointing. Chunks hold whole
-        // 63-fault words, so parallelism never splinters a word across
-        // workers.
+        // Contiguous chunks of classes, several per worker so a chunk of
+        // hangs does not serialize the campaign behind one thread, each
+        // carrying its first class index. Chunks hold whole 63-class
+        // words, so parallelism never splinters a word across workers.
         let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
-        let chunk = total.div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults;
-        /// One claimable unit of campaign work: the chunk's global start
-        /// index (for checkpoint bookkeeping) plus its fault and result
-        /// slot slices.
+        let chunk = classes.len().div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults;
+        /// One claimable unit of campaign work: the chunk's first class
+        /// index plus its fault and result slices.
         type Chunk<'f, 's> = (usize, &'f [Fault], &'s mut [Option<SlotDone>]);
         let mut work: Vec<Chunk<'_, '_>> = Vec::new();
         let mut start = 0usize;
-        let mut rest_faults: &[Fault] = &faults;
-        let mut rest_slots: &mut [Option<SlotDone>] = &mut slots;
+        let mut rest_faults: &[Fault] = &class_faults;
+        let mut rest_slots: &mut [Option<SlotDone>] = &mut class_slots;
         while !rest_slots.is_empty() {
             let take = chunk.min(rest_slots.len());
             let (head_faults, tail_faults) = rest_faults.split_at(take);
@@ -971,6 +997,14 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         reg.add("resilience.failed", stats.failed as u64);
     }
 
+    // Expand each newly run class into its member slots.
+    for (class, done) in class_slots.iter().enumerate() {
+        if let Some(done) = done {
+            for &slot in classes.members(class) {
+                slots[slot].get_or_insert_with(|| member_done(slot, done));
+            }
+        }
+    }
     if halted() && slots.iter().any(Option::is_none) {
         let done = slots.iter().filter(|s| s.is_some()).count();
         return Ok(SupervisedRun::Aborted { completed: done, total, checkpoint: stats.checkpoint });
@@ -988,6 +1022,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         let reg = obs::global();
         reg.add("netlist.fault.workers", workers as u64);
         reg.add("netlist.fault.runs", runs.len() as u64);
+        reg.add("netlist.fault.classes", classes.len() as u64);
         reg.add("netlist.fault.masked", counts.masked as u64);
         reg.add("netlist.fault.detected", counts.detected as u64);
         reg.add("netlist.fault.hang", counts.hang as u64);
@@ -1019,6 +1054,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
             gate_count: netlist.gate_count(),
             golden,
             runs,
+            classes: classes.len(),
         },
         fingerprint,
         stats,
@@ -1103,14 +1139,18 @@ mod tests {
             seu_samples: 0,
             ..CampaignConfig::default()
         };
-        let resilience = ResilienceConfig { max_retries: 1, ..ResilienceConfig::default() };
+        let resilience = ResilienceConfig::default();
         let supervised = run_supervised_campaign_with_threads(&nl, &workload, &cfg, &resilience, 2)
             .unwrap()
             .into_complete()
             .unwrap();
         assert_eq!(supervised.stats.failed, 4, "every faulty run panics, campaign survives");
         assert_eq!(supervised.result.counts().failed, 4);
-        assert_eq!(supervised.stats.retries, 4, "one retry per slot before degrading");
+        assert_eq!(
+            supervised.stats.retries,
+            4 * u64::from(SLOT_RETRIES),
+            "two retries per slot before degrading"
+        );
         assert!(supervised.result.to_csv().contains(",failed\n"));
     }
 
@@ -1126,7 +1166,6 @@ mod tests {
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 4,
             abort_after: Some(total / 3),
-            ..ResilienceConfig::default()
         };
         let aborted =
             run_supervised_campaign_with_threads(&nl, &workload, &config(), &resilience, 1)
@@ -1167,7 +1206,6 @@ mod tests {
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 4,
             abort_after: Some(total / 3),
-            ..ResilienceConfig::default()
         };
         let aborted =
             run_supervised_campaign_with_threads(&nl, &scalar, &config(), &resilience, 1).unwrap();
@@ -1445,6 +1483,98 @@ mod tests {
         let resumed = load_checkpoint(&path, fingerprint, &faults, &nl, &mut slots);
         assert_eq!(resumed, 2, "valid prefix kept, truncated tail dropped");
         assert!(slots[2].is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A sampled campaign on the accumulator with more draws than fault
+    /// sites, so slots repeat each other's faults.
+    fn duplicates() -> CampaignConfig {
+        CampaignConfig {
+            stuck_at: StuckAtSpace::Sampled(120),
+            seu_samples: 60,
+            ..CampaignConfig::default()
+        }
+    }
+
+    #[test]
+    fn aborted_campaign_of_duplicates_resumes_by_member_slots() {
+        let nl = accumulator();
+        let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let dir = std::env::temp_dir().join(format!("printed-ckpt-dups-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let baseline = run_campaign_with_threads(&nl, &workload, &duplicates(), 1).unwrap();
+        let total = baseline.runs.len();
+        assert!(baseline.classes < total / 2, "{} classes of {total} slots", baseline.classes);
+        let resilience = ResilienceConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 4,
+            abort_after: Some(total / 3),
+        };
+        let aborted =
+            run_supervised_campaign_with_threads(&nl, &workload, &duplicates(), &resilience, 1)
+                .unwrap();
+        let SupervisedRun::Aborted { completed, checkpoint, .. } = aborted else {
+            panic!("abort hook must fire");
+        };
+        let ckpt = checkpoint.expect("checkpointing was enabled");
+        // The checkpoint records every member slot of a finished class.
+        let lines = fs::read_to_string(&ckpt).unwrap().lines().count();
+        assert_eq!(lines, 1 + completed, "a header plus one line per completed slot");
+
+        let resumed = ResilienceConfig { abort_after: None, ..resilience };
+        let finished =
+            run_supervised_campaign_with_threads(&nl, &workload, &duplicates(), &resumed, 1)
+                .unwrap()
+                .into_complete()
+                .expect("no abort hook on resume");
+        assert_eq!(finished.stats.resumed_slots, completed, "resumed slots count members");
+        assert_eq!(finished.result.to_csv(), baseline.to_csv(), "byte-identical CSV");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_recorded_member_fills_its_class_without_a_run() {
+        let nl = accumulator();
+        let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let golden =
+            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, config().cycle_budget)
+                .unwrap();
+        let faults = enumerate_faults(&nl, &duplicates(), golden.cycles);
+        let classes = FaultClasses::new(&nl, &crate::ir::FanoutMap::build(&nl), &faults);
+        let class = (0..classes.len()).find(|&c| classes.members(c).len() >= 3).unwrap();
+        let members = classes.members(class);
+        // Record one member, not the representative, with a verdict no
+        // simulation of it gives: only the checkpoint can supply it.
+        let fingerprint = campaign_fingerprint(&nl, &duplicates(), &golden, faults.len());
+        let dir = std::env::temp_dir().join(format!("printed-ckpt-member-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let recorded = members[1];
+        let cell = nl.gates()[faults[recorded].gate.index()].kind;
+        let run = FaultRun { fault: faults[recorded], cell, outcome: Outcome::Failed };
+        fs::write(
+            checkpoint_path(&dir, nl.name(), fingerprint),
+            header_line(nl.name(), faults.len(), fingerprint) + &slot_line(recorded, &(run, 0)),
+        )
+        .unwrap();
+
+        let resilience =
+            ResilienceConfig { checkpoint_dir: Some(dir.clone()), ..ResilienceConfig::default() };
+        let finished =
+            run_supervised_campaign_with_threads(&nl, &workload, &duplicates(), &resilience, 1)
+                .unwrap()
+                .into_complete()
+                .unwrap();
+        assert_eq!(finished.stats.resumed_slots, members.len());
+        let baseline = run_campaign_with_threads(&nl, &workload, &duplicates(), 1).unwrap();
+        for (slot, (got, want)) in finished.result.runs.iter().zip(&baseline.runs).enumerate() {
+            if members.contains(&slot) {
+                assert_eq!(got.outcome, Outcome::Failed, "member slot {slot}");
+                assert_eq!(got.fault, want.fault);
+            } else {
+                assert_eq!(got, want, "slot {slot} outside the class");
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -8,13 +8,15 @@
 //! partial final words are exercised — at 1 and 4 worker threads. The
 //! engine's source-group settle, which evaluates only the logic fed by
 //! written ports or published state, must equal a full pass on random
-//! multi-port netlists under random per-lane stimulus.
+//! multi-port netlists under random per-lane stimulus. A campaign runs
+//! one representative per fault class, so every slot of it must also
+//! match `classify_fault` run on that slot's own fault.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use printed_netlist::fault::{
-    run_campaign_with_threads, CampaignConfig, Fault, FaultKind, PatternWorkload, ScalarOnly,
-    StuckAtSpace, Workload,
+    classify_fault, run_campaign_with_threads, CampaignConfig, Fault, FaultKind, PatternWorkload,
+    ScalarOnly, StuckAtSpace, Workload,
 };
 use printed_netlist::{BitSimulator, GateId, NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
@@ -203,6 +205,51 @@ proptest! {
                     baseline_csv.clone(),
                     "CSV bytes diverged: engine={} threads={}",
                     engine, threads
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The per-fault oracle for fault classes: a campaign simulates one
+    /// representative per class and copies its verdict to the other
+    /// members, yet every slot must get the verdict `classify_fault`
+    /// gives its own fault, uncollapsed — in the exhaustive space (both
+    /// polarities of every gate, so every structural pair) and in
+    /// sampled spaces (drawn with replacement, so duplicates), with
+    /// SEUs, at 1 and 2 workers.
+    #[test]
+    fn every_slot_of_a_classed_campaign_matches_the_per_fault_oracle(
+        ops in prop::collection::vec((0u8..9, any::<u8>(), any::<u8>()), 8..64),
+        n_dffs in 1usize..5,
+        seed in any::<u64>(),
+        exhaustive in any::<bool>(),
+        stuck_samples in 1usize..130,
+        seu_samples in 0usize..24,
+    ) {
+        let nl = random_netlist(&ops, n_dffs);
+        let workload = PatternWorkload { cycles: 8, seed };
+        let config = CampaignConfig {
+            stuck_at: if exhaustive {
+                StuckAtSpace::Exhaustive
+            } else {
+                StuckAtSpace::Sampled(stuck_samples)
+            },
+            seu_samples,
+            seed,
+            ..CampaignConfig::default()
+        };
+        for threads in [1usize, 2] {
+            let run = run_campaign_with_threads(&nl, &workload, &config, threads).unwrap();
+            prop_assert!(run.classes <= run.runs.len());
+            for (slot, r) in run.runs.iter().enumerate() {
+                let oracle = classify_fault(&nl, &workload, r.fault, config.cycle_budget).unwrap();
+                prop_assert_eq!(
+                    r.outcome, oracle,
+                    "slot {} ({}), threads {}", slot, r.fault, threads
                 );
             }
         }

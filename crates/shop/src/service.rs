@@ -65,8 +65,6 @@ pub struct ShopConfig {
     pub deadline_ms: u64,
     /// Worker threads (`PRINTED_SHOP_WORKERS`, default 2).
     pub workers: usize,
-    /// Retries after a panicking job attempt.
-    pub max_retries: u32,
     /// Simulator threads each campaign may use.
     pub campaign_threads: usize,
 }
@@ -79,7 +77,6 @@ impl Default for ShopConfig {
             queue_capacity: 8,
             deadline_ms: 30_000,
             workers: 2,
-            max_retries: 2,
             campaign_threads: campaign_threads(),
         }
     }
@@ -161,6 +158,10 @@ struct Shared {
 
 /// How many recent job records the manifest ring keeps.
 const STAGE_RING: usize = 64;
+
+/// Retries after a panicking job attempt before the job is reported
+/// poisoned, so a job gets `JOB_RETRIES + 1` attempts.
+const JOB_RETRIES: u32 = 2;
 
 impl Shared {
     fn record_stage(&self, record: StageRecord) {
@@ -584,7 +585,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         shared.record_stage(StageRecord {
             name: format!("shop.job.{key:016x}"),
             status,
-            attempts: 1 + query.chaos_panics.min(shared.config.max_retries),
+            attempts: 1 + query.chaos_panics.min(JOB_RETRIES),
             wall_ms,
             error,
         });
@@ -601,7 +602,7 @@ fn process_job(shared: &Arc<Shared>, key: u64, query: &ShopQuery, started: Insta
     let deadline = started + Duration::from_millis(shared.config.deadline_ms);
     shared.register_inflight(cancel.clone(), deadline);
     let run = retry_panics(
-        shared.config.max_retries,
+        JOB_RETRIES,
         |attempt, _| {
             shared.counters.retries.fetch_add(1, Ordering::Relaxed);
             // Deterministic exponential backoff: 10, 20, 40 … ms.

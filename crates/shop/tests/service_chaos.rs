@@ -27,7 +27,6 @@ fn start(tag: &str, tweak: impl FnOnce(&mut ShopConfig)) -> (ShopService, PathBu
         queue_capacity: 8,
         deadline_ms: 60_000,
         workers: 2,
-        max_retries: 2,
         campaign_threads: 1,
     };
     tweak(&mut config);
@@ -42,7 +41,6 @@ fn restart(dir: &Path, tweak: impl FnOnce(&mut ShopConfig)) -> ShopService {
         queue_capacity: 8,
         deadline_ms: 60_000,
         workers: 2,
-        max_retries: 2,
         campaign_threads: 1,
     };
     tweak(&mut config);
@@ -196,7 +194,7 @@ fn deadline_cancels_a_slow_job_with_a_typed_error() {
 
 #[test]
 fn panicking_jobs_retry_with_backoff_then_poison() {
-    let (service, dir) = start("poison", |c| c.max_retries = 2);
+    let (service, dir) = start("poison", |_| {});
 
     // One injected panic: retried and served.
     let healed =

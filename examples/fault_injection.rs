@@ -96,9 +96,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             result.seu_counts(),
         );
         println!(
-            "  engine: bitsliced, {:.1} % lane utilization over {} faults \
-             (64-lane words, lane 0 golden)",
-            100.0 * lane_utilization(result.runs.len()),
+            "  engine: bitsliced, {:.1} % lane utilization over {} fault classes \
+             of {} faults (64-lane words, lane 0 golden)",
+            100.0 * lane_utilization(result.classes),
+            result.classes,
             result.runs.len()
         );
         println!("  vulnerability by cell class:");

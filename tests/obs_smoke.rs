@@ -49,15 +49,19 @@ fn campaign_metrics_export_as_valid_json_lines() {
     assert!(registry.span_stats("netlist.fault.campaign").is_some(), "campaign span recorded");
     // One scheduler publishes both counter families from the same run:
     // the resilience counters sit beside the classification counters,
-    // and every bitsliced word filled its fault lanes plus the golden one.
-    // The cycle budget is the one bound on a run, so nothing times out.
+    // and every bitsliced word filled one lane per fault class it ran
+    // plus the golden one. The cycle budget is the one bound on a run,
+    // so nothing times out.
     for name in ["resilience.retries", "resilience.failed"] {
         assert_eq!(registry.counter(name), Some(0), "{name} published by the campaign");
     }
     assert_eq!(registry.counter("resilience.timeouts"), None, "no watchdog, no timeouts");
     let words = registry.counter("netlist.fault.bitsliced.words").expect("words counter");
     let lanes = registry.counter("netlist.fault.bitsliced.lanes").expect("lanes counter");
-    assert_eq!(lanes, runs + words, "lanes tile the run set plus one golden lane per word");
+    let classes = registry.counter("netlist.fault.classes").expect("classes counter");
+    assert_eq!(classes, result.classes as u64);
+    assert!(classes < runs, "the exhaustive space holds equivalent stuck-at faults");
+    assert_eq!(lanes, classes + words, "lanes tile the classes plus one golden lane per word");
 
     // Every exported line is a self-contained JSON object with the
     // discriminator and name fields the tooling relies on.

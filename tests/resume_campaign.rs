@@ -47,7 +47,6 @@ fn interrupted_smoke_campaign_resumes_to_the_identical_csv() {
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 4,
             abort_after: Some(total / 3),
-            ..ResilienceConfig::default()
         };
         let aborted = run_supervised_campaign_with_threads(
             &netlist,
