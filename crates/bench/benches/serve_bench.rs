@@ -27,7 +27,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use printed_shop::client::ShopClient;
 use printed_shop::{ShopConfig, ShopService};
-use std::path::Path;
 use std::time::Instant;
 
 /// Client threads driving the mixed-QPS measurement.
@@ -171,7 +170,7 @@ fn measure() -> Measurements {
 }
 
 fn write_bench_json(m: &Measurements) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
+    let path = printed_bench::repo_file("BENCH_serve.json");
     std::fs::write(&path, m.to_json())
         .unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
     println!("wrote {}", path.display());

@@ -37,12 +37,11 @@ use printed_core::workload::ProgramWorkload;
 use printed_core::{generate_checked, generate_standard, CoreConfig, CoreSpec};
 use printed_eval::lockstep::{self, DiffRow};
 use printed_netlist::fault::{
-    run_campaign_with_threads, CampaignConfig, PatternWorkload, StuckAtSpace, Workload,
+    run_campaign, CampaignConfig, PatternWorkload, StuckAtSpace, Workload,
 };
 use printed_netlist::{analysis, dataflow, opt, Engine, FanoutMap, ScalarOnly, Simulator};
 use printed_obs as obs;
 use printed_pdk::Technology;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -397,7 +396,7 @@ fn measure_campaign_scaling() -> (usize, usize, Vec<(usize, f64)>, bool) {
     for rep in 0..CAMPAIGN_SCALING_REPS {
         for (slot, &threads) in best.iter_mut().zip(&CAMPAIGN_THREADS) {
             let started = Instant::now();
-            let result = run_campaign_with_threads(&netlist, &workload, &campaign, threads)
+            let result = run_campaign(&netlist, &workload, &campaign, threads)
                 .expect("smoke campaign completes");
             let ms = started.elapsed().as_secs_f64() * 1e3;
             if rep >= 1 {
@@ -436,12 +435,12 @@ fn measure_bitsliced() -> BitslicedRun {
     let (mut faults, mut classes) = (0, 0);
     for rep in 0..MEASURE_REPS {
         let started = Instant::now();
-        let scalar = run_campaign_with_threads(&netlist, &scalar_workload, &campaign, 1)
+        let scalar = run_campaign(&netlist, &scalar_workload, &campaign, 1)
             .expect("scalar campaign completes");
         let s_ms = started.elapsed().as_secs_f64() * 1e3;
         let started = Instant::now();
-        let bits = run_campaign_with_threads(&netlist, &workload, &campaign, 1)
-            .expect("bitsliced campaign completes");
+        let bits =
+            run_campaign(&netlist, &workload, &campaign, 1).expect("bitsliced campaign completes");
         let b_ms = started.elapsed().as_secs_f64() * 1e3;
         assert_eq!(scalar.to_csv(), bits.to_csv(), "engines must agree byte for byte");
         (faults, classes) = (scalar.runs.len(), scalar.classes);
@@ -450,14 +449,14 @@ fn measure_bitsliced() -> BitslicedRun {
             bitsliced_ms = bitsliced_ms.min(b_ms);
         }
     }
-    let baseline = run_campaign_with_threads(&netlist, &scalar_workload, &campaign, 1)
+    let baseline = run_campaign(&netlist, &scalar_workload, &campaign, 1)
         .expect("scalar campaign completes")
         .to_csv();
     let mut csv_identical = true;
     let engines: [&dyn Workload; 2] = [&scalar_workload, &workload];
     for engine in engines {
         for threads in [1usize, 4] {
-            let run = run_campaign_with_threads(&netlist, engine, &campaign, threads)
+            let run = run_campaign(&netlist, engine, &campaign, threads)
                 .expect("matrix campaign completes");
             csv_identical &= run.to_csv() == baseline;
         }
@@ -596,7 +595,7 @@ fn measure_diff_word() -> DiffRun {
 }
 
 fn write_bench_json(m: &Measurements) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json");
+    let path = printed_bench::repo_file("BENCH_sim.json");
     std::fs::write(&path, m.to_json())
         .unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
     println!("wrote {}", path.display());

@@ -28,6 +28,22 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+/// The file `name` at the root of the repository the bench runs in.
+/// The root is found through `CARGO_MANIFEST_DIR` read at run time, which
+/// `cargo bench` sets to this crate's directory, so a copy of the
+/// repository writes into its own tree even when it runs a bench binary
+/// built in another copy.
+///
+/// # Panics
+///
+/// Panics if `CARGO_MANIFEST_DIR` is unset: the bench was not started by
+/// cargo.
+pub fn repo_file(name: &str) -> PathBuf {
+    let crate_dir = std::env::var_os("CARGO_MANIFEST_DIR")
+        .unwrap_or_else(|| panic!("CARGO_MANIFEST_DIR is unset; run the bench with cargo bench"));
+    Path::new(&crate_dir).join("../..").join(name)
+}
+
 /// Appends one `printed-bench-record/v1` line to the perf-history ledger
 /// (`BENCH_history.jsonl` at the repository root, or the path in
 /// `PRINTED_BENCH_HISTORY`) and returns the run index it wrote.
@@ -47,10 +63,10 @@ use std::process::Command;
 /// Panics if the ledger cannot be appended to.
 pub fn append_history(bench: &str, metrics: &str) -> u64 {
     use std::io::Write as _;
-    let path = std::env::var("PRINTED_BENCH_HISTORY").ok().filter(|p| !p.is_empty()).map_or_else(
-        || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.jsonl"),
-        PathBuf::from,
-    );
+    let path = std::env::var("PRINTED_BENCH_HISTORY")
+        .ok()
+        .filter(|p| !p.is_empty())
+        .map_or_else(|| repo_file("BENCH_history.jsonl"), PathBuf::from);
     let run_index = match std::fs::read_to_string(&path) {
         Ok(existing) => existing.lines().filter(|l| !l.trim().is_empty()).count() as u64 + 1,
         Err(_) => 1,

@@ -20,7 +20,7 @@
 //!     stuck_at: StuckAtSpace::Sampled(4),
 //!     ..CampaignConfig::default()
 //! };
-//! let result = run_campaign(&netlist, &workload, &campaign)?;
+//! let result = run_campaign(&netlist, &workload, &campaign, 1)?;
 //! assert_eq!(result.runs.len(), 4);
 //! # Ok::<(), printed_netlist::fault::CampaignError>(())
 //! ```
@@ -167,8 +167,8 @@ mod tests {
     use super::*;
     use crate::generator::generate_standard;
     use printed_netlist::fault::{
-        classify_fault, run_campaign, run_campaign_with_threads, CampaignConfig, Fault, FaultKind,
-        Outcome, ScalarOnly, StuckAtSpace,
+        classify_fault, run_campaign, CampaignConfig, Fault, FaultKind, Outcome, ScalarOnly,
+        StuckAtSpace,
     };
     use printed_netlist::{tmr, GateId};
 
@@ -232,7 +232,7 @@ mod tests {
             seu_samples: 8,
             ..CampaignConfig::default()
         };
-        let result = run_campaign(&nl, &w, &campaign).unwrap();
+        let result = run_campaign(&nl, &w, &campaign, 1).unwrap();
         assert_eq!(result.runs.len(), 48);
         let counts = result.counts();
         assert!(counts.masked > 0, "some faults must be architecturally masked: {counts:?}");
@@ -285,9 +285,9 @@ mod tests {
             seu_samples: 8,
             ..CampaignConfig::default()
         };
-        let scalar = run_campaign(&nl, &ScalarOnly(&w), &campaign).unwrap();
+        let scalar = run_campaign(&nl, &ScalarOnly(&w), &campaign, 1).unwrap();
         for threads in [1, 4] {
-            let bits = run_campaign_with_threads(&nl, &w, &campaign, threads).unwrap();
+            let bits = run_campaign(&nl, &w, &campaign, threads).unwrap();
             assert_eq!(bits, scalar, "{threads} threads");
             assert_eq!(bits.to_csv(), scalar.to_csv(), "byte-identical CSV at {threads} threads");
         }
@@ -297,8 +297,8 @@ mod tests {
         // them uncompleted, and both engines must call them hangs.
         let golden = w.run(Simulator::new(&nl), campaign.cycle_budget).unwrap().cycles;
         let tight = CampaignConfig { cycle_budget: golden + 2, ..campaign };
-        let scalar_tight = run_campaign_with_threads(&nl, &ScalarOnly(&w), &tight, 1).unwrap();
-        let bits_tight = run_campaign_with_threads(&nl, &w, &tight, 1).unwrap();
+        let scalar_tight = run_campaign(&nl, &ScalarOnly(&w), &tight, 1).unwrap();
+        let bits_tight = run_campaign(&nl, &w, &tight, 1).unwrap();
         assert!(bits_tight.counts().hang > 0, "the budget must stop some faulty lanes");
         assert_eq!(bits_tight, scalar_tight, "the same verdict for every fault");
         assert_eq!(bits_tight.to_csv(), scalar_tight.to_csv());
@@ -308,7 +308,7 @@ mod tests {
         // and 2 workers.
         let example = CampaignConfig { seu_samples: 32, ..CampaignConfig::default() };
         let csv = |workload: &dyn Workload, threads| {
-            run_campaign_with_threads(&nl, workload, &example, threads).unwrap().to_csv()
+            run_campaign(&nl, workload, &example, threads).unwrap().to_csv()
         };
         let reference = csv(&ScalarOnly(&w), 1);
         assert_eq!(csv(&ScalarOnly(&w), 2), reference, "scalar engine, 2 workers");
@@ -336,7 +336,7 @@ mod tests {
             seu_samples: 12,
             ..CampaignConfig::default()
         };
-        let result = run_campaign(&hardened, &w, &campaign).unwrap();
+        let result = run_campaign(&hardened, &w, &campaign, 1).unwrap();
         let counts = result.counts();
         assert_eq!(counts.masked, counts.total(), "TMR masks every single SEU: {counts:?}");
         let _ = seu;

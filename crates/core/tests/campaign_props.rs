@@ -22,7 +22,7 @@ mod programs;
 use printed_core::workload::ProgramWorkload;
 use printed_core::{generate, generate_standard, CoreConfig, CoreSpec, Instruction};
 use printed_netlist::fault::{
-    classify_fault, run_campaign_with_threads, CampaignConfig, ScalarOnly, StuckAtSpace,
+    classify_fault, run_campaign, CampaignConfig, ScalarOnly, StuckAtSpace,
 };
 use printed_netlist::{tmr, Netlist};
 use programs::{forward_only, instruction, program};
@@ -83,8 +83,8 @@ fn check(
         cycle_budget: 120,
         seed,
     };
-    let scalar = run_campaign_with_threads(&netlist, &ScalarOnly(&workload), &config, 1);
-    let bits = run_campaign_with_threads(&netlist, &workload, &config, 1);
+    let scalar = run_campaign(&netlist, &ScalarOnly(&workload), &config, 1);
+    let bits = run_campaign(&netlist, &workload, &config, 1);
     match (scalar, bits) {
         (Ok(scalar), Ok(bits)) => {
             let context = format!("{kind:?} {width}-bit core, program {program:?}");
@@ -137,7 +137,7 @@ fn check_oracle(
     let (netlist, workload) = core(kind, 4, program).expect("every generated program encodes");
     let config = CampaignConfig { stuck_at, seu_samples: seus, cycle_budget: 120, seed };
     for threads in [1, 2] {
-        let Ok(run) = run_campaign_with_threads(&netlist, &workload, &config, threads) else {
+        let Ok(run) = run_campaign(&netlist, &workload, &config, threads) else {
             return false;
         };
         for (slot, r) in run.runs.iter().enumerate() {

@@ -29,7 +29,7 @@
 //! mid-pipeline failure the degradation gate exercises.
 
 use crate::perf_report::{self, ReportError};
-use printed_netlist::resilience::retry_panics;
+use printed_netlist::resilience::{checkpoint_dir, retry_panics};
 use printed_obs as obs;
 use std::fmt;
 use std::path::Path;
@@ -199,11 +199,13 @@ impl Pipeline {
 
     /// Renders the completeness manifest as a JSON document: pipeline
     /// status, per-stage records, resilience counters, and checkpoint
-    /// provenance (the `PRINTED_CKPT_DIR` in effect, if any). The
+    /// provenance (the campaign checkpoint directory in effect, if any,
+    /// as [`checkpoint_dir`] reads it). The
     /// output parses under [`printed_obs::json::parse`] — the same
     /// grammar the obs JSON-lines gate validates.
     pub fn manifest_json(&self) -> String {
-        let ckpt = std::env::var("PRINTED_CKPT_DIR").ok().filter(|v| !v.trim().is_empty());
+        let ckpt = checkpoint_dir();
+        let ckpt = ckpt.as_deref().map(|dir| dir.to_string_lossy());
         render_manifest(&self.name, self.status(), &self.stages, self.retries, 0, ckpt.as_deref())
     }
 

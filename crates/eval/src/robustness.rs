@@ -12,6 +12,12 @@
 //! netlists; [`tmr_comparison`] prices TMR hardening (area / power /
 //! f_max) against the SEU coverage it buys. Everything is deterministic
 //! under [`RobustnessOptions::seed`].
+//!
+//! Every campaign runs on the one scheduler,
+//! [`printed_netlist::resilience::run_supervised_campaign`], with its
+//! worker count from `PRINTED_SIM_THREADS` ([`campaign_threads`]) and its
+//! checkpoint directory from `PRINTED_CKPT_DIR` ([`checkpoint_dir`]);
+//! neither changes a row.
 
 use crate::manufacturing::netlist_devices;
 use crate::report::TextTable;
@@ -22,7 +28,9 @@ use printed_netlist::fault::{
     campaign_threads, yield_sites, CampaignConfig, CampaignResult, OutcomeCounts, PatternWorkload,
     StuckAtSpace, Workload,
 };
-use printed_netlist::resilience::{run_supervised_campaign, JobError, ResilienceConfig};
+use printed_netlist::resilience::{
+    checkpoint_dir, run_supervised_campaign, JobError, SupervisedRun,
+};
 use printed_netlist::{analysis, tmr, Netlist};
 use printed_pdk::yield_model;
 use printed_pdk::Technology;
@@ -91,14 +99,12 @@ pub struct RobustnessRow {
 /// Runs one design's fault campaign and rolls the result into a
 /// [`RobustnessRow`].
 ///
-/// The campaign runs under the supervised runner
-/// ([`run_supervised_campaign`]) with [`ResilienceConfig::from_env`]:
-/// panicking fault runs are isolated and retried, and setting
-/// `PRINTED_CKPT_DIR` makes the campaign checkpoint/resumable. With the
-/// variable unset there is no I/O on the campaign path, and the config
-/// is [`ResilienceConfig::default`] — the one
-/// [`printed_netlist::fault::run_campaign`] runs the same scheduler
-/// with — so the result equals that function's.
+/// The campaign runs on the one scheduler ([`run_supervised_campaign`])
+/// with [`campaign_threads`] workers and no cancel flag: panicking fault
+/// runs are isolated and retried, and setting `PRINTED_CKPT_DIR` (read
+/// by [`checkpoint_dir`]) makes the campaign checkpoint/resumable. With
+/// the variable unset there is no I/O on the campaign path, and the
+/// result equals [`printed_netlist::fault::run_campaign`]'s.
 ///
 /// # Errors
 ///
@@ -122,11 +128,17 @@ pub fn campaign_row(
         seu_samples: options.seu_samples,
         seed: options.seed,
     };
-    let resilience = ResilienceConfig::from_env();
-    let run = run_supervised_campaign(netlist, workload, &config, &resilience)?;
-    let campaign = run
-        .into_complete()
-        .unwrap_or_else(|| unreachable!("no abort hook is installed, so the run always completes"));
+    let run = run_supervised_campaign(
+        netlist,
+        workload,
+        &config,
+        checkpoint_dir().as_deref(),
+        campaign_threads(),
+        None,
+    )?;
+    let SupervisedRun::Complete(campaign) = run else {
+        unreachable!("without a cancel flag the run always completes")
+    };
     Ok(row_from_campaign(netlist, technology, options, exhaustive, &campaign.result))
 }
 

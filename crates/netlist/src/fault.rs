@@ -28,16 +28,17 @@
 //! and tallies still count slots.
 //!
 //! This module defines what a campaign computes; [`crate::resilience`]
-//! holds the one scheduler that runs it, and [`run_campaign`] is that
-//! scheduler with checkpointing off. Campaigns parallelize across
-//! `PRINTED_SIM_THREADS` worker threads (default 1; see
-//! [`campaign_threads`]). Every class is independent, so the class list
-//! is split into contiguous chunks, each worker clones the pristine
-//! [`Simulator`] once and claims chunks from a shared queue, and each
-//! classification lands in a result slot preassigned by class index. The
-//! merged [`CampaignResult`] — runs, statistics, and CSV bytes — is
-//! therefore identical for every thread count by construction; claiming
-//! order only affects wall-clock time.
+//! holds the one scheduler that runs it,
+//! [`crate::resilience::run_supervised_campaign`], and [`run_campaign`]
+//! is that scheduler with no checkpoint and no cancel flag. Both take the
+//! worker-thread count as an argument; callers that follow the
+//! `PRINTED_SIM_THREADS` environment variable pass [`campaign_threads`].
+//! Every class is independent, so the class list is split into
+//! contiguous chunks, the workers claim chunks from a shared queue, and
+//! each classification lands in a result slot preassigned by class
+//! index. The merged [`CampaignResult`] — runs, statistics, and CSV
+//! bytes — is therefore identical for every thread count by
+//! construction; claiming order only affects wall-clock time.
 //!
 //! ```
 //! use printed_netlist::fault::{
@@ -59,7 +60,7 @@
 //!     seu_samples: 4,
 //!     ..CampaignConfig::default()
 //! };
-//! let result = run_campaign(&nl, &workload, &config).expect("golden run completes");
+//! let result = run_campaign(&nl, &workload, &config, 1).expect("golden run completes");
 //! // Two stuck-at polarities per gate plus the sampled SEUs.
 //! assert_eq!(result.runs.len(), 2 * nl.gate_count() + 4);
 //! # Ok::<(), printed_netlist::NetlistError>(())
@@ -68,9 +69,7 @@
 use crate::bitsim::{lane_value, BitSimulator};
 use crate::builder::TMR_ERROR_PORT;
 use crate::ir::{FanoutMap, GateId, NetId, Netlist, NetlistError};
-use crate::resilience::{
-    run_supervised_campaign_with_threads, JobError, ResilienceConfig, SupervisedRun,
-};
+use crate::resilience::{run_supervised_campaign, JobError, SupervisedRun};
 use crate::sim::Simulator;
 use printed_pdk::{yield_model, CellKind, Technology};
 use rand::rngs::StdRng;
@@ -961,8 +960,9 @@ pub fn classify_fault<W: Workload + ?Sized>(
 }
 
 /// Worker-thread count for fault campaigns, read from the
-/// `PRINTED_SIM_THREADS` environment variable. Unset, empty, or
-/// unparsable values — and explicit `0` — mean 1 (sequential).
+/// `PRINTED_SIM_THREADS` environment variable: the workspace's one
+/// reader of it. Unset, empty, or unparsable values — and explicit `0` —
+/// mean 1 (sequential).
 pub fn campaign_threads() -> usize {
     std::env::var("PRINTED_SIM_THREADS")
         .ok()
@@ -976,21 +976,17 @@ pub(crate) fn faulty_budget(cycle_budget: u64, golden_cycles: u64) -> u64 {
     cycle_budget.min(golden_cycles.saturating_mul(4).saturating_add(8))
 }
 
-/// Runs a full single-fault campaign: the configured stuck-at space plus
-/// seeded Monte-Carlo SEU sampling over sequential state, each run
-/// classified against the fault-free golden run.
-///
-/// Parallelism comes from the `PRINTED_SIM_THREADS` environment variable
-/// (see [`campaign_threads`]); the result is byte-identical for every
-/// thread count. Use [`run_campaign_with_threads`] to pick the worker
-/// count programmatically.
+/// Runs a full single-fault campaign on `threads` workers: the
+/// configured stuck-at space plus seeded Monte-Carlo SEU sampling over
+/// sequential state, each run classified against the fault-free golden
+/// run. The result is byte-identical for every thread count.
 ///
 /// The campaign runs on the one scheduler,
-/// [`crate::resilience::run_supervised_campaign_cancellable`], with the
-/// default [`ResilienceConfig`]: no checkpoint, the cycle budget as the
-/// only bound on a run, and panic isolation. A workload that panics on a
-/// fault is retried twice and then recorded as [`Outcome::Failed`] in
-/// that fault's slot; the panic does not unwind into the caller.
+/// [`crate::resilience::run_supervised_campaign`], with no checkpoint and
+/// no cancel flag: the cycle budget is the only bound on a run, and
+/// panics are isolated. A workload that panics on a fault is retried
+/// twice and then recorded as [`Outcome::Failed`] in that fault's slot;
+/// the panic does not unwind into the caller.
 ///
 /// # Errors
 ///
@@ -1000,26 +996,11 @@ pub fn run_campaign<W: Workload + ?Sized>(
     netlist: &Netlist,
     workload: &W,
     config: &CampaignConfig,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_with_threads(netlist, workload, config, campaign_threads())
-}
-
-/// [`run_campaign`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// Returns a [`CampaignError`] if the fault-free run fails, does not
-/// complete, or fires the detect port.
-pub fn run_campaign_with_threads<W: Workload + ?Sized>(
-    netlist: &Netlist,
-    workload: &W,
-    config: &CampaignConfig,
     threads: usize,
 ) -> Result<CampaignResult, CampaignError> {
-    let resilience = ResilienceConfig::default();
-    match run_supervised_campaign_with_threads(netlist, workload, config, &resilience, threads) {
+    match run_supervised_campaign(netlist, workload, config, None, threads, None) {
         Ok(SupervisedRun::Complete(done)) => Ok(done.result),
-        Ok(SupervisedRun::Aborted { .. }) => unreachable!("no abort hook and no cancel flag"),
+        Ok(SupervisedRun::Aborted { .. }) => unreachable!("no cancel flag"),
         Err(JobError::Campaign(e)) => Err(e),
         Err(e) => unreachable!("without a checkpoint only the golden run can fail: {e}"),
     }
@@ -1158,7 +1139,7 @@ mod tests {
             seu_samples: 8,
             ..CampaignConfig::default()
         };
-        let result = run_campaign(&nl, &workload, &config).unwrap();
+        let result = run_campaign(&nl, &workload, &config, 1).unwrap();
         assert_eq!(result.runs.len(), 2 * nl.gate_count() + 8);
         let counts = result.counts();
         assert_eq!(counts.total(), result.runs.len());
@@ -1183,11 +1164,12 @@ mod tests {
             seed: 99,
             ..CampaignConfig::default()
         };
-        let a = run_campaign(&nl, &workload, &config).unwrap();
-        let b = run_campaign(&nl, &workload, &config).unwrap();
+        let a = run_campaign(&nl, &workload, &config, 1).unwrap();
+        let b = run_campaign(&nl, &workload, &config, 1).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_csv(), b.to_csv(), "byte-identical CSV per seed");
-        let other = run_campaign(&nl, &workload, &CampaignConfig { seed: 100, ..config }).unwrap();
+        let other =
+            run_campaign(&nl, &workload, &CampaignConfig { seed: 100, ..config }, 1).unwrap();
         assert_ne!(
             a.runs.iter().map(|r| r.fault).collect::<Vec<_>>(),
             other.runs.iter().map(|r| r.fault).collect::<Vec<_>>(),
@@ -1204,9 +1186,9 @@ mod tests {
             seu_samples: 6,
             ..CampaignConfig::default()
         };
-        let sequential = run_campaign_with_threads(&nl, &workload, &config, 1).unwrap();
+        let sequential = run_campaign(&nl, &workload, &config, 1).unwrap();
         for threads in [2, 8] {
-            let parallel = run_campaign_with_threads(&nl, &workload, &config, threads).unwrap();
+            let parallel = run_campaign(&nl, &workload, &config, threads).unwrap();
             assert_eq!(sequential, parallel, "{threads} workers");
             assert_eq!(
                 sequential.to_csv(),
@@ -1220,7 +1202,7 @@ mod tests {
     fn yield_sites_interpolate_masking() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 12, seed: 7 };
-        let result = run_campaign(&nl, &workload, &CampaignConfig::default()).unwrap();
+        let result = run_campaign(&nl, &workload, &CampaignConfig::default(), 1).unwrap();
         let sites = yield_sites(&nl, Technology::Egfet, &result);
         assert_eq!(sites.len(), nl.gate_count());
         for &(devices, masked) in &sites {
@@ -1265,7 +1247,7 @@ mod tests {
             (true, CampaignError::GoldenDetected),
         ] {
             let workload = Broken { completes };
-            assert_eq!(run_campaign(&nl, &workload, &config).unwrap_err(), expected);
+            assert_eq!(run_campaign(&nl, &workload, &config, 1).unwrap_err(), expected);
             // The per-fault oracle rejects the golden run alike.
             let single = classify_fault(&nl, &workload, fault, config.cycle_budget);
             assert_eq!(single, Err(expected));
@@ -1282,24 +1264,21 @@ mod tests {
         let scalar = ScalarOnly(&workload);
         let engines: [(&str, &dyn Workload); 2] = [("scalar", &scalar), ("bitsliced", &workload)];
         let dir = std::env::temp_dir().join(format!("printed-ckpt-oracle-{}", std::process::id()));
-        let checkpointed = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            ..ResilienceConfig::default()
-        };
         let config = CampaignConfig { seu_samples: 12, ..CampaignConfig::default() };
         for (engine, campaign_workload) in engines {
             for threads in [1, 4] {
-                for resilience in [ResilienceConfig::default(), checkpointed.clone()] {
-                    let run = run_supervised_campaign_with_threads(
+                for checkpoint_dir in [None, Some(dir.as_path())] {
+                    let run = run_supervised_campaign(
                         &nl,
                         campaign_workload,
                         &config,
-                        &resilience,
+                        checkpoint_dir,
                         threads,
+                        None,
                     )
                     .unwrap();
-                    let result = run.into_complete().expect("no abort hook").result;
+                    let SupervisedRun::Complete(done) = run else { panic!("no cancel flag") };
+                    let result = done.result;
                     assert_eq!(result.seu_counts().total(), 12);
                     for run in &result.runs {
                         let single =
@@ -1314,5 +1293,59 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn each_equivalence_rule_merges_exactly_its_pairs() {
+        // `g` (gate 0) feeds one pin of `h` (gate 1) and nothing else;
+        // `h` drives the output port. Stuck-at slot `2 * gate + value` of
+        // an exhaustive campaign, so g/v is slot v and h/v slot 2 + v.
+        let rules: [(CellKind, &[(usize, usize)]); 5] = [
+            (CellKind::Inv, &[(0, 1), (1, 0)]),
+            (CellKind::Nand2, &[(0, 1)]),
+            (CellKind::And2, &[(0, 0)]),
+            (CellKind::Nor2, &[(1, 0)]),
+            (CellKind::Or2, &[(1, 1)]),
+        ];
+        let config = CampaignConfig {
+            stuck_at: StuckAtSpace::Exhaustive,
+            seu_samples: 0,
+            ..CampaignConfig::default()
+        };
+        let workload = PatternWorkload { cycles: 16, seed: 3 };
+        for (kind, pairs) in rules {
+            let mut b = NetlistBuilder::new("rule");
+            let (a, c, d) = (b.input_bit("a"), b.input_bit("c"), b.input_bit("d"));
+            let g = b.xor2(a, c);
+            let h = if kind == CellKind::Inv { b.inv(g) } else { b.gate(kind, [g, d]) };
+            b.output("y", vec![h]);
+            let nl = b.finish().unwrap();
+
+            let faults = enumerate_faults(&nl, &config, 0);
+            assert_eq!(faults.len(), 4);
+            let classes = FaultClasses::new(&nl, &FanoutMap::build(&nl), &faults);
+            let class_of =
+                |slot: usize| (0..classes.len()).find(|&c| classes.members(c).contains(&slot));
+            for x in 0..4 {
+                for y in x + 1..4 {
+                    let merged = pairs.iter().any(|&(gv, hv)| (x, y) == (gv, 2 + hv));
+                    assert_eq!(class_of(x) == class_of(y), merged, "{kind}: slots {x} and {y}");
+                }
+            }
+            assert_eq!(classes.len(), 4 - pairs.len(), "{kind}");
+
+            // Merged slots observe alike, and every slot's campaign verdict
+            // is the one the per-fault oracle gives it.
+            let pristine = Simulator::new(&nl);
+            for &(gv, hv) in pairs {
+                let seen = |slot: usize| observe(&pristine, &workload, Some(faults[slot]), 100);
+                assert_eq!(seen(gv).unwrap(), seen(2 + hv).unwrap(), "{kind}: g/{gv} vs h/{hv}");
+            }
+            let result = run_campaign(&nl, &workload, &config, 1).unwrap();
+            for run in &result.runs {
+                let single = classify_fault(&nl, &workload, run.fault, config.cycle_budget);
+                assert_eq!(single.unwrap(), run.outcome, "{kind}: {}", run.fault);
+            }
+        }
     }
 }

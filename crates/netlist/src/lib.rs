@@ -78,16 +78,15 @@ pub use bitsim::BitSimulator;
 pub use builder::{tmr, NetlistBuilder, TMR_ERROR_PORT};
 pub use dataflow::{analyze, analyze_with_fanout, AbsValue, DataflowFacts};
 pub use fault::{
-    campaign_threads, lane_utilization, run_campaign, run_campaign_with_threads, CampaignConfig,
-    CampaignError, CampaignResult, Fault, FaultClasses, FaultKind, FaultMap, LaneOutcome,
-    Observation, Outcome, OutcomeCounts, PatternWorkload, ScalarOnly, StuckAtSpace, Workload,
+    campaign_threads, lane_utilization, run_campaign, CampaignConfig, CampaignError,
+    CampaignResult, Fault, FaultClasses, FaultKind, FaultMap, LaneOutcome, Observation, Outcome,
+    OutcomeCounts, PatternWorkload, ScalarOnly, StuckAtSpace, Workload,
 };
 pub use ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError, Pins, Region};
 pub use lint::{lint, lint_with_facts, Diagnostic, LintConfig, LintReport, Rule, Severity};
 pub use resilience::{
     atomic_replace, atomic_write, campaign_identity, read_checked, run_supervised_campaign,
-    run_supervised_campaign_cancellable, run_supervised_campaign_with_threads, JobError,
-    ResilienceConfig, ResilienceStats, SupervisedCampaign, SupervisedRun,
+    JobError, ResilienceStats, SupervisedCampaign, SupervisedRun,
 };
 pub use sim::{ActivityStats, Engine, Simulator};
 pub use variation::{FmaxDistribution, VariationError};

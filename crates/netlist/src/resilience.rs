@@ -1,27 +1,29 @@
 //! The fault-campaign scheduler, with checkpoint/resume and panic
 //! isolation for long-running campaigns.
 //!
-//! [`run_supervised_campaign_cancellable`] is the only campaign
-//! scheduler in the workspace: [`crate::fault::run_campaign`] is this
-//! runner with the default [`ResilienceConfig`] (no checkpoint). It
-//! simulates one representative per [`FaultClasses`] class — sampled
-//! spaces draw with replacement, so slots repeat — and records the
-//! verdict into every member slot. Results, checkpoints, statistics and
-//! a print-shop quote's `faults` all count slots. Real reproduction
-//! sweeps run for minutes across many worker threads, and
-//! fault-injection infrastructure must survive its own faults, so the
-//! scheduler carries a resilience layer:
+//! [`run_supervised_campaign`] is the only campaign scheduler in the
+//! workspace: [`crate::fault::run_campaign`] is this runner with no
+//! checkpoint and no cancel flag. It simulates one representative per
+//! [`FaultClasses`] class — sampled spaces draw with replacement, so
+//! slots repeat — and records the verdict into every member slot.
+//! Results, checkpoints, statistics and a print-shop quote's `faults`
+//! all count slots. Real reproduction sweeps run for minutes across many
+//! worker threads, and fault-injection infrastructure must survive its
+//! own faults, so the scheduler carries a resilience layer:
 //!
-//! - **Checkpoint/resume** — with [`ResilienceConfig::checkpoint_dir`]
-//!   set (see [`ResilienceConfig::from_env`] and the `PRINTED_CKPT_DIR`
-//!   environment variable), completed fault-index result slots are
-//!   appended periodically to a JSON-lines checkpoint file. A rerun of
-//!   the same campaign loads the checkpoint, skips the recorded slots,
-//!   and — because slots are keyed by the deterministic fault
-//!   enumeration order, not by scheduling — produces a byte-identical
-//!   [`CampaignResult::to_csv`] to an uninterrupted run, for any thread
-//!   count. A class with any recorded member takes that member's verdict
-//!   on resume, without another run.
+//! - **Checkpoint/resume** — given a checkpoint directory (callers take
+//!   it from the `PRINTED_CKPT_DIR` environment variable through
+//!   [`checkpoint_dir`]), completed fault-index result slots are
+//!   appended every [`CHECKPOINT_EVERY`] completions to a JSON-lines
+//!   checkpoint file. A rerun of the same campaign loads the checkpoint,
+//!   skips the recorded slots, and — because slots are keyed by the
+//!   deterministic fault enumeration order, not by scheduling — produces
+//!   a byte-identical [`CampaignResult::to_csv`] to an uninterrupted
+//!   run, for any thread count. A class with any recorded member takes
+//!   that member's verdict on resume, without another run.
+//! - **Cancellation** — a raised cancel flag stops the workers claiming
+//!   new work; the checkpoint is flushed and the run reports
+//!   [`SupervisedRun::Aborted`], so a rerun resumes it.
 //! - **One bound per run** — the campaign's
 //!   [`CampaignConfig::cycle_budget`] is the only limit on a fault run.
 //!   Every [`Workload`] honours it on both engines, and a run still live
@@ -72,9 +74,8 @@
 //! generation. On successful completion the checkpoint file is deleted.
 
 use crate::fault::{
-    campaign_golden, campaign_threads, enumerate_faults, faulty_budget, CampaignConfig,
-    CampaignError, CampaignResult, Fault, FaultClasses, FaultRun, LaneOutcome, Outcome,
-    OutcomeCounts, Workload,
+    campaign_golden, enumerate_faults, faulty_budget, CampaignConfig, CampaignError,
+    CampaignResult, Fault, FaultClasses, FaultRun, LaneOutcome, Outcome, OutcomeCounts, Workload,
 };
 use crate::hash::Fnv1a;
 use crate::ir::Netlist;
@@ -150,40 +151,19 @@ impl From<CampaignError> for JobError {
     }
 }
 
-/// Configuration of the resilience layer wrapped around a campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResilienceConfig {
-    /// Directory for checkpoint files; `None` disables checkpointing
-    /// entirely (no I/O on the campaign path at all).
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Completed slots buffered between checkpoint flushes. Smaller
-    /// values lose less work to a kill; larger values do less I/O.
-    pub checkpoint_every: usize,
-    /// Test hook: stop claiming new slots once this many have completed
-    /// in this process, flush the checkpoint, and return
-    /// [`SupervisedRun::Aborted`] — simulating a mid-campaign kill at a
-    /// deterministic point.
-    pub abort_after: Option<usize>,
-}
+/// Completed slots buffered between checkpoint flushes. Fewer lose less
+/// work to a kill; more do less I/O.
+pub const CHECKPOINT_EVERY: usize = 64;
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig { checkpoint_dir: None, checkpoint_every: 64, abort_after: None }
-    }
-}
-
-impl ResilienceConfig {
-    /// The default configuration with the checkpoint directory taken
-    /// from the `PRINTED_CKPT_DIR` environment variable (unset or empty
-    /// means checkpointing stays disabled).
-    pub fn from_env() -> Self {
-        let dir = std::env::var("PRINTED_CKPT_DIR")
-            .ok()
-            .map(|v| v.trim().to_string())
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        ResilienceConfig { checkpoint_dir: dir, ..ResilienceConfig::default() }
-    }
+/// The campaign checkpoint directory, read from the `PRINTED_CKPT_DIR`
+/// environment variable: the workspace's one reader of it. Unset or
+/// empty means no checkpointing.
+pub fn checkpoint_dir() -> Option<PathBuf> {
+    std::env::var("PRINTED_CKPT_DIR")
+        .ok()
+        .map(|v| v.trim().to_string())
+        .filter(|v| !v.is_empty())
+        .map(PathBuf::from)
 }
 
 /// What the resilience layer had to do during one supervised campaign.
@@ -224,26 +204,16 @@ pub struct SupervisedCampaign {
 pub enum SupervisedRun {
     /// The campaign ran (or resumed) to completion.
     Complete(SupervisedCampaign),
-    /// The abort hook fired mid-campaign; progress up to here is in the
-    /// checkpoint (when enabled) and a rerun resumes from it.
+    /// The cancel flag was raised mid-campaign; progress up to here is
+    /// in the checkpoint (when enabled) and a rerun resumes from it.
     Aborted {
-        /// Slots completed in this process before the abort.
+        /// Slots filled before the abort, resumed ones included.
         completed: usize,
         /// Total slots in the campaign.
         total: usize,
         /// The checkpoint holding the completed slots, if enabled.
         checkpoint: Option<PathBuf>,
     },
-}
-
-impl SupervisedRun {
-    /// The completed campaign, or `None` if the run aborted.
-    pub fn into_complete(self) -> Option<SupervisedCampaign> {
-        match self {
-            SupervisedRun::Complete(c) => Some(c),
-            SupervisedRun::Aborted { .. } => None,
-        }
-    }
 }
 
 /// Retries after a panicking fault run before its slots degrade to
@@ -519,7 +489,7 @@ fn load_checkpoint(
 }
 
 /// The shared checkpoint writer: buffers slot lines and appends them to
-/// the file every [`ResilienceConfig::checkpoint_every`] completions. A
+/// the file every [`CHECKPOINT_EVERY`] completions. A
 /// write failure flips `broken` and drops the file handle — the campaign
 /// carries on without checkpointing rather than dying on a full disk.
 struct CheckpointSink {
@@ -528,7 +498,6 @@ struct CheckpointSink {
     /// Reused CRC buffer for [`push_slot_line`].
     crc_buf: String,
     pending: usize,
-    every: usize,
     broken: bool,
 }
 
@@ -539,7 +508,7 @@ impl CheckpointSink {
         }
         push_slot_line(&mut self.buf, &mut self.crc_buf, index, done);
         self.pending += 1;
-        if self.pending >= self.every {
+        if self.pending >= CHECKPOINT_EVERY {
             self.flush();
         }
     }
@@ -657,8 +626,27 @@ fn backoff(seed: u64, index: usize, attempt: u32) {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
-/// [`run_supervised_campaign_cancellable`] with the worker count from
-/// `PRINTED_SIM_THREADS` (see [`campaign_threads`]) and no cancel flag.
+/// The campaign scheduler: runs every fault of the campaign on
+/// `threads` workers under the resilience layer. With `checkpoint_dir`
+/// set, completed slots are checkpointed there and a rerun resumes from
+/// them; `None` means no I/O on the campaign path at all. When `cancel`
+/// flips to `true` mid-campaign, workers stop claiming new work, the
+/// checkpoint is flushed with everything completed so far, and the run
+/// returns [`SupervisedRun::Aborted`] — the cooperative drain the
+/// print-shop service uses for deadlines and graceful shutdown, so a
+/// restart *resumes* the campaign instead of recomputing it.
+///
+/// Determinism: the fault list is enumerated once, in a fixed order, on
+/// the calling thread. Results go into a slot vector indexed by that
+/// order; workers claim contiguous chunks of disjoint `(faults, slots)`
+/// pairs from a shared queue and never write outside their chunk. Every
+/// classification depends only on (netlist, workload, fault, budget), so
+/// the merged result is identical for any `threads`. One worker runs the
+/// same claim loop on the calling thread and starts no thread.
+/// Checkpoint resume fills slots with values computed by the same pure
+/// function, so a resumed and an uninterrupted run agree byte-for-byte,
+/// and retry backoff is seeded per (seed, slot, attempt), never from
+/// time.
 ///
 /// # Errors
 ///
@@ -669,54 +657,7 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     netlist: &Netlist,
     workload: &W,
     config: &CampaignConfig,
-    resilience: &ResilienceConfig,
-) -> Result<SupervisedRun, JobError> {
-    run_supervised_campaign_with_threads(netlist, workload, config, resilience, campaign_threads())
-}
-
-/// [`run_supervised_campaign`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// Returns [`JobError::Campaign`] if the fault-free golden run fails.
-pub fn run_supervised_campaign_with_threads<W: Workload + ?Sized>(
-    netlist: &Netlist,
-    workload: &W,
-    config: &CampaignConfig,
-    resilience: &ResilienceConfig,
-    threads: usize,
-) -> Result<SupervisedRun, JobError> {
-    run_supervised_campaign_cancellable(netlist, workload, config, resilience, threads, None)
-}
-
-/// The campaign scheduler: runs every fault of the campaign on
-/// `threads` workers under the resilience layer, with an external
-/// cancellation flag. When `cancel` flips to `true` mid-campaign,
-/// workers stop claiming new slots, the checkpoint is flushed with
-/// everything completed so far, and the run returns
-/// [`SupervisedRun::Aborted`] — the cooperative drain the print-shop
-/// service uses for graceful shutdown, so a restart *resumes* the
-/// campaign instead of recomputing it.
-///
-/// Determinism: the fault list is enumerated once, in a fixed order, on
-/// the calling thread. Results go into a slot vector indexed by that
-/// order; workers claim contiguous chunks of disjoint `(faults, slots)`
-/// pairs from a shared queue and never write outside their chunk. Every
-/// classification depends only on (netlist, workload, fault, budget), so
-/// the merged result is identical for any `threads`, including 1 (which
-/// spawns no thread). Checkpoint resume fills slots with values computed
-/// by the same pure function, so a resumed and an uninterrupted run
-/// agree byte-for-byte, and retry backoff is seeded per (seed, slot,
-/// attempt), never from time.
-///
-/// # Errors
-///
-/// Returns [`JobError::Campaign`] if the fault-free golden run fails.
-pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
-    netlist: &Netlist,
-    workload: &W,
-    config: &CampaignConfig,
-    resilience: &ResilienceConfig,
+    checkpoint_dir: Option<&Path>,
     threads: usize,
     cancel: Option<&AtomicBool>,
 ) -> Result<SupervisedRun, JobError> {
@@ -746,10 +687,9 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         buf: String::new(),
         crc_buf: String::new(),
         pending: 0,
-        every: resilience.checkpoint_every.max(1),
         broken: false,
     };
-    if let Some(dir) = &resilience.checkpoint_dir {
+    if let Some(dir) = checkpoint_dir {
         let path = checkpoint_path(dir, netlist.name(), fingerprint);
         load_checkpoint(&path, fingerprint, &faults, netlist, &mut slots);
         // A class with one recorded member needs no run: its other
@@ -802,19 +742,17 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
     let completed = AtomicUsize::new(0);
     let words_run = AtomicUsize::new(0);
     let lanes_filled = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
     let sink = Mutex::new(sink);
-    // External cancellation folds into the same stop protocol as the
-    // abort_after test hook: workers stop claiming, the sink flushes,
-    // and the run reports Aborted with its checkpoint.
-    let halted =
-        || stop.load(Ordering::Relaxed) || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    // The one stop signal: once the cancel flag is raised, workers stop
+    // claiming, the sink flushes, and the run reports Aborted with its
+    // checkpoint.
+    let halted = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
     // One class, supervised: panics retried then degraded.
     let params = SlotParams { golden: &golden, budget, seed: config.seed };
-    let supervise = |worker_sim: &Simulator<'_>, class: usize, fault: Fault| -> SlotDone {
+    let supervise = |class: usize, fault: Fault| -> SlotDone {
         let slot = classes.representatives()[class];
-        attempt_slot(worker_sim, workload, &params, fault, slot).unwrap_or_else(|err| {
+        attempt_slot(&pristine, workload, &params, fault, slot).unwrap_or_else(|err| {
             // Panicked on every attempt: degrade the class, keep the
             // campaign alive.
             obs::trace_event(|| {
@@ -830,8 +768,8 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
         })
     };
     // Records a class's verdict for every member slot: checkpoint lines,
-    // retry and failure counts, progress and the abort hook all count
-    // slots, exactly as if each member had been simulated.
+    // retry and failure counts and progress all count slots, exactly as
+    // if each member had been simulated.
     let record = |class: usize, done: &SlotDone| {
         let members = classes.members(class);
         let mut sink = sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -855,131 +793,105 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
                 )
             });
         }
-        if let Some(limit) = resilience.abort_after {
-            if n >= limit {
-                stop.store(true, Ordering::Relaxed);
-            }
-        }
     };
     // Fills one chunk of classes in word batches (resume holes packed
     // together so words stay full); a declined word reruns class by
     // class on the scalar path. Either way every filled class goes
-    // through `record`, so checkpointing and abort accounting are
-    // engine-independent.
-    let run_chunk = |worker_sim: &Simulator<'_>,
-                     chunk_start: usize,
-                     chunk_faults: &[Fault],
-                     chunk_slots: &mut [Option<SlotDone>]| {
-        let pending: Vec<usize> =
-            (0..chunk_slots.len()).filter(|&o| chunk_slots[o].is_none()).collect();
-        let mut at = 0usize;
-        while at < pending.len() {
-            if halted() {
-                break;
-            }
-            let mut take = (pending.len() - at).min(crate::bitsim::BitSimulator::LANES - 1);
-            if let Some(limit) = resilience.abort_after {
-                // Cap the word so an abort request lands within a class
-                // of its limit instead of a whole word past it.
-                let done_so_far = completed.load(Ordering::Relaxed);
-                take = take.min(limit.saturating_sub(done_so_far).max(1));
-            }
-            let window = &pending[at..at + take];
-            let word_faults: Vec<Fault> = window.iter().map(|&o| chunk_faults[o]).collect();
-            let word = retry_panics(
-                0,
-                |_, _| {},
-                |_| crate::fault::run_word(&proto, workload, &golden, &word_faults, budget),
-            );
-            match word.ok().and_then(|(word, _)| word) {
-                Some(lanes) => {
-                    words_run.fetch_add(1, Ordering::Relaxed);
-                    lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
-                    for (&offset, lane) in window.iter().zip(lanes) {
-                        let fault = chunk_faults[offset];
-                        let cell = netlist.gates()[fault.gate.index()].kind;
-                        let outcome = match lane {
-                            LaneOutcome::Done(observed) => {
-                                crate::fault::classify(&golden, &observed)
-                            }
-                            // An oscillating lane wedges the circuit,
-                            // like the scalar Unsettled error.
-                            LaneOutcome::Wedged => Outcome::Hang,
-                        };
-                        let done = (FaultRun { fault, cell, outcome }, 0u32);
-                        record(chunk_start + offset, &done);
-                        chunk_slots[offset] = Some(done);
-                    }
+    // through `record`, so checkpointing is engine-independent.
+    let run_chunk =
+        |chunk_start: usize, chunk_faults: &[Fault], chunk_slots: &mut [Option<SlotDone>]| {
+            let pending: Vec<usize> =
+                (0..chunk_slots.len()).filter(|&o| chunk_slots[o].is_none()).collect();
+            let mut at = 0usize;
+            while at < pending.len() {
+                if halted() {
+                    break;
                 }
-                None => {
-                    // Engine declined or panicked mid-word: rerun each
-                    // class on the scalar path with retries intact.
-                    for &offset in window {
-                        if halted() {
-                            break;
+                let take = (pending.len() - at).min(crate::bitsim::BitSimulator::LANES - 1);
+                let window = &pending[at..at + take];
+                let word_faults: Vec<Fault> = window.iter().map(|&o| chunk_faults[o]).collect();
+                let word = retry_panics(
+                    0,
+                    |_, _| {},
+                    |_| crate::fault::run_word(&proto, workload, &golden, &word_faults, budget),
+                );
+                match word.ok().and_then(|(word, _)| word) {
+                    Some(lanes) => {
+                        words_run.fetch_add(1, Ordering::Relaxed);
+                        lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
+                        for (&offset, lane) in window.iter().zip(lanes) {
+                            let fault = chunk_faults[offset];
+                            let cell = netlist.gates()[fault.gate.index()].kind;
+                            let outcome = match lane {
+                                LaneOutcome::Done(observed) => {
+                                    crate::fault::classify(&golden, &observed)
+                                }
+                                // An oscillating lane wedges the circuit,
+                                // like the scalar Unsettled error.
+                                LaneOutcome::Wedged => Outcome::Hang,
+                            };
+                            let done = (FaultRun { fault, cell, outcome }, 0u32);
+                            record(chunk_start + offset, &done);
+                            chunk_slots[offset] = Some(done);
                         }
-                        let class = chunk_start + offset;
-                        let done = supervise(worker_sim, class, chunk_faults[offset]);
-                        record(class, &done);
-                        chunk_slots[offset] = Some(done);
+                    }
+                    None => {
+                        // Engine declined or panicked mid-word: rerun each
+                        // class on the scalar path with retries intact.
+                        for &offset in window {
+                            if halted() {
+                                break;
+                            }
+                            let class = chunk_start + offset;
+                            let done = supervise(class, chunk_faults[offset]);
+                            record(class, &done);
+                            chunk_slots[offset] = Some(done);
+                        }
                     }
                 }
+                at += take;
             }
-            at += take;
-        }
-    };
+        };
 
+    // Contiguous chunks of classes, several per worker so a chunk of
+    // hangs does not serialize the campaign behind one thread, each
+    // carrying its first class index and claimed in class order. Chunks
+    // hold whole 63-class words, so parallelism never splinters a word
+    // across workers.
     let workers = threads.max(1).min(classes.len().max(1));
-    if workers <= 1 {
-        let worker_sim = pristine.clone();
-        run_chunk(&worker_sim, 0, &class_faults, &mut class_slots);
-    } else {
-        // Contiguous chunks of classes, several per worker so a chunk of
-        // hangs does not serialize the campaign behind one thread, each
-        // carrying its first class index. Chunks hold whole 63-class
-        // words, so parallelism never splinters a word across workers.
-        let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
-        let chunk = classes.len().div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults;
-        /// One claimable unit of campaign work: the chunk's first class
-        /// index plus its fault and result slices.
-        type Chunk<'f, 's> = (usize, &'f [Fault], &'s mut [Option<SlotDone>]);
-        let mut work: Vec<Chunk<'_, '_>> = Vec::new();
-        let mut start = 0usize;
-        let mut rest_faults: &[Fault] = &class_faults;
-        let mut rest_slots: &mut [Option<SlotDone>] = &mut class_slots;
-        while !rest_slots.is_empty() {
-            let take = chunk.min(rest_slots.len());
-            let (head_faults, tail_faults) = rest_faults.split_at(take);
-            let (head_slots, tail_slots) = std::mem::take(&mut rest_slots).split_at_mut(take);
-            work.push((start, head_faults, head_slots));
-            start += take;
-            rest_faults = tail_faults;
-            rest_slots = tail_slots;
+    let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
+    let chunk = classes.len().div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults;
+    let queue = Mutex::new(
+        class_faults
+            .chunks(chunk)
+            .zip(class_slots.chunks_mut(chunk))
+            .enumerate()
+            .map(|(i, (chunk_faults, chunk_slots))| (i * chunk, chunk_faults, chunk_slots)),
+    );
+    // The one worker loop: claim a chunk, fill it, until the queue is
+    // empty or the campaign is cancelled.
+    let work = || loop {
+        if halted() {
+            break;
         }
-        let queue = Mutex::new(work);
+        let claimed = queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner).next();
+        let Some((chunk_start, chunk_faults, chunk_slots)) = claimed else { break };
+        let _chunk_span = obs::span!("netlist.fault.chunk");
+        run_chunk(chunk_start, chunk_faults, chunk_slots);
+    };
+    if workers == 1 {
+        // One worker runs on the calling thread and starts no thread.
+        work();
+    } else {
         std::thread::scope(|scope| {
-            let queue = &queue;
-            let pristine = &pristine;
-            let run_chunk = &run_chunk;
             for worker in 0..workers {
+                let work = &work;
                 scope.spawn(move || {
                     // Each worker thread is one lane in the chrome
                     // trace; per-chunk spans make the claim/run cadence
                     // visible as a timeline.
                     obs::chrome::name_lane(&format!("campaign-worker-{worker}"));
-                    let worker_sim = pristine.clone();
-                    loop {
-                        if halted() {
-                            break;
-                        }
-                        let claimed =
-                            queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
-                        let Some((chunk_start, chunk_faults, chunk_slots)) = claimed else {
-                            break;
-                        };
-                        let _chunk_span = obs::span!("netlist.fault.chunk");
-                        run_chunk(&worker_sim, chunk_start, chunk_faults, chunk_slots);
-                    }
+                    work();
                 });
             }
         });
@@ -1066,7 +978,7 @@ pub fn run_supervised_campaign_cancellable<W: Workload + ?Sized>(
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
-    use crate::fault::{run_campaign_with_threads, PatternWorkload, ScalarOnly, StuckAtSpace};
+    use crate::fault::{run_campaign, PatternWorkload, ScalarOnly, StuckAtSpace};
 
     fn accumulator() -> Netlist {
         let mut b = NetlistBuilder::new("acc4");
@@ -1089,22 +1001,66 @@ mod tests {
         }
     }
 
+    /// The completed campaign of a run that must not abort.
+    fn complete(run: Result<SupervisedRun, JobError>) -> SupervisedCampaign {
+        match run.unwrap() {
+            SupervisedRun::Complete(done) => done,
+            SupervisedRun::Aborted { completed, .. } => panic!("aborted after {completed} slots"),
+        }
+    }
+
+    /// A workload that raises its cancel flag on its `after`-th run,
+    /// counting scalar runs (the golden run first) and bitsliced words
+    /// the wrapped workload ran, so a test interrupts a campaign at a
+    /// deterministic point. Pass `Some(&w.cancel)` to the scheduler.
+    struct CancelAfter<'a, W: ?Sized> {
+        inner: &'a W,
+        after: usize,
+        calls: AtomicUsize,
+        cancel: AtomicBool,
+    }
+
+    impl<'a, W: Workload + ?Sized> CancelAfter<'a, W> {
+        fn new(inner: &'a W, after: usize) -> Self {
+            CancelAfter { inner, after, calls: AtomicUsize::new(0), cancel: AtomicBool::new(false) }
+        }
+
+        fn tick(&self) {
+            if self.calls.fetch_add(1, Ordering::Relaxed) + 1 >= self.after {
+                self.cancel.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    impl<W: Workload + ?Sized> Workload for CancelAfter<'_, W> {
+        fn run(
+            &self,
+            sim: Simulator<'_>,
+            cycle_budget: u64,
+        ) -> Result<crate::fault::Observation, crate::NetlistError> {
+            self.tick();
+            self.inner.run(sim, cycle_budget)
+        }
+
+        fn run_bitsliced(
+            &self,
+            sim: crate::bitsim::BitSimulator<'_>,
+            cycle_budget: u64,
+        ) -> Option<Result<Vec<LaneOutcome>, crate::NetlistError>> {
+            let lanes = self.inner.run_bitsliced(sim, cycle_budget)?;
+            self.tick();
+            Some(lanes)
+        }
+    }
+
     #[test]
     fn supervised_matches_plain_campaign_exactly() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
-        let plain = run_campaign_with_threads(&nl, &workload, &config(), 1).unwrap();
+        let plain = run_campaign(&nl, &workload, &config(), 1).unwrap();
         for threads in [1, 4] {
-            let supervised = run_supervised_campaign_with_threads(
-                &nl,
-                &workload,
-                &config(),
-                &ResilienceConfig::default(),
-                threads,
-            )
-            .unwrap()
-            .into_complete()
-            .expect("no abort hook");
+            let supervised =
+                complete(run_supervised_campaign(&nl, &workload, &config(), None, threads, None));
             assert_eq!(supervised.result, plain, "{threads} workers");
             assert_eq!(supervised.result.to_csv(), plain.to_csv());
             assert_eq!(supervised.stats.resumed_slots, 0);
@@ -1139,11 +1095,7 @@ mod tests {
             seu_samples: 0,
             ..CampaignConfig::default()
         };
-        let resilience = ResilienceConfig::default();
-        let supervised = run_supervised_campaign_with_threads(&nl, &workload, &cfg, &resilience, 2)
-            .unwrap()
-            .into_complete()
-            .unwrap();
+        let supervised = complete(run_supervised_campaign(&nl, &workload, &cfg, None, 2, None));
         assert_eq!(supervised.stats.failed, 4, "every faulty run panics, campaign survives");
         assert_eq!(supervised.result.counts().failed, 4);
         assert_eq!(
@@ -1156,41 +1108,49 @@ mod tests {
 
     #[test]
     fn abort_and_resume_reproduces_the_uninterrupted_csv() {
+        // The accumulator's classes fill one word, so the campaign is
+        // interrupted between the scalar engine's runs.
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
-        let dir = std::env::temp_dir().join(format!("printed-ckpt-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let baseline = run_campaign_with_threads(&nl, &workload, &config(), 1).unwrap();
+        let scalar = ScalarOnly(&workload);
+        let baseline = run_campaign(&nl, &scalar, &config(), 1).unwrap();
         let total = baseline.runs.len();
-        let resilience = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            abort_after: Some(total / 3),
-        };
-        let aborted =
-            run_supervised_campaign_with_threads(&nl, &workload, &config(), &resilience, 1)
-                .unwrap();
-        let SupervisedRun::Aborted { completed, checkpoint, .. } = aborted else {
-            panic!("abort hook must fire");
-        };
-        assert!(completed >= total / 3);
-        let ckpt = checkpoint.expect("checkpointing was enabled");
-        assert!(ckpt.exists(), "aborted run leaves its checkpoint behind");
+        for threads in [1, 4] {
+            let dir = std::env::temp_dir()
+                .join(format!("printed-ckpt-test-{}-t{threads}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            // The golden run, then a third of the slots' runs.
+            let interrupted = CancelAfter::new(&scalar, 1 + total / 3);
+            let aborted = run_supervised_campaign(
+                &nl,
+                &interrupted,
+                &config(),
+                Some(&dir),
+                threads,
+                Some(&interrupted.cancel),
+            )
+            .unwrap();
+            let SupervisedRun::Aborted { completed, checkpoint, .. } = aborted else {
+                panic!("{threads} workers: the cancel flag must interrupt the campaign");
+            };
+            assert!(completed >= total / 3 && completed < total, "{completed} of {total}");
+            let ckpt = checkpoint.expect("checkpointing was enabled");
+            assert!(ckpt.exists(), "aborted run leaves its checkpoint behind");
 
-        let resumed = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            ..ResilienceConfig::default()
-        };
-        let finished = run_supervised_campaign_with_threads(&nl, &workload, &config(), &resumed, 1)
-            .unwrap()
-            .into_complete()
-            .expect("no abort hook on resume");
-        assert!(finished.stats.resumed_slots >= total / 3, "resume skipped recorded slots");
-        assert_eq!(finished.result, baseline);
-        assert_eq!(finished.result.to_csv(), baseline.to_csv(), "byte-identical CSV");
-        assert!(!ckpt.exists(), "checkpoint deleted on success");
-        let _ = fs::remove_dir_all(&dir);
+            let finished = complete(run_supervised_campaign(
+                &nl,
+                &scalar,
+                &config(),
+                Some(&dir),
+                threads,
+                None,
+            ));
+            assert_eq!(finished.stats.resumed_slots, completed, "resume skipped recorded slots");
+            assert_eq!(finished.result, baseline);
+            assert_eq!(finished.result.to_csv(), baseline.to_csv(), "byte-identical CSV");
+            assert!(!ckpt.exists(), "checkpoint deleted on success");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1200,36 +1160,58 @@ mod tests {
         let scalar = ScalarOnly(&workload);
         let dir = std::env::temp_dir().join(format!("printed-ckpt-engine-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let baseline = run_campaign_with_threads(&nl, &scalar, &config(), 1).unwrap();
+        let baseline = run_campaign(&nl, &scalar, &config(), 1).unwrap();
         let total = baseline.runs.len();
-        let resilience = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            abort_after: Some(total / 3),
-        };
-        let aborted =
-            run_supervised_campaign_with_threads(&nl, &scalar, &config(), &resilience, 1).unwrap();
+        let interrupted = CancelAfter::new(&scalar, 1 + total / 3);
+        let aborted = run_supervised_campaign(
+            &nl,
+            &interrupted,
+            &config(),
+            Some(&dir),
+            1,
+            Some(&interrupted.cancel),
+        )
+        .unwrap();
         let SupervisedRun::Aborted { checkpoint, .. } = aborted else {
-            panic!("abort hook must fire");
+            panic!("the cancel flag must interrupt the campaign");
         };
         assert!(checkpoint.expect("checkpointing was enabled").exists());
 
         // The fingerprint ignores which engine classified a slot, so a
         // plain run picks up the scalar run's checkpoint and finishes it
         // to the same bytes.
-        let resumed = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            ..ResilienceConfig::default()
-        };
-        let finished = run_supervised_campaign_with_threads(&nl, &workload, &config(), &resumed, 1)
-            .unwrap()
-            .into_complete()
-            .expect("no abort hook on resume");
+        let finished =
+            complete(run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 1, None));
         assert!(finished.stats.resumed_slots >= total / 3, "resume skipped recorded slots");
         assert_eq!(finished.result, baseline);
         assert_eq!(finished.result.to_csv(), baseline.to_csv(), "byte-identical CSV");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwritable_checkpoint_dir_degrades_and_completes() {
+        let nl = accumulator();
+        let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let root = std::env::temp_dir().join(format!("printed-ckpt-file-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(&root).unwrap();
+        // A regular file where the checkpoint directory's parent should
+        // be, so `create_dir_all` fails.
+        let file = root.join("not-a-directory");
+        fs::write(&file, b"").unwrap();
+        let done = complete(run_supervised_campaign(
+            &nl,
+            &workload,
+            &config(),
+            Some(&file.join("ckpt")),
+            1,
+            None,
+        ));
+        assert!(done.stats.checkpoint_degraded, "the failed checkpoint is reported");
+        assert_eq!(done.stats.resumed_slots, 0);
+        let plain = run_campaign(&nl, &workload, &config(), 1).unwrap();
+        assert_eq!(done.result.to_csv(), plain.to_csv(), "byte-identical CSV");
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1253,15 +1235,10 @@ mod tests {
                 + "{\"type\":\"slot\",\"i\":0,\"o\":\"sdc\",\"r\":0}\n",
         )
         .unwrap();
-        let resilience =
-            ResilienceConfig { checkpoint_dir: Some(dir.clone()), ..ResilienceConfig::default() };
         let finished =
-            run_supervised_campaign_with_threads(&nl, &workload, &config(), &resilience, 1)
-                .unwrap()
-                .into_complete()
-                .unwrap();
+            complete(run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 1, None));
         assert_eq!(finished.stats.resumed_slots, 0, "mismatched fingerprint loads nothing");
-        let plain = run_campaign_with_threads(&nl, &workload, &config(), 1).unwrap();
+        let plain = run_campaign(&nl, &workload, &config(), 1).unwrap();
         assert_eq!(finished.result, plain);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1279,7 +1256,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = checkpoint_path(&dir, nl.name(), fingerprint);
-        let plain = run_campaign_with_threads(&nl, &workload, &config(), 1).unwrap();
+        let plain = run_campaign(&nl, &workload, &config(), 1).unwrap();
         // Six recorded slots; slot 3's outcome is flipped in place to a
         // *different valid outcome string* — still perfectly parsable
         // JSON, so only the CRC can catch it.
@@ -1308,13 +1285,8 @@ mod tests {
 
         // And a full resume over the corrupted file still reproduces
         // the uninterrupted CSV byte for byte.
-        let resilience =
-            ResilienceConfig { checkpoint_dir: Some(dir.clone()), ..ResilienceConfig::default() };
         let finished =
-            run_supervised_campaign_with_threads(&nl, &workload, &config(), &resilience, 1)
-                .unwrap()
-                .into_complete()
-                .unwrap();
+            complete(run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 1, None));
         assert_eq!(finished.stats.resumed_slots, 3);
         assert_eq!(finished.result.to_csv(), plain.to_csv());
         let _ = fs::remove_dir_all(&dir);
@@ -1404,10 +1376,7 @@ mod tests {
     fn supervised_campaign_carries_its_identity() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
-        let done = run_supervised_campaign(&nl, &workload, &config(), &ResilienceConfig::default())
-            .unwrap()
-            .into_complete()
-            .expect("no abort hook");
+        let done = complete(run_supervised_campaign(&nl, &workload, &config(), None, 1, None));
         assert_eq!(done.fingerprint, campaign_identity(&nl, &workload, &config()).unwrap());
     }
 
@@ -1417,24 +1386,13 @@ mod tests {
         let workload = PatternWorkload { cycles: 10, seed: 5 };
         let dir = std::env::temp_dir().join(format!("printed-ckpt-cancel-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let baseline = run_campaign_with_threads(&nl, &workload, &config(), 1).unwrap();
-        let resilience = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 1,
-            ..ResilienceConfig::default()
-        };
+        let baseline = run_campaign(&nl, &workload, &config(), 1).unwrap();
         // Pre-cancelled: the run must abort immediately (no slots), flush
         // the checkpoint header, and report Aborted rather than hanging.
         let cancel = AtomicBool::new(true);
-        let aborted = run_supervised_campaign_cancellable(
-            &nl,
-            &workload,
-            &config(),
-            &resilience,
-            2,
-            Some(&cancel),
-        )
-        .unwrap();
+        let aborted =
+            run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 2, Some(&cancel))
+                .unwrap();
         let SupervisedRun::Aborted { completed, checkpoint, .. } = aborted else {
             panic!("cancelled run must abort");
         };
@@ -1443,17 +1401,14 @@ mod tests {
 
         // A fresh run with the flag clear resumes and matches byte for byte.
         let cancel = AtomicBool::new(false);
-        let finished = run_supervised_campaign_cancellable(
+        let finished = complete(run_supervised_campaign(
             &nl,
             &workload,
             &config(),
-            &resilience,
+            Some(&dir),
             2,
             Some(&cancel),
-        )
-        .unwrap()
-        .into_complete()
-        .expect("uncancelled run completes");
+        ));
         assert_eq!(finished.result.to_csv(), baseline.to_csv());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1472,7 +1427,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = checkpoint_path(&dir, nl.name(), fingerprint);
         // Two good slot lines, then a line cut mid-write.
-        let plain = run_campaign_with_threads(&nl, &workload, &config(), 1).unwrap();
+        let plain = run_campaign(&nl, &workload, &config(), 1).unwrap();
         let mut text = header_line(nl.name(), faults.len(), fingerprint);
         for i in 0..2 {
             text.push_str(&slot_line(i, &(plain.runs[i], 0)));
@@ -1500,33 +1455,34 @@ mod tests {
     fn aborted_campaign_of_duplicates_resumes_by_member_slots() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let scalar = ScalarOnly(&workload);
         let dir = std::env::temp_dir().join(format!("printed-ckpt-dups-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let baseline = run_campaign_with_threads(&nl, &workload, &duplicates(), 1).unwrap();
+        let baseline = run_campaign(&nl, &scalar, &duplicates(), 1).unwrap();
         let total = baseline.runs.len();
         assert!(baseline.classes < total / 2, "{} classes of {total} slots", baseline.classes);
-        let resilience = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            abort_after: Some(total / 3),
-        };
-        let aborted =
-            run_supervised_campaign_with_threads(&nl, &workload, &duplicates(), &resilience, 1)
-                .unwrap();
+        // The golden run, then a third of the classes' runs.
+        let interrupted = CancelAfter::new(&scalar, 1 + baseline.classes / 3);
+        let aborted = run_supervised_campaign(
+            &nl,
+            &interrupted,
+            &duplicates(),
+            Some(&dir),
+            1,
+            Some(&interrupted.cancel),
+        )
+        .unwrap();
         let SupervisedRun::Aborted { completed, checkpoint, .. } = aborted else {
-            panic!("abort hook must fire");
+            panic!("the cancel flag must interrupt the campaign");
         };
+        assert!(completed >= baseline.classes / 3 && completed < total, "{completed} of {total}");
         let ckpt = checkpoint.expect("checkpointing was enabled");
         // The checkpoint records every member slot of a finished class.
         let lines = fs::read_to_string(&ckpt).unwrap().lines().count();
         assert_eq!(lines, 1 + completed, "a header plus one line per completed slot");
 
-        let resumed = ResilienceConfig { abort_after: None, ..resilience };
         let finished =
-            run_supervised_campaign_with_threads(&nl, &workload, &duplicates(), &resumed, 1)
-                .unwrap()
-                .into_complete()
-                .expect("no abort hook on resume");
+            complete(run_supervised_campaign(&nl, &scalar, &duplicates(), Some(&dir), 1, None));
         assert_eq!(finished.stats.resumed_slots, completed, "resumed slots count members");
         assert_eq!(finished.result.to_csv(), baseline.to_csv(), "byte-identical CSV");
         let _ = fs::remove_dir_all(&dir);
@@ -1558,15 +1514,10 @@ mod tests {
         )
         .unwrap();
 
-        let resilience =
-            ResilienceConfig { checkpoint_dir: Some(dir.clone()), ..ResilienceConfig::default() };
         let finished =
-            run_supervised_campaign_with_threads(&nl, &workload, &duplicates(), &resilience, 1)
-                .unwrap()
-                .into_complete()
-                .unwrap();
+            complete(run_supervised_campaign(&nl, &workload, &duplicates(), Some(&dir), 1, None));
         assert_eq!(finished.stats.resumed_slots, members.len());
-        let baseline = run_campaign_with_threads(&nl, &workload, &duplicates(), 1).unwrap();
+        let baseline = run_campaign(&nl, &workload, &duplicates(), 1).unwrap();
         for (slot, (got, want)) in finished.result.runs.iter().zip(&baseline.runs).enumerate() {
             if members.contains(&slot) {
                 assert_eq!(got.outcome, Outcome::Failed, "member slot {slot}");

@@ -15,8 +15,8 @@
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use printed_netlist::fault::{
-    classify_fault, run_campaign_with_threads, CampaignConfig, Fault, FaultKind, PatternWorkload,
-    ScalarOnly, StuckAtSpace, Workload,
+    classify_fault, run_campaign, CampaignConfig, Fault, FaultKind, PatternWorkload, ScalarOnly,
+    StuckAtSpace, Workload,
 };
 use printed_netlist::{BitSimulator, GateId, NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
@@ -188,12 +188,12 @@ proptest! {
             seed,
             ..CampaignConfig::default()
         };
-        let baseline = run_campaign_with_threads(&nl, &scalar, &config, 1).unwrap();
+        let baseline = run_campaign(&nl, &scalar, &config, 1).unwrap();
         let baseline_csv = baseline.to_csv();
         let engines: [(&str, &dyn Workload); 2] = [("scalar", &scalar), ("bitsliced", &workload)];
         for (engine, w) in engines {
             for threads in [1usize, 4] {
-                let run = run_campaign_with_threads(&nl, w, &config, threads).unwrap();
+                let run = run_campaign(&nl, w, &config, threads).unwrap();
                 prop_assert_eq!(
                     run.counts(),
                     baseline.counts(),
@@ -243,7 +243,7 @@ proptest! {
             ..CampaignConfig::default()
         };
         for threads in [1usize, 2] {
-            let run = run_campaign_with_threads(&nl, &workload, &config, threads).unwrap();
+            let run = run_campaign(&nl, &workload, &config, threads).unwrap();
             prop_assert!(run.classes <= run.runs.len());
             for (slot, r) in run.runs.iter().enumerate() {
                 let oracle = classify_fault(&nl, &workload, r.fault, config.cycle_budget).unwrap();

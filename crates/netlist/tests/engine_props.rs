@@ -11,8 +11,7 @@
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use printed_netlist::fault::{
-    run_campaign_with_threads, CampaignConfig, Fault, FaultKind, FaultMap, PatternWorkload,
-    StuckAtSpace,
+    run_campaign, CampaignConfig, Fault, FaultKind, FaultMap, PatternWorkload, StuckAtSpace,
 };
 use printed_netlist::vcd::VcdRecorder;
 use printed_netlist::{Engine, GateId, NetId, Netlist, NetlistBuilder, Simulator};
@@ -151,9 +150,9 @@ proptest! {
             seed,
             ..CampaignConfig::default()
         };
-        let sequential = run_campaign_with_threads(&nl, &workload, &config, 1).unwrap();
+        let sequential = run_campaign(&nl, &workload, &config, 1).unwrap();
         for threads in [2usize, 8] {
-            let parallel = run_campaign_with_threads(&nl, &workload, &config, threads).unwrap();
+            let parallel = run_campaign(&nl, &workload, &config, threads).unwrap();
             prop_assert_eq!(&sequential, &parallel, "{} workers", threads);
             prop_assert_eq!(
                 sequential.to_csv(),

@@ -41,8 +41,8 @@ proptest! {
             seu_samples: 4,
             seed: campaign_seed,
         };
-        let a = run_campaign(&nl, &workload, &config).unwrap();
-        let b = run_campaign(&nl, &workload, &config).unwrap();
+        let a = run_campaign(&nl, &workload, &config, 1).unwrap();
+        let b = run_campaign(&nl, &workload, &config, 1).unwrap();
         prop_assert_eq!(a.counts(), b.counts());
         prop_assert_eq!(a.stuck_counts(), b.stuck_counts());
         prop_assert_eq!(a.seu_counts(), b.seu_counts());
@@ -63,7 +63,7 @@ proptest! {
             seu_samples: 0,
             ..CampaignConfig::default()
         };
-        let result = run_campaign(&nl, &workload, &config).unwrap();
+        let result = run_campaign(&nl, &workload, &config, 1).unwrap();
         prop_assert_eq!(result.runs.len(), 2 * nl.gate_count());
         for gate in 0..nl.gate_count() {
             let polarities: Vec<FaultKind> = result

@@ -20,9 +20,7 @@ use printed_core::{asm, generate_checked, CoreConfig, CoreSpec, Instruction, Nar
 use printed_memory::Sram;
 use printed_netlist::fault::{CampaignConfig, StuckAtSpace};
 use printed_netlist::hash::fnv1a;
-use printed_netlist::resilience::{
-    campaign_identity, run_supervised_campaign_cancellable, ResilienceConfig, SupervisedRun,
-};
+use printed_netlist::resilience::{campaign_identity, run_supervised_campaign, SupervisedRun};
 use printed_netlist::{analysis, opt, tmr, Netlist};
 use printed_obs::json;
 use printed_pdk::battery::{Battery, PRINTED_BATTERIES};
@@ -187,18 +185,8 @@ pub fn price(
     let mut campaign_json = "null".to_string();
     if let Some(config) = campaign_config(query) {
         let w = workload(built, query.dmem_words)?;
-        let resilience = ResilienceConfig {
-            checkpoint_dir: checkpoint_dir.map(Path::to_path_buf),
-            ..ResilienceConfig::default()
-        };
-        let run = run_supervised_campaign_cancellable(
-            &built.netlist,
-            &w,
-            &config,
-            &resilience,
-            threads,
-            cancel,
-        )?;
+        let run =
+            run_supervised_campaign(&built.netlist, &w, &config, checkpoint_dir, threads, cancel)?;
         let done = match run {
             SupervisedRun::Complete(c) => c,
             SupervisedRun::Aborted { .. } => {

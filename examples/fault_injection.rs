@@ -13,7 +13,9 @@
 //! The phases run under the supervised pipeline (DESIGN.md
 //! "Resilience"): a failing phase is recorded and the rest still run.
 //! Set `FAULT_MANIFEST_OUT` to write the per-phase completeness
-//! manifest, `PRINTED_CKPT_DIR` to checkpoint the campaigns, and
+//! manifest, `PRINTED_CKPT_DIR` to checkpoint the campaigns (a killed
+//! run resumes where it left off), `PRINTED_SIM_THREADS` to spread them
+//! over worker threads (the CSV is the same for any count), and
 //! `PRINTED_FAIL_STAGE=<phase>` to force one phase to fail (CI's
 //! degradation drill).
 
@@ -26,9 +28,12 @@ use printed_microprocessors::eval::robustness::{
     campaign_row, tmr_comparison, tmr_table, RobustnessOptions,
 };
 use printed_microprocessors::netlist::fault::{
-    classify_fault, lane_utilization, CampaignConfig, Fault, FaultKind, StuckAtSpace,
+    campaign_threads, classify_fault, lane_utilization, CampaignConfig, Fault, FaultKind,
+    StuckAtSpace,
 };
-use printed_microprocessors::netlist::resilience::{run_supervised_campaign, ResilienceConfig};
+use printed_microprocessors::netlist::resilience::{
+    checkpoint_dir, run_supervised_campaign, SupervisedRun,
+};
 use printed_microprocessors::netlist::GateId;
 use printed_microprocessors::pdk::Technology;
 
@@ -73,10 +78,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seu_samples: 32,
             ..CampaignConfig::default()
         };
-        let resilience = ResilienceConfig::from_env();
-        let run = run_supervised_campaign(&netlist, &workload, &campaign, &resilience)?;
-        let supervised =
-            run.into_complete().expect("invariant: no abort hook, the run always completes");
+        let run = run_supervised_campaign(
+            &netlist,
+            &workload,
+            &campaign,
+            checkpoint_dir().as_deref(),
+            campaign_threads(),
+            None,
+        )?;
+        let SupervisedRun::Complete(supervised) = run else {
+            unreachable!("without a cancel flag the run always completes")
+        };
         if supervised.stats.resumed_slots > 0 {
             println!(
                 "  resumed {} slots from checkpoint {:?}",

@@ -22,11 +22,17 @@ use printed_microprocessors::eval::regression;
 use std::path::PathBuf;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ledger_path =
-        std::env::var("PRINTED_BENCH_HISTORY").ok().filter(|p| !p.is_empty()).map_or_else(
-            || PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_history.jsonl"),
-            PathBuf::from,
-        );
+    // The repository root comes from `CARGO_MANIFEST_DIR` as `cargo run`
+    // sets it, so a copy of the repository gates on its own ledger even
+    // when it reuses a binary built in another copy.
+    let ledger_path = match std::env::var("PRINTED_BENCH_HISTORY").ok().filter(|p| !p.is_empty()) {
+        Some(path) => PathBuf::from(path),
+        None => PathBuf::from(
+            std::env::var_os("CARGO_MANIFEST_DIR")
+                .ok_or("set PRINTED_BENCH_HISTORY or run through cargo run")?,
+        )
+        .join("BENCH_history.jsonl"),
+    };
     let ledger = std::fs::read_to_string(&ledger_path)
         .map_err(|e| format!("cannot read perf ledger {}: {e}", ledger_path.display()))?;
     let records = regression::parse_history(&ledger)?;

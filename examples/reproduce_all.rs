@@ -13,7 +13,8 @@
 //! per-stage ok/degraded/failed completeness record CI gates on. Set
 //! `PRINTED_FAIL_STAGE=<stage>` to force one stage to fail (the CI
 //! degradation drill); set `PRINTED_CKPT_DIR` to make the fault
-//! campaigns checkpoint/resumable.
+//! campaigns checkpoint/resumable and `PRINTED_SIM_THREADS` to spread
+//! them over worker threads (the output is the same for any count).
 //!
 //! Each stage also runs under an observability span (see DESIGN.md
 //! "Observability"), and the run ends with a per-stage `perf_summary` —

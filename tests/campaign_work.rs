@@ -26,11 +26,12 @@ fn work() -> (u64, u64, u64) {
     )
 }
 
-/// Prices one quote request line the way a print-shop worker does.
-fn price(line: &str) {
+/// Prices one quote request line the way a print-shop worker does, on
+/// `threads` campaign workers.
+fn price(line: &str, threads: usize) {
     let Ok(Request::Quote(query)) = parse_request(line) else { panic!("not a quote: {line}") };
     let built = quote::build(&query).expect("the query builds");
-    let priced = quote::price(&query, &built, None, 1, None).expect("the quote prices");
+    let priced = quote::price(&query, &built, None, threads, None).expect("the quote prices");
     assert!(!priced.aborted);
 }
 
@@ -49,13 +50,19 @@ fn campaigns_simulate_one_run_per_fault_class() {
 
     // A shop_campaign request (1024 stuck-at and 2048 SEU samples on the
     // default program's subset core) at width 4 and at width 8; run
-    // fault by fault, each filled 49 words.
+    // fault by fault, each filled 49 words. Workers claim whole words,
+    // so the counts are the same on 1, 2 and 4 of them.
     for (width, pinned) in [(4, (3072, 249, 4)), (8, (3072, 349, 6))] {
-        obs::global().reset();
-        price(&format!(
-            "{{\"op\":\"quote\",\"query\":{{\"seed\":9,\"seu_samples\":2048,\"stuck_at\":1024,\
-             \"width\":{width}}}}}"
-        ));
-        assert_eq!(work(), pinned, "shop campaign at width {width}");
+        for threads in [1, 2, 4] {
+            obs::global().reset();
+            price(
+                &format!(
+                    "{{\"op\":\"quote\",\"query\":{{\"seed\":9,\"seu_samples\":2048,\
+                     \"stuck_at\":1024,\"width\":{width}}}}}"
+                ),
+                threads,
+            );
+            assert_eq!(work(), pinned, "shop campaign at width {width} on {threads} workers");
+        }
     }
 }

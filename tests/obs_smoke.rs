@@ -35,7 +35,7 @@ fn campaign_metrics_export_as_valid_json_lines() {
         seu_samples: 4,
         ..CampaignConfig::default()
     };
-    let result = run_campaign(&nl, &workload, &config).unwrap();
+    let result = run_campaign(&nl, &workload, &config, 1).unwrap();
 
     let registry = obs::global();
     // The campaign published its classification counters.

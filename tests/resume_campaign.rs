@@ -1,22 +1,60 @@
 //! Kill-and-resume integration test for the supervised fault campaign:
-//! abort a smoke campaign mid-chunk, resume it from its checkpoint, and
-//! require the stitched result to be byte-identical to an uninterrupted
-//! run — at one worker and at four.
+//! cancel a smoke campaign partway through, resume it from its
+//! checkpoint, and require the stitched result to be byte-identical to
+//! an uninterrupted run — at one worker and at four.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use printed_microprocessors::core::workload::ProgramWorkload;
 use printed_microprocessors::core::{generate_standard, CoreConfig};
-use printed_microprocessors::netlist::fault::{CampaignConfig, StuckAtSpace};
-use printed_microprocessors::netlist::resilience::{
-    run_supervised_campaign_with_threads, ResilienceConfig, SupervisedRun,
+use printed_microprocessors::netlist::bitsim::BitSimulator;
+use printed_microprocessors::netlist::fault::{
+    CampaignConfig, LaneOutcome, Observation, StuckAtSpace, Workload,
 };
+use printed_microprocessors::netlist::resilience::{run_supervised_campaign, SupervisedRun};
+use printed_microprocessors::netlist::{NetlistError, Simulator};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn ckpt_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("printed-resume-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Raises `cancel` once the wrapped workload has run `after` times,
+/// counting scalar runs (the golden run first) and bitsliced words: the
+/// kill lands at a deterministic point of the campaign.
+struct CancelAfter<'a, W> {
+    inner: &'a W,
+    after: usize,
+    calls: AtomicUsize,
+    cancel: AtomicBool,
+}
+
+impl<W: Workload> CancelAfter<'_, W> {
+    fn tick(&self) {
+        if self.calls.fetch_add(1, Ordering::Relaxed) + 1 >= self.after {
+            self.cancel.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<W: Workload> Workload for CancelAfter<'_, W> {
+    fn run(&self, sim: Simulator<'_>, cycle_budget: u64) -> Result<Observation, NetlistError> {
+        self.tick();
+        self.inner.run(sim, cycle_budget)
+    }
+
+    fn run_bitsliced(
+        &self,
+        sim: BitSimulator<'_>,
+        cycle_budget: u64,
+    ) -> Option<Result<Vec<LaneOutcome>, NetlistError>> {
+        let lanes = self.inner.run_bitsliced(sim, cycle_budget)?;
+        self.tick();
+        Some(lanes)
+    }
 }
 
 #[test]
@@ -33,52 +71,46 @@ fn interrupted_smoke_campaign_resumes_to_the_identical_csv() {
     for threads in [1usize, 4] {
         let dir = ckpt_dir(&format!("t{threads}"));
 
-        // The reference: one uninterrupted, unsupervised-equivalent run.
-        let baseline = ResilienceConfig::default();
-        let reference =
-            run_supervised_campaign_with_threads(&netlist, &workload, &config, &baseline, threads)
-                .unwrap()
-                .into_complete()
-                .expect("uninterrupted run completes");
-
-        // Phase 1: checkpointing on, killed partway through the slots.
-        let total = reference.result.runs.len();
-        let interrupted = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            abort_after: Some(total / 3),
+        // The reference: one uninterrupted run without a checkpoint.
+        let run = run_supervised_campaign(&netlist, &workload, &config, None, threads, None);
+        let Ok(SupervisedRun::Complete(reference)) = run else {
+            panic!("threads={threads}: the uninterrupted run must complete");
         };
-        let aborted = run_supervised_campaign_with_threads(
+
+        // Phase 1: checkpointing on, killed after the golden run and a
+        // third of the campaign's 63-class words.
+        let total = reference.result.runs.len();
+        let words = reference.result.classes.div_ceil(BitSimulator::LANES - 1);
+        let interrupted = CancelAfter {
+            inner: &workload,
+            after: 1 + words / 3,
+            calls: AtomicUsize::new(0),
+            cancel: AtomicBool::new(false),
+        };
+        let aborted = run_supervised_campaign(
             &netlist,
-            &workload,
-            &config,
             &interrupted,
+            &config,
+            Some(&dir),
             threads,
+            Some(&interrupted.cancel),
         )
         .unwrap();
         let SupervisedRun::Aborted { completed, checkpoint, .. } = aborted else {
-            panic!("threads={threads}: the abort hook must interrupt the campaign");
+            panic!("threads={threads}: the cancel flag must interrupt the campaign");
         };
-        assert!(completed >= total / 3, "threads={threads}: {completed} slots before abort");
+        assert!(
+            completed > 0 && completed < total,
+            "threads={threads}: {completed} of {total} slots before the kill"
+        );
         let ckpt = checkpoint.expect("checkpointing was enabled");
         assert!(ckpt.exists(), "threads={threads}: checkpoint file persists after the kill");
 
         // Phase 2: same config, same dir — resume and finish.
-        let resumed_cfg = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 4,
-            ..ResilienceConfig::default()
+        let run = run_supervised_campaign(&netlist, &workload, &config, Some(&dir), threads, None);
+        let Ok(SupervisedRun::Complete(resumed)) = run else {
+            panic!("threads={threads}: the resumed run must complete");
         };
-        let resumed = run_supervised_campaign_with_threads(
-            &netlist,
-            &workload,
-            &config,
-            &resumed_cfg,
-            threads,
-        )
-        .unwrap()
-        .into_complete()
-        .expect("resumed run completes");
         assert!(
             resumed.stats.resumed_slots > 0,
             "threads={threads}: the resumed run must load checkpointed slots"

@@ -11,9 +11,7 @@
 
 use printed_microprocessors::core::workload::ProgramWorkload;
 use printed_microprocessors::core::{generate_standard, CoreConfig};
-use printed_microprocessors::netlist::fault::{
-    run_campaign_with_threads, CampaignConfig, StuckAtSpace,
-};
+use printed_microprocessors::netlist::fault::{run_campaign, CampaignConfig, StuckAtSpace};
 use printed_microprocessors::obs::chrome::{self, EventKind};
 use printed_microprocessors::obs::{self, json};
 use std::collections::BTreeMap;
@@ -35,8 +33,7 @@ fn campaign_trace_has_worker_lanes_and_nested_spans() {
     let outer_span = obs::SpanGuard::enter("test_outer");
     let result = {
         let _inner = obs::SpanGuard::enter("test_inner");
-        run_campaign_with_threads(&netlist, &workload, &campaign, 2)
-            .expect("smoke campaign completes")
+        run_campaign(&netlist, &workload, &campaign, 2).expect("smoke campaign completes")
     };
     drop(outer_span);
     let events = chrome::stop_and_drain();
