@@ -135,7 +135,7 @@ PRINTED_SHOP_ADDR="$ref_addr" "$shop_bin" shutdown >/dev/null 2>&1
 wait "$ref_pid"
 
 # SIGKILL mid-campaign: a server on one simulator thread is killed after
-# its first checkpointed slots land; the restarted server replays the
+# its first checkpointed classes land; the restarted server replays the
 # journaled job, resumes the campaign from the checkpoint, and serves the
 # byte-identical reference quote.
 kill_dir="$csv_dir/shop_kill"
@@ -145,9 +145,10 @@ kill_pid=$!
 kill_addr=$(shop_addr "$csv_dir/shop_kill.log")
 ( PRINTED_SHOP_ADDR="$kill_addr" "$shop_bin" query "$shop_query" >/dev/null 2>&1 || true ) &
 doomed_client=$!
-# The checkpoint file is born with just a header; completed slots flush
-# in batches, so wait until at least one slot line is durable before
-# killing — otherwise there is nothing for recovery to resume.
+# The checkpoint file is born with just a header; completed classes
+# flush in batches of CHECKPOINT_EVERY lines, one line per class, so wait
+# until at least one line is durable before killing — otherwise there is
+# nothing for recovery to resume.
 ckpt_seen=""
 for _ in $(seq 1 200); do
     for f in "$kill_dir"/ckpt/*.ckpt.jsonl; do
@@ -202,7 +203,7 @@ wait "$burst_pid"
 wait "$slow1" 2>/dev/null || true
 wait "$slow2" 2>/dev/null || true
 
-echo "==> benchmark self-checks: perfbench unit tests and a traced reproduce run (layers tile the pass, outputs stable)"
+echo "==> benchmark self-checks: perfbench unit tests and traced reproduce and shop_campaign runs (layers tile the pass, outputs stable)"
 python3 -B -m unittest discover -s perfbench -p 'test_*.py'
 bench_out="$csv_dir/perfbench_reproduce.txt"
 CARGO_TARGET_DIR="$PWD/target" \
@@ -211,6 +212,13 @@ CARGO_TARGET_DIR="$PWD/target" \
     || { cat "$csv_dir/perfbench_reproduce.log"; echo "perfbench reproduce run failed"; exit 1; }
 tail -n 1 "$bench_out" | grep -q '"correct": true' \
     || { cat "$bench_out"; echo "traced reproduce run is not correct"; exit 1; }
+bench_out="$csv_dir/perfbench_shop_campaign.txt"
+CARGO_TARGET_DIR="$PWD/target" \
+    python3 perfbench/run.py --workload shop_campaign --seed 1 --seconds 5 --trace 1 \
+    >"$bench_out" 2>"$csv_dir/perfbench_shop_campaign.log" \
+    || { cat "$csv_dir/perfbench_shop_campaign.log"; echo "perfbench shop_campaign run failed"; exit 1; }
+tail -n 1 "$bench_out" | grep -q '"correct": true' \
+    || { cat "$bench_out"; echo "traced shop_campaign run is not correct"; exit 1; }
 
 echo "==> simulator hot-path bench (refreshes BENCH_sim.json + appends BENCH_history.jsonl, asserts speedups + CSV identity across the engine x threads matrix)"
 cargo bench -p printed-bench --bench sim_hotpaths >/dev/null

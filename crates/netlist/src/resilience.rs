@@ -6,21 +6,23 @@
 //! checkpoint and no cancel flag. It simulates one representative per
 //! [`FaultClasses`] class — sampled spaces draw with replacement, so
 //! slots repeat — and records the verdict into every member slot.
-//! Results, checkpoints, statistics and a print-shop quote's `faults`
-//! all count slots. Real reproduction sweeps run for minutes across many
-//! worker threads, and fault-injection infrastructure must survive its
-//! own faults, so the scheduler carries a resilience layer:
+//! Results, statistics and a print-shop quote's `faults` all count
+//! slots; the checkpoint records one line per class. Real reproduction
+//! sweeps run for minutes across many worker threads, and
+//! fault-injection infrastructure must survive its own faults, so the
+//! scheduler carries a resilience layer:
 //!
 //! - **Checkpoint/resume** — given a checkpoint directory (callers take
 //!   it from the `PRINTED_CKPT_DIR` environment variable through
-//!   [`checkpoint_dir`]), completed fault-index result slots are
-//!   appended every [`CHECKPOINT_EVERY`] completions to a JSON-lines
-//!   checkpoint file. A rerun of the same campaign loads the checkpoint,
-//!   skips the recorded slots, and — because slots are keyed by the
-//!   deterministic fault enumeration order, not by scheduling — produces
-//!   a byte-identical [`CampaignResult::to_csv`] to an uninterrupted
-//!   run, for any thread count. A class with any recorded member takes
-//!   that member's verdict on resume, without another run.
+//!   [`checkpoint_dir`]), each completed class's verdict is recorded at
+//!   its representative's slot index, appended every
+//!   [`CHECKPOINT_EVERY`] lines to a JSON-lines checkpoint file. A rerun
+//!   of the same campaign loads the checkpoint, skips the recorded
+//!   classes, and — because slots are keyed by the deterministic fault
+//!   enumeration order, not by scheduling — produces a byte-identical
+//!   [`CampaignResult::to_csv`] to an uninterrupted run, for any thread
+//!   count. A class with any recorded member takes that member's
+//!   verdict on resume, without another run.
 //! - **Cancellation** — a raised cancel flag stops the workers claiming
 //!   new work; the checkpoint is flushed and the run reports
 //!   [`SupervisedRun::Aborted`], so a rerun resumes it.
@@ -46,8 +48,9 @@
 //! counters `netlist.fault.{workers,runs,classes,masked,detected,hang,sdc}`,
 //! the bitsliced `netlist.fault.bitsliced.{words,lanes}` counters and
 //! `netlist.fault.{lane_utilization,runs_per_sec}` gauges; and the
-//! resilience counters `resilience.retries`, `resilience.resumed_slots`
-//! and `resilience.failed`.
+//! resilience counters `resilience.retries`, `resilience.resumed_slots`,
+//! `resilience.failed` and `resilience.checkpoint_lines` (slot lines
+//! written, the resume rewrite's included).
 //!
 //! # Checkpoint format
 //!
@@ -55,7 +58,7 @@
 //! semantic payload. The first line is a header binding the checkpoint
 //! to a campaign identity fingerprint (netlist structure, campaign
 //! config, golden-run observation); every further line records one
-//! completed slot:
+//! completed class, at its representative's slot index:
 //!
 //! ```text
 //! {"type":"header","design":"p1_4_2","faults":512,"fingerprint":"9f2c...","c":"1a2b3c4d"}
@@ -69,9 +72,11 @@
 //! last valid line instead of erroring. A header that does not match
 //! the campaign identity (or fails its CRC) is discarded wholesale — a
 //! stale checkpoint can never leak slots into a different campaign. The
-//! initial header+resumed-slots rewrite goes through [`atomic_replace`],
+//! initial header+resumed-classes rewrite goes through [`atomic_replace`],
 //! so a kill mid-rewrite can never destroy the previous checkpoint
 //! generation. On successful completion the checkpoint file is deleted.
+//! Older files with one line per member slot still load: any recorded
+//! member fills its class, and the rewrite keeps one line per class.
 
 use crate::fault::{
     campaign_golden, enumerate_faults, faulty_budget, CampaignConfig, CampaignError,
@@ -151,8 +156,8 @@ impl From<CampaignError> for JobError {
     }
 }
 
-/// Completed slots buffered between checkpoint flushes. Fewer lose less
-/// work to a kill; more do less I/O.
+/// Checkpoint lines — one per completed class — buffered between
+/// flushes. Fewer lose less work to a kill; more do less I/O.
 pub const CHECKPOINT_EVERY: usize = 64;
 
 /// The campaign checkpoint directory, read from the `PRINTED_CKPT_DIR`
@@ -489,7 +494,7 @@ fn load_checkpoint(
 }
 
 /// The shared checkpoint writer: buffers slot lines and appends them to
-/// the file every [`CHECKPOINT_EVERY`] completions. A
+/// the file every [`CHECKPOINT_EVERY`] lines. A
 /// write failure flips `broken` and drops the file handle — the campaign
 /// carries on without checkpointing rather than dying on a full disk.
 struct CheckpointSink {
@@ -498,6 +503,9 @@ struct CheckpointSink {
     /// Reused CRC buffer for [`push_slot_line`].
     crc_buf: String,
     pending: usize,
+    /// Slot lines written to the file so far, the resume rewrite's
+    /// included.
+    written: usize,
     broken: bool,
 }
 
@@ -516,7 +524,9 @@ impl CheckpointSink {
     fn flush(&mut self) {
         if let Some(file) = &mut self.file {
             let ok = file.write_all(self.buf.as_bytes()).and_then(|()| file.flush()).is_ok();
-            if !ok {
+            if ok {
+                self.written += self.pending;
+            } else {
                 self.broken = true;
                 self.file = None;
             }
@@ -680,13 +690,14 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     };
 
     // Checkpoint setup: load whatever a previous run left, then rewrite
-    // the file from scratch (header + resumed slots). Rewriting heals a
+    // the file from scratch (header + resumed classes). Rewriting heals a
     // truncated tail once instead of parsing around it forever.
     let mut sink = CheckpointSink {
         file: None,
         buf: String::new(),
         crc_buf: String::new(),
         pending: 0,
+        written: 0,
         broken: false,
     };
     if let Some(dir) = checkpoint_dir {
@@ -706,20 +717,26 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
             stats.resumed_slots += 1;
             stats.retries += done.1 as u64;
         }
-        // Rewrite the file from scratch (header + resumed slots) through
-        // `atomic_replace` so a kill mid-rewrite can never destroy the
-        // generation being resumed from, then reopen it for appending.
+        // Rewrite the file from scratch (header + one line per resumed
+        // class, at its representative) through `atomic_replace` so a
+        // kill mid-rewrite can never destroy the generation being
+        // resumed from, then reopen it for appending.
         let mut header = header_line(netlist.name(), total, fingerprint);
-        for (i, done) in slots.iter().enumerate() {
-            if let Some(done) = done {
-                push_slot_line(&mut header, &mut sink.crc_buf, i, done);
+        let mut lines = 0;
+        for &rep in classes.representatives() {
+            if let Some(done) = &slots[rep] {
+                push_slot_line(&mut header, &mut sink.crc_buf, rep, done);
+                lines += 1;
             }
         }
         let opened = fs::create_dir_all(dir)
             .and_then(|()| atomic_replace(&path, header.as_bytes()))
             .and_then(|()| fs::OpenOptions::new().append(true).open(&path));
         match opened {
-            Ok(file) => sink.file = Some(file),
+            Ok(file) => {
+                sink.file = Some(file);
+                sink.written = lines;
+            }
             Err(_) => sink.broken = true,
         }
         stats.checkpoint = Some(path);
@@ -767,17 +784,15 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
             (FaultRun { fault, cell, outcome: Outcome::Failed }, SLOT_RETRIES)
         })
     };
-    // Records a class's verdict for every member slot: checkpoint lines,
-    // retry and failure counts and progress all count slots, exactly as
-    // if each member had been simulated.
+    // Records a class's verdict: one checkpoint line at its
+    // representative's slot, which resume expands to every member, while
+    // retry and failure counts and progress count member slots, exactly
+    // as if each member had been simulated.
     let record = |class: usize, done: &SlotDone| {
-        let members = classes.members(class);
-        let mut sink = sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for &slot in members {
-            sink.push(slot, done);
-        }
-        drop(sink);
-        let filled = members.len();
+        sink.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(classes.representatives()[class], done);
+        let filled = classes.members(class).len();
         retries.fetch_add(u64::from(done.1) * filled as u64, Ordering::Relaxed);
         if done.0.outcome == Outcome::Failed {
             failed.fetch_add(filled, Ordering::Relaxed);
@@ -907,6 +922,7 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
         reg.add("resilience.retries", stats.retries);
         reg.add("resilience.resumed_slots", stats.resumed_slots as u64);
         reg.add("resilience.failed", stats.failed as u64);
+        reg.add("resilience.checkpoint_lines", sink.written as u64);
     }
 
     // Expand each newly run class into its member slots.
@@ -1289,6 +1305,33 @@ mod tests {
             complete(run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 1, None));
         assert_eq!(finished.stats.resumed_slots, 3);
         assert_eq!(finished.result.to_csv(), plain.to_csv());
+
+        // A file in the older layout, one line per member slot of the
+        // first half of the classes, loads too. A pre-cancelled run stops
+        // right after the rewrite, which keeps one line per class.
+        let classes = FaultClasses::new(&nl, &crate::ir::FanoutMap::build(&nl), &faults);
+        let half = classes.len() / 2;
+        let recorded: Vec<usize> = (0..half).flat_map(|c| classes.members(c).to_vec()).collect();
+        assert!(recorded.len() > half, "some of the first classes share slots");
+        let mut text = header_line(nl.name(), faults.len(), fingerprint);
+        for &slot in &recorded {
+            text.push_str(&slot_line(slot, &(plain.runs[slot], 0)));
+        }
+        fs::write(&path, text).unwrap();
+        let cancel = AtomicBool::new(true);
+        let aborted =
+            run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 1, Some(&cancel))
+                .unwrap();
+        let SupervisedRun::Aborted { completed, .. } = aborted else {
+            panic!("cancelled run must abort");
+        };
+        assert_eq!(completed, recorded.len());
+        let rewritten = fs::read_to_string(&path).unwrap();
+        assert_eq!(rewritten.lines().count(), 1 + half, "a header plus one line per class");
+        let finished =
+            complete(run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 1, None));
+        assert_eq!(finished.stats.resumed_slots, completed);
+        assert_eq!(finished.result.to_csv(), plain.to_csv(), "byte-identical CSV");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1477,9 +1520,11 @@ mod tests {
         };
         assert!(completed >= baseline.classes / 3 && completed < total, "{completed} of {total}");
         let ckpt = checkpoint.expect("checkpointing was enabled");
-        // The checkpoint records every member slot of a finished class.
+        // One worker ran exactly a third of the classes before the flag
+        // stopped it, and the checkpoint holds one line per finished
+        // class, not one per member slot.
         let lines = fs::read_to_string(&ckpt).unwrap().lines().count();
-        assert_eq!(lines, 1 + completed, "a header plus one line per completed slot");
+        assert_eq!(lines, 1 + baseline.classes / 3, "a header plus one line per completed class");
 
         let finished =
             complete(run_supervised_campaign(&nl, &scalar, &duplicates(), Some(&dir), 1, None));
