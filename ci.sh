@@ -175,6 +175,23 @@ grep -qE '"resumed_slots":[1-9][0-9]*' "$csv_dir/recover_stats.txt" \
     || { echo "recovery did not resume from the checkpoint"; cat "$csv_dir/recover_stats.txt"; exit 1; }
 PRINTED_SHOP_ADDR="$recover_addr" "$shop_bin" shutdown >/dev/null 2>&1
 wait "$recover_pid"
+# Both record files settled: the resumed campaign completed and deleted
+# its checkpoint, and every journaled accept has a later done.
+python3 - "$kill_dir" <<'PY'
+import glob, json, os, sys
+kill_dir = sys.argv[1]
+left = glob.glob(os.path.join(kill_dir, "ckpt", "*.ckpt.jsonl"))
+if left:
+    sys.exit(f"the resumed campaign left its checkpoint behind: {left}")
+with open(os.path.join(kill_dir, "journal.jsonl")) as journal:
+    records = [json.loads(line) for line in journal if line.strip()]
+for i, record in enumerate(records):
+    later = records[i + 1:]
+    if record["type"] == "accept" and not any(
+        r["type"] == "done" and r["qk"] == record["qk"] for r in later
+    ):
+        sys.exit(f"journaled job {record['qk']} has no later done")
+PY
 
 # Backpressure: with a capacity-2 queue and one worker saturated by slow
 # jobs, a 2x-capacity burst of distinct queries is refused with the

@@ -399,11 +399,10 @@ mod tests {
 
     #[test]
     fn all_baselines_lint_clean_of_errors_in_both_technologies() {
-        let config = lint::LintConfig::default();
         for technology in [Technology::Egfet, Technology::CntTft] {
             for cpu in BaselineCpu::ALL {
                 let netlist = cpu.inventory(technology).representative_netlist();
-                let report = lint::lint(&netlist, technology.library(), &config);
+                let report = lint::lint(&netlist, technology.library());
                 assert!(
                     !report.has_errors(),
                     "{} ({technology:?}) has lint errors:\n{}",

@@ -107,9 +107,8 @@ pub struct LintedCore {
 pub fn generate_linted(spec: &CoreSpec) -> LintedCore {
     let netlist = build(spec);
     let facts = dataflow::analyze(&netlist);
-    let config = lint::LintConfig::default();
     let lint = Technology::ALL
-        .map(|technology| lint::lint_with_facts(&netlist, technology.library(), &config, &facts));
+        .map(|technology| lint::lint_with_facts(&netlist, technology.library(), &facts));
     LintedCore { netlist, facts, lint }
 }
 

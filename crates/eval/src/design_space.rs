@@ -139,7 +139,7 @@ pub fn analyze() -> DesignSpace {
             let inventory = cpu.inventory(rows.technology);
             let netlist = inventory.representative_netlist();
             let facts = dataflow::analyze(&netlist);
-            let report = lint::lint_with_facts(&netlist, lib, &lint::LintConfig::default(), &facts);
+            let report = lint::lint_with_facts(&netlist, lib, &facts);
             let sta = analysis::sta_with_fanout(
                 &netlist,
                 lib,

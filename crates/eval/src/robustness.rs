@@ -420,8 +420,7 @@ mod tests {
         let config = CoreConfig::new(1, 4, 2);
         let base = generate_standard(&config);
         let hardened = tmr(&base).unwrap();
-        let report =
-            lint::lint(&hardened, Technology::Egfet.library(), &lint::LintConfig::default());
+        let report = lint::lint(&hardened, Technology::Egfet.library());
         assert!(!report.has_errors(), "TMR netlist must pass lint:\n{}", report.render_text());
 
         let options = quick(0); // sampled stuck-at keeps this test fast

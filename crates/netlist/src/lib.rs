@@ -83,7 +83,7 @@ pub use fault::{
     OutcomeCounts, PatternWorkload, ScalarOnly, StuckAtSpace, Workload,
 };
 pub use ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError, Pins, Region};
-pub use lint::{lint, lint_with_facts, Diagnostic, LintConfig, LintReport, Rule, Severity};
+pub use lint::{lint, lint_with_facts, Diagnostic, LintReport, Rule, Severity};
 pub use resilience::{
     atomic_replace, atomic_write, campaign_identity, read_checked, run_supervised_campaign,
     JobError, ResilienceStats, SupervisedCampaign, SupervisedRun,

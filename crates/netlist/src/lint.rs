@@ -24,7 +24,7 @@
 //! b.output("y", vec![x]);
 //! let nl = b.finish()?;
 //!
-//! let report = lint::lint(&nl, Technology::Egfet.library(), &lint::LintConfig::default());
+//! let report = lint::lint(&nl, Technology::Egfet.library());
 //! assert!(!report.has_errors());
 //! assert_eq!(report.count(lint::Severity::Warn), 1);
 //! # Ok::<(), printed_netlist::NetlistError>(())
@@ -35,7 +35,7 @@ use crate::ir::{FanoutMap, Gate, GateId, NetId, Netlist};
 use crate::opt::{self, Fold};
 use printed_obs::json::escape;
 use printed_pdk::{CellKind, CellLibrary, Technology};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
 /// How bad a finding is.
@@ -128,7 +128,7 @@ impl Rule {
         }
     }
 
-    /// Severity the rule reports at unless overridden by [`LintConfig`].
+    /// Severity the rule reports at.
     ///
     /// Contention rules are errors — the printed circuit shorts — and so
     /// is provably uninitializable state: the part of the design behind
@@ -177,7 +177,7 @@ impl fmt::Display for Locus {
 pub struct Diagnostic {
     /// Which rule fired.
     pub rule: Rule,
-    /// Severity after applying the [`LintConfig`].
+    /// The rule's [`Rule::default_severity`].
     pub severity: Severity,
     /// The gate or net the finding anchors to.
     pub locus: Locus,
@@ -278,43 +278,6 @@ impl fmt::Display for Finding {
                  add a buffer before the port"
             ),
         }
-    }
-}
-
-/// Which rules run and at what severity.
-///
-/// The default configuration runs every rule at its
-/// [`Rule::default_severity`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LintConfig {
-    disabled: BTreeSet<Rule>,
-    overrides: BTreeMap<Rule, Severity>,
-}
-
-impl LintConfig {
-    /// The default configuration: all rules, default severities.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Disables a rule entirely.
-    pub fn disable(mut self, rule: Rule) -> Self {
-        self.disabled.insert(rule);
-        self
-    }
-
-    /// Overrides a rule's severity.
-    pub fn severity(mut self, rule: Rule, severity: Severity) -> Self {
-        self.overrides.insert(rule, severity);
-        self
-    }
-
-    /// The severity a rule reports at, or `None` if disabled.
-    pub fn effective_severity(&self, rule: Rule) -> Option<Severity> {
-        if self.disabled.contains(&rule) {
-            return None;
-        }
-        Some(self.overrides.get(&rule).copied().unwrap_or_else(|| rule.default_severity()))
     }
 }
 
@@ -473,34 +436,31 @@ impl<'a> Facts<'a> {
 
 /// Lints a netlist against a technology's cell library.
 ///
-/// Runs every rule enabled in `config` and returns the findings sorted
-/// most-severe-first. See the module docs for the rule catalogue.
+/// Runs every rule at its [`Rule::default_severity`] and returns the
+/// findings sorted most-severe-first. See the module docs for the rule
+/// catalogue.
 ///
 /// Runs a fresh [`dataflow::analyze`]; when a caller already holds the
 /// design's [`DataflowFacts`] (for STA or a report), use
 /// [`lint_with_facts`] so the fixpoint is not run twice.
-pub fn lint(netlist: &Netlist, lib: &CellLibrary, config: &LintConfig) -> LintReport {
-    lint_with_facts(netlist, lib, config, &dataflow::analyze(netlist))
+pub fn lint(netlist: &Netlist, lib: &CellLibrary) -> LintReport {
+    lint_with_facts(netlist, lib, &dataflow::analyze(netlist))
 }
 
 /// The design-rule gate for callers that keep a netlist only if it has
 /// no errors and otherwise read nothing of the report: only the rules
 /// whose [`Rule::default_severity`] is [`Severity::Error`] run, over one
 /// dataflow fixpoint. When one fires, every rule runs over the same
-/// facts, so the `Err` report is exactly what [`lint`] returns under the
-/// default configuration.
+/// facts, so the `Err` report is exactly what [`lint`] returns.
 ///
 /// # Errors
 ///
-/// Returns the full default-configuration report if any error fires.
+/// Returns the full report if any error fires.
 pub fn check_errors(netlist: &Netlist, lib: &CellLibrary) -> Result<(), LintReport> {
     let facts = dataflow::analyze(netlist);
-    let errors_only = Rule::ALL
-        .into_iter()
-        .filter(|rule| rule.default_severity() != Severity::Error)
-        .fold(LintConfig::new(), LintConfig::disable);
-    if lint_with_facts(netlist, lib, &errors_only, &facts).has_errors() {
-        return Err(lint_with_facts(netlist, lib, &LintConfig::default(), &facts));
+    let errors_only = |rule: Rule| rule.default_severity() == Severity::Error;
+    if run_rules(netlist, lib, &facts, errors_only).has_errors() {
+        return Err(lint_with_facts(netlist, lib, &facts));
     }
     Ok(())
 }
@@ -508,17 +468,22 @@ pub fn check_errors(netlist: &Netlist, lib: &CellLibrary) -> Result<(), LintRepo
 /// [`lint`] over a caller's dataflow facts: the analysis-backed rules
 /// read `facts` and the structural rules read the [`FanoutMap`] they
 /// carry; nothing is recomputed. `facts` must come from `netlist`.
-pub fn lint_with_facts(
+pub fn lint_with_facts(netlist: &Netlist, lib: &CellLibrary, facts: &DataflowFacts) -> LintReport {
+    run_rules(netlist, lib, facts, |_| true)
+}
+
+/// Runs the rules `selected` keeps, each at its default severity; the
+/// others' checks never run.
+fn run_rules(
     netlist: &Netlist,
     lib: &CellLibrary,
-    config: &LintConfig,
     facts: &DataflowFacts,
+    selected: impl Fn(Rule) -> bool,
 ) -> LintReport {
     let facts = Facts::compute(netlist, facts);
     let mut diagnostics = Vec::new();
-    for rule in Rule::ALL {
-        // A disabled rule's check never runs: its findings would be dropped.
-        let Some(severity) = config.effective_severity(rule) else { continue };
+    for rule in Rule::ALL.into_iter().filter(|&rule| selected(rule)) {
+        let severity = rule.default_severity();
         let mut emit = |locus: Locus, finding: Finding| {
             diagnostics.push(Diagnostic { rule, severity, locus, finding });
         };
@@ -790,7 +755,7 @@ mod tests {
     }
 
     fn run(netlist: &Netlist) -> LintReport {
-        lint(netlist, egfet(), &LintConfig::default())
+        lint(netlist, egfet())
     }
 
     #[test]
@@ -819,7 +784,7 @@ mod tests {
         assert_eq!(egfet_report.by_rule(Rule::FanoutExceedsDrive).count(), 1);
         assert!(!egfet_report.has_errors(), "fanout is a warning");
 
-        let cnt_report = lint(&nl, Technology::CntTft.library(), &LintConfig::default());
+        let cnt_report = lint(&nl, Technology::CntTft.library());
         assert_eq!(cnt_report.by_rule(Rule::FanoutExceedsDrive).count(), 0);
     }
 
@@ -1002,27 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn config_disables_rules_and_overrides_severity() {
-        let mut b = NetlistBuilder::new("cfg");
-        let a = b.input_bit("a");
-        let one = b.const1();
-        let x = b.and2(a, one);
-        b.output("y", vec![x]);
-        let nl = b.finish().unwrap();
-
-        let off = LintConfig::new().disable(Rule::ConstFoldableGate);
-        assert!(lint(&nl, egfet(), &off).is_clean());
-
-        let strict = LintConfig::new().severity(Rule::ConstFoldableGate, Severity::Error);
-        assert!(lint(&nl, egfet(), &strict).has_errors());
-
-        let info = LintConfig::new().severity(Rule::ConstFoldableGate, Severity::Info);
-        let report = lint(&nl, egfet(), &info);
-        assert_eq!(report.count(Severity::Info), 1);
-        assert_eq!(report.count(Severity::Warn), 0);
-    }
-
-    #[test]
     fn report_sorts_errors_first_and_renders() {
         let mut b = NetlistBuilder::new("mixed");
         let a = b.input_bit("a");
@@ -1156,8 +1100,8 @@ mod tests {
         let facts = crate::dataflow::analyze_with_fanout(&nl, Arc::clone(&shared));
         assert!(Arc::ptr_eq(facts.fanout(), &shared));
         let baseline = Arc::strong_count(&shared);
-        let report = lint_with_facts(&nl, egfet(), &LintConfig::default(), &facts);
-        assert_eq!(report, lint(&nl, egfet(), &LintConfig::default()));
+        let report = lint_with_facts(&nl, egfet(), &facts);
+        assert_eq!(report, lint(&nl, egfet()));
         assert!(!report.is_clean(), "the design has findings to compare");
         // Linting borrowed the facts: no hidden long-lived copies of the
         // map were taken.

@@ -633,4 +633,49 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn fold_agrees_with_the_truth_table_on_every_pin_state() {
+        // No generated core holds every cell kind, so each verdict is
+        // checked here against the simulator's truth table on every
+        // completion of the unknown pins. A gate is kept exactly when no
+        // pin it reads is constant.
+        let states = [Some(false), Some(true), None];
+        let kinds = [
+            CellKind::Inv,
+            CellKind::And2,
+            CellKind::Or2,
+            CellKind::Nand2,
+            CellKind::Nor2,
+            CellKind::Xor2,
+            CellKind::Xnor2,
+        ];
+        for kind in kinds {
+            let table = crate::sim::truth_table(kind);
+            let arity = if kind == CellKind::Inv { 1 } else { 2 };
+            for pins in states.iter().flat_map(|&a| states.map(|b| [a, b])) {
+                let verdict = fold(kind, &pins);
+                for values in [[false, false], [true, false], [false, true], [true, true]] {
+                    if pins.iter().zip(values).any(|(pin, v)| pin.is_some_and(|p| p != v)) {
+                        continue;
+                    }
+                    // Bit `b << 1 | a` of the table is the output.
+                    let row = (usize::from(values[1]) << 1) | usize::from(values[0]);
+                    let out = (table >> row) & 1 == 1;
+                    let predicted = match verdict {
+                        Fold::Const(v) => v,
+                        Fold::Pin(i) => values[i],
+                        Fold::NotPin(i) => !values[i],
+                        Fold::Keep => out,
+                    };
+                    assert_eq!(predicted, out, "{kind:?} {pins:?} -> {verdict:?} on {values:?}");
+                }
+                let known = pins[..arity].iter().any(Option::is_some);
+                assert_eq!(verdict == Fold::Keep, !known, "{kind:?} {pins:?} -> {verdict:?}");
+                if let Fold::Pin(i) | Fold::NotPin(i) = verdict {
+                    assert!(i < arity, "{kind:?} {pins:?} -> {verdict:?}");
+                }
+            }
+        }
+    }
 }

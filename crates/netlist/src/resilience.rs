@@ -54,11 +54,14 @@
 //!
 //! # Checkpoint format
 //!
-//! One JSON object per line, each carrying a CRC-32 (`"c"`) over its
-//! semantic payload. The first line is a header binding the checkpoint
-//! to a campaign identity fingerprint (netlist structure, campaign
-//! config, golden-run observation); every further line records one
-//! completed class, at its representative's slot index:
+//! A checkpoint is a record file: lines of the workspace's one
+//! CRC-checked record format ([`push_record`]; DESIGN.md §10), which the
+//! print shop's job journal shares, read back as their valid prefix by
+//! [`read_records`] and rewritten through [`RecordLog`]. The first
+//! record is a header binding the checkpoint to a campaign identity
+//! fingerprint (netlist structure, campaign config, golden-run
+//! observation); every further record is one completed class, at its
+//! representative's slot index:
 //!
 //! ```text
 //! {"type":"header","design":"p1_4_2","faults":512,"fingerprint":"9f2c...","c":"1a2b3c4d"}
@@ -86,6 +89,7 @@ use crate::hash::Fnv1a;
 use crate::ir::Netlist;
 use crate::sim::Simulator;
 use printed_obs as obs;
+use printed_obs::json::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -308,43 +312,23 @@ fn checkpoint_path(dir: &Path, design: &str, fingerprint: u64) -> PathBuf {
     dir.join(format!("{safe}-{fingerprint:016x}.ckpt.jsonl"))
 }
 
-fn header_line(design: &str, total_faults: usize, fingerprint: u64) -> String {
-    let crc =
-        obs::crc::crc32(format!("header|{design}|{total_faults}|{fingerprint:016x}").as_bytes());
-    format!(
-        "{{\"type\":\"header\",\"design\":{},\"faults\":{total_faults},\
-         \"fingerprint\":\"{fingerprint:016x}\",\"c\":\"{crc:08x}\"}}\n",
-        obs::json::escape(design),
-    )
+/// The checkpoint's first record: the campaign it belongs to.
+const HEADER: RecordKind =
+    RecordKind { tag: "header", fields: &["design", "faults", "fingerprint"] };
+
+/// One checkpointed class: its representative's slot index, outcome
+/// and retry count.
+const SLOT: RecordKind = RecordKind { tag: "slot", fields: &["i", "o", "r"] };
+
+fn push_header(line: &mut String, design: &str, total_faults: usize, fingerprint: u64) {
+    let fields = [Field::Str(design), Field::Int(total_faults as u64), Field::Hex(fingerprint)];
+    push_record(line, &HEADER, &fields);
 }
 
-/// CRC of one slot line's semantic payload, not its JSON syntax, so
-/// formatting changes never invalidate old checkpoints. The payload is
-/// built in `crc_buf`, a buffer the caller reuses across slots.
-fn slot_crc(crc_buf: &mut String, index: usize, outcome: Outcome, retries: u32) -> u32 {
-    crc_buf.clear();
-    let _ = write!(crc_buf, "slot|{index}|{outcome}|{retries}");
-    obs::crc::crc32(crc_buf.as_bytes())
-}
-
-/// Appends one slot line to `line` — the one slot-line formatter, shared
-/// by the checkpoint sink and the header rewrite; `crc_buf` is the
-/// reused CRC buffer of [`slot_crc`].
-fn push_slot_line(line: &mut String, crc_buf: &mut String, index: usize, done: &SlotDone) {
-    let crc = slot_crc(crc_buf, index, done.0.outcome, done.1);
-    let _ = writeln!(
-        line,
-        "{{\"type\":\"slot\",\"i\":{index},\"o\":\"{}\",\"r\":{},\"c\":\"{crc:08x}\"}}",
-        done.0.outcome, done.1
-    );
-}
-
-/// One slot line as its own string.
-#[cfg(test)]
-fn slot_line(index: usize, done: &SlotDone) -> String {
-    let mut line = String::new();
-    push_slot_line(&mut line, &mut String::new(), index, done);
-    line
+fn push_slot(line: &mut String, index: usize, done: &SlotDone) {
+    let fields =
+        [Field::Int(index as u64), Field::Str(done.0.outcome.name()), Field::Int(done.1.into())];
+    push_record(line, &SLOT, &fields);
 }
 
 /// The CRC footer appended by [`atomic_write`]: `#crc32:` + 8 hex
@@ -356,8 +340,9 @@ const CRC_FOOTER_LEN: usize = 16;
 /// kill at any point leaves either the old file or the new one, never a
 /// torn mix. A `.tmp` left behind by a kill before the rename is never
 /// read and is overwritten by the next replace. The one atomic-write
-/// path of the workspace: [`atomic_write`], checkpoint rewrites and the
-/// print shop's journal compaction all go through it.
+/// path of the workspace: [`atomic_write`] and [`RecordLog::create`]
+/// (checkpoint rewrites, the print shop's journal compaction) go
+/// through it.
 ///
 /// # Errors
 ///
@@ -427,16 +412,147 @@ pub fn read_checked(path: &Path) -> Result<Option<Vec<u8>>, JobError> {
     Ok(Some(payload.to_vec()))
 }
 
+/// The layout of one record type of a [record file](push_record): its
+/// `"type"` tag and its field names, in the order its CRC covers them.
+#[derive(Debug)]
+pub struct RecordKind {
+    /// The `"type"` value.
+    pub tag: &'static str,
+    /// Field names, in CRC order.
+    pub fields: &'static [&'static str],
+}
+
+/// One field value of a record.
+#[derive(Debug, Clone, Copy)]
+pub enum Field<'a> {
+    /// A string, JSON-escaped in the line.
+    Str(&'a str),
+    /// An unsigned integer, a bare JSON number.
+    Int(u64),
+    /// A 64-bit id, a string of 16 hex digits.
+    Hex(u64),
+}
+
+/// Appends one record to `line`, allocating nothing once `line` has
+/// grown: a JSON object on one line, the `"type"` tag first, then
+/// `fields` under `kind`'s names, then `"c"`, the CRC-32 of
+/// `tag|value|value…` over the raw values (strings unescaped, integers
+/// in decimal, ids in hex), so formatting never enters the checksum.
+/// This is the one record format of the workspace's append-only files,
+/// the campaign checkpoint and the print shop's job journal:
+///
+/// ```text
+/// {"type":"slot","i":17,"o":"sdc","r":2,"c":"5cb2ed51"}
+/// ```
+pub fn push_record(line: &mut String, kind: &RecordKind, fields: &[Field<'_>]) {
+    debug_assert_eq!(kind.fields.len(), fields.len(), "{} fields", kind.tag);
+    let _ = write!(line, "{{\"type\":\"{}\"", kind.tag);
+    let mut crc = obs::crc::crc32_update(0, kind.tag.as_bytes());
+    for (name, field) in kind.fields.iter().zip(fields) {
+        let _ = write!(line, ",\"{name}\":");
+        let start = line.len();
+        let raw = match *field {
+            Field::Str(s) => {
+                obs::json::escape_into(line, s);
+                s.as_bytes()
+            }
+            Field::Int(n) => {
+                let _ = write!(line, "{n}");
+                &line.as_bytes()[start..]
+            }
+            Field::Hex(n) => {
+                let _ = write!(line, "\"{n:016x}\"");
+                &line.as_bytes()[start + 1..line.len() - 1]
+            }
+        };
+        crc = obs::crc::crc32_update(obs::crc::crc32_update(crc, b"|"), raw);
+    }
+    let _ = writeln!(line, ",\"c\":\"{crc:08x}\"}}");
+}
+
+/// A record [`read_records`] verified: its tag and its field values in
+/// its kind's order, as the CRC covers them (integers in decimal).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    /// The record's `"type"` tag.
+    pub tag: &'static str,
+    /// Field values, in its kind's order.
+    pub fields: Vec<String>,
+}
+
+/// The valid prefix of the record file at `path`: its records up to the
+/// first line that does not parse, has a tag none of `kinds` names,
+/// lacks a field, or fails its CRC — a torn tail or a flipped bit,
+/// even one that still parses. Blank lines hold no record and are
+/// skipped. A missing or unreadable file has no records. `kinds` gives
+/// each tag's field order, which the parsed line (a sorted map) has
+/// lost.
+pub fn read_records(path: &Path, kinds: &[&RecordKind]) -> Vec<Record> {
+    let Ok(text) = fs::read_to_string(path) else { return Vec::new() };
+    let verified = |line: &str| -> Option<Record> {
+        let value = obs::json::parse(line).ok()?;
+        let tag = value.get("type")?.as_str()?;
+        let kind = kinds.iter().find(|kind| kind.tag == tag)?;
+        let mut crc = obs::crc::crc32_update(0, tag.as_bytes());
+        let mut fields = Vec::with_capacity(kind.fields.len());
+        for name in kind.fields {
+            let field = match value.get(name)? {
+                Value::String(s) => s.clone(),
+                Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 => (*n as u64).to_string(),
+                _ => return None,
+            };
+            crc = obs::crc::crc32_update(obs::crc::crc32_update(crc, b"|"), field.as_bytes());
+            fields.push(field);
+        }
+        let recorded = u32::from_str_radix(value.get("c")?.as_str()?, 16).ok()?;
+        (recorded == crc).then_some(Record { tag: kind.tag, fields })
+    };
+    text.lines().filter(|line| !line.trim().is_empty()).map_while(verified).collect()
+}
+
+/// An open record file, created or rewritten whole, then appended to.
+#[derive(Debug)]
+pub struct RecordLog {
+    file: fs::File,
+}
+
+impl RecordLog {
+    /// Replaces the file at `path` with `records` (lines from
+    /// [`push_record`]) through [`atomic_replace`], creating its
+    /// directory first, and opens it for appending.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error of the directory, the replace or the open.
+    pub fn create(path: &Path, records: &[u8]) -> std::io::Result<RecordLog> {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        atomic_replace(path, records)?;
+        Ok(RecordLog { file: fs::OpenOptions::new().append(true).open(path)? })
+    }
+
+    /// Appends `records` in one unbuffered write: once it returns they
+    /// are in the operating system, so they survive a killed process,
+    /// though not a power loss.
+    ///
+    /// # Errors
+    ///
+    /// Returns the write's I/O error.
+    pub fn append(&mut self, records: &[u8]) -> std::io::Result<()> {
+        self.file.write_all(records)
+    }
+}
+
 /// Loads the valid prefix of a checkpoint file into `slots`.
 ///
-/// Missing file → nothing loaded. Unreadable file or mismatched header →
-/// nothing loaded (the campaign starts fresh and overwrites it). A bad
-/// line — truncated mid-write, or corrupted in place (every line carries
-/// a CRC-32 over its payload, so a bit flip that still parses as JSON is
-/// caught too) — stops the scan but keeps everything before it: resume
-/// recovers to the last valid line instead of erroring. The rebuilt
-/// [`FaultRun`] comes from the deterministic fault enumeration, so a
-/// checkpoint line only needs the slot index, outcome, and retry count.
+/// Missing file, or a first record that is not this campaign's header →
+/// nothing loaded (the campaign starts fresh and overwrites it). The
+/// slot records of the file's [valid prefix](read_records) load until
+/// the first one that names no slot or outcome: resume recovers to the
+/// last valid line instead of erroring. The rebuilt [`FaultRun`] comes
+/// from the deterministic fault enumeration, so a checkpoint line only
+/// needs the slot index, outcome, and retry count.
 fn load_checkpoint(
     path: &Path,
     fingerprint: u64,
@@ -444,43 +560,21 @@ fn load_checkpoint(
     netlist: &Netlist,
     slots: &mut [Option<SlotDone>],
 ) -> usize {
-    let Ok(text) = fs::read_to_string(path) else { return 0 };
-    let mut lines = text.lines();
-    let Some(first) = lines.next() else { return 0 };
-    let Ok(header) = obs::json::parse(first) else { return 0 };
-    let expected = header_line(netlist.name(), faults.len(), fingerprint);
-    let Ok(expected) = obs::json::parse(expected.trim_end()) else { return 0 };
-    // Semantic header comparison (parsed, so key order and escaping are
-    // irrelevant) — covers design, fault count, fingerprint, and CRC.
-    if header != expected {
+    let mut records = read_records(path, &[&HEADER, &SLOT]).into_iter();
+    let header =
+        [netlist.name().to_string(), faults.len().to_string(), format!("{fingerprint:016x}")];
+    if !records.next().is_some_and(|first| first.tag == HEADER.tag && first.fields == header) {
         return 0;
     }
     let mut resumed = 0;
-    let mut crc_buf = String::new();
-    for line in lines {
-        let Ok(value) = obs::json::parse(line) else { break };
-        if value.get("type").and_then(obs::json::Value::as_str) != Some("slot") {
-            break;
-        }
-        let Some(index) = value.get("i").and_then(obs::json::Value::as_f64) else { break };
-        let index = index as usize;
-        if index >= slots.len() {
-            break;
-        }
-        let Some(outcome) =
-            value.get("o").and_then(obs::json::Value::as_str).and_then(Outcome::parse)
+    for record in records.take_while(|record| record.tag == SLOT.tag) {
+        let [index, outcome, retries] = &record.fields[..] else { break };
+        let (Ok(index), Some(outcome), Ok(retries)) =
+            (index.parse::<usize>(), Outcome::parse(outcome), retries.parse::<u32>())
         else {
             break;
         };
-        let retries = value.get("r").and_then(obs::json::Value::as_f64).unwrap_or(0.0) as u32;
-        // CRC over the semantic payload: a flipped bit that still
-        // parses (e.g. "sdc" → "sdd", or a shifted index) is rejected
-        // here, and the scan stops at the last trustworthy line.
-        let recorded = value
-            .get("c")
-            .and_then(obs::json::Value::as_str)
-            .and_then(|hex| u32::from_str_radix(hex, 16).ok());
-        if recorded != Some(slot_crc(&mut crc_buf, index, outcome, retries)) {
+        if index >= slots.len() {
             break;
         }
         let fault = faults[index];
@@ -495,13 +589,12 @@ fn load_checkpoint(
 
 /// The shared checkpoint writer: buffers slot lines and appends them to
 /// the file every [`CHECKPOINT_EVERY`] lines. A
-/// write failure flips `broken` and drops the file handle — the campaign
+/// write failure flips `broken` and drops the file — the campaign
 /// carries on without checkpointing rather than dying on a full disk.
+#[derive(Default)]
 struct CheckpointSink {
-    file: Option<fs::File>,
+    log: Option<RecordLog>,
     buf: String,
-    /// Reused CRC buffer for [`push_slot_line`].
-    crc_buf: String,
     pending: usize,
     /// Slot lines written to the file so far, the resume rewrite's
     /// included.
@@ -511,10 +604,10 @@ struct CheckpointSink {
 
 impl CheckpointSink {
     fn push(&mut self, index: usize, done: &SlotDone) {
-        if self.file.is_none() {
+        if self.log.is_none() {
             return;
         }
-        push_slot_line(&mut self.buf, &mut self.crc_buf, index, done);
+        push_slot(&mut self.buf, index, done);
         self.pending += 1;
         if self.pending >= CHECKPOINT_EVERY {
             self.flush();
@@ -522,13 +615,12 @@ impl CheckpointSink {
     }
 
     fn flush(&mut self) {
-        if let Some(file) = &mut self.file {
-            let ok = file.write_all(self.buf.as_bytes()).and_then(|()| file.flush()).is_ok();
-            if ok {
+        if let Some(log) = &mut self.log {
+            if log.append(self.buf.as_bytes()).is_ok() {
                 self.written += self.pending;
             } else {
                 self.broken = true;
-                self.file = None;
+                self.log = None;
             }
         }
         self.buf.clear();
@@ -692,14 +784,7 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     // Checkpoint setup: load whatever a previous run left, then rewrite
     // the file from scratch (header + resumed classes). Rewriting heals a
     // truncated tail once instead of parsing around it forever.
-    let mut sink = CheckpointSink {
-        file: None,
-        buf: String::new(),
-        crc_buf: String::new(),
-        pending: 0,
-        written: 0,
-        broken: false,
-    };
+    let mut sink = CheckpointSink::default();
     if let Some(dir) = checkpoint_dir {
         let path = checkpoint_path(dir, netlist.name(), fingerprint);
         load_checkpoint(&path, fingerprint, &faults, netlist, &mut slots);
@@ -717,24 +802,22 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
             stats.resumed_slots += 1;
             stats.retries += done.1 as u64;
         }
-        // Rewrite the file from scratch (header + one line per resumed
-        // class, at its representative) through `atomic_replace` so a
-        // kill mid-rewrite can never destroy the generation being
-        // resumed from, then reopen it for appending.
-        let mut header = header_line(netlist.name(), total, fingerprint);
+        // The rewrite holds the header and one line per resumed class,
+        // at its representative; `RecordLog::create` replaces the file
+        // atomically, so a kill mid-rewrite can never destroy the
+        // generation being resumed from.
+        let mut text = String::new();
+        push_header(&mut text, netlist.name(), total, fingerprint);
         let mut lines = 0;
         for &rep in classes.representatives() {
             if let Some(done) = &slots[rep] {
-                push_slot_line(&mut header, &mut sink.crc_buf, rep, done);
+                push_slot(&mut text, rep, done);
                 lines += 1;
             }
         }
-        let opened = fs::create_dir_all(dir)
-            .and_then(|()| atomic_replace(&path, header.as_bytes()))
-            .and_then(|()| fs::OpenOptions::new().append(true).open(&path));
-        match opened {
-            Ok(file) => {
-                sink.file = Some(file);
+        match RecordLog::create(&path, text.as_bytes()) {
+            Ok(log) => {
+                sink.log = Some(log);
                 sink.written = lines;
             }
             Err(_) => sink.broken = true,
@@ -995,6 +1078,54 @@ mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
     use crate::fault::{run_campaign, PatternWorkload, ScalarOnly, StuckAtSpace};
+
+    fn header_line(design: &str, total_faults: usize, fingerprint: u64) -> String {
+        let mut line = String::new();
+        push_header(&mut line, design, total_faults, fingerprint);
+        line
+    }
+
+    fn slot_line(index: usize, done: &SlotDone) -> String {
+        let mut line = String::new();
+        push_slot(&mut line, index, done);
+        line
+    }
+
+    #[test]
+    fn checkpoint_records_keep_their_bytes() {
+        // Checkpoints already on disk hold exactly these bytes, so the
+        // encoders must keep writing them.
+        let header = r#"{"type":"header","design":"p1_4_2","faults":1142,"fingerprint":"9f2c5a1e0b7d3c48","c":"7e3183f4"}"#;
+        assert_eq!(header_line("p1_4_2", 1142, 0x9f2c_5a1e_0b7d_3c48), format!("{header}\n"));
+        let fault = Fault { gate: crate::ir::GateId(3), kind: crate::fault::FaultKind::StuckAt1 };
+        let cell = printed_pdk::CellKind::Nand2;
+        let run = FaultRun { fault, cell, outcome: Outcome::SilentDataCorruption };
+        let slot = r#"{"type":"slot","i":17,"o":"sdc","r":2,"c":"5cb2ed51"}"#;
+        assert_eq!(slot_line(17, &(run, 2)), format!("{slot}\n"));
+    }
+
+    #[test]
+    fn record_files_round_trip_and_stop_at_unknown_tags() {
+        let dir = std::env::temp_dir().join(format!("printed-records-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("log.jsonl");
+        let mut text = String::new();
+        push_record(&mut text, &HEADER, &[Field::Str("a\"b"), Field::Int(3), Field::Hex(0xab)]);
+        let mut log = RecordLog::create(&path, text.as_bytes()).unwrap();
+        text.clear();
+        push_record(&mut text, &SLOT, &[Field::Int(0), Field::Str("masked"), Field::Int(0)]);
+        log.append(text.as_bytes()).unwrap();
+        let header = Record {
+            tag: "header",
+            fields: vec!["a\"b".into(), "3".into(), "00000000000000ab".into()],
+        };
+        let slot = Record { tag: "slot", fields: vec!["0".into(), "masked".into(), "0".into()] };
+        assert_eq!(read_records(&path, &[&HEADER, &SLOT]), [header, slot]);
+        // A tag outside `kinds` ends the prefix at once.
+        assert_eq!(read_records(&path, &[&SLOT]), []);
+        assert_eq!(read_records(&dir.join("missing"), &[&SLOT]), []);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     fn accumulator() -> Netlist {
         let mut b = NetlistBuilder::new("acc4");
@@ -1481,6 +1612,32 @@ mod tests {
         let resumed = load_checkpoint(&path, fingerprint, &faults, &nl, &mut slots);
         assert_eq!(resumed, 2, "valid prefix kept, truncated tail dropped");
         assert!(slots[2].is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn blank_checkpoint_lines_are_skipped() {
+        let nl = accumulator();
+        let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let golden =
+            crate::fault::campaign_golden(&Simulator::new(&nl), &workload, config().cycle_budget)
+                .unwrap();
+        let faults = enumerate_faults(&nl, &config(), golden.cycles);
+        let fingerprint = campaign_fingerprint(&nl, &config(), &golden, faults.len());
+        let dir = std::env::temp_dir().join(format!("printed-ckpt-blank-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = checkpoint_path(&dir, nl.name(), fingerprint);
+        // A blank line holds no record, so it is no damage: the slot
+        // after it loads too.
+        let plain = run_campaign(&nl, &workload, &config(), 1).unwrap();
+        let text = header_line(nl.name(), faults.len(), fingerprint)
+            + &slot_line(0, &(plain.runs[0], 0))
+            + "\n"
+            + &slot_line(1, &(plain.runs[1], 0));
+        fs::write(&path, text).unwrap();
+        let mut slots: Vec<Option<SlotDone>> = vec![None; faults.len()];
+        assert_eq!(load_checkpoint(&path, fingerprint, &faults, &nl, &mut slots), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -529,7 +529,7 @@ fn lint_foldable(nl: &Netlist) -> Vec<usize> {
     let flagged: Vec<Vec<usize>> = Technology::ALL
         .iter()
         .map(|technology| {
-            lint::lint(nl, technology.library(), &lint::LintConfig::default())
+            lint::lint(nl, technology.library())
                 .by_rule(lint::Rule::ConstFoldableGate)
                 .map(|d| match d.locus {
                     lint::Locus::Gate(g) => g.index(),
@@ -766,7 +766,7 @@ proptest! {
         let nl = bld.finish().unwrap();
         let optimized = opt::optimize(&nl);
         for technology in [Technology::Egfet, Technology::CntTft] {
-            let report = lint::lint(&optimized, technology.library(), &lint::LintConfig::default());
+            let report = lint::lint(&optimized, technology.library());
             for rule in [lint::Rule::ConstFoldableGate, lint::Rule::RedundantInverterPair] {
                 let hits: Vec<_> = report.by_rule(rule).collect();
                 prop_assert!(
@@ -823,7 +823,7 @@ proptest! {
         for nl in &designs {
             for technology in Technology::ALL {
                 let lib = technology.library();
-                let full = lint::lint(nl, lib, &lint::LintConfig::default());
+                let full = lint::lint(nl, lib);
                 match lint::check_errors(nl, lib) {
                     Ok(()) => {
                         prop_assert!(!full.has_errors(), "gate passed:\n{}", full.render_text());

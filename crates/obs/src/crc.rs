@@ -1,9 +1,9 @@
 //! CRC-32 (IEEE 802.3, the zlib/gzip polynomial), dependency-free.
 //!
-//! The workspace's durable artifacts — campaign checkpoints, the print
-//! shop's content-addressed quote cache, and its write-ahead job
-//! journal — all carry CRC-32 integrity footers so a torn write or a
-//! flipped bit is *detected* and recovered from, never silently served.
+//! The workspace's durable artifacts carry CRC-32s — a footer on each
+//! cached print-shop quote, a field on each line of a campaign
+//! checkpoint or the shop's job journal — so a torn write or a flipped
+//! bit is *detected* and recovered from, never silently served.
 //! JSON parsing alone cannot catch a corrupted-but-still-parsable line;
 //! the checksum can.
 
@@ -37,8 +37,20 @@ const TABLE: [u32; 256] = {
 /// assert_eq!(printed_obs::crc::crc32(b""), 0);
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
+    crc32_update(0, bytes)
+}
+
+/// Extends `crc`, the CRC-32 of some bytes, with `more`:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`, so a checksum can be
+/// taken over pieces without joining them.
+///
+/// ```
+/// use printed_obs::crc::{crc32, crc32_update};
+/// assert_eq!(crc32_update(crc32(b"1234"), b"56789"), crc32(b"123456789"));
+/// ```
+pub fn crc32_update(crc: u32, more: &[u8]) -> u32 {
+    let mut crc = !crc;
+    for &b in more {
         crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc

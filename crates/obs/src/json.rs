@@ -9,6 +9,13 @@ use std::fmt;
 /// Escapes a string as a JSON string literal, including the quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal, including the quotes:
+/// [`escape`] into a caller's buffer.
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -22,7 +29,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Formats a float as a valid JSON number (JSON has no NaN/Infinity;

@@ -1,35 +1,47 @@
 //! The write-ahead job journal.
 //!
-//! Every accepted job appends an `accept` line *before* any work
+//! Every accepted job appends an `accept` record *before* any work
 //! happens; every finished job (served, deadline-failed, or poisoned)
-//! appends a `done` line. Each line carries a CRC-32 of its semantic
-//! content, and replay stops at the first damaged line — the valid
-//! prefix is the journal, exactly like the campaign checkpoints in
-//! [`printed_netlist::resilience`].
+//! appends a `done` record. Both are lines of the workspace's one
+//! CRC-checked record format ([`push_record`]; DESIGN.md §10), and
+//! replay reads the file's valid prefix through [`read_records`], the
+//! same path the campaign checkpoints in [`printed_netlist::resilience`]
+//! take:
+//!
+//! ```text
+//! {"type":"accept","qk":"9aee57741947929d","q":"{\"width\":4}","c":"…"}
+//! {"type":"done","qk":"9aee57741947929d","c":"…"}
+//! ```
 //!
 //! On startup [`Journal::open`] replays the file: jobs accepted but
 //! never done are the crash's in-flight work, and the service re-enqueues
 //! them (their campaigns resume from checkpoints). The journal is then
 //! compacted — only pending accepts survive, rewritten through
-//! [`atomic_replace`] — so it cannot grow without bound across restarts.
+//! [`RecordLog::create`] — so it cannot grow without bound across
+//! restarts.
 //!
-//! Appends are unbuffered `write` calls: a line is in the operating
-//! system before its job is queued, so it survives a killed process. It
-//! is not synced to disk per append, so a power loss can drop the tail.
+//! Each append is one unbuffered write ([`RecordLog::append`]): a line
+//! is in the operating system before its job is queued, so it survives a
+//! killed process. It is not synced to disk per append, so a power loss
+//! can drop the tail.
 
 use crate::error::ShopError;
-use printed_netlist::resilience::atomic_replace;
-use printed_obs::crc::crc32;
-use printed_obs::json::{self, Value};
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use printed_netlist::resilience::{push_record, read_records, Field, RecordKind, RecordLog};
 use std::path::{Path, PathBuf};
+
+/// A job accepted: its query key and canonical query line.
+const ACCEPT: RecordKind = RecordKind { tag: "accept", fields: &["qk", "q"] };
+
+/// A job finished: its query key.
+const DONE: RecordKind = RecordKind { tag: "done", fields: &["qk"] };
 
 /// An append-only, CRC-per-line job journal.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: File,
+    log: RecordLog,
+    /// The line being appended, reused across appends.
+    line: String,
 }
 
 /// A job recovered from the journal at startup.
@@ -39,14 +51,6 @@ pub struct RecoveredJob {
     pub query_key: u64,
     /// The canonical query line to re-parse and re-enqueue.
     pub canonical: String,
-}
-
-fn accept_crc(query_key: u64, canonical: &str) -> u32 {
-    crc32(format!("accept|{query_key:016x}|{canonical}").as_bytes())
-}
-
-fn done_crc(query_key: u64) -> u32 {
-    crc32(format!("done|{query_key:016x}").as_bytes())
 }
 
 impl Journal {
@@ -60,65 +64,34 @@ impl Journal {
     /// journal is not an error: the valid prefix is used and the
     /// compaction rewrite discards the damage.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Self, Vec<RecoveredJob>), ShopError> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir).map_err(|e| ShopError::Internal {
-            message: format!("journal dir {}: {e}", dir.display()),
-        })?;
-        let path = dir.join("journal.jsonl");
+        let path = dir.as_ref().join("journal.jsonl");
         let pending = Self::replay(&path);
 
         // Compact: only pending accepts survive, atomically.
         let mut text = String::new();
         for job in &pending {
-            text.push_str(&accept_line(job.query_key, &job.canonical));
+            push_record(
+                &mut text,
+                &ACCEPT,
+                &[Field::Hex(job.query_key), Field::Str(&job.canonical)],
+            );
         }
-        atomic_replace(&path, text.as_bytes()).map_err(|e| ShopError::Internal {
+        let log = RecordLog::create(&path, text.as_bytes()).map_err(|e| ShopError::Internal {
             message: format!("journal compaction {}: {e}", path.display()),
         })?;
-        let file = OpenOptions::new().append(true).open(&path).map_err(|e| {
-            ShopError::Internal { message: format!("journal open {}: {e}", path.display()) }
-        })?;
-        Ok((Journal { path, file }, pending))
+        Ok((Journal { path, log, line: String::new() }, pending))
     }
 
-    /// Scans the valid prefix of a journal file: accepts minus dones,
-    /// in acceptance order.
+    /// The valid prefix of a journal file: accepts minus dones, in
+    /// acceptance order.
     fn replay(path: &Path) -> Vec<RecoveredJob> {
-        let Ok(text) = fs::read_to_string(path) else { return Vec::new() };
         let mut pending: Vec<RecoveredJob> = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Ok(v) = json::parse(line) else { break };
-            let Some(crc) =
-                v.get("c").and_then(Value::as_str).and_then(|s| u32::from_str_radix(s, 16).ok())
-            else {
-                break;
-            };
-            let Some(qk) =
-                v.get("qk").and_then(Value::as_str).and_then(|s| u64::from_str_radix(s, 16).ok())
-            else {
-                break;
-            };
-            match v.get("type").and_then(Value::as_str) {
-                Some("accept") => {
-                    let Some(canonical) = v.get("q").and_then(Value::as_str) else { break };
-                    if accept_crc(qk, canonical) != crc {
-                        break;
-                    }
-                    if !pending.iter().any(|j| j.query_key == qk) {
-                        pending
-                            .push(RecoveredJob { query_key: qk, canonical: canonical.to_string() });
-                    }
-                }
-                Some("done") => {
-                    if done_crc(qk) != crc {
-                        break;
-                    }
-                    pending.retain(|j| j.query_key != qk);
-                }
-                _ => break,
+        for record in read_records(path, &[&ACCEPT, &DONE]) {
+            let Ok(query_key) = u64::from_str_radix(&record.fields[0], 16) else { break };
+            if record.tag == DONE.tag {
+                pending.retain(|j| j.query_key != query_key);
+            } else if !pending.iter().any(|j| j.query_key == query_key) {
+                pending.push(RecoveredJob { query_key, canonical: record.fields[1].clone() });
             }
         }
         pending
@@ -133,7 +106,7 @@ impl Journal {
     /// Returns [`ShopError::Internal`] when the append fails — the
     /// caller rejects the job rather than accept work it could lose.
     pub fn accept(&mut self, query_key: u64, canonical: &str) -> Result<(), ShopError> {
-        self.append(&accept_line(query_key, canonical))
+        self.append(&ACCEPT, &[Field::Hex(query_key), Field::Str(canonical)])
     }
 
     /// Journals a finished job (served, deadline-failed, or poisoned —
@@ -143,37 +116,48 @@ impl Journal {
     ///
     /// Returns [`ShopError::Internal`] when the append fails.
     pub fn done(&mut self, query_key: u64) -> Result<(), ShopError> {
-        self.append(&format!(
-            "{{\"type\":\"done\",\"qk\":\"{query_key:016x}\",\"c\":\"{:08x}\"}}\n",
-            done_crc(query_key)
-        ))
+        self.append(&DONE, &[Field::Hex(query_key)])
     }
 
-    fn append(&mut self, line: &str) -> Result<(), ShopError> {
-        self.file.write_all(line.as_bytes()).map_err(|e| ShopError::Internal {
+    fn append(&mut self, kind: &RecordKind, fields: &[Field<'_>]) -> Result<(), ShopError> {
+        self.line.clear();
+        push_record(&mut self.line, kind, fields);
+        self.log.append(self.line.as_bytes()).map_err(|e| ShopError::Internal {
             message: format!("journal append {}: {e}", self.path.display()),
         })
     }
-}
-
-fn accept_line(query_key: u64, canonical: &str) -> String {
-    format!(
-        "{{\"type\":\"accept\",\"qk\":\"{query_key:016x}\",\"q\":{},\"c\":\"{:08x}\"}}\n",
-        json::escape(canonical),
-        accept_crc(query_key, canonical)
-    )
 }
 
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use printed_obs::json;
+    use std::fs;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("printed-shop-journal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn journal_records_keep_their_bytes() {
+        // Journals already on disk hold exactly these bytes, so the
+        // encoders must keep writing them.
+        let dir = temp_dir("bytes");
+        {
+            let (mut j, _) = Journal::open(&dir).unwrap();
+            let query = "{\"program\":\"loop:\\nHALT\\n\",\"tag\":\"a\tb\u{1}\"}";
+            j.accept(0x9aee_5774_1947_929d, query).unwrap();
+            j.done(0x1256_6672_26ac_bde2).unwrap();
+        }
+        let accept = r#"{"type":"accept","qk":"9aee57741947929d","q":"{\"program\":\"loop:\\nHALT\\n\",\"tag\":\"a\tb\u0001\"}","c":"59cbc417"}"#;
+        let done = r#"{"type":"done","qk":"1256667226acbde2","c":"737592b1"}"#;
+        let text = fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        assert_eq!(text, format!("{accept}\n{done}\n"));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

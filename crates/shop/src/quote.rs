@@ -141,8 +141,6 @@ pub fn content_key(query: &ShopQuery, built: &BuiltCore) -> Result<u64, ShopErro
 pub struct PricedQuote {
     /// The quote document — the bytes that get cached and served.
     pub json: String,
-    /// Campaign identity fingerprint, when a campaign ran.
-    pub fingerprint: Option<u64>,
     /// Checkpoint slots resumed rather than re-simulated (envelope
     /// metadata — deliberately *not* part of the quote bytes).
     pub resumed_slots: usize,
@@ -180,7 +178,6 @@ pub fn price(
     })?;
     let lifetime = battery.lifetime(ch.power.total() + dmem.static_power(), query.duty);
 
-    let mut fingerprint = None;
     let mut resumed_slots = 0;
     let mut campaign_json = "null".to_string();
     if let Some(config) = campaign_config(query) {
@@ -190,15 +187,9 @@ pub fn price(
         let done = match run {
             SupervisedRun::Complete(c) => c,
             SupervisedRun::Aborted { .. } => {
-                return Ok(PricedQuote {
-                    json: String::new(),
-                    fingerprint: None,
-                    resumed_slots: 0,
-                    aborted: true,
-                });
+                return Ok(PricedQuote { json: String::new(), resumed_slots: 0, aborted: true });
             }
         };
-        fingerprint = Some(done.fingerprint);
         resumed_slots = done.stats.resumed_slots;
         let counts = done.result.counts();
         campaign_json = format!(
@@ -211,7 +202,7 @@ pub fn price(
             counts.sdc,
             counts.failed,
             json::number(counts.coverage()),
-            fingerprint.unwrap_or_else(|| unreachable!("fingerprint set above")),
+            done.fingerprint,
         );
     }
 
@@ -240,7 +231,7 @@ pub fn price(
         lifetime.map_or_else(|| "null".to_string(), |t| json::number(t.as_hours())),
         campaign_json,
     );
-    Ok(PricedQuote { json, fingerprint, resumed_slots, aborted: false })
+    Ok(PricedQuote { json, resumed_slots, aborted: false })
 }
 
 #[cfg(test)]
@@ -295,8 +286,15 @@ mod tests {
         let q = campaign_query();
         let built = build(&q).expect("campaign query builds");
         let priced = price(&q, &built, None, 2, None).unwrap();
-        assert!(priced.fingerprint.is_some());
         let v = json::parse(&priced.json).unwrap();
+        let identity = campaign_identity(
+            &built.netlist,
+            &workload(&built, q.dmem_words).unwrap(),
+            &campaign_config(&q).unwrap(),
+        )
+        .unwrap();
+        let fingerprint = v.get("campaign").and_then(|c| c.get("fingerprint"));
+        assert_eq!(fingerprint.and_then(json::Value::as_str), Some(&*format!("{identity:016x}")));
         let faults =
             v.get("campaign").and_then(|c| c.get("faults")).and_then(json::Value::as_f64).unwrap();
         assert_eq!(faults as usize, 8, "4 sampled stuck-at + 4 SEU");

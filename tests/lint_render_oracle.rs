@@ -396,7 +396,7 @@ mod eager {
 /// rules that fired.
 fn assert_renders_eagerly(netlist: &Netlist, technology: Technology) -> BTreeSet<Rule> {
     let lib = technology.library();
-    let report = lint::lint(netlist, lib, &lint::LintConfig::default());
+    let report = lint::lint(netlist, lib);
     let (text, json, fired) = eager::render(netlist, lib);
     assert_eq!(report.render_text(), text, "{} ({technology:?}): text", netlist.name());
     assert_eq!(report.to_json(), json, "{} ({technology:?}): JSON", netlist.name());

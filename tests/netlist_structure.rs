@@ -91,8 +91,7 @@ fn digest<'a>(netlists: impl IntoIterator<Item = &'a Netlist>) -> (u64, usize) {
 /// sequential cells.
 fn write_facts(lints: &mut Fnv1a, values: &mut Fnv1a, netlist: &Netlist) {
     for technology in Technology::ALL {
-        let json =
-            lint::lint(netlist, technology.library(), &lint::LintConfig::default()).to_json();
+        let json = lint::lint(netlist, technology.library()).to_json();
         write_len(lints, json.len());
         lints.write(json.as_bytes());
     }
