@@ -62,8 +62,9 @@ fn core(kind: Core, width: usize, program: &[Instruction]) -> Option<(Netlist, P
 }
 
 /// Runs one random program as a campaign on both engines and compares
-/// them: byte-identical CSVs, or the same error when the golden run
-/// itself never halts. Returns whether the campaign ran; a program that
+/// them: the same golden observation (a fault-free word against the
+/// scalar engine's run) and byte-identical CSVs, or the same error when
+/// the golden run itself never halts. Returns whether the campaign ran; a program that
 /// does not encode for the core panics.
 fn check(
     kind: Core,
@@ -88,6 +89,7 @@ fn check(
     match (scalar, bits) {
         (Ok(scalar), Ok(bits)) => {
             let context = format!("{kind:?} {width}-bit core, program {program:?}");
+            assert_eq!(bits.golden, scalar.golden, "golden run: {context}");
             assert_eq!(bits.to_csv(), scalar.to_csv(), "{context}");
             true
         }

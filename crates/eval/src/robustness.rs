@@ -168,6 +168,17 @@ fn row_from_campaign(
     }
 }
 
+/// The stimulus [`fault_summary`] runs on a design-space core: the
+/// gate-level smoke program on a single-cycle core, seeded random
+/// patterns on a pipelined one.
+pub fn summary_workload(config: CoreConfig, options: &RobustnessOptions) -> Box<dyn Workload> {
+    if config.pipeline_stages == 1 {
+        Box::new(ProgramWorkload::smoke(config))
+    } else {
+        Box::new(PatternWorkload { cycles: options.pattern_cycles, seed: options.seed })
+    }
+}
+
 /// Fault campaigns over the Figure 7 design space plus the four baseline
 /// CPUs' representative netlists. Single-cycle TP-ISA points run the
 /// gate-level smoke program; multi-cycle points and baselines get seeded
@@ -192,14 +203,8 @@ pub fn fault_summary(
     let mut rows = Vec::new();
     for config in CoreConfig::design_space() {
         let netlist = generate_standard(&config);
-        let row = if config.pipeline_stages == 1 {
-            let workload = ProgramWorkload::smoke(config);
-            campaign_row(&netlist, &workload, technology, options)?
-        } else {
-            let workload = PatternWorkload { cycles: options.pattern_cycles, seed: options.seed };
-            campaign_row(&netlist, &workload, technology, options)?
-        };
-        rows.push(row);
+        let workload = summary_workload(config, options);
+        rows.push(campaign_row(&netlist, workload.as_ref(), technology, options)?);
     }
     for cpu in BaselineCpu::ALL {
         let netlist = cpu.inventory(technology).representative_netlist();

@@ -18,7 +18,10 @@
 //! single-fault runs of a [`Workload`] and classifies each as
 //! [`Outcome::Masked`], [`Outcome::SilentDataCorruption`],
 //! [`Outcome::Hang`], or [`Outcome::Detected`] against the fault-free
-//! golden run. Campaigns are deterministic under a fixed seed.
+//! golden run. Campaigns are deterministic under a fixed seed. The
+//! golden run is one fault-free bitsliced word when the workload has a
+//! word path, and a scalar run otherwise (see
+//! [`Workload::run_bitsliced`]).
 //!
 //! A campaign's fault list holds one *slot* per enumerated fault.
 //! Sampled spaces draw with replacement, so a slot may repeat another's
@@ -69,13 +72,14 @@
 use crate::bitsim::{lane_value, BitSimulator};
 use crate::builder::TMR_ERROR_PORT;
 use crate::ir::{FanoutMap, GateId, NetId, Netlist, NetlistError};
-use crate::resilience::{run_supervised_campaign, JobError, SupervisedRun};
+use crate::resilience::{retry_panics, run_supervised_campaign, JobError, SupervisedRun};
 use crate::sim::Simulator;
 use printed_pdk::{yield_model, CellKind, Technology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The kind of a single injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,13 +218,21 @@ pub trait Workload: Sync {
     /// occupied lane, lane 0 first.
     ///
     /// The default returns `None`: the workload has no bitsliced
-    /// implementation, so the campaign declines every word and runs each
-    /// fault through the supervised scalar fallback ([`ScalarOnly`]
-    /// forces this for any workload). Implementations must be
-    /// lane-exact: every lane's [`Observation`] must be byte-identical to
-    /// what [`Workload::run`] would produce for that lane's fault (the
-    /// campaign engine verifies lane 0 against the golden observation and
-    /// falls back to scalar on any mismatch).
+    /// implementation, so the campaign takes its golden run on the scalar
+    /// engine, declines every word and runs each fault through the
+    /// supervised scalar fallback ([`ScalarOnly`] forces this for any
+    /// workload). Implementations must be lane-exact: every lane's
+    /// [`Observation`] must be byte-identical to what [`Workload::run`]
+    /// would produce for that lane's fault, lane 0's to the fault-free
+    /// run.
+    ///
+    /// A campaign leans on that. Its golden observation is lane 0 of one
+    /// fault-free word, with no other lane occupied, and each fault word
+    /// must reproduce it in lane 0 or fall back to scalar. A lane 0 that
+    /// is wrong in every word alike would pass that check, so the scalar
+    /// engine reruns the golden before its first use in a campaign and
+    /// stops the campaign with [`CampaignError::GoldenMismatch`] if the
+    /// two differ; debug builds compare them on every campaign.
     fn run_bitsliced(
         &self,
         sim: BitSimulator<'_>,
@@ -641,6 +653,9 @@ pub enum CampaignError {
     GoldenDetected,
     /// The fault-free simulation failed outright.
     Sim(NetlistError),
+    /// The scalar engine's golden run differs from the word engine's, so
+    /// the engines cannot both classify the campaign's faults.
+    GoldenMismatch,
 }
 
 impl fmt::Display for CampaignError {
@@ -653,6 +668,9 @@ impl fmt::Display for CampaignError {
                 f.write_str("golden run fired the error-detection output")
             }
             CampaignError::Sim(e) => write!(f, "golden simulation failed: {e}"),
+            CampaignError::GoldenMismatch => {
+                f.write_str("the scalar and bitsliced engines disagree on the golden run")
+            }
         }
     }
 }
@@ -699,16 +717,13 @@ pub(crate) fn observe<W: Workload + ?Sized>(
 }
 
 /// Runs up to 63 faults as one bitsliced word on a clone of `proto` (a
-/// compiled [`BitSimulator`]): inject each fault into its lane and
-/// validate the result — one outcome per fault after the golden lane,
-/// which must reproduce the scalar golden observation byte-for-byte.
-/// Returns `None` when the workload has no bitsliced path or validation
-/// fails; callers fall back to one scalar run per fault, keeping the
-/// scalar engine the oracle.
-pub(crate) fn run_word<W: Workload + ?Sized>(
+/// compiled [`BitSimulator`]): injects each fault into its lane, lane 0
+/// left fault-free, and returns every occupied lane's outcome, lane 0
+/// first. `None` when the workload has no bitsliced path, fails, or
+/// reports the wrong number of lanes.
+fn run_lanes<W: Workload + ?Sized>(
     proto: &BitSimulator<'_>,
     workload: &W,
-    golden: &Observation,
     faults: &[Fault],
     budget: u64,
 ) -> Option<Vec<LaneOutcome>> {
@@ -718,14 +733,28 @@ pub(crate) fn run_word<W: Workload + ?Sized>(
         sim.inject_fault(fault);
     }
     let outcomes = workload.run_bitsliced(sim, budget)?.ok()?;
-    if outcomes.len() != faults.len() + 1 {
-        return None;
-    }
-    match &outcomes[0] {
-        LaneOutcome::Done(observed) if observed == golden => {}
+    (outcomes.len() == faults.len() + 1).then_some(outcomes)
+}
+
+/// Runs up to 63 faults as one bitsliced word ([`run_lanes`]) and
+/// validates it: the fault-free lane 0 must reproduce the campaign's
+/// golden observation byte-for-byte. Returns one outcome per fault, or
+/// `None` when the word declines or fails that check; callers then fall
+/// back to one scalar run per fault.
+pub(crate) fn run_word<W: Workload + ?Sized>(
+    proto: &BitSimulator<'_>,
+    workload: &W,
+    golden: &Observation,
+    faults: &[Fault],
+    budget: u64,
+) -> Option<Vec<LaneOutcome>> {
+    let mut outcomes = run_lanes(proto, workload, faults, budget)?;
+    match outcomes.first() {
+        Some(LaneOutcome::Done(observed)) if observed == golden => {}
         _ => return None,
     }
-    Some(outcomes.into_iter().skip(1).collect())
+    outcomes.remove(0);
+    Some(outcomes)
 }
 
 /// Average lane utilization (occupied lanes / 64 per word, golden lane
@@ -742,14 +771,10 @@ pub fn lane_utilization(classes: usize) -> f64 {
     (classes + words) as f64 / (words * BitSimulator::LANES) as f64
 }
 
-/// Runs and validates the fault-free reference: it must complete within
-/// the budget and must not fire the detect port.
-pub(crate) fn campaign_golden<W: Workload + ?Sized>(
-    pristine: &Simulator<'_>,
-    workload: &W,
-    cycle_budget: u64,
-) -> Result<Observation, CampaignError> {
-    let golden = observe(pristine, workload, None, cycle_budget)?;
+/// Checks a fault-free observation before it becomes a campaign's
+/// golden reference: it must complete within the budget and must not
+/// fire the detect port.
+fn validate_golden(golden: Observation) -> Result<Observation, CampaignError> {
     if !golden.completed {
         return Err(CampaignError::GoldenIncomplete { cycles: golden.cycles });
     }
@@ -757,6 +782,97 @@ pub(crate) fn campaign_golden<W: Workload + ?Sized>(
         return Err(CampaignError::GoldenDetected);
     }
     Ok(golden)
+}
+
+/// Runs and validates the fault-free reference on the scalar engine,
+/// counted in `netlist.fault.golden_scalar`.
+pub(crate) fn campaign_golden<W: Workload + ?Sized>(
+    pristine: &Simulator<'_>,
+    workload: &W,
+    cycle_budget: u64,
+) -> Result<Observation, CampaignError> {
+    printed_obs::incr("netlist.fault.golden_scalar");
+    validate_golden(observe(pristine, workload, None, cycle_budget)?)
+}
+
+/// A campaign's golden observation and the two engines that classify
+/// faults against it: the compiled word prototype every bitsliced word
+/// clones, and the scalar simulator, built only when a word declines,
+/// panics or fails its lane-0 check.
+///
+/// The golden run is one fault-free word, lane 0 alone. The scalar
+/// engine stays the reference: before its first use it reruns the
+/// golden on its own, and a campaign whose engines disagree stops with
+/// [`CampaignError::GoldenMismatch`] rather than classify faults against
+/// two goldens. Debug builds check the two goldens equal on every
+/// campaign.
+pub(crate) struct Reference<'a> {
+    /// The compiled bitsliced prototype, lane 0 alone occupied.
+    pub(crate) proto: BitSimulator<'a>,
+    /// The validated fault-free observation.
+    pub(crate) golden: Observation,
+    /// The campaign's cycle budget, which the golden ran under.
+    cycle_budget: u64,
+    /// The scalar simulator once built, or `None` inside when its golden
+    /// run disagrees with [`Reference::golden`].
+    scalar: OnceLock<Option<Simulator<'a>>>,
+}
+
+impl<'a> Reference<'a> {
+    /// Compiles the word prototype and takes the golden from a
+    /// fault-free word. A workload without a word path ([`ScalarOnly`]
+    /// among them), or a word that errors, panics or wedges, falls back
+    /// to the scalar golden run, which then reports its own errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CampaignError`] if the golden run fails, does not
+    /// complete, or fires the detect port.
+    pub(crate) fn new<W: Workload + ?Sized>(
+        netlist: &'a Netlist,
+        workload: &W,
+        cycle_budget: u64,
+    ) -> Result<Self, CampaignError> {
+        let proto = {
+            let _span = printed_obs::span!("netlist.fault.setup");
+            BitSimulator::new(netlist)
+        };
+        let _span = printed_obs::span!("netlist.fault.golden");
+        let scalar = OnceLock::new();
+        let word = retry_panics(0, |_, _| {}, |_| run_lanes(&proto, workload, &[], cycle_budget));
+        let golden = match word.ok().and_then(|(lanes, _)| lanes?.into_iter().next()) {
+            Some(LaneOutcome::Done(golden)) => {
+                debug_assert_eq!(
+                    observe(&Simulator::new(netlist), workload, None, cycle_budget).ok().as_ref(),
+                    Some(&golden),
+                    "{}: the word engine's golden run differs from the scalar engine's",
+                    netlist.name()
+                );
+                validate_golden(golden)?
+            }
+            _ => {
+                let pristine = Simulator::new(netlist);
+                let golden = campaign_golden(&pristine, workload, cycle_budget)?;
+                let _ = scalar.set(Some(pristine));
+                golden
+            }
+        };
+        Ok(Reference { proto, golden, cycle_budget, scalar })
+    }
+
+    /// The scalar simulator, built on first use. Its first use reruns the
+    /// golden on the scalar engine and returns `None`, then and after,
+    /// when that run differs from [`Reference::golden`].
+    pub(crate) fn scalar<W: Workload + ?Sized>(&self, workload: &W) -> Option<&Simulator<'a>> {
+        self.scalar
+            .get_or_init(|| {
+                let pristine = Simulator::new(self.proto.netlist());
+                campaign_golden(&pristine, workload, self.cycle_budget)
+                    .is_ok_and(|golden| golden == self.golden)
+                    .then_some(pristine)
+            })
+            .as_ref()
+    }
 }
 
 /// Enumerates the campaign's fault list in the fixed deterministic order

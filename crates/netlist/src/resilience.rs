@@ -7,10 +7,22 @@
 //! [`FaultClasses`] class — sampled spaces draw with replacement, so
 //! slots repeat — and records the verdict into every member slot.
 //! Results, statistics and a print-shop quote's `faults` all count
-//! slots; the checkpoint records one line per class. Real reproduction
-//! sweeps run for minutes across many worker threads, and
-//! fault-injection infrastructure must survive its own faults, so the
-//! scheduler carries a resilience layer:
+//! slots; the checkpoint records one line per class.
+//!
+//! The scheduler compiles the netlist for the bitsliced engine and takes
+//! the golden observation from one fault-free word (lane 0 alone), then
+//! fills words of 63 classes each, every word's lane 0 checked against
+//! that golden. The scalar simulator is built only when a word declines,
+//! panics or fails that check; before its first use it reruns the golden
+//! on its own, and a campaign whose engines disagree stops with
+//! [`CampaignError::GoldenMismatch`] (debug builds compare the two
+//! goldens on every campaign). A workload with no word path
+//! ([`crate::fault::ScalarOnly`]) runs its golden and every fault on the
+//! scalar engine.
+//!
+//! Real reproduction sweeps run for minutes across many worker threads,
+//! and fault-injection infrastructure must survive its own faults, so
+//! the scheduler carries a resilience layer:
 //!
 //! - **Checkpoint/resume** — given a checkpoint directory (callers take
 //!   it from the `PRINTED_CKPT_DIR` environment variable through
@@ -43,9 +55,12 @@
 //!   through it too.
 //!
 //! Everything is instrumented through `printed-obs`: the
-//! `netlist.fault.campaign` span with one `netlist.fault.chunk` span per
+//! `netlist.fault.campaign` span, with children `netlist.fault.setup`
+//! (the word compile, `FaultClasses::new`, the fingerprint),
+//! `netlist.fault.golden`, and one `netlist.fault.chunk` span per
 //! claimed chunk on `campaign-worker-<n>` lanes; the classification
 //! counters `netlist.fault.{workers,runs,classes,masked,detected,hang,sdc}`,
+//! the scalar golden runs `netlist.fault.golden_scalar`,
 //! the bitsliced `netlist.fault.bitsliced.{words,lanes}` counters and
 //! `netlist.fault.{lane_utilization,runs_per_sec}` gauges; and the
 //! resilience counters `resilience.retries`, `resilience.resumed_slots`,
@@ -82,8 +97,8 @@
 //! member fills its class, and the rewrite keeps one line per class.
 
 use crate::fault::{
-    campaign_golden, enumerate_faults, faulty_budget, CampaignConfig, CampaignError,
-    CampaignResult, Fault, FaultClasses, FaultRun, LaneOutcome, Outcome, OutcomeCounts, Workload,
+    enumerate_faults, faulty_budget, CampaignConfig, CampaignError, CampaignResult, Fault,
+    FaultClasses, FaultRun, LaneOutcome, Outcome, OutcomeCounts, Reference, Workload,
 };
 use crate::hash::Fnv1a;
 use crate::ir::Netlist;
@@ -241,11 +256,13 @@ type SlotDone = (FaultRun, u32);
 /// samples, seed), and the golden observation (which stands in for the
 /// workload, since classification only ever compares against it). It
 /// deliberately **excludes** execution strategy — thread count, and
-/// whether words run bitsliced or fall back to scalar (a
+/// whether the golden and the words run bitsliced or scalar (a
 /// [`crate::fault::ScalarOnly`] workload shares its wrapped workload's
 /// identity) — because those are byte-identical by construction, and it
 /// contains no pointers, wall-clock, or per-process state, so it is
-/// stable across processes.
+/// stable across processes. The golden run is the scheduler's own: one
+/// fault-free bitsliced word where the workload has a word path, a
+/// scalar run otherwise.
 ///
 /// # Errors
 ///
@@ -255,8 +272,7 @@ pub fn campaign_identity<W: Workload + ?Sized>(
     workload: &W,
     config: &CampaignConfig,
 ) -> Result<u64, JobError> {
-    let pristine = Simulator::new(netlist);
-    let golden = campaign_golden(&pristine, workload, config.cycle_budget)?;
+    let golden = Reference::new(netlist, workload, config.cycle_budget)?.golden;
     let faults = enumerate_faults(netlist, config, golden.cycles);
     Ok(campaign_fingerprint(netlist, config, &golden, faults.len()))
 }
@@ -754,7 +770,9 @@ fn backoff(seed: u64, index: usize, attempt: u32) {
 ///
 /// Returns [`JobError::Campaign`] if the fault-free golden run fails —
 /// without a golden reference nothing can be classified, so there is
-/// nothing to degrade to.
+/// nothing to degrade to — or if the scalar engine, on its first use,
+/// disputes the word engine's golden ([`CampaignError::GoldenMismatch`];
+/// the campaign's checkpoint is then deleted).
 pub fn run_supervised_campaign<W: Workload + ?Sized>(
     netlist: &Netlist,
     workload: &W,
@@ -764,14 +782,19 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     cancel: Option<&AtomicBool>,
 ) -> Result<SupervisedRun, JobError> {
     let _span = obs::span!("netlist.fault.campaign");
-    let pristine = Simulator::new(netlist);
-    let golden = campaign_golden(&pristine, workload, config.cycle_budget)?;
+    // The golden run and the compiled word prototype every word clones;
+    // the scalar simulator waits until a word declines, panics or fails
+    // its lane-0 check.
+    let reference = Reference::new(netlist, workload, config.cycle_budget)?;
+    let golden = &reference.golden;
+    let setup = obs::span!("netlist.fault.setup");
     let faults = enumerate_faults(netlist, config, golden.cycles);
-    let classes = FaultClasses::new(netlist, &pristine.fanout_arc(), &faults);
+    let classes = FaultClasses::new(netlist, &crate::ir::FanoutMap::build(netlist), &faults);
     let budget = faulty_budget(config.cycle_budget, golden.cycles);
     let total = faults.len();
+    let fingerprint = campaign_fingerprint(netlist, config, golden, total);
+    drop(setup);
 
-    let fingerprint = campaign_fingerprint(netlist, config, &golden, total);
     let mut stats = ResilienceStats::default();
     let mut slots: Vec<Option<SlotDone>> = vec![None; total];
     // A member slot takes its class's verdict and retry count.
@@ -831,11 +854,6 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     let mut class_slots: Vec<Option<SlotDone>> =
         classes.representatives().iter().map(|&r| slots[r]).collect();
 
-    // The bitsliced prototype every word clones. Word runs that decline,
-    // fail the golden-lane check, or panic fall back to the supervised
-    // scalar path class by class.
-    let proto = crate::bitsim::BitSimulator::new(netlist);
-
     let started = Instant::now();
     let retries = AtomicU64::new(0);
     let failed = AtomicUsize::new(0);
@@ -843,16 +861,25 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     let words_run = AtomicUsize::new(0);
     let lanes_filled = AtomicUsize::new(0);
     let sink = Mutex::new(sink);
-    // The one stop signal: once the cancel flag is raised, workers stop
-    // claiming, the sink flushes, and the run reports Aborted with its
-    // checkpoint.
-    let halted = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    // Raised when the scalar engine, on its first use, disputes the word
+    // engine's golden run: the campaign stops and reports the mismatch.
+    let mismatch = AtomicBool::new(false);
+    // The one stop signal: once the cancel flag is raised (or the engines
+    // disagree), workers stop claiming, the sink flushes, and the run
+    // reports Aborted with its checkpoint.
+    let halted =
+        || mismatch.load(Ordering::Relaxed) || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
-    // One class, supervised: panics retried then degraded.
-    let params = SlotParams { golden: &golden, budget, seed: config.seed };
-    let supervise = |class: usize, fault: Fault| -> SlotDone {
+    // One class, supervised on the scalar engine: panics retried then
+    // degraded. `None` when the scalar engine disputes the golden run.
+    let params = SlotParams { golden, budget, seed: config.seed };
+    let supervise = |class: usize, fault: Fault| -> Option<SlotDone> {
+        let Some(pristine) = reference.scalar(workload) else {
+            mismatch.store(true, Ordering::Relaxed);
+            return None;
+        };
         let slot = classes.representatives()[class];
-        attempt_slot(&pristine, workload, &params, fault, slot).unwrap_or_else(|err| {
+        let done = attempt_slot(pristine, workload, &params, fault, slot).unwrap_or_else(|err| {
             // Panicked on every attempt: degrade the class, keep the
             // campaign alive.
             obs::trace_event(|| {
@@ -865,7 +892,8 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
             });
             let cell = netlist.gates()[fault.gate.index()].kind;
             (FaultRun { fault, cell, outcome: Outcome::Failed }, SLOT_RETRIES)
-        })
+        });
+        Some(done)
     };
     // Records a class's verdict: one checkpoint line at its
     // representative's slot, which resume expands to every member, while
@@ -896,60 +924,65 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     // together so words stay full); a declined word reruns class by
     // class on the scalar path. Either way every filled class goes
     // through `record`, so checkpointing is engine-independent.
-    let run_chunk =
-        |chunk_start: usize, chunk_faults: &[Fault], chunk_slots: &mut [Option<SlotDone>]| {
-            let pending: Vec<usize> =
-                (0..chunk_slots.len()).filter(|&o| chunk_slots[o].is_none()).collect();
-            let mut at = 0usize;
-            while at < pending.len() {
-                if halted() {
-                    break;
-                }
-                let take = (pending.len() - at).min(crate::bitsim::BitSimulator::LANES - 1);
-                let window = &pending[at..at + take];
-                let word_faults: Vec<Fault> = window.iter().map(|&o| chunk_faults[o]).collect();
-                let word = retry_panics(
-                    0,
-                    |_, _| {},
-                    |_| crate::fault::run_word(&proto, workload, &golden, &word_faults, budget),
-                );
-                match word.ok().and_then(|(word, _)| word) {
-                    Some(lanes) => {
-                        words_run.fetch_add(1, Ordering::Relaxed);
-                        lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
-                        for (&offset, lane) in window.iter().zip(lanes) {
-                            let fault = chunk_faults[offset];
-                            let cell = netlist.gates()[fault.gate.index()].kind;
-                            let outcome = match lane {
-                                LaneOutcome::Done(observed) => {
-                                    crate::fault::classify(&golden, &observed)
-                                }
-                                // An oscillating lane wedges the circuit,
-                                // like the scalar Unsettled error.
-                                LaneOutcome::Wedged => Outcome::Hang,
-                            };
-                            let done = (FaultRun { fault, cell, outcome }, 0u32);
-                            record(chunk_start + offset, &done);
-                            chunk_slots[offset] = Some(done);
-                        }
-                    }
-                    None => {
-                        // Engine declined or panicked mid-word: rerun each
-                        // class on the scalar path with retries intact.
-                        for &offset in window {
-                            if halted() {
-                                break;
-                            }
-                            let class = chunk_start + offset;
-                            let done = supervise(class, chunk_faults[offset]);
-                            record(class, &done);
-                            chunk_slots[offset] = Some(done);
-                        }
-                    }
-                }
-                at += take;
+    let run_chunk = |chunk_start: usize,
+                     chunk_faults: &[Fault],
+                     chunk_slots: &mut [Option<SlotDone>]| {
+        let pending: Vec<usize> =
+            (0..chunk_slots.len()).filter(|&o| chunk_slots[o].is_none()).collect();
+        let mut at = 0usize;
+        while at < pending.len() {
+            if halted() {
+                break;
             }
-        };
+            let take = (pending.len() - at).min(crate::bitsim::BitSimulator::LANES - 1);
+            let window = &pending[at..at + take];
+            let word_faults: Vec<Fault> = window.iter().map(|&o| chunk_faults[o]).collect();
+            let word = retry_panics(
+                0,
+                |_, _| {},
+                |_| {
+                    crate::fault::run_word(&reference.proto, workload, golden, &word_faults, budget)
+                },
+            );
+            match word.ok().and_then(|(word, _)| word) {
+                Some(lanes) => {
+                    words_run.fetch_add(1, Ordering::Relaxed);
+                    lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
+                    for (&offset, lane) in window.iter().zip(lanes) {
+                        let fault = chunk_faults[offset];
+                        let cell = netlist.gates()[fault.gate.index()].kind;
+                        let outcome = match lane {
+                            LaneOutcome::Done(observed) => {
+                                crate::fault::classify(golden, &observed)
+                            }
+                            // An oscillating lane wedges the circuit,
+                            // like the scalar Unsettled error.
+                            LaneOutcome::Wedged => Outcome::Hang,
+                        };
+                        let done = (FaultRun { fault, cell, outcome }, 0u32);
+                        record(chunk_start + offset, &done);
+                        chunk_slots[offset] = Some(done);
+                    }
+                }
+                None => {
+                    // Engine declined or panicked mid-word: rerun each
+                    // class on the scalar path with retries intact.
+                    for &offset in window {
+                        if halted() {
+                            break;
+                        }
+                        let class = chunk_start + offset;
+                        let Some(done) = supervise(class, chunk_faults[offset]) else {
+                            break;
+                        };
+                        record(class, &done);
+                        chunk_slots[offset] = Some(done);
+                    }
+                }
+            }
+            at += take;
+        }
+    };
 
     // Contiguous chunks of classes, several per worker so a chunk of
     // hangs does not serialize the campaign behind one thread, each
@@ -1016,6 +1049,14 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
             }
         }
     }
+    if mismatch.load(Ordering::Relaxed) {
+        // Every verdict so far was classified against a golden run the
+        // scalar engine disputes: none of them may be resumed.
+        if let Some(path) = &stats.checkpoint {
+            let _ = fs::remove_file(path);
+        }
+        return Err(JobError::Campaign(CampaignError::GoldenMismatch));
+    }
     if halted() && slots.iter().any(Option::is_none) {
         let done = slots.iter().filter(|s| s.is_some()).count();
         return Ok(SupervisedRun::Aborted { completed: done, total, checkpoint: stats.checkpoint });
@@ -1063,7 +1104,7 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
         result: CampaignResult {
             design: netlist.name().to_string(),
             gate_count: netlist.gate_count(),
-            golden,
+            golden: reference.golden,
             runs,
             classes: classes.len(),
         },
@@ -1332,6 +1373,55 @@ mod tests {
         assert!(finished.stats.resumed_slots >= total / 3, "resume skipped recorded slots");
         assert_eq!(finished.result, baseline);
         assert_eq!(finished.result.to_csv(), baseline.to_csv(), "byte-identical CSV");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn engines_disputing_the_golden_stop_the_campaign() {
+        /// Runs its golden word on the bitsliced engine but declines
+        /// every fault word, so the campaign needs the scalar engine,
+        /// whose golden run differs from the word's. Debug builds compare
+        /// the two goldens once before the campaign starts; that first
+        /// scalar run still agrees.
+        struct Drifting {
+            inner: PatternWorkload,
+            calls: AtomicUsize,
+        }
+        impl Workload for Drifting {
+            fn run(
+                &self,
+                sim: Simulator<'_>,
+                cycle_budget: u64,
+            ) -> Result<crate::fault::Observation, crate::NetlistError> {
+                let mut observed = self.inner.run(sim, cycle_budget)?;
+                if self.calls.fetch_add(1, Ordering::Relaxed) >= usize::from(cfg!(debug_assertions))
+                {
+                    observed.signature.push(1);
+                }
+                Ok(observed)
+            }
+
+            fn run_bitsliced(
+                &self,
+                sim: crate::bitsim::BitSimulator<'_>,
+                cycle_budget: u64,
+            ) -> Option<Result<Vec<LaneOutcome>, crate::NetlistError>> {
+                if sim.lane_count() > 1 {
+                    return None;
+                }
+                self.inner.run_bitsliced(sim, cycle_budget)
+            }
+        }
+        let nl = accumulator();
+        let workload =
+            Drifting { inner: PatternWorkload { cycles: 10, seed: 5 }, calls: AtomicUsize::new(0) };
+        let dir =
+            std::env::temp_dir().join(format!("printed-ckpt-mismatch-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let run = run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 2, None);
+        assert_eq!(run, Err(JobError::Campaign(CampaignError::GoldenMismatch)));
+        let left: Vec<_> = fs::read_dir(&dir).map(|d| d.flatten().collect()).unwrap_or_default();
+        assert!(left.is_empty(), "no checkpoint of disputed verdicts survives: {left:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

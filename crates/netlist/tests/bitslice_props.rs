@@ -5,7 +5,9 @@
 //! engine (a `ScalarOnly` campaign) at the campaign level: identical
 //! `OutcomeCounts` and byte-identical CSV on random netlists and random
 //! fault sets — including fault counts that are not multiples of 64, so
-//! partial final words are exercised — at 1 and 4 worker threads. The
+//! partial final words are exercised — at 1 and 4 worker threads, and
+//! the same golden observation, which a bitsliced campaign takes from a
+//! fault-free word. The
 //! engine's source-group settle, which evaluates only the logic fed by
 //! written ports or published state, must equal a full pass on random
 //! multi-port netlists under random per-lane stimulus. A campaign runs
@@ -194,6 +196,13 @@ proptest! {
         for (engine, w) in engines {
             for threads in [1usize, 4] {
                 let run = run_campaign(&nl, w, &config, threads).unwrap();
+                // The golden run comes from a fault-free word unless the
+                // workload is scalar-only.
+                prop_assert_eq!(
+                    &run.golden,
+                    &baseline.golden,
+                    "golden run: engine={} threads={}", engine, threads
+                );
                 prop_assert_eq!(
                     run.counts(),
                     baseline.counts(),

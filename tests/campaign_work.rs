@@ -1,15 +1,22 @@
 //! The exact work of fault campaigns: the fault classes each campaign
-//! simulates, the bitsliced words they fill and the checkpoint lines
-//! they write, for the robustness report's campaigns and for print-shop
-//! campaign quotes. A campaign runs one representative per class
-//! (`netlist::fault::FaultClasses`), a word holds 63 of them and the
-//! checkpoint holds one line per class, so every count is exact on any
-//! host and at any thread count. The test is alone in its file so that no other
+//! simulates, the bitsliced words they fill, the checkpoint lines they
+//! write and the golden runs they take on the scalar engine, for the
+//! robustness report's campaigns and for print-shop campaign quotes. A
+//! campaign runs one representative per class
+//! (`netlist::fault::FaultClasses`), a word holds 63 of them, the
+//! checkpoint holds one line per class, and the golden run is a
+//! fault-free word unless the workload has no word path, so every count
+//! is exact on any host and at any thread count. The test is alone in its file so that no other
 //! test shares the process's obs registry.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
+use printed_microprocessors::core::workload::ProgramWorkload;
+use printed_microprocessors::core::{generate_standard, CoreConfig};
 use printed_microprocessors::eval::robustness::{fault_summary, tmr_comparison, RobustnessOptions};
+use printed_microprocessors::netlist::fault::{
+    run_campaign, CampaignConfig, ScalarOnly, StuckAtSpace,
+};
 use printed_microprocessors::obs;
 use printed_microprocessors::pdk::Technology;
 use printed_microprocessors::shop::proto::parse_request;
@@ -29,11 +36,17 @@ fn work() -> (u64, u64, u64, u64) {
     )
 }
 
-/// Prices one quote request line the way a print-shop worker does, on
+/// Golden runs taken on the scalar engine since the last registry reset.
+fn scalar_goldens() -> u64 {
+    obs::global().counter("netlist.fault.golden_scalar").unwrap_or(0)
+}
+
+/// Keys and prices one quote request line the way a print-shop worker does, on
 /// `threads` campaign workers, checkpointing under `ckpt`.
 fn price(line: &str, ckpt: &Path, threads: usize) {
     let Ok(Request::Quote(query)) = parse_request(line) else { panic!("not a quote: {line}") };
     let built = quote::build(&query).expect("the query builds");
+    quote::content_key(&query, &built).expect("the campaign identity computes");
     let priced = quote::price(&query, &built, Some(ckpt), threads, None).expect("the quote prices");
     assert!(!priced.aborted);
 }
@@ -50,6 +63,7 @@ fn campaigns_simulate_one_run_per_fault_class() {
     assert_eq!(fault_summary(Technology::Egfet, &options).unwrap().len(), 28);
     assert_eq!(tmr_comparison(Technology::Egfet, &options).unwrap().len(), 2);
     assert_eq!(work(), (5916, 4842, 84, 0), "robustness campaigns");
+    assert_eq!(scalar_goldens(), 0, "every robustness golden runs on the word engine");
 
     // A shop_campaign request (1024 stuck-at and 2048 SEU samples on the
     // default program's subset core) at width 4 and at width 8; run
@@ -70,7 +84,23 @@ fn campaigns_simulate_one_run_per_fault_class() {
                 threads,
             );
             assert_eq!(work(), pinned, "shop campaign at width {width} on {threads} workers");
+            assert_eq!(scalar_goldens(), 0, "shop golden at width {width} on {threads} workers");
         }
     }
     let _ = std::fs::remove_dir_all(&ckpt);
+
+    // A campaign restricted to the scalar engine takes its golden there
+    // once, and its scalar fault runs reuse that simulator.
+    obs::global().reset();
+    let core = CoreConfig::new(1, 4, 2);
+    let config = CampaignConfig {
+        stuck_at: StuckAtSpace::Sampled(8),
+        seu_samples: 4,
+        ..CampaignConfig::default()
+    };
+    let workload = ProgramWorkload::smoke(core);
+    run_campaign(&generate_standard(&core), &ScalarOnly(&workload), &config, 2)
+        .expect("the golden run completes");
+    assert_eq!(scalar_goldens(), 1, "a scalar-only campaign");
+    assert_eq!(work().2, 0, "a scalar-only campaign runs no word");
 }
