@@ -55,14 +55,14 @@ fn price(line: &str, ckpt: &Path, threads: usize) {
 fn campaigns_simulate_one_run_per_fault_class() {
     obs::set_level(obs::Level::Summary);
 
-    // The robustness report's campaigns at default options: 28 fault
+    // The robustness report's campaigns at default options: 24 fault
     // summary rows and 2 TMR comparisons of two campaigns each. Run
-    // fault by fault, their 5916 slots filled 98 words.
+    // fault by fault, their 5436 slots would fill 90 words.
     obs::global().reset();
     let options = RobustnessOptions::default();
-    assert_eq!(fault_summary(Technology::Egfet, &options).unwrap().len(), 28);
+    assert_eq!(fault_summary(Technology::Egfet, &options).unwrap().len(), 24);
     assert_eq!(tmr_comparison(Technology::Egfet, &options).unwrap().len(), 2);
-    assert_eq!(work(), (5916, 4842, 84, 0), "robustness campaigns");
+    assert_eq!(work(), (5436, 4363, 76, 0), "robustness campaigns");
     assert_eq!(scalar_goldens(), 0, "every robustness golden runs on the word engine");
 
     // A shop_campaign request (1024 stuck-at and 2048 SEU samples on the
