@@ -1081,7 +1081,6 @@ mod tests {
 
     #[test]
     fn lint_with_facts_shares_one_fixpoint_and_matches_lint() {
-        use crate::sim::Simulator;
         // Lint over a caller's dataflow facts reads the shared
         // Arc<FanoutMap> they carry, and must report exactly what a
         // standalone lint run reports.
@@ -1095,8 +1094,7 @@ mod tests {
         b.output("y", sinks);
         let nl = b.finish().unwrap();
 
-        let sim = Simulator::new(&nl);
-        let shared = sim.fanout_arc();
+        let shared = Arc::new(crate::ir::FanoutMap::build(&nl));
         let facts = crate::dataflow::analyze_with_fanout(&nl, Arc::clone(&shared));
         assert!(Arc::ptr_eq(facts.fanout(), &shared));
         let baseline = Arc::strong_count(&shared);

@@ -343,13 +343,6 @@ impl<'a> Simulator<'a> {
         self.engine
     }
 
-    /// A clone of the shared fanout handle, for passing the same
-    /// connectivity index to other consumers (the dataflow engine, the
-    /// linter, STA) without rebuilding it.
-    pub fn fanout_arc(&self) -> Arc<FanoutMap> {
-        Arc::clone(&self.fanout)
-    }
-
     /// Injects a fault map; every subsequent evaluation applies it.
     ///
     /// # Panics
