@@ -6,8 +6,8 @@
 //! (`netlist::fault::FaultClasses`), a word holds 63 of them, the
 //! checkpoint holds one line per class, and the golden run is a
 //! fault-free word unless the workload has no word path, so every count
-//! is exact on any host and at any thread count. The test is alone in its file so that no other
-//! test shares the process's obs registry.
+//! is exact on any host and at any thread count. The test is alone in
+//! its file so that no other test shares the process's obs registry.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
@@ -41,8 +41,8 @@ fn scalar_goldens() -> u64 {
     obs::global().counter("netlist.fault.golden_scalar").unwrap_or(0)
 }
 
-/// Keys and prices one quote request line the way a print-shop worker does, on
-/// `threads` campaign workers, checkpointing under `ckpt`.
+/// Keys and prices one quote request line the way a print-shop worker
+/// does, on `threads` campaign workers, checkpointing under `ckpt`.
 fn price(line: &str, ckpt: &Path, threads: usize) {
     let Ok(Request::Quote(query)) = parse_request(line) else { panic!("not a quote: {line}") };
     let built = quote::build(&query).expect("the query builds");
