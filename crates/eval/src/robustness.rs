@@ -123,6 +123,58 @@ pub fn campaign_row(
     technology: Technology,
     options: &RobustnessOptions,
 ) -> Result<RobustnessRow, JobError> {
+    let costs = Costs::characterize(netlist, technology);
+    priced_campaign_row(netlist, workload, technology, options, costs)
+}
+
+/// A design's area, power and nominal f_max, as its row reports them.
+#[derive(Debug, Clone, Copy)]
+struct Costs {
+    area_cm2: f64,
+    power_mw: f64,
+    fmax_hz: f64,
+}
+
+impl Costs {
+    /// Prices `netlist` with [`analysis::characterize`].
+    fn characterize(netlist: &Netlist, technology: Technology) -> Self {
+        let ch = analysis::characterize(netlist, technology.library());
+        Costs {
+            area_cm2: ch.area.total.as_cm2(),
+            power_mw: ch.power.total().as_milliwatts(),
+            fmax_hz: ch.fmax.as_hertz(),
+        }
+    }
+
+    /// The `index`th sweep core's figures, read from the design-space
+    /// table: the same STA, area and power [`analysis::characterize`]
+    /// computes, taken once per process
+    /// (`characterize_equals_figure7_on_every_sweep_core`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core fails DRC in `technology`, as [`crate::figure7`]
+    /// does.
+    fn sweep_core(technology: Technology, index: usize) -> Self {
+        match &crate::design_space::rows(technology).figure7[index] {
+            Ok(point) => Costs {
+                area_cm2: point.area.as_cm2(),
+                power_mw: point.power.as_milliwatts(),
+                fmax_hz: point.fmax.as_hertz(),
+            },
+            Err(report) => panic!("design point fails DRC:\n{}", report.render_text()),
+        }
+    }
+}
+
+/// [`campaign_row`] for a design whose [`Costs`] are already known.
+fn priced_campaign_row(
+    netlist: &Netlist,
+    workload: &dyn Workload,
+    technology: Technology,
+    options: &RobustnessOptions,
+    costs: Costs,
+) -> Result<RobustnessRow, JobError> {
     let exhaustive = netlist.gate_count() <= options.exhaustive_gate_limit;
     let config = CampaignConfig {
         cycle_budget: options.cycle_budget,
@@ -145,7 +197,7 @@ pub fn campaign_row(
     let SupervisedRun::Complete(campaign) = run else {
         unreachable!("without a cancel flag the run always completes")
     };
-    Ok(row_from_campaign(netlist, technology, options, exhaustive, &campaign.result))
+    Ok(row_from_campaign(netlist, technology, options, exhaustive, &campaign.result, costs))
 }
 
 fn row_from_campaign(
@@ -154,12 +206,12 @@ fn row_from_campaign(
     options: &RobustnessOptions,
     exhaustive: bool,
     result: &CampaignResult,
+    costs: Costs,
 ) -> RobustnessRow {
     let sites = yield_sites(netlist, technology, result);
     let naive_yield =
         yield_model::circuit_yield(netlist_devices(netlist, technology), options.device_yield);
     let functional_yield = yield_model::functional_yield(sites, options.device_yield);
-    let ch = analysis::characterize(netlist, technology.library());
     RobustnessRow {
         design: result.design.clone(),
         gates: netlist.gate_count(),
@@ -168,9 +220,9 @@ fn row_from_campaign(
         seu: result.seu_counts(),
         naive_yield,
         functional_yield,
-        area_cm2: ch.area.total.as_cm2(),
-        power_mw: ch.power.total().as_milliwatts(),
-        fmax_hz: ch.fmax.as_hertz(),
+        area_cm2: costs.area_cm2,
+        power_mw: costs.power_mw,
+        fmax_hz: costs.fmax_hz,
     }
 }
 
@@ -192,12 +244,17 @@ pub fn summary_workload(config: CoreConfig, options: &RobustnessOptions) -> Box<
 ///
 /// Each campaign parallelizes across `PRINTED_SIM_THREADS` workers with
 /// byte-identical results (see [`campaign_threads`]), so the report is
-/// reproducible at any thread count.
+/// reproducible at any thread count. Area, power and f_max come from the
+/// process's design-space table, which [`crate::figure7`] prints.
 ///
 /// # Errors
 ///
 /// Propagates the first [`JobError`] — a design whose fault-free golden
 /// run fails, does not complete, or fires the detect port.
+///
+/// # Panics
+///
+/// Panics if a design point fails DRC in `technology`.
 pub fn fault_summary(
     technology: Technology,
     options: &RobustnessOptions,
@@ -207,10 +264,11 @@ pub fn fault_summary(
         printed_obs::gauge("eval.robustness.campaign_threads", campaign_threads() as f64);
     }
     let mut rows = Vec::new();
-    for config in CoreConfig::design_space() {
+    for (index, config) in CoreConfig::design_space().into_iter().enumerate() {
         let netlist = generate_standard(&config);
         let workload = summary_workload(config, options);
-        rows.push(campaign_row(&netlist, workload.as_ref(), technology, options)?);
+        let costs = Costs::sweep_core(technology, index);
+        rows.push(priced_campaign_row(&netlist, workload.as_ref(), technology, options, costs)?);
     }
     Ok(rows)
 }
@@ -332,18 +390,25 @@ impl TmrComparison {
 
 /// Prices TMR on representative single-cycle cores: the 4-bit and 8-bit
 /// two-BAR design points, each running the gate-level smoke program.
+/// The base cores' area, power and f_max come from the design-space
+/// table; the hardened cores are priced with [`analysis::characterize`].
 ///
 /// # Errors
 ///
 /// Propagates the first [`JobError`] from a base or hardened core's
 /// golden run, or a [`JobError::Panicked`] if TMR transformation of a
 /// generated core fails (it reserves the `tmr_err` port name).
+///
+/// # Panics
+///
+/// Panics if a base core fails DRC in `technology`.
 pub fn tmr_comparison(
     technology: Technology,
     options: &RobustnessOptions,
 ) -> Result<Vec<TmrComparison>, JobError> {
     let _span = printed_obs::span!("eval.robustness.tmr_comparison");
     let mut comparisons = Vec::new();
+    let sweep = CoreConfig::design_space();
     for config in [CoreConfig::new(1, 4, 2), CoreConfig::new(1, 8, 2)] {
         let base = generate_standard(&config);
         let hardened = tmr(&base).map_err(|e| JobError::Panicked {
@@ -352,7 +417,12 @@ pub fn tmr_comparison(
             attempts: 1,
         })?;
         let workload = ProgramWorkload::smoke(config);
-        let base_row = campaign_row(&base, &workload, technology, options)?;
+        let index = sweep
+            .iter()
+            .position(|&c| c == config)
+            .unwrap_or_else(|| unreachable!("p1_4_2 and p1_8_2 are sweep cores"));
+        let base_costs = Costs::sweep_core(technology, index);
+        let base_row = priced_campaign_row(&base, &workload, technology, options, base_costs)?;
         let hard_row = campaign_row(&hardened, &workload, technology, options)?;
         comparisons.push(TmrComparison { base: base_row, hardened: hard_row });
     }

@@ -3,13 +3,16 @@
 //! code before the three stages shared one design-space pass. A pass
 //! that costs, lints or analyzes any design differently (a wrong cell
 //! library, a stale fmax, a row out of order) fails here. The robustness
-//! report prices each core again with `analysis::characterize`; its
-//! figures must equal Figure 7's bit for bit before it may read them
-//! from the table instead.
+//! report reads each sweep core's area, power and fmax from the same
+//! table, so those must equal `analysis::characterize` on a freshly
+//! generated core bit for bit.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
 use printed_microprocessors::core::{generate_standard, CoreConfig};
+use printed_microprocessors::eval::robustness::{
+    fault_summary, tmr_comparison, RobustnessOptions, RobustnessRow,
+};
 use printed_microprocessors::eval::{figure7, report, static_report};
 use printed_microprocessors::netlist::analysis;
 use printed_microprocessors::netlist::hash::fnv1a;
@@ -58,6 +61,34 @@ fn characterize_equals_figure7_on_every_sweep_core() {
                 "{context}"
             );
             assert_eq!(ch.fmax.as_hertz().to_bits(), point.fmax.as_hertz().to_bits(), "{context}");
+        }
+    }
+}
+
+#[test]
+fn robustness_rows_cost_sweep_cores_like_characterize() {
+    let options = RobustnessOptions::default();
+    for tech in Technology::ALL {
+        let summary = fault_summary(tech, &options).unwrap();
+        let tmr_bases = tmr_comparison(tech, &options).unwrap().into_iter().map(|c| c.base);
+        let configs = CoreConfig::design_space();
+        assert_eq!(summary.len(), configs.len());
+        let rows: Vec<(CoreConfig, RobustnessRow)> = configs
+            .into_iter()
+            .zip(summary)
+            .chain([CoreConfig::new(1, 4, 2), CoreConfig::new(1, 8, 2)].into_iter().zip(tmr_bases))
+            .collect();
+        for (config, row) in rows {
+            let ch = analysis::characterize(&generate_standard(&config), tech.library());
+            let context = format!("{} in {tech:?}", row.design);
+            assert_eq!(row.design, config.name(), "{context}");
+            assert_eq!(row.area_cm2.to_bits(), ch.area.total.as_cm2().to_bits(), "{context}");
+            assert_eq!(
+                row.power_mw.to_bits(),
+                ch.power.total().as_milliwatts().to_bits(),
+                "{context}"
+            );
+            assert_eq!(row.fmax_hz.to_bits(), ch.fmax.as_hertz().to_bits(), "{context}");
         }
     }
 }
