@@ -198,9 +198,12 @@ impl System {
 
     /// System cycle time: core critical path + ROM fetch + RAM access.
     pub fn cycle_time(&self) -> Time {
-        analysis::timing(&self.netlist, self.lib()).critical_path
-            + self.rom.access_delay()
-            + self.ram.access_delay()
+        self.cycle_time_around(analysis::timing(&self.netlist, self.lib()).critical_path)
+    }
+
+    /// The system cycle time around a core critical path of `core_cp`.
+    fn cycle_time_around(&self, core_cp: Time) -> Time {
+        core_cp + self.rom.access_delay() + self.ram.access_delay()
     }
 
     /// System clock frequency.
@@ -269,8 +272,8 @@ impl System {
         }
 
         let lib = self.lib();
-        let cycle = self.cycle_time();
         let core_cp = analysis::timing(&self.netlist, lib).critical_path;
+        let cycle = self.cycle_time_around(core_cp);
         let cycles = summary.cycles as f64;
 
         // Execution time components.
@@ -284,7 +287,7 @@ impl System {
 
         // Energy: per-region core dynamic + static over runtime; memory
         // access energy per event + static over runtime.
-        let power = analysis::power(&self.netlist, lib, self.frequency(), Default::default());
+        let power = analysis::power(&self.netlist, lib, cycle.frequency(), Default::default());
         let comb_p = power.by_region.get(&Region::Combinational).copied().unwrap_or(Power::ZERO);
         let regs_p = power.by_region.get(&Region::Registers).copied().unwrap_or(Power::ZERO);
         let imem_e: Energy = self.rom.access_energy() * summary.imem_reads as f64
