@@ -45,8 +45,11 @@
 //! - a lane that oscillates (the bitsliced analogue of
 //!   [`printed_netlist::NetlistError::Unsettled`]) becomes
 //!   [`LaneOutcome::Wedged`];
-//! - a lane still live when the cycle budget runs out reports its state
-//!   as-is, not completed — the scalar machine's budget path.
+//! - a lane still live when its cycle budget runs out reports its state
+//!   as-is, not completed — the scalar machine's budget path. Lane 0
+//!   runs under the campaign's budget, the faulty lanes under
+//!   [`printed_netlist::fault::faulty_budget`] of the cycle lane 0
+//!   ended on.
 
 use crate::config::CoreConfig;
 use crate::cosim::{self, PortMap};
@@ -54,7 +57,7 @@ use crate::isa::Flags;
 use crate::kernels::KernelProgram;
 use crate::specific::{CoreSpec, NarrowEncoding};
 use printed_netlist::bitsim::lane_value;
-use printed_netlist::fault::{LaneOutcome, Observation};
+use printed_netlist::fault::{faulty_budget, LaneOutcome, Observation};
 use printed_netlist::{BitSimulator, NetId, Netlist, NetlistError};
 
 const LANES: usize = BitSimulator::LANES;
@@ -267,8 +270,11 @@ impl<'a> BitMachine<'a> {
         Observation { signature, completed, cycles, detected }
     }
 
-    /// Runs every lane to its own halt (or the shared budget) and
-    /// returns per-lane outcomes in lane order.
+    /// Runs every lane to its own halt or budget and returns per-lane
+    /// outcomes in lane order. Lane 0, the golden lane, runs under
+    /// `cycle_budget`; once it ends on cycle `g`, the faulty lanes still
+    /// running stop at [`faulty_budget`]`(cycle_budget, g)`, the budget
+    /// the scalar fallback gives a faulty run.
     pub(crate) fn observe(mut self, cycle_budget: u64) -> Vec<LaneOutcome> {
         let lanes = self.sim.lane_count();
         let occupied = self.sim.occupied();
@@ -277,7 +283,8 @@ impl<'a> BitMachine<'a> {
         let mut cycles = 0;
         // Lanes still running: occupied, not halted, not wedged.
         let mut active = occupied;
-        while active != 0 && cycles < cycle_budget {
+        let mut limit = cycle_budget;
+        while active != 0 && cycles < limit {
             self.cycle();
             cycles += 1;
             if let Some(nets) = self.ports.detect {
@@ -296,6 +303,9 @@ impl<'a> BitMachine<'a> {
                     }
                 }
                 active &= !(newly_dead | newly_halted);
+                if (newly_dead | newly_halted) & 1 == 1 {
+                    limit = faulty_budget(cycle_budget, cycles);
+                }
             }
         }
         // Budget exhausted: live lanes report their state as-is, not

@@ -276,6 +276,51 @@ mod tests {
     }
 
     #[test]
+    fn faulty_lanes_stop_at_the_budget_relative_to_lane_0() {
+        use printed_netlist::fault::faulty_budget;
+        use printed_netlist::FaultMap;
+
+        let config = CoreConfig::new(1, 4, 2);
+        let nl = generate_standard(&config);
+        let w = ProgramWorkload::smoke(config);
+        let g = w.run(Simulator::new(&nl), 1000).unwrap().cycles;
+        let scalar = |fault: Fault, budget: u64| {
+            let mut sim = Simulator::new(&nl);
+            sim.inject(FaultMap::single(&nl, fault));
+            w.run(sim, budget)
+        };
+        // Stuck-at faults that keep the core from halting: their lanes
+        // outlive lane 0 under any cap.
+        let hangs: Vec<Fault> = (0..nl.gate_count())
+            .flat_map(|i| {
+                [FaultKind::StuckAt0, FaultKind::StuckAt1]
+                    .map(|kind| Fault { gate: GateId::from_index(i), kind })
+            })
+            .filter(|&f| scalar(f, 4 * g + 8).is_ok_and(|o| !o.completed))
+            .take(8)
+            .collect();
+        assert!(!hangs.is_empty(), "some stuck-at fault hangs the smoke program");
+        // A loose cap, where the faulty limit 4g + 8 is well below the
+        // cap, and a tight one just past the golden halt.
+        for cap in [1000, g + 2] {
+            let limit = faulty_budget(cap, g);
+            let mut bsim = printed_netlist::BitSimulator::new(&nl);
+            for &f in &hangs {
+                bsim.inject_fault(f);
+            }
+            let outcomes = w.run_bitsliced(bsim, cap).unwrap().unwrap();
+            let LaneOutcome::Done(golden) = &outcomes[0] else { panic!("lane 0 wedged") };
+            assert_eq!((golden.completed, golden.cycles), (true, g), "cap {cap}: lane 0");
+            for (lane, &fault) in outcomes[1..].iter().zip(&hangs) {
+                let LaneOutcome::Done(observed) = lane else { panic!("{fault}: lane wedged") };
+                assert!(!observed.completed, "cap {cap}: {fault} outlives lane 0");
+                assert_eq!(observed.cycles, limit, "cap {cap}: {fault} stops at the faulty budget");
+                assert_eq!(*observed, scalar(fault, limit).unwrap(), "cap {cap}: {fault}");
+            }
+        }
+    }
+
+    #[test]
     fn bitsliced_program_campaign_matches_scalar_byte_for_byte() {
         let config = CoreConfig::new(1, 4, 2);
         let nl = generate_standard(&config);

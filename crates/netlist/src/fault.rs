@@ -19,8 +19,8 @@
 //! [`Outcome::Masked`], [`Outcome::SilentDataCorruption`],
 //! [`Outcome::Hang`], or [`Outcome::Detected`] against the fault-free
 //! golden run. Campaigns are deterministic under a fixed seed. The
-//! golden run is one fault-free bitsliced word when the workload has a
-//! word path, and a scalar run otherwise (see
+//! golden run is lane 0 of the campaign's first bitsliced word when the
+//! workload has a word path, and a scalar run otherwise (see
 //! [`Workload::run_bitsliced`]).
 //!
 //! A campaign's fault list holds one *slot* per enumerated fault.
@@ -217,6 +217,15 @@ pub trait Workload: Sync {
     /// lanes `1..lane_count` — and reports one [`LaneOutcome`] per
     /// occupied lane, lane 0 first.
     ///
+    /// `cycle_budget` is the campaign's budget, and it bounds lane 0.
+    /// The faulty lanes' budget is relative to lane 0: each stops at
+    /// [`faulty_budget`]`(cycle_budget, g)`, where `g` is the cycle lane 0
+    /// ended on, the budget [`Workload::run`] gets for that lane's fault.
+    /// That limit is never below `g`, so no faulty lane has to stop
+    /// before lane 0 has ended. A workload whose lanes all end at the
+    /// same cycle, as [`PatternWorkload`]'s do, meets this by running
+    /// every lane to `cycle_budget`.
+    ///
     /// The default returns `None`: the workload has no bitsliced
     /// implementation, so the campaign takes its golden run on the scalar
     /// engine, declines every word and runs each fault through the
@@ -226,13 +235,14 @@ pub trait Workload: Sync {
     /// would produce for that lane's fault, lane 0's to the fault-free
     /// run.
     ///
-    /// A campaign leans on that. Its golden observation is lane 0 of one
-    /// fault-free word, with no other lane occupied, and each fault word
-    /// must reproduce it in lane 0 or fall back to scalar. A lane 0 that
-    /// is wrong in every word alike would pass that check, so the scalar
-    /// engine reruns the golden before its first use in a campaign and
-    /// stops the campaign with [`CampaignError::GoldenMismatch`] if the
-    /// two differ; debug builds compare them on every campaign.
+    /// A campaign leans on that. Its golden observation is lane 0 of its
+    /// first word, which also carries the campaign's first stuck-at
+    /// classes, and each later word must reproduce it in lane 0 or fall
+    /// back to scalar. A lane 0 that is wrong in every word alike would
+    /// pass that check, so the scalar engine reruns the golden before its
+    /// first use in a campaign and stops the campaign with
+    /// [`CampaignError::GoldenMismatch`] if the two differ; debug builds
+    /// compare them on every campaign.
     fn run_bitsliced(
         &self,
         sim: BitSimulator<'_>,
@@ -516,8 +526,8 @@ pub enum StuckAtSpace {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Hard cycle cap for any single run. Faulty runs are additionally
-    /// capped at `4 × golden cycles + 8` so a wedged design is declared a
-    /// hang quickly.
+    /// capped at `4 × golden cycles + 8` ([`faulty_budget`]) so a wedged
+    /// design is declared a hang quickly.
     pub cycle_budget: u64,
     /// Stuck-at exploration strategy.
     pub stuck_at: StuckAtSpace,
@@ -717,22 +727,28 @@ pub(crate) fn observe<W: Workload + ?Sized>(
 }
 
 /// Runs up to 63 faults as one bitsliced word on a clone of `proto` (a
-/// compiled [`BitSimulator`]): injects each fault into its lane, lane 0
-/// left fault-free, and returns every occupied lane's outcome, lane 0
-/// first. `None` when the workload has no bitsliced path, fails, or
-/// reports the wrong number of lanes.
+/// compiled [`BitSimulator`]) under the campaign's `cycle_budget`:
+/// injects each fault into its lane, lane 0 left fault-free, and returns
+/// every occupied lane's outcome, lane 0 first. `None` when the workload
+/// has no bitsliced path, fails, or reports the wrong number of lanes.
+/// A word the workload runs with no fault lane counts in
+/// `netlist.fault.golden_words`.
 fn run_lanes<W: Workload + ?Sized>(
     proto: &BitSimulator<'_>,
     workload: &W,
     faults: &[Fault],
-    budget: u64,
+    cycle_budget: u64,
 ) -> Option<Vec<LaneOutcome>> {
     debug_assert!(faults.len() < BitSimulator::LANES);
     let mut sim = proto.clone();
     for &fault in faults {
         sim.inject_fault(fault);
     }
-    let outcomes = workload.run_bitsliced(sim, budget)?.ok()?;
+    let outcomes = workload.run_bitsliced(sim, cycle_budget)?;
+    if faults.is_empty() {
+        printed_obs::incr("netlist.fault.golden_words");
+    }
+    let outcomes = outcomes.ok()?;
     (outcomes.len() == faults.len() + 1).then_some(outcomes)
 }
 
@@ -746,9 +762,9 @@ pub(crate) fn run_word<W: Workload + ?Sized>(
     workload: &W,
     golden: &Observation,
     faults: &[Fault],
-    budget: u64,
+    cycle_budget: u64,
 ) -> Option<Vec<LaneOutcome>> {
-    let mut outcomes = run_lanes(proto, workload, faults, budget)?;
+    let mut outcomes = run_lanes(proto, workload, faults, cycle_budget)?;
     match outcomes.first() {
         Some(LaneOutcome::Done(observed)) if observed == golden => {}
         _ => return None,
@@ -800,7 +816,8 @@ pub(crate) fn campaign_golden<W: Workload + ?Sized>(
 /// clones, and the scalar simulator, built only when a word declines,
 /// panics or fails its lane-0 check.
 ///
-/// The golden run is one fault-free word, lane 0 alone. The scalar
+/// The golden run is lane 0 of the campaign's first word, which carries
+/// the campaign's first fault classes in its other lanes. The scalar
 /// engine stays the reference: before its first use it reruns the
 /// golden on its own, and a campaign whose engines disagree stops with
 /// [`CampaignError::GoldenMismatch`] rather than classify faults against
@@ -819,10 +836,19 @@ pub(crate) struct Reference<'a> {
 }
 
 impl<'a> Reference<'a> {
-    /// Compiles the word prototype and takes the golden from a
-    /// fault-free word. A workload without a word path ([`ScalarOnly`]
-    /// among them), or a word that errors, panics or wedges, falls back
-    /// to the scalar golden run, which then reports its own errors.
+    /// Compiles the word prototype and runs the first word: lane 0
+    /// fault-free, `first` (at most 63 faults, none of which may depend
+    /// on the golden) in lanes 1 and up. Lane 0 becomes the golden, and the
+    /// fault lanes' outcomes come back beside it, one per fault of
+    /// `first`, run under [`faulty_budget`] of that golden as every later
+    /// word's are.
+    ///
+    /// A first word that declines, errors, panics or wedges lane 0 is
+    /// retried as a golden-only word, and its faults come back as `None`
+    /// for the campaign to run later. A workload without a word path
+    /// ([`ScalarOnly`] among them), or a golden-only word that fails
+    /// too, falls back to the scalar golden run, which then reports its
+    /// own errors.
     ///
     /// # Errors
     ///
@@ -832,32 +858,45 @@ impl<'a> Reference<'a> {
         netlist: &'a Netlist,
         workload: &W,
         cycle_budget: u64,
-    ) -> Result<Self, CampaignError> {
+        first: &[Fault],
+    ) -> Result<(Self, Option<Vec<LaneOutcome>>), CampaignError> {
         let proto = {
             let _span = printed_obs::span!("netlist.fault.setup");
             BitSimulator::new(netlist)
         };
         let _span = printed_obs::span!("netlist.fault.golden");
+        let word = |faults: &[Fault]| {
+            retry_panics(0, |_, _| {}, |_| run_lanes(&proto, workload, faults, cycle_budget))
+                .ok()
+                .and_then(|(lanes, _)| lanes)
+                .filter(|lanes| matches!(lanes.first(), Some(LaneOutcome::Done(_))))
+        };
+        let mut lanes = word(first).map(|lanes| (lanes, true));
+        if lanes.is_none() && !first.is_empty() {
+            lanes = word(&[]).map(|lanes| (lanes, false));
+        }
         let scalar = OnceLock::new();
-        let word = retry_panics(0, |_, _| {}, |_| run_lanes(&proto, workload, &[], cycle_budget));
-        let golden = match word.ok().and_then(|(lanes, _)| lanes?.into_iter().next()) {
-            Some(LaneOutcome::Done(golden)) => {
+        let (golden, faulted) = match lanes {
+            Some((mut lanes, carried)) => {
+                let LaneOutcome::Done(golden) = lanes.remove(0) else {
+                    unreachable!("the word's lane 0 is done")
+                };
                 debug_assert_eq!(
                     observe(&Simulator::new(netlist), workload, None, cycle_budget).ok().as_ref(),
                     Some(&golden),
                     "{}: the word engine's golden run differs from the scalar engine's",
                     netlist.name()
                 );
-                validate_golden(golden)?
+                (validate_golden(golden)?, carried.then_some(lanes))
             }
-            _ => {
+            None => {
                 let pristine = Simulator::new(netlist);
                 let golden = campaign_golden(&pristine, workload, cycle_budget)?;
                 let _ = scalar.set(Some(pristine));
-                golden
+                (golden, None)
             }
         };
-        Ok(Reference { proto, golden, cycle_budget, scalar })
+        Ok((Reference { proto, golden, cycle_budget, scalar }, faulted))
     }
 
     /// The scalar simulator, built on first use. Its first use reruns the
@@ -877,13 +916,22 @@ impl<'a> Reference<'a> {
 
 /// Enumerates the campaign's fault list in the fixed deterministic order
 /// the scheduler (and every checkpoint resume) relies on: the configured
-/// stuck-at space first, then the seeded SEU samples. Depends only on
+/// stuck-at space first ([`stuck_at_faults`]), then the seeded SEU
+/// samples ([`push_seu_faults`]). Depends only on
 /// `(netlist, config, golden_cycles)`.
 pub(crate) fn enumerate_faults(
     netlist: &Netlist,
     config: &CampaignConfig,
     golden_cycles: u64,
 ) -> Vec<Fault> {
+    let mut faults = stuck_at_faults(netlist, config);
+    push_seu_faults(netlist, config, golden_cycles, &mut faults);
+    faults
+}
+
+/// The stuck-at prefix of a campaign's fault list: the configured space,
+/// drawn from its own seeded stream, so it needs no golden run.
+pub(crate) fn stuck_at_faults(netlist: &Netlist, config: &CampaignConfig) -> Vec<Fault> {
     let mut faults: Vec<Fault> = Vec::new();
     match config.stuck_at {
         StuckAtSpace::Exhaustive => {
@@ -903,6 +951,17 @@ pub(crate) fn enumerate_faults(
         }
         StuckAtSpace::None => {}
     }
+    faults
+}
+
+/// Appends a campaign's seeded SEU samples, uniform over sequential
+/// gates × the golden run's `golden_cycles`, to its stuck-at prefix.
+pub(crate) fn push_seu_faults(
+    netlist: &Netlist,
+    config: &CampaignConfig,
+    golden_cycles: u64,
+    faults: &mut Vec<Fault>,
+) {
     let sequential: Vec<u32> = (0..netlist.gate_count() as u32)
         .filter(|&gi| netlist.gates()[gi as usize].is_sequential())
         .collect();
@@ -914,7 +973,6 @@ pub(crate) fn enumerate_faults(
             faults.push(Fault { gate: GateId(gi), kind: FaultKind::Seu { cycle } });
         }
     }
-    faults
 }
 
 /// A campaign's fault slots grouped into classes whose members are
@@ -949,21 +1007,20 @@ pub struct FaultClasses {
     members: Vec<usize>,
 }
 
-impl FaultClasses {
-    /// Groups the slots of `faults`, enumerated on `netlist` whose
+/// The stuck-at sites of a netlist, `2 * gate + forced value`, merged by
+/// [`FaultClasses`]' equivalence rule in a union-find: the part of the
+/// grouping that depends on the netlist alone, built once per campaign
+/// for both the first word's classes and the full class list.
+pub(crate) struct StuckSites {
+    parent: Vec<u32>,
+}
+
+impl StuckSites {
+    /// Merges the equivalent stuck-at sites of `netlist`, whose
     /// connectivity `fanout` indexes.
-    pub fn new(netlist: &Netlist, fanout: &FanoutMap, faults: &[Fault]) -> FaultClasses {
+    pub(crate) fn new(netlist: &Netlist, fanout: &FanoutMap) -> StuckSites {
         let gates = netlist.gates();
-        // Union-find over stuck-at sites, `2 * gate + forced value`.
-        let mut parent: Vec<u32> = (0..2 * gates.len() as u32).collect();
-        fn root(parent: &mut [u32], mut site: u32) -> u32 {
-            while parent[site as usize] != site {
-                let up = parent[parent[site as usize] as usize];
-                parent[site as usize] = up;
-                site = up;
-            }
-            site
-        }
+        let mut sites = StuckSites { parent: (0..2 * gates.len() as u32).collect() };
         let mut port_net = vec![false; netlist.net_count()];
         for net in netlist.output_ports().values().flatten() {
             port_net[net.index()] = true;
@@ -984,13 +1041,38 @@ impl FaultClasses {
                 _ => &[],
             };
             for &(gv, hv) in pairs {
-                let a = root(&mut parent, 2 * g as u32 + gv);
-                let b = root(&mut parent, 2 * h + hv);
-                parent[a as usize] = b;
+                let a = sites.root(2 * g as u32 + gv);
+                let b = sites.root(2 * h + hv);
+                sites.parent[a as usize] = b;
             }
         }
+        sites
+    }
+
+    /// The representative site of `site`'s merged set.
+    fn root(&mut self, mut site: u32) -> u32 {
+        let parent = &mut self.parent;
+        while parent[site as usize] != site {
+            let up = parent[parent[site as usize] as usize];
+            parent[site as usize] = up;
+            site = up;
+        }
+        site
+    }
+}
+
+impl FaultClasses {
+    /// Groups the slots of `faults`, enumerated on `netlist` whose
+    /// connectivity `fanout` indexes.
+    pub fn new(netlist: &Netlist, fanout: &FanoutMap, faults: &[Fault]) -> FaultClasses {
+        FaultClasses::of_sites(&mut StuckSites::new(netlist, fanout), faults)
+    }
+
+    /// Groups the slots of `faults` over the merged stuck-at `sites` of
+    /// their netlist.
+    pub(crate) fn of_sites(sites: &mut StuckSites, faults: &[Fault]) -> FaultClasses {
         // Number the classes in order of their first member.
-        let mut class_of_site = vec![u32::MAX; parent.len()];
+        let mut class_of_site = vec![u32::MAX; sites.parent.len()];
         let mut class_of_seu: HashMap<(u32, u64), u32> = HashMap::new();
         let mut representatives = Vec::new();
         let class_of_slot: Vec<u32> = faults
@@ -1000,7 +1082,7 @@ impl FaultClasses {
                 let class = match fault.kind {
                     FaultKind::StuckAt0 | FaultKind::StuckAt1 => {
                         let forced = u32::from(fault.kind == FaultKind::StuckAt1);
-                        let site = root(&mut parent, 2 * fault.gate.0 + forced);
+                        let site = sites.root(2 * fault.gate.0 + forced);
                         &mut class_of_site[site as usize]
                     }
                     FaultKind::Seu { cycle } => {
@@ -1052,7 +1134,8 @@ impl FaultClasses {
     }
 }
 
-/// Classifies a single fault against the workload's golden run.
+/// Classifies a single fault against the workload's golden run: the
+/// one-fault case of [`classify_faults`].
 ///
 /// # Errors
 ///
@@ -1064,15 +1147,37 @@ pub fn classify_fault<W: Workload + ?Sized>(
     fault: Fault,
     cycle_budget: u64,
 ) -> Result<Outcome, CampaignError> {
+    Ok(classify_faults(netlist, workload, &[fault], cycle_budget)?[0])
+}
+
+/// Classifies each of `faults` on its own against the workload's golden
+/// run, one outcome per fault in order, on the scalar engine: one golden
+/// run for all of them, then one faulty run per fault under the
+/// [`faulty_budget`] of that golden. This is the per-fault oracle the
+/// campaign scheduler is tested against.
+///
+/// # Errors
+///
+/// Returns the [`CampaignError`] [`run_campaign`] would: the fault-free
+/// run fails, does not complete, or fires the detect port.
+pub fn classify_faults<W: Workload + ?Sized>(
+    netlist: &Netlist,
+    workload: &W,
+    faults: &[Fault],
+    cycle_budget: u64,
+) -> Result<Vec<Outcome>, CampaignError> {
     let pristine = Simulator::new(netlist);
     let golden = campaign_golden(&pristine, workload, cycle_budget)?;
     let budget = faulty_budget(cycle_budget, golden.cycles);
-    Ok(match observe(&pristine, workload, Some(fault), budget) {
-        Ok(observed) => classify(&golden, &observed),
-        // A fault that breaks simulation outright (oscillation) wedges
-        // the circuit: a hang.
-        Err(_) => Outcome::Hang,
-    })
+    Ok(faults
+        .iter()
+        .map(|&fault| match observe(&pristine, workload, Some(fault), budget) {
+            Ok(observed) => classify(&golden, &observed),
+            // A fault that breaks simulation outright (oscillation)
+            // wedges the circuit: a hang.
+            Err(_) => Outcome::Hang,
+        })
+        .collect())
 }
 
 /// Worker-thread count for fault campaigns, read from the
@@ -1086,9 +1191,13 @@ pub fn campaign_threads() -> usize {
         .map_or(1, |n| n.max(1))
 }
 
-/// Faulty runs get a tighter budget derived from the golden run length,
-/// so hangs are declared quickly.
-pub(crate) fn faulty_budget(cycle_budget: u64, golden_cycles: u64) -> u64 {
+/// The cycle budget of a faulty run: the campaign's `cycle_budget`,
+/// tightened to `4 × golden_cycles + 8` so hangs are declared quickly.
+/// The one statement of the rule: the scalar fallback passes it to
+/// [`Workload::run`], and a bitsliced word stops each faulty lane at it,
+/// with `golden_cycles` the cycle its lane 0 ended on. Never below
+/// `golden_cycles` when the golden fits the budget.
+pub fn faulty_budget(cycle_budget: u64, golden_cycles: u64) -> u64 {
     cycle_budget.min(golden_cycles.saturating_mul(4).saturating_add(8))
 }
 
@@ -1405,6 +1514,12 @@ mod tests {
                             run.fault
                         );
                     }
+                    // The list form classifies every slot against one
+                    // golden run, alike.
+                    let faults: Vec<Fault> = result.runs.iter().map(|r| r.fault).collect();
+                    let outcomes: Vec<Outcome> = result.runs.iter().map(|r| r.outcome).collect();
+                    let listed = classify_faults(&nl, &workload, &faults, config.cycle_budget);
+                    assert_eq!(listed.unwrap(), outcomes, "{engine} engine, {threads} workers");
                 }
             }
         }

@@ -9,16 +9,25 @@
 //! Results, statistics and a print-shop quote's `faults` all count
 //! slots; the checkpoint records one line per class.
 //!
-//! The scheduler compiles the netlist for the bitsliced engine and takes
-//! the golden observation from one fault-free word (lane 0 alone), then
-//! fills words of 63 classes each, every word's lane 0 checked against
-//! that golden. The scalar simulator is built only when a word declines,
-//! panics or fails that check; before its first use it reruns the golden
-//! on its own, and a campaign whose engines disagree stops with
-//! [`CampaignError::GoldenMismatch`] (debug builds compare the two
-//! goldens on every campaign). A workload with no word path
-//! ([`crate::fault::ScalarOnly`]) runs its golden and every fault on the
-//! scalar engine.
+//! The scheduler compiles the netlist for the bitsliced engine and runs
+//! no golden-only word: word 0 carries the fault-free lane 0 and the
+//! campaign's first 63 stuck-at classes, which need no golden to
+//! enumerate (the stuck-at space draws from its own seeded stream, and
+//! classes are numbered by first member, so they are a prefix of the
+//! class list). Lane 0 of word 0 is the golden observation; the SEU
+//! draw, the full class list, the faulty budget, the fingerprint and the
+//! checkpoint follow from it, and word 0's fault lanes fill the classes
+//! they carried that the checkpoint does not already hold. The scheduler
+//! then fills words of 63 classes each, every word's lane 0 checked
+//! against that golden. A word 0 that declines, panics or wedges lane 0
+//! is retried as a golden-only word, and a cancel raised before the
+//! campaign starts leaves word 0 no fault lanes. The scalar simulator is
+//! built only when a word declines, panics or fails that check; before
+//! its first use it reruns the golden on its own, and a campaign whose
+//! engines disagree stops with [`CampaignError::GoldenMismatch`] (debug
+//! builds compare the two goldens on every campaign). A workload with no
+//! word path ([`crate::fault::ScalarOnly`]) runs its golden and every
+//! fault on the scalar engine.
 //!
 //! Real reproduction sweeps run for minutes across many worker threads,
 //! and fault-injection infrastructure must survive its own faults, so
@@ -57,11 +66,14 @@
 //! Everything is instrumented through `printed-obs`: the
 //! `netlist.fault.campaign` span, with children `netlist.fault.setup`
 //! (the word compile, `FaultClasses::new`, the fingerprint),
-//! `netlist.fault.golden`, and one `netlist.fault.chunk` span per
-//! claimed chunk on `campaign-worker-<n>` lanes; the classification
-//! counters `netlist.fault.{workers,runs,classes,masked,detected,hang,sdc}`,
-//! the scalar golden runs `netlist.fault.golden_scalar`,
-//! the bitsliced `netlist.fault.bitsliced.{words,lanes}` counters and
+//! `netlist.fault.golden` (word 0, its fault lanes included), and one
+//! `netlist.fault.chunk` span per claimed chunk on `campaign-worker-<n>`
+//! lanes; the classification counters
+//! `netlist.fault.{workers,runs,classes,masked,detected,hang,sdc}`, the
+//! golden runs taken as golden-only words `netlist.fault.golden_words`
+//! and on the scalar engine `netlist.fault.golden_scalar`, the
+//! bitsliced `netlist.fault.bitsliced.{words,lanes}` counters (word 0
+//! counted) and
 //! `netlist.fault.{lane_utilization,runs_per_sec}` gauges; and the
 //! resilience counters `resilience.retries`, `resilience.resumed_slots`,
 //! `resilience.failed` and `resilience.checkpoint_lines` (slot lines
@@ -97,8 +109,9 @@
 //! member fills its class, and the rewrite keeps one line per class.
 
 use crate::fault::{
-    enumerate_faults, faulty_budget, CampaignConfig, CampaignError, CampaignResult, Fault,
-    FaultClasses, FaultRun, LaneOutcome, Outcome, OutcomeCounts, Reference, Workload,
+    enumerate_faults, faulty_budget, push_seu_faults, stuck_at_faults, CampaignConfig,
+    CampaignError, CampaignResult, Fault, FaultClasses, FaultRun, LaneOutcome, Outcome,
+    OutcomeCounts, Reference, StuckSites, Workload,
 };
 use crate::hash::Fnv1a;
 use crate::ir::Netlist;
@@ -260,9 +273,9 @@ type SlotDone = (FaultRun, u32);
 /// [`crate::fault::ScalarOnly`] workload shares its wrapped workload's
 /// identity) — because those are byte-identical by construction, and it
 /// contains no pointers, wall-clock, or per-process state, so it is
-/// stable across processes. The golden run is the scheduler's own: one
-/// fault-free bitsliced word where the workload has a word path, a
-/// scalar run otherwise.
+/// stable across processes. The golden run is one fault-free bitsliced
+/// word where the workload has a word path, a scalar run otherwise: the
+/// same observation the scheduler takes from lane 0 of its first word.
 ///
 /// # Errors
 ///
@@ -272,7 +285,7 @@ pub fn campaign_identity<W: Workload + ?Sized>(
     workload: &W,
     config: &CampaignConfig,
 ) -> Result<u64, JobError> {
-    let golden = Reference::new(netlist, workload, config.cycle_budget)?.golden;
+    let golden = Reference::new(netlist, workload, config.cycle_budget, &[])?.0.golden;
     let faults = enumerate_faults(netlist, config, golden.cycles);
     Ok(campaign_fingerprint(netlist, config, &golden, faults.len()))
 }
@@ -754,13 +767,21 @@ fn backoff(seed: u64, index: usize, attempt: u32) {
 /// print-shop service uses for deadlines and graceful shutdown, so a
 /// restart *resumes* the campaign instead of recomputing it.
 ///
+/// The golden is lane 0 of word 0, which the calling thread runs with
+/// the campaign's first 63 stuck-at classes in its other lanes (none
+/// when `cancel` is already raised), before the SEU samples are drawn
+/// and before the checkpoint opens. The checkpoint is bound to that
+/// golden, so word 0's verdicts are recorded once it is open; a class
+/// the checkpoint already holds keeps its recorded verdict.
+///
 /// Determinism: the fault list is enumerated once, in a fixed order, on
 /// the calling thread. Results go into a slot vector indexed by that
 /// order; workers claim contiguous chunks of disjoint `(faults, slots)`
-/// pairs from a shared queue and never write outside their chunk. Every
-/// classification depends only on (netlist, workload, fault, budget), so
-/// the merged result is identical for any `threads`. One worker runs the
-/// same claim loop on the calling thread and starts no thread.
+/// pairs of the classes after word 0's from a shared queue and never
+/// write outside their chunk. Every classification depends only on
+/// (netlist, workload, fault, budget), so the merged result is identical
+/// for any `threads`. One worker runs the same claim loop on the calling
+/// thread and starts no thread.
 /// Checkpoint resume fills slots with values computed by the same pure
 /// function, so a resumed and an uninterrupted run agree byte-for-byte,
 /// and retry backoff is seeded per (seed, slot, attempt), never from
@@ -782,14 +803,32 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     cancel: Option<&AtomicBool>,
 ) -> Result<SupervisedRun, JobError> {
     let _span = obs::span!("netlist.fault.campaign");
-    // The golden run and the compiled word prototype every word clones;
-    // the scalar simulator waits until a word declines, panics or fails
-    // its lane-0 check.
-    let reference = Reference::new(netlist, workload, config.cycle_budget)?;
+    let started = Instant::now();
+    let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
+    // The stuck-at prefix of the fault list needs no golden run, and its
+    // first classes are the campaign's first classes: classes are
+    // numbered by first member, and no SEU slot joins a stuck-at class.
+    // They ride in the first word beside the golden lane, unless the run
+    // is cancelled before it starts.
+    let setup = obs::span!("netlist.fault.setup");
+    let mut sites = StuckSites::new(netlist, &crate::ir::FanoutMap::build(netlist));
+    let mut faults = stuck_at_faults(netlist, config);
+    let first: Vec<Fault> = if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+        Vec::new()
+    } else {
+        let stuck = FaultClasses::of_sites(&mut sites, &faults);
+        stuck.representatives().iter().take(lane_faults).map(|&r| faults[r]).collect()
+    };
+    drop(setup);
+    // The golden run — lane 0 of the first word — and the compiled word
+    // prototype every word clones; the scalar simulator waits until a
+    // word declines, panics or fails its lane-0 check.
+    let (reference, first_lanes) = Reference::new(netlist, workload, config.cycle_budget, &first)?;
     let golden = &reference.golden;
     let setup = obs::span!("netlist.fault.setup");
-    let faults = enumerate_faults(netlist, config, golden.cycles);
-    let classes = FaultClasses::new(netlist, &crate::ir::FanoutMap::build(netlist), &faults);
+    push_seu_faults(netlist, config, golden.cycles, &mut faults);
+    let classes = FaultClasses::of_sites(&mut sites, &faults);
+    debug_assert!(first.iter().zip(classes.representatives()).all(|(f, &r)| faults[r] == *f));
     let budget = faulty_budget(config.cycle_budget, golden.cycles);
     let total = faults.len();
     let fingerprint = campaign_fingerprint(netlist, config, golden, total);
@@ -854,7 +893,6 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
     let mut class_slots: Vec<Option<SlotDone>> =
         classes.representatives().iter().map(|&r| slots[r]).collect();
 
-    let started = Instant::now();
     let retries = AtomicU64::new(0);
     let failed = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
@@ -920,84 +958,108 @@ pub fn run_supervised_campaign<W: Workload + ?Sized>(
             });
         }
     };
+    // One bitsliced lane's verdict for the fault it carried.
+    let lane_done = |fault: Fault, lane: LaneOutcome| -> SlotDone {
+        let cell = netlist.gates()[fault.gate.index()].kind;
+        let outcome = match lane {
+            LaneOutcome::Done(observed) => crate::fault::classify(golden, &observed),
+            // An oscillating lane wedges the circuit, like the scalar
+            // Unsettled error.
+            LaneOutcome::Wedged => Outcome::Hang,
+        };
+        (FaultRun { fault, cell, outcome }, 0)
+    };
+    // The first word's fault lanes fill the classes they carried, all but
+    // those the checkpoint already held; the rest of the classes go to
+    // the workers.
+    let word_zero = first_lanes.as_ref().map_or(0, Vec::len);
+    if let Some(lanes) = first_lanes {
+        words_run.fetch_add(1, Ordering::Relaxed);
+        lanes_filled.fetch_add(word_zero + 1, Ordering::Relaxed);
+        for ((class, lane), slot) in lanes.into_iter().enumerate().zip(&mut class_slots) {
+            if slot.is_none() {
+                let done = lane_done(class_faults[class], lane);
+                record(class, &done);
+                *slot = Some(done);
+            }
+        }
+    }
     // Fills one chunk of classes in word batches (resume holes packed
     // together so words stay full); a declined word reruns class by
     // class on the scalar path. Either way every filled class goes
     // through `record`, so checkpointing is engine-independent.
-    let run_chunk = |chunk_start: usize,
-                     chunk_faults: &[Fault],
-                     chunk_slots: &mut [Option<SlotDone>]| {
-        let pending: Vec<usize> =
-            (0..chunk_slots.len()).filter(|&o| chunk_slots[o].is_none()).collect();
-        let mut at = 0usize;
-        while at < pending.len() {
-            if halted() {
-                break;
-            }
-            let take = (pending.len() - at).min(crate::bitsim::BitSimulator::LANES - 1);
-            let window = &pending[at..at + take];
-            let word_faults: Vec<Fault> = window.iter().map(|&o| chunk_faults[o]).collect();
-            let word = retry_panics(
-                0,
-                |_, _| {},
-                |_| {
-                    crate::fault::run_word(&reference.proto, workload, golden, &word_faults, budget)
-                },
-            );
-            match word.ok().and_then(|(word, _)| word) {
-                Some(lanes) => {
-                    words_run.fetch_add(1, Ordering::Relaxed);
-                    lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
-                    for (&offset, lane) in window.iter().zip(lanes) {
-                        let fault = chunk_faults[offset];
-                        let cell = netlist.gates()[fault.gate.index()].kind;
-                        let outcome = match lane {
-                            LaneOutcome::Done(observed) => {
-                                crate::fault::classify(golden, &observed)
-                            }
-                            // An oscillating lane wedges the circuit,
-                            // like the scalar Unsettled error.
-                            LaneOutcome::Wedged => Outcome::Hang,
-                        };
-                        let done = (FaultRun { fault, cell, outcome }, 0u32);
-                        record(chunk_start + offset, &done);
-                        chunk_slots[offset] = Some(done);
-                    }
+    let run_chunk =
+        |chunk_start: usize, chunk_faults: &[Fault], chunk_slots: &mut [Option<SlotDone>]| {
+            let pending: Vec<usize> =
+                (0..chunk_slots.len()).filter(|&o| chunk_slots[o].is_none()).collect();
+            let mut at = 0usize;
+            while at < pending.len() {
+                if halted() {
+                    break;
                 }
-                None => {
-                    // Engine declined or panicked mid-word: rerun each
-                    // class on the scalar path with retries intact.
-                    for &offset in window {
-                        if halted() {
-                            break;
+                let take = (pending.len() - at).min(lane_faults);
+                let window = &pending[at..at + take];
+                let word_faults: Vec<Fault> = window.iter().map(|&o| chunk_faults[o]).collect();
+                let word = retry_panics(
+                    0,
+                    |_, _| {},
+                    |_| {
+                        let proto = &reference.proto;
+                        crate::fault::run_word(
+                            proto,
+                            workload,
+                            golden,
+                            &word_faults,
+                            config.cycle_budget,
+                        )
+                    },
+                );
+                match word.ok().and_then(|(word, _)| word) {
+                    Some(lanes) => {
+                        words_run.fetch_add(1, Ordering::Relaxed);
+                        lanes_filled.fetch_add(take + 1, Ordering::Relaxed);
+                        for (&offset, lane) in window.iter().zip(lanes) {
+                            let done = lane_done(chunk_faults[offset], lane);
+                            record(chunk_start + offset, &done);
+                            chunk_slots[offset] = Some(done);
                         }
-                        let class = chunk_start + offset;
-                        let Some(done) = supervise(class, chunk_faults[offset]) else {
-                            break;
-                        };
-                        record(class, &done);
-                        chunk_slots[offset] = Some(done);
+                    }
+                    None => {
+                        // Engine declined or panicked mid-word: rerun each
+                        // class on the scalar path with retries intact.
+                        for &offset in window {
+                            if halted() {
+                                break;
+                            }
+                            let class = chunk_start + offset;
+                            let Some(done) = supervise(class, chunk_faults[offset]) else {
+                                break;
+                            };
+                            record(class, &done);
+                            chunk_slots[offset] = Some(done);
+                        }
                     }
                 }
+                at += take;
             }
-            at += take;
-        }
-    };
+        };
 
-    // Contiguous chunks of classes, several per worker so a chunk of
-    // hangs does not serialize the campaign behind one thread, each
-    // carrying its first class index and claimed in class order. Chunks
-    // hold whole 63-class words, so parallelism never splinters a word
-    // across workers.
-    let workers = threads.max(1).min(classes.len().max(1));
-    let lane_faults = crate::bitsim::BitSimulator::LANES - 1;
-    let chunk = classes.len().div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults;
+    // Contiguous chunks of the classes after the first word's, several
+    // per worker so a chunk of hangs does not serialize the campaign
+    // behind one thread, each carrying its first class index and claimed
+    // in class order. Chunks hold whole 63-class words, so parallelism
+    // never splinters a word across workers.
+    let rest = classes.len() - word_zero;
+    let workers = threads.max(1).min(rest.max(1));
+    let chunk = rest.div_ceil(lane_faults).div_ceil(workers * 4).max(1) * lane_faults;
     let queue = Mutex::new(
-        class_faults
+        class_faults[word_zero..]
             .chunks(chunk)
-            .zip(class_slots.chunks_mut(chunk))
+            .zip(class_slots[word_zero..].chunks_mut(chunk))
             .enumerate()
-            .map(|(i, (chunk_faults, chunk_slots))| (i * chunk, chunk_faults, chunk_slots)),
+            .map(|(i, (chunk_faults, chunk_slots))| {
+                (word_zero + i * chunk, chunk_faults, chunk_slots)
+            }),
     );
     // The one worker loop: claim a chunk, fill it, until the queue is
     // empty or the campaign is cancelled.
@@ -1342,6 +1404,45 @@ mod tests {
     }
 
     #[test]
+    fn first_word_verdicts_are_checkpointed_before_a_cancel() {
+        // The first word carries the golden lane and the accumulator's
+        // stuck-at classes (fewer than 63); a cancel raised as it returns
+        // stops the campaign before the SEU word, and the stuck-at
+        // verdicts are already in the checkpoint.
+        let nl = accumulator();
+        let workload = PatternWorkload { cycles: 10, seed: 5 };
+        let baseline = run_campaign(&nl, &workload, &config(), 1).unwrap();
+        let stuck = stuck_at_faults(&nl, &config());
+        let stuck_classes = FaultClasses::new(&nl, &crate::ir::FanoutMap::build(&nl), &stuck);
+        assert!(stuck_classes.len() < crate::bitsim::BitSimulator::LANES);
+        let dir = std::env::temp_dir().join(format!("printed-ckpt-first-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let interrupted = CancelAfter::new(&workload, 1);
+        let aborted = run_supervised_campaign(
+            &nl,
+            &interrupted,
+            &config(),
+            Some(&dir),
+            1,
+            Some(&interrupted.cancel),
+        )
+        .unwrap();
+        let SupervisedRun::Aborted { completed, checkpoint, .. } = aborted else {
+            panic!("the cancel flag must interrupt the campaign");
+        };
+        assert_eq!(completed, stuck.len(), "every stuck-at slot, no SEU slot");
+        let ckpt = checkpoint.expect("checkpointing was enabled");
+        let lines = fs::read_to_string(&ckpt).unwrap().lines().count();
+        assert_eq!(lines, 1 + stuck_classes.len(), "a header plus one line per stuck-at class");
+
+        let finished =
+            complete(run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 1, None));
+        assert_eq!(finished.stats.resumed_slots, completed, "resume skipped recorded slots");
+        assert_eq!(finished.result.to_csv(), baseline.to_csv(), "byte-identical CSV");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn scalar_checkpoint_resumes_into_a_bitsliced_run() {
         let nl = accumulator();
         let workload = PatternWorkload { cycles: 10, seed: 5 };
@@ -1651,16 +1752,42 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("printed-ckpt-cancel-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let baseline = run_campaign(&nl, &workload, &config(), 1).unwrap();
-        // Pre-cancelled: the run must abort immediately (no slots), flush
-        // the checkpoint header, and report Aborted rather than hanging.
+        /// Counts the fault lanes of the words it runs.
+        struct FaultLanes<'a> {
+            inner: &'a PatternWorkload,
+            lanes: AtomicUsize,
+        }
+        impl Workload for FaultLanes<'_> {
+            fn run(
+                &self,
+                sim: Simulator<'_>,
+                cycle_budget: u64,
+            ) -> Result<crate::fault::Observation, crate::NetlistError> {
+                self.inner.run(sim, cycle_budget)
+            }
+
+            fn run_bitsliced(
+                &self,
+                sim: crate::bitsim::BitSimulator<'_>,
+                cycle_budget: u64,
+            ) -> Option<Result<Vec<LaneOutcome>, crate::NetlistError>> {
+                self.lanes.fetch_add(sim.lane_count() - 1, Ordering::Relaxed);
+                self.inner.run_bitsliced(sim, cycle_budget)
+            }
+        }
+        // Pre-cancelled: the run must abort immediately (no slots, its
+        // golden word carrying no fault lane), flush the checkpoint
+        // header, and report Aborted rather than hanging.
+        let counted = FaultLanes { inner: &workload, lanes: AtomicUsize::new(0) };
         let cancel = AtomicBool::new(true);
         let aborted =
-            run_supervised_campaign(&nl, &workload, &config(), Some(&dir), 2, Some(&cancel))
+            run_supervised_campaign(&nl, &counted, &config(), Some(&dir), 2, Some(&cancel))
                 .unwrap();
         let SupervisedRun::Aborted { completed, checkpoint, .. } = aborted else {
             panic!("cancelled run must abort");
         };
         assert_eq!(completed, 0);
+        assert_eq!(counted.lanes.into_inner(), 0, "no fault lane simulated");
         assert!(checkpoint.expect("checkpointing was enabled").exists());
 
         // A fresh run with the flag clear resumes and matches byte for byte.

@@ -237,8 +237,10 @@ impl<'a> Simulator<'a> {
         Self::with_engine(netlist, Engine::default())
     }
 
-    /// Creates a simulator using the given [`Engine`].
+    /// Creates a simulator using the given [`Engine`], counted in
+    /// `netlist.sim.scalar_builds` (a clone is not a build).
     pub fn with_engine(netlist: &'a Netlist, engine: Engine) -> Self {
+        obs::incr("netlist.sim.scalar_builds");
         let fanout = Arc::new(FanoutMap::build(netlist));
         // Combinational depth per gate, derived by walking the stored
         // topological order (never by chasing edges, so a deliberately

@@ -28,7 +28,7 @@ use printed_microprocessors::eval::robustness::{
     campaign_row, tmr_comparison, tmr_table, RobustnessOptions,
 };
 use printed_microprocessors::netlist::fault::{
-    campaign_threads, classify_fault, lane_utilization, CampaignConfig, Fault, FaultKind,
+    campaign_threads, classify_faults, lane_utilization, CampaignConfig, Fault, FaultKind,
     StuckAtSpace,
 };
 use printed_microprocessors::netlist::resilience::{
@@ -55,10 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             netlist.gate_count(),
             kernel.name
         );
-        for index in [0, netlist.gate_count() / 2, netlist.gate_count() - 1] {
-            let fault = Fault { gate: GateId::from_index(index), kind: FaultKind::StuckAt1 };
-            let outcome = classify_fault(&netlist, &workload, fault, 20_000)
-                .map_err(|e| format!("fault run: {e}"))?;
+        let faults = [0, netlist.gate_count() / 2, netlist.gate_count() - 1]
+            .map(|index| Fault { gate: GateId::from_index(index), kind: FaultKind::StuckAt1 });
+        // One golden run classifies all three faults.
+        let outcomes = classify_faults(&netlist, &workload, &faults, 20_000)
+            .map_err(|e| format!("fault run: {e}"))?;
+        for (fault, outcome) in faults.iter().zip(outcomes) {
+            let index = fault.gate.index();
             let cell = netlist.gates()[index].kind;
             println!("  gate {index:4} ({cell}): {fault} -> {}", outcome.name());
         }
