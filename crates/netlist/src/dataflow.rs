@@ -56,10 +56,11 @@
 //! 3. **Timing** — the same levelization drives the slack-based static
 //!    timing analysis in [`crate::analysis::sta`].
 //!
-//! Every fact is falsifiable against the event-driven simulator;
-//! [`crosscheck`] drives random stimulus and reports the first
-//! contradiction (the `dataflow_props` proptests do the same with
-//! randomized power-up states).
+//! Every fact is falsifiable against the simulators; [`crosscheck`]
+//! drives 64 lanes of random stimulus through one bitsliced word and
+//! reports the first contradiction and its lane (the `dataflow_props`
+//! proptests check the scalar simulator with randomized power-up
+//! states).
 //!
 //! ```
 //! use printed_netlist::{dataflow, NetlistBuilder};
@@ -79,9 +80,9 @@
 //! # Ok::<(), printed_netlist::NetlistError>(())
 //! ```
 
-use crate::ir::{FanoutMap, Gate, GateId, NetId, Netlist};
+use crate::bitsim::BitSimulator;
+use crate::ir::{FanoutMap, Gate, GateId, NetId, Netlist, NetlistError};
 use crate::opt::{self, Fold};
-use crate::sim::Simulator;
 use printed_pdk::CellKind;
 use std::fmt;
 use std::sync::Arc;
@@ -528,59 +529,123 @@ fn keeps_x(gate: &Gate, must_x: &[bool], values: &[AbsValue]) -> bool {
     }
 }
 
-/// Cross-checks proved facts against the event-driven simulator: drives
-/// `cycles` clock cycles of deterministic pseudo-random stimulus and
-/// verifies that every proved-constant net reads its constant after every
-/// settle.
+/// Cross-checks proved facts against the bitsliced simulator: one
+/// [`BitSimulator`] word of 64 fault-free copies of the netlist runs
+/// `cycles` clock cycles of deterministic pseudo-random stimulus, and
+/// every proved-constant net must read its constant in every lane after
+/// every settle.
+///
+/// Lane 0 takes one xorshift64 draw per input port and cycle, masked to
+/// the port's low 63 bits: the stimulus the crosscheck drove when it ran
+/// one scalar simulator, so lane 0 keeps checking the states it always
+/// checked. Lanes 1–63 get independent stimulus from a second xorshift64
+/// stream, one draw per input net and cycle, so one word checks 64
+/// stimulus streams for the cost of about one.
 ///
 /// # Errors
 ///
 /// Returns a description of the first contradiction (a proved fact the
-/// simulator falsified — an analysis soundness bug) or simulator failure.
+/// simulator falsified — an analysis soundness bug), naming the lane
+/// that saw it, or of a simulator failure: an input port wider than 64
+/// bits, or a lane whose logic failed to settle.
 pub fn crosscheck(netlist: &Netlist, facts: &DataflowFacts, cycles: u64) -> Result<(), String> {
-    let constants: Vec<(NetId, bool)> = (0..netlist.net_count())
+    // Each proved constant with its expected word: every lane alike.
+    let constants: Vec<(NetId, u64)> = (0..netlist.net_count())
         .filter_map(|i| {
             let net = NetId(i as u32);
-            facts.proved_constant(net).map(|c| (net, c))
+            facts.proved_constant(net).map(|c| (net, 0u64.wrapping_sub(c.into())))
         })
         .collect();
-    let mut sim = Simulator::new(netlist);
-    let widths: Vec<(String, u32)> = netlist
-        .input_ports()
-        .iter()
-        .map(|(name, nets)| (name.clone(), nets.len().min(63) as u32))
-        .collect();
-    // xorshift64: cheap deterministic stimulus, no RNG dependency.
-    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed
-    };
-    let check = |sim: &Simulator<'_>, when: &str| -> Result<(), String> {
+    drive_crosscheck(netlist, cycles, |sim, when| {
         for &(net, expected) in &constants {
-            if sim.read_net(net) != expected {
+            let wrong = sim.word(net) ^ expected;
+            if wrong != 0 {
+                let lane = wrong.trailing_zeros();
+                let expected = expected & 1;
                 return Err(format!(
-                    "net {net} proved constant {} but reads {} ({when})",
-                    expected as u8,
-                    sim.read_net(net) as u8,
+                    "net {net} proved constant {expected} but reads {} in lane {lane} ({when})",
+                    expected ^ 1,
                 ));
             }
         }
         Ok(())
+    })
+}
+
+/// Runs [`crosscheck`]'s word: settles it at power-up, then clocks it
+/// `cycles` times under the crosscheck stimulus, calling `check` after
+/// every settle with the word and when it settled.
+fn drive_crosscheck(
+    netlist: &Netlist,
+    cycles: u64,
+    mut check: impl FnMut(&BitSimulator<'_>, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut sim = BitSimulator::new(netlist);
+    sim.occupy_lanes(BitSimulator::LANES);
+    let settled = |sim: &BitSimulator<'_>, what: &str| match sim.dead_lanes() {
+        0 => Ok(()),
+        dead => Err(format!(
+            "{what} failed: combinational logic failed to settle in lane {}",
+            dead.trailing_zeros()
+        )),
     };
-    sim.settle().map_err(|e| format!("initial settle failed: {e}"))?;
+    sim.settle();
+    settled(&sim, "initial settle")?;
     check(&sim, "after power-up settle")?;
+    let mut stimulus = Stimulus::new();
+    let mut words = [0u64; 64];
     for cycle in 0..cycles {
-        for (name, width) in &widths {
-            let value = next() & ((1u64 << width) - 1);
-            sim.set_input(name, value).map_err(|e| format!("set_input {name}: {e}"))?;
+        for (name, nets) in netlist.input_ports() {
+            if nets.len() > words.len() {
+                let e = NetlistError::WidthMismatch {
+                    context: "set_input",
+                    left: nets.len(),
+                    right: words.len(),
+                };
+                return Err(format!("set_input {name}: {e}"));
+            }
+            let words = &mut words[..nets.len()];
+            stimulus.port(words);
+            sim.set_bus_words(nets, words);
         }
-        sim.step().map_err(|e| format!("step {cycle} failed: {e}"))?;
+        sim.step();
+        settled(&sim, &format!("step {cycle}"))?;
         check(&sim, &format!("after cycle {cycle}"))?;
     }
     Ok(())
+}
+
+/// [`crosscheck`]'s stimulus: two xorshift64 streams, no RNG
+/// dependency.
+struct Stimulus {
+    /// Lane 0's stream: one draw per port and cycle.
+    lane0: u64,
+    /// Lanes 1–63's stream: one draw per net and cycle.
+    lanes: u64,
+}
+
+impl Stimulus {
+    fn new() -> Self {
+        Stimulus { lane0: 0x9e37_79b9_7f4a_7c15, lanes: 0xd1b5_4a32_d192_ed03 }
+    }
+
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// The next cycle's lane words of one input port of at most 64 nets,
+    /// `words[i]` for net `i`: lane 0 takes bit `i` of one draw masked
+    /// to the port's low 63 bits, lanes 1–63 one draw per net.
+    fn port(&mut self, words: &mut [u64]) {
+        let width = words.len().min(63);
+        let value = Self::next(&mut self.lane0) & ((1u64 << width) - 1);
+        for (bit, word) in words.iter_mut().enumerate() {
+            *word = (Self::next(&mut self.lanes) & !1) | (value >> bit & 1);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -802,6 +867,104 @@ mod tests {
         let facts = analyze(&nl);
         assert!(facts.constant_count() >= 3, "q, masked, const0 at least");
         crosscheck(&nl, &facts, 64).expect("no proved fact may be contradicted");
+    }
+
+    /// The stimulus the scalar crosscheck drove, replayed on a scalar
+    /// simulator: `seen` gets the simulator after the power-up settle
+    /// and after every cycle.
+    fn scalar_replay(netlist: &Netlist, cycles: u64, mut seen: impl FnMut(&crate::Simulator<'_>)) {
+        let mut sim = crate::Simulator::new(netlist);
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        sim.settle().unwrap();
+        seen(&sim);
+        for _ in 0..cycles {
+            for (name, nets) in netlist.input_ports() {
+                let width = nets.len().min(63) as u32;
+                sim.set_input(name, next() & ((1u64 << width) - 1)).unwrap();
+            }
+            sim.step().unwrap();
+            seen(&sim);
+        }
+    }
+
+    #[test]
+    fn crosscheck_lane_0_replays_the_scalar_stimulus() {
+        // Ports of 1, 5 and 64 bits (the last masked to 63 in lane 0)
+        // feeding logic and state.
+        let mut b = NetlistBuilder::new("replay");
+        let a = b.input_bit("a");
+        let m = b.input("m", 5);
+        let w = b.input("w", 64);
+        let x = b.xor2(a, m[4]);
+        let q = b.dff(x);
+        let y = b.and2(q, w[63]);
+        let z = b.or2(w[62], m[0]);
+        b.output("y", vec![y, z, q]);
+        let nl = b.finish().unwrap();
+        let lane = |sim: &BitSimulator<'_>, l: usize| -> Vec<bool> {
+            (0..nl.net_count()).map(|i| sim.word(NetId(i as u32)) >> l & 1 == 1).collect()
+        };
+        let mut word = Vec::new();
+        let mut other_lanes_differ = false;
+        drive_crosscheck(&nl, 16, |sim, _| {
+            word.push(lane(sim, 0));
+            other_lanes_differ |= (1..BitSimulator::LANES).any(|l| lane(sim, l) != lane(sim, 0));
+            Ok(())
+        })
+        .unwrap();
+        let mut scalar: Vec<Vec<bool>> = Vec::new();
+        scalar_replay(&nl, 16, |sim| {
+            scalar.push((0..nl.net_count()).map(|i| sim.read_net(NetId(i as u32))).collect());
+        });
+        assert_eq!(word, scalar, "lane 0 sees every net as the scalar crosscheck did");
+        assert!(other_lanes_differ, "lanes 1-63 draw their own stimulus");
+    }
+
+    #[test]
+    fn crosscheck_names_the_lane_that_contradicts_a_planted_fact() {
+        // Lane 0 drives a port's low 63 bits only, so bit 63 of a 64-bit
+        // port, and y with it, stays low in lane 0 and nowhere else.
+        let mut b = NetlistBuilder::new("planted");
+        let w = b.input("w", 64);
+        let y = b.and2(w[63], w[62]);
+        b.output("y", vec![y]);
+        let nl = b.finish().unwrap();
+        let mut facts = analyze(&nl);
+        assert_eq!(facts.proved_constant(y), None);
+        // A wrong fact: y is constant 0. Lane 0's stimulus never drives y
+        // high, so the scalar crosscheck would have passed it.
+        facts.values[y.index()] = AbsValue::Zero;
+        let cycles = 16;
+        scalar_replay(&nl, cycles, |sim| assert!(!sim.read_net(y), "lane 0 never sees y high"));
+        let err = crosscheck(&nl, &facts, cycles).expect_err("a lane sees y high");
+        let lane: usize = err
+            .split(" in lane ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|l| l.parse().ok())
+            .unwrap_or_else(|| panic!("the error names its lane: {err}"));
+        assert!(lane >= 1, "{err}");
+        assert!(
+            err.starts_with(&format!("net {y} proved constant 0 but reads 1 in lane")),
+            "{err}"
+        );
+        // That lane really reads y high when the check fails.
+        let mut seen = false;
+        let _ = drive_crosscheck(&nl, cycles, |sim, _| {
+            seen |= sim.word(y) >> lane & 1 == 1;
+            if seen {
+                Err(String::new())
+            } else {
+                Ok(())
+            }
+        });
+        assert!(seen, "lane {lane} reads y high");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The exact work of Figure 7, the lint summary and the static report:
 //! one dataflow fixpoint per sweep core and one per (baseline,
 //! technology), however often and in whatever order the three stage
-//! functions are called. The test is alone in its file so that no other
-//! test shares the process's obs registry or its design-space table.
+//! functions are called, and no scalar simulator: each design's
+//! crosscheck runs on one bitsliced word. The test is alone in its file
+//! so that no other test shares the process's obs registry or its
+//! design-space table.
 
 // Panics are the failure report in test/bench/example code.
 #![allow(clippy::disallowed_methods)]
@@ -49,6 +51,11 @@ fn each_design_is_analyzed_once_per_process() {
         dataflow_calls(),
         once as u64,
         "one fixpoint per core and per (baseline, technology)"
+    );
+    assert_eq!(
+        obs::global().counter("netlist.sim.scalar_builds").unwrap_or(0),
+        0,
+        "the crosschecks build no scalar simulator"
     );
 
     all_three_stages();
