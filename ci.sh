@@ -33,9 +33,12 @@ FAULT_CSV_OUT="$csv_dir/t2.csv" PRINTED_SIM_THREADS=2 \
 cmp "$csv_dir/t1.csv" "$csv_dir/t2.csv" \
     || { echo "campaign CSV differs between 1 and 2 worker threads"; exit 1; }
 
-echo "==> differential lockstep gate (nonzero exit on divergence) and the scalar-vs-word campaign oracle"
+echo "==> differential lockstep gate (nonzero exit on divergence) and the scalar-vs-word campaign and golden oracles"
 cargo test --release --quiet --test lockstep_props
 cargo test --release --quiet -p printed-core --test campaign_props
+# Release builds skip the debug-only scalar cross-check of each
+# campaign's golden, so here this test is the folded golden's oracle.
+cargo test --release --quiet --test golden_engines
 
 echo "==> reproduce_all: ISS-vs-gate-level diff summary and static report validated through the in-tree JSON parser, and a clean manifest"
 diff_out="$csv_dir/diff_summary.json"
@@ -270,6 +273,9 @@ echo "==> obs smoke (PRINTED_OBS=summary campaign + JSON-lines export)"
 obs_out=$(PRINTED_OBS=summary cargo run --release --example fault_injection 2>&1 >/dev/null)
 grep -q "printed-obs summary" <<<"$obs_out" \
     || { echo "obs summary missing from fault_injection output"; exit 1; }
+# The three single-fault classifications share one scalar golden run.
+grep -qE '^ *netlist\.fault\.golden_scalar: 1$' <<<"$obs_out" \
+    || { echo "fault_injection must take exactly one scalar golden run"; exit 1; }
 cargo test --release --quiet --test obs_smoke
 
 echo "CI green."
